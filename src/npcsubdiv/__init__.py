@@ -13,9 +13,8 @@ __version__ = "0.1.0"
 from .errors import (DomainError, NumericError, ResourceError, SolverError,
                      StructuralError)
 from .grid import GridData, grid_from_function, grid_from_points, random_grid
-from .linear import (ContractivityCertificate, ConvergenceTestResult,
-                     RefinableSamples, cascade, contractivity_certificate,
-                     fit_gamma, linear_convergence_test, linear_subdivide,
+from .linear import (ContractivityCertificate, RefinableSamples, cascade,
+                     contractivity_certificate, fit_gamma, linear_subdivide,
                      partition_of_unity_residual)
 from .markov import (BallConfinement, KernelRow, StationaryReport,
                      ball_confinement, dispersion_gap, kernel_row, lp_moment,
@@ -29,10 +28,11 @@ from .spaces import (BarycenterProblem, SpaceDescriptor, SpacePoint, distance,
                      hyperboloid_point, log_map, npc_residual, random_point,
                      spd_point, tripod_point, weighted_barycenter)
 from .subdivision import (ApproximationCheck, ConvergenceDiagnostic,
-                          GammaEstimate, IterateTrace, approximation_error,
-                          bspline_comparison, contractivity_D,
-                          convergence_diagnostic, d_inf, empirical_gamma,
-                          geodesic_sampler, iterate, subdivide)
+                          ConvergenceTestResult, GammaEstimate, IterateTrace,
+                          approximation_error, bspline_comparison,
+                          contractivity_D, convergence_diagnostic, d_inf,
+                          empirical_gamma, geodesic_sampler, iterate,
+                          linear_convergence_test, subdivide)
 
 __all__ = [
     "__version__",

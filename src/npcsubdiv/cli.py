@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import platform
 import sys
 import time
@@ -26,7 +25,7 @@ from .errors import (DomainError, NumericError, ResourceError, SolverError,
 from .grid import GridData, grid_from_json, grid_to_json, random_grid
 from .linear import cascade, contractivity_certificate
 from .markov import kernel_row, lp_moment, nonassociativity_gap, simulate_chain
-from .masks import Mask, mask_from_json, validate_mask
+from .masks import Mask, mask_from_json, support_radius, validate_mask
 from .spaces import KINDS, TRIPOD, SpaceDescriptor
 from .subdivision import (approximation_error, convergence_diagnostic,
                           geodesic_sampler, iterate)
@@ -67,6 +66,10 @@ class RunConfig:
         if self.format == "csv" and self.command not in CSV_COMMANDS:
             raise DomainError(
                 f"csv output is only available for {', '.join(CSV_COMMANDS)}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        if self.trials is not None and self.trials < 1:
+            raise DomainError(f"trials must be >= 1, got {self.trials}")
 
 
 @dataclass
@@ -254,8 +257,7 @@ def _cmd_approx(config: RunConfig):
     descriptor = parse_space(config.space if config.space is not None
                              else "hyperboloid:2")
     level = config.levels if config.levels is not None else 5
-    radius = max(math.sqrt(sum(ik * ik for ik in idx))
-                 for idx, _ in mask.nonzero_items())
+    radius = support_radius(mask)
     sampler = geodesic_sampler(descriptor, config.seed)
     checks = []
     for h in APPROX_H_SWEEP:

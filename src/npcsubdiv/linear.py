@@ -2,29 +2,29 @@
 
 The linear route is the commutative baseline: masks act on real-valued data
 by plain linear combination.  Cascading from a delta produces samples of the
-refinable limit function; those samples feed the contractivity certificate
-gamma_n = 1 - alpha_n + 2*eps_n + M^2*eps_n^2 and the randomized convergence
-fit used to cross-check it.
+refinable limit function, which are the iterated mask a^(n) itself; those
+samples feed the contractivity certificate
+gamma_n = 1 - alpha_n + 2*eps_n + M^2*eps_n^2.  Integer translates of the
+samples are level-n cosets of a^(n) (`masks.coset`), and the interlevel
+residual eps_n compares dense, padded copies of a^(n) and a^(n+1) slice by
+slice.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .grid import GridData, box_indices, check_interior_depth, grid_from_function, \
-    refined_window
-from .masks import BoxGauge, Mask, default_gauge, gauge_value, iterated_mask, \
-    recenter, require_sum_rule, stencil
-from .spaces import EUCLIDEAN, SpaceDescriptor, euclidean_point
+from .grid import GridData, grid_from_function, refined_window
+from .masks import BoxGauge, Mask, coset, default_gauge, gauge_offsets, \
+    iterated_mask, next_iterate, recenter, require_sum_rule, stencil
+from .spaces import EUCLIDEAN, euclidean_point
 
 M_SWEEP_RESOLUTION = 2 ** -6
-FIT_FIRST_LEVEL = 2
-CONVERGENCE_MARGIN = 1e-3
 
 
 def linear_subdivide(mask: Mask, x: GridData) -> GridData:
@@ -64,29 +64,36 @@ class RefinableSamples:
         return self.values.nonzero_items()
 
 
+def _dense(mask: Mask, lo, shape) -> np.ndarray:
+    """Zero-padded copy of the support of mask on the box lo + [0, shape)."""
+    out = np.zeros(shape)
+    mlo, mhi = mask.support_box()
+    out[tuple(slice(l - b, h - b + 1) for l, h, b in zip(mlo, mhi, lo))] = \
+        mask.coeffs[tuple(slice(l - o, h - o + 1)
+                          for l, h, o in zip(mlo, mhi, mask.offset))]
+    return out
+
+
 def _interlevel_residual(cur: Mask, nxt: Mask) -> float:
     """Cauchy term sup_i |a^(n)_i - a^(n+1)_{2i}| plus the worst midpoint
-    deviation of a^(n+1) at odd nodes against multilinear interpolation."""
-    s = cur.dim
+    deviation of a^(n+1) at odd nodes against multilinear interpolation,
+    over the box lo..hi of i (one node beyond both supports)."""
     lo_c, hi_c = cur.support_box()
     lo_n, hi_n = nxt.support_box()
     lo = tuple(min(lc - 1, ln // 2 - 1) for lc, ln in zip(lo_c, lo_n))
     hi = tuple(max(hc + 1, hn // 2 + 1) for hc, hn in zip(hi_c, hi_n))
-    cauchy = 0.0
-    for i in box_indices(lo, hi):
-        cauchy = max(cauchy, abs(cur.value(i) - nxt.value(tuple(2 * k for k in i))))
-    deviation = 0.0
-    corners = list(product((0, 1), repeat=s))
+    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+    coarse = _dense(cur, lo, tuple(n + 1 for n in shape))  # i + c reaches hi + 1
+    fine = _dense(nxt, tuple(2 * l for l in lo), tuple(2 * n for n in shape))
+    corners = list(product((0, 1), repeat=cur.dim))
+    gaps = []  # corner e = 0 is the Cauchy term
     for e in corners:
-        if not any(e):
-            continue
         sub = [c for c in corners if all(ck <= ek for ck, ek in zip(c, e))]
-        for i in box_indices(lo, hi):
-            node = tuple(2 * k + ek for k, ek in zip(i, e))
-            interp = sum(cur.value(tuple(k + ck for k, ck in zip(i, c)))
-                         for c in sub) / len(sub)
-            deviation = max(deviation, abs(nxt.value(node) - interp))
-    return cauchy + deviation
+        interp = sum(coarse[tuple(slice(ck, ck + n) for ck, n in zip(c, shape))]
+                     for c in sub) / len(sub)
+        gaps.append(float(np.abs(fine[tuple(slice(ek, None, 2) for ek in e)]
+                                 - interp).max()))
+    return gaps[0] + max(gaps[1:])
 
 
 def cascade(mask: Mask, n: int) -> RefinableSamples:
@@ -96,8 +103,7 @@ def cascade(mask: Mask, n: int) -> RefinableSamples:
     unity residual) can flag non-sum-rule masks rather than refuse them.
     """
     cur = iterated_mask(mask, n)
-    nxt = iterated_mask(mask, n + 1)
-    eps = _interlevel_residual(cur, nxt)
+    eps = _interlevel_residual(cur, next_iterate(mask, cur))
     return RefinableSamples(mask=mask, level=n, values=cur, eps_n=eps,
                             support=cur.support_box())
 
@@ -105,18 +111,8 @@ def cascade(mask: Mask, n: int) -> RefinableSamples:
 def partition_of_unity_residual(samples: RefinableSamples) -> float:
     """max over residues r of |sum_j values(r + 2^n j) - 1|."""
     n = samples.level
-    stride = 2 ** n
-    arr = samples.values
-    lo, hi = arr.support_box()
-    sums = {}
-    for idx, w in arr.nonzero_items():
-        r = tuple(i % stride for i in idx)
-        sums[r] = sums.get(r, 0.0) + w
-    residual = max(abs(s - 1.0) for s in sums.values())
-    full = stride ** arr.dim
-    if len(sums) < full:
-        residual = max(residual, 1.0)  # an entire residue class is missing
-    return residual
+    return max(abs(sum(w for _, w in coset(samples.values, n, r)) - 1.0)
+               for r in product(range(2 ** n), repeat=samples.values.dim))
 
 
 # -- contractivity certificate ---------------------------------------------------
@@ -155,29 +151,15 @@ def _alpha(samples: Mask, n: int, gauge: BoxGauge) -> float:
     Dyadic points at resolution 2^-n are sample indices; integer shifts of phi
     step by 2^n.  Shift invariance reduces the sweep to one period cell.
     """
-    stride = 2 ** n
-    lo, hi = samples.support_box()
-    offsets = []
-    bound = [int(math.ceil(2 * ck)) for ck in gauge.half_widths]
-    for w in product(*(range(-b, b + 1) for b in bound)):
-        if gauge_value(gauge, w) < 2.0:
-            offsets.append(w)
+    offsets = gauge_offsets(gauge)
     alpha = math.inf
-    for u in product(*(range(stride) for _ in range(samples.dim))):
-        # integer translates i with samples[u - stride*i] != 0
-        i_ranges = [range(-(-(uk - hk) // stride), (uk - lk) // stride + 1)
-                    for uk, lk, hk in zip(u, lo, hi)]
-        base = {}
-        for i in product(*i_ranges):
-            w = samples.value(tuple(uk - stride * ik for uk, ik in zip(u, i)))
-            if w != 0.0:
-                base[i] = w
+    for u in product(range(2 ** n), repeat=samples.dim):
+        base = coset(samples, n, u)[::-1]  # sums run in row-major order of i
         for off in offsets:
-            v = tuple(uk + ok for uk, ok in zip(u, off))
+            row = dict(coset(samples, n, tuple(uk + ok for uk, ok in zip(u, off))))
             total = 0.0
-            for i, w in base.items():
-                total += w * samples.value(tuple(vk - stride * ik
-                                                 for vk, ik in zip(v, i)))
+            for i, w in base:
+                total += w * row.get(i, 0.0)
             alpha = min(alpha, total)
     return alpha
 
@@ -190,11 +172,12 @@ def contractivity_certificate(mask: Mask, level_cap: int) -> ContractivityCertif
     centered, _ = recenter(mask)
     gauge = default_gauge(centered)
     m_count = _overlap_count(gauge)
-    iterates = [iterated_mask(centered, k) for k in range(level_cap + 2)]
+    nxt = iterated_mask(centered, 1)
     last = None
     for n in range(1, level_cap + 1):
-        eps = _interlevel_residual(iterates[n], iterates[n + 1])
-        alpha = _alpha(iterates[n], n, gauge)
+        cur, nxt = nxt, next_iterate(centered, nxt)
+        eps = _interlevel_residual(cur, nxt)
+        alpha = _alpha(cur, n, gauge)
         gamma = 1.0 - alpha + 2.0 * eps + m_count ** 2 * eps * eps
         last = (alpha, eps, gamma, n)
         if gamma < 1.0:
@@ -207,31 +190,7 @@ def contractivity_certificate(mask: Mask, level_cap: int) -> ContractivityCertif
                                     level=n, gauge=gauge)
 
 
-# -- randomized convergence fit ---------------------------------------------------
-
-@dataclass
-class ConvergenceTestResult:
-    converges: bool
-    C: float
-    gamma: float
-    certificate_found: bool
-    per_trial_gamma: list = field(default_factory=list)
-
-
-def d_inf_real(x: GridData, box=None) -> float:
-    """sup |x_i - x_j| over index pairs at sup-distance <= 1 inside the box."""
-    lo, hi = box if box is not None else x.window()
-    s = x.dim
-    best = 0.0
-    offsets = [e for e in product((-1, 0, 1), repeat=s) if any(e) and e > (0,) * s]
-    for i in box_indices(lo, hi):
-        pi = x.get(i).payload
-        for e in offsets:
-            j = tuple(ik + ek for ik, ek in zip(i, e))
-            if all(l <= jk <= h for jk, l, h in zip(j, lo, hi)):
-                best = max(best, float(np.max(np.abs(pi - x.get(j).payload))))
-    return best
-
+# -- rate fits -------------------------------------------------------------------
 
 def fit_gamma(series):
     """exp(slope) of a least-squares line through log values; ignores zeros."""
@@ -242,41 +201,3 @@ def fit_gamma(series):
     ys = np.array([p[1] for p in pts])
     slope = np.polyfit(ns, ys, 1)[0]
     return float(np.exp(slope))
-
-
-def linear_convergence_test(mask: Mask, trials: int, n_max: int,
-                            seed: int) -> ConvergenceTestResult:
-    """Fits the decay of d_inf over random scalar data on a default window."""
-    if n_max < FIT_FIRST_LEVEL + 1:
-        raise DomainError(f"n_max must be >= {FIT_FIRST_LEVEL + 1}")
-    require_sum_rule(mask)
-    mlo, mhi = mask.support_box()
-    width = max(mh - ml for ml, mh in zip(mlo, mhi)) + 6
-    desc = SpaceDescriptor(EUCLIDEAN, 1)
-    gammas = []
-    big_c = 0.0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        for _ in range(3):
-            x = grid_from_function(desc, (0,) * mask.dim, (width,) * mask.dim,
-                                   lambda idx: euclidean_point(rng.random(1)))
-            boxes = check_interior_depth(mask, x.lo, x.hi, n_max)
-            d0 = d_inf_real(x, boxes[0])
-            if d0 > 1e-9:
-                break
-        series = []
-        cur = x
-        for n in range(1, n_max + 1):
-            cur = linear_subdivide(mask, cur)
-            series.append((n, d_inf_real(cur, boxes[n])))
-        gamma_t = fit_gamma([p for p in series if p[0] >= FIT_FIRST_LEVEL])
-        gammas.append(gamma_t)
-        ref = max(gamma_t, 1e-12)
-        for n, v in series:
-            big_c = max(big_c, v / (ref ** n * d0))
-    cert = contractivity_certificate(mask, min(n_max, 8))
-    fit_ok = all(g < 1.0 - CONVERGENCE_MARGIN for g in gammas)
-    return ConvergenceTestResult(converges=fit_ok, C=big_c,
-                                 gamma=max(gammas),
-                                 certificate_found=cert.found,
-                                 per_trial_gamma=gammas)

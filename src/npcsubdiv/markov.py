@@ -2,9 +2,11 @@
 
 The chain lives on the integer lattice: one step from state i lands on j
 with probability a_{i-2j}, and n steps land on j with the iterated-mask
-weight a^(n)_{i-2^n j}.  Exact kernel arithmetic is the primary tool here;
-Monte Carlo simulation exists to exercise the path-space semantics and to
-cross-check the exact marginals.
+weight a^(n)_{i-2^n j}.  So the n-step row out of i is the level-n coset of
+a^(n) at residue i (`masks.coset`), the one-step row is the stencil, and the
+stationary vector read off the cascade is the coset at residue 0.  Exact
+kernel arithmetic is the primary tool here; Monte Carlo simulation exists to
+exercise the path-space semantics and to cross-check the exact marginals.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 from .errors import DomainError
 from .grid import GridData
 from .linear import RefinableSamples
-from .masks import (Mask, default_gauge, gauge_value, iterated_mask, recenter,
-                    require_sum_rule, stencil)
+from .masks import (Mask, coset, default_gauge, gauge_value, iterated_mask,
+                    recenter, require_sum_rule, stencil)
 from .spaces import BarycenterProblem, distance, weighted_barycenter
 from .subdivision import iterate
 
@@ -63,6 +65,14 @@ class KernelRow:
     probs: dict  # j -> a^(n)_{start - 2^n j}
 
 
+def _iterated(mask: Mask, steps: int) -> Mask:
+    """a^(steps) of a sum-rule mask, whose level-`steps` cosets are the rows."""
+    if steps < 0:
+        raise DomainError("steps must be >= 0")
+    require_sum_rule(mask)
+    return iterated_mask(mask, steps)
+
+
 def kernel_row(mask: Mask, start, steps: int) -> KernelRow:
     """Marginal of the chain after `steps` steps from `start`.
 
@@ -71,20 +81,8 @@ def kernel_row(mask: Mask, start, steps: int) -> KernelRow:
     m + n and chaining the two rows reproduces the joint row exactly.
     """
     start = _as_state(start, mask.dim)
-    if steps < 0:
-        raise DomainError("steps must be >= 0")
-    require_sum_rule(mask)
-    if steps == 0:
-        return KernelRow(start=start, steps=0, probs={start: 1.0})
-    level = iterated_mask(mask, steps)
-    scale = 2 ** steps
-    probs = {}
-    for idx, w in level.nonzero_items():
-        num = tuple(s - v for s, v in zip(start, idx))
-        if any(t % scale for t in num):
-            continue
-        probs[tuple(t // scale for t in num)] = w
-    return KernelRow(start=start, steps=steps, probs=probs)
+    level = _iterated(mask, steps)
+    return KernelRow(start=start, steps=steps, probs=dict(coset(level, steps, start)))
 
 
 def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
@@ -151,20 +149,10 @@ def stationary_from_refinable(samples: RefinableSamples) -> StationaryReport:
     if samples.level < 1:
         raise DomainError("cascade level must be >= 1")
     require_sum_rule(samples.mask)
-    scale = 2 ** samples.level
-    pi = {}
-    for idx, w in samples.items():
-        if any(v % scale for v in idx):
-            continue
-        pi[tuple(-(v // scale) for v in idx)] = w
-
+    pi = dict(coset(samples.values, samples.level, (0,) * samples.mask.dim))
     image = {}
     for i, wi in pi.items():
-        for idx, a in samples.mask.nonzero_items():
-            num = tuple(ik - vk for ik, vk in zip(i, idx))
-            if any(t % 2 for t in num):
-                continue
-            j = tuple(t // 2 for t in num)
+        for j, a in stencil(samples.mask, i):
             image[j] = image.get(j, 0.0) + wi * a
     residual = max(abs(pi.get(j, 0.0) - image.get(j, 0.0))
                    for j in set(pi) | set(image))
@@ -193,11 +181,11 @@ def dispersion_gap(mask: Mask, ell, steps: int, p: float) -> float:
     """
     if p < 1.0:
         raise DomainError("p must be >= 1")
-    first = kernel_row(mask, ell, steps)
+    ell = _as_state(ell, mask.dim)
+    level = _iterated(mask, steps)
     total = 0.0
-    for j, wj in first.probs.items():
-        second = kernel_row(mask, j, steps)
-        for i, wi in second.probs.items():
+    for j, wj in coset(level, steps, ell):
+        for i, wi in coset(level, steps, j):
             total += wj * wi * math.dist(i, j) ** p
     return total
 

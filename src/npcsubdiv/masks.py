@@ -4,6 +4,12 @@ A mask is a finitely supported array of nonnegative coefficients indexed by
 Z^s.  This module validates the basic sum rule (unit mass on every parity
 coset), iterates masks under the dyadic refinement recursion, builds box
 gauges from the support, and forms tensor products.
+
+All residue arithmetic lives in `coset(mask, level, residue)`: the entries
+a_idx with idx = residue (mod 2^level), read as one strided slice and keyed
+by j = (residue - idx) / 2^level.  A stencil is the level-1 coset of a mask,
+an n-step kernel row or a stationary vector is a level-n coset of the
+iterated mask a^(n), and the partition-of-unity sums are coset sums.
 """
 
 from __future__ import annotations
@@ -145,13 +151,40 @@ class MaskReport:
     notes: list = field(default_factory=list)
 
 
+def _coset_view(mask: Mask, level: int, residue: tuple):
+    """Strided view of the coefficients at idx = residue (mod 2^level), and
+    the lattice index of its first entry."""
+    step = 2 ** level
+    first = tuple(o + (r - o) % step for r, o in zip(residue, mask.offset))
+    view = mask.coeffs[tuple(slice(f - o, None, step)
+                             for f, o in zip(first, mask.offset))]
+    return view, first
+
+
+def coset(mask: Mask, level: int, residue) -> list:
+    """(j, a_idx) pairs over the nonzero a_idx with idx = residue (mod 2^level).
+
+    j = (residue - idx) / 2^level.  Pairs come in row-major order of idx, so
+    j runs backwards.
+    """
+    residue = _as_index(residue, mask.dim)
+    step = 2 ** level
+    view, first = _coset_view(mask, level, residue)
+    top = tuple((r - f) // step for r, f in zip(residue, first))
+    return [(tuple(t - int(l) for t, l in zip(top, local)), float(view[local]))
+            for local in zip(*np.nonzero(view))]
+
+
 def coset_sums(mask: Mask) -> dict:
     """Sum of coefficients on each parity coset of Z^s."""
-    sums = {}
-    for parity in product((0, 1), repeat=mask.dim):
-        sl = tuple(slice((p - o) % 2, None, 2) for p, o in zip(parity, mask.offset))
-        sums[parity] = float(mask.coeffs[sl].sum())
-    return sums
+    return {parity: float(_coset_view(mask, 1, parity)[0].sum())
+            for parity in product((0, 1), repeat=mask.dim)}
+
+
+def support_radius(mask: Mask) -> float:
+    """Largest Euclidean norm of an index in the support."""
+    return max(math.sqrt(sum(ik * ik for ik in idx))
+               for idx, _ in mask.nonzero_items())
 
 
 def center_translation(mask: Mask):
@@ -210,16 +243,8 @@ def require_sum_rule(mask: Mask):
 
 
 def stencil(mask: Mask, index):
-    """(j, weight) pairs with weight = a_{index - 2j} > 0."""
-    mlo, mhi = mask.support_box()
-    ranges = [range(-(-(i - mh) // 2), (i - ml) // 2 + 1)
-              for i, ml, mh in zip(index, mlo, mhi)]
-    out = []
-    for j in product(*ranges):
-        w = mask.value(tuple(i - 2 * jj for i, jj in zip(index, j)))
-        if w > 0.0:
-            out.append((j, w))
-    return out
+    """(j, weight) pairs with weight = a_{index - 2j} > 0, in row-major order of j."""
+    return coset(mask, 1, index)[::-1]
 
 
 # -- iteration -----------------------------------------------------------------
@@ -245,13 +270,18 @@ def _convolve(a: Mask, b: Mask) -> Mask:
     return Mask(a.dim, offset, out)
 
 
+def next_iterate(mask: Mask, current: Mask) -> Mask:
+    """a^(n+1)_i = sum_j a_{i-2j} a^(n)_j from current = a^(n)."""
+    return _trimmed(_convolve(mask, _upsample2(current)))
+
+
 def iterated_mask(mask: Mask, n: int) -> Mask:
-    """n-fold mask iteration: a^(0) = delta, a^(n+1)_i = sum_j a_{i-2j} a^(n)_j."""
+    """n-fold mask iteration from a^(0) = delta."""
     if n < 0:
         raise StructuralError("iteration level must be >= 0")
     out = delta_mask(mask.dim)
     for _ in range(n):
-        out = _trimmed(_convolve(mask, _upsample2(out)))
+        out = next_iterate(mask, out)
     return out
 
 
@@ -279,6 +309,13 @@ def gauge_value(gauge: BoxGauge, v) -> float:
         raise StructuralError(
             f"vector has shape {v.shape}, gauge expects {gauge.half_widths.shape}")
     return float(np.max(np.abs(v) / gauge.half_widths))
+
+
+def gauge_offsets(gauge: BoxGauge) -> list:
+    """Integer offsets e with gauge(e) < 2, in row-major order."""
+    bound = [int(math.ceil(2 * ck)) for ck in gauge.half_widths]
+    return [e for e in product(*(range(-b, b + 1) for b in bound))
+            if gauge_value(gauge, e) < 2.0]
 
 
 def unit_gauge(dim: int) -> BoxGauge:

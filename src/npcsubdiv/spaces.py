@@ -23,7 +23,7 @@ TRIPOD = "tripod"
 KINDS = (EUCLIDEAN, SPD, HYPERBOLOID, TRIPOD)
 
 POINT_TOL = 1e-9            # payload-wise equality tolerance
-HYPERBOLOID_TOL = 1e-10     # |<p,p>_M + 1| bound for membership
+HYPERBOLOID_TOL = 1e-10     # |<p,p>_M + 1| bound for membership, times p0^2
 BARYCENTER_TOL = 1e-10      # scaled by (1 + data diameter)
 BARYCENTER_MAX_ITER = 500
 
@@ -94,7 +94,8 @@ def hyperboloid_point(p) -> SpacePoint:
         raise StructuralError("hyperboloid payload must have length dim+1 >= 2")
     if p[0] <= 0.0:
         raise StructuralError("hyperboloid payload needs positive time coordinate")
-    if abs(_mink(p, p) + 1.0) > HYPERBOLOID_TOL:
+    # round-off in <p,p>_M grows like p0^2, and p0 >= 1 on the sheet
+    if abs(_mink(p, p) + 1.0) > HYPERBOLOID_TOL * p[0] * p[0]:
         raise StructuralError("payload is not on the unit hyperboloid")
     return SpacePoint(SpaceDescriptor(HYPERBOLOID, p.shape[0] - 1), p)
 

@@ -10,28 +10,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from .errors import DomainError, SolverError, StructuralError
 from .grid import GridData, box_indices, box_intersect, box_is_empty, \
     check_interior_depth, grid_from_function, random_grid, refined_window
-from .linear import fit_gamma
-from .masks import BoxGauge, Mask, default_gauge, gauge_value, require_sum_rule, \
-    stencil, unit_gauge
+from .linear import contractivity_certificate, fit_gamma
+from .masks import BoxGauge, Mask, default_gauge, gauge_offsets, require_sum_rule, \
+    stencil, unit_gauge, support_radius as mask_support_radius
 from .spaces import EUCLIDEAN, HYPERBOLOID, SPD, TRIPOD, BarycenterProblem, \
     SpaceDescriptor, SpacePoint, distance, exp_map, geodesic_point, log_map, \
     random_point, tripod_point, weighted_barycenter
 
 __all__ = [
     "GridData", "IterateTrace", "subdivide", "iterate", "contractivity_D",
-    "d_inf", "empirical_gamma", "GammaEstimate", "bspline_comparison",
+    "d_inf", "empirical_gamma", "GammaEstimate", "linear_convergence_test",
+    "ConvergenceTestResult", "bspline_comparison",
     "convergence_diagnostic", "ConvergenceDiagnostic", "approximation_error",
     "ApproximationCheck", "geodesic_sampler",
 ]
 
 DIAGNOSTIC_MARGIN = 1e-3
+FIT_FIRST_LEVEL = 2
+CONVERGENCE_MARGIN = 1e-3
 
 
 def subdivide(mask: Mask, x: GridData) -> GridData:
@@ -64,22 +66,13 @@ class IterateTrace:
     gauge: BoxGauge
 
 
-def _pair_offsets(gauge: BoxGauge):
-    """Nonzero integer offsets e with gauge(e) < 2, one per symmetric pair."""
-    bound = [int(math.ceil(2 * ck)) for ck in gauge.half_widths]
-    out = []
-    for e in product(*(range(-b, b + 1) for b in bound)):
-        if any(e) and e > (0,) * len(e) and gauge_value(gauge, e) < 2.0:
-            out.append(e)
-    return out
-
-
 def contractivity_D(x: GridData, gauge: BoxGauge, box=None) -> float:
     """sup d(x_i, x_j) over pairs with gauge(i - j) < 2 inside the box."""
     if gauge.half_widths.size != x.dim:
         raise StructuralError("gauge and data dimension disagree")
     lo, hi = box if box is not None else x.window()
-    offsets = _pair_offsets(gauge)
+    # one offset per symmetric pair; e > 0 also drops e = 0
+    offsets = [e for e in gauge_offsets(gauge) if e > (0,) * x.dim]
     best = 0.0
     for i in box_indices(lo, hi):
         pi = x.get(i)
@@ -137,13 +130,36 @@ def empirical_gamma(mask: Mask, space: SpaceDescriptor, trials: int, n_max: int,
         if trace is None:
             raise SolverError(f"trial {t} failed after 3 resamples")
         series = list(enumerate(trace.d_inf_series))
-        gamma_t = fit_gamma([p for p in series if p[0] >= 2])
+        gamma_t = fit_gamma([p for p in series if p[0] >= FIT_FIRST_LEVEL])
         gammas.append(gamma_t)
         ref = max(gamma_t, 1e-12)
         d0 = trace.d_inf_series[0]
         for nn, v in series[1:]:
             c_hat = max(c_hat, v / (ref ** nn * d0))
     return GammaEstimate(gamma_hat=max(gammas), C_hat=c_hat, per_trial_gamma=gammas)
+
+
+@dataclass
+class ConvergenceTestResult:
+    converges: bool
+    C: float
+    gamma: float
+    certificate_found: bool
+    per_trial_gamma: list = field(default_factory=list)
+
+
+def linear_convergence_test(mask: Mask, trials: int, n_max: int,
+                            seed: int) -> ConvergenceTestResult:
+    """empirical_gamma on random scalar data, next to the certificate search."""
+    if n_max < FIT_FIRST_LEVEL + 1:
+        raise DomainError(f"n_max must be >= {FIT_FIRST_LEVEL + 1}")
+    require_sum_rule(mask)
+    fit = empirical_gamma(mask, SpaceDescriptor(EUCLIDEAN, 1), trials, n_max, seed)
+    cert = contractivity_certificate(mask, min(n_max, 8))
+    return ConvergenceTestResult(
+        converges=all(g < 1.0 - CONVERGENCE_MARGIN for g in fit.per_trial_gamma),
+        C=fit.C_hat, gamma=fit.gamma_hat, certificate_found=cert.found,
+        per_trial_gamma=fit.per_trial_gamma)
 
 
 # -- comparison scheme ----------------------------------------------------------
@@ -255,8 +271,7 @@ def approximation_error(mask: Mask, f, lipschitz: float, support_radius: float,
         raise DomainError("h must be positive")
     if window is None:
         window = ((-4,) * mask.dim, (4,) * mask.dim)
-    radius = max(math.sqrt(sum(ik * ik for ik in idx))
-                 for idx, _ in mask.nonzero_items())
+    radius = mask_support_radius(mask)
     if radius > support_radius + 1e-12:
         raise DomainError(
             f"mask support radius {radius} exceeds declared {support_radius}")

@@ -278,6 +278,20 @@ def test_bad_mc_argument(capsys, files):
                           "--steps", "1", "--mc", "n=5"], "DomainError")
 
 
+@pytest.mark.parametrize("argv", (
+    ["chain", "--mask", "@c", "--start", "0", "--steps", "2", "--mc",
+     "--seed", "-1"],
+    ["approx", "--mask", "@b", "--levels", "2", "--seed", "-3"],
+    ["diagnose", "--mask", "@c", "--space", "spd:2", "--seed", "-1"],
+    ["diagnose", "--mask", "@c", "--space", "spd:2", "--trials", "0"],
+    ["diagnose", "--mask", "@c", "--space", "spd:2", "--trials", "-2"],
+), ids=("chain-mc-seed", "approx-seed", "diagnose-seed", "diagnose-trials-0",
+        "diagnose-trials-negative"))
+def test_bad_seeds_and_trial_counts_are_domain_errors(capsys, files, argv):
+    argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+    expect_error(capsys, argv, "DomainError")
+
+
 def test_missing_required_option_is_reported(capsys, files):
     expect_error(capsys, ["cascade", "--mask", files["b"]], "DomainError")
 

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError,
-                       bspline_mask, chaikin_mask, euclidean_point, make_mask,
-                       random_point, tripod_point)
+                       bspline_mask, chaikin_mask, euclidean_point, exp_map,
+                       make_mask, random_point, tripod_point)
 from npcsubdiv.grid import (box_indices, box_intersect, box_is_empty,
                             check_interior_depth, grid_from_json,
                             grid_from_points, grid_to_json,
                             minimal_window_width, random_grid,
                             refined_interior, refined_window)
-from npcsubdiv.spaces import points_equal
+from npcsubdiv.spaces import hyperboloid_from_spatial, points_equal
 
 EU = SpaceDescriptor("euclidean", 1)
 B = bspline_mask()
@@ -118,6 +118,17 @@ def test_grid_json_roundtrip(kind, dim):
     assert back.window() == x.window()
     assert back.extension == "periodic"
     assert all(points_equal(back.get(i), x.get(i)) for i in x.indices())
+
+
+def test_far_hyperboloid_points_survive_the_json_round_trip():
+    origin = hyperboloid_from_spatial([0.0, 0.0])
+    pts = [exp_map(origin, [0.0, r * np.cos(t), r * np.sin(t)])
+           for r in (5.0, 10.0, 20.0) for t in (0.3, 1.1, 2.9, 4.4)]
+    x = grid_from_points(SpaceDescriptor("hyperboloid", 2), (0,),
+                         (len(pts) - 1,), pts)
+    back = grid_from_json(grid_to_json(x))
+    assert all(np.array_equal(back.get(i).payload, x.get(i).payload)
+               for i in x.indices())
 
 
 def test_grid_json_rejects_malformed_objects():

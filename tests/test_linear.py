@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError,
                        bspline_mask, cascade, chaikin_mask,
-                       contractivity_certificate, euclidean_point, fit_gamma,
-                       linear_convergence_test, linear_subdivide, make_mask,
-                       partition_of_unity_residual, tensor_power,
+                       contractivity_certificate, d_inf, euclidean_point,
+                       fit_gamma, linear_convergence_test, linear_subdivide,
+                       make_mask, partition_of_unity_residual, tensor_power,
                        tripod_point)
 from npcsubdiv.grid import grid_from_points
-from npcsubdiv.linear import d_inf_real
 from oracles import dense_interlevel, hat
 
 EU = SpaceDescriptor("euclidean", 1)
@@ -177,10 +176,10 @@ def test_fit_gamma_edge_cases():
         linear_convergence_test(B, trials=1, n_max=2, seed=0)
 
 
-def test_d_inf_real_respects_the_box():
+def test_d_inf_respects_the_box():
     x = euclid_grid([0.0, 0.1, 0.2, 9.0])
-    assert d_inf_real(x) == pytest.approx(8.8)
-    assert d_inf_real(x, ((0,), (2,))) == pytest.approx(0.1)
+    assert d_inf(x) == pytest.approx(8.8)
+    assert d_inf(x, ((0,), (2,))) == pytest.approx(0.1)
 
 
 # -- properties over random admissible masks -------------------------------------------

@@ -1,5 +1,7 @@
 """Mask validation, iteration, gauges, stencils, and products."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +11,7 @@ from npcsubdiv import (NumericError, ResourceError, StructuralError,
                        bspline_mask, chaikin_mask, default_gauge, gauge_value,
                        iterated_mask, make_mask, tensor_power, tensor_product,
                        validate_mask)
-from npcsubdiv.masks import (BoxGauge, coset_sums, delta_mask, mask_from_json,
+from npcsubdiv.masks import (BoxGauge, coset, coset_sums, delta_mask, mask_from_json,
                              mask_to_json, recenter, require_sum_rule, stencil,
                              translate, unit_gauge)
 from oracles import dense_iterated, hat
@@ -163,6 +165,19 @@ def test_stencil_enumerates_exactly_the_positive_coefficients(mask):
             if w > 0.0:
                 want[(j,)] = w
         assert got == want
+
+
+@pytest.mark.parametrize("mask", (C, GAPPED, tensor_power(B, 2), translate(C, (3,))),
+                         ids=("chaikin", "gapped", "tensor-hat", "shifted"))
+def test_coset_is_the_residue_class_read_entry_by_entry(mask):
+    for level in range(4):
+        step = 2 ** level
+        for r in product(range(-step, step + 2), repeat=mask.dim):
+            want = {}
+            for idx, w in mask.nonzero_items():
+                if all((rk - ik) % step == 0 for rk, ik in zip(r, idx)):
+                    want[tuple((rk - ik) // step for rk, ik in zip(r, idx))] = w
+            assert coset(mask, level, r) == list(want.items())
 
 
 def test_stencil_bivariate():
