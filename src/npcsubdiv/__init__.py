@@ -17,8 +17,8 @@ from .linear import (ContractivityCertificate, RefinableSamples, cascade,
                      contractivity_certificate, fit_gamma, linear_subdivide,
                      partition_of_unity_residual)
 from .markov import (BallConfinement, KernelRow, StationaryReport,
-                     ball_confinement, dispersion_gap, kernel_row, lp_moment,
-                     nonassociativity_gap, simulate_chain,
+                     ball_confinement, dispersion_gap, kernel_row, lp_curve,
+                     lp_moment, nonassociativity_gap, simulate_chain,
                      stationary_from_refinable)
 from .masks import (BoxGauge, Mask, MaskReport, bspline_mask, chaikin_mask,
                     default_gauge, gauge_value, iterated_mask, make_mask,
@@ -44,7 +44,7 @@ __all__ = [
     "linear_convergence_test", "linear_subdivide",
     "partition_of_unity_residual",
     "BallConfinement", "KernelRow", "StationaryReport", "ball_confinement",
-    "dispersion_gap", "kernel_row", "lp_moment", "nonassociativity_gap",
+    "dispersion_gap", "kernel_row", "lp_curve", "lp_moment", "nonassociativity_gap",
     "simulate_chain", "stationary_from_refinable",
     "BoxGauge", "Mask", "MaskReport", "bspline_mask", "chaikin_mask",
     "default_gauge", "gauge_value", "iterated_mask", "make_mask",

@@ -24,7 +24,7 @@ from .errors import (DomainError, NumericError, ResourceError, SolverError,
                      StructuralError)
 from .grid import GridData, grid_from_json, grid_to_json, random_grid
 from .linear import cascade, contractivity_certificate
-from .markov import kernel_row, lp_moment, nonassociativity_gap, simulate_chain
+from .markov import kernel_row, lp_curve, nonassociativity_gap, simulate_chain
 from .masks import Mask, mask_from_json, support_radius, validate_mask
 from .spaces import KINDS, TRIPOD, SpaceDescriptor
 from .subdivision import (approximation_error, convergence_diagnostic,
@@ -240,8 +240,8 @@ def _cmd_lp(config: RunConfig):
     p = config.p if config.p is not None else 1.0
     center = config.index if config.index is not None else (0,) * mask.dim
     max_steps = config.steps if config.steps is not None else 8
-    curve = [{"n": n, "moment": lp_moment(mask, start, n, p, center)}
-             for n in range(1, max_steps + 1)]
+    moments = lp_curve(mask, start, max(max_steps, 0), p, center)[1:]
+    curve = [{"n": n, "moment": m} for n, m in enumerate(moments, 1)]
     return {"start": list(start), "p": p, "center": list(center),
             "curve": curve}
 

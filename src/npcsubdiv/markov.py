@@ -4,24 +4,34 @@ The chain lives on the integer lattice: one step from state i lands on j
 with probability a_{i-2j}, and n steps land on j with the iterated-mask
 weight a^(n)_{i-2^n j}.  So the n-step row out of i is the level-n coset of
 a^(n) at residue i (`masks.coset`), the one-step row is the stencil, and the
-stationary vector read off the cascade is the coset at residue 0.  Exact
-kernel arithmetic is the primary tool here; Monte Carlo simulation exists to
-exercise the path-space semantics and to cross-check the exact marginals.
+stationary vector read off the cascade is the coset at residue 0.  Step
+curves (`lp_curve`, `ball_confinement`) walk one ladder a^(0), a^(1), ...
+and read each row off its own level.  Exact kernel arithmetic is the primary
+tool here; Monte Carlo simulation exists to exercise the path-space
+semantics and to cross-check the exact marginals.
+
+The sampler walks all trials of a block at once.  A one-step row depends on
+the state only through its parity r in {0,1}^s, so it keeps one cumulative
+row per parity class, built from `stencil(mask, r)`, and moves a state i to
+(i + 2j - r) / 2 for the drawn stencil target j.  Trials run in blocks of
+`MC_BLOCK` against one generator keyed by the seed, which draws one uniform
+per trial of the block at each step, block after block.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice, product
 
 import numpy as np
 
 from .errors import DomainError
 from .grid import GridData
 from .linear import RefinableSamples
-from .masks import (Mask, coset, default_gauge, gauge_value, iterated_mask,
-                    recenter, require_sum_rule, stencil)
+from .masks import (Mask, coset, default_gauge, delta_mask, gauge_value,
+                    iterated_mask, next_iterate, recenter, require_sum_rule,
+                    stencil)
 from .spaces import BarycenterProblem, distance, weighted_barycenter
 from .subdivision import iterate
 
@@ -32,6 +42,7 @@ __all__ = [
     "StationaryReport",
     "stationary_from_refinable",
     "lp_moment",
+    "lp_curve",
     "dispersion_gap",
     "BallConfinement",
     "ball_confinement",
@@ -40,6 +51,8 @@ __all__ = [
 
 INTERPOLATORY_TOL = 1e-9
 BALL_GAUGE_TOL = 1e-12
+MC_BLOCK = 1 << 13  # trials walked at once; bounds the sampler's memory
+MC_STATE_LIMIT = 1 << 62  # bound on |start| and |mask index| for int64 states
 
 
 def _as_state(v, dim):
@@ -73,6 +86,18 @@ def _iterated(mask: Mask, steps: int) -> Mask:
     return iterated_mask(mask, steps)
 
 
+def _ladder(mask: Mask, steps: int):
+    """Yields a^(0), ..., a^(steps) of a sum-rule mask, each from the one before."""
+    if steps < 0:
+        raise DomainError("steps must be >= 0")
+    require_sum_rule(mask)
+    level = delta_mask(mask.dim)
+    yield level
+    for _ in range(steps):
+        level = next_iterate(mask, level)
+        yield level
+
+
 def kernel_row(mask: Mask, start, steps: int) -> KernelRow:
     """Marginal of the chain after `steps` steps from `start`.
 
@@ -88,11 +113,14 @@ def kernel_row(mask: Mask, start, steps: int) -> KernelRow:
 def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
     """Empirical marginal of X_steps over independent trajectories.
 
-    Trial t draws from the sub-stream keyed (seed, t), so runs are
-    reproducible and trials are independent.  One-step rows are cached per
-    visited state with renormalized weights (the renormalization is a no-op
-    up to float round-off thanks to the sum rule).  Returns a map from the
-    final state to its relative frequency.
+    One generator, `np.random.default_rng(seed)`, feeds every trial, so runs
+    are reproducible.  Trials run in blocks of `MC_BLOCK` (the last block
+    takes the rest); at each step the block draws one uniform per trial, and
+    blocks draw one after another.  A uniform picks the target in the
+    cumulative row of the state's parity class, built once per class with
+    renormalized weights (the renormalization is a no-op up to float
+    round-off thanks to the sum rule).  Returns a map from the final state
+    to its relative frequency.
     """
     start = _as_state(start, mask.dim)
     if steps < 0:
@@ -102,30 +130,40 @@ def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
     require_sum_rule(mask)
     if steps == 0:
         return {start: 1.0}
+    # a move 2j - r is minus a mask index, so bounding |start| and the
+    # support by 2^62 keeps every state + move inside int64
+    lo, hi = mask.support_box()
+    if max(abs(c) for c in start + lo + hi) >= MC_STATE_LIMIT:
+        raise DomainError(
+            f"the Monte Carlo walk holds states in int64, so start coordinates "
+            f"and mask indices need absolute value < 2^62; got start {start} "
+            f"and mask support {lo}..{hi}")
 
-    rows = {}
+    rows = []  # per parity class, in row-major order of r: (2j - r, cum)
+    for r in product((0, 1), repeat=mask.dim):
+        pairs = stencil(mask, r)
+        weights = np.array([w for _, w in pairs])
+        cum = np.cumsum(weights / math.fsum(weights))
+        cum[-1] = 1.0  # close the top bin against round-off
+        moves = np.array([[2 * jk - rk for jk, rk in zip(j, r)] for j, _ in pairs])
+        rows.append((moves, cum))
+    place = 1 << np.arange(mask.dim - 1, -1, -1)  # parity bits -> class
 
-    def row(state):
-        cached = rows.get(state)
-        if cached is None:
-            pairs = stencil(mask, state)
-            total = sum(w for _, w in pairs)
-            acc, cum = 0.0, []
-            for _, w in pairs:
-                acc += w / total
-                cum.append(acc)
-            cum[-1] = 1.0  # close the top bin against round-off
-            cached = rows[state] = ([j for j, _ in pairs], cum)
-        return cached
-
+    rng = np.random.default_rng(seed)
     counts = {}
-    for trial in range(trials):
-        draws = np.random.default_rng([seed, trial]).random(steps)
-        state = start
-        for u in draws:
-            targets, cum = row(state)
-            state = targets[bisect_right(cum, u)]
-        counts[state] = counts.get(state, 0) + 1
+    for done in range(0, trials, MC_BLOCK):
+        n = min(MC_BLOCK, trials - done)
+        state = np.tile(np.array(start, dtype=np.int64), (n, 1))
+        for _ in range(steps):
+            u = rng.random(n)
+            parity = (state & 1) @ place
+            for r, (moves, cum) in enumerate(rows):
+                sel = np.flatnonzero(parity == r)
+                picked = np.searchsorted(cum, u[sel], side="right")
+                state[sel] = (state[sel] + moves[picked]) >> 1
+        finals, hits = np.unique(state, axis=0, return_counts=True)
+        for j, c in zip(map(tuple, finals.tolist()), hits.tolist()):
+            counts[j] = counts.get(j, 0) + c
     return {j: c / trials for j, c in counts.items()}
 
 
@@ -164,13 +202,19 @@ def stationary_from_refinable(samples: RefinableSamples) -> StationaryReport:
     return StationaryReport(pi=pi, interpolatory=interpolatory, residual=residual)
 
 
-def lp_moment(mask: Mask, ell, steps: int, p: float, k) -> float:
-    """E_ell ||X_steps - k||^p, exactly, with the Euclidean norm on Z^s."""
+def lp_curve(mask: Mask, ell, steps: int, p: float, k) -> list:
+    """[E_ell ||X_n - k||^p for n = 0..steps], exactly, from one mask ladder."""
     if p < 1.0:
         raise DomainError("p must be >= 1")
     k = _as_state(k, mask.dim)
-    row = kernel_row(mask, ell, steps)
-    return sum(w * math.dist(j, k) ** p for j, w in row.probs.items())
+    ell = _as_state(ell, mask.dim)
+    return [sum(w * math.dist(j, k) ** p for j, w in coset(level, n, ell))
+            for n, level in enumerate(_ladder(mask, steps))]
+
+
+def lp_moment(mask: Mask, ell, steps: int, p: float, k) -> float:
+    """E_ell ||X_steps - k||^p, exactly, with the Euclidean norm on Z^s."""
+    return lp_curve(mask, ell, steps, p, k)[-1]
 
 
 def dispersion_gap(mask: Mask, ell, steps: int, p: float) -> float:
@@ -212,9 +256,9 @@ def ball_confinement(mask: Mask, start, steps: int) -> BallConfinement:
     start = _as_state(start, mask.dim)
     confined = True
     radius = 0.0
-    for m in (steps, steps + 1, steps + 2):
-        row = kernel_row(centred, start, m)
-        for j in row.probs:
+    ladder = enumerate(_ladder(centred, steps + 2))
+    for m, level in islice(ladder, steps, None):
+        for j, _ in coset(level, m, start):
             rho = gauge_value(gauge, j)
             radius = max(radius, rho)
             if rho > 2.0 + BALL_GAUGE_TOL:

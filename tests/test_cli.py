@@ -292,6 +292,17 @@ def test_bad_seeds_and_trial_counts_are_domain_errors(capsys, files, argv):
     expect_error(capsys, argv, "DomainError")
 
 
+def test_monte_carlo_rejects_starts_beyond_int64(capsys, files):
+    far = f"--start={2 ** 70}"
+    expect_error(capsys, ["chain", "--mask", files["c"], far, "--steps", "3",
+                          "--mc"], "DomainError")
+    rc, out, _ = run_cli(capsys, ["chain", "--mask", files["c"], far,
+                                  "--steps", "3"])
+    assert rc == 0
+    probs = {tuple(e["j"]): e["p"] for e in payload_of(out)["probs"]}
+    assert probs == kernel_row(C, (2 ** 70,), 3).probs
+
+
 def test_missing_required_option_is_reported(capsys, files):
     expect_error(capsys, ["cascade", "--mask", files["b"]], "DomainError")
 

@@ -3,9 +3,10 @@
 Each case runs `cli.main` in process and compares the parsed payload with
 `tests/golden/<name>.json`.  None of these runs touches LAPACK, so equality
 is exact.  The golden files were written by running this module as a script
-(`PYTHONPATH=src python tests/test_golden.py`) at a commit whose behaviour
-they pin; rerun it only for an intended change of a payload, and name that
-change in CHANGES.md.
+(`PYTHONPATH=src python tests/test_golden.py [NAME ...]`) at a commit whose
+behaviour they pin; the script rewrites the named cases, or every case when
+no name is given.  Rerun it only for an intended change of a payload, name
+only the cases that change, and name that change in CHANGES.md.
 """
 
 import json
@@ -91,9 +92,13 @@ def test_payload_matches_golden(name, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden cases: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in CASES:
+        for case in names:
             payload = run_case(case, Path(tmp))
             (GOLDEN / f"{case}.json").write_text(
                 json.dumps(payload, indent=1, sort_keys=True) + "\n")

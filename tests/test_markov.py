@@ -2,6 +2,7 @@
 and the nested-versus-one-shot barycenter gap."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -9,17 +10,20 @@ import pytest
 from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError,
                        ball_confinement, bspline_mask, cascade, chaikin_mask,
                        dispersion_gap, euclidean_point, iterated_mask,
-                       kernel_row, lp_moment, make_mask, nonassociativity_gap,
-                       simulate_chain, stationary_from_refinable,
-                       tensor_power, tripod_point)
+                       kernel_row, lp_curve, lp_moment, make_mask,
+                       nonassociativity_gap, simulate_chain,
+                       stationary_from_refinable, tensor_power, tripod_point)
 from npcsubdiv.grid import box_indices, check_interior_depth, grid_from_points
-from oracles import forward_row, tv
+from npcsubdiv.markov import MC_BLOCK
+from npcsubdiv.masks import translate
+from oracles import forward_row, one_step_row, tv
 
 TRI = SpaceDescriptor("tripod")
 B = bspline_mask()
 C = chaikin_mask()
 BB = tensor_power(B, 2)
 GAPPED = make_mask((0,), [1.0, 0.0, 0.0, 1.0])
+NONDYADIC = translate(make_mask((-1,), [0.2, 0.7, 0.8, 0.3]), (5,))
 
 
 # -- kernel rows -----------------------------------------------------------------
@@ -98,6 +102,16 @@ def test_lp_moment_chaikin_stays_bounded_away_from_zero():
     assert curve[0] == 0.75
     assert all(b >= a for a, b in zip(curve, curve[1:]))
     assert all(0.7 <= v <= 1.5 for v in curve)
+
+
+def test_lp_curve_reads_every_step_off_one_ladder():
+    for mask, start, k in ((C, (1,), (0,)), (NONDYADIC, (-7,), (2,)),
+                           (BB, (3, -5), (1, 1))):
+        for p in (1.0, 2.0, 3.5):
+            want = [sum(w * math.dist(j, k) ** p
+                        for j, w in kernel_row(mask, start, n).probs.items())
+                    for n in range(7)]
+            assert lp_curve(mask, start, 6, p, k) == want
 
 
 def test_lp_moment_validation():
@@ -233,6 +247,82 @@ def test_simulate_chain_degenerate_cases():
     assert simulate_chain(GAPPED, (1,), 3, 50, seed=0) == {(-1,): 1.0}
     with pytest.raises(DomainError):
         simulate_chain(B, (0,), 1, 0, seed=0)
+
+
+def bhc_tv_radius(trials, support, delta=1e-9):
+    """TV distance an empirical law exceeds with probability <= delta.
+
+    Bretagnolle-Huber-Carol: P(||p_hat - p||_1 >= eps) <= 2^K exp(-n eps^2 / 2)
+    for n draws from a law on K points.
+    """
+    l1 = math.sqrt(2.0 * (support * math.log(2.0) + math.log(1.0 / delta))
+                   / trials)
+    return 0.5 * l1
+
+
+@pytest.mark.parametrize("trials", (1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1))
+@pytest.mark.parametrize("mask,starts", (
+    (BB, ((10 ** 6, -10 ** 6), (-10 ** 6, 3), (2 ** 40, -2 ** 40),
+          (-2 ** 40, 2 ** 40 + 1))),
+    (NONDYADIC, ((10 ** 6,), (-10 ** 6,), (2 ** 40,), (-2 ** 40 - 1,))),
+), ids=("bspline2d", "nondyadic-shifted"))
+def test_sampler_counts_support_and_tv_across_block_sizes(mask, starts, trials):
+    for start in starts:
+        freq = simulate_chain(mask, start, 3, trials, seed=5)
+        exact = kernel_row(mask, start, 3).probs
+        hits = [f * trials for f in freq.values()]
+        assert all(abs(h - round(h)) <= 1e-6 for h in hits)
+        assert sum(round(h) for h in hits) == trials
+        assert set(freq) <= set(exact)
+        if trials >= 1000:
+            assert tv(freq, exact) <= bhc_tv_radius(trials, len(exact))
+        assert simulate_chain(mask, start, 3, trials, seed=5) == freq
+
+
+def looped_chain(mask, start, steps, trials, seed):
+    """One trial at a time on the documented stream: one generator keyed by
+    the seed, blocks of MC_BLOCK trials, one uniform per trial of the block
+    at each step; rows come from the oracle's one-step row of each state."""
+    rng = np.random.default_rng(seed)
+    counts = {}
+    for done in range(0, trials, MC_BLOCK):
+        n = min(MC_BLOCK, trials - done)
+        draws = [rng.random(n) for _ in range(steps)]
+        for t in range(n):
+            state = tuple(start)
+            for u in draws:
+                row = one_step_row(mask, state)
+                total = math.fsum(row.values())
+                acc, cum = 0.0, []
+                for w in row.values():
+                    acc += w / total
+                    cum.append(acc)
+                cum[-1] = 1.0
+                state = list(row)[bisect_right(cum, u[t])]
+            counts[state] = counts.get(state, 0) + 1
+    return {j: c / trials for j, c in counts.items()}
+
+
+@pytest.mark.parametrize("mask,start,steps,trials", (
+    (C, (0,), 3, MC_BLOCK + 3),
+    (NONDYADIC, (-7,), 4, 600),
+    (BB, (3, -5), 2, 400),
+), ids=("chaikin", "nondyadic-shifted", "bspline2d"))
+def test_sampler_equals_a_per_trial_walk_on_the_same_stream(mask, start, steps,
+                                                            trials):
+    assert (simulate_chain(mask, start, steps, trials, seed=21)
+            == looped_chain(mask, start, steps, trials, seed=21))
+
+
+def test_sampler_rejects_states_beyond_int64():
+    near = 2 ** 62 - 1
+    freq = simulate_chain(C, (near,), 2, 100, seed=0)
+    assert set(freq) <= set(kernel_row(C, (near,), 2).probs)
+    for mask, start in ((C, (2 ** 62,)), (C, (-2 ** 62,)), (C, (2 ** 70,)),
+                        (translate(C, (2 ** 62,)), (0,))):
+        with pytest.raises(DomainError, match="int64"):
+            simulate_chain(mask, start, 2, 10, seed=0)
+    assert sum(kernel_row(C, (2 ** 70,), 2).probs.values()) == 1.0
 
 
 # -- nested vs one-shot barycenters --------------------------------------------------------
