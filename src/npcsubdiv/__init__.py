@@ -14,7 +14,7 @@ from .errors import (DomainError, NumericError, ResourceError, SolverError,
                      StructuralError)
 from .grid import GridData, grid_from_function, grid_from_points, random_grid
 from .linear import (ContractivityCertificate, RefinableSamples, cascade,
-                     contractivity_certificate, fit_gamma, linear_subdivide,
+                     contractivity_certificate, fit_gamma,
                      partition_of_unity_residual)
 from .markov import (BallConfinement, KernelRow, StationaryReport,
                      ball_confinement, dispersion_gap, kernel_row, lp_curve,
@@ -41,8 +41,7 @@ __all__ = [
     "GridData", "grid_from_function", "grid_from_points", "random_grid",
     "ContractivityCertificate", "ConvergenceTestResult", "RefinableSamples",
     "cascade", "contractivity_certificate", "fit_gamma",
-    "linear_convergence_test", "linear_subdivide",
-    "partition_of_unity_residual",
+    "linear_convergence_test", "partition_of_unity_residual",
     "BallConfinement", "KernelRow", "StationaryReport", "ball_confinement",
     "dispersion_gap", "kernel_row", "lp_curve", "lp_moment", "nonassociativity_gap",
     "simulate_chain", "stationary_from_refinable",

@@ -22,13 +22,13 @@ import numpy as np
 from . import __version__
 from .errors import (DomainError, NumericError, ResourceError, SolverError,
                      StructuralError)
-from .grid import GridData, grid_from_json, grid_to_json, random_grid
+from .grid import GridData, grid_from_json, grid_to_json
 from .linear import cascade, contractivity_certificate
 from .markov import kernel_row, lp_curve, nonassociativity_gap, simulate_chain
 from .masks import Mask, mask_from_json, support_radius, validate_mask
 from .spaces import KINDS, TRIPOD, SpaceDescriptor
 from .subdivision import (approximation_error, convergence_diagnostic,
-                          geodesic_sampler, iterate)
+                          geodesic_sampler, iterate, trial_grid)
 
 __all__ = ["RunConfig", "Report", "run", "main"]
 
@@ -200,13 +200,10 @@ def _cmd_diagnose(config: RunConfig):
         runs.append(_data_of(config))
     else:
         descriptor = parse_space(_need(config, "space"))
-        mlo, mhi = mask.support_box()
-        width = max(h - l for l, h in zip(mlo, mhi)) + 6
         trials = config.trials if config.trials is not None else 8
         for trial in range(trials):
             rng = np.random.default_rng([config.seed, trial])
-            runs.append(random_grid(descriptor, (0,) * mask.dim,
-                                    (width,) * mask.dim, rng))
+            runs.append(trial_grid(mask, descriptor, rng))
     reports = [convergence_diagnostic(mask, x, n_max) for x in runs]
     verdicts = [r.verdict for r in reports]
     return {
@@ -257,16 +254,15 @@ def _cmd_approx(config: RunConfig):
     descriptor = parse_space(config.space if config.space is not None
                              else "hyperboloid:2")
     level = config.levels if config.levels is not None else 5
-    radius = support_radius(mask)
     sampler = geodesic_sampler(descriptor, config.seed)
     checks = []
     for h in APPROX_H_SWEEP:
-        chk = approximation_error(mask, sampler, lipschitz=1.0,
-                                  support_radius=radius, h=h, n=level)
+        chk = approximation_error(mask, sampler, lipschitz=1.0, h=h, n=level)
         checks.append({"h": chk.h, "sup_err": chk.sup_err,
                        "bound": chk.bound, "ok": chk.ok})
     return {"space": f"{descriptor.kind}:{descriptor.dim}", "level": level,
-            "lipschitz": 1.0, "support_radius": radius, "checks": checks}
+            "lipschitz": 1.0, "support_radius": support_radius(mask),
+            "checks": checks}
 
 
 _HANDLERS = {

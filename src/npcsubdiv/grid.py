@@ -62,8 +62,7 @@ class GridData:
         return self.lo, self.hi
 
     def indices(self):
-        for local in product(*(range(h - l + 1) for l, h in zip(self.lo, self.hi))):
-            yield tuple(l + o for l, o in zip(local, self.lo))
+        return box_indices(self.lo, self.hi)
 
     def get(self, index) -> SpacePoint:
         index = _as_box_vec(index)
@@ -97,17 +96,14 @@ def grid_from_function(descriptor, lo, hi, fn, extension=CONSTANT_NEAREST) -> Gr
 def grid_from_points(descriptor, lo, hi, points, extension=CONSTANT_NEAREST) -> GridData:
     """Builds a grid from a row-major flat list of points."""
     lo, hi = _as_box_vec(lo), _as_box_vec(hi)
-    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+    size = math.prod(h - l + 1 for l, h in zip(lo, hi))
     flat = list(points)
-    if len(flat) != int(np.prod(shape)):
+    if len(flat) != size:
         raise StructuralError(
-            f"{len(flat)} points supplied for window of size {int(np.prod(shape))}")
-    pts = np.empty(shape, dtype=object)
-    for k, local in enumerate(product(*(range(n) for n in shape))):
-        if flat[k].descriptor != descriptor:
-            raise StructuralError("all points must share the grid descriptor")
-        pts[local] = flat[k]
-    return GridData(descriptor, lo, hi, pts, extension)
+            f"{len(flat)} points supplied for window of size {size}")
+    rest = iter(flat)  # grid_from_function visits the window in row-major order
+    return grid_from_function(descriptor, lo, hi, lambda idx: next(rest),
+                              extension)
 
 
 def random_grid(descriptor, lo, hi, rng, extension=CONSTANT_NEAREST) -> GridData:

@@ -1,48 +1,26 @@
-"""Linear subdivision, cascade iterates, and contractivity certificates.
+"""Cascade iterates and contractivity certificates of a mask.
 
-The linear route is the commutative baseline: masks act on real-valued data
-by plain linear combination.  Cascading from a delta produces samples of the
-refinable limit function, which are the iterated mask a^(n) itself; those
-samples feed the contractivity certificate
-gamma_n = 1 - alpha_n + 2*eps_n + M^2*eps_n^2.  Integer translates of the
-samples are level-n cosets of a^(n) (`masks.coset`), and the interlevel
-residual eps_n compares dense, padded copies of a^(n) and a^(n+1) slice by
-slice.
+Cascading from a delta produces samples of the refinable limit function,
+which are the iterated mask a^(n) itself; those samples feed the
+contractivity certificate gamma_n = 1 - alpha_n + 2*eps_n + M^2*eps_n^2.
+Integer translates of the samples are level-n cosets of a^(n)
+(`masks.coset`), and the interlevel residual eps_n compares dense, padded
+copies of a^(n) and a^(n+1) slice by slice; both walk one `masks.ladder`.
+The linear rule out_i = sum_j a_{i-2j} x_j, to which the barycentric scheme
+reduces on euclidean data, is the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, pairwise, product
 
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .grid import GridData, grid_from_function, refined_window
 from .masks import BoxGauge, Mask, coset, default_gauge, gauge_offsets, \
-    iterated_mask, next_iterate, recenter, require_sum_rule, stencil
-from .spaces import EUCLIDEAN, euclidean_point
-
-M_SWEEP_RESOLUTION = 2 ** -6
-
-
-def linear_subdivide(mask: Mask, x: GridData) -> GridData:
-    """One linear refinement step: out_i = sum_j a_{i-2j} x_j (euclidean data)."""
-    if x.descriptor.kind != EUCLIDEAN:
-        raise StructuralError("linear subdivision expects euclidean data")
-    if x.dim != mask.dim:
-        raise StructuralError("mask and data dimension disagree")
-    require_sum_rule(mask)
-    lo, hi = refined_window(x.lo, x.hi)
-
-    def value(idx):
-        acc = np.zeros(x.descriptor.dim)
-        for j, w in stencil(mask, idx):
-            acc += w * x.get(j).payload
-        return euclidean_point(acc)
-
-    return grid_from_function(x.descriptor, lo, hi, value, x.extension)
+    ladder, recenter, require_sum_rule
 
 
 # -- cascade -------------------------------------------------------------------
@@ -102,8 +80,10 @@ def cascade(mask: Mask, n: int) -> RefinableSamples:
     Runs for any nonnegative mask so that diagnostics (e.g. the partition of
     unity residual) can flag non-sum-rule masks rather than refuse them.
     """
-    cur = iterated_mask(mask, n)
-    eps = _interlevel_residual(cur, next_iterate(mask, cur))
+    if n < 0:
+        raise StructuralError("iteration level must be >= 0")
+    cur, nxt = islice(ladder(mask), n, n + 2)
+    eps = _interlevel_residual(cur, nxt)
     return RefinableSamples(mask=mask, level=n, values=cur, eps_n=eps,
                             support=cur.support_box())
 
@@ -132,17 +112,13 @@ class ContractivityCertificate:
 
 
 def _overlap_count(gauge: BoxGauge) -> int:
-    """M = sup_t |Z^s cap (t + Omega)| over a dyadic sweep of the unit cell."""
-    c = gauge.half_widths
-    steps = int(round(1.0 / M_SWEEP_RESOLUTION))
-    best = 0
-    for cell in product(range(steps), repeat=c.size):
-        count = 1
-        for k, ck in enumerate(c):
-            t = cell[k] * M_SWEEP_RESOLUTION
-            count *= int(math.floor(t + ck) - math.ceil(t - ck)) + 1
-        best = max(best, count)
-    return best
+    """M = sup_t |Z^s cap (t + Omega)|, exactly.
+
+    Per axis, the closed interval [t - c, t + c] holds at most floor(2c) + 1
+    integers, and a shift t that puts an integer at its left end attains that
+    count; the axes shift independently, so the counts multiply.
+    """
+    return math.prod(math.floor(2 * ck) + 1 for ck in gauge.half_widths)
 
 
 def _alpha(samples: Mask, n: int, gauge: BoxGauge) -> float:
@@ -172,22 +148,17 @@ def contractivity_certificate(mask: Mask, level_cap: int) -> ContractivityCertif
     centered, _ = recenter(mask)
     gauge = default_gauge(centered)
     m_count = _overlap_count(gauge)
-    nxt = iterated_mask(centered, 1)
-    last = None
-    for n in range(1, level_cap + 1):
-        cur, nxt = nxt, next_iterate(centered, nxt)
+    levels = islice(pairwise(ladder(centered)), 1, level_cap + 1)
+    for n, (cur, nxt) in enumerate(levels, 1):
         eps = _interlevel_residual(cur, nxt)
         alpha = _alpha(cur, n, gauge)
         gamma = 1.0 - alpha + 2.0 * eps + m_count ** 2 * eps * eps
-        last = (alpha, eps, gamma, n)
         if gamma < 1.0:
-            return ContractivityCertificate(alpha_n=alpha, eps_n=eps, M=m_count,
-                                            gamma_n=gamma, n0=n, found=True,
-                                            level=n, gauge=gauge)
-    alpha, eps, gamma, n = last
+            break
+    found = gamma < 1.0
     return ContractivityCertificate(alpha_n=alpha, eps_n=eps, M=m_count,
-                                    gamma_n=gamma, n0=None, found=False,
-                                    level=n, gauge=gauge)
+                                    gamma_n=gamma, n0=n if found else None,
+                                    found=found, level=n, gauge=gauge)
 
 
 # -- rate fits -------------------------------------------------------------------

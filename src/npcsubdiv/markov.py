@@ -29,9 +29,8 @@ import numpy as np
 from .errors import DomainError
 from .grid import GridData
 from .linear import RefinableSamples
-from .masks import (Mask, coset, default_gauge, delta_mask, gauge_value,
-                    iterated_mask, next_iterate, recenter, require_sum_rule,
-                    stencil)
+from .masks import (Mask, coset, default_gauge, gauge_value, iterated_mask,
+                    ladder, recenter, require_sum_rule, stencil)
 from .spaces import BarycenterProblem, distance, weighted_barycenter
 from .subdivision import iterate
 
@@ -87,15 +86,11 @@ def _iterated(mask: Mask, steps: int) -> Mask:
 
 
 def _ladder(mask: Mask, steps: int):
-    """Yields a^(0), ..., a^(steps) of a sum-rule mask, each from the one before."""
+    """a^(0), ..., a^(steps) of a sum-rule mask, off one `masks.ladder`."""
     if steps < 0:
         raise DomainError("steps must be >= 0")
     require_sum_rule(mask)
-    level = delta_mask(mask.dim)
-    yield level
-    for _ in range(steps):
-        level = next_iterate(mask, level)
-        yield level
+    return islice(ladder(mask), steps + 1)
 
 
 def kernel_row(mask: Mask, start, steps: int) -> KernelRow:
@@ -256,8 +251,8 @@ def ball_confinement(mask: Mask, start, steps: int) -> BallConfinement:
     start = _as_state(start, mask.dim)
     confined = True
     radius = 0.0
-    ladder = enumerate(_ladder(centred, steps + 2))
-    for m, level in islice(ladder, steps, None):
+    levels = enumerate(_ladder(centred, steps + 2))
+    for m, level in islice(levels, steps, None):
         for j, _ in coset(level, m, start):
             rho = gauge_value(gauge, j)
             radius = max(radius, rho)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -275,14 +275,19 @@ def next_iterate(mask: Mask, current: Mask) -> Mask:
     return _trimmed(_convolve(mask, _upsample2(current)))
 
 
+def ladder(mask: Mask):
+    """Yields a^(0) = delta, a^(1), ...; each level is built when asked for."""
+    level = delta_mask(mask.dim)
+    while True:
+        yield level
+        level = next_iterate(mask, level)
+
+
 def iterated_mask(mask: Mask, n: int) -> Mask:
     """n-fold mask iteration from a^(0) = delta."""
     if n < 0:
         raise StructuralError("iteration level must be >= 0")
-    out = delta_mask(mask.dim)
-    for _ in range(n):
-        out = next_iterate(mask, out)
-    return out
+    return next(islice(ladder(mask), n, None))
 
 
 # -- gauges --------------------------------------------------------------------

@@ -8,27 +8,26 @@ whose contraction behaviour the diagnostics below measure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, SolverError, StructuralError
-from .grid import GridData, box_indices, box_intersect, box_is_empty, \
-    check_interior_depth, grid_from_function, random_grid, refined_window
+from .grid import GridData, box_indices, box_intersect, check_interior_depth, \
+    grid_from_function, random_grid, refined_window
 from .linear import contractivity_certificate, fit_gamma
 from .masks import BoxGauge, Mask, default_gauge, gauge_offsets, require_sum_rule, \
-    stencil, unit_gauge, support_radius as mask_support_radius
-from .spaces import EUCLIDEAN, HYPERBOLOID, SPD, TRIPOD, BarycenterProblem, \
-    SpaceDescriptor, SpacePoint, distance, exp_map, geodesic_point, log_map, \
-    random_point, tripod_point, weighted_barycenter
+    stencil, support_radius, unit_gauge
+from .spaces import EUCLIDEAN, TRIPOD, BarycenterProblem, SpaceDescriptor, \
+    distance, exp_map, geodesic_point, log_map, random_point, tripod_point, \
+    weighted_barycenter
 
 __all__ = [
     "GridData", "IterateTrace", "subdivide", "iterate", "contractivity_D",
     "d_inf", "empirical_gamma", "GammaEstimate", "linear_convergence_test",
     "ConvergenceTestResult", "bspline_comparison",
     "convergence_diagnostic", "ConvergenceDiagnostic", "approximation_error",
-    "ApproximationCheck", "geodesic_sampler",
+    "ApproximationCheck", "geodesic_sampler", "trial_grid",
 ]
 
 DIAGNOSTIC_MARGIN = 1e-3
@@ -90,6 +89,8 @@ def d_inf(x: GridData, box=None) -> float:
 
 def iterate(mask: Mask, x: GridData, n: int) -> IterateTrace:
     """n refinement steps with interior tracking and contraction series."""
+    if n < 0:
+        raise DomainError(f"level count must be >= 0, got {n}")
     boxes = check_interior_depth(mask, x.lo, x.hi, n)
     gauge = default_gauge(mask)
     levels = [x]
@@ -109,18 +110,24 @@ class GammaEstimate:
     per_trial_gamma: list = field(default_factory=list)
 
 
+def trial_grid(mask: Mask, space: SpaceDescriptor, rng) -> GridData:
+    """Random data for one trial run of a mask: the cube 0..w with w the
+    widest side of the support box plus 6, wide enough for a few levels."""
+    mlo, mhi = mask.support_box()
+    width = max(mh - ml for ml, mh in zip(mlo, mhi)) + 6
+    return random_grid(space, (0,) * mask.dim, (width,) * mask.dim, rng)
+
+
 def empirical_gamma(mask: Mask, space: SpaceDescriptor, trials: int, n_max: int,
                     seed: int) -> GammaEstimate:
     """Fits contraction rates of d_inf over random data; max over trials."""
-    mlo, mhi = mask.support_box()
-    width = max(mh - ml for ml, mh in zip(mlo, mhi)) + 6
     gammas = []
     c_hat = 0.0
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         trace = None
         for _ in range(3):  # resample on degenerate data or solver failure
-            data = random_grid(space, (0,) * mask.dim, (width,) * mask.dim, rng)
+            data = trial_grid(mask, space, rng)
             try:
                 trace = iterate(mask, data, n_max)
             except SolverError:
@@ -203,9 +210,8 @@ def convergence_diagnostic(mask: Mask, x: GridData, n_max: int) -> ConvergenceDi
     series = []
     for n in range(n_max):
         comparison = bspline_comparison(trace.levels[n])
-        doubled = (tuple(2 * l for l in trace.interiors[n][0]),
-                   tuple(2 * h for h in trace.interiors[n][1]))
-        shared = box_intersect(doubled, trace.interiors[n + 1])
+        shared = box_intersect(refined_window(*trace.interiors[n]),
+                               trace.interiors[n + 1])
         worst = 0.0
         for i in box_indices(*shared):
             worst = max(worst, distance(comparison.get(i), trace.levels[n + 1].get(i)))
@@ -243,19 +249,11 @@ def geodesic_sampler(descriptor: SpaceDescriptor, seed: int = 0):
         return lambda t: tripod_point(1 if t[0] >= 0 else 2, abs(float(t[0])))
     rng = np.random.default_rng(seed)
     base = random_point(descriptor, rng)
-    v, speed = None, 0.0
-    while speed < 1e-9:  # resample a direction if the two points coincide
-        v = log_map(base, random_point(descriptor, rng))
-        if descriptor.kind == HYPERBOLOID:
-            speed = math.sqrt(max(float(v[1:] @ v[1:] - v[0] * v[0]), 0.0))
-        elif descriptor.kind == SPD:
-            # affine-invariant speed: Frobenius norm in whitened coordinates
-            w, vec = np.linalg.eigh(0.5 * (base.payload + base.payload.T))
-            si = (vec / np.sqrt(w)) @ vec.T
-            speed = float(np.linalg.norm(si @ v @ si))
-        else:
-            speed = float(np.linalg.norm(v))
-    unit = v / speed
+    speed = 0.0
+    while speed < 1e-9:  # resample the second point if the two coincide
+        other = random_point(descriptor, rng)
+        speed = distance(base, other)  # the length of log_base(other)
+    unit = log_map(base, other) / speed
 
     def f(t):
         return exp_map(base, float(t[0]) * unit)
@@ -263,20 +261,16 @@ def geodesic_sampler(descriptor: SpaceDescriptor, seed: int = 0):
     return f
 
 
-def approximation_error(mask: Mask, f, lipschitz: float, support_radius: float,
-                        h: float, n: int, window=None) -> ApproximationCheck:
-    """Compares n-level subdivision of samples x_i = f(h*i) against f on the
-    level-n dyadic grid; bound = support_radius * lipschitz * h."""
+def approximation_error(mask: Mask, f, lipschitz: float, h: float,
+                        n: int) -> ApproximationCheck:
+    """Compares n-level subdivision of samples x_i = f(h*i), i in the cube
+    -4..4, against f on the level-n dyadic grid; bound = R * lipschitz * h
+    with R the support radius of the mask."""
     if h <= 0.0:
         raise DomainError("h must be positive")
-    if window is None:
-        window = ((-4,) * mask.dim, (4,) * mask.dim)
-    radius = mask_support_radius(mask)
-    if radius > support_radius + 1e-12:
-        raise DomainError(
-            f"mask support radius {radius} exceeds declared {support_radius}")
-    sample0 = f(tuple(h * i for i in window[0]))
-    data = grid_from_function(sample0.descriptor, window[0], window[1],
+    lo, hi = (-4,) * mask.dim, (4,) * mask.dim
+    sample0 = f(tuple(h * i for i in lo))
+    data = grid_from_function(sample0.descriptor, lo, hi,
                               lambda idx: f(tuple(h * i for i in idx)))
     trace = iterate(mask, data, n)
     scale = h / 2 ** n
@@ -284,6 +278,6 @@ def approximation_error(mask: Mask, f, lipschitz: float, support_radius: float,
     for i in box_indices(*trace.interiors[n]):
         target = f(tuple(scale * ik for ik in i))
         sup_err = max(sup_err, distance(trace.levels[n].get(i), target))
-    bound = support_radius * lipschitz * h
+    bound = support_radius(mask) * lipschitz * h
     return ApproximationCheck(sup_err=sup_err, bound=bound,
                               ok=sup_err <= bound + 1e-8, h=h, level=n)

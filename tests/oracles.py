@@ -4,7 +4,9 @@ Everything here is written from the defining recursions with plain
 numpy/stdlib primitives instead of calling back into the package's own
 iteration or composition code, so a disagreement points at the
 implementation rather than at a shared helper.  Reading single mask
-coefficients (Mask.value) is treated as ground truth.
+coefficients (Mask.value) is treated as ground truth.  `linear_refine` is
+the linear rule out_i = sum_j a_{i-2j} x_j that the barycentric scheme must
+reproduce on euclidean data.
 """
 
 from itertools import product
@@ -65,6 +67,15 @@ def one_step_row(mask, state):
         if w > 0.0:
             out[j] = w
     return out
+
+
+def linear_refine(mask, x):
+    """One linear refinement step of euclidean grid data x, as {i: vector}
+    over the doubled window 2*lo..2*hi: out_i = sum_j a_{i-2j} x_j, with x_j
+    read through x.get (the window's extension supplies j outside it)."""
+    window = product(*(range(2 * l, 2 * h + 1) for l, h in zip(x.lo, x.hi)))
+    return {i: sum(w * x.get(j).payload for j, w in one_step_row(mask, i).items())
+            for i in window}
 
 
 def forward_row(mask, start, steps):

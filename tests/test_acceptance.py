@@ -15,13 +15,13 @@ from npcsubdiv import (SpaceDescriptor, ball_confinement, bspline_mask,
                        cascade, chaikin_mask, contractivity_certificate,
                        default_gauge, distance, empirical_gamma, gauge_value,
                        geodesic_sampler, approximation_error, iterate,
-                       kernel_row, linear_subdivide, lp_moment, make_mask,
+                       kernel_row, lp_moment, make_mask,
                        nonassociativity_gap, npc_residual, random_point,
                        simulate_chain, stationary_from_refinable, subdivide,
                        dispersion_gap, tensor_power, tripod_point)
 from npcsubdiv.grid import (box_indices, check_interior_depth,
                             grid_from_points, random_grid)
-from oracles import tv
+from oracles import linear_refine, tv
 
 B = bspline_mask()
 C = chaikin_mask()
@@ -54,9 +54,9 @@ def test_criterion_01_linear_equivalence():
                 rng = np.random.default_rng([101, mi, trial])
                 x = random_grid(EUC2, (0,) * dim, (4,) * dim, rng)
                 lhs = subdivide(mask, x)
-                rhs = linear_subdivide(mask, x)
+                rhs = linear_refine(mask, x)
                 worst = max(worst, max(
-                    float(np.max(np.abs(lhs.get(i).payload - rhs.get(i).payload)))
+                    float(np.max(np.abs(lhs.get(i).payload - rhs[i])))
                     for i in lhs.indices()))
         return worst <= 1e-12, f"worst gap {worst:.2e} over 150 instances"
 
@@ -227,8 +227,8 @@ def test_criterion_09_ball_confinement():
 def test_criterion_10_approximation_bound():
     def body():
         f = geodesic_sampler(SpaceDescriptor("hyperboloid", 2), seed=0)
-        checks = [approximation_error(B, f, lipschitz=1.0, support_radius=1.0,
-                                      h=h, n=5) for h in (0.2, 0.1, 0.05)]
+        checks = [approximation_error(B, f, lipschitz=1.0, h=h, n=5)
+                  for h in (0.2, 0.1, 0.05)]
         ok = all(c.ok and c.sup_err <= c.h + 1e-8 for c in checks)
         for coarse, fine in zip(checks, checks[1:]):
             ok = ok and fine.sup_err <= 0.5 * coarse.sup_err + 1e-8

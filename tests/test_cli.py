@@ -292,6 +292,17 @@ def test_bad_seeds_and_trial_counts_are_domain_errors(capsys, files, argv):
     expect_error(capsys, argv, "DomainError")
 
 
+@pytest.mark.parametrize("argv,error_type", (
+    (["subdivide", "--mask", "@c", "--data", "@witness"], "DomainError"),
+    (["approx", "--mask", "@b", "--space", "tripod"], "DomainError"),
+    (["cascade", "--mask", "@b"], "StructuralError"),
+), ids=("subdivide", "approx", "cascade"))
+def test_negative_level_counts_are_typed_errors(capsys, files, argv,
+                                                error_type):
+    argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+    expect_error(capsys, argv + ["--levels", "-1"], error_type)
+
+
 def test_monte_carlo_rejects_starts_beyond_int64(capsys, files):
     far = f"--start={2 ** 70}"
     expect_error(capsys, ["chain", "--mask", files["c"], far, "--steps", "3",

@@ -67,6 +67,11 @@ CASES = {
                           "@witness", "--levels", "3"],
     "gap_witness": ["gap", "--mask", "@chaikin", "--data", "@witness",
                     "--index", "4", "--steps", "2"],
+    "diagnose_chaikin_tripod": ["diagnose", "--mask", "@chaikin", "--space",
+                                "tripod", "--trials", "3", "--levels", "3",
+                                "--seed", "5"],
+    "approx_chaikin_tripod": ["approx", "--mask", "@chaikin", "--space",
+                              "tripod", "--levels", "3"],
 }
 
 

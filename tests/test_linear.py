@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError,
                        bspline_mask, cascade, chaikin_mask,
                        contractivity_certificate, d_inf, euclidean_point,
-                       fit_gamma, linear_convergence_test, linear_subdivide,
-                       make_mask, partition_of_unity_residual, tensor_power,
-                       tripod_point)
+                       fit_gamma, linear_convergence_test, make_mask,
+                       partition_of_unity_residual, tensor_product)
 from npcsubdiv.grid import grid_from_points
-from oracles import dense_interlevel, hat
+from oracles import dense_interlevel, hat, linear_refine
 
 EU = SpaceDescriptor("euclidean", 1)
 B = bspline_mask()
@@ -30,35 +29,23 @@ def euclid_grid(values, lo=0):
 def test_delta_data_reproduces_the_mask_row():
     x = euclid_grid([0, 0, 0, 0, 1, 0, 0, 0, 0], lo=-4)
     for mask in (B, C):
-        out = linear_subdivide(mask, x)
+        out = linear_refine(mask, x)
         for i in range(-6, 7):
-            assert out.get((i,)).payload[0] == mask.value((i,))
+            assert out[(i,)][0] == mask.value((i,))
 
 
 def test_midpoint_rule_on_a_ramp():
     x = euclid_grid(range(5))
-    out = linear_subdivide(B, x)
+    out = linear_refine(B, x)
     for i in range(0, 8):
-        assert out.get((i,)).payload[0] == pytest.approx(i / 2, abs=1e-15)
+        assert out[(i,)][0] == pytest.approx(i / 2, abs=1e-15)
 
 
 def test_constants_are_reproduced():
     x = euclid_grid([2.5] * 7)
     for mask in (B, C, GAPPED):
-        out = linear_subdivide(mask, x)
-        assert all(out.get(i).payload[0] == pytest.approx(2.5, abs=1e-14)
-                   for i in out.indices())
-
-
-def test_linear_subdivide_input_validation():
-    tri = grid_from_points(SpaceDescriptor("tripod"), (0,), (1,),
-                           [tripod_point(0, 1.0), tripod_point(1, 1.0)])
-    with pytest.raises(StructuralError):
-        linear_subdivide(B, tri)
-    with pytest.raises(StructuralError):
-        linear_subdivide(tensor_power(B, 2), euclid_grid(range(3)))
-    with pytest.raises(StructuralError):
-        linear_subdivide(make_mask((0,), [1.0, 0.5]), euclid_grid(range(3)))
+        out = linear_refine(mask, x)
+        assert all(v[0] == pytest.approx(2.5, abs=1e-14) for v in out.values())
 
 
 # -- cascade -------------------------------------------------------------------------
@@ -120,6 +107,12 @@ def test_certificate_for_chaikin_frozen():
     assert cert.M == 5           # half-width 2: |[t-2, t+2] cap Z| = 5
     assert cert.gamma_n == 0.7919921875
     assert cert.gauge.half_widths.tolist() == [2.0]
+
+
+def test_certificate_overlap_count_in_two_dimensions():
+    cert = contractivity_certificate(tensor_product(B, C), 1)
+    assert cert.gauge.half_widths.tolist() == [1.0, 2.0]
+    assert cert.M == 15          # per axis |[t-c, t+c] cap Z| = 2c + 1: 3 * 5
 
 
 @pytest.mark.parametrize("mask,cap", ((B, 3), (C, 8)), ids=("bspline", "chaikin"))
@@ -199,8 +192,8 @@ def admissible_masks(draw):
 @given(mask=admissible_masks())
 def test_random_masks_reproduce_constants(mask):
     x = euclid_grid([1.75] * 9, lo=-4)
-    out = linear_subdivide(mask, x)
-    assert all(abs(out.get(i).payload[0] - 1.75) <= 1e-12 for i in out.indices())
+    out = linear_refine(mask, x)
+    assert all(abs(v[0] - 1.75) <= 1e-12 for v in out.values())
 
 
 @given(mask=admissible_masks(), n=st.integers(1, 3))

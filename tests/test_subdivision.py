@@ -9,9 +9,10 @@ from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError,
                        approximation_error, bspline_comparison, bspline_mask,
                        chaikin_mask, convergence_diagnostic, d_inf, distance,
                        empirical_gamma, euclidean_point, geodesic_sampler,
-                       iterate, linear_subdivide, make_mask, random_point,
+                       iterate, make_mask, random_point,
                        subdivide, tensor_power, tripod_point)
 from npcsubdiv.grid import box_indices, grid_from_points, random_grid
+from oracles import linear_refine
 
 EU1 = SpaceDescriptor("euclidean", 1)
 EU2 = SpaceDescriptor("euclidean", 2)
@@ -40,8 +41,8 @@ def test_barycentric_matches_linear_on_euclidean_data(mask, dim):
         rng = np.random.default_rng([41, trial])
         x = random_grid(desc, (0,) * dim, (4,) * dim, rng)
         lhs = subdivide(mask, x)
-        rhs = linear_subdivide(mask, x)
-        worst = max(float(np.max(np.abs(lhs.get(i).payload - rhs.get(i).payload)))
+        rhs = linear_refine(mask, x)
+        worst = max(float(np.max(np.abs(lhs.get(i).payload - rhs[i])))
                     for i in lhs.indices())
         assert worst <= 1e-12
 
@@ -196,8 +197,8 @@ def test_geodesic_sampler_has_unit_speed(desc):
 
 def test_approximation_bound_holds_and_scales():
     f = geodesic_sampler(HYP2, seed=0)
-    coarse = approximation_error(B, f, lipschitz=1.0, support_radius=1.0, h=0.2, n=4)
-    fine = approximation_error(B, f, lipschitz=1.0, support_radius=1.0, h=0.1, n=4)
+    coarse = approximation_error(B, f, lipschitz=1.0, h=0.2, n=4)
+    fine = approximation_error(B, f, lipschitz=1.0, h=0.1, n=4)
     assert coarse.ok and fine.ok
     assert coarse.sup_err <= coarse.bound + 1e-8
     assert fine.bound == pytest.approx(0.5 * coarse.bound)
@@ -207,6 +208,4 @@ def test_approximation_bound_holds_and_scales():
 def test_approximation_error_validation():
     f = geodesic_sampler(HYP2, seed=0)
     with pytest.raises(DomainError):
-        approximation_error(B, f, lipschitz=1.0, support_radius=1.0, h=0.0, n=3)
-    with pytest.raises(DomainError):
-        approximation_error(B, f, lipschitz=1.0, support_radius=0.5, h=0.1, n=3)
+        approximation_error(B, f, lipschitz=1.0, h=0.0, n=3)
