@@ -17,7 +17,8 @@ import numpy as np
 from .errors import DomainError, StructuralError
 from .masks import Mask
 from .spaces import SpaceDescriptor, SpacePoint, descriptor_from_json, \
-    descriptor_to_json, point_from_json, point_to_json, random_point
+    descriptor_to_json, point_from_json, point_to_json, points_from_payloads, \
+    random_point, stack_payloads
 
 CONSTANT_NEAREST = "constant_nearest"
 PERIODIC = "periodic"
@@ -68,15 +69,22 @@ class GridData:
         index = _as_box_vec(index)
         if len(index) != self.dim:
             raise StructuralError(f"index length {len(index)}, expected {self.dim}")
-        local = []
+        return self.points[self.local(index)]
+
+    def payloads(self) -> np.ndarray:
+        """The points' payloads stacked over the window shape."""
+        return stack_payloads(self.points, self.descriptor)
+
+    def local(self, index) -> tuple:
+        """Storage positions of lattice indices or index arrays (one per
+        axis); reads outside the window go through the extension."""
+        out = []
         for i, l, h in zip(index, self.lo, self.hi):
-            if i < l or i > h:
-                if self.extension == CONSTANT_NEAREST:
-                    i = min(max(i, l), h)
-                else:
-                    i = (i - l) % (h - l + 1) + l
-            local.append(i - l)
-        return self.points[tuple(local)]
+            if self.extension == CONSTANT_NEAREST:
+                out.append(np.minimum(np.maximum(i, l), h) - l)
+            else:
+                out.append((np.asarray(i) - l) % (h - l + 1))
+        return tuple(out)
 
 
 def grid_from_function(descriptor, lo, hi, fn, extension=CONSTANT_NEAREST) -> GridData:
@@ -91,6 +99,14 @@ def grid_from_function(descriptor, lo, hi, fn, extension=CONSTANT_NEAREST) -> Gr
                 f"point at {idx} has descriptor {pt.descriptor}, expected {descriptor}")
         pts[local] = pt
     return GridData(descriptor, lo, hi, pts, extension)
+
+
+def grid_from_array(descriptor, lo, hi, payloads, extension=CONSTANT_NEAREST) -> GridData:
+    """Builds a grid from payloads stacked over the window shape, as
+    `GridData.payloads` returns them."""
+    lo, hi = _as_box_vec(lo), _as_box_vec(hi)
+    points = points_from_payloads(descriptor, payloads, len(lo))
+    return GridData(descriptor, lo, hi, points, extension)
 
 
 def grid_from_points(descriptor, lo, hi, points, extension=CONSTANT_NEAREST) -> GridData:
@@ -144,11 +160,16 @@ def box_intersect(a, b):
     return lo, hi
 
 
+def box_array(lo, hi) -> np.ndarray:
+    """The indices of the box lo..hi as rows of an (n, dim) array, in
+    row-major order; empty boxes give no rows."""
+    shape = [max(h - l + 1, 0) for l, h in zip(lo, hi)]
+    return np.indices(shape).reshape(len(shape), -1).T + np.asarray(lo, dtype=int)
+
+
 def box_indices(lo, hi):
-    if box_is_empty(lo, hi):
-        return
-    for idx in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        yield idx
+    """The indices of the box lo..hi as tuples, in row-major order."""
+    return map(tuple, box_array(lo, hi).tolist())
 
 
 def minimal_window_width(mask: Mask, levels: int) -> int:
@@ -184,7 +205,7 @@ def grid_to_json(x: GridData) -> dict:
     return {"descriptor": descriptor_to_json(x.descriptor),
             "window": {"lo": list(x.lo), "hi": list(x.hi)},
             "extension": x.extension,
-            "points": [point_to_json(x.get(i)) for i in x.indices()]}
+            "points": [point_to_json(p) for p in x.points.flat]}
 
 
 def grid_from_json(obj: dict) -> GridData:

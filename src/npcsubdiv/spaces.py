@@ -3,8 +3,10 @@
 Four backends share one interface: euclidean vectors, symmetric
 positive-definite matrices with the affine-invariant metric, the hyperboloid
 model of hyperbolic space, and the tripod (three rays glued at their
-endpoints).  Each supplies distance, geodesics, and a weighted Frechet-mean
-(barycenter) solver; the smooth backends also expose exp/log maps.
+endpoints).  Each backend works on payloads stacked along leading axes:
+distance, geodesics, a weighted Frechet-mean (barycenter) solver, and on the
+smooth backends exp/log maps.  The functions on single `SpacePoint`s are the
+one-point case of that batched code.
 """
 
 from __future__ import annotations
@@ -83,11 +85,6 @@ def spd_point(m) -> SpacePoint:
     return SpacePoint(SpaceDescriptor(SPD, m.shape[0]), m)
 
 
-def _mink(p, q) -> float:
-    # Minkowski form: -p0*q0 + sum_k pk*qk
-    return float(p[1:] @ q[1:] - p[0] * q[0])
-
-
 def hyperboloid_point(p) -> SpacePoint:
     p = _readonly(np.atleast_1d(p))
     if p.ndim != 1 or p.shape[0] < 2:
@@ -128,119 +125,443 @@ def _check_same(p: SpacePoint, q: SpacePoint) -> SpaceDescriptor:
     return p.descriptor
 
 
-# -- spd helpers: all matrix functions go through eigenvalues ----------------
+# -- batched arithmetic ---------------------------------------------------------
+#
+# Payloads are stacked along leading axes: (..., dim) vectors, (..., dim, dim)
+# matrices, (..., dim+1) Minkowski vectors, (..., 2) tripod rows (leg, t).
+# Every reduction rounds like the one-point formula it batches: row dot
+# products go through matmul's vector-vector path (the 1-D `a @ b`), norms are
+# the square root of that dot over the raveled block (as np.linalg.norm), and
+# weighted sums accumulate left to right (as builtin sum).  The hyperbolic
+# functions come from `math`, whose results numpy's ufuncs do not always match.
+
+def _dot(a, b):
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _rows(a, core: int):
+    """a with its last `core` axes raveled into one."""
+    lead = a.ndim - core
+    return a.reshape(a.shape[:lead] + (math.prod(a.shape[lead:]),))
+
+
+def _norm(a, core: int):
+    a = _rows(a, core)
+    return np.sqrt(_dot(a, a))
+
+
+def _weighted_sum(weights, terms, core: int):
+    """sum_k w_k terms[..., k, <core>] in the order of the weights."""
+    tail = (slice(None),) * core
+    return sum(w * terms[(..., k) + tail] for k, w in enumerate(weights))
+
+
+def _clip0(x):
+    return np.maximum(x, 0.0)  # as max(x, 0.0): NaN stays NaN
+
+
+def _elementwise(fn):
+    """A `math` function over an array; an element that overflows gives inf,
+    which the caller flags."""
+    def safe(x):
+        try:
+            return fn(x)
+        except OverflowError:
+            return math.inf
+
+    ufunc = np.frompyfunc(safe, 1, 1)
+    return lambda x: np.asarray(ufunc(x), dtype=float)
+
+
+_acosh, _asinh, _cosh, _sinh = map(_elementwise, (math.acosh, math.asinh, math.cosh, math.sinh))
+
+
+class _Failures:
+    """Per element of a batch, the first check it failed, in the order a
+    one-point run meets the checks; `code` stays None while none has."""
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.code = None
+        self.kinds = [None]
+
+    def mark(self, bad, kind, message) -> bool:
+        """Records the failure where `bad` holds; True if it holds anywhere."""
+        if not np.count_nonzero(bad):
+            return False
+        while bad.ndim > len(self.shape):  # a problem fails with any of its points
+            bad = bad.any(axis=-1)
+        if self.code is None:
+            self.code = np.zeros(self.shape, dtype=int)
+        self.kinds.append((kind, message))
+        self.code = np.where((self.code == 0) & bad, len(self.kinds) - 1, self.code)
+        return True
+
+    def failed(self) -> np.ndarray:
+        return np.zeros(self.shape, dtype=bool) if self.code is None else self.code != 0
+
+    def error(self, index) -> Exception:
+        kind, message = self.kinds[self.code[index]]
+        return kind(message)
+
+    def check(self):
+        """Raises the failure of the first failing element in row-major order."""
+        if self.code is not None:
+            raise self.error(np.unravel_index(np.flatnonzero(self.code)[0], self.shape))
+
+    def finite(self, a, core: int):
+        if np.count_nonzero(np.isfinite(a)) < a.size:
+            self.mark(~np.isfinite(_rows(a, core)).all(axis=-1), NumericError,
+                      "non-finite payload")
+        return a
+
+
+def _T(m):
+    return m.swapaxes(-1, -2)
+
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + _T(m))
 
 
-def _eigh_fn(m: np.ndarray, fn) -> np.ndarray:
+def _positive(w, fails, message):
+    """Eigenvalues w; a stack whose smallest one is <= 0 fails with message
+    and continues on ones, so no garbage reaches the next factorization."""
+    bad = w.min(axis=-1) <= 0.0
+    if fails.mark(bad, NumericError, message):
+        w = np.where(bad[..., None], 1.0, w)
+    return w
+
+
+def _logm(m, fails):
     w, v = np.linalg.eigh(_sym(m))
-    return _sym((v * fn(w)) @ v.T)
+    w = _positive(w, fails, "matrix log of a non positive definite argument")
+    return _sym((v * np.log(w)[..., None, :]) @ _T(v))
 
 
-def _logm(m: np.ndarray) -> np.ndarray:
+def _expm(m):
     w, v = np.linalg.eigh(_sym(m))
-    if w.min() <= 0.0:
-        raise NumericError("matrix log of a non positive definite argument")
-    return _sym((v * np.log(w)) @ v.T)
+    return _sym((v * np.exp(w)[..., None, :]) @ _T(v))
 
 
-def _expm(m: np.ndarray) -> np.ndarray:
-    return _eigh_fn(m, np.exp)
-
-
-def _sqrt_pair(m: np.ndarray):
+def _sqrt_pair(m, fails):
     w, v = np.linalg.eigh(_sym(m))
-    if w.min() <= 0.0:
-        raise NumericError("matrix sqrt of a non positive definite argument")
-    s = np.sqrt(w)
-    return _sym((v * s) @ v.T), _sym((v / s) @ v.T)
+    s = np.sqrt(_positive(w, fails, "matrix sqrt of a non positive definite argument"))
+    return _sym((v * s[..., None, :]) @ _T(v)), _sym((v / s[..., None, :]) @ _T(v))
 
 
-# -- hyperboloid helpers ------------------------------------------------------
-
-def _hyp_renorm(p: np.ndarray) -> np.ndarray:
+def _hyp_renorm(p):
     # project back onto the sheet to damp drift
     q = p.copy()
-    q[0] = math.sqrt(1.0 + float(q[1:] @ q[1:]))
+    q[..., 0] = np.sqrt(1.0 + _dot(q[..., 1:], q[..., 1:]))
     return q
 
 
-def _hyp_dist(p: np.ndarray, q: np.ndarray) -> float:
-    # chordal form avoids cancellation for nearby points
-    d = q - p
-    s = max(_mink(d, d), 0.0)
-    return 2.0 * math.asinh(0.5 * math.sqrt(s))
+# -- backends -------------------------------------------------------------------
+#
+# One class per kind; `core` counts the payload axes.  Methods take stacked
+# payloads and the batch's _Failures, and work over any leading axes.
+
+class _Euclidean:
+    core = 1
+
+    def dist(self, p, q, fails):
+        return _norm(p - q, 1)
+
+    def geodesic(self, p, q, t, fails):
+        return fails.finite((1.0 - t) * p + t * q, 1)
+
+    def log(self, p, q, fails):
+        return q - p
+
+    def exp(self, p, v, fails):
+        return fails.finite(p + v, 1)
+
+    def step(self, y, points, weights, fails):
+        logs = points - y[..., None, :]
+        v = _weighted_sum(weights, logs, 1)
+        return _norm(v, 1), _norm(logs, 1), fails.finite(y + v, 1)
 
 
-def _hyp_log(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    alpha = -_mink(p, q)
-    t = alpha - 1.0
-    if t <= 0.0:
-        return np.zeros_like(p)
-    u = q - alpha * p
-    if t < 1e-8:
-        scale = math.sqrt(2.0 / (alpha + 1.0)) * (1.0 - t / 12.0)
-    else:
-        scale = math.acosh(alpha) / math.sqrt(alpha * alpha - 1.0)
-    return scale * u
+class _SPD:
+    core = 2
+
+    def dist(self, p, q, fails):
+        _, si = _sqrt_pair(p, fails)
+        w = _positive(np.linalg.eigvalsh(_sym(si @ q @ si)), fails, "degenerate spd pair")
+        return _norm(np.log(w), 1)
+
+    def geodesic(self, p, q, t, fails):
+        s, si = _sqrt_pair(p, fails)
+        w, v = np.linalg.eigh(_sym(si @ q @ si))
+        w = _positive(w, fails, "degenerate spd pair")
+        mid = _sym((v * np.power(w, t)[..., None, :]) @ _T(v))
+        return fails.finite(_sym(s @ mid @ s), 2)
+
+    def log(self, p, q, fails):
+        s, si = _sqrt_pair(p, fails)
+        return _sym(s @ _logm(si @ q @ si, fails) @ s)
+
+    def exp(self, p, v, fails):
+        s, si = _sqrt_pair(p, fails)
+        return fails.finite(_sym(s @ _expm(_sym(si @ v @ si)) @ s), 2)
+
+    def step(self, y, points, weights, fails):
+        # logs are taken in the frame whitened by y, where the metric is Frobenius
+        s, si = _sqrt_pair(y, fails)
+        si_k = si[..., None, :, :]
+        logs = _logm(_sym(si_k @ points @ si_k), fails)
+        v = _weighted_sum(weights, logs, 2)
+        return _norm(v, 2), _norm(logs, 2), fails.finite(_sym(s @ _expm(v) @ s), 2)
 
 
-def _hyp_exp(p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    n = math.sqrt(max(_mink(v, v), 0.0))
-    if n < 1e-16:
-        return p
-    return _hyp_renorm(math.cosh(n) * p + (math.sinh(n) / n) * v)
+def _mink(p, q):
+    # Minkowski form: -p0*q0 + sum_k pk*qk
+    return _dot(p[..., 1:], q[..., 1:]) - p[..., 0] * q[..., 0]
 
 
-# -- public exp/log (smooth backends) ----------------------------------------
+class _Hyperboloid:
+    core = 1
+
+    def dist(self, p, q, fails):
+        # chordal form avoids cancellation for nearby points
+        d = q - p
+        return 2.0 * _asinh(0.5 * np.sqrt(_clip0(_mink(d, d))))
+
+    def log(self, p, q, fails):
+        alpha = -_mink(p, q)
+        t = alpha - 1.0
+        u = q - alpha[..., None] * p
+        near = t < 1e-8
+        far = np.where(near, 2.0, alpha)  # acosh only where the series is not used
+        scale = np.where(near, np.sqrt(2.0 / (alpha + 1.0)) * (1.0 - t / 12.0),
+                         _acosh(far) / np.sqrt(far * far - 1.0))
+        return np.where((t <= 0.0)[..., None], 0.0, scale[..., None] * u)
+
+    def exp(self, p, v, fails):
+        n = np.sqrt(_clip0(_mink(v, v)))
+        c = _cosh(n)
+        fails.mark(np.isinf(c) & np.isfinite(n), OverflowError, "math range error")
+        tiny = n < 1e-16  # exp_p(v) = p; the ratio below is not used
+        q = _hyp_renorm(c[..., None] * p + (_sinh(n) / np.where(tiny, 1.0, n))[..., None] * v)
+        return fails.finite(np.where(tiny[..., None], p, q), 1)
+
+    def geodesic(self, p, q, t, fails):
+        return self.exp(p, t * self.log(p, q, fails), fails)
+
+    def step(self, y, points, weights, fails):
+        logs = self.log(y[..., None, :], points, fails)
+        v = _weighted_sum(weights, logs, 1)
+        norms = np.sqrt(_clip0(_mink(logs, logs)))
+        return np.sqrt(_clip0(_mink(v, v))), norms, self.exp(y, v, fails)
+
+
+def _tripod_rows(leg, t, fails):
+    """(leg, t) rows; the glue point t = 0 is canonically on leg 0."""
+    fails.mark(~np.isfinite(t), NumericError, "non-finite payload")
+    return np.stack([np.where(t == 0.0, 0.0, leg), t], axis=-1)
+
+
+class _Tripod:
+    core = 1
+
+    def dist(self, p, q, fails):
+        return np.where(p[..., 0] == q[..., 0], np.abs(p[..., 1] - q[..., 1]),
+                        p[..., 1] + q[..., 1])
+
+    def geodesic(self, p, q, t, fails):
+        (leg_p, t_p), (leg_q, t_q) = np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0)
+        along = t * (t_p + t_q)  # a path between legs runs through the glue point
+        first = along <= t_p
+        same = leg_p == leg_q
+        value = np.where(same, (1.0 - t) * t_p + t * t_q,
+                         np.where(first, t_p - along, along - t_p))
+        return _tripod_rows(np.where(same | first, leg_p, leg_q), value, fails)
+
+    def log(self, p, q, fails):
+        raise DomainError("tripod backend has no exp/log maps")
+
+    exp = log
+
+    def barycenter(self, points, weights, fails):
+        # per-leg constrained quadratic; d((L,u), (leg,s)) = |u-s| or u+s
+        legs, ts = np.moveaxis(points, -1, 0)
+        best = None
+        for leg in range(3):
+            signed = np.where(legs == leg, ts, -ts)
+            u = _dot(weights, signed)
+            u = np.where(u > 0.0, u, 0.0)  # max(0.0, u)
+            value = _dot(weights, (u[..., None] - signed) ** 2)
+            if best is None:
+                best = (value, np.zeros_like(u), u)
+                continue
+            better = value < best[0] - 1e-15
+            best = tuple(np.where(better, new, old)
+                         for new, old in zip((value, np.full_like(u, leg), u), best))
+        return _tripod_rows(best[1], best[2], fails)
+
+
+_BACKENDS = {EUCLIDEAN: _Euclidean(), SPD: _SPD(), HYPERBOLOID: _Hyperboloid(),
+             TRIPOD: _Tripod()}
+
+
+def _apply(desc: SpaceDescriptor, name: str, p, *args):
+    """Backend method `name` over the stacked payloads p (and args); raises
+    the failure of the first failing element in row-major order."""
+    backend = _BACKENDS[desc.kind]
+    fails = _Failures(p.shape[:p.ndim - backend.core])
+    out = getattr(backend, name)(p, *args, fails)
+    fails.check()
+    return out
+
+
+# -- stacking ---------------------------------------------------------------------
+
+def stack_payloads(points, descriptor: SpaceDescriptor) -> np.ndarray:
+    """Payloads of an array (or sequence) of points, stacked over its shape;
+    a tripod point becomes the row (leg, t)."""
+    points = np.asarray(points, dtype=object)
+    for pt in points.flat:
+        if pt.descriptor is not descriptor and pt.descriptor != descriptor:
+            raise StructuralError(
+                f"descriptor mismatch: {descriptor} vs {pt.descriptor}")
+    flat = np.array([pt.payload for pt in points.flat], dtype=float)
+    return flat.reshape(points.shape + flat.shape[1:])
+
+
+def points_from_payloads(descriptor: SpaceDescriptor, payloads, ndim: int) -> np.ndarray:
+    """Object array of points over the first ndim axes of stacked payloads;
+    the payloads must already have passed the backend's checks."""
+    rows = np.array(payloads, dtype=float).reshape((-1,) + payloads.shape[ndim:])
+    out = np.empty(len(rows), dtype=object)
+    out[:] = [_point(descriptor, row) for row in rows]
+    return out.reshape(payloads.shape[:ndim])
+
+
+def _payload(p: SpacePoint) -> np.ndarray:
+    return np.asarray(p.payload, dtype=float)
+
+
+def _point(desc: SpaceDescriptor, payload: np.ndarray) -> SpacePoint:
+    """The point of one checked payload, which nothing else may hold."""
+    if desc.kind == TRIPOD:
+        leg, t = payload.tolist()
+        return SpacePoint(desc, (int(leg), t))
+    payload.flags.writeable = False
+    return SpacePoint(desc, payload)
+
+
+# -- batched operations -----------------------------------------------------------
+
+def distances(desc: SpaceDescriptor, p, q) -> np.ndarray:
+    """d(p, q) over the leading axes of two stacks of payloads."""
+    return _apply(desc, "dist", p, q)
+
+
+def geodesic_points(desc: SpaceDescriptor, p, q, t: float) -> np.ndarray:
+    """Geodesic points at parameter t over the leading axes of two stacks."""
+    return _apply(desc, "geodesic", p, q, t)
+
+
+def _check_weights(weights, count: int) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (count,):
+        raise StructuralError("one weight per point required")
+    if not np.all(np.isfinite(w)):
+        raise NumericError("non-finite weights")
+    if w.min() < 0.0:
+        raise StructuralError("weights must be nonnegative")
+    if abs(float(w.sum()) - 1.0) > 1e-12:
+        raise StructuralError("weights must sum to 1 within 1e-12")
+    return w
+
+
+def _karcher_step(backend, y, points, weights, fails):
+    """One fixed-point update of a batch: (residual norms, distances from y
+    to the points, next iterates)."""
+    return backend.step(y, points, weights, fails)
+
+
+def _first_max(values):
+    """max over the last axis, taken left to right like builtin max."""
+    best = values[..., 0]
+    for k in range(1, values.shape[-1]):
+        best = np.where(values[..., k] > best, values[..., k], best)
+    return best
+
+
+def barycenters(desc: SpaceDescriptor, points, weights):
+    """argmin of sum_j w_j d(x_j, .)^2 for each row of points (N, k, payload),
+    all rows sharing one weight vector.
+
+    Returns the stacked minimizers and the first failing row as (row, error),
+    or None when no row fails.  Rows above a failed row stop iterating, since
+    they cannot change which failure comes first; once a row fails the values
+    are undefined.  Smooth backends run the fixed-point Karcher iteration per
+    row, started at the point of largest weight (ties: lowest index) and
+    stopped once the tangent update norm falls below 1e-10 * (1 + largest
+    first-step distance); a row returns the iterate before its last update.
+    The tripod uses the exact per-leg closed form.
+    """
+    backend = _BACKENDS[desc.kind]
+    points = np.asarray(points, dtype=float)
+    try:
+        weights = _check_weights(weights, points.shape[1])
+    except (StructuralError, NumericError) as exc:
+        return points[:, 0], (0, exc)
+    with np.errstate(all="ignore"):
+        if desc.kind == TRIPOD:
+            fails = _Failures((len(points),))
+            out = backend.barycenter(points, weights, fails)
+            bad = np.flatnonzero(fails.failed())
+            return out, (int(bad[0]), fails.error(bad[0])) if bad.size else None
+        y = points[:, int(np.argmax(weights))]
+        out = y.copy()
+        rows = np.arange(len(points))  # live rows, ascending
+        first = None
+        tol = None
+        for _ in range(BARYCENTER_MAX_ITER):
+            if not rows.size:
+                return out, first
+            fails = _Failures(rows.shape)
+            residual, dists, nxt = _karcher_step(backend, y, points, weights, fails)
+            if tol is None:
+                # start points are data points, so max distance <= data diameter
+                tol = BARYCENTER_TOL * (1.0 + _first_max(dists))
+            failed = fails.failed()
+            done = ~failed & (residual <= tol)
+            out[rows[done]] = y[done]
+            live = ~failed & ~done
+            if failed.any():
+                r = np.flatnonzero(failed)[0]  # live rows lie below any earlier failure
+                first = (int(rows[r]), fails.error(r))
+                live &= rows < first[0]
+            if not live.all():
+                rows, nxt, points, tol, residual = (
+                    a[live] for a in (rows, nxt, points, tol, residual))
+            y = nxt
+    if not rows.size:
+        return out, first
+    return out, (int(rows[0]), SolverError("barycenter iteration did not converge",
+                                           last_iterate=_point(desc, y[0]),
+                                           residual=float(residual[0])))
+
+
+# -- one-point operations ---------------------------------------------------------
 
 def log_map(base: SpacePoint, x: SpacePoint) -> np.ndarray:
     """Tangent vector at base pointing to x (euclidean, spd, hyperboloid)."""
-    desc = _check_same(base, x)
-    if desc.kind == EUCLIDEAN:
-        return x.payload - base.payload
-    if desc.kind == SPD:
-        s, si = _sqrt_pair(base.payload)
-        return _sym(s @ _logm(si @ x.payload @ si) @ s)
-    if desc.kind == HYPERBOLOID:
-        return _hyp_log(base.payload, x.payload)
-    raise DomainError("tripod backend has no exp/log maps")
+    return _apply(_check_same(base, x), "log", _payload(base), _payload(x))
 
 
 def exp_map(base: SpacePoint, v: np.ndarray) -> SpacePoint:
     """Exponential map at base (euclidean, spd, hyperboloid)."""
     desc = base.descriptor
-    if desc.kind == EUCLIDEAN:
-        return SpacePoint(desc, _readonly(base.payload + v))
-    if desc.kind == SPD:
-        s, si = _sqrt_pair(base.payload)
-        return SpacePoint(desc, _readonly(_sym(s @ _expm(_sym(si @ v @ si)) @ s)))
-    if desc.kind == HYPERBOLOID:
-        return SpacePoint(desc, _readonly(_hyp_exp(base.payload, np.asarray(v))))
-    raise DomainError("tripod backend has no exp/log maps")
+    return _point(desc, _apply(desc, "exp", _payload(base), np.asarray(v, dtype=float)))
 
-
-# -- core operations ----------------------------------------------------------
 
 def distance(p: SpacePoint, q: SpacePoint) -> float:
-    kind = _check_same(p, q).kind
-    if kind == EUCLIDEAN:
-        return float(np.linalg.norm(p.payload - q.payload))
-    if kind == SPD:
-        _, si = _sqrt_pair(p.payload)
-        w = np.linalg.eigvalsh(_sym(si @ q.payload @ si))
-        if w.min() <= 0.0:
-            raise NumericError("degenerate spd pair")
-        return float(np.linalg.norm(np.log(w)))
-    if kind == HYPERBOLOID:
-        return _hyp_dist(p.payload, q.payload)
-    leg_p, t_p = p.payload
-    leg_q, t_q = q.payload
-    if leg_p == leg_q:
-        return abs(t_p - t_q)
-    return t_p + t_q
+    return float(distances(_check_same(p, q), _payload(p), _payload(q)))
 
 
 def geodesic_point(p: SpacePoint, q: SpacePoint, t: float) -> SpacePoint:
@@ -253,27 +574,7 @@ def geodesic_point(p: SpacePoint, q: SpacePoint, t: float) -> SpacePoint:
         return p
     if t == 1.0:
         return q
-    kind = desc.kind
-    if kind == EUCLIDEAN:
-        return SpacePoint(desc, _readonly((1.0 - t) * p.payload + t * q.payload))
-    if kind == SPD:
-        s, si = _sqrt_pair(p.payload)
-        w, v = np.linalg.eigh(_sym(si @ q.payload @ si))
-        if w.min() <= 0.0:
-            raise NumericError("degenerate spd pair")
-        mid = _sym((v * np.power(w, t)) @ v.T)
-        return SpacePoint(desc, _readonly(_sym(s @ mid @ s)))
-    if kind == HYPERBOLOID:
-        return SpacePoint(desc, _readonly(_hyp_exp(p.payload, t * _hyp_log(p.payload, q.payload))))
-    leg_p, t_p = p.payload
-    leg_q, t_q = q.payload
-    if leg_p == leg_q:
-        return tripod_point(leg_p, (1.0 - t) * t_p + t * t_q)
-    # path runs through the glue point
-    along = t * (t_p + t_q)
-    if along <= t_p:
-        return tripod_point(leg_p, t_p - along)
-    return tripod_point(leg_q, along - t_p)
+    return _point(desc, geodesic_points(desc, _payload(p), _payload(q), t))
 
 
 @dataclass(eq=False)
@@ -290,80 +591,17 @@ class BarycenterProblem:
         for pt in self.points[1:]:
             if pt.descriptor != desc:
                 raise StructuralError("barycenter points must share a descriptor")
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(self.points),):
-            raise StructuralError("one weight per point required")
-        if not np.all(np.isfinite(w)):
-            raise NumericError("non-finite weights")
-        if w.min() < 0.0:
-            raise StructuralError("weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise StructuralError("weights must sum to 1 within 1e-12")
-        self.weights = w
-
-
-def _tripod_barycenter(points, weights) -> SpacePoint:
-    # per-leg constrained quadratic; d((L,u), (leg,s)) = |u-s| or u+s
-    legs = np.array([pt.payload[0] for pt in points])
-    ts = np.array([pt.payload[1] for pt in points])
-    best = None
-    for leg in range(3):
-        signed = np.where(legs == leg, ts, -ts)
-        u = max(0.0, float(weights @ signed))
-        value = float(weights @ (u - signed) ** 2)
-        if best is None or value < best[0] - 1e-15:
-            best = (value, leg, u)
-    return tripod_point(best[1], best[2])
-
-
-def _karcher_step(y: SpacePoint, points, weights):
-    """One fixed-point update; returns (residual norm, distances, next point)."""
-    kind = y.descriptor.kind
-    if kind == EUCLIDEAN:
-        logs = [pt.payload - y.payload for pt in points]
-        v = sum(w * l for w, l in zip(weights, logs))
-        dists = [float(np.linalg.norm(l)) for l in logs]
-        return float(np.linalg.norm(v)), dists, SpacePoint(y.descriptor, _readonly(y.payload + v))
-    if kind == SPD:
-        s, si = _sqrt_pair(y.payload)
-        logs = [_logm(_sym(si @ pt.payload @ si)) for pt in points]
-        v = sum(w * l for w, l in zip(weights, logs))
-        dists = [float(np.linalg.norm(l)) for l in logs]  # affine-invariant norm
-        nxt = SpacePoint(y.descriptor, _readonly(_sym(s @ _expm(v) @ s)))
-        return float(np.linalg.norm(v)), dists, nxt
-    # hyperboloid
-    logs = [_hyp_log(y.payload, pt.payload) for pt in points]
-    v = sum(w * l for w, l in zip(weights, logs))
-    dists = [math.sqrt(max(_mink(l, l), 0.0)) for l in logs]
-    res = math.sqrt(max(_mink(v, v), 0.0))
-    return res, dists, SpacePoint(y.descriptor, _readonly(_hyp_exp(y.payload, v)))
+        self.weights = _check_weights(self.weights, len(self.points))
 
 
 def weighted_barycenter(problem: BarycenterProblem) -> SpacePoint:
-    """argmin of sum_j w_j d(x_j, .)^2.
-
-    Smooth backends use the fixed-point Karcher iteration started at the
-    point of largest weight (ties: lowest index), stopping once the tangent
-    update norm falls below 1e-10 * (1 + data diameter).  The tripod uses the
-    exact per-leg closed form.
-    """
-    points, weights = problem.points, problem.weights
-    desc = points[0].descriptor
-    if desc.kind == TRIPOD:
-        return _tripod_barycenter(points, weights)
-    y = points[int(np.argmax(weights))]
-    residual = 0.0
-    tol = None
-    for _ in range(BARYCENTER_MAX_ITER):
-        residual, dists, nxt = _karcher_step(y, points, weights)
-        if tol is None:
-            # start point is a data point, so max distance <= data diameter
-            tol = BARYCENTER_TOL * (1.0 + max(dists, default=0.0))
-        if residual <= tol:
-            return y
-        y = nxt
-    raise SolverError("barycenter iteration did not converge",
-                      last_iterate=y, residual=residual)
+    """argmin of sum_j w_j d(x_j, .)^2: the one-row case of `barycenters`."""
+    desc = problem.points[0].descriptor
+    out, failure = barycenters(desc, stack_payloads(problem.points, desc)[None],
+                               problem.weights)
+    if failure:
+        raise failure[1]
+    return _point(desc, out[0])
 
 
 def npc_residual(x0: SpacePoint, x1: SpacePoint, z: SpacePoint) -> float:

@@ -9,18 +9,19 @@ whose contraction behaviour the diagnostics below measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from .errors import DomainError, SolverError, StructuralError
-from .grid import GridData, box_indices, box_intersect, check_interior_depth, \
-    grid_from_function, random_grid, refined_window
+from .grid import GridData, box_array, box_intersect, check_interior_depth, \
+    grid_from_array, grid_from_function, random_grid, refined_window
 from .linear import contractivity_certificate, fit_gamma
 from .masks import BoxGauge, Mask, default_gauge, gauge_offsets, require_sum_rule, \
     stencil, support_radius, unit_gauge
-from .spaces import EUCLIDEAN, TRIPOD, BarycenterProblem, SpaceDescriptor, \
-    distance, exp_map, geodesic_point, log_map, random_point, tripod_point, \
-    weighted_barycenter
+from .spaces import EUCLIDEAN, TRIPOD, SpaceDescriptor, barycenters, \
+    distance, distances, exp_map, geodesic_points, log_map, random_point, \
+    stack_payloads, tripod_point
 
 __all__ = [
     "GridData", "IterateTrace", "subdivide", "iterate", "contractivity_D",
@@ -36,21 +37,45 @@ CONVERGENCE_MARGIN = 1e-3
 
 
 def subdivide(mask: Mask, x: GridData) -> GridData:
-    """One barycentric refinement step onto the doubled window."""
+    """One barycentric refinement step onto the doubled window.
+
+    Output i = r + 2m of parity class r is the barycenter of the inputs
+    x_{m+j} under the weights a_{r-2j}, so each class is one batch of
+    problems that share a stencil.  When nodes fail, the error of the first
+    failing node in row-major order is raised, as a node-by-node loop would.
+    """
     if x.dim != mask.dim:
         raise StructuralError("mask and data dimension disagree")
     require_sum_rule(mask)
+    data = x.payloads()
+    core = data.shape[x.dim:]
+    out = np.empty(tuple(2 * n - 1 for n in data.shape[:x.dim]) + core)
+    first = None  # (output index, error) of the first failing node
+    for r in product((0, 1), repeat=x.dim):
+        pairs = stencil(mask, r)
+        js = np.array([j for j, _ in pairs])
+        # m runs over lo..hi - r on each axis; the stencil axis comes last
+        ms = np.ix_(*(np.arange(l, h + 1 - rk) for l, h, rk in zip(x.lo, x.hi, r)))
+        shape = tuple(m.size for m in ms)
+        index = tuple(m[..., None] + js[:, a] for a, m in enumerate(ms))
+        points = data[x.local(index)].reshape((-1, len(pairs)) + core)
+        if len(pairs) == 1:
+            values, failure = points[:, 0], None
+        else:
+            values, failure = barycenters(x.descriptor, points,
+                                          np.array([w for _, w in pairs]))
+        out[tuple(slice(rk, None, 2) for rk in r)] = values.reshape(shape + core)
+        if failure:
+            # rows run in row-major output order, so a class's first failing
+            # row is its first failing node
+            m = np.unravel_index(failure[0], shape)
+            node = tuple(rk + 2 * (l + int(mk)) for rk, l, mk in zip(r, x.lo, m))
+            if first is None or node < first[0]:
+                first = (node, failure[1])
+    if first:
+        raise first[1]
     lo, hi = refined_window(x.lo, x.hi)
-
-    def value(idx):
-        weights_at = stencil(mask, idx)
-        points = [x.get(j) for j, _ in weights_at]
-        if len(points) == 1:
-            return points[0]
-        weights = np.array([w for _, w in weights_at])
-        return weighted_barycenter(BarycenterProblem(points, weights))
-
-    return grid_from_function(x.descriptor, lo, hi, value, x.extension)
+    return grid_from_array(x.descriptor, lo, hi, out, x.extension)
 
 
 @dataclass(eq=False)
@@ -71,20 +96,26 @@ def contractivity_D(x: GridData, gauge: BoxGauge, box=None) -> float:
         raise StructuralError("gauge and data dimension disagree")
     lo, hi = box if box is not None else x.window()
     # one offset per symmetric pair; e > 0 also drops e = 0
-    offsets = [e for e in gauge_offsets(gauge) if e > (0,) * x.dim]
-    best = 0.0
-    for i in box_indices(lo, hi):
-        pi = x.get(i)
-        for e in offsets:
-            j = tuple(ik + ek for ik, ek in zip(i, e))
-            if all(l <= jk <= h for jk, l, h in zip(j, lo, hi)):
-                best = max(best, distance(pi, x.get(j)))
-    return best
+    offsets = np.array([e for e in gauge_offsets(gauge) if e > (0,) * x.dim],
+                       dtype=int).reshape(-1, x.dim)
+    i = box_array(lo, hi)
+    j = i[:, None, :] + offsets
+    inside = np.all((j >= lo) & (j <= hi), axis=-1)
+    data = x.payloads()
+    return _sup(x.descriptor, data[x.local(np.broadcast_to(i[:, None, :], j.shape)[inside].T)],
+                data[x.local(j[inside].T)])
 
 
 def d_inf(x: GridData, box=None) -> float:
     """Unit-gauge specialization: neighbors within sup-distance 1."""
     return contractivity_D(x, unit_gauge(x.dim), box)
+
+
+def _sup(descriptor: SpaceDescriptor, p, q) -> float:
+    """sup of the distances between two stacks of payloads, as a running
+    max from 0.0: 0.0 when empty, NaN distances passed over."""
+    d = distances(descriptor, p, q)
+    return float(np.max(d, initial=0.0, where=d > 0.0))
 
 
 def iterate(mask: Mask, x: GridData, n: int) -> IterateTrace:
@@ -175,24 +206,20 @@ def bspline_comparison(x: GridData) -> GridData:
     """Tensor midpoint scheme: per axis, copy even nodes and insert geodesic
     midpoints at odd nodes.  Coincides with the degree-1 tensor-mask scheme on
     euclidean data and for dim 1 on every backend."""
-    cur = x
+    data = x.payloads()
     for axis in range(x.dim):
-        lo = tuple(2 * l if k == axis else l for k, l in enumerate(cur.lo))
-        hi = tuple(2 * h if k == axis else h for k, h in enumerate(cur.hi))
+        def along(sl):
+            return data[(slice(None),) * axis + (sl,)]
 
-        def value(idx, axis=axis):
-            i = idx[axis]
-            base = list(idx)
-            if i % 2 == 0:
-                base[axis] = i // 2
-                return cur.get(tuple(base))
-            base[axis] = (i - 1) // 2
-            left = cur.get(tuple(base))
-            base[axis] = (i + 1) // 2
-            return geodesic_point(left, cur.get(tuple(base)), 0.5)
-
-        cur = grid_from_function(cur.descriptor, lo, hi, value, cur.extension)
-    return cur
+        shape = list(data.shape)
+        shape[axis] = 2 * shape[axis] - 1
+        out = np.empty(shape)
+        out[(slice(None),) * axis + (slice(None, None, 2),)] = data
+        out[(slice(None),) * axis + (slice(1, None, 2),)] = geodesic_points(
+            x.descriptor, along(slice(None, -1)), along(slice(1, None)), 0.5)
+        data = out
+    lo, hi = refined_window(x.lo, x.hi)
+    return grid_from_array(x.descriptor, lo, hi, data, x.extension)
 
 
 @dataclass
@@ -212,10 +239,10 @@ def convergence_diagnostic(mask: Mask, x: GridData, n_max: int) -> ConvergenceDi
         comparison = bspline_comparison(trace.levels[n])
         shared = box_intersect(refined_window(*trace.interiors[n]),
                                trace.interiors[n + 1])
-        worst = 0.0
-        for i in box_indices(*shared):
-            worst = max(worst, distance(comparison.get(i), trace.levels[n + 1].get(i)))
-        series.append(worst)
+        level = trace.levels[n + 1]
+        nodes = box_array(*shared).T
+        series.append(_sup(x.descriptor, comparison.payloads()[comparison.local(nodes)],
+                           level.payloads()[level.local(nodes)]))
     scale = max(series) if series else 0.0
     floor = 1e-13 * (1.0 + scale)
     tail = series[len(series) // 2:]
@@ -274,10 +301,11 @@ def approximation_error(mask: Mask, f, lipschitz: float, h: float,
                               lambda idx: f(tuple(h * i for i in idx)))
     trace = iterate(mask, data, n)
     scale = h / 2 ** n
-    sup_err = 0.0
-    for i in box_indices(*trace.interiors[n]):
-        target = f(tuple(scale * ik for ik in i))
-        sup_err = max(sup_err, distance(trace.levels[n].get(i), target))
+    level = trace.levels[n]
+    nodes = box_array(*trace.interiors[n])
+    targets = [f(tuple(scale * ik for ik in i)) for i in nodes.tolist()]
+    sup_err = _sup(level.descriptor, level.payloads()[level.local(nodes.T)],
+                   stack_payloads(targets, level.descriptor))
     bound = support_radius(mask) * lipschitz * h
     return ApproximationCheck(sup_err=sup_err, bound=bound,
                               ok=sup_err <= bound + 1e-8, h=h, level=n)

@@ -6,14 +6,17 @@ iteration or composition code, so a disagreement points at the
 implementation rather than at a shared helper.  Reading single mask
 coefficients (Mask.value) is treated as ground truth.  `linear_refine` is
 the linear rule out_i = sum_j a_{i-2j} x_j that the barycentric scheme must
-reproduce on euclidean data.
+reproduce on euclidean data.  `pointwise_refine` and `pairwise_sup` are the
+node-by-node loops that the batched refinement and contraction sups must
+reproduce bit for bit.
 """
 
+import math
 from itertools import product
 
 import numpy as np
 
-from npcsubdiv import distance, tripod_point
+from npcsubdiv import BarycenterProblem, distance, tripod_point, weighted_barycenter
 
 
 def hat(i, n):
@@ -78,6 +81,41 @@ def linear_refine(mask, x):
             for i in window}
 
 
+def pointwise_refine(mask, x):
+    """One barycentric refinement step computed node by node, as {i: point}
+    over the doubled window: out_i is the scalar weighted barycenter of the
+    points x.get(j) under the weights of one_step_row(mask, i), in that
+    row's order; a lone point is copied.  A failing node raises at once."""
+    window = product(*(range(2 * l, 2 * h + 1) for l, h in zip(x.lo, x.hi)))
+    out = {}
+    for i in window:
+        row = one_step_row(mask, i)
+        points = [x.get(j) for j in row]
+        if len(points) == 1:
+            out[i] = points[0]
+        else:
+            problem = BarycenterProblem(points, np.array(list(row.values())))
+            out[i] = weighted_barycenter(problem)
+    return out
+
+
+def pairwise_sup(x, gauge, box):
+    """max(0, d(x_i, x_j)) over i in the box and j = i + e in the box, for
+    the offsets e > 0 (lexicographically) with max_k |e_k| / c_k < 2."""
+    c = [float(v) for v in gauge.half_widths]
+    reach = [range(-math.ceil(2 * ck), math.ceil(2 * ck) + 1) for ck in c]
+    offsets = [e for e in product(*reach)
+               if e > (0,) * len(c) and max(abs(ek) / ck for ek, ck in zip(e, c)) < 2.0]
+    lo, hi = box
+    best = 0.0
+    for i in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+        for e in offsets:
+            j = tuple(ik + ek for ik, ek in zip(i, e))
+            if all(l <= jk <= h for jk, l, h in zip(j, lo, hi)):
+                best = max(best, distance(x.get(i), x.get(j)))
+    return best
+
+
 def forward_row(mask, start, steps):
     """n-step marginal by repeated one-step distribution pushforward."""
     dist = {tuple(int(v) for v in start): 1.0}
@@ -97,15 +135,16 @@ def tv(p, q):
 
 
 def scan_tripod_barycenter(points, weights, steps=4096):
-    """Frechet minimizer on the tripod by dense per-leg parameter scan."""
+    """Frechet minimizer on the tripod by dense per-leg parameter scan, with
+    the tripod metric written out: |t - s| on one leg, t + s across legs."""
     t_max = max(p.payload[1] for p in points) + 1.0
     best = None
     for leg in range(3):
-        for t in np.linspace(0.0, t_max, steps + 1):
-            y = tripod_point(leg, float(t))
-            f = sum(w * distance(y, p) ** 2 for w, p in zip(weights, points))
+        for t in np.linspace(0.0, t_max, steps + 1).tolist():
+            f = sum(w * (abs(t - s) if pleg == leg else t + s) ** 2
+                    for w, (pleg, s) in zip(weights, (p.payload for p in points)))
             if best is None or f < best[0]:
-                best = (f, y)
+                best = (f, tripod_point(leg, t))
     return best
 
 

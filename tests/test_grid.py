@@ -5,7 +5,7 @@ import pytest
 
 from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError,
                        bspline_mask, chaikin_mask, euclidean_point, exp_map,
-                       make_mask, random_point, tripod_point)
+                       make_mask, tripod_point)
 from npcsubdiv.grid import (box_indices, box_intersect, box_is_empty,
                             check_interior_depth, grid_from_json,
                             grid_from_points, grid_to_json,

@@ -1,4 +1,4 @@
-"""Import hygiene: every top-level import in the package is used.
+"""Import hygiene: every top-level import in the package and its tests is used.
 
 A name bound by a module-level `import` or `from ... import` counts as used
 when the module reads it anywhere or lists it in `__all__`.  Written with the
@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "npcsubdiv"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list:
@@ -34,8 +35,8 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_every_top_level_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 

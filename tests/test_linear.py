@@ -1,6 +1,5 @@
 """Linear cascade, refinable samples, certificates, convergence fits."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

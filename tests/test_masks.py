@@ -11,7 +11,7 @@ from npcsubdiv import (NumericError, ResourceError, StructuralError,
                        bspline_mask, chaikin_mask, default_gauge, gauge_value,
                        iterated_mask, make_mask, tensor_power, tensor_product,
                        validate_mask)
-from npcsubdiv.masks import (BoxGauge, coset, coset_sums, delta_mask, mask_from_json,
+from npcsubdiv.masks import (BoxGauge, coset, coset_sums, mask_from_json,
                              mask_to_json, recenter, require_sum_rule, stencil,
                              translate, unit_gauge)
 from oracles import dense_iterated, hat

@@ -12,6 +12,7 @@ from npcsubdiv import (BarycenterProblem, DomainError, NumericError,
                        euclidean_point, exp_map, geodesic_point,
                        hyperboloid_point, log_map, npc_residual, random_point,
                        spd_point, tripod_point, weighted_barycenter)
+from npcsubdiv import spaces
 from npcsubdiv.spaces import (descriptor_from_json, descriptor_to_json,
                               hyperboloid_from_spatial, point_from_json,
                               point_to_json, points_equal)
@@ -132,6 +133,25 @@ def test_two_point_barycenter_lies_on_the_geodesic(desc):
         p, q = points(desc, seed, 2)
         y = weighted_barycenter(BarycenterProblem([p, q], np.array([1.0 - w, w])))
         assert distance(y, geodesic_point(p, q, w)) <= 1e-8 * (1.0 + distance(p, q))
+
+
+@pytest.mark.parametrize("desc", SMOOTH, ids=str)
+def test_barycenter_returns_the_iterate_before_the_last_update(desc, monkeypatch):
+    steps = []
+    step = spaces._karcher_step
+
+    def recording(backend, y, pts, weights, fails):
+        out = step(backend, y, pts, weights, fails)
+        steps.append((y.copy(), float(out[0][0]), float(out[1][0].max())))
+        return out
+
+    monkeypatch.setattr(spaces, "_karcher_step", recording)
+    pts = points(desc, 9, 3)
+    y = weighted_barycenter(BarycenterProblem(pts, np.array([0.5, 0.3, 0.2])))
+    tol = 1e-10 * (1.0 + steps[0][2])
+    assert len(steps) >= 2 and steps[-2][1] > tol >= steps[-1][1]
+    assert np.array_equal(y.payload, steps[-1][0][0])
+    assert np.array_equal(steps[0][0][0], pts[0].payload)  # started at the heaviest point
 
 
 def test_tripod_barycenter_matches_dense_scan():

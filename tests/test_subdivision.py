@@ -1,18 +1,22 @@
 """Barycentric refinement, contraction series, diagnostics, approximation."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError,
-                       approximation_error, bspline_comparison, bspline_mask,
-                       chaikin_mask, convergence_diagnostic, d_inf, distance,
-                       empirical_gamma, euclidean_point, geodesic_sampler,
-                       iterate, make_mask, random_point,
-                       subdivide, tensor_power, tripod_point)
-from npcsubdiv.grid import box_indices, grid_from_points, random_grid
-from oracles import linear_refine
+from npcsubdiv import (DomainError, NumericError, SolverError, SpaceDescriptor,
+                       StructuralError, approximation_error, bspline_comparison,
+                       bspline_mask, chaikin_mask, contractivity_D, convergence_diagnostic,
+                       d_inf, default_gauge, distance, empirical_gamma,
+                       euclidean_point, geodesic_sampler, iterate, make_mask,
+                       random_point, subdivide, tensor_power, tripod_point)
+from npcsubdiv.cli import main
+from npcsubdiv.grid import box_indices, grid_from_points, grid_to_json, random_grid
+from npcsubdiv.masks import BoxGauge, unit_gauge
+from npcsubdiv.spaces import hyperboloid_point, point_to_json
+from oracles import linear_refine, pairwise_sup, pointwise_refine
 
 EU1 = SpaceDescriptor("euclidean", 1)
 EU2 = SpaceDescriptor("euclidean", 2)
@@ -45,6 +49,111 @@ def test_barycentric_matches_linear_on_euclidean_data(mask, dim):
         worst = max(float(np.max(np.abs(lhs.get(i).payload - rhs[i])))
                     for i in lhs.indices())
         assert worst <= 1e-12
+
+
+# -- the batched step against the node-by-node loop -------------------------------------
+
+CUBIC = make_mask((-2,), [0.125, 0.5, 0.75, 0.5, 0.125])
+BB = tensor_power(B, 2)
+NONDYADIC = make_mask((3,), [0.3, 0.4, 0.7, 0.6])  # translated, weights not dyadic
+REFINE_MASKS = {"chaikin": C, "cubic": CUBIC, "tensor_hat": BB, "nondyadic": NONDYADIC}
+REFINE_BACKENDS = (EU2, SPD2, SpaceDescriptor("spd", 3), HYP2,
+                   SpaceDescriptor("hyperboloid", 3), TRI)
+
+
+def bits(p):
+    """Exact text of a point: equal strings mean equal floats, sign of zero included."""
+    return json.dumps(point_to_json(p))
+
+
+@pytest.mark.parametrize("extension", ("constant_nearest", "periodic"))
+@pytest.mark.parametrize("mask_name", REFINE_MASKS)
+@pytest.mark.parametrize("desc", REFINE_BACKENDS, ids=str)
+def test_subdivide_equals_the_pointwise_oracle_bit_for_bit(desc, mask_name, extension):
+    mask = REFINE_MASKS[mask_name]
+    rng = np.random.default_rng([53, len(mask_name), desc.dim])
+    lo, hi = ((-2,), (3,)) if mask.dim == 1 else ((-1, 0), (1, 2))
+    for window in ((lo, hi), (hi, hi)):  # and a one-node window
+        x = random_grid(desc, *window, rng, extension)
+        y = subdivide(mask, x)
+        expected = pointwise_refine(mask, x)
+        assert list(y.indices()) == list(expected)
+        assert [bits(y.get(i)) for i in y.indices()] == [bits(p) for p in expected.values()]
+
+
+@pytest.mark.parametrize("desc", REFINE_BACKENDS, ids=str)
+def test_contraction_sups_equal_the_pairwise_loop_bit_for_bit(desc):
+    rng = np.random.default_rng([59, desc.dim])
+    x = random_grid(desc, (-3,), (4,), rng, "periodic")
+    x2 = random_grid(desc, (0, 0), (2, 3), rng)
+    boxes = (x.window(), ((-1,), (2,)), ((-6,), (7,)), ((2,), (1,)))  # past the window; empty
+    # half widths of at most 0.5 leave no offset but e = 0: no pairs
+    for gauge in (unit_gauge(1), default_gauge(CUBIC), default_gauge(NONDYADIC),
+                  BoxGauge(np.array([0.4]))):
+        for box in boxes:
+            assert contractivity_D(x, gauge, box) == pairwise_sup(x, gauge, box)
+    assert d_inf(x) == pairwise_sup(x, unit_gauge(1), x.window())
+    assert contractivity_D(x, unit_gauge(1), ((2,), (1,))) == 0.0
+    for box in (x2.window(), ((-1, 1), (3, 5))):
+        assert d_inf(x2, box) == pairwise_sup(x2, unit_gauge(2), box)
+        for gauge in (default_gauge(BB), BoxGauge(np.array([0.5, 0.3]))):
+            assert contractivity_D(x2, gauge, box) == pairwise_sup(x2, gauge, box)
+
+
+def spread_hyperboloid_grid(seed, far=0):
+    """Ten hyperboloid:2 points at distance 3 to 4 from the origin, where the
+    cubic mask's three-point barycenters do not converge; the last `far` of
+    them at distance 300 to 340, where the iteration overflows."""
+    rng = np.random.default_rng([seed])
+    pts = []
+    for k in range(10):
+        u = rng.standard_normal(2)
+        radius = rng.uniform(300.0, 340.0) if k >= 10 - far else rng.uniform(3.0, 4.0)
+        v = math.sinh(radius) * u / np.linalg.norm(u)
+        pts.append(hyperboloid_point([math.sqrt(1.0 + float(v @ v))] + v.tolist()))
+    return grid_from_points(HYP2, (0,), (9,), pts)
+
+
+# three points in each parity class, so nodes of both classes fail; the first
+# failing node is 2 on the grid of seed 0 and 3 on the grid of seed 1
+BOTH_CLASSES = make_mask((-2,), [0.125, 0.25, 0.75, 0.5, 0.125, 0.25])
+
+
+@pytest.mark.parametrize("mask,seed", ((CUBIC, 0), (BOTH_CLASSES, 0), (BOTH_CLASSES, 1)),
+                         ids=("cubic-0", "both-classes-0", "both-classes-1"))
+def test_solver_failures_match_the_pointwise_loop(mask, seed):
+    x = spread_hyperboloid_grid(seed)
+    with pytest.raises(SolverError) as batched:
+        subdivide(mask, x)
+    with pytest.raises(SolverError) as pointwise:
+        pointwise_refine(mask, x)
+    assert str(batched.value) == str(pointwise.value)
+    assert batched.value.residual == pointwise.value.residual
+    assert bits(batched.value.last_iterate) == bits(pointwise.value.last_iterate)
+
+
+def test_a_lower_node_failing_later_is_the_one_raised():
+    """On this grid a far node fails (non-finite payload) at an earlier
+    iteration than a lower node overflows; the lower node's error is the one
+    the node-by-node loop raises first."""
+    x = spread_hyperboloid_grid(18, far=5)
+    with pytest.raises((NumericError, OverflowError)) as batched:
+        subdivide(CUBIC, x)
+    with pytest.raises((NumericError, OverflowError)) as pointwise:
+        pointwise_refine(CUBIC, x)
+    assert type(batched.value) is type(pointwise.value)
+    assert str(batched.value) == str(pointwise.value)
+
+
+def test_cli_reports_the_solver_failure(tmp_path, capsys):
+    data, mask = tmp_path / "data.json", tmp_path / "mask.json"
+    data.write_text(json.dumps(grid_to_json(spread_hyperboloid_grid(0))))
+    mask.write_text(json.dumps({"dim": 1, "offset": [-2],
+                                "coeffs": [0.125, 0.5, 0.75, 0.5, 0.125]}))
+    code = main(["subdivide", "--mask", str(mask), "--data", str(data), "--levels", "2"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": {"type": "SolverError", "message": "barycenter iteration did not converge"}}
 
 
 # -- iterate bookkeeping ---------------------------------------------------------------
