@@ -323,7 +323,7 @@ def render_report(report: Report, command: str, fmt: str) -> str:
             writer.writerow([repr(c) if isinstance(c, float) else c
                              for c in row])
         return buf.getvalue()
-    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(vars(report), indent=2, sort_keys=True) + "\n"
 
 
 # -- argument parsing ------------------------------------------------------------

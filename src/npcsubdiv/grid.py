@@ -1,44 +1,49 @@
 """Finite windows of grid-indexed points with boundary extension.
 
-GridData stores points of one backend over an integer box.  Reads outside the
-window are synthesized by the extension policy; interior bookkeeping (which
-output indices are free of synthesized values) is handled by the box
-arithmetic helpers below.
+GridData stores the payloads of one backend over an integer box as one
+read-only float array.  Reads outside the window are synthesized by the
+extension policy; interior bookkeeping (which output indices are free of
+synthesized values) is handled by the box arithmetic helpers below.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import DomainError, StructuralError
 from .masks import Mask
-from .spaces import SpaceDescriptor, SpacePoint, descriptor_from_json, \
-    descriptor_to_json, point_from_json, point_to_json, points_from_payloads, \
-    random_point, stack_payloads
+from .spaces import SpaceDescriptor, SpacePoint, _point, descriptor_from_json, \
+    descriptor_to_json, point_from_json, point_to_json, random_point, \
+    stack_payloads
 
 CONSTANT_NEAREST = "constant_nearest"
 PERIODIC = "periodic"
 EXTENSIONS = (CONSTANT_NEAREST, PERIODIC)
 
 
-def _as_box_vec(v, name="index"):
+def _as_box_vec(v):
+    """A lattice index or window corner as a tuple of ints; an int stands for
+    a 1-tuple.  Floats, strings and bools are rejected, not truncated."""
     if np.isscalar(v):
         v = (v,)
+    for x in v:
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise StructuralError(f"lattice coordinates must be integers, got {x!r}")
     return tuple(int(x) for x in v)
 
 
 @dataclass(eq=False)
 class GridData:
-    """Points indexed by the integer box lo..hi (inclusive), row-major storage."""
+    """Points indexed by the integer box lo..hi (inclusive), stored as a
+    read-only copy of `payloads`: window shape + descriptor.payload_shape."""
 
     descriptor: SpaceDescriptor
     lo: tuple
     hi: tuple
-    points: np.ndarray  # object array, shape hi - lo + 1
+    payloads: np.ndarray
     extension: str
 
     def __post_init__(self):
@@ -51,13 +56,24 @@ class GridData:
         if self.extension not in EXTENSIONS:
             raise StructuralError(f"unknown extension policy {self.extension!r}")
         shape = tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
-        if self.points.shape != shape:
-            raise StructuralError(
-                f"points shape {self.points.shape} does not match window {shape}")
+        shape += self.descriptor.payload_shape
+        self.payloads = np.array(self.payloads, dtype=float)
+        if self.payloads.shape != shape:
+            raise StructuralError(f"payloads shape {self.payloads.shape} does not match "
+                                  f"window + {self.descriptor}: {shape}")
+        self.payloads.flags.writeable = False
 
     @property
     def dim(self) -> int:
         return len(self.lo)
+
+    @property
+    def points(self) -> np.ndarray:
+        """Object array of the points over the window, built on each access."""
+        out = np.empty(self.payloads.shape[:self.dim], dtype=object)
+        for i in np.ndindex(out.shape):
+            out[i] = _point(self.descriptor, self.payloads[i])
+        return out
 
     def window(self):
         return self.lo, self.hi
@@ -69,11 +85,7 @@ class GridData:
         index = _as_box_vec(index)
         if len(index) != self.dim:
             raise StructuralError(f"index length {len(index)}, expected {self.dim}")
-        return self.points[self.local(index)]
-
-    def payloads(self) -> np.ndarray:
-        """The points' payloads stacked over the window shape."""
-        return stack_payloads(self.points, self.descriptor)
+        return _point(self.descriptor, self.payloads[self.local(index)])
 
     def local(self, index) -> tuple:
         """Storage positions of lattice indices or index arrays (one per
@@ -87,39 +99,26 @@ class GridData:
         return tuple(out)
 
 
+def _stacked_grid(descriptor, lo, hi, points: list, extension) -> GridData:
+    """Grid of a row-major list of points, all of the given descriptor."""
+    lo, hi = _as_box_vec(lo), _as_box_vec(hi)
+    shape = tuple(max(h - l + 1, 0) for l, h in zip(lo, hi))  # GridData rejects empty
+    if len(points) != math.prod(shape):
+        raise StructuralError(
+            f"{len(points)} points supplied for window of size {math.prod(shape)}")
+    flat = stack_payloads(points, descriptor)
+    return GridData(descriptor, lo, hi, flat.reshape(shape + flat.shape[1:]), extension)
+
+
 def grid_from_function(descriptor, lo, hi, fn, extension=CONSTANT_NEAREST) -> GridData:
+    """Builds a grid whose node i holds fn(i)."""
     lo, hi = _as_box_vec(lo), _as_box_vec(hi)
-    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    pts = np.empty(shape, dtype=object)
-    for local in product(*(range(n) for n in shape)):
-        idx = tuple(l + o for l, o in zip(local, lo))
-        pt = fn(idx)
-        if pt.descriptor != descriptor:
-            raise StructuralError(
-                f"point at {idx} has descriptor {pt.descriptor}, expected {descriptor}")
-        pts[local] = pt
-    return GridData(descriptor, lo, hi, pts, extension)
-
-
-def grid_from_array(descriptor, lo, hi, payloads, extension=CONSTANT_NEAREST) -> GridData:
-    """Builds a grid from payloads stacked over the window shape, as
-    `GridData.payloads` returns them."""
-    lo, hi = _as_box_vec(lo), _as_box_vec(hi)
-    points = points_from_payloads(descriptor, payloads, len(lo))
-    return GridData(descriptor, lo, hi, points, extension)
+    return _stacked_grid(descriptor, lo, hi, [fn(i) for i in box_indices(lo, hi)], extension)
 
 
 def grid_from_points(descriptor, lo, hi, points, extension=CONSTANT_NEAREST) -> GridData:
     """Builds a grid from a row-major flat list of points."""
-    lo, hi = _as_box_vec(lo), _as_box_vec(hi)
-    size = math.prod(h - l + 1 for l, h in zip(lo, hi))
-    flat = list(points)
-    if len(flat) != size:
-        raise StructuralError(
-            f"{len(flat)} points supplied for window of size {size}")
-    rest = iter(flat)  # grid_from_function visits the window in row-major order
-    return grid_from_function(descriptor, lo, hi, lambda idx: next(rest),
-                              extension)
+    return _stacked_grid(descriptor, lo, hi, list(points), extension)
 
 
 def random_grid(descriptor, lo, hi, rng, extension=CONSTANT_NEAREST) -> GridData:

@@ -45,6 +45,12 @@ class SpaceDescriptor:
         elif self.dim < 1:
             raise StructuralError(f"dim must be >= 1, got {self.dim}")
 
+    @property
+    def payload_shape(self) -> tuple:
+        """Shape of one stacked payload; a tripod point is the row (leg, t)."""
+        return {EUCLIDEAN: (self.dim,), SPD: (self.dim, self.dim),
+                HYPERBOLOID: (self.dim + 1,), TRIPOD: (2,)}[self.kind]
+
 
 @dataclass(eq=False)
 class SpacePoint:
@@ -418,24 +424,13 @@ def _apply(desc: SpaceDescriptor, name: str, p, *args):
 # -- stacking ---------------------------------------------------------------------
 
 def stack_payloads(points, descriptor: SpaceDescriptor) -> np.ndarray:
-    """Payloads of an array (or sequence) of points, stacked over its shape;
-    a tripod point becomes the row (leg, t)."""
-    points = np.asarray(points, dtype=object)
-    for pt in points.flat:
+    """Payloads of a sequence of points, stacked along a new first axis; a
+    tripod point becomes the row (leg, t)."""
+    for pt in points:
         if pt.descriptor is not descriptor and pt.descriptor != descriptor:
             raise StructuralError(
                 f"descriptor mismatch: {descriptor} vs {pt.descriptor}")
-    flat = np.array([pt.payload for pt in points.flat], dtype=float)
-    return flat.reshape(points.shape + flat.shape[1:])
-
-
-def points_from_payloads(descriptor: SpaceDescriptor, payloads, ndim: int) -> np.ndarray:
-    """Object array of points over the first ndim axes of stacked payloads;
-    the payloads must already have passed the backend's checks."""
-    rows = np.array(payloads, dtype=float).reshape((-1,) + payloads.shape[ndim:])
-    out = np.empty(len(rows), dtype=object)
-    out[:] = [_point(descriptor, row) for row in rows]
-    return out.reshape(payloads.shape[:ndim])
+    return np.array([pt.payload for pt in points], dtype=float)
 
 
 def _payload(p: SpacePoint) -> np.ndarray:
@@ -443,7 +438,7 @@ def _payload(p: SpacePoint) -> np.ndarray:
 
 
 def _point(desc: SpaceDescriptor, payload: np.ndarray) -> SpacePoint:
-    """The point of one checked payload, which nothing else may hold."""
+    """The point of one checked payload, which becomes read-only."""
     if desc.kind == TRIPOD:
         leg, t = payload.tolist()
         return SpacePoint(desc, (int(leg), t))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, SolverError, StructuralError
 from .grid import GridData, box_array, box_intersect, check_interior_depth, \
-    grid_from_array, grid_from_function, random_grid, refined_window
+    grid_from_function, random_grid, refined_window
 from .linear import contractivity_certificate, fit_gamma
 from .masks import BoxGauge, Mask, default_gauge, gauge_offsets, require_sum_rule, \
     stencil, support_radius, unit_gauge
@@ -47,7 +47,7 @@ def subdivide(mask: Mask, x: GridData) -> GridData:
     if x.dim != mask.dim:
         raise StructuralError("mask and data dimension disagree")
     require_sum_rule(mask)
-    data = x.payloads()
+    data = x.payloads
     core = data.shape[x.dim:]
     out = np.empty(tuple(2 * n - 1 for n in data.shape[:x.dim]) + core)
     first = None  # (output index, error) of the first failing node
@@ -75,7 +75,7 @@ def subdivide(mask: Mask, x: GridData) -> GridData:
     if first:
         raise first[1]
     lo, hi = refined_window(x.lo, x.hi)
-    return grid_from_array(x.descriptor, lo, hi, out, x.extension)
+    return GridData(x.descriptor, lo, hi, out, x.extension)
 
 
 @dataclass(eq=False)
@@ -101,7 +101,7 @@ def contractivity_D(x: GridData, gauge: BoxGauge, box=None) -> float:
     i = box_array(lo, hi)
     j = i[:, None, :] + offsets
     inside = np.all((j >= lo) & (j <= hi), axis=-1)
-    data = x.payloads()
+    data = x.payloads
     return _sup(x.descriptor, data[x.local(np.broadcast_to(i[:, None, :], j.shape)[inside].T)],
                 data[x.local(j[inside].T)])
 
@@ -206,7 +206,7 @@ def bspline_comparison(x: GridData) -> GridData:
     """Tensor midpoint scheme: per axis, copy even nodes and insert geodesic
     midpoints at odd nodes.  Coincides with the degree-1 tensor-mask scheme on
     euclidean data and for dim 1 on every backend."""
-    data = x.payloads()
+    data = x.payloads
     for axis in range(x.dim):
         def along(sl):
             return data[(slice(None),) * axis + (sl,)]
@@ -219,7 +219,7 @@ def bspline_comparison(x: GridData) -> GridData:
             x.descriptor, along(slice(None, -1)), along(slice(1, None)), 0.5)
         data = out
     lo, hi = refined_window(x.lo, x.hi)
-    return grid_from_array(x.descriptor, lo, hi, data, x.extension)
+    return GridData(x.descriptor, lo, hi, data, x.extension)
 
 
 @dataclass
@@ -241,8 +241,8 @@ def convergence_diagnostic(mask: Mask, x: GridData, n_max: int) -> ConvergenceDi
                                trace.interiors[n + 1])
         level = trace.levels[n + 1]
         nodes = box_array(*shared).T
-        series.append(_sup(x.descriptor, comparison.payloads()[comparison.local(nodes)],
-                           level.payloads()[level.local(nodes)]))
+        series.append(_sup(x.descriptor, comparison.payloads[comparison.local(nodes)],
+                           level.payloads[level.local(nodes)]))
     scale = max(series) if series else 0.0
     floor = 1e-13 * (1.0 + scale)
     tail = series[len(series) // 2:]
@@ -304,7 +304,7 @@ def approximation_error(mask: Mask, f, lipschitz: float, h: float,
     level = trace.levels[n]
     nodes = box_array(*trace.interiors[n])
     targets = [f(tuple(scale * ik for ik in i)) for i in nodes.tolist()]
-    sup_err = _sup(level.descriptor, level.payloads()[level.local(nodes.T)],
+    sup_err = _sup(level.descriptor, level.payloads[level.local(nodes.T)],
                    stack_payloads(targets, level.descriptor))
     bound = support_radius(mask) * lipschitz * h
     return ApproximationCheck(sup_err=sup_err, bound=bound,

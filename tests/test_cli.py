@@ -1,6 +1,7 @@
 """End-to-end CLI runs: in-process main(), JSON/CSV payloads, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -8,7 +9,7 @@ import pytest
 
 from npcsubdiv import (SpaceDescriptor, bspline_mask, chaikin_mask, kernel_row,
                        make_mask, tensor_power, tripod_point)
-from npcsubdiv.cli import main
+from npcsubdiv.cli import Report, main, render_report
 from npcsubdiv.grid import grid_from_json, grid_from_points, grid_to_json
 from npcsubdiv.masks import mask_to_json
 
@@ -271,6 +272,29 @@ def test_sum_rule_violations_surface_through_the_cli(capsys, files):
     bad = files["root"] / "unbalanced.json"
     bad.write_text(json.dumps(mask_to_json(make_mask((0,), [1.0, 0.5]))))
     expect_error(capsys, ["certify", "--mask", str(bad)], "StructuralError")
+
+
+@pytest.mark.parametrize("window", (
+    {"lo": [0.7], "hi": [2.9]},
+    {"lo": [-1], "hi": ["1"]},
+    {"lo": [True], "hi": [3]},
+), ids=("float", "string", "bool"))
+def test_subdivide_rejects_non_integral_windows(capsys, files, window):
+    grid = json.loads((files["root"] / "witness.json").read_text())
+    grid["window"] = window
+    bad = files["root"] / "bad_window.json"
+    bad.write_text(json.dumps(grid))
+    expect_error(capsys, ["subdivide", "--mask", files["b"], "--data", str(bad),
+                          "--levels", "1"], "StructuralError")
+
+
+def test_render_report_matches_the_asdict_encoding():
+    report = Report(config={"command": "subdivide", "start": [0, -1], "seed": 3},
+                    payload={"series": [0.5, 1e-300, -0.0], "nested": {"b": (1, 2), "a": None},
+                             "rows": [{"j": [1], "p": 0.25}], "tag": "x\u00e9"},
+                    versions={"package": "0"}, duration_s=0.125)
+    oracle = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
+    assert render_report(report, "subdivide", "json") == oracle
 
 
 def test_bad_mc_argument(capsys, files):

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError,
-                       bspline_mask, chaikin_mask, euclidean_point, exp_map,
-                       make_mask, tripod_point)
+from npcsubdiv import (DomainError, GridData, SpaceDescriptor, SpacePoint,
+                       StructuralError, bspline_mask, chaikin_mask,
+                       convergence_diagnostic, euclidean_point, exp_map,
+                       iterate, make_mask, tripod_point)
 from npcsubdiv.grid import (box_indices, box_intersect, box_is_empty,
-                            check_interior_depth, grid_from_json,
-                            grid_from_points, grid_to_json,
+                            check_interior_depth, grid_from_function,
+                            grid_from_json, grid_from_points, grid_to_json,
                             minimal_window_width, random_grid,
                             refined_interior, refined_window)
 from npcsubdiv.spaces import hyperboloid_from_spatial, points_equal
@@ -49,6 +50,69 @@ def test_window_and_point_validation():
     x = ramp(0, 3)
     with pytest.raises(StructuralError):
         x.get((0, 0))
+    with pytest.raises(StructuralError):
+        x.get((2.5,))
+    assert x.get((np.int64(2),)).payload[0] == 2.0
+
+
+# -- storage contract ---------------------------------------------------------------
+
+@pytest.mark.parametrize("kind,dim,shape", (("spd", 2, (4, 3, 3)), ("tripod", 1, (4, 3)),
+                                            ("euclidean", 2, (3, 2))))
+def test_payload_shape_must_match_the_window_and_descriptor(kind, dim, shape):
+    with pytest.raises(StructuralError):
+        GridData(SpaceDescriptor(kind, dim), (0,), (3,), np.ones(shape), "constant_nearest")
+
+
+@pytest.mark.parametrize("kind,dim", (("spd", 2), ("hyperboloid", 2), ("tripod", 1)))
+def test_stored_payloads_are_read_only(kind, dim):
+    x = random_grid(SpaceDescriptor(kind, dim), (0,), (3,), np.random.default_rng(5))
+    with pytest.raises(ValueError):
+        x.payloads[1] = x.payloads[0]
+    p = x.get((1,)).payload
+    if kind != "tripod":  # a tripod payload is an immutable (leg, t) tuple
+        with pytest.raises(ValueError):
+            p[0] = 7.0
+    source = np.array(x.payloads)
+    copy = GridData(x.descriptor, x.lo, x.hi, source, x.extension)
+    source[0] = source[1]  # the grid keeps its own copy
+    assert np.array_equal(copy.payloads, x.payloads)
+
+
+@pytest.mark.parametrize("kind,dim", (("spd", 2), ("tripod", 1), ("euclidean", 3)))
+def test_points_view_agrees_with_get(kind, dim):
+    x = random_grid(SpaceDescriptor(kind, dim), (-1, 0), (1, 2), np.random.default_rng(8))
+    views = list(x.points.flat)
+    gets = [x.get(i) for i in x.indices()]
+    assert x.points.shape == (3, 3) and len(views) == len(gets)
+    for v, g in zip(views, gets):
+        assert v.descriptor == g.descriptor
+        assert np.array_equal(np.asarray(v.payload), np.asarray(g.payload))
+        assert type(v.payload) is type(g.payload)
+
+
+def test_grid_from_function_rejects_a_foreign_descriptor():
+    with pytest.raises(StructuralError):
+        grid_from_function(EU, (0,), (2,),
+                           lambda i: tripod_point(0, 1.0) if i == (1,) else euclidean_point([0.0]))
+
+
+def test_refinement_builds_no_point_objects(monkeypatch):
+    x = random_grid(SpaceDescriptor("spd", 2), (0,), (9,), np.random.default_rng(2))
+    built = []
+    init = SpacePoint.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpacePoint, "__init__", spy)
+    for mask in (B, C):
+        trace = iterate(mask, x, 4)
+        convergence_diagnostic(mask, x, 4)
+    assert built == []
+    assert trace.levels[-1].points.size == trace.levels[-1].payloads.shape[0]
+    assert len(built) == trace.levels[-1].payloads.shape[0]
 
 
 # -- interior recursion -----------------------------------------------------------
@@ -134,3 +198,13 @@ def test_far_hyperboloid_points_survive_the_json_round_trip():
 def test_grid_json_rejects_malformed_objects():
     with pytest.raises(StructuralError):
         grid_from_json({"window": {"lo": [0], "hi": [1]}})
+    # window corners must be integers: no truncation, parsing or bool-as-int
+    for window in ({"lo": [0.7], "hi": [2.9]}, {"lo": [0], "hi": ["2"]},
+                   {"lo": [True], "hi": [3]}, {"lo": [0], "hi": [2.0]}):
+        obj = dict(grid_to_json(ramp(0, 2)), window=window)
+        with pytest.raises(StructuralError):
+            grid_from_json(obj)
+    # a window reversed on every axis has a positive size product
+    obj = dict(grid_to_json(ramp(0, 0)), window={"lo": [1, 1], "hi": [-1, -1]})
+    with pytest.raises(StructuralError):
+        grid_from_json(obj)
