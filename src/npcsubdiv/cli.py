@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import platform
@@ -162,7 +163,7 @@ def _cmd_cascade(config: RunConfig):
         "eps_n": samples.eps_n,
         "support": _box(*samples.support),
         "samples": [{"index": list(i), "value": v}
-                    for i, v in sorted(samples.items())],
+                    for i, v in samples.items()],  # row-major: sorted by index
     }
 
 
@@ -323,12 +324,14 @@ def render_report(report: Report, command: str, fmt: str) -> str:
             writer.writerow([repr(c) if isinstance(c, float) else c
                              for c in row])
         return buf.getvalue()
-    return json.dumps(vars(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(vars(report), sort_keys=True) + "\n"  # no indent: the C encoder
 
 
 # -- argument parsing ------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="npcsubdiv",
         description="Barycentric subdivision schemes on Hadamard spaces.")

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError, StructuralError
 from .masks import Mask
 from .spaces import SpaceDescriptor, SpacePoint, _point, descriptor_from_json, \
-    descriptor_to_json, point_from_json, point_to_json, random_point, \
+    descriptor_to_json, payloads_to_json, point_from_json, random_point, \
     stack_payloads
 
 CONSTANT_NEAREST = "constant_nearest"
@@ -204,7 +204,8 @@ def grid_to_json(x: GridData) -> dict:
     return {"descriptor": descriptor_to_json(x.descriptor),
             "window": {"lo": list(x.lo), "hi": list(x.hi)},
             "extension": x.extension,
-            "points": [point_to_json(p) for p in x.points.flat]}
+            "points": payloads_to_json(x.descriptor, x.payloads.reshape(
+                (-1,) + x.descriptor.payload_shape))}
 
 
 def grid_from_json(obj: dict) -> GridData:

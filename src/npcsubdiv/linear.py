@@ -18,9 +18,9 @@ from itertools import islice, pairwise, product
 
 import numpy as np
 
-from .errors import DomainError, StructuralError
-from .masks import BoxGauge, Mask, coset, default_gauge, gauge_offsets, \
-    ladder, recenter, require_sum_rule
+from .errors import DomainError, ResourceError, StructuralError
+from .masks import ITERATED_SUPPORT_CAP, BoxGauge, Mask, coset, default_gauge, \
+    gauge_offsets, ladder, recenter, require_sum_rule
 
 
 # -- cascade -------------------------------------------------------------------
@@ -55,12 +55,16 @@ def _dense(mask: Mask, lo, shape) -> np.ndarray:
 def _interlevel_residual(cur: Mask, nxt: Mask) -> float:
     """Cauchy term sup_i |a^(n)_i - a^(n+1)_{2i}| plus the worst midpoint
     deviation of a^(n+1) at odd nodes against multilinear interpolation,
-    over the box lo..hi of i (one node beyond both supports)."""
+    over the box lo..hi of i (one node beyond both supports).  A box of more
+    than ITERATED_SUPPORT_CAP nodes (a far-translated mask) is refused."""
     lo_c, hi_c = cur.support_box()
     lo_n, hi_n = nxt.support_box()
     lo = tuple(min(lc - 1, ln // 2 - 1) for lc, ln in zip(lo_c, lo_n))
     hi = tuple(max(hc + 1, hn // 2 + 1) for hc, hn in zip(hi_c, hi_n))
     shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+    if math.prod(shape) > ITERATED_SUPPORT_CAP:
+        raise ResourceError(f"interlevel residual box of {math.prod(shape)} nodes "
+                            f"exceeds cap {ITERATED_SUPPORT_CAP}")
     coarse = _dense(cur, lo, tuple(n + 1 for n in shape))  # i + c reaches hi + 1
     fine = _dense(nxt, tuple(2 * l for l in lo), tuple(2 * n for n in shape))
     corners = list(product((0, 1), repeat=cur.dim))
@@ -125,19 +129,29 @@ def _alpha(samples: Mask, n: int, gauge: BoxGauge) -> float:
     """min of psi(s,t) = sum_i phi(t-i) phi(s-i) over near-diagonal dyadic pairs.
 
     Dyadic points at resolution 2^-n are sample indices; integer shifts of phi
-    step by 2^n.  Shift invariance reduces the sweep to one period cell.
+    step by 2^n.  Shift invariance reduces the sweep to one period cell: the
+    residues u in [0, 2^n)^s, each against u + e for the gauge offsets e.
+    Every (u, e) sum adds a[u - 2^n i] a[u + e - 2^n i] over the steps i in
+    row-major order, all pairs at once; steps off the support add exact zeros.
     """
-    offsets = gauge_offsets(gauge)
-    alpha = math.inf
-    for u in product(range(2 ** n), repeat=samples.dim):
-        base = coset(samples, n, u)[::-1]  # sums run in row-major order of i
-        for off in offsets:
-            row = dict(coset(samples, n, tuple(uk + ok for uk, ok in zip(u, off))))
-            total = 0.0
-            for i, w in base:
-                total += w * row.get(i, 0.0)
-            alpha = min(alpha, total)
-    return alpha
+    step = 2 ** n
+    offsets = np.array(gauge_offsets(gauge))
+    reach = np.abs(offsets).max(axis=0).tolist()
+    lo, hi = samples.support_box()
+    first = [-(h // step) for h in hi]  # the steps i that put u - 2^n i on
+    last = [(step - 1 - l) // step for l in lo]  # the support for some u
+    box_lo = [-step * t - r for t, r in zip(last, reach)]
+    shape = [step * (t - f + 1) + 2 * r for f, t, r in zip(first, last, reach)]
+    flat = _dense(samples, box_lo, shape).ravel()
+    strides = [math.prod(shape[k + 1:]) for k in range(samples.dim)]
+    residues = np.indices((step,) * samples.dim).reshape(samples.dim, -1).T
+    base = (residues + reach) @ strides  # where u - 2^n last sits in flat
+    pair = base[:, None] + offsets @ strides
+    total = np.zeros(pair.shape)
+    for i in product(*(range(f, t + 1) for f, t in zip(first, last))):
+        shift = step * sum((t - ik) * st for t, ik, st in zip(last, i, strides))
+        total += flat[base + shift][:, None] * flat[pair + shift]
+    return float(total.min())
 
 
 def contractivity_certificate(mask: Mask, level_cap: int) -> ContractivityCertificate:

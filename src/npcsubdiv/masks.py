@@ -66,11 +66,12 @@ class Mask:
             return 0.0
         return float(self.coeffs[local])
 
-    def nonzero_items(self):
-        """Yields (index tuple, coefficient) over the support."""
-        for local in zip(*np.nonzero(self.coeffs)):
-            idx = tuple(int(l) + o for l, o in zip(local, self.offset))
-            yield idx, float(self.coeffs[local])
+    def nonzero_items(self) -> list:
+        """(index tuple, coefficient) pairs over the support, in row-major
+        order of the index; indices are Python ints for any offset."""
+        local = np.nonzero(self.coeffs)
+        axes = [[l + o for l in ix.tolist()] for ix, o in zip(local, self.offset)]
+        return list(zip(zip(*axes), self.coeffs[local].tolist()))
 
 
 def _as_index(index, dim):

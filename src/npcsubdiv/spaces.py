@@ -657,15 +657,16 @@ def descriptor_from_json(obj: dict) -> SpaceDescriptor:
 
 
 def point_to_json(p: SpacePoint) -> dict:
-    kind = p.descriptor.kind
-    if kind == EUCLIDEAN:
-        return {"v": p.payload.tolist()}
-    if kind == SPD:
-        return {"m": p.payload.tolist()}
-    if kind == HYPERBOLOID:
-        return {"p": p.payload.tolist()}
-    leg, t = p.payload
-    return {"leg": leg, "t": t}
+    return payloads_to_json(p.descriptor, np.asarray(p.payload, dtype=float)[None])[0]
+
+
+def payloads_to_json(desc: SpaceDescriptor, payloads: np.ndarray) -> list:
+    """The point objects of a stack of payloads, one per leading row, without
+    building the points; a tripod row (leg, t) writes leg as an int."""
+    if desc.kind == TRIPOD:
+        return [{"leg": int(leg), "t": t} for leg, t in payloads.tolist()]
+    key = {EUCLIDEAN: "v", SPD: "m", HYPERBOLOID: "p"}[desc.kind]
+    return [{key: row} for row in payloads.tolist()]
 
 
 def point_from_json(desc: SpaceDescriptor, obj: dict) -> SpacePoint:

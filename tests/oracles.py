@@ -8,7 +8,8 @@ coefficients (Mask.value) is treated as ground truth.  `linear_refine` is
 the linear rule out_i = sum_j a_{i-2j} x_j that the barycentric scheme must
 reproduce on euclidean data.  `pointwise_refine` and `pairwise_sup` are the
 node-by-node loops that the batched refinement and contraction sups must
-reproduce bit for bit.
+reproduce bit for bit.  `alpha_loop` is the residue-by-residue sweep
+that the certificate's array sweep must reproduce bit for bit.
 """
 
 import math
@@ -17,6 +18,7 @@ from itertools import product
 import numpy as np
 
 from npcsubdiv import BarycenterProblem, distance, tripod_point, weighted_barycenter
+from npcsubdiv.masks import coset, gauge_offsets
 
 
 def hat(i, n):
@@ -114,6 +116,23 @@ def pairwise_sup(x, gauge, box):
             if all(l <= jk <= h for jk, l, h in zip(j, lo, hi)):
                 best = max(best, distance(x.get(i), x.get(j)))
     return best
+
+
+def alpha_loop(samples, n, gauge):
+    """min over residues u in [0, 2^n)^s and gauge offsets e of
+    sum_i a[u - 2^n i] a[u + e - 2^n i], one level-n coset pair at a time;
+    each sum runs over the nonzero a[u - 2^n i] in row-major order of i."""
+    offsets = gauge_offsets(gauge)
+    alpha = math.inf
+    for u in product(range(2 ** n), repeat=samples.dim):
+        base = coset(samples, n, u)[::-1]  # coset yields i backwards
+        for off in offsets:
+            row = dict(coset(samples, n, tuple(uk + ok for uk, ok in zip(u, off))))
+            total = 0.0
+            for i, w in base:
+                total += w * row.get(i, 0.0)
+            alpha = min(alpha, total)
+    return alpha
 
 
 def forward_row(mask, start, steps):

@@ -11,7 +11,7 @@ from npcsubdiv import (SpaceDescriptor, bspline_mask, chaikin_mask, kernel_row,
                        make_mask, tensor_power, tripod_point)
 from npcsubdiv.cli import Report, main, render_report
 from npcsubdiv.grid import grid_from_json, grid_from_points, grid_to_json
-from npcsubdiv.masks import mask_to_json
+from npcsubdiv.masks import mask_to_json, translate
 
 B = bspline_mask()
 C = chaikin_mask()
@@ -293,8 +293,35 @@ def test_render_report_matches_the_asdict_encoding():
                     payload={"series": [0.5, 1e-300, -0.0], "nested": {"b": (1, 2), "a": None},
                              "rows": [{"j": [1], "p": 0.25}], "tag": "x\u00e9"},
                     versions={"package": "0"}, duration_s=0.125)
-    oracle = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
-    assert render_report(report, "subdivide", "json") == oracle
+    text = render_report(report, "subdivide", "json")
+    assert text == json.dumps(dataclasses.asdict(report), sort_keys=True) + "\n"
+    pretty = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
+    assert json.loads(text) == json.loads(pretty)
+    assert text.count("\n") == 1 and text.endswith("\n")
+
+
+def test_the_reused_parser_carries_no_state_between_calls(capsys, files):
+    rc, out, _ = run_cli(capsys, ["chain", "--mask", files["c"], "--start", "0",
+                                  "--steps", "2", "--mc", "trials=50"])
+    assert rc == 0 and payload_of(out)["mode"] == "mc"
+    rc, out, _ = run_cli(capsys, ["chain", "--mask", files["c"], "--start", "0",
+                                  "--steps", "2"])
+    assert rc == 0 and payload_of(out)["mode"] == "exact"
+
+    rc, out, _ = run_cli(capsys, ["diagnose", "--mask", files["b"], "--data",
+                                  files["witness"], "--levels", "2"])
+    assert rc == 0 and payload_of(out)["n_max"] == 2
+    rc, out, _ = run_cli(capsys, ["diagnose", "--mask", files["b"], "--data",
+                                  files["witness"]])
+    assert rc == 0 and payload_of(out)["n_max"] == 4
+
+
+@pytest.mark.parametrize("shift", (10 ** 13, 10 ** 20), ids=("1e13", "1e20"))
+def test_cascade_of_a_far_translated_mask_is_a_resource_error(capsys, files, shift):
+    far = files["root"] / f"far_{shift}.json"
+    far.write_text(json.dumps(mask_to_json(translate(C, (shift,)))))
+    expect_error(capsys, ["cascade", "--mask", str(far), "--levels", "2"],
+                 "ResourceError")
 
 
 def test_bad_mc_argument(capsys, files):

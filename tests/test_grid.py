@@ -1,5 +1,7 @@
 """Grid windows, extension policies, interior-box arithmetic, JSON."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,21 @@ def test_grid_json_roundtrip(kind, dim):
     assert back.window() == x.window()
     assert back.extension == "periodic"
     assert all(points_equal(back.get(i), x.get(i)) for i in x.indices())
+
+
+@pytest.mark.parametrize("kind,dim", (("tripod", 1), ("spd", 2), ("euclidean", 3),
+                                      ("hyperboloid", 2)))
+def test_grid_json_writes_the_point_encoding_without_building_points(kind, dim,
+                                                                     monkeypatch):
+    x = random_grid(SpaceDescriptor(kind, dim), (-1, 0), (1, 2), np.random.default_rng(5))
+    key = {"euclidean": "v", "spd": "m", "hyperboloid": "p"}.get(kind)
+    want = [{key: p.payload.tolist()} if key else {"leg": p.payload[0], "t": p.payload[1]}
+            for p in x.points.flat]
+    monkeypatch.setattr(SpacePoint, "__init__", None)  # any point built raises
+    got = grid_to_json(x)["points"]
+    assert json.dumps(got) == json.dumps(want)
+    if kind == "tripod":
+        assert all(type(p["leg"]) is int and type(p["t"]) is float for p in got)
 
 
 def test_far_hyperboloid_points_survive_the_json_round_trip():

@@ -1,5 +1,7 @@
 """Linear cascade, refinable samples, certificates, convergence fits."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,12 +12,16 @@ from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError,
                        fit_gamma, linear_convergence_test, make_mask,
                        partition_of_unity_residual, tensor_product)
 from npcsubdiv.grid import grid_from_points
-from oracles import dense_interlevel, hat, linear_refine
+from npcsubdiv.linear import _alpha
+from npcsubdiv.masks import default_gauge, ladder, recenter, translate
+from oracles import alpha_loop, dense_interlevel, hat, linear_refine
 
 EU = SpaceDescriptor("euclidean", 1)
 B = bspline_mask()
 C = chaikin_mask()
 GAPPED = make_mask((0,), [1.0, 0.0, 0.0, 1.0])
+CUBIC = make_mask((-2,), [0.125, 0.5, 0.75, 0.5, 0.125])
+NONDYADIC = make_mask((0,), [0.2, 0.7, 0.8, 0.3])
 
 
 def euclid_grid(values, lo=0):
@@ -129,6 +135,25 @@ def test_certificate_not_found_for_the_gapped_mask():
     assert cert.gamma_n >= 1.0
 
 
+def assert_alpha_sweep_matches_the_loop(mask, cap):
+    """_alpha == alpha_loop bit for bit at levels 1..cap, on the recentred
+    mask that the certificate sweeps and on the mask as given."""
+    for m in (recenter(mask)[0], mask):
+        gauge = default_gauge(m)
+        for n, level in enumerate(islice(ladder(m), 1, cap + 1), 1):
+            assert _alpha(level, n, gauge) == alpha_loop(level, n, gauge), n
+
+
+@pytest.mark.parametrize("mask,cap", (
+    (B, 9), (C, 9), (CUBIC, 8), (GAPPED, 9), (tensor_product(B, B), 4),
+    (translate(C, (5,)), 9), (translate(C, (2 ** 70,)), 5), (NONDYADIC, 6),
+    (tensor_product(B, C), 3),
+), ids=("hat", "chaikin", "cubic", "gapped", "tensor-hat", "translated-chaikin",
+        "far-chaikin", "nondyadic", "hat-x-chaikin"))
+def test_alpha_sweep_is_bit_identical_to_the_coset_loop(mask, cap):
+    assert_alpha_sweep_matches_the_loop(mask, cap)
+
+
 def test_certificate_validation():
     with pytest.raises(DomainError):
         contractivity_certificate(B, 0)
@@ -193,6 +218,16 @@ def test_random_masks_reproduce_constants(mask):
     x = euclid_grid([1.75] * 9, lo=-4)
     out = linear_refine(mask, x)
     assert all(abs(v[0] - 1.75) <= 1e-12 for v in out.values())
+
+
+@given(mask=admissible_masks(), cap=st.integers(1, 5))
+def test_random_mask_alpha_sweeps_match_the_coset_loop(mask, cap):
+    assert_alpha_sweep_matches_the_loop(mask, cap)
+
+
+@given(mask=admissible_masks())
+def test_random_tensor_mask_alpha_sweeps_match_the_coset_loop(mask):
+    assert_alpha_sweep_matches_the_loop(tensor_product(mask, B), 2)
 
 
 @given(mask=admissible_masks(), n=st.integers(1, 3))

@@ -68,6 +68,17 @@ def test_support_box_value_and_translate():
     assert shifted.value((4,)) == 0.5
 
 
+@pytest.mark.parametrize("offset", ((2 ** 70,), (-2 ** 63 - 5,), (2 ** 64 + 3, -2 ** 70)),
+                         ids=("beyond-int64", "below-int64", "bivariate"))
+def test_nonzero_items_keep_exact_indices_beyond_int64(offset):
+    mask = translate(C if len(offset) == 1 else tensor_power(B, 2), offset)
+    items = mask.nonzero_items()
+    box = product(*(range(o, o + n) for o, n in zip(mask.offset, mask.coeffs.shape)))
+    want = [(i, mask.value(i)) for i in box if mask.value(i) > 0.0]
+    assert items == want == sorted(want)
+    assert all(type(c) is int for i, _ in items for c in i)
+
+
 # -- iteration against the dense convolution oracle ---------------------------------
 
 @pytest.mark.parametrize("mask", (B, C, GAPPED), ids=("bspline", "chaikin", "gapped"))
