@@ -135,11 +135,12 @@ def _check_same(p: SpacePoint, q: SpacePoint) -> SpaceDescriptor:
 #
 # Payloads are stacked along leading axes: (..., dim) vectors, (..., dim, dim)
 # matrices, (..., dim+1) Minkowski vectors, (..., 2) tripod rows (leg, t).
-# Every reduction rounds like the one-point formula it batches: row dot
-# products go through matmul's vector-vector path (the 1-D `a @ b`), norms are
-# the square root of that dot over the raveled block (as np.linalg.norm), and
-# weighted sums accumulate left to right (as builtin sum).  The hyperbolic
-# functions come from `math`, whose results numpy's ufuncs do not always match.
+# Every reduction runs within one element in a fixed order, so an element's
+# result does not depend on the batch it sits in: row dot products go through
+# matmul's vector-vector path, norms are the square root of that dot over the
+# raveled block, and weighted sums accumulate left to right.  An element of a
+# result fails when any of its entries is not finite: every value of the scheme
+# is a finite point, so a non-finite one can only be a numerical failure.
 
 def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
@@ -149,6 +150,11 @@ def _rows(a, core: int):
     """a with its last `core` axes raveled into one."""
     lead = a.ndim - core
     return a.reshape(a.shape[:lead] + (math.prod(a.shape[lead:]),))
+
+
+def _finite(a, core: int):
+    """Per element of the stack a, whether all its entries are finite."""
+    return np.isfinite(_rows(a, core)).all(axis=-1)
 
 
 def _norm(a, core: int):
@@ -166,60 +172,8 @@ def _clip0(x):
     return np.maximum(x, 0.0)  # as max(x, 0.0): NaN stays NaN
 
 
-def _elementwise(fn):
-    """A `math` function over an array; an element that overflows gives inf,
-    which the caller flags."""
-    def safe(x):
-        try:
-            return fn(x)
-        except OverflowError:
-            return math.inf
-
-    ufunc = np.frompyfunc(safe, 1, 1)
-    return lambda x: np.asarray(ufunc(x), dtype=float)
-
-
-_acosh, _asinh, _cosh, _sinh = map(_elementwise, (math.acosh, math.asinh, math.cosh, math.sinh))
-
-
-class _Failures:
-    """Per element of a batch, the first check it failed, in the order a
-    one-point run meets the checks; `code` stays None while none has."""
-
-    def __init__(self, shape):
-        self.shape = shape
-        self.code = None
-        self.kinds = [None]
-
-    def mark(self, bad, kind, message) -> bool:
-        """Records the failure where `bad` holds; True if it holds anywhere."""
-        if not np.count_nonzero(bad):
-            return False
-        while bad.ndim > len(self.shape):  # a problem fails with any of its points
-            bad = bad.any(axis=-1)
-        if self.code is None:
-            self.code = np.zeros(self.shape, dtype=int)
-        self.kinds.append((kind, message))
-        self.code = np.where((self.code == 0) & bad, len(self.kinds) - 1, self.code)
-        return True
-
-    def failed(self) -> np.ndarray:
-        return np.zeros(self.shape, dtype=bool) if self.code is None else self.code != 0
-
-    def error(self, index) -> Exception:
-        kind, message = self.kinds[self.code[index]]
-        return kind(message)
-
-    def check(self):
-        """Raises the failure of the first failing element in row-major order."""
-        if self.code is not None:
-            raise self.error(np.unravel_index(np.flatnonzero(self.code)[0], self.shape))
-
-    def finite(self, a, core: int):
-        if np.count_nonzero(np.isfinite(a)) < a.size:
-            self.mark(~np.isfinite(_rows(a, core)).all(axis=-1), NumericError,
-                      "non-finite payload")
-        return a
+def _failure() -> NumericError:
+    return NumericError("non-finite result")
 
 
 def _T(m):
@@ -230,29 +184,42 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + _T(m))
 
 
-def _positive(w, fails, message):
-    """Eigenvalues w; a stack whose smallest one is <= 0 fails with message
-    and continues on ones, so no garbage reaches the next factorization."""
-    bad = w.min(axis=-1) <= 0.0
-    if fails.mark(bad, NumericError, message):
-        w = np.where(bad[..., None], 1.0, w)
-    return w
+def _eigh(m, vectors=True):
+    """Eigenvalues and eigenvectors (None unless `vectors`) of the symmetric
+    parts of a stack of matrices.  A matrix with a non-finite entry gets NaN
+    eigenvalues; it is factored as the identity, since LAPACK may raise on it
+    or return finite eigenvalues for it."""
+    m = _sym(m)
+    finite = None
+    if not np.isfinite(m).all():
+        finite = _finite(m, 2)[..., None]
+        m = np.where(finite[..., None], m, np.eye(m.shape[-1]))
+    w, v = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
+    return (w, v) if finite is None else (np.where(finite, w, np.nan), v)
 
 
-def _logm(m, fails):
-    w, v = np.linalg.eigh(_sym(m))
-    w = _positive(w, fails, "matrix log of a non positive definite argument")
-    return _sym((v * np.log(w)[..., None, :]) @ _T(v))
+def _positive(w):
+    """Eigenvalues w of matrices that should be positive definite; a matrix
+    with one <= 0 or NaN gets NaN ones, so that whatever is built from them
+    fails."""
+    if w.min(initial=np.inf) > 0.0:  # an empty stack has nothing to check
+        return w
+    return np.where(w.min(axis=-1, keepdims=True) > 0.0, w, np.nan)
+
+
+def _logm(m):
+    w, v = _eigh(m)
+    return _sym((v * np.log(_positive(w))[..., None, :]) @ _T(v))
 
 
 def _expm(m):
-    w, v = np.linalg.eigh(_sym(m))
+    w, v = _eigh(m)
     return _sym((v * np.exp(w)[..., None, :]) @ _T(v))
 
 
-def _sqrt_pair(m, fails):
-    w, v = np.linalg.eigh(_sym(m))
-    s = np.sqrt(_positive(w, fails, "matrix sqrt of a non positive definite argument"))
+def _sqrt_pair(m):
+    w, v = _eigh(m)
+    s = np.sqrt(_positive(w))
     return _sym((v * s[..., None, :]) @ _T(v)), _sym((v / s[..., None, :]) @ _T(v))
 
 
@@ -266,59 +233,58 @@ def _hyp_renorm(p):
 # -- backends -------------------------------------------------------------------
 #
 # One class per kind; `core` counts the payload axes.  Methods take stacked
-# payloads and the batch's _Failures, and work over any leading axes.
+# payloads and work over any leading axes.
 
 class _Euclidean:
     core = 1
 
-    def dist(self, p, q, fails):
+    def dist(self, p, q):
         return _norm(p - q, 1)
 
-    def geodesic(self, p, q, t, fails):
-        return fails.finite((1.0 - t) * p + t * q, 1)
+    def geodesic(self, p, q, t):
+        return (1.0 - t) * p + t * q
 
-    def log(self, p, q, fails):
+    def log(self, p, q):
         return q - p
 
-    def exp(self, p, v, fails):
-        return fails.finite(p + v, 1)
+    def exp(self, p, v):
+        return p + v
 
-    def step(self, y, points, weights, fails):
+    def step(self, y, points, weights):
         logs = points - y[..., None, :]
         v = _weighted_sum(weights, logs, 1)
-        return _norm(v, 1), _norm(logs, 1), fails.finite(y + v, 1)
+        return _norm(v, 1), _norm(logs, 1), y + v
 
 
 class _SPD:
     core = 2
 
-    def dist(self, p, q, fails):
-        _, si = _sqrt_pair(p, fails)
-        w = _positive(np.linalg.eigvalsh(_sym(si @ q @ si)), fails, "degenerate spd pair")
-        return _norm(np.log(w), 1)
+    def dist(self, p, q):
+        _, si = _sqrt_pair(p)
+        w, _ = _eigh(si @ q @ si, vectors=False)
+        return _norm(np.log(_positive(w)), 1)
 
-    def geodesic(self, p, q, t, fails):
-        s, si = _sqrt_pair(p, fails)
-        w, v = np.linalg.eigh(_sym(si @ q @ si))
-        w = _positive(w, fails, "degenerate spd pair")
-        mid = _sym((v * np.power(w, t)[..., None, :]) @ _T(v))
-        return fails.finite(_sym(s @ mid @ s), 2)
+    def geodesic(self, p, q, t):
+        s, si = _sqrt_pair(p)
+        w, v = _eigh(si @ q @ si)
+        mid = _sym((v * np.power(_positive(w), t)[..., None, :]) @ _T(v))
+        return _sym(s @ mid @ s)
 
-    def log(self, p, q, fails):
-        s, si = _sqrt_pair(p, fails)
-        return _sym(s @ _logm(si @ q @ si, fails) @ s)
+    def log(self, p, q):
+        s, si = _sqrt_pair(p)
+        return _sym(s @ _logm(si @ q @ si) @ s)
 
-    def exp(self, p, v, fails):
-        s, si = _sqrt_pair(p, fails)
-        return fails.finite(_sym(s @ _expm(_sym(si @ v @ si)) @ s), 2)
+    def exp(self, p, v):
+        s, si = _sqrt_pair(p)
+        return _sym(s @ _expm(si @ v @ si) @ s)
 
-    def step(self, y, points, weights, fails):
+    def step(self, y, points, weights):
         # logs are taken in the frame whitened by y, where the metric is Frobenius
-        s, si = _sqrt_pair(y, fails)
+        s, si = _sqrt_pair(y)
         si_k = si[..., None, :, :]
-        logs = _logm(_sym(si_k @ points @ si_k), fails)
+        logs = _logm(si_k @ points @ si_k)
         v = _weighted_sum(weights, logs, 2)
-        return _norm(v, 2), _norm(logs, 2), fails.finite(_sym(s @ _expm(v) @ s), 2)
+        return _norm(v, 2), _norm(logs, 2), _sym(s @ _expm(v) @ s)
 
 
 def _mink(p, q):
@@ -329,67 +295,65 @@ def _mink(p, q):
 class _Hyperboloid:
     core = 1
 
-    def dist(self, p, q, fails):
+    def dist(self, p, q):
         # chordal form avoids cancellation for nearby points
         d = q - p
-        return 2.0 * _asinh(0.5 * np.sqrt(_clip0(_mink(d, d))))
+        return 2.0 * np.arcsinh(0.5 * np.sqrt(_clip0(_mink(d, d))))
 
-    def log(self, p, q, fails):
+    def log(self, p, q):
         alpha = -_mink(p, q)
         t = alpha - 1.0
         u = q - alpha[..., None] * p
         near = t < 1e-8
         far = np.where(near, 2.0, alpha)  # acosh only where the series is not used
         scale = np.where(near, np.sqrt(2.0 / (alpha + 1.0)) * (1.0 - t / 12.0),
-                         _acosh(far) / np.sqrt(far * far - 1.0))
+                         np.arccosh(far) / np.sqrt(far * far - 1.0))
         return np.where((t <= 0.0)[..., None], 0.0, scale[..., None] * u)
 
-    def exp(self, p, v, fails):
+    def exp(self, p, v):
         n = np.sqrt(_clip0(_mink(v, v)))
-        c = _cosh(n)
-        fails.mark(np.isinf(c) & np.isfinite(n), OverflowError, "math range error")
         tiny = n < 1e-16  # exp_p(v) = p; the ratio below is not used
-        q = _hyp_renorm(c[..., None] * p + (_sinh(n) / np.where(tiny, 1.0, n))[..., None] * v)
-        return fails.finite(np.where(tiny[..., None], p, q), 1)
+        q = _hyp_renorm(np.cosh(n)[..., None] * p
+                        + (np.sinh(n) / np.where(tiny, 1.0, n))[..., None] * v)
+        return np.where(tiny[..., None], p, q)
 
-    def geodesic(self, p, q, t, fails):
-        return self.exp(p, t * self.log(p, q, fails), fails)
+    def geodesic(self, p, q, t):
+        return self.exp(p, t * self.log(p, q))
 
-    def step(self, y, points, weights, fails):
-        logs = self.log(y[..., None, :], points, fails)
+    def step(self, y, points, weights):
+        logs = self.log(y[..., None, :], points)
         v = _weighted_sum(weights, logs, 1)
         norms = np.sqrt(_clip0(_mink(logs, logs)))
-        return np.sqrt(_clip0(_mink(v, v))), norms, self.exp(y, v, fails)
+        return np.sqrt(_clip0(_mink(v, v))), norms, self.exp(y, v)
 
 
-def _tripod_rows(leg, t, fails):
+def _tripod_rows(leg, t):
     """(leg, t) rows; the glue point t = 0 is canonically on leg 0."""
-    fails.mark(~np.isfinite(t), NumericError, "non-finite payload")
     return np.stack([np.where(t == 0.0, 0.0, leg), t], axis=-1)
 
 
 class _Tripod:
     core = 1
 
-    def dist(self, p, q, fails):
+    def dist(self, p, q):
         return np.where(p[..., 0] == q[..., 0], np.abs(p[..., 1] - q[..., 1]),
                         p[..., 1] + q[..., 1])
 
-    def geodesic(self, p, q, t, fails):
+    def geodesic(self, p, q, t):
         (leg_p, t_p), (leg_q, t_q) = np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0)
         along = t * (t_p + t_q)  # a path between legs runs through the glue point
         first = along <= t_p
         same = leg_p == leg_q
         value = np.where(same, (1.0 - t) * t_p + t * t_q,
                          np.where(first, t_p - along, along - t_p))
-        return _tripod_rows(np.where(same | first, leg_p, leg_q), value, fails)
+        return _tripod_rows(np.where(same | first, leg_p, leg_q), value)
 
-    def log(self, p, q, fails):
+    def log(self, p, q):
         raise DomainError("tripod backend has no exp/log maps")
 
     exp = log
 
-    def barycenter(self, points, weights, fails):
+    def barycenter(self, points, weights):
         # per-leg constrained quadratic; d((L,u), (leg,s)) = |u-s| or u+s
         legs, ts = np.moveaxis(points, -1, 0)
         best = None
@@ -404,7 +368,7 @@ class _Tripod:
             better = value < best[0] - 1e-15
             best = tuple(np.where(better, new, old)
                          for new, old in zip((value, np.full_like(u, leg), u), best))
-        return _tripod_rows(best[1], best[2], fails)
+        return _tripod_rows(best[1], best[2])
 
 
 _BACKENDS = {EUCLIDEAN: _Euclidean(), SPD: _SPD(), HYPERBOLOID: _Hyperboloid(),
@@ -413,11 +377,11 @@ _BACKENDS = {EUCLIDEAN: _Euclidean(), SPD: _SPD(), HYPERBOLOID: _Hyperboloid(),
 
 def _apply(desc: SpaceDescriptor, name: str, p, *args):
     """Backend method `name` over the stacked payloads p (and args); raises
-    the failure of the first failing element in row-major order."""
-    backend = _BACKENDS[desc.kind]
-    fails = _Failures(p.shape[:p.ndim - backend.core])
-    out = getattr(backend, name)(p, *args, fails)
-    fails.check()
+    NumericError when an element of the result fails."""
+    with np.errstate(all="ignore"):
+        out = getattr(_BACKENDS[desc.kind], name)(p, *args)
+    if not np.isfinite(out).all():
+        raise _failure()
     return out
 
 
@@ -471,18 +435,10 @@ def _check_weights(weights, count: int) -> np.ndarray:
     return w
 
 
-def _karcher_step(backend, y, points, weights, fails):
+def _karcher_step(backend, y, points, weights):
     """One fixed-point update of a batch: (residual norms, distances from y
     to the points, next iterates)."""
-    return backend.step(y, points, weights, fails)
-
-
-def _first_max(values):
-    """max over the last axis, taken left to right like builtin max."""
-    best = values[..., 0]
-    for k in range(1, values.shape[-1]):
-        best = np.where(values[..., k] > best, values[..., k], best)
-    return best
+    return backend.step(y, points, weights)
 
 
 def barycenters(desc: SpaceDescriptor, points, weights):
@@ -490,13 +446,14 @@ def barycenters(desc: SpaceDescriptor, points, weights):
     all rows sharing one weight vector.
 
     Returns the stacked minimizers and the first failing row as (row, error),
-    or None when no row fails.  Rows above a failed row stop iterating, since
-    they cannot change which failure comes first; once a row fails the values
-    are undefined.  Smooth backends run the fixed-point Karcher iteration per
-    row, started at the point of largest weight (ties: lowest index) and
-    stopped once the tangent update norm falls below 1e-10 * (1 + largest
-    first-step distance); a row returns the iterate before its last update.
-    The tripod uses the exact per-leg closed form.
+    or None when no row fails.  A row fails with NumericError when a step
+    gives it a non-finite residual, distance or iterate.  Rows above a failed
+    row stop iterating, since they cannot change which failure comes first;
+    once a row fails the values are undefined.  Smooth backends run the
+    fixed-point Karcher iteration per row, started at the point of largest
+    weight (ties: lowest index) and stopped once the tangent update norm falls
+    below 1e-10 * (1 + largest first-step distance); a row returns the iterate
+    before its last update.  The tripod uses the exact per-leg closed form.
     """
     backend = _BACKENDS[desc.kind]
     points = np.asarray(points, dtype=float)
@@ -506,10 +463,9 @@ def barycenters(desc: SpaceDescriptor, points, weights):
         return points[:, 0], (0, exc)
     with np.errstate(all="ignore"):
         if desc.kind == TRIPOD:
-            fails = _Failures((len(points),))
-            out = backend.barycenter(points, weights, fails)
-            bad = np.flatnonzero(fails.failed())
-            return out, (int(bad[0]), fails.error(bad[0])) if bad.size else None
+            out = backend.barycenter(points, weights)
+            bad = np.flatnonzero(~_finite(out, 1))
+            return out, (int(bad[0]), _failure()) if bad.size else None
         y = points[:, int(np.argmax(weights))]
         out = y.copy()
         rows = np.arange(len(points))  # live rows, ascending
@@ -518,18 +474,18 @@ def barycenters(desc: SpaceDescriptor, points, weights):
         for _ in range(BARYCENTER_MAX_ITER):
             if not rows.size:
                 return out, first
-            fails = _Failures(rows.shape)
-            residual, dists, nxt = _karcher_step(backend, y, points, weights, fails)
+            residual, dists, nxt = _karcher_step(backend, y, points, weights)
             if tol is None:
                 # start points are data points, so max distance <= data diameter
-                tol = BARYCENTER_TOL * (1.0 + _first_max(dists))
-            failed = fails.failed()
+                tol = BARYCENTER_TOL * (1.0 + dists.max(axis=-1))
+            failed = ~(np.isfinite(residual) & _finite(dists, 1)
+                       & _finite(nxt, backend.core))
             done = ~failed & (residual <= tol)
             out[rows[done]] = y[done]
             live = ~failed & ~done
             if failed.any():
                 r = np.flatnonzero(failed)[0]  # live rows lie below any earlier failure
-                first = (int(rows[r]), fails.error(r))
+                first = (int(rows[r]), _failure())
                 live &= rows < first[0]
             if not live.all():
                 rows, nxt, points, tol, residual = (

@@ -112,10 +112,8 @@ def d_inf(x: GridData, box=None) -> float:
 
 
 def _sup(descriptor: SpaceDescriptor, p, q) -> float:
-    """sup of the distances between two stacks of payloads, as a running
-    max from 0.0: 0.0 when empty, NaN distances passed over."""
-    d = distances(descriptor, p, q)
-    return float(np.max(d, initial=0.0, where=d > 0.0))
+    """sup of the distances between two stacks of payloads; 0.0 when empty."""
+    return float(np.max(distances(descriptor, p, q), initial=0.0))
 
 
 def iterate(mask: Mask, x: GridData, n: int) -> IterateTrace:

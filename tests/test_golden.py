@@ -1,12 +1,13 @@
 """Golden CLI payloads: exact (dyadic) and seeded runs stay bit-identical.
 
-Each case runs `cli.main` in process and compares the parsed payload with
-`tests/golden/<name>.json`.  None of these runs touches LAPACK, so equality
-is exact.  The golden files were written by running this module as a script
-(`PYTHONPATH=src python tests/test_golden.py [NAME ...]`) at a commit whose
-behaviour they pin; the script rewrites the named cases, or every case when
-no name is given.  Rerun it only for an intended change of a payload, name
-only the cases that change, and name that change in CHANGES.md.
+Each case runs `cli.main` in process and compares the payload with
+`tests/golden/<name>.json` as canonical JSON text, so an int written as a
+float (2 against 2.0) is a difference.  None of these runs touches LAPACK, so
+equality is exact.  The golden files were written by running this module as a
+script (`PYTHONPATH=src python tests/test_golden.py [NAME ...]`) at a commit
+whose behaviour they pin; the script rewrites the named cases, or every case
+when no name is given.  Rerun it only for an intended change of a payload,
+name only the cases that change, and name that change in CHANGES.md.
 """
 
 import json
@@ -88,10 +89,15 @@ def run_case(name, root: Path) -> dict:
     return json.loads(out.read_text())["payload"]
 
 
+def canonical(payload) -> str:
+    """JSON text with sorted keys: equal text means equal values and types."""
+    return json.dumps(payload, sort_keys=True)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_payload_matches_golden(name, tmp_path):
     want = json.loads((GOLDEN / f"{name}.json").read_text())
-    assert run_case(name, tmp_path) == want
+    assert canonical(run_case(name, tmp_path)) == canonical(want)
 
 
 if __name__ == "__main__":

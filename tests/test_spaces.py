@@ -140,8 +140,8 @@ def test_barycenter_returns_the_iterate_before_the_last_update(desc, monkeypatch
     steps = []
     step = spaces._karcher_step
 
-    def recording(backend, y, pts, weights, fails):
-        out = step(backend, y, pts, weights, fails)
+    def recording(backend, y, pts, weights):
+        out = step(backend, y, pts, weights)
         steps.append((y.copy(), float(out[0][0]), float(out[1][0].max())))
         return out
 
@@ -213,6 +213,44 @@ def test_barycenter_problem_validation():
         BarycenterProblem([p, tripod_point(0, 1.0)], np.array([0.5, 0.5]))
     with pytest.raises(NumericError):
         BarycenterProblem([p, p], np.array([0.5, math.nan]))
+
+
+# -- failures ---------------------------------------------------------------------
+
+def test_exp_map_overflow_is_a_numeric_error():
+    with pytest.raises(NumericError):
+        exp_map(hyperboloid_from_spatial([0.0, 0.0]), np.array([0.0, 800.0, 0.0]))
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_degenerate_spd_elements_stay_failed(dim):
+    """Good matrices first, then one with a zero eigenvalue, one with a
+    negative eigenvalue and one with a NaN entry.  Each bad matrix fails every
+    batched primitive on its own, so none of them gives a finite value, and a
+    batch reports its lowest bad row.  The other argument is the identity, so
+    the zero eigenvalue stays exact in the congruence si q si as well."""
+    desc = SpaceDescriptor("spd", dim)
+    good = np.array([p.payload for p in points(desc, 5, 3)])
+    bad = np.array([np.diag([1.0] * (dim - 1) + [0.0]), np.diag([1.0] * (dim - 1) + [-1.0]),
+                    np.eye(dim)])
+    bad[2, 0, 0] = math.nan
+    base = np.broadcast_to(good[0], good.shape)
+    assert np.isfinite(spaces.distances(desc, good, base)).all()
+    assert np.isfinite(spaces.geodesic_points(desc, base, good, 0.3)).all()
+    for m in bad:
+        stack = np.concatenate([good, m[None]])
+        other = np.broadcast_to(np.eye(dim), stack.shape)
+        for p, q in ((stack, other), (other, stack)):
+            with pytest.raises(NumericError):
+                spaces.distances(desc, p, q)
+            with pytest.raises(NumericError):
+                spaces.geodesic_points(desc, p, q, 0.3)
+            _, failure = spaces.barycenters(desc, np.stack((p, q), axis=1), [0.6, 0.4])
+            assert failure[0] == len(good) and isinstance(failure[1], NumericError)
+    rows = np.concatenate([good, bad])
+    _, failure = spaces.barycenters(
+        desc, np.stack((rows, np.broadcast_to(good[2], rows.shape)), axis=1), [0.5, 0.5])
+    assert failure[0] == len(good) and isinstance(failure[1], NumericError)
 
 
 # -- payload validation -----------------------------------------------------------

@@ -14,7 +14,7 @@ from npcsubdiv import (DomainError, NumericError, SolverError, SpaceDescriptor,
                        random_point, subdivide, tensor_power, tripod_point)
 from npcsubdiv.cli import main
 from npcsubdiv.grid import box_indices, grid_from_points, grid_to_json, random_grid
-from npcsubdiv.masks import BoxGauge, unit_gauge
+from npcsubdiv.masks import BoxGauge, mask_to_json, unit_gauge
 from npcsubdiv.spaces import hyperboloid_point, point_to_json
 from oracles import linear_refine, pairwise_sup, pointwise_refine
 
@@ -100,15 +100,16 @@ def test_contraction_sups_equal_the_pairwise_loop_bit_for_bit(desc):
             assert contractivity_D(x2, gauge, box) == pairwise_sup(x2, gauge, box)
 
 
-def spread_hyperboloid_grid(seed, far=0):
-    """Ten hyperboloid:2 points at distance 3 to 4 from the origin, where the
-    cubic mask's three-point barycenters do not converge; the last `far` of
-    them at distance 300 to 340, where the iteration overflows."""
+def spread_hyperboloid_grid(seed, far=0, near=(3.0, 4.0)):
+    """Ten hyperboloid:2 points at distance 3 to 4 (or in the range `near`)
+    from the origin, where the cubic mask's three-point barycenters do not
+    converge; the last `far` of them at distance 300 to 340, where the
+    iteration overflows."""
     rng = np.random.default_rng([seed])
     pts = []
     for k in range(10):
         u = rng.standard_normal(2)
-        radius = rng.uniform(300.0, 340.0) if k >= 10 - far else rng.uniform(3.0, 4.0)
+        radius = rng.uniform(300.0, 340.0) if k >= 10 - far else rng.uniform(*near)
         v = math.sinh(radius) * u / np.linalg.norm(u)
         pts.append(hyperboloid_point([math.sqrt(1.0 + float(v @ v))] + v.tolist()))
     return grid_from_points(HYP2, (0,), (9,), pts)
@@ -133,13 +134,13 @@ def test_solver_failures_match_the_pointwise_loop(mask, seed):
 
 
 def test_a_lower_node_failing_later_is_the_one_raised():
-    """On this grid a far node fails (non-finite payload) at an earlier
-    iteration than a lower node overflows; the lower node's error is the one
-    the node-by-node loop raises first."""
+    """On this grid a far node fails (a non-finite result) at an earlier
+    iteration than a lower node overflows; both are a NumericError, as in the
+    node-by-node loop."""
     x = spread_hyperboloid_grid(18, far=5)
-    with pytest.raises((NumericError, OverflowError)) as batched:
+    with pytest.raises(NumericError) as batched:
         subdivide(CUBIC, x)
-    with pytest.raises((NumericError, OverflowError)) as pointwise:
+    with pytest.raises(NumericError) as pointwise:
         pointwise_refine(CUBIC, x)
     assert type(batched.value) is type(pointwise.value)
     assert str(batched.value) == str(pointwise.value)
@@ -154,6 +155,18 @@ def test_cli_reports_the_solver_failure(tmp_path, capsys):
     assert code == 1
     assert json.loads(capsys.readouterr().err) == {
         "error": {"type": "SolverError", "message": "barycenter iteration did not converge"}}
+
+
+def test_cli_reports_an_overflow_as_a_numeric_error(tmp_path, capsys):
+    """At radius 15 the cubic mask's barycenter iteration overflows cosh: the
+    CLI reports a typed error, and nothing else reaches stderr."""
+    data, mask = tmp_path / "data.json", tmp_path / "mask.json"
+    data.write_text(json.dumps(grid_to_json(spread_hyperboloid_grid(0, near=(15.0, 15.0)))))
+    mask.write_text(json.dumps(mask_to_json(CUBIC)))
+    code = main(["subdivide", "--mask", str(mask), "--data", str(data), "--levels", "2"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": {"type": "NumericError", "message": "non-finite result"}}
 
 
 # -- iterate bookkeeping ---------------------------------------------------------------
