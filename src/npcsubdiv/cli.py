@@ -284,16 +284,12 @@ def run(config: RunConfig) -> Report:
     started = time.perf_counter()
     payload = _HANDLERS[config.command](config)
     duration = time.perf_counter() - started
-    config_echo = asdict(config)
-    for key in ("start", "index"):
-        if config_echo[key] is not None:
-            config_echo[key] = list(config_echo[key])
     versions = {
         "package": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
-    return Report(config=config_echo, payload=payload,
+    return Report(config=asdict(config), payload=payload,
                   versions=versions, duration_s=duration)
 
 
@@ -404,7 +400,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         mode = "mc" if args.mc is not None else "exact"
         if args.mc:  # the literal trials=N form
             key, _, value = args.mc.partition("=")
-            if key != "trials" or not value.isdigit():
+            if key != "trials" or not value.isdecimal():  # isdigit passes "²"
                 raise DomainError(f"bad --mc argument {args.mc!r}")
             args.trials = int(value)
     fields = ("mask", "data", "space", "levels", "steps", "trials", "p",

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the readers of outside values.
+
+Every value from outside the package (a JSON file, a CLI option, an argument
+of a public constructor) goes through one reader, so one rule decides what an
+integer, a lattice point or a number is: ints and numpy ints are integers
+(bools, floats such as 2.0 and strings are refused, never truncated or
+parsed), and ints and floats in rectangular nesting are numbers (strings,
+bools, None and ragged lists are refused).  The readers raise StructuralError.
+"""
+
+import numpy as np
 
 
 class StructuralError(ValueError):
@@ -28,3 +38,36 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual = residual
+
+
+def integer(v, what="integer") -> int:
+    """v as a Python int; only ints and numpy ints are accepted."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise StructuralError(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
+def lattice_point(v, dim=None, what="lattice point") -> tuple:
+    """v as a tuple of Python ints; a bare integer stands for a 1-tuple."""
+    coords = v if np.iterable(v) and not isinstance(v, str) else (v,)
+    coords = tuple(integer(x, f"{what} coordinate") for x in coords)
+    if dim is not None and len(coords) != dim:
+        raise StructuralError(f"{what} has length {len(coords)}, expected {dim}")
+    return coords
+
+
+def _has_bool(raw) -> bool:
+    if isinstance(raw, (list, tuple)):
+        return any(_has_bool(x) for x in raw)
+    return isinstance(raw, (bool, np.bool_))
+
+
+def numbers(raw, what="numbers") -> np.ndarray:
+    """raw as a new float array; ints and floats only, in rectangular nesting."""
+    try:
+        arr = np.asarray(raw)
+    except ValueError:  # ragged nesting
+        raise StructuralError(f"{what} must be a rectangular array") from None
+    if arr.dtype.kind not in "iuf" or _has_bool(raw):
+        raise StructuralError(f"{what} must hold only ints and floats")
+    return arr.astype(float)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StructuralError
+from .errors import DomainError, StructuralError, lattice_point, numbers
 from .masks import Mask
 from .spaces import SpaceDescriptor, SpacePoint, _point, descriptor_from_json, \
     descriptor_to_json, payloads_to_json, point_from_json, random_point, \
@@ -22,17 +22,6 @@ from .spaces import SpaceDescriptor, SpacePoint, _point, descriptor_from_json, \
 CONSTANT_NEAREST = "constant_nearest"
 PERIODIC = "periodic"
 EXTENSIONS = (CONSTANT_NEAREST, PERIODIC)
-
-
-def _as_box_vec(v):
-    """A lattice index or window corner as a tuple of ints; an int stands for
-    a 1-tuple.  Floats, strings and bools are rejected, not truncated."""
-    if np.isscalar(v):
-        v = (v,)
-    for x in v:
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-            raise StructuralError(f"lattice coordinates must be integers, got {x!r}")
-    return tuple(int(x) for x in v)
 
 
 @dataclass(eq=False)
@@ -47,17 +36,15 @@ class GridData:
     extension: str
 
     def __post_init__(self):
-        self.lo = _as_box_vec(self.lo)
-        self.hi = _as_box_vec(self.hi)
-        if len(self.lo) != len(self.hi):
-            raise StructuralError("window corners disagree in length")
+        self.lo = lattice_point(self.lo, what="window corner")
+        self.hi = lattice_point(self.hi, len(self.lo), "window corner")
         if any(h < l for l, h in zip(self.lo, self.hi)):
             raise StructuralError("empty window")
         if self.extension not in EXTENSIONS:
             raise StructuralError(f"unknown extension policy {self.extension!r}")
         shape = tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
         shape += self.descriptor.payload_shape
-        self.payloads = np.array(self.payloads, dtype=float)
+        self.payloads = numbers(self.payloads, "grid payloads")
         if self.payloads.shape != shape:
             raise StructuralError(f"payloads shape {self.payloads.shape} does not match "
                                   f"window + {self.descriptor}: {shape}")
@@ -82,9 +69,7 @@ class GridData:
         return box_indices(self.lo, self.hi)
 
     def get(self, index) -> SpacePoint:
-        index = _as_box_vec(index)
-        if len(index) != self.dim:
-            raise StructuralError(f"index length {len(index)}, expected {self.dim}")
+        index = lattice_point(index, self.dim, "grid index")
         return _point(self.descriptor, self.payloads[self.local(index)])
 
     def local(self, index) -> tuple:
@@ -101,7 +86,7 @@ class GridData:
 
 def _stacked_grid(descriptor, lo, hi, points: list, extension) -> GridData:
     """Grid of a row-major list of points, all of the given descriptor."""
-    lo, hi = _as_box_vec(lo), _as_box_vec(hi)
+    lo, hi = lattice_point(lo, what="window corner"), lattice_point(hi, what="window corner")
     shape = tuple(max(h - l + 1, 0) for l, h in zip(lo, hi))  # GridData rejects empty
     if len(points) != math.prod(shape):
         raise StructuralError(
@@ -112,7 +97,7 @@ def _stacked_grid(descriptor, lo, hi, points: list, extension) -> GridData:
 
 def grid_from_function(descriptor, lo, hi, fn, extension=CONSTANT_NEAREST) -> GridData:
     """Builds a grid whose node i holds fn(i)."""
-    lo, hi = _as_box_vec(lo), _as_box_vec(hi)
+    lo, hi = lattice_point(lo, what="window corner"), lattice_point(hi, what="window corner")
     return _stacked_grid(descriptor, lo, hi, [fn(i) for i in box_indices(lo, hi)], extension)
 
 
@@ -211,8 +196,7 @@ def grid_to_json(x: GridData) -> dict:
 def grid_from_json(obj: dict) -> GridData:
     try:
         desc = descriptor_from_json(obj["descriptor"])
-        lo = tuple(obj["window"]["lo"])
-        hi = tuple(obj["window"]["hi"])
+        lo, hi = obj["window"]["lo"], obj["window"]["hi"]
         extension = obj["extension"]
         points = [point_from_json(desc, p) for p in obj["points"]]
     except (KeyError, TypeError) as exc:

@@ -26,7 +26,7 @@ from itertools import islice, product
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, lattice_point
 from .grid import GridData
 from .linear import RefinableSamples
 from .masks import (Mask, coset, default_gauge, gauge_value, iterated_mask,
@@ -54,18 +54,10 @@ MC_BLOCK = 1 << 13  # trials walked at once; bounds the sampler's memory
 MC_STATE_LIMIT = 1 << 62  # bound on |start| and |mask index| for int64 states
 
 
-def _as_state(v, dim):
-    if isinstance(v, (int, np.integer)):
-        v = (v,)
-    state = []
-    for c in v:
-        ic = int(c)
-        if ic != c:
-            raise DomainError("lattice states must be integer vectors")
-        state.append(ic)
-    if len(state) != dim:
-        raise DomainError(f"state has dimension {len(state)}, mask expects {dim}")
-    return tuple(state)
+def _check_exponent(p):
+    """Moment exponents are finite and >= 1; NaN and inf are refused."""
+    if not 1.0 <= p < math.inf:
+        raise DomainError(f"p must be finite and >= 1, got {p}")
 
 
 @dataclass(eq=False)
@@ -77,20 +69,12 @@ class KernelRow:
     probs: dict  # j -> a^(n)_{start - 2^n j}
 
 
-def _iterated(mask: Mask, steps: int) -> Mask:
-    """a^(steps) of a sum-rule mask, whose level-`steps` cosets are the rows."""
+def _checked(mask: Mask, steps: int) -> Mask:
+    """The mask, once steps >= 0 and the sum rule (stochastic rows) hold."""
     if steps < 0:
         raise DomainError("steps must be >= 0")
     require_sum_rule(mask)
-    return iterated_mask(mask, steps)
-
-
-def _ladder(mask: Mask, steps: int):
-    """a^(0), ..., a^(steps) of a sum-rule mask, off one `masks.ladder`."""
-    if steps < 0:
-        raise DomainError("steps must be >= 0")
-    require_sum_rule(mask)
-    return islice(ladder(mask), steps + 1)
+    return mask
 
 
 def kernel_row(mask: Mask, start, steps: int) -> KernelRow:
@@ -100,8 +84,8 @@ def kernel_row(mask: Mask, start, steps: int) -> KernelRow:
     the residue classes mod 2^steps, and they compose: splitting `steps` as
     m + n and chaining the two rows reproduces the joint row exactly.
     """
-    start = _as_state(start, mask.dim)
-    level = _iterated(mask, steps)
+    start = lattice_point(start, mask.dim, "chain state")
+    level = iterated_mask(_checked(mask, steps), steps)
     return KernelRow(start=start, steps=steps, probs=dict(coset(level, steps, start)))
 
 
@@ -117,12 +101,10 @@ def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
     round-off thanks to the sum rule).  Returns a map from the final state
     to its relative frequency.
     """
-    start = _as_state(start, mask.dim)
-    if steps < 0:
-        raise DomainError("steps must be >= 0")
+    start = lattice_point(start, mask.dim, "chain state")
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    require_sum_rule(mask)
+    _checked(mask, steps)
     if steps == 0:
         return {start: 1.0}
     # a move 2j - r is minus a mask index, so bounding |start| and the
@@ -199,12 +181,11 @@ def stationary_from_refinable(samples: RefinableSamples) -> StationaryReport:
 
 def lp_curve(mask: Mask, ell, steps: int, p: float, k) -> list:
     """[E_ell ||X_n - k||^p for n = 0..steps], exactly, from one mask ladder."""
-    if p < 1.0:
-        raise DomainError("p must be >= 1")
-    k = _as_state(k, mask.dim)
-    ell = _as_state(ell, mask.dim)
+    _check_exponent(p)
+    k = lattice_point(k, mask.dim, "moment centre")
+    ell = lattice_point(ell, mask.dim, "chain state")
     return [sum(w * math.dist(j, k) ** p for j, w in coset(level, n, ell))
-            for n, level in enumerate(_ladder(mask, steps))]
+            for n, level in enumerate(islice(ladder(_checked(mask, steps)), steps + 1))]
 
 
 def lp_moment(mask: Mask, ell, steps: int, p: float, k) -> float:
@@ -218,10 +199,9 @@ def dispersion_gap(mask: Mask, ell, steps: int, p: float) -> float:
     Interpolatory masks drive this to 0 as n grows; masks whose stationary
     distribution charges two distinct states keep it bounded away from 0.
     """
-    if p < 1.0:
-        raise DomainError("p must be >= 1")
-    ell = _as_state(ell, mask.dim)
-    level = _iterated(mask, steps)
+    _check_exponent(p)
+    ell = lattice_point(ell, mask.dim, "chain state")
+    level = iterated_mask(_checked(mask, steps), steps)
     total = 0.0
     for j, wj in coset(level, steps, ell):
         for i, wi in coset(level, steps, j):
@@ -244,15 +224,12 @@ def ball_confinement(mask: Mask, start, steps: int) -> BallConfinement:
     clause) must have gauge value <= 2.  gauge_radius is the largest gauge
     value seen over the checked steps.
     """
-    if steps < 0:
-        raise DomainError("steps must be >= 0")
-    centred, _ = recenter(mask)
+    centred, _ = recenter(_checked(mask, steps))
     gauge = default_gauge(mask)
-    start = _as_state(start, mask.dim)
+    start = lattice_point(start, mask.dim, "chain state")
     confined = True
     radius = 0.0
-    levels = enumerate(_ladder(centred, steps + 2))
-    for m, level in islice(levels, steps, None):
+    for m, level in islice(enumerate(ladder(centred)), steps, steps + 3):
         for j, _ in coset(level, m, start):
             rho = gauge_value(gauge, j)
             radius = max(radius, rho)
@@ -269,19 +246,15 @@ def nonassociativity_gap(mask: Mask, x: GridData, index, steps: int) -> float:
     use identical weights, so the gap is 0 on euclidean data; on curved
     backends conditioning does not associate and the gap can be positive.
     """
-    index = _as_state(index, mask.dim)
+    index = lattice_point(index, mask.dim, "grid index")
     trace = iterate(mask, x, steps)
     lo, hi = trace.interiors[steps]
     if any(i < l or i > h for i, l, h in zip(index, lo, hi)):
         raise DomainError(f"index {index} is not interior at level {steps}")
     nested = trace.levels[steps].get(index)
 
-    row = kernel_row(mask, index, steps)
-    points, weights = [], []
-    for j, w in row.probs.items():
-        points.append(x.get(j))
-        weights.append(w)
-    total = sum(weights)
-    problem = BarycenterProblem(points=points,
-                                weights=[w / total for w in weights])
+    probs = kernel_row(mask, index, steps).probs
+    total = sum(probs.values())
+    problem = BarycenterProblem(points=[x.get(j) for j in probs],
+                                weights=[w / total for w in probs.values()])
     return distance(nested, weighted_barycenter(problem))

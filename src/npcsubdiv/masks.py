@@ -20,7 +20,8 @@ from itertools import islice, product
 
 import numpy as np
 
-from .errors import NumericError, ResourceError, StructuralError
+from .errors import NumericError, ResourceError, StructuralError, integer, \
+    lattice_point, numbers
 
 SUM_RULE_TOL = 1e-12
 ITERATED_SUPPORT_CAP = 2 ** 22
@@ -35,7 +36,8 @@ class Mask:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=float)
+        self.dim = integer(self.dim, "mask dim")
+        arr = numbers(self.coeffs, "mask coefficients")
         if arr.ndim != self.dim:
             raise StructuralError(
                 f"coeffs must be {self.dim}-dimensional, got {arr.ndim}")
@@ -49,9 +51,7 @@ class Mask:
             raise StructuralError("mask needs at least one positive coefficient")
         arr.flags.writeable = False
         self.coeffs = arr
-        self.offset = tuple(int(o) for o in self.offset)
-        if len(self.offset) != self.dim:
-            raise StructuralError("offset length must equal dim")
+        self.offset = lattice_point(self.offset, self.dim, "mask offset")
 
     def support_box(self):
         """Bounding box (lo, hi) of the nonzero coefficients, inclusive."""
@@ -61,7 +61,8 @@ class Mask:
         return lo, hi
 
     def value(self, index) -> float:
-        local = tuple(int(i) - o for i, o in zip(_as_index(index, self.dim), self.offset))
+        local = tuple(i - o for i, o in zip(lattice_point(index, self.dim, "mask index"),
+                                            self.offset))
         if any(l < 0 or l >= n for l, n in zip(local, self.coeffs.shape)):
             return 0.0
         return float(self.coeffs[local])
@@ -74,20 +75,9 @@ class Mask:
         return list(zip(zip(*axes), self.coeffs[local].tolist()))
 
 
-def _as_index(index, dim):
-    if np.isscalar(index):
-        index = (index,)
-    index = tuple(int(i) for i in index)
-    if len(index) != dim:
-        raise StructuralError(f"index has length {len(index)}, expected {dim}")
-    return index
-
-
 def make_mask(offset, coeffs) -> Mask:
-    arr = np.array(coeffs, dtype=float)
-    if np.isscalar(offset):
-        offset = (offset,)
-    return Mask(arr.ndim, tuple(offset), arr)
+    arr = numbers(coeffs, "mask coefficients")
+    return Mask(arr.ndim, offset, arr)
 
 
 def _trimmed(mask: Mask) -> Mask:
@@ -97,7 +87,7 @@ def _trimmed(mask: Mask) -> Mask:
 
 
 def translate(mask: Mask, shift) -> Mask:
-    shift = _as_index(shift, mask.dim)
+    shift = lattice_point(shift, mask.dim, "shift")
     return Mask(mask.dim, tuple(o + s for o, s in zip(mask.offset, shift)), mask.coeffs)
 
 
@@ -168,7 +158,7 @@ def coset(mask: Mask, level: int, residue) -> list:
     j = (residue - idx) / 2^level.  Pairs come in row-major order of idx, so
     j runs backwards.
     """
-    residue = _as_index(residue, mask.dim)
+    residue = lattice_point(residue, mask.dim, "residue")
     step = 2 ** level
     view, first = _coset_view(mask, level, residue)
     top = tuple((r - f) // step for r, f in zip(residue, first))
@@ -300,7 +290,7 @@ class BoxGauge:
     half_widths: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.half_widths, dtype=float)
+        c = numbers(self.half_widths, "half widths")
         if c.ndim != 1 or c.size == 0:
             raise StructuralError("half widths must form a nonempty vector")
         if not np.all(np.isfinite(c)) or c.min() <= 0.0:
@@ -310,7 +300,7 @@ class BoxGauge:
 
 
 def gauge_value(gauge: BoxGauge, v) -> float:
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    v = np.atleast_1d(numbers(v, "gauge argument"))
     if v.shape != gauge.half_widths.shape:
         raise StructuralError(
             f"vector has shape {v.shape}, gauge expects {gauge.half_widths.shape}")
@@ -333,7 +323,7 @@ def default_gauge(mask: Mask) -> BoxGauge:
     centered, _ = recenter(mask)
     lo, hi = centered.support_box()
     c = [max(abs(l), abs(h), 1) for l, h in zip(lo, hi)]
-    return BoxGauge(np.array(c, dtype=float))
+    return BoxGauge(c)
 
 
 # -- products ------------------------------------------------------------------
@@ -353,6 +343,6 @@ def mask_to_json(mask: Mask) -> dict:
 
 def mask_from_json(obj: dict) -> Mask:
     try:
-        return Mask(int(obj["dim"]), tuple(obj["offset"]), np.array(obj["coeffs"], dtype=float))
+        return Mask(obj["dim"], obj["offset"], obj["coeffs"])
     except (KeyError, TypeError) as exc:
         raise StructuralError(f"bad mask object: {obj!r}") from exc

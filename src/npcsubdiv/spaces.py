@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, SolverError, StructuralError
+from .errors import DomainError, NumericError, SolverError, StructuralError, \
+    integer, numbers
 
 EUCLIDEAN = "euclidean"
 SPD = "spd"
@@ -40,9 +41,9 @@ class SpaceDescriptor:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise StructuralError(f"unknown space kind {self.kind!r}")
-        if self.kind == TRIPOD:
-            object.__setattr__(self, "dim", 1)
-        elif self.dim < 1:
+        dim = integer(self.dim, "space dim")
+        object.__setattr__(self, "dim", 1 if self.kind == TRIPOD else dim)
+        if self.dim < 1:
             raise StructuralError(f"dim must be >= 1, got {self.dim}")
 
     @property
@@ -64,8 +65,8 @@ class SpacePoint:
     payload: object
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _readonly(a, what: str) -> np.ndarray:
+    a = numbers(a, what)
     if not np.all(np.isfinite(a)):
         raise NumericError("non-finite payload")
     a.flags.writeable = False
@@ -73,14 +74,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def euclidean_point(v) -> SpacePoint:
-    v = _readonly(np.atleast_1d(v))
+    v = np.atleast_1d(_readonly(v, "euclidean payload"))
     if v.ndim != 1:
         raise StructuralError("euclidean payload must be a vector")
     return SpacePoint(SpaceDescriptor(EUCLIDEAN, v.shape[0]), v)
 
 
 def spd_point(m) -> SpacePoint:
-    m = _readonly(m)
+    m = _readonly(m, "spd payload")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StructuralError("spd payload must be a square matrix")
     scale = 1.0 + float(np.abs(m).max())
@@ -92,7 +93,7 @@ def spd_point(m) -> SpacePoint:
 
 
 def hyperboloid_point(p) -> SpacePoint:
-    p = _readonly(np.atleast_1d(p))
+    p = np.atleast_1d(_readonly(p, "hyperboloid payload"))
     if p.ndim != 1 or p.shape[0] < 2:
         raise StructuralError("hyperboloid payload must have length dim+1 >= 2")
     if p[0] <= 0.0:
@@ -105,13 +106,16 @@ def hyperboloid_point(p) -> SpacePoint:
 
 def hyperboloid_from_spatial(v) -> SpacePoint:
     """Lift spatial coordinates v onto the hyperboloid sheet."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    v = np.atleast_1d(numbers(v, "spatial coordinates"))
     p = np.concatenate(([math.sqrt(1.0 + float(v @ v))], v))
     return hyperboloid_point(p)
 
 
 def tripod_point(leg: int, t: float) -> SpacePoint:
-    leg = int(leg)
+    leg = integer(leg, "tripod leg")
+    t = numbers(t, "tripod coordinate")
+    if t.ndim:
+        raise StructuralError("tripod coordinate must be one number")
     t = float(t)
     if leg not in (0, 1, 2):
         raise StructuralError("tripod leg must be 0, 1 or 2")
@@ -423,7 +427,7 @@ def geodesic_points(desc: SpaceDescriptor, p, q, t: float) -> np.ndarray:
 
 
 def _check_weights(weights, count: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
+    w = numbers(weights, "weights")
     if w.shape != (count,):
         raise StructuralError("one weight per point required")
     if not np.all(np.isfinite(w)):
@@ -508,7 +512,7 @@ def log_map(base: SpacePoint, x: SpacePoint) -> np.ndarray:
 def exp_map(base: SpacePoint, v: np.ndarray) -> SpacePoint:
     """Exponential map at base (euclidean, spd, hyperboloid)."""
     desc = base.descriptor
-    return _point(desc, _apply(desc, "exp", _payload(base), np.asarray(v, dtype=float)))
+    return _point(desc, _apply(desc, "exp", _payload(base), numbers(v, "tangent vector")))
 
 
 def distance(p: SpacePoint, q: SpacePoint) -> float:
@@ -596,7 +600,7 @@ def random_point(descriptor: SpaceDescriptor, rng: np.random.Generator) -> Space
         radius = rng.random() ** (1.0 / d)
         v = np.concatenate(([0.0], (radius / norm) * u))
         return exp_map(hyperboloid_from_spatial(np.zeros(d)), v)
-    return tripod_point(int(rng.integers(3)), float(rng.random()))
+    return tripod_point(rng.integers(3), rng.random())
 
 
 # -- JSON encodings -----------------------------------------------------------
@@ -607,7 +611,7 @@ def descriptor_to_json(desc: SpaceDescriptor) -> dict:
 
 def descriptor_from_json(obj: dict) -> SpaceDescriptor:
     try:
-        return SpaceDescriptor(str(obj["kind"]), int(obj.get("dim", 1)))
+        return SpaceDescriptor(obj["kind"], obj.get("dim", 1))
     except (KeyError, TypeError) as exc:
         raise StructuralError(f"bad descriptor object: {obj!r}") from exc
 

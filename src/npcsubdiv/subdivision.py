@@ -8,17 +8,18 @@ whose contraction behaviour the diagnostics below measure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
-from .errors import DomainError, SolverError, StructuralError
+from .errors import DomainError, ResourceError, SolverError, StructuralError
 from .grid import GridData, box_array, box_intersect, check_interior_depth, \
     grid_from_function, random_grid, refined_window
 from .linear import contractivity_certificate, fit_gamma
-from .masks import BoxGauge, Mask, default_gauge, gauge_offsets, require_sum_rule, \
-    stencil, support_radius, unit_gauge
+from .masks import ITERATED_SUPPORT_CAP, BoxGauge, Mask, default_gauge, gauge_offsets, \
+    require_sum_rule, stencil, support_radius, unit_gauge
 from .spaces import EUCLIDEAN, TRIPOD, SpaceDescriptor, barycenters, \
     distance, distances, exp_map, geodesic_points, log_map, random_point, \
     stack_payloads, tripod_point
@@ -117,9 +118,17 @@ def _sup(descriptor: SpaceDescriptor, p, q) -> float:
 
 
 def iterate(mask: Mask, x: GridData, n: int) -> IterateTrace:
-    """n refinement steps with interior tracking and contraction series."""
+    """n refinement steps with interior tracking and contraction series; an n
+    whose finest level would pass ITERATED_SUPPORT_CAP payload floats is refused."""
     if n < 0:
         raise DomainError(f"level count must be >= 0, got {n}")
+    # level n spans 2^n (hi - lo) + 1 nodes per axis; a shift by 64 already
+    # puts any axis of positive width past the cap, so a huge n costs nothing
+    nodes = math.prod(((h - l) << min(n, 64)) + 1 for l, h in zip(x.lo, x.hi))
+    if nodes * math.prod(x.descriptor.payload_shape) > ITERATED_SUPPORT_CAP:
+        raise ResourceError(
+            f"{n} levels of the window {x.lo}..{x.hi} exceed the cap of "
+            f"{ITERATED_SUPPORT_CAP} payload floats on the finest level")
     boxes = check_interior_depth(mask, x.lo, x.hi, n)
     gauge = default_gauge(mask)
     levels = [x]

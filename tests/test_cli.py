@@ -324,9 +324,10 @@ def test_cascade_of_a_far_translated_mask_is_a_resource_error(capsys, files, shi
                  "ResourceError")
 
 
-def test_bad_mc_argument(capsys, files):
+@pytest.mark.parametrize("mc", ("n=5", "trials=\u00b2"))
+def test_bad_mc_argument(capsys, files, mc):
     expect_error(capsys, ["chain", "--mask", files["c"], "--start", "0",
-                          "--steps", "1", "--mc", "n=5"], "DomainError")
+                          "--steps", "1", "--mc", mc], "DomainError")
 
 
 @pytest.mark.parametrize("argv", (

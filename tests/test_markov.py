@@ -80,9 +80,11 @@ def test_rows_are_stochastic_and_satisfy_chapman_kolmogorov():
 def test_kernel_row_validation():
     with pytest.raises(DomainError):
         kernel_row(B, (0,), -1)
-    with pytest.raises(DomainError):
+    with pytest.raises(StructuralError):
         kernel_row(B, (0.5,), 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(StructuralError):
+        kernel_row(B, (2.0,), 1)  # integral floats are refused, not cast
+    with pytest.raises(StructuralError):
         kernel_row(B, (0, 0), 1)  # state dimension mismatch
     with pytest.raises(StructuralError):
         kernel_row(make_mask((0,), [1.0, 0.5]), (0,), 1)
@@ -117,6 +119,11 @@ def test_lp_curve_reads_every_step_off_one_ladder():
 def test_lp_moment_validation():
     with pytest.raises(DomainError):
         lp_moment(B, (0,), 1, 0.5, (0,))
+    for p in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            lp_curve(B, (1,), 2, p, (0,))
+        with pytest.raises(DomainError, match="finite"):
+            dispersion_gap(B, (1,), 2, p)
 
 
 def test_dispersion_gap_hat_closed_form():

@@ -1,0 +1,91 @@
+"""The readers of outside values: one rule for lattice integers and numbers."""
+
+import numpy as np
+import pytest
+
+from npcsubdiv import SpaceDescriptor, StructuralError, make_mask, tripod_point
+from npcsubdiv.errors import integer, lattice_point, numbers
+from npcsubdiv.masks import Mask, mask_from_json
+from npcsubdiv.spaces import descriptor_from_json
+
+
+def test_lattice_point_accepts_python_and_numpy_ints():
+    assert lattice_point(np.int64(3)) == (3,)
+    assert lattice_point((np.int64(-2), 5), 2) == (-2, 5)
+    assert lattice_point(np.array([1, 2]), 2) == (1, 2)
+    assert all(type(c) is int for c in lattice_point((np.int32(1), np.uint8(2))))
+    assert lattice_point(2 ** 70) == (2 ** 70,)  # no int64 bound here
+
+
+@pytest.mark.parametrize("bad", (1.5, 2.0, "2", True, np.bool_(True), None,
+                                 (1, 2.0), ("1",), "00", ((1,),), [0.0]))
+def test_lattice_point_refuses_everything_but_ints(bad):
+    with pytest.raises(StructuralError):
+        lattice_point(bad)
+
+
+def test_lattice_point_checks_the_length():
+    with pytest.raises(StructuralError, match="length 2, expected 1"):
+        lattice_point((0, 0), 1)
+    with pytest.raises(StructuralError):
+        lattice_point(3, 2)
+    assert lattice_point((), 0) == ()
+
+
+@pytest.mark.parametrize("bad", (2.0, "2", True, None, [2]))
+def test_integer_refuses_non_ints(bad):
+    with pytest.raises(StructuralError, match="dim must be an integer"):
+        integer(bad, "dim")
+
+
+def test_numbers_returns_a_new_float_array():
+    raw = np.array([1, 2, 3])
+    out = numbers(raw)
+    assert out.dtype == float and out.tolist() == [1.0, 2.0, 3.0]
+    src = np.array([0.5, 0.25])
+    assert numbers(src) is not src
+    assert numbers([[1, 2.5], [3, 4]]).shape == (2, 2)
+    assert numbers(7).shape == ()
+
+
+@pytest.mark.parametrize("bad", ("x", [0.25, "x"], [[1], [1, 2]], [True, False],
+                                 np.array([True]), [0.5, True], [[1.0, False]],
+                                 None, [1.0, None], {"a": 1}, [1j]))
+def test_numbers_refuses_strings_bools_and_ragged_nesting(bad):
+    with pytest.raises(StructuralError):
+        numbers(bad, "coeffs")
+
+
+# -- the readers behind the constructors and decoders ------------------------------
+
+def test_mask_dim_offset_and_coefficients_go_through_the_readers():
+    with pytest.raises(StructuralError):
+        Mask(True, (0,), [1.0])
+    with pytest.raises(StructuralError):
+        Mask(1.0, (0,), [1.0])
+    with pytest.raises(StructuralError):
+        make_mask((0.5,), [1.0])
+    with pytest.raises(StructuralError):
+        make_mask(0, [1.0, "x"])
+    assert make_mask(np.int64(-1), [0.5, 1.0, 0.5]).offset == (-1,)
+    for obj in ({"dim": True, "offset": [0], "coeffs": [1.0]},
+                {"dim": 2, "offset": "00", "coeffs": [[1.0]]},
+                {"dim": 1, "offset": "1", "coeffs": [1.0]},
+                {"dim": 1, "offset": [0], "coeffs": [[1], [1, 2]]}):
+        with pytest.raises(StructuralError):
+            mask_from_json(obj)
+
+
+@pytest.mark.parametrize("dim", ("2", 2.9, 2.0, True, None))
+def test_descriptor_dim_must_be_an_int(dim):
+    with pytest.raises(StructuralError):
+        descriptor_from_json({"kind": "euclidean", "dim": dim})
+    with pytest.raises(StructuralError):
+        SpaceDescriptor("spd", dim)
+
+
+def test_tripod_leg_and_coordinate_are_read_not_cast():
+    assert tripod_point(np.int64(2), np.float64(0.5)).payload == (2, 0.5)
+    for leg, t in ((1.9, 0.5), (True, 0.5), ("1", 0.5), (1, "0.5"), (1, [0.5])):
+        with pytest.raises(StructuralError):
+            tripod_point(leg, t)

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from npcsubdiv import (DomainError, NumericError, SolverError, SpaceDescriptor,
+from npcsubdiv import (DomainError, NumericError, ResourceError, SolverError,
+                       SpaceDescriptor,
                        StructuralError, approximation_error, bspline_comparison,
                        bspline_mask, chaikin_mask, contractivity_D, convergence_diagnostic,
                        d_inf, default_gauge, distance, empirical_gamma,
@@ -185,6 +186,19 @@ def test_iterate_raises_when_the_window_is_too_small():
     x = tripod_grid([(1, 1.0), (2, 1.0)], lo=0)
     with pytest.raises(DomainError, match="window needs"):
         iterate(C, x, 2)
+
+
+def test_iterate_refuses_levels_past_the_support_cap(monkeypatch):
+    # 4 nodes: level n spans 3 * 2^n + 1 nodes, past 2^22 from n = 21 on
+    x = grid_from_points(EU1, (0,), (3,), [euclidean_point([float(i)]) for i in range(4)])
+    monkeypatch.setattr("npcsubdiv.subdivision.subdivide", None)  # nothing is refined
+    with pytest.raises(TypeError):  # 3 * 2^20 + 1 floats pass the cap and reach subdivide
+        iterate(B, x, 20)
+    for n in (21, 30, 10 ** 9):
+        with pytest.raises(ResourceError, match="payload floats"):
+            iterate(B, x, n)
+    with pytest.raises(ResourceError):  # four floats per spd:2 node
+        iterate(B, random_grid(SPD2, (0,), (3,), np.random.default_rng(0)), 19)
 
 
 def test_interior_values_are_extension_independent():
