@@ -29,6 +29,7 @@ POINT_TOL = 1e-9            # payload-wise equality tolerance
 HYPERBOLOID_TOL = 1e-10     # |<p,p>_M + 1| bound for membership, times p0^2
 BARYCENTER_TOL = 1e-10      # scaled by (1 + data diameter)
 BARYCENTER_MAX_ITER = 500
+UNIT_STEP_C = 1.7           # unit Karcher steps while c < 1.7, where they contract by c - 1
 
 
 @dataclass(frozen=True)
@@ -234,13 +235,39 @@ def _hyp_renorm(p):
     return q
 
 
+def _bounded(kappa, weights, dists, v):
+    """The Karcher update v from y, scaled for the distances from y to the
+    points (Afsari, Tron & Manton 2013).  With curvature >= -kappa the Hessian
+    of the Frechet function lies in [1, c], c = sum_i w_i s_i coth(s_i) with
+    s_i = kappa^1/2 d_i (the term is 1 at s_i = 0), so the unit step contracts
+    by c - 1 and the step 2 / (1 + c) by (c - 1) / (c + 1), the least any
+    step guarantees.  The unit step is kept while c < UNIT_STEP_C, where it
+    contracts by less than 0.7; rows of unit-ball data stay there."""
+    s = math.sqrt(kappa) * dists
+    if s.max(initial=0.0) < 1.0:  # s coth(s) < 1.32 there: c < UNIT_STEP_C on every row
+        return v
+    c = _weighted_sum(weights, np.where(s > 0.0, s / np.tanh(s), 1.0), 0)
+    h = np.where(c < UNIT_STEP_C, 1.0, 2.0 / (1.0 + c))
+    return h.reshape(h.shape + (1,) * (v.ndim - h.ndim)) * v
+
+
 # -- backends -------------------------------------------------------------------
 #
-# One class per kind; `core` counts the payload axes.  Methods take stacked
-# payloads and work over any leading axes.
+# One class per kind; `core` counts the payload axes and `kappa` bounds the
+# curvature from below by -kappa.  Methods take stacked payloads and work over
+# any leading axes; `resolution` gives, per row of points (N, k, payload), the
+# smallest distance their coordinates resolve.
+
+def _scale_free(self, points):
+    # the formulas are invariant under translating (euclidean) or scaling
+    # (spd) the data, so coordinates far out lose only their relative rounding
+    return np.zeros(len(points))
+
 
 class _Euclidean:
     core = 1
+    kappa = 0.0
+    resolution = _scale_free
 
     def dist(self, p, q):
         return _norm(p - q, 1)
@@ -257,11 +284,14 @@ class _Euclidean:
     def step(self, y, points, weights):
         logs = points - y[..., None, :]
         v = _weighted_sum(weights, logs, 1)
-        return _norm(v, 1), _norm(logs, 1), y + v
+        norms = _norm(logs, 1)
+        return _norm(v, 1), norms, y + _bounded(self.kappa, weights, norms, v)
 
 
 class _SPD:
     core = 2
+    kappa = 0.5
+    resolution = _scale_free
 
     def dist(self, p, q):
         _, si = _sqrt_pair(p)
@@ -288,7 +318,8 @@ class _SPD:
         si_k = si[..., None, :, :]
         logs = _logm(si_k @ points @ si_k)
         v = _weighted_sum(weights, logs, 2)
-        return _norm(v, 2), _norm(logs, 2), _sym(s @ _expm(v) @ s)
+        norms = _norm(logs, 2)
+        return _norm(v, 2), norms, _sym(s @ _expm(_bounded(self.kappa, weights, norms, v)) @ s)
 
 
 def _mink(p, q):
@@ -296,13 +327,35 @@ def _mink(p, q):
     return _dot(p[..., 1:], q[..., 1:]) - p[..., 0] * q[..., 0]
 
 
+def _tangent_norm(y, v):
+    """sqrt(<v,v>_M) for v tangent at y, in the form that cannot cancel:
+    <v,v>_M = (|v_s|^2 + sum_{i<j} (y_i v_j - y_j v_i)^2) / y0^2 over the
+    spatial coordinates, since y0 v0 = <y_s, v_s> and y0^2 = 1 + |y_s|^2."""
+    ys, vs = y[..., 1:], v[..., 1:]
+    outer = ys[..., :, None] * vs[..., None, :]
+    wedge = _rows(outer - _T(outer), 2)  # each pair i < j twice, the diagonal 0
+    return np.sqrt(_dot(vs, vs) + 0.5 * _dot(wedge, wedge)) / y[..., 0]
+
+
 class _Hyperboloid:
     core = 1
+    kappa = 1.0
 
     def dist(self, p, q):
-        # chordal form avoids cancellation for nearby points
+        # the chordal form 2 asinh(|q - p|_M / 2) rounds off about |q - p|^2
+        # and acosh(-<p,q>_M) about 2 p0 q0: far apart, the chordal form
+        # cancels (to 0.0 at large coordinates), so take the one that rounds less
         d = q - p
-        return 2.0 * np.arcsinh(0.5 * np.sqrt(_clip0(_mink(d, d))))
+        out = 2.0 * np.arcsinh(0.5 * np.sqrt(_clip0(_mink(d, d))))
+        far = _dot(d, d) > 2.0 * p[..., 0] * q[..., 0]
+        if far.any():
+            out = np.where(far, np.arccosh(np.maximum(-_mink(p, q), 1.0)), out)
+        return out
+
+    def resolution(self, points):
+        # the Minkowski forms cancel to the float spacing of the largest
+        # coordinate, the time coordinate, which is about e^R / 2 at radius R
+        return np.spacing(points[..., 0].max(axis=-1))
 
     def log(self, p, q):
         alpha = -_mink(p, q)
@@ -315,20 +368,27 @@ class _Hyperboloid:
         return np.where((t <= 0.0)[..., None], 0.0, scale[..., None] * u)
 
     def exp(self, p, v):
-        n = np.sqrt(_clip0(_mink(v, v)))
+        n = _tangent_norm(p, v)
         tiny = n < 1e-16  # exp_p(v) = p; the ratio below is not used
         q = _hyp_renorm(np.cosh(n)[..., None] * p
                         + (np.sinh(n) / np.where(tiny, 1.0, n))[..., None] * v)
         return np.where(tiny[..., None], p, q)
 
     def geodesic(self, p, q, t):
-        return self.exp(p, t * self.log(p, q))
+        # (sinh((1 - t) d) p + sinh(t d) q) / sinh(d): no term outgrows the
+        # endpoints, where exp(p, t log(p, q)) cancels terms of size e^(t d) p0
+        d = self.dist(p, q)[..., None]
+        still = d == 0.0
+        s = np.where(still, 1.0, np.sinh(d))
+        a = np.where(still, 1.0 - t, np.sinh((1.0 - t) * d) / s)
+        b = np.where(still, t, np.sinh(t * d) / s)
+        return _hyp_renorm(a * p + b * q)
 
     def step(self, y, points, weights):
         logs = self.log(y[..., None, :], points)
         v = _weighted_sum(weights, logs, 1)
-        norms = np.sqrt(_clip0(_mink(logs, logs)))
-        return np.sqrt(_clip0(_mink(v, v))), norms, self.exp(y, v)
+        norms = _tangent_norm(y[..., None, :], logs)
+        return _tangent_norm(y, v), norms, self.exp(y, _bounded(self.kappa, weights, norms, v))
 
 
 def _tripod_rows(leg, t):
@@ -445,19 +505,33 @@ def _karcher_step(backend, y, points, weights):
     return backend.step(y, points, weights)
 
 
+def _row_failure(row: int, nonfinite: bool, tol: float, floor: float):
+    """(row, error) for a failing row: NumericError for a non-finite step,
+    DomainError for a tolerance below the float spacing of the coordinates."""
+    if nonfinite:
+        return row, _failure()
+    return row, DomainError(
+        f"ill-conditioned barycenter: the data's coordinates resolve only "
+        f"{floor:.3g}, coarser than the tolerance {tol:.3g}")
+
+
 def barycenters(desc: SpaceDescriptor, points, weights):
     """argmin of sum_j w_j d(x_j, .)^2 for each row of points (N, k, payload),
     all rows sharing one weight vector.
 
     Returns the stacked minimizers and the first failing row as (row, error),
     or None when no row fails.  A row fails with NumericError when a step
-    gives it a non-finite residual, distance or iterate.  Rows above a failed
-    row stop iterating, since they cannot change which failure comes first;
-    once a row fails the values are undefined.  Smooth backends run the
-    fixed-point Karcher iteration per row, started at the point of largest
-    weight (ties: lowest index) and stopped once the tangent update norm falls
-    below 1e-10 * (1 + largest first-step distance); a row returns the iterate
-    before its last update.  The tripod uses the exact per-leg closed form.
+    gives it a non-finite residual, distance or iterate, and with DomainError
+    when its tolerance (below) is finer than the float spacing of its
+    coordinates, which they cannot resolve.  Rows above a failed row stop
+    iterating, since they cannot change which failure comes first; once a row
+    fails the values are undefined.  The tripod uses the exact per-leg closed
+    form.  On a smooth backend a row starts at the point of largest weight
+    (ties: lowest index); a 2-point row is the geodesic point walked from
+    there, and a longer row runs the Karcher iteration, each step scaled by
+    `_bounded`, until the tangent update norm falls below the tolerance
+    1e-10 * (1 + largest distance from the start point); it returns the
+    iterate before its last update.
     """
     backend = _BACKENDS[desc.kind]
     points = np.asarray(points, dtype=float)
@@ -465,12 +539,26 @@ def barycenters(desc: SpaceDescriptor, points, weights):
         weights = _check_weights(weights, points.shape[1])
     except (StructuralError, NumericError) as exc:
         return points[:, 0], (0, exc)
+    start = int(np.argmax(weights))
     with np.errstate(all="ignore"):
         if desc.kind == TRIPOD:
             out = backend.barycenter(points, weights)
             bad = np.flatnonzero(~_finite(out, 1))
             return out, (int(bad[0]), _failure()) if bad.size else None
-        y = points[:, int(np.argmax(weights))]
+        floor = backend.resolution(points)
+        if points.shape[1] == 2:
+            p, q = points[:, start], points[:, 1 - start]
+            out = backend.geodesic(p, q, weights[1 - start])
+            nonfinite = ~_finite(out, backend.core)
+            tol = np.full(len(points), BARYCENTER_TOL)
+            if (floor > tol).any():  # the tolerance is at least BARYCENTER_TOL
+                tol = BARYCENTER_TOL * (1.0 + backend.dist(p, q))
+            bad = np.flatnonzero(nonfinite | (tol < floor))
+            if not bad.size:
+                return out, None
+            r = bad[0]
+            return out, _row_failure(int(r), nonfinite[r], tol[r], floor[r])
+        y = points[:, start]
         out = y.copy()
         rows = np.arange(len(points))  # live rows, ascending
         first = None
@@ -479,17 +567,19 @@ def barycenters(desc: SpaceDescriptor, points, weights):
             if not rows.size:
                 return out, first
             residual, dists, nxt = _karcher_step(backend, y, points, weights)
+            nonfinite = ~(np.isfinite(residual) & _finite(dists, 1)
+                          & _finite(nxt, backend.core))
+            failed = nonfinite
             if tol is None:
                 # start points are data points, so max distance <= data diameter
                 tol = BARYCENTER_TOL * (1.0 + dists.max(axis=-1))
-            failed = ~(np.isfinite(residual) & _finite(dists, 1)
-                       & _finite(nxt, backend.core))
+                failed = nonfinite | (tol < floor)
             done = ~failed & (residual <= tol)
             out[rows[done]] = y[done]
             live = ~failed & ~done
             if failed.any():
                 r = np.flatnonzero(failed)[0]  # live rows lie below any earlier failure
-                first = (int(rows[r]), _failure())
+                first = _row_failure(int(rows[r]), nonfinite[r], tol[r], floor[rows[r]])
                 live &= rows < first[0]
             if not live.all():
                 rows, nxt, points, tol, residual = (
@@ -522,6 +612,9 @@ def distance(p: SpacePoint, q: SpacePoint) -> float:
 def geodesic_point(p: SpacePoint, q: SpacePoint, t: float) -> SpacePoint:
     """Point at parameter t in [0,1] on the unique geodesic from p to q."""
     desc = _check_same(p, q)
+    t = numbers(t, "geodesic parameter")
+    if t.ndim:
+        raise StructuralError("geodesic parameter must be one number")
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"geodesic parameter must lie in [0,1], got {t}")

@@ -10,11 +10,14 @@ reproduce on euclidean data.  `pointwise_refine` and `pairwise_sup` are the
 node-by-node loops that the batched refinement and contraction sups must
 reproduce bit for bit.  `alpha_loop` is the residue-by-residue sweep
 that the certificate's array sweep must reproduce bit for bit.
+`karcher_gradient_norm` checks a barycenter by its stationarity, in 50-digit
+mpmath.
 """
 
 import math
 from itertools import product
 
+import mpmath
 import numpy as np
 
 from npcsubdiv import BarycenterProblem, distance, tripod_point, weighted_barycenter
@@ -169,3 +172,68 @@ def scan_tripod_barycenter(points, weights, steps=4096):
 
 def frechet_value(y, points, weights):
     return sum(w * distance(y, p) ** 2 for w, p in zip(weights, points))
+
+
+def _hyperboloid_gradient(y, points, weights):
+    def lift(p):  # the point over the spatial coordinates
+        s = [mpmath.mpf(float(c)) for c in p[1:]]
+        return [mpmath.sqrt(1 + sum(c * c for c in s))] + s
+
+    def mink(a, b):
+        return sum(x * z for x, z in zip(a[1:], b[1:])) - a[0] * b[0]
+
+    def log(base, x):  # (log_base(x), d(base, x))
+        alpha = -mink(base, x)
+        if alpha <= 1:
+            return [mpmath.mpf(0)] * len(base), mpmath.mpf(0)
+        d = mpmath.acosh(alpha)
+        return [d / mpmath.sinh(d) * (xc - alpha * bc) for xc, bc in zip(x, base)], d
+
+    ys, xs = lift(y), [lift(p) for p in points]
+    v = [mpmath.mpf(0)] * len(ys)
+    for w, x in zip(weights, xs):
+        v = [a + mpmath.mpf(float(w)) * b for a, b in zip(v, log(ys, x)[0])]
+    diam = max(log(xs[i], xs[j])[1] for i in range(len(xs)) for j in range(i))
+    return mpmath.sqrt(max(mink(v, v), 0)), diam
+
+
+def _spd_gradient(y, points, weights):
+    def lift(p):
+        return mpmath.matrix([[mpmath.mpf(float(c)) for c in row] for row in p])
+
+    def inverse_sqrt(m):
+        lam, q = mpmath.eigsy(m)
+        return q * mpmath.diag([1 / mpmath.sqrt(v) for v in lam]) * q.T
+
+    def whitened_log(si, x):  # base^-1/2 log_base(x) base^-1/2, with si = base^-1/2
+        lam, q = mpmath.eigsy(si * x * si)
+        return q * mpmath.diag([mpmath.log(v) for v in lam]) * q.T
+
+    xs = [lift(p) for p in points]
+    si_y = inverse_sqrt(lift(y))
+    v = mpmath.zeros(len(y))
+    for w, x in zip(weights, xs):
+        v += whitened_log(si_y, x) * mpmath.mpf(float(w))
+    # the diameter only scales the bound: floats, d(a, b) = |log eig(a^-1 b)|
+    pts = np.asarray(points, dtype=float)
+    diam = max(math.sqrt(float(np.sum(np.log(np.linalg.eigvals(
+        np.linalg.solve(pts[i], pts[j])).real) ** 2)))
+        for i in range(len(pts)) for j in range(i))
+    return mpmath.mnorm(v, "f"), diam
+
+
+def karcher_gradient_norm(kind, y, points, weights, digits=50):
+    """(|sum_i w_i log_y(x_i)|, data diameter) at the payload y, in mpmath at
+    `digits` digits from the defining formulas.  The Frechet function is
+    1-strongly convex on a Hadamard space, so the norm bounds d(y, y*).
+
+    hyperboloid: a payload stands for the point over its spatial coordinates
+    s (time coordinate sqrt(1 + |s|^2)); cosh d(x, y) = -<x, y>_M,
+    log_y(x) = d / sinh(d) * (x - cosh(d) y), normed by sqrt(<v, v>_M).
+    spd: in the affine-invariant metric, log_y(x) = y^1/2 logm(y^-1/2 x y^-1/2) y^1/2
+    has norm |logm(y^-1/2 x y^-1/2)|_F; the diameter is taken in floats.
+    """
+    with mpmath.workdps(digits):
+        norm, diam = {"hyperboloid": _hyperboloid_gradient, "spd": _spd_gradient}[kind](
+            y, points, weights)
+        return float(norm), float(diam)

@@ -1,0 +1,157 @@
+"""Replay the benchmark's jobs in process, and compare two revisions by them.
+
+    PYTHONPATH=src python tests/replay.py --seeds 1 2 3 --rounds 4
+    PYTHONPATH=src python tests/replay.py --seeds 1 2 3 --rounds 4 --against HEAD~1
+
+Builds the jobs of the three benchmark workloads (`perfbench/workloads.py`,
+loaded by path and only read) for the given seeds and rounds 0..rounds-1, runs
+each through `npcsubdiv.cli.main` in this process and prints one JSON line per
+job: its id (workload/seed/round/class), the exit code, and the report's
+payload (so no duration or file path) or the error object from stderr.
+
+With `--against REV` the same jobs run twice in child processes, once on this
+tree's package and once on REV's (extracted with `git archive` into a temporary
+directory), and every job whose line differs is printed with its largest
+absolute and relative float difference.  The exit code is 1 when a job differs.
+"""
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+def load_workloads():
+    # workloads.py imports the benchmark's own `oracles` module, not tests/oracles.py
+    sys.path.insert(0, str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def run_jobs(seeds, rounds):
+    """Yields one record per job of every workload, seed and round."""
+    from npcsubdiv import cli
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, workload in load_workloads().items():
+            for seed in seeds:
+                seen = set()
+                for r in range(rounds):
+                    for k, job in enumerate(workload.make_round(seed, r, seen)):
+                        paths = {}
+                        for key, obj in job.files.items():
+                            paths[key] = os.path.join(tmp, f"{key}.json")
+                            with open(paths[key], "w", encoding="utf-8") as fh:
+                                json.dump(obj, fh)
+                        out = os.path.join(tmp, "out.json")
+                        argv = [paths[a[1:]] if a.startswith("@") else a for a in job.argv]
+                        err = io.StringIO()
+                        with contextlib.redirect_stderr(err):
+                            code = cli.main(argv + ["--out", out])
+                        record = {"job": f"{name}/{seed}/{r}/{k}:{job.cls}", "exit": code}
+                        if code == 0:
+                            with open(out, encoding="utf-8") as fh:
+                                record["payload"] = json.load(fh)["payload"]
+                        else:
+                            try:
+                                record.update(json.loads(err.getvalue()))  # {"error": {...}}
+                            except ValueError:
+                                record["stderr"] = err.getvalue()
+                        yield record
+
+
+def line(record) -> str:
+    return json.dumps(record, sort_keys=True)
+
+
+def float_diff(a, b, path="$"):
+    """(largest absolute, largest relative) difference over the float leaves of
+    two JSON values of one shape; where their shapes or other leaves differ,
+    the first such place as (path, a's value, b's value)."""
+    if isinstance(a, float) and isinstance(b, float):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return 0.0, 0.0
+        gap = abs(a - b)
+        return gap, gap / max(abs(a), abs(b))
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        pairs = [(f"{path}.{k}", a[k], b[k]) for k in a]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        pairs = [(f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b))]
+    elif type(a) is type(b) and a == b:
+        return 0.0, 0.0
+    else:
+        return path, a, b
+    worst = (0.0, 0.0)
+    for where, x, y in pairs:
+        d = float_diff(x, y, where)
+        if len(d) == 3:
+            return d
+        worst = (max(worst[0], d[0]), max(worst[1], d[1]))
+    return worst
+
+
+def child_lines(src: Path, seeds, rounds) -> list:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--seeds", *map(str, seeds),
+         "--rounds", str(rounds)],
+        cwd=ROOT, env=env, check=True, capture_output=True, text=True)
+    return [json.loads(text) for text in proc.stdout.splitlines()]
+
+
+def compare(rev: str, seeds, rounds) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        theirs = child_lines(Path(tmp) / "src", seeds, rounds)
+    ours = child_lines(ROOT / "src", seeds, rounds)
+    differ = 0
+    worst = (0.0, 0.0)
+    for old, new in zip(theirs, ours, strict=True):
+        if line(old) == line(new):
+            continue
+        differ += 1
+        d = float_diff(old, new)
+        if len(d) == 3:
+            where, *values = d
+            theirs_value, ours_value = (json.dumps(v)[:200] for v in values)
+            print(f"{new['job']}: differs at {where}: {rev} {theirs_value}, tree {ours_value}")
+        else:
+            worst = (max(worst[0], d[0]), max(worst[1], d[1]))
+            print(f"{new['job']}: abs {d[0]:.3g} rel {d[1]:.3g}")
+    print(f"# {len(ours)} jobs, {differ} differ from {rev}; "
+          f"largest float difference abs {worst[0]:.3g} rel {worst[1]:.3g}")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--rounds", type=int, required=True, help="rounds 0..ROUNDS-1")
+    ap.add_argument("--against", metavar="REV", help="compare with this git revision")
+    args = ap.parse_args(argv)
+    if args.against:
+        return compare(args.against, args.seeds, args.rounds)
+    for record in run_jobs(args.seeds, args.rounds):
+        print(line(record), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

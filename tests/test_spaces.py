@@ -16,7 +16,7 @@ from npcsubdiv import spaces
 from npcsubdiv.spaces import (descriptor_from_json, descriptor_to_json,
                               hyperboloid_from_spatial, point_from_json,
                               point_to_json, points_equal)
-from oracles import frechet_value, scan_tripod_barycenter
+from oracles import frechet_value, karcher_gradient_norm, scan_tripod_barycenter
 
 BACKENDS = (
     SpaceDescriptor("euclidean", 3),
@@ -37,6 +37,16 @@ def points(desc, seed, count):
 
 
 # -- distances ------------------------------------------------------------------
+
+def test_far_apart_hyperboloid_points_keep_their_distance():
+    """Points at radius 140 and 15 on opposite rays are 155 apart; the
+    chordal form alone cancels to 0.0 at these coordinates."""
+    def at(radius, sign):
+        return hyperboloid_from_spatial([sign * math.sinh(radius), 0.0])
+
+    assert distance(at(140.0, 1.0), at(15.0, -1.0)) == pytest.approx(155.0, rel=1e-12)
+    assert distance(at(15.0, -1.0), at(140.0, 1.0)) == pytest.approx(155.0, rel=1e-12)
+
 
 def test_known_distances():
     assert distance(euclidean_point([0.0, 3.0]), euclidean_point([4.0, 0.0])) == pytest.approx(5.0, abs=1e-12)
@@ -79,6 +89,13 @@ def test_geodesic_parameter_domain():
         geodesic_point(p, q, -0.1)
     with pytest.raises(DomainError):
         geodesic_point(p, q, 1.5)
+    with pytest.raises(DomainError):
+        geodesic_point(p, q, math.nan)
+    for t in ("0.5", True, np.bool_(False), [0.5], None):
+        with pytest.raises(StructuralError):
+            geodesic_point(p, q, t)
+    assert geodesic_point(p, q, np.float64(0.25)).payload.tolist() == [0.25]
+    assert geodesic_point(p, q, 1).payload.tolist() == [1.0]
 
 
 def test_tripod_geodesic_crosses_glue_point():
@@ -94,6 +111,17 @@ def test_exp_log_roundtrip(desc, seed):
     base, x = points(desc, seed, 2)
     back = exp_map(base, log_map(base, x))
     assert distance(x, back) <= 1e-9 * (1.0 + distance(base, x))
+
+
+def test_exp_map_far_out_moves_by_the_tangent_norm():
+    """A radial tangent of norm t at radius R reaches radius R + t.  Its
+    Minkowski norm |v_s|^2 - v0^2 cancels terms of size t^2 cosh^2 R."""
+    for radius in (10.0, 14.0, 17.0):
+        y = hyperboloid_from_spatial([math.sinh(radius), 0.0])
+        for t in (0.5, 1.0):
+            q = exp_map(y, np.array([t * math.sinh(radius), t * math.cosh(radius), 0.0]))
+            assert math.asinh(float(np.linalg.norm(q.payload[1:]))) == pytest.approx(
+                radius + t, rel=1e-12)
 
 
 # -- NPC inequality -------------------------------------------------------------
@@ -213,6 +241,114 @@ def test_barycenter_problem_validation():
         BarycenterProblem([p, tripod_point(0, 1.0)], np.array([0.5, 0.5]))
     with pytest.raises(NumericError):
         BarycenterProblem([p, p], np.array([0.5, math.nan]))
+
+
+@pytest.mark.parametrize("desc", SMOOTH, ids=str)
+def test_two_point_rows_are_geodesic_points_from_the_heavier_point(desc, monkeypatch):
+    steps = []
+    monkeypatch.setattr(spaces, "_karcher_step", lambda *args: steps.append(args))
+    pts = np.array([[p.payload for p in points(desc, seed, 2)] for seed in range(4)])
+    for weights, start in (([0.3, 0.7], 1), ([0.5, 0.5], 0), ([0.8, 0.2], 0)):
+        out, failure = spaces.barycenters(desc, pts, weights)
+        assert failure is None
+        expected = spaces.geodesic_points(desc, pts[:, start], pts[:, 1 - start],
+                                          weights[1 - start])
+        assert np.array_equal(out, expected)
+    assert steps == []
+
+
+# -- barycenters on spread data -------------------------------------------------
+
+HYP2, HYP3 = SpaceDescriptor("hyperboloid", 2), SpaceDescriptor("hyperboloid", 3)
+SPD2, SPD3 = SpaceDescriptor("spd", 2), SpaceDescriptor("spd", 3)
+
+
+def spread_points(desc, rng, count, reach):
+    """count points: on the hyperboloid at geodesic radius `reach` from the
+    origin in normal random directions; spd matrices with log-eigenvalues
+    uniform in [-reach, reach] under a random rotation."""
+    out = []
+    for _ in range(count):
+        if desc.kind == "hyperboloid":
+            u = rng.standard_normal(desc.dim)
+            v = math.sinh(reach) * u / np.linalg.norm(u)
+            out.append([math.sqrt(1.0 + float(v @ v))] + v.tolist())
+        else:
+            q, _ = np.linalg.qr(rng.standard_normal((desc.dim, desc.dim)))
+            m = (q * np.exp(rng.uniform(-reach, reach, desc.dim))) @ q.T
+            out.append(0.5 * (m + m.T))
+    return np.array(out)
+
+
+def solve_spread(desc, count, reach, seed):
+    rng = np.random.default_rng([seed])
+    pts = spread_points(desc, rng, count, reach)
+    weights = rng.dirichlet(np.ones(count))
+    out, failure = spaces.barycenters(desc, pts[None], weights)
+    return pts, weights, out[0], failure
+
+
+def assert_converged(desc, pts, weights, y):
+    """The stationarity residual at y bounds d(y, y*): at most 1e-8 (1 + diam)."""
+    norm, diam = karcher_gradient_norm(desc.kind, y, pts, weights)
+    assert norm <= 1e-8 * (1.0 + diam)
+
+
+# spd:3 is held to log-spread 10: past it the eigenvalue whitening loses more
+# than the tolerance on some draws (README, "Backends")
+@pytest.mark.parametrize("desc,reach", ((HYP2, 17.0), (HYP3, 17.0), (SPD2, 12.0), (SPD3, 10.0)),
+                         ids=str)
+@given(count=st.integers(2, 9), scale=st.floats(0.0, 1.0), seed=seeds)
+def test_barycenters_converge_over_the_documented_range(desc, reach, count, scale, seed):
+    pts, weights, y, failure = solve_spread(desc, count, scale * reach, seed)
+    assert failure is None
+    assert_converged(desc, pts, weights, y)
+
+
+@pytest.mark.parametrize("desc", (HYP2, HYP3), ids=str)
+@given(count=st.integers(2, 9), radius=st.floats(17.0, 30.0), seed=seeds)
+def test_far_hyperboloid_data_converge_or_are_refused(desc, count, radius, seed):
+    pts, weights, y, failure = solve_spread(desc, count, radius, seed)
+    if failure:
+        assert isinstance(failure[1], DomainError)
+        assert "ill-conditioned" in str(failure[1])
+        return
+    assert_converged(desc, pts, weights, y)
+    diam = max(distance(hyperboloid_point(p), hyperboloid_point(q)) for p in pts for q in pts)
+    assert max(distance(hyperboloid_point(y), hyperboloid_point(p)) for p in pts) <= diam
+
+
+def test_a_row_where_the_unit_step_barely_contracts_converges():
+    """A cubic-mask row of a spread hyperboloid:2 grid (radius 3 to 4) whose
+    c = sum_i w_i d_i coth(d_i) stays at 1.985 along the iteration: a unit
+    step contracts it by c - 1 = 0.985 and ran past BARYCENTER_MAX_ITER."""
+    pts = np.array([[20.672133262758866, 20.646265840738444, -0.26229843083468724],
+                    [10.440749187481739, 7.058655394133345, 7.627884872149869],
+                    [11.91407870451646, 11.77758088458288, -1.4946102784741317]])
+    weights = np.array([0.125, 0.75, 0.125])
+    out, failure = spaces.barycenters(HYP2, pts[None], weights)
+    assert failure is None
+    assert_converged(HYP2, pts, weights, out[0])
+
+
+def test_radius_10_converges_and_radius_20_is_refused():
+    """Three hyperboloid:2 points at radius 10 and 20 (weights .2/.3/.5): the
+    unit-step iteration returned a point 33.5 from the data at radius 10
+    (data diameter 20); at radius 20 the coordinates cannot resolve the
+    tolerance."""
+    weights = np.array([0.2, 0.3, 0.5])
+    for seed in range(3):
+        rng = np.random.default_rng([seed])
+        pts = spread_points(HYP2, rng, 3, 10.0)
+        out, failure = spaces.barycenters(HYP2, pts[None], weights)
+        assert failure is None
+        assert_converged(HYP2, pts, weights, out[0])
+        rng = np.random.default_rng([seed])
+        far = spread_points(HYP2, rng, 3, 20.0)
+        _, failure = spaces.barycenters(HYP2, far[None], weights)
+        assert failure[0] == 0 and isinstance(failure[1], DomainError)
+        with pytest.raises(DomainError, match="ill-conditioned"):
+            weighted_barycenter(BarycenterProblem([hyperboloid_point(p) for p in far], weights))
 
 
 # -- failures ---------------------------------------------------------------------

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from npcsubdiv import (DomainError, NumericError, ResourceError, SolverError,
+from npcsubdiv import (DomainError, ResourceError, SolverError,
                        SpaceDescriptor,
                        StructuralError, approximation_error, bspline_comparison,
                        bspline_mask, chaikin_mask, contractivity_D, convergence_diagnostic,
                        d_inf, default_gauge, distance, empirical_gamma,
                        euclidean_point, geodesic_sampler, iterate, make_mask,
                        random_point, subdivide, tensor_power, tripod_point)
+from npcsubdiv import spaces
 from npcsubdiv.cli import main
 from npcsubdiv.grid import box_indices, grid_from_points, grid_to_json, random_grid
 from npcsubdiv.masks import BoxGauge, mask_to_json, unit_gauge
@@ -103,9 +104,9 @@ def test_contraction_sups_equal_the_pairwise_loop_bit_for_bit(desc):
 
 def spread_hyperboloid_grid(seed, far=0, near=(3.0, 4.0)):
     """Ten hyperboloid:2 points at distance 3 to 4 (or in the range `near`)
-    from the origin, where the cubic mask's three-point barycenters do not
-    converge; the last `far` of them at distance 300 to 340, where the
-    iteration overflows."""
+    from the origin, where the cubic mask's three-point barycenters need the
+    bounded Karcher step to converge; the last `far` of them at distance 300
+    to 340, where the first step overflows."""
     rng = np.random.default_rng([seed])
     pts = []
     for k in range(10):
@@ -116,14 +117,26 @@ def spread_hyperboloid_grid(seed, far=0, near=(3.0, 4.0)):
     return grid_from_points(HYP2, (0,), (9,), pts)
 
 
-# three points in each parity class, so nodes of both classes fail; the first
-# failing node is 2 on the grid of seed 0 and 3 on the grid of seed 1
+# three points in each parity class, so nodes of both classes fail; with the
+# iteration capped at 3 steps the first failing node is the odd node 1 on the
+# grids of seeds 0 and 1, ahead of the even node 2
 BOTH_CLASSES = make_mask((-2,), [0.125, 0.25, 0.75, 0.5, 0.125, 0.25])
+SPREAD_CASES = pytest.mark.parametrize(
+    "mask,seed", ((CUBIC, 0), (BOTH_CLASSES, 0), (BOTH_CLASSES, 1)),
+    ids=("cubic-0", "both-classes-0", "both-classes-1"))
 
 
-@pytest.mark.parametrize("mask,seed", ((CUBIC, 0), (BOTH_CLASSES, 0), (BOTH_CLASSES, 1)),
-                         ids=("cubic-0", "both-classes-0", "both-classes-1"))
-def test_solver_failures_match_the_pointwise_loop(mask, seed):
+@SPREAD_CASES
+def test_spread_grids_refine_like_the_pointwise_loop(mask, seed):
+    x = spread_hyperboloid_grid(seed)
+    y = subdivide(mask, x)
+    expected = pointwise_refine(mask, x)
+    assert [bits(y.get(i)) for i in y.indices()] == [bits(p) for p in expected.values()]
+
+
+@SPREAD_CASES
+def test_solver_failures_match_the_pointwise_loop(mask, seed, monkeypatch):
+    monkeypatch.setattr(spaces, "BARYCENTER_MAX_ITER", 3)  # too few steps for these grids
     x = spread_hyperboloid_grid(seed)
     with pytest.raises(SolverError) as batched:
         subdivide(mask, x)
@@ -134,20 +147,24 @@ def test_solver_failures_match_the_pointwise_loop(mask, seed):
     assert bits(batched.value.last_iterate) == bits(pointwise.value.last_iterate)
 
 
-def test_a_lower_node_failing_later_is_the_one_raised():
-    """On this grid a far node fails (a non-finite result) at an earlier
-    iteration than a lower node overflows; both are a NumericError, as in the
-    node-by-node loop."""
+def test_a_lower_node_failing_later_is_the_one_raised(monkeypatch):
+    """With the iteration capped at 3 steps, a far node of this grid fails at
+    the first step (its coordinates are too coarse for the tolerance: a
+    DomainError) and a lower node fails later, at the cap; subdivide raises
+    the lower node's error, as the node-by-node loop does."""
+    monkeypatch.setattr(spaces, "BARYCENTER_MAX_ITER", 3)
     x = spread_hyperboloid_grid(18, far=5)
-    with pytest.raises(NumericError) as batched:
+    with pytest.raises(SolverError) as batched:
         subdivide(CUBIC, x)
-    with pytest.raises(NumericError) as pointwise:
+    with pytest.raises(SolverError) as pointwise:
         pointwise_refine(CUBIC, x)
-    assert type(batched.value) is type(pointwise.value)
     assert str(batched.value) == str(pointwise.value)
+    assert batched.value.residual == pointwise.value.residual
+    assert bits(batched.value.last_iterate) == bits(pointwise.value.last_iterate)
 
 
-def test_cli_reports_the_solver_failure(tmp_path, capsys):
+def test_cli_reports_the_solver_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(spaces, "BARYCENTER_MAX_ITER", 3)
     data, mask = tmp_path / "data.json", tmp_path / "mask.json"
     data.write_text(json.dumps(grid_to_json(spread_hyperboloid_grid(0))))
     mask.write_text(json.dumps({"dim": 1, "offset": [-2],
@@ -159,10 +176,10 @@ def test_cli_reports_the_solver_failure(tmp_path, capsys):
 
 
 def test_cli_reports_an_overflow_as_a_numeric_error(tmp_path, capsys):
-    """At radius 15 the cubic mask's barycenter iteration overflows cosh: the
-    CLI reports a typed error, and nothing else reaches stderr."""
+    """At radius 300 to 340 the cubic mask's first barycenter step overflows:
+    the CLI reports a typed error, and nothing else reaches stderr."""
     data, mask = tmp_path / "data.json", tmp_path / "mask.json"
-    data.write_text(json.dumps(grid_to_json(spread_hyperboloid_grid(0, near=(15.0, 15.0)))))
+    data.write_text(json.dumps(grid_to_json(spread_hyperboloid_grid(0, far=10))))
     mask.write_text(json.dumps(mask_to_json(CUBIC)))
     code = main(["subdivide", "--mask", str(mask), "--data", str(data), "--levels", "2"])
     assert code == 1
