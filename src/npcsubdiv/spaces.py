@@ -173,10 +173,6 @@ def _weighted_sum(weights, terms, core: int):
     return sum(w * terms[(..., k) + tail] for k, w in enumerate(weights))
 
 
-def _clip0(x):
-    return np.maximum(x, 0.0)  # as max(x, 0.0): NaN stays NaN
-
-
 def _failure() -> NumericError:
     return NumericError("non-finite result")
 
@@ -222,10 +218,26 @@ def _expm(m):
     return _sym((v * np.exp(w)[..., None, :]) @ _T(v))
 
 
-def _sqrt_pair(m):
-    w, v = _eigh(m)
-    s = np.sqrt(_positive(w))
-    return _sym((v * s[..., None, :]) @ _T(v)), _sym((v / s[..., None, :]) @ _T(v))
+# SPD matrices q are whitened by a base point p = V diag(r)^2 V^T in its
+# eigenframe, diag(r)^-1 V^T q V diag(r)^-1: the scaling rounds each entry of
+# V^T q V on its own.  The product p^-1/2 q p^-1/2 spreads the rounding of the
+# largest entries of p^-1/2 over every entry, which past log-spread 10 costs
+# more than the barycenter tolerance.
+
+def _frame(p):
+    """(V, r) with p = V diag(r)^2 V^T."""
+    w, v = _eigh(p)
+    return v, np.sqrt(_positive(w))
+
+
+def _whiten(frame, q):
+    v, r = frame
+    return (_T(v) @ q @ v) / (r[..., :, None] * r[..., None, :])
+
+
+def _unwhiten(frame, m):
+    v, r = frame
+    return _sym(v @ (m * (r[..., :, None] * r[..., None, :])) @ _T(v))
 
 
 def _hyp_renorm(p):
@@ -242,7 +254,9 @@ def _bounded(kappa, weights, dists, v):
     s_i = kappa^1/2 d_i (the term is 1 at s_i = 0), so the unit step contracts
     by c - 1 and the step 2 / (1 + c) by (c - 1) / (c + 1), the least any
     step guarantees.  The unit step is kept while c < UNIT_STEP_C, where it
-    contracts by less than 0.7; rows of unit-ball data stay there."""
+    contracts by less than 0.7: rows of unit-ball data stay there, so their
+    iterates stay as they were.  The step 2 / (1 + c) on every row takes
+    about as many steps in all but moves those results by up to 3e-10."""
     s = math.sqrt(kappa) * dists
     if s.max(initial=0.0) < 1.0:  # s coth(s) < 1.32 there: c < UNIT_STEP_C on every row
         return v
@@ -258,16 +272,17 @@ def _bounded(kappa, weights, dists, v):
 # any leading axes; `resolution` gives, per row of points (N, k, payload), the
 # smallest distance their coordinates resolve.
 
-def _scale_free(self, points):
-    # the formulas are invariant under translating (euclidean) or scaling
-    # (spd) the data, so coordinates far out lose only their relative rounding
-    return np.zeros(len(points))
+def _coordinate_spacing(self, points):
+    # differences of coordinates, and the Minkowski forms, round off to the
+    # float spacing of the largest coordinate (on the hyperboloid the time
+    # coordinate, about e^R / 2 at radius R)
+    return np.spacing(np.abs(_rows(points, 2)).max(axis=-1))
 
 
 class _Euclidean:
     core = 1
     kappa = 0.0
-    resolution = _scale_free
+    resolution = _coordinate_spacing
 
     def dist(self, p, q):
         return _norm(p - q, 1)
@@ -291,35 +306,37 @@ class _Euclidean:
 class _SPD:
     core = 2
     kappa = 0.5
-    resolution = _scale_free
+
+    def resolution(self, points):
+        # the metric is invariant under congruence, so the scale of the
+        # entries costs no resolution
+        return np.zeros(len(points))
 
     def dist(self, p, q):
-        _, si = _sqrt_pair(p)
-        w, _ = _eigh(si @ q @ si, vectors=False)
+        w, _ = _eigh(_whiten(_frame(p), q), vectors=False)
         return _norm(np.log(_positive(w)), 1)
 
     def geodesic(self, p, q, t):
-        s, si = _sqrt_pair(p)
-        w, v = _eigh(si @ q @ si)
-        mid = _sym((v * np.power(_positive(w), t)[..., None, :]) @ _T(v))
-        return _sym(s @ mid @ s)
+        frame = _frame(p)
+        w, v = _eigh(_whiten(frame, q))
+        return _unwhiten(frame, (v * np.power(_positive(w), t)[..., None, :]) @ _T(v))
 
     def log(self, p, q):
-        s, si = _sqrt_pair(p)
-        return _sym(s @ _logm(si @ q @ si) @ s)
+        frame = _frame(p)
+        return _unwhiten(frame, _logm(_whiten(frame, q)))
 
     def exp(self, p, v):
-        s, si = _sqrt_pair(p)
-        return _sym(s @ _expm(si @ v @ si) @ s)
+        frame = _frame(p)
+        return _unwhiten(frame, _expm(_whiten(frame, v)))
 
     def step(self, y, points, weights):
         # logs are taken in the frame whitened by y, where the metric is Frobenius
-        s, si = _sqrt_pair(y)
-        si_k = si[..., None, :, :]
-        logs = _logm(si_k @ points @ si_k)
+        frame = _frame(y)
+        v_y, r_y = frame
+        logs = _logm(_whiten((v_y[..., None, :, :], r_y[..., None, :]), points))
         v = _weighted_sum(weights, logs, 2)
         norms = _norm(logs, 2)
-        return _norm(v, 2), norms, _sym(s @ _expm(_bounded(self.kappa, weights, norms, v)) @ s)
+        return _norm(v, 2), norms, _unwhiten(frame, _expm(_bounded(self.kappa, weights, norms, v)))
 
 
 def _mink(p, q):
@@ -327,14 +344,35 @@ def _mink(p, q):
     return _dot(p[..., 1:], q[..., 1:]) - p[..., 0] * q[..., 0]
 
 
+def _wedge2(a, b):
+    """|a ^ b|^2 = sum_{i<j} (a_i b_j - a_j b_i)^2 over the last axis."""
+    outer = a[..., :, None] * b[..., None, :]
+    wedge = _rows(outer - _T(outer), 2)  # each pair i < j twice, the diagonal 0
+    return 0.5 * _dot(wedge, wedge)
+
+
 def _tangent_norm(y, v):
     """sqrt(<v,v>_M) for v tangent at y, in the form that cannot cancel:
-    <v,v>_M = (|v_s|^2 + sum_{i<j} (y_i v_j - y_j v_i)^2) / y0^2 over the
-    spatial coordinates, since y0 v0 = <y_s, v_s> and y0^2 = 1 + |y_s|^2."""
+    <v,v>_M = (|v_s|^2 + |y_s ^ v_s|^2) / y0^2 over the spatial coordinates,
+    since y0 v0 = <y_s, v_s> and y0^2 = 1 + |y_s|^2."""
     ys, vs = y[..., 1:], v[..., 1:]
-    outer = ys[..., :, None] * vs[..., None, :]
-    wedge = _rows(outer - _T(outer), 2)  # each pair i < j twice, the diagonal 0
-    return np.sqrt(_dot(vs, vs) + 0.5 * _dot(wedge, wedge)) / y[..., 0]
+    return np.sqrt(_dot(vs, vs) + _wedge2(ys, vs)) / y[..., 0]
+
+
+def _cosh_minus_1(p, q):
+    """cosh d(p, q) - 1 = -<p,q>_M - 1 as a sum of nonnegative terms.  With
+    e = q_s - p_s and <p_s, q_s> >= 0 it is
+    (|e|^2 + |p_s ^ e|^2) / (1 + p0 q0 + <p_s, q_s>), where p_s ^ e = p_s ^ q_s;
+    otherwise a b + a + b - <p_s, q_s> with a = p0 - 1 = |p_s|^2 / (1 + p0) and
+    b likewise.  -<p,q>_M itself rounds off about p0 q0, which swamps
+    cosh d - 1 for nearby points far from the origin."""
+    ps, qs = p[..., 1:], q[..., 1:]
+    dot = _dot(ps, qs)
+    e = qs - ps
+    same = (_dot(e, e) + _wedge2(ps, e)) / (1.0 + p[..., 0] * q[..., 0] + dot)
+    a = _dot(ps, ps) / (1.0 + p[..., 0])
+    b = _dot(qs, qs) / (1.0 + q[..., 0])
+    return np.where(dot >= 0.0, same, a * b + a + b - dot)
 
 
 class _Hyperboloid:
@@ -342,24 +380,14 @@ class _Hyperboloid:
     kappa = 1.0
 
     def dist(self, p, q):
-        # the chordal form 2 asinh(|q - p|_M / 2) rounds off about |q - p|^2
-        # and acosh(-<p,q>_M) about 2 p0 q0: far apart, the chordal form
-        # cancels (to 0.0 at large coordinates), so take the one that rounds less
-        d = q - p
-        out = 2.0 * np.arcsinh(0.5 * np.sqrt(_clip0(_mink(d, d))))
-        far = _dot(d, d) > 2.0 * p[..., 0] * q[..., 0]
-        if far.any():
-            out = np.where(far, np.arccosh(np.maximum(-_mink(p, q), 1.0)), out)
-        return out
+        # cosh d - 1 = 2 sinh^2(d / 2)
+        return 2.0 * np.arcsinh(np.sqrt(0.5 * _cosh_minus_1(p, q)))
 
-    def resolution(self, points):
-        # the Minkowski forms cancel to the float spacing of the largest
-        # coordinate, the time coordinate, which is about e^R / 2 at radius R
-        return np.spacing(points[..., 0].max(axis=-1))
+    resolution = _coordinate_spacing
 
     def log(self, p, q):
-        alpha = -_mink(p, q)
-        t = alpha - 1.0
+        t = _cosh_minus_1(p, q)
+        alpha = 1.0 + t
         u = q - alpha[..., None] * p
         near = t < 1e-8
         far = np.where(near, 2.0, alpha)  # acosh only where the series is not used
@@ -505,33 +533,23 @@ def _karcher_step(backend, y, points, weights):
     return backend.step(y, points, weights)
 
 
-def _row_failure(row: int, nonfinite: bool, tol: float, floor: float):
-    """(row, error) for a failing row: NumericError for a non-finite step,
-    DomainError for a tolerance below the float spacing of the coordinates."""
-    if nonfinite:
-        return row, _failure()
-    return row, DomainError(
-        f"ill-conditioned barycenter: the data's coordinates resolve only "
-        f"{floor:.3g}, coarser than the tolerance {tol:.3g}")
-
-
 def barycenters(desc: SpaceDescriptor, points, weights):
     """argmin of sum_j w_j d(x_j, .)^2 for each row of points (N, k, payload),
     all rows sharing one weight vector.
 
     Returns the stacked minimizers and the first failing row as (row, error),
     or None when no row fails.  A row fails with NumericError when a step
-    gives it a non-finite residual, distance or iterate, and with DomainError
-    when its tolerance (below) is finer than the float spacing of its
-    coordinates, which they cannot resolve.  Rows above a failed row stop
-    iterating, since they cannot change which failure comes first; once a row
-    fails the values are undefined.  The tripod uses the exact per-leg closed
-    form.  On a smooth backend a row starts at the point of largest weight
-    (ties: lowest index); a 2-point row is the geodesic point walked from
-    there, and a longer row runs the Karcher iteration, each step scaled by
-    `_bounded`, until the tangent update norm falls below the tolerance
-    1e-10 * (1 + largest distance from the start point); it returns the
-    iterate before its last update.
+    gives it a non-finite residual, distance or iterate, and before any step
+    with DomainError when its tolerance (below) is finer than the float
+    spacing of its coordinates, which they cannot resolve.  Rows above a
+    failed row stop iterating, since they cannot change which failure comes
+    first; once a row fails the values are undefined.  The tripod uses the
+    exact per-leg closed form.  On a smooth backend a row starts at the point
+    of largest weight (ties: lowest index); a 2-point row is the geodesic
+    point walked from there, and a longer row runs the Karcher iteration,
+    each step scaled by `_bounded`, until the tangent update norm falls below
+    the tolerance 1e-10 * (1 + largest distance from the start point); it
+    returns the iterate before its last update.
     """
     backend = _BACKENDS[desc.kind]
     points = np.asarray(points, dtype=float)
@@ -545,41 +563,44 @@ def barycenters(desc: SpaceDescriptor, points, weights):
             out = backend.barycenter(points, weights)
             bad = np.flatnonzero(~_finite(out, 1))
             return out, (int(bad[0]), _failure()) if bad.size else None
-        floor = backend.resolution(points)
-        if points.shape[1] == 2:
-            p, q = points[:, start], points[:, 1 - start]
-            out = backend.geodesic(p, q, weights[1 - start])
-            nonfinite = ~_finite(out, backend.core)
-            tol = np.full(len(points), BARYCENTER_TOL)
-            if (floor > tol).any():  # the tolerance is at least BARYCENTER_TOL
-                tol = BARYCENTER_TOL * (1.0 + backend.dist(p, q))
-            bad = np.flatnonzero(nonfinite | (tol < floor))
-            if not bad.size:
-                return out, None
-            r = bad[0]
-            return out, _row_failure(int(r), nonfinite[r], tol[r], floor[r])
-        y = points[:, start]
-        out = y.copy()
-        rows = np.arange(len(points))  # live rows, ascending
+        # a row whose tolerance is finer than its coordinates resolve fails
+        # before any work; the tolerance is at least BARYCENTER_TOL
         first = None
+        floor = backend.resolution(points)
+        if (floor > BARYCENTER_TOL).any():
+            dists = backend.dist(points[:, start, None], points)
+            tol = BARYCENTER_TOL * (1.0 + dists.max(axis=-1))
+            coarse = np.flatnonzero(tol < floor)
+            if coarse.size:
+                r = int(coarse[0])
+                first = (r, DomainError(
+                    f"ill-conditioned barycenter: the data's coordinates resolve "
+                    f"only {floor[r]:.3g}, coarser than the tolerance {tol[r]:.3g}"))
+        limit = len(points) if first is None else first[0]  # rows that can fail first
+        if points.shape[1] == 2:
+            out = backend.geodesic(points[:, start], points[:, 1 - start], weights[1 - start])
+            bad = np.flatnonzero(~_finite(out[:limit], backend.core))
+            return out, (int(bad[0]), _failure()) if bad.size else first
+        out = points[:, start].copy()
+        points = points[:limit]
+        y = points[:, start]
+        rows = np.arange(limit)  # live rows, ascending
         tol = None
         for _ in range(BARYCENTER_MAX_ITER):
             if not rows.size:
                 return out, first
             residual, dists, nxt = _karcher_step(backend, y, points, weights)
-            nonfinite = ~(np.isfinite(residual) & _finite(dists, 1)
-                          & _finite(nxt, backend.core))
-            failed = nonfinite
             if tol is None:
                 # start points are data points, so max distance <= data diameter
                 tol = BARYCENTER_TOL * (1.0 + dists.max(axis=-1))
-                failed = nonfinite | (tol < floor)
+            failed = ~(np.isfinite(residual) & _finite(dists, 1)
+                       & _finite(nxt, backend.core))
             done = ~failed & (residual <= tol)
             out[rows[done]] = y[done]
             live = ~failed & ~done
             if failed.any():
                 r = np.flatnonzero(failed)[0]  # live rows lie below any earlier failure
-                first = _row_failure(int(rows[r]), nonfinite[r], tol[r], floor[rows[r]])
+                first = (int(rows[r]), _failure())
                 live &= rows < first[0]
             if not live.all():
                 rows, nxt, points, tol, residual = (
@@ -600,9 +621,17 @@ def log_map(base: SpacePoint, x: SpacePoint) -> np.ndarray:
 
 
 def exp_map(base: SpacePoint, v: np.ndarray) -> SpacePoint:
-    """Exponential map at base (euclidean, spd, hyperboloid)."""
+    """Exponential map at base (euclidean, spd, hyperboloid).  On the
+    hyperboloid v must be tangent at base: |<base, v>_M| at most
+    HYPERBOLOID_TOL * base0^2 * |v|, the round-off a computed tangent carries."""
     desc = base.descriptor
-    return _point(desc, _apply(desc, "exp", _payload(base), numbers(v, "tangent vector")))
+    p, v = _payload(base), numbers(v, "tangent vector")
+    if v.shape != p.shape:
+        raise StructuralError(f"tangent vector must have shape {p.shape}, got {v.shape}")
+    if desc.kind == HYPERBOLOID and not (
+            abs(_mink(p, v)) <= HYPERBOLOID_TOL * p[0] * p[0] * _norm(v, 1)):
+        raise DomainError("vector is not tangent to the hyperboloid at base")
+    return _point(desc, _apply(desc, "exp", p, v))
 
 
 def distance(p: SpacePoint, q: SpacePoint) -> float:

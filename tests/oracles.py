@@ -214,11 +214,9 @@ def _spd_gradient(y, points, weights):
     v = mpmath.zeros(len(y))
     for w, x in zip(weights, xs):
         v += whitened_log(si_y, x) * mpmath.mpf(float(w))
-    # the diameter only scales the bound: floats, d(a, b) = |log eig(a^-1 b)|
-    pts = np.asarray(points, dtype=float)
-    diam = max(math.sqrt(float(np.sum(np.log(np.linalg.eigvals(
-        np.linalg.solve(pts[i], pts[j])).real) ** 2)))
-        for i in range(len(pts)) for j in range(i))
+    # d(a, b) = |logm(a^-1/2 b a^-1/2)|_F
+    diam = max(mpmath.mnorm(whitened_log(inverse_sqrt(xs[i]), xs[j]), "f")
+               for i in range(len(xs)) for j in range(i))
     return mpmath.mnorm(v, "f"), diam
 
 
@@ -231,7 +229,7 @@ def karcher_gradient_norm(kind, y, points, weights, digits=50):
     s (time coordinate sqrt(1 + |s|^2)); cosh d(x, y) = -<x, y>_M,
     log_y(x) = d / sinh(d) * (x - cosh(d) y), normed by sqrt(<v, v>_M).
     spd: in the affine-invariant metric, log_y(x) = y^1/2 logm(y^-1/2 x y^-1/2) y^1/2
-    has norm |logm(y^-1/2 x y^-1/2)|_F; the diameter is taken in floats.
+    has norm |logm(y^-1/2 x y^-1/2)|_F.
     """
     with mpmath.workdps(digits):
         norm, diam = {"hyperboloid": _hyperboloid_gradient, "spd": _spd_gradient}[kind](

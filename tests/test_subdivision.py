@@ -18,7 +18,7 @@ from npcsubdiv.cli import main
 from npcsubdiv.grid import box_indices, grid_from_points, grid_to_json, random_grid
 from npcsubdiv.masks import BoxGauge, mask_to_json, unit_gauge
 from npcsubdiv.spaces import hyperboloid_point, point_to_json
-from oracles import linear_refine, pairwise_sup, pointwise_refine
+from oracles import karcher_gradient_norm, linear_refine, pairwise_sup, pointwise_refine
 
 EU1 = SpaceDescriptor("euclidean", 1)
 EU2 = SpaceDescriptor("euclidean", 2)
@@ -132,6 +132,23 @@ def test_spread_grids_refine_like_the_pointwise_loop(mask, seed):
     y = subdivide(mask, x)
     expected = pointwise_refine(mask, x)
     assert [bits(y.get(i)) for i in y.indices()] == [bits(p) for p in expected.values()]
+
+
+def test_a_grid_far_from_the_origin_refines_to_stationary_points():
+    """Ten hyperboloid:2 points at radius 15: the cubic mask's three-point
+    barycenters lie near radius 12, where -<y,x>_M rounds off about 2e-5 and
+    the residual stalled at 1.2e-6, above the tolerance 3e-9."""
+    x = spread_hyperboloid_grid(0, near=(15.0, 15.0))
+    y = subdivide(CUBIC, x)
+    expected = pointwise_refine(CUBIC, x)
+    assert [bits(y.get(i)) for i in y.indices()] == [bits(p) for p in expected.values()]
+    rows = np.stack([x.payloads[i - 1:i + 2] for i in range(1, 9)])
+    weights = [0.125, 0.75, 0.125]
+    out, failure = spaces.barycenters(HYP2, rows, weights)
+    assert failure is None
+    for row, point in zip(rows, out):
+        norm, diam = karcher_gradient_norm("hyperboloid", point, row, weights)
+        assert norm <= 1e-8 * (1.0 + diam)
 
 
 @SPREAD_CASES
