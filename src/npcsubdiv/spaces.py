@@ -4,9 +4,9 @@ Four backends share one interface: euclidean vectors, symmetric
 positive-definite matrices with the affine-invariant metric, the hyperboloid
 model of hyperbolic space, and the tripod (three rays glued at their
 endpoints).  Each backend works on payloads stacked along leading axes:
-distance, geodesics, a weighted Frechet-mean (barycenter) solver, and on the
-smooth backends exp/log maps.  The functions on single `SpacePoint`s are the
-one-point case of that batched code.
+distance, geodesics, a weighted Frechet-mean (barycenter) solver,
+exp/log maps on the smooth backends, sampling and the JSON codec.  The
+functions on single `SpacePoint`s are the one-point case of that batched code.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ HYPERBOLOID = "hyperboloid"
 TRIPOD = "tripod"
 KINDS = (EUCLIDEAN, SPD, HYPERBOLOID, TRIPOD)
 
-POINT_TOL = 1e-9            # payload-wise equality tolerance
 HYPERBOLOID_TOL = 1e-10     # |<p,p>_M + 1| bound for membership, times p0^2
 BARYCENTER_TOL = 1e-10      # scaled by (1 + data diameter)
 BARYCENTER_MAX_ITER = 500
@@ -265,24 +264,117 @@ def _bounded(kappa, weights, dists, v):
     return h.reshape(h.shape + (1,) * (v.ndim - h.ndim)) * v
 
 
+def _karcher_step(backend, y, points, weights):
+    """One fixed-point update of a batch: (residual norms, distances from y
+    to the points, next iterates)."""
+    return backend.step(y, points, weights)
+
+
 # -- backends -------------------------------------------------------------------
 #
-# One class per kind; `core` counts the payload axes and `kappa` bounds the
-# curvature from below by -kappa.  Methods take stacked payloads and work over
-# any leading axes; `resolution` gives, per row of points (N, k, payload), the
-# smallest distance their coordinates resolve.
+# One class per kind; `core` counts the payload axes, `kappa` bounds the
+# curvature from below by -kappa, `key` names the payload in JSON.  Methods
+# work over any leading axes.  The base class holds the Karcher solver.
 
-def _coordinate_spacing(self, points):
-    # differences of coordinates, and the Minkowski forms, round off to the
-    # float spacing of the largest coordinate (on the hyperboloid the time
-    # coordinate, about e^R / 2 at radius R)
-    return np.spacing(np.abs(_rows(points, 2)).max(axis=-1))
-
-
-class _Euclidean:
+class _Backend:
     core = 1
     kappa = 0.0
-    resolution = _coordinate_spacing
+
+    def point(self, desc, payload):
+        payload.flags.writeable = False
+        return SpacePoint(desc, payload)
+
+    def to_json(self, payloads):
+        return [{self.key: row} for row in payloads.tolist()]
+
+    def from_json(self, obj):
+        return self.make(obj[self.key])
+
+    def tangent(self, p, v):
+        """Refuses a vector v that is not tangent at p."""
+
+    def resolution(self, points):
+        """Per row of points (N, k, payload), the smallest distance their
+        coordinates resolve: the float spacing of the largest coordinate (on
+        the hyperboloid the time coordinate, about e^R / 2 at radius R)."""
+        return np.spacing(np.abs(_rows(points, 1 + self.core)).max(axis=-1))
+
+    def norm(self, y, v):
+        return _norm(v, self.core)
+
+    def step(self, y, points, weights):
+        logs = self.log(y[:, None], points)
+        v = _weighted_sum(weights, logs, self.core)
+        norms = self.norm(y[:, None], logs)
+        return self.norm(y, v), norms, self.exp(y, _bounded(self.kappa, weights, norms, v))
+
+    def sampler(self, desc, seed):
+        """A unit-speed geodesic toward a random second point."""
+        rng = np.random.default_rng(seed)
+        base = random_point(desc, rng)
+        speed = 0.0
+        while speed < 1e-9:  # resample the second point if the two coincide
+            other = random_point(desc, rng)
+            speed = distance(base, other)  # the length of log_base(other)
+        unit = log_map(base, other) / speed
+        return lambda t: exp_map(base, float(t[0]) * unit)
+
+    def barycenters(self, desc, points, weights):
+        """The smooth solver of `barycenters`."""
+        start = int(np.argmax(weights))
+        # a row whose tolerance is finer than its coordinates resolve fails
+        # before any work; the tolerance is at least BARYCENTER_TOL
+        first = None
+        floor = self.resolution(points)
+        if (floor > BARYCENTER_TOL).any():
+            dists = self.dist(points[:, start, None], points)
+            tol = BARYCENTER_TOL * (1.0 + dists.max(axis=-1))
+            coarse = np.flatnonzero(tol < floor)
+            if coarse.size:
+                r = int(coarse[0])
+                first = (r, DomainError(
+                    f"ill-conditioned barycenter: the data's coordinates resolve "
+                    f"only {floor[r]:.3g}, coarser than the tolerance {tol[r]:.3g}"))
+        limit = len(points) if first is None else first[0]  # rows that can fail first
+        if points.shape[1] == 2:
+            out = self.geodesic(points[:, start], points[:, 1 - start], weights[1 - start])
+            bad = np.flatnonzero(~_finite(out[:limit], self.core))
+            return out, (int(bad[0]), _failure()) if bad.size else first
+        out = points[:, start].copy()
+        points = points[:limit]
+        y = points[:, start]
+        rows = np.arange(limit)  # live rows, ascending
+        tol = None
+        for _ in range(BARYCENTER_MAX_ITER):
+            if not rows.size:
+                break
+            residual, dists, nxt = _karcher_step(self, y, points, weights)
+            if tol is None:
+                # start points are data points, so max distance <= data diameter
+                tol = BARYCENTER_TOL * (1.0 + dists.max(axis=-1))
+            failed = ~(np.isfinite(residual) & _finite(dists, 1)
+                       & _finite(nxt, self.core))
+            done = ~failed & (residual <= tol)
+            out[rows[done]] = y[done]
+            live = ~failed & ~done
+            if failed.any():
+                r = np.flatnonzero(failed)[0]  # live rows lie below any earlier failure
+                first = (int(rows[r]), _failure())
+                live &= rows < first[0]
+            if not live.all():
+                rows, nxt, points, tol, residual = (
+                    a[live] for a in (rows, nxt, points, tol, residual))
+            y = nxt
+        if rows.size:
+            first = (int(rows[0]), SolverError("barycenter iteration did not converge",
+                                               last_iterate=self.point(desc, y[0]),
+                                               residual=float(residual[0])))
+        return out, first
+
+
+class _Euclidean(_Backend):
+    key = "v"
+    make = staticmethod(euclidean_point)
 
     def dist(self, p, q):
         return _norm(p - q, 1)
@@ -296,16 +388,15 @@ class _Euclidean:
     def exp(self, p, v):
         return p + v
 
-    def step(self, y, points, weights):
-        logs = points - y[..., None, :]
-        v = _weighted_sum(weights, logs, 1)
-        norms = _norm(logs, 1)
-        return _norm(v, 1), norms, y + _bounded(self.kappa, weights, norms, v)
+    def random(self, desc, rng):
+        return euclidean_point(rng.random(desc.dim))
 
 
-class _SPD:
+class _SPD(_Backend):
     core = 2
     kappa = 0.5
+    key = "m"
+    make = staticmethod(spd_point)
 
     def resolution(self, points):
         # the metric is invariant under congruence, so the scale of the
@@ -338,6 +429,10 @@ class _SPD:
         norms = _norm(logs, 2)
         return _norm(v, 2), norms, _unwhiten(frame, _expm(_bounded(self.kappa, weights, norms, v)))
 
+    def random(self, desc, rng):
+        a = rng.uniform(-1.0, 1.0, (desc.dim, desc.dim))
+        return spd_point(_expm(_sym(a)))
+
 
 def _mink(p, q):
     # Minkowski form: -p0*q0 + sum_k pk*qk
@@ -349,14 +444,6 @@ def _wedge2(a, b):
     outer = a[..., :, None] * b[..., None, :]
     wedge = _rows(outer - _T(outer), 2)  # each pair i < j twice, the diagonal 0
     return 0.5 * _dot(wedge, wedge)
-
-
-def _tangent_norm(y, v):
-    """sqrt(<v,v>_M) for v tangent at y, in the form that cannot cancel:
-    <v,v>_M = (|v_s|^2 + |y_s ^ v_s|^2) / y0^2 over the spatial coordinates,
-    since y0 v0 = <y_s, v_s> and y0^2 = 1 + |y_s|^2."""
-    ys, vs = y[..., 1:], v[..., 1:]
-    return np.sqrt(_dot(vs, vs) + _wedge2(ys, vs)) / y[..., 0]
 
 
 def _cosh_minus_1(p, q):
@@ -375,15 +462,26 @@ def _cosh_minus_1(p, q):
     return np.where(dot >= 0.0, same, a * b + a + b - dot)
 
 
-class _Hyperboloid:
-    core = 1
+class _Hyperboloid(_Backend):
     kappa = 1.0
+    key = "p"
+    make = staticmethod(hyperboloid_point)
+
+    def tangent(self, p, v):
+        # |<p, v>_M| up to the round-off a computed tangent carries
+        if not abs(_mink(p, v)) <= HYPERBOLOID_TOL * p[0] * p[0] * _norm(v, 1):
+            raise DomainError("vector is not tangent to the hyperboloid at base")
+
+    def norm(self, y, v):
+        """sqrt(<v,v>_M) for v tangent at y, in the form that cannot cancel:
+        <v,v>_M = (|v_s|^2 + |y_s ^ v_s|^2) / y0^2 over the spatial
+        coordinates, since y0 v0 = <y_s, v_s> and y0^2 = 1 + |y_s|^2."""
+        ys, vs = y[..., 1:], v[..., 1:]
+        return np.sqrt(_dot(vs, vs) + _wedge2(ys, vs)) / y[..., 0]
 
     def dist(self, p, q):
         # cosh d - 1 = 2 sinh^2(d / 2)
         return 2.0 * np.arcsinh(np.sqrt(0.5 * _cosh_minus_1(p, q)))
-
-    resolution = _coordinate_spacing
 
     def log(self, p, q):
         t = _cosh_minus_1(p, q)
@@ -396,7 +494,7 @@ class _Hyperboloid:
         return np.where((t <= 0.0)[..., None], 0.0, scale[..., None] * u)
 
     def exp(self, p, v):
-        n = _tangent_norm(p, v)
+        n = self.norm(p, v)
         tiny = n < 1e-16  # exp_p(v) = p; the ratio below is not used
         q = _hyp_renorm(np.cosh(n)[..., None] * p
                         + (np.sinh(n) / np.where(tiny, 1.0, n))[..., None] * v)
@@ -412,11 +510,14 @@ class _Hyperboloid:
         b = np.where(still, t, np.sinh(t * d) / s)
         return _hyp_renorm(a * p + b * q)
 
-    def step(self, y, points, weights):
-        logs = self.log(y[..., None, :], points)
-        v = _weighted_sum(weights, logs, 1)
-        norms = _tangent_norm(y[..., None, :], logs)
-        return _tangent_norm(y, v), norms, self.exp(y, _bounded(self.kappa, weights, norms, v))
+    def random(self, desc, rng):
+        origin = hyperboloid_from_spatial(np.zeros(desc.dim))
+        u = rng.standard_normal(desc.dim)
+        norm = float(np.linalg.norm(u))
+        if norm < 1e-12:
+            return origin
+        radius = rng.random() ** (1.0 / desc.dim)
+        return exp_map(origin, np.concatenate(([0.0], (radius / norm) * u)))
 
 
 def _tripod_rows(leg, t):
@@ -424,8 +525,17 @@ def _tripod_rows(leg, t):
     return np.stack([np.where(t == 0.0, 0.0, leg), t], axis=-1)
 
 
-class _Tripod:
-    core = 1
+class _Tripod(_Backend):
+
+    def point(self, desc, payload):
+        leg, t = payload.tolist()
+        return SpacePoint(desc, (int(leg), t))
+
+    def to_json(self, payloads):
+        return [{"leg": int(leg), "t": t} for leg, t in payloads.tolist()]
+
+    def from_json(self, obj):
+        return tripod_point(obj["leg"], obj["t"])
 
     def dist(self, p, q):
         return np.where(p[..., 0] == q[..., 0], np.abs(p[..., 1] - q[..., 1]),
@@ -445,8 +555,16 @@ class _Tripod:
 
     exp = log
 
-    def barycenter(self, points, weights):
-        # per-leg constrained quadratic; d((L,u), (leg,s)) = |u-s| or u+s
+    def random(self, desc, rng):
+        return tripod_point(rng.integers(3), rng.random())
+
+    def sampler(self, desc, seed):
+        """The line through the glue point along legs 1 and 2."""
+        return lambda t: tripod_point(1 if t[0] >= 0 else 2, abs(float(t[0])))
+
+    def barycenters(self, desc, points, weights):
+        """The exact closed form: a constrained quadratic per leg, with
+        d((L,u), (leg,s)) = |u-s| or u+s."""
         legs, ts = np.moveaxis(points, -1, 0)
         best = None
         for leg in range(3):
@@ -460,7 +578,9 @@ class _Tripod:
             better = value < best[0] - 1e-15
             best = tuple(np.where(better, new, old)
                          for new, old in zip((value, np.full_like(u, leg), u), best))
-        return _tripod_rows(best[1], best[2])
+        out = _tripod_rows(best[1], best[2])
+        bad = np.flatnonzero(~_finite(out, 1))
+        return out, (int(bad[0]), _failure()) if bad.size else None
 
 
 _BACKENDS = {EUCLIDEAN: _Euclidean(), SPD: _SPD(), HYPERBOLOID: _Hyperboloid(),
@@ -495,11 +615,7 @@ def _payload(p: SpacePoint) -> np.ndarray:
 
 def _point(desc: SpaceDescriptor, payload: np.ndarray) -> SpacePoint:
     """The point of one checked payload, which becomes read-only."""
-    if desc.kind == TRIPOD:
-        leg, t = payload.tolist()
-        return SpacePoint(desc, (int(leg), t))
-    payload.flags.writeable = False
-    return SpacePoint(desc, payload)
+    return _BACKENDS[desc.kind].point(desc, payload)
 
 
 # -- batched operations -----------------------------------------------------------
@@ -527,90 +643,29 @@ def _check_weights(weights, count: int) -> np.ndarray:
     return w
 
 
-def _karcher_step(backend, y, points, weights):
-    """One fixed-point update of a batch: (residual norms, distances from y
-    to the points, next iterates)."""
-    return backend.step(y, points, weights)
-
-
 def barycenters(desc: SpaceDescriptor, points, weights):
     """argmin of sum_j w_j d(x_j, .)^2 for each row of points (N, k, payload),
     all rows sharing one weight vector.
 
     Returns the stacked minimizers and the first failing row as (row, error),
-    or None when no row fails.  A row fails with NumericError when a step
-    gives it a non-finite residual, distance or iterate, and before any step
-    with DomainError when its tolerance (below) is finer than the float
-    spacing of its coordinates, which they cannot resolve.  Rows above a
-    failed row stop iterating, since they cannot change which failure comes
-    first; once a row fails the values are undefined.  The tripod uses the
-    exact per-leg closed form.  On a smooth backend a row starts at the point
-    of largest weight (ties: lowest index); a 2-point row is the geodesic
-    point walked from there, and a longer row runs the Karcher iteration,
-    each step scaled by `_bounded`, until the tangent update norm falls below
-    the tolerance 1e-10 * (1 + largest distance from the start point); it
-    returns the iterate before its last update.
+    or None.  A row fails with NumericError when a step gives it a non-finite
+    value, and before any step with DomainError when its tolerance (below) is
+    finer than the float spacing of its coordinates.  Rows above a failed row
+    stop, since they cannot change which failure comes first; once a row
+    fails the values are undefined.  The tripod uses its exact closed form.
+    On a smooth backend a row starts at the point of largest weight (ties:
+    lowest index); a 2-point row is the geodesic point walked from there, and
+    a longer row runs the Karcher iteration, each step scaled by `_bounded`,
+    until the update norm falls below the tolerance 1e-10 * (1 + largest
+    distance from the start point); it returns the iterate before that update.
     """
-    backend = _BACKENDS[desc.kind]
     points = np.asarray(points, dtype=float)
     try:
         weights = _check_weights(weights, points.shape[1])
     except (StructuralError, NumericError) as exc:
         return points[:, 0], (0, exc)
-    start = int(np.argmax(weights))
     with np.errstate(all="ignore"):
-        if desc.kind == TRIPOD:
-            out = backend.barycenter(points, weights)
-            bad = np.flatnonzero(~_finite(out, 1))
-            return out, (int(bad[0]), _failure()) if bad.size else None
-        # a row whose tolerance is finer than its coordinates resolve fails
-        # before any work; the tolerance is at least BARYCENTER_TOL
-        first = None
-        floor = backend.resolution(points)
-        if (floor > BARYCENTER_TOL).any():
-            dists = backend.dist(points[:, start, None], points)
-            tol = BARYCENTER_TOL * (1.0 + dists.max(axis=-1))
-            coarse = np.flatnonzero(tol < floor)
-            if coarse.size:
-                r = int(coarse[0])
-                first = (r, DomainError(
-                    f"ill-conditioned barycenter: the data's coordinates resolve "
-                    f"only {floor[r]:.3g}, coarser than the tolerance {tol[r]:.3g}"))
-        limit = len(points) if first is None else first[0]  # rows that can fail first
-        if points.shape[1] == 2:
-            out = backend.geodesic(points[:, start], points[:, 1 - start], weights[1 - start])
-            bad = np.flatnonzero(~_finite(out[:limit], backend.core))
-            return out, (int(bad[0]), _failure()) if bad.size else first
-        out = points[:, start].copy()
-        points = points[:limit]
-        y = points[:, start]
-        rows = np.arange(limit)  # live rows, ascending
-        tol = None
-        for _ in range(BARYCENTER_MAX_ITER):
-            if not rows.size:
-                return out, first
-            residual, dists, nxt = _karcher_step(backend, y, points, weights)
-            if tol is None:
-                # start points are data points, so max distance <= data diameter
-                tol = BARYCENTER_TOL * (1.0 + dists.max(axis=-1))
-            failed = ~(np.isfinite(residual) & _finite(dists, 1)
-                       & _finite(nxt, backend.core))
-            done = ~failed & (residual <= tol)
-            out[rows[done]] = y[done]
-            live = ~failed & ~done
-            if failed.any():
-                r = np.flatnonzero(failed)[0]  # live rows lie below any earlier failure
-                first = (int(rows[r]), _failure())
-                live &= rows < first[0]
-            if not live.all():
-                rows, nxt, points, tol, residual = (
-                    a[live] for a in (rows, nxt, points, tol, residual))
-            y = nxt
-    if not rows.size:
-        return out, first
-    return out, (int(rows[0]), SolverError("barycenter iteration did not converge",
-                                           last_iterate=_point(desc, y[0]),
-                                           residual=float(residual[0])))
+        return _BACKENDS[desc.kind].barycenters(desc, points, weights)
 
 
 # -- one-point operations ---------------------------------------------------------
@@ -628,9 +683,7 @@ def exp_map(base: SpacePoint, v: np.ndarray) -> SpacePoint:
     p, v = _payload(base), numbers(v, "tangent vector")
     if v.shape != p.shape:
         raise StructuralError(f"tangent vector must have shape {p.shape}, got {v.shape}")
-    if desc.kind == HYPERBOLOID and not (
-            abs(_mink(p, v)) <= HYPERBOLOID_TOL * p[0] * p[0] * _norm(v, 1)):
-        raise DomainError("vector is not tangent to the hyperboloid at base")
+    _BACKENDS[desc.kind].tangent(p, v)
     return _point(desc, _apply(desc, "exp", p, v))
 
 
@@ -686,43 +739,27 @@ def npc_residual(x0: SpacePoint, x1: SpacePoint, z: SpacePoint) -> float:
 
     Nonpositive on any space of nonpositive curvature.
     """
-    _check_same(x0, x1)
-    _check_same(x0, z)
-    m = geodesic_point(x0, x1, 0.5)
+    m = geodesic_point(x0, x1, 0.5)  # it and distance(z, m) check the descriptors
     return (distance(z, m) ** 2
             - 0.5 * distance(z, x0) ** 2
             - 0.5 * distance(z, x1) ** 2
             + 0.25 * distance(x0, x1) ** 2)
 
 
-def points_equal(p: SpacePoint, q: SpacePoint, tol: float = POINT_TOL) -> bool:
-    if p.descriptor != q.descriptor:
-        return False
-    if p.descriptor.kind == TRIPOD:
-        return distance(p, q) <= tol
-    return bool(np.all(np.abs(p.payload - q.payload) <= tol))
-
-
 # -- random data --------------------------------------------------------------
 
 def random_point(descriptor: SpaceDescriptor, rng: np.random.Generator) -> SpacePoint:
     """Sampler used by randomized trials; bounded-diameter data per backend."""
-    kind = descriptor.kind
-    if kind == EUCLIDEAN:
-        return euclidean_point(rng.random(descriptor.dim))
-    if kind == SPD:
-        a = rng.uniform(-1.0, 1.0, (descriptor.dim, descriptor.dim))
-        return spd_point(_expm(_sym(a)))
-    if kind == HYPERBOLOID:
-        d = descriptor.dim
-        u = rng.standard_normal(d)
-        norm = float(np.linalg.norm(u))
-        if norm < 1e-12:
-            return hyperboloid_from_spatial(np.zeros(d))
-        radius = rng.random() ** (1.0 / d)
-        v = np.concatenate(([0.0], (radius / norm) * u))
-        return exp_map(hyperboloid_from_spatial(np.zeros(d)), v)
-    return tripod_point(rng.integers(3), rng.random())
+    return _BACKENDS[descriptor.kind].random(descriptor, rng)
+
+
+def geodesic_sampler(descriptor: SpaceDescriptor, seed: int = 0):
+    """Unit-speed geodesic t -> gamma(t), so Lipschitz constant exactly 1.
+
+    The direction runs toward a random second point; on the tripod the line
+    runs through the glue point along legs 1 and 2.
+    """
+    return _BACKENDS[descriptor.kind].sampler(descriptor, seed)
 
 
 # -- JSON encodings -----------------------------------------------------------
@@ -745,22 +782,12 @@ def point_to_json(p: SpacePoint) -> dict:
 def payloads_to_json(desc: SpaceDescriptor, payloads: np.ndarray) -> list:
     """The point objects of a stack of payloads, one per leading row, without
     building the points; a tripod row (leg, t) writes leg as an int."""
-    if desc.kind == TRIPOD:
-        return [{"leg": int(leg), "t": t} for leg, t in payloads.tolist()]
-    key = {EUCLIDEAN: "v", SPD: "m", HYPERBOLOID: "p"}[desc.kind]
-    return [{key: row} for row in payloads.tolist()]
+    return _BACKENDS[desc.kind].to_json(payloads)
 
 
 def point_from_json(desc: SpaceDescriptor, obj: dict) -> SpacePoint:
     try:
-        if desc.kind == EUCLIDEAN:
-            pt = euclidean_point(obj["v"])
-        elif desc.kind == SPD:
-            pt = spd_point(obj["m"])
-        elif desc.kind == HYPERBOLOID:
-            pt = hyperboloid_point(obj["p"])
-        else:
-            pt = tripod_point(obj["leg"], obj["t"])
+        pt = _BACKENDS[desc.kind].from_json(obj)
     except (KeyError, TypeError) as exc:
         raise StructuralError(f"bad point object for {desc.kind}: {obj!r}") from exc
     if pt.descriptor != desc:

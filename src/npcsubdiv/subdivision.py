@@ -20,9 +20,8 @@ from .grid import GridData, box_array, box_intersect, check_interior_depth, \
 from .linear import contractivity_certificate, fit_gamma
 from .masks import ITERATED_SUPPORT_CAP, BoxGauge, Mask, default_gauge, gauge_offsets, \
     require_sum_rule, stencil, support_radius, unit_gauge
-from .spaces import EUCLIDEAN, TRIPOD, SpaceDescriptor, barycenters, \
-    distance, distances, exp_map, geodesic_points, log_map, random_point, \
-    stack_payloads, tripod_point
+from .spaces import EUCLIDEAN, SpaceDescriptor, barycenters, distances, \
+    geodesic_points, geodesic_sampler, stack_payloads
 
 __all__ = [
     "GridData", "IterateTrace", "subdivide", "iterate", "contractivity_D",
@@ -271,28 +270,6 @@ class ApproximationCheck:
     ok: bool
     h: float
     level: int
-
-
-def geodesic_sampler(descriptor: SpaceDescriptor, seed: int = 0):
-    """Unit-speed geodesic t -> gamma(t), so Lipschitz constant exactly 1.
-
-    The direction runs toward a random second point; on the tripod the line
-    runs through the glue point along legs 1 and 2.
-    """
-    if descriptor.kind == TRIPOD:
-        return lambda t: tripod_point(1 if t[0] >= 0 else 2, abs(float(t[0])))
-    rng = np.random.default_rng(seed)
-    base = random_point(descriptor, rng)
-    speed = 0.0
-    while speed < 1e-9:  # resample the second point if the two coincide
-        other = random_point(descriptor, rng)
-        speed = distance(base, other)  # the length of log_base(other)
-    unit = log_map(base, other) / speed
-
-    def f(t):
-        return exp_map(base, float(t[0]) * unit)
-
-    return f
 
 
 def approximation_error(mask: Mask, f, lipschitz: float, h: float,

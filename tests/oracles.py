@@ -11,7 +11,7 @@ node-by-node loops that the batched refinement and contraction sups must
 reproduce bit for bit.  `alpha_loop` is the residue-by-residue sweep
 that the certificate's array sweep must reproduce bit for bit.
 `karcher_gradient_norm` checks a barycenter by its stationarity, in 50-digit
-mpmath.
+mpmath.  `points_equal` compares two points payload by payload.
 """
 
 import math
@@ -235,3 +235,14 @@ def karcher_gradient_norm(kind, y, points, weights, digits=50):
         norm, diam = {"hyperboloid": _hyperboloid_gradient, "spd": _spd_gradient}[kind](
             y, points, weights)
         return float(norm), float(diam)
+
+
+def points_equal(p, q, tol=1e-9):
+    """Same descriptor, and payloads within tol entry by entry; tripod points
+    (leg, t) within tol along the tree."""
+    if p.descriptor != q.descriptor:
+        return False
+    if p.descriptor.kind == "tripod":
+        (leg_p, t_p), (leg_q, t_q) = p.payload, q.payload
+        return (abs(t_p - t_q) if leg_p == leg_q else t_p + t_q) <= tol
+    return bool(np.all(np.abs(p.payload - q.payload) <= tol))

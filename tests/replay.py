@@ -12,7 +12,10 @@ payload (so no duration or file path) or the error object from stderr.
 With `--against REV` the same jobs run twice in child processes, once on this
 tree's package and once on REV's (extracted with `git archive` into a temporary
 directory), and every job whose line differs is printed with its largest
-absolute and relative float difference.  The exit code is 1 when a job differs.
+absolute and relative float difference.  The output ends with one line per
+job class (the part of the id after the colon) that has a difference: how many
+of its jobs differ and its largest float difference, and then the totals.  The
+exit code is 1 when a job differs.
 """
 
 import argparse
@@ -123,18 +126,28 @@ def compare(rev: str, seeds, rounds) -> int:
     ours = child_lines(ROOT / "src", seeds, rounds)
     differ = 0
     worst = (0.0, 0.0)
+    classes = {}  # job class -> [jobs, jobs that differ, abs, rel, jobs that differ in shape]
     for old, new in zip(theirs, ours, strict=True):
+        row = classes.setdefault(new["job"].partition(":")[2], [0, 0, 0.0, 0.0, 0])
+        row[0] += 1
         if line(old) == line(new):
             continue
         differ += 1
+        row[1] += 1
         d = float_diff(old, new)
         if len(d) == 3:
+            row[4] += 1
             where, *values = d
             theirs_value, ours_value = (json.dumps(v)[:200] for v in values)
             print(f"{new['job']}: differs at {where}: {rev} {theirs_value}, tree {ours_value}")
         else:
             worst = (max(worst[0], d[0]), max(worst[1], d[1]))
+            row[2:4] = max(row[2], d[0]), max(row[3], d[1])
             print(f"{new['job']}: abs {d[0]:.3g} rel {d[1]:.3g}")
+    for cls, (jobs, n, gap, rel, shape) in sorted(classes.items()):
+        if n:
+            print(f"# class {cls}: {n} of {jobs} jobs differ, largest float difference "
+                  f"abs {gap:.3g} rel {rel:.3g}" + (f"; {shape} beyond floats" if shape else ""))
     print(f"# {len(ours)} jobs, {differ} differ from {rev}; "
           f"largest float difference abs {worst[0]:.3g} rel {worst[1]:.3g}")
     return 1 if differ else 0

@@ -14,7 +14,8 @@ from npcsubdiv.grid import (box_indices, box_intersect, box_is_empty,
                             grid_from_json, grid_from_points, grid_to_json,
                             minimal_window_width, random_grid,
                             refined_interior, refined_window)
-from npcsubdiv.spaces import hyperboloid_from_spatial, points_equal
+from npcsubdiv.spaces import hyperboloid_from_spatial
+from oracles import points_equal
 
 EU = SpaceDescriptor("euclidean", 1)
 B = bspline_mask()

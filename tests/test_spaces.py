@@ -16,8 +16,9 @@ from npcsubdiv import (BarycenterProblem, DomainError, NumericError,
 from npcsubdiv import spaces
 from npcsubdiv.spaces import (descriptor_from_json, descriptor_to_json,
                               hyperboloid_from_spatial, point_from_json,
-                              point_to_json, points_equal)
-from oracles import frechet_value, karcher_gradient_norm, scan_tripod_barycenter
+                              point_to_json)
+from oracles import frechet_value, karcher_gradient_norm, points_equal, \
+    scan_tripod_barycenter
 
 BACKENDS = (
     SpaceDescriptor("euclidean", 3),
