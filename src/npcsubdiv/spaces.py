@@ -28,7 +28,6 @@ KINDS = (EUCLIDEAN, SPD, HYPERBOLOID, TRIPOD)
 HYPERBOLOID_TOL = 1e-10     # |<p,p>_M + 1| bound for membership, times p0^2
 BARYCENTER_TOL = 1e-10      # scaled by (1 + data diameter)
 BARYCENTER_MAX_ITER = 500
-UNIT_STEP_C = 1.7           # unit Karcher steps while c < 1.7, where they contract by c - 1
 
 
 @dataclass(frozen=True)
@@ -247,20 +246,16 @@ def _hyp_renorm(p):
 
 
 def _bounded(kappa, weights, dists, v):
-    """The Karcher update v from y, scaled for the distances from y to the
-    points (Afsari, Tron & Manton 2013).  With curvature >= -kappa the Hessian
-    of the Frechet function lies in [1, c], c = sum_i w_i s_i coth(s_i) with
-    s_i = kappa^1/2 d_i (the term is 1 at s_i = 0), so the unit step contracts
-    by c - 1 and the step 2 / (1 + c) by (c - 1) / (c + 1), the least any
-    step guarantees.  The unit step is kept while c < UNIT_STEP_C, where it
-    contracts by less than 0.7: rows of unit-ball data stay there, so their
-    iterates stay as they were.  The step 2 / (1 + c) on every row takes
-    about as many steps in all but moves those results by up to 3e-10."""
+    """The Karcher update v from y, scaled by 2 / (1 + c) for the distances
+    from y to the points (Afsari, Tron & Manton 2013).  With curvature
+    >= -kappa the Hessian of the Frechet function lies in [1, c],
+    c = sum_i w_i s_i coth(s_i) with s_i = kappa^1/2 d_i, and this step
+    contracts by (c - 1) / (c + 1), the least any step guarantees.  c is
+    summed as 1 + sum_i w_i (s_i coth(s_i) - 1), so on euclidean rows it is
+    exactly 1 and the step is the unit step."""
     s = math.sqrt(kappa) * dists
-    if s.max(initial=0.0) < 1.0:  # s coth(s) < 1.32 there: c < UNIT_STEP_C on every row
-        return v
-    c = _weighted_sum(weights, np.where(s > 0.0, s / np.tanh(s), 1.0), 0)
-    h = np.where(c < UNIT_STEP_C, 1.0, 2.0 / (1.0 + c))
+    c = 1.0 + _weighted_sum(weights, np.where(s > 0.0, s / np.tanh(s) - 1.0, 0.0), 0)
+    h = 2.0 / (1.0 + c)
     return h.reshape(h.shape + (1,) * (v.ndim - h.ndim)) * v
 
 
