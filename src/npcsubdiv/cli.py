@@ -109,6 +109,15 @@ def _data_of(config: RunConfig) -> GridData:
     return grid_from_json(_load_json(_need(config, "data")))
 
 
+def parse_int(text: str, what: str = "integer") -> int:
+    """An integer as the command line writes it: an optional '-' and ASCII
+    digits, nothing else (no '+', blank, '_' or other digits)."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise DomainError(f"bad {what} {text!r}")
+    return int(text)
+
+
 def parse_space(text: str) -> SpaceDescriptor:
     """'kind:dim' as in spd:2 or hyperboloid:3; bare 'tripod' is allowed."""
     kind, _, dim = text.partition(":")
@@ -116,18 +125,13 @@ def parse_space(text: str) -> SpaceDescriptor:
         raise DomainError(f"unknown space kind {kind!r}; expected one of {KINDS}")
     if dim == "" and kind == TRIPOD:
         return SpaceDescriptor(kind=kind, dim=1)
-    try:
-        return SpaceDescriptor(kind=kind, dim=int(dim))
-    except ValueError as exc:
-        raise DomainError(f"bad space {text!r}; expected kind:dim") from exc
+    dim = parse_int(dim, f"space {text!r}; expected kind:dim, dim")
+    return SpaceDescriptor(kind=kind, dim=dim)
 
 
 def parse_lattice(text: str) -> tuple:
     """Comma-separated integers: '1' or '0,-2'."""
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"bad lattice point {text!r}") from exc
+    return tuple(parse_int(part, "lattice coordinate") for part in text.split(","))
 
 
 # -- payload builders ------------------------------------------------------------
@@ -346,14 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
         if space:
             cmd.add_argument("--space", help="backend as kind:dim, e.g. spd:2")
         if levels:
-            cmd.add_argument("--levels", "--level", dest="levels", type=int,
+            cmd.add_argument("--levels", "--level", dest="levels", type=parse_int,
                              help="refinement depth")
         if steps:
             flags = ("--steps", "--max-steps") if name == "lp" else ("--steps",)
-            cmd.add_argument(*flags, dest="steps", type=int,
+            cmd.add_argument(*flags, dest="steps", type=parse_int,
                              help="chain step count")
         if trials:
-            cmd.add_argument("--trials", type=int, help="number of trials")
+            cmd.add_argument("--trials", type=parse_int, help="number of trials")
         if p:
             cmd.add_argument("--p", type=float, help="moment exponent (>= 1)")
         if start:
@@ -363,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--index", type=parse_lattice,
                              help="lattice index, comma-separated integers")
         if cap:
-            cmd.add_argument("--cap", type=int, help="certificate level cap")
-        cmd.add_argument("--seed", type=int, default=0)
+            cmd.add_argument("--cap", type=parse_int, help="certificate level cap")
+        cmd.add_argument("--seed", type=parse_int, default=0)
         cmd.add_argument("--out", help="output file (default: stdout)")
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
         return cmd
@@ -400,9 +404,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         mode = "mc" if args.mc is not None else "exact"
         if args.mc:  # the literal trials=N form
             key, _, value = args.mc.partition("=")
-            if key != "trials" or not value.isdecimal():  # isdigit passes "²"
+            if key != "trials":
                 raise DomainError(f"bad --mc argument {args.mc!r}")
-            args.trials = int(value)
+            args.trials = parse_int(value, f"--mc argument {args.mc!r}: trials")
     fields = ("mask", "data", "space", "levels", "steps", "trials", "p",
               "start", "index", "cap", "out")
     kwargs = {f: getattr(args, f, None) for f in fields}

@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import DomainError, StructuralError, lattice_point, numbers
 from .masks import Mask
-from .spaces import SpaceDescriptor, SpacePoint, _point, descriptor_from_json, \
-    descriptor_to_json, payloads_to_json, point_from_json, random_point, \
-    stack_payloads
+from .spaces import SpaceDescriptor, SpacePoint, _point, check_payloads, \
+    descriptor_from_json, descriptor_to_json, payloads_to_json, point_from_json, \
+    random_point, stack_payloads
 
 CONSTANT_NEAREST = "constant_nearest"
 PERIODIC = "periodic"
@@ -27,7 +27,9 @@ EXTENSIONS = (CONSTANT_NEAREST, PERIODIC)
 @dataclass(eq=False)
 class GridData:
     """Points indexed by the integer box lo..hi (inclusive), stored as a
-    read-only copy of `payloads`: window shape + descriptor.payload_shape."""
+    read-only copy of `payloads`: window shape + descriptor.payload_shape.
+    Every row must be a point of the descriptor's space (the test of the
+    point constructors, with their errors)."""
 
     descriptor: SpaceDescriptor
     lo: tuple
@@ -44,10 +46,11 @@ class GridData:
             raise StructuralError(f"unknown extension policy {self.extension!r}")
         shape = tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
         shape += self.descriptor.payload_shape
-        self.payloads = numbers(self.payloads, "grid payloads")
-        if self.payloads.shape != shape:
-            raise StructuralError(f"payloads shape {self.payloads.shape} does not match "
+        payloads = numbers(self.payloads, "grid payloads")
+        if payloads.shape != shape:
+            raise StructuralError(f"payloads shape {payloads.shape} does not match "
                                   f"window + {self.descriptor}: {shape}")
+        self.payloads = check_payloads(self.descriptor, payloads)
         self.payloads.flags.writeable = False
 
     @property

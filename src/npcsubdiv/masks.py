@@ -309,9 +309,10 @@ def gauge_value(gauge: BoxGauge, v) -> float:
 
 def gauge_offsets(gauge: BoxGauge) -> list:
     """Integer offsets e with gauge(e) < 2, in row-major order."""
-    bound = [int(math.ceil(2 * ck)) for ck in gauge.half_widths]
-    return [e for e in product(*(range(-b, b + 1) for b in bound))
-            if gauge_value(gauge, e) < 2.0]
+    c = gauge.half_widths
+    bound = np.ceil(2.0 * c).astype(int)
+    e = np.indices(2 * bound + 1).reshape(c.size, -1).T - bound
+    return [tuple(row) for row in e[(np.abs(e) / c).max(axis=1) < 2.0].tolist()]
 
 
 def unit_gauge(dim: int) -> BoxGauge:

@@ -4,7 +4,7 @@ Four backends share one interface: euclidean vectors, symmetric
 positive-definite matrices with the affine-invariant metric, the hyperboloid
 model of hyperbolic space, and the tripod (three rays glued at their
 endpoints).  Each backend works on payloads stacked along leading axes:
-distance, geodesics, a weighted Frechet-mean (barycenter) solver,
+membership, distance, geodesics, a weighted Frechet-mean (barycenter) solver,
 exp/log maps on the smooth backends, sampling and the JSON codec.  The
 functions on single `SpacePoint`s are the one-point case of that batched code.
 """
@@ -64,43 +64,30 @@ class SpacePoint:
     payload: object
 
 
-def _readonly(a, what: str) -> np.ndarray:
-    a = numbers(a, what)
-    if not np.all(np.isfinite(a)):
-        raise NumericError("non-finite payload")
-    a.flags.writeable = False
-    return a
+def _member(desc: SpaceDescriptor, payload: np.ndarray) -> SpacePoint:
+    """The point of one payload, checked by its backend's batched membership test."""
+    return _point(desc, _BACKENDS[desc.kind].members(payload[None])[0])
 
 
 def euclidean_point(v) -> SpacePoint:
-    v = np.atleast_1d(_readonly(v, "euclidean payload"))
+    v = np.atleast_1d(numbers(v, "euclidean payload"))
     if v.ndim != 1:
         raise StructuralError("euclidean payload must be a vector")
-    return SpacePoint(SpaceDescriptor(EUCLIDEAN, v.shape[0]), v)
+    return _member(SpaceDescriptor(EUCLIDEAN, v.shape[0]), v)
 
 
 def spd_point(m) -> SpacePoint:
-    m = _readonly(m, "spd payload")
+    m = numbers(m, "spd payload")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StructuralError("spd payload must be a square matrix")
-    scale = 1.0 + float(np.abs(m).max())
-    if float(np.abs(m - m.T).max()) > 1e-9 * scale:
-        raise StructuralError("spd payload must be symmetric")
-    if float(np.linalg.eigvalsh(m).min()) <= 0.0:
-        raise StructuralError("spd payload must be positive definite")
-    return SpacePoint(SpaceDescriptor(SPD, m.shape[0]), m)
+    return _member(SpaceDescriptor(SPD, m.shape[0]), m)
 
 
 def hyperboloid_point(p) -> SpacePoint:
-    p = np.atleast_1d(_readonly(p, "hyperboloid payload"))
+    p = np.atleast_1d(numbers(p, "hyperboloid payload"))
     if p.ndim != 1 or p.shape[0] < 2:
         raise StructuralError("hyperboloid payload must have length dim+1 >= 2")
-    if p[0] <= 0.0:
-        raise StructuralError("hyperboloid payload needs positive time coordinate")
-    # round-off in <p,p>_M grows like p0^2, and p0 >= 1 on the sheet
-    if abs(_mink(p, p) + 1.0) > HYPERBOLOID_TOL * p[0] * p[0]:
-        raise StructuralError("payload is not on the unit hyperboloid")
-    return SpacePoint(SpaceDescriptor(HYPERBOLOID, p.shape[0] - 1), p)
+    return _member(SpaceDescriptor(HYPERBOLOID, p.shape[0] - 1), p)
 
 
 def hyperboloid_from_spatial(v) -> SpacePoint:
@@ -115,16 +102,8 @@ def tripod_point(leg: int, t: float) -> SpacePoint:
     t = numbers(t, "tripod coordinate")
     if t.ndim:
         raise StructuralError("tripod coordinate must be one number")
-    t = float(t)
-    if leg not in (0, 1, 2):
-        raise StructuralError("tripod leg must be 0, 1 or 2")
-    if not math.isfinite(t):
-        raise NumericError("non-finite payload")
-    if t < 0.0:
-        raise DomainError("tripod coordinate must be >= 0")
-    if t == 0.0:
-        leg = 0  # canonical representation of the glue point
-    return SpacePoint(SpaceDescriptor(TRIPOD), (leg, t))
+    # a leg outside 0..2 stays outside at any size, and stays a float
+    return _member(SpaceDescriptor(TRIPOD), np.array([min(max(leg, -1), 3), t]))
 
 
 def _check_same(p: SpacePoint, q: SpacePoint) -> SpaceDescriptor:
@@ -275,6 +254,13 @@ class _Backend:
     core = 1
     kappa = 0.0
 
+    def members(self, rows):
+        """rows, a stack of payloads, as points of this space; raises the error
+        of the first check that a row fails."""
+        if not np.isfinite(rows).all():
+            raise NumericError("non-finite payload")
+        return rows
+
     def point(self, desc, payload):
         payload.flags.writeable = False
         return SpacePoint(desc, payload)
@@ -393,6 +379,15 @@ class _SPD(_Backend):
     key = "m"
     make = staticmethod(spd_point)
 
+    def members(self, rows):
+        rows = super().members(rows)
+        scale = 1.0 + np.abs(rows).max(axis=(-2, -1))
+        if (np.abs(rows - _T(rows)).max(axis=(-2, -1)) > 1e-9 * scale).any():
+            raise StructuralError("spd payload must be symmetric")
+        if (np.linalg.eigvalsh(rows) <= 0.0).any():
+            raise StructuralError("spd payload must be positive definite")
+        return rows
+
     def resolution(self, points):
         # the metric is invariant under congruence, so the scale of the
         # entries costs no resolution
@@ -462,6 +457,16 @@ class _Hyperboloid(_Backend):
     key = "p"
     make = staticmethod(hyperboloid_point)
 
+    def members(self, rows):
+        rows = super().members(rows)
+        p0 = rows[..., 0]
+        if (p0 <= 0.0).any():
+            raise StructuralError("hyperboloid payload needs positive time coordinate")
+        # round-off in <p,p>_M grows like p0^2, and p0 >= 1 on the sheet
+        if (np.abs(_mink(rows, rows) + 1.0) > HYPERBOLOID_TOL * p0 * p0).any():
+            raise StructuralError("payload is not on the unit hyperboloid")
+        return rows
+
     def tangent(self, p, v):
         # |<p, v>_M| up to the round-off a computed tangent carries
         if not abs(_mink(p, v)) <= HYPERBOLOID_TOL * p[0] * p[0] * _norm(v, 1):
@@ -521,6 +526,15 @@ def _tripod_rows(leg, t):
 
 
 class _Tripod(_Backend):
+
+    def members(self, rows):
+        legs, t = np.moveaxis(rows, -1, 0)
+        if not np.isin(legs, (0.0, 1.0, 2.0)).all():
+            raise StructuralError("tripod leg must be 0, 1 or 2")
+        super().members(rows)
+        if (t < 0.0).any():
+            raise DomainError("tripod coordinate must be >= 0")
+        return _tripod_rows(legs, t)
 
     def point(self, desc, payload):
         leg, t = payload.tolist()
@@ -602,6 +616,13 @@ def stack_payloads(points, descriptor: SpaceDescriptor) -> np.ndarray:
             raise StructuralError(
                 f"descriptor mismatch: {descriptor} vs {pt.descriptor}")
     return np.array([pt.payload for pt in points], dtype=float)
+
+
+def check_payloads(desc: SpaceDescriptor, payloads: np.ndarray) -> np.ndarray:
+    """Payloads stacked along leading axes, checked as points of desc by the
+    test of the point constructors, which raises the same errors; the tripod's
+    glue point comes back on leg 0."""
+    return _BACKENDS[desc.kind].members(payloads)
 
 
 def _payload(p: SpacePoint) -> np.ndarray:

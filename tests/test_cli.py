@@ -324,7 +324,8 @@ def test_cascade_of_a_far_translated_mask_is_a_resource_error(capsys, files, shi
                  "ResourceError")
 
 
-@pytest.mark.parametrize("mc", ("n=5", "trials=\u00b2"))
+@pytest.mark.parametrize("mc", ("n=5", "trials=\u00b2", "trials=\u0663", "trials=1_0",
+                                "trials= 5", "trials=+5", "trials="))
 def test_bad_mc_argument(capsys, files, mc):
     expect_error(capsys, ["chain", "--mask", files["c"], "--start", "0",
                           "--steps", "1", "--mc", mc], "DomainError")
@@ -364,6 +365,46 @@ def test_monte_carlo_rejects_starts_beyond_int64(capsys, files):
     assert rc == 0
     probs = {tuple(e["j"]): e["p"] for e in payload_of(out)["probs"]}
     assert probs == kernel_row(C, (2 ** 70,), 3).probs
+
+
+@pytest.mark.parametrize("argv", (
+    ["chain", "--mask", "@c", "--start", "1_0", "--steps", "2"],
+    ["chain", "--mask", "@c", "--start", "0, 1", "--steps", "2"],
+    ["chain", "--mask", "@c", "--start", "0", "--steps", " 2"],
+    ["cascade", "--mask", "@b", "--levels", "1_0"],
+    ["certify", "--mask", "@b", "--cap", "+3"],
+    ["diagnose", "--mask", "@c", "--space", "spd:2", "--trials", "\u0663"],
+    ["approx", "--mask", "@b", "--seed", "1_0"],
+    ["lp", "--mask", "@c", "--start", "0", "--index", "\u0660"],
+), ids=("start-underscore", "start-blank", "steps-blank", "levels-underscore", "cap-plus",
+        "trials-arabic-indic", "seed-underscore", "index-arabic-indic"))
+def test_integer_options_are_a_minus_and_ascii_digits(capsys, files, argv):
+    argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid parse_" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space,error_type,message", (
+    ("spd:1_0", "DomainError", "expected kind:dim"),
+    ("spd: 2", "DomainError", "expected kind:dim"),
+    ("spd:\u0662", "DomainError", "expected kind:dim"),
+    ("spd:+2", "DomainError", "expected kind:dim"),
+    ("spd:", "DomainError", "expected kind:dim"),
+    ("spd:0", "StructuralError", "dim must be >= 1"),
+    ("hyperboloid:-1", "StructuralError", "dim must be >= 1"),
+))
+def test_space_dims_are_read_by_the_integer_rule(capsys, files, space, error_type, message):
+    rc = main(["approx", "--mask", files["b"], "--space", space, "--levels", "1"])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert rc == 1 and error["type"] == error_type and message in error["message"]
+
+
+def test_negative_integers_are_read(capsys, files):
+    rc, out, _ = run_cli(capsys, ["chain", "--mask", files["bb"], "--start=-7,3",
+                                  "--steps", "1"])
+    assert rc == 0 and payload_of(out)["start"] == [-7, 3]
 
 
 def test_missing_required_option_is_reported(capsys, files):

@@ -2,8 +2,15 @@
 
 Each case runs `cli.main` in process and compares the payload with
 `tests/golden/<name>.json` as canonical JSON text, so an int written as a
-float (2 against 2.0) is a difference.  None of these runs touches LAPACK, so
-equality is exact.  The golden files were written by running this module as a
+float (2 against 2.0) is a difference.  The exact cases touch no LAPACK and no
+libm, so they are exact on any build.  The curved cases (`*_spd2`, `*_hyp2`:
+cubic-mask runs with 3-point Karcher rows and 2-point geodesics) go through
+LAPACK's eigh and libm's exp, log, sinh and acosh, and the `diagnose --space`
+cases pin the seeded `random_point` streams too; their files are exact for
+the build they were written on, Python 3.11.7 with numpy 2.4.6 and its bundled
+scipy-openblas 0.3.31 (OpenBLAS 0.3.31.188.0, DYNAMIC_ARCH) on x86-64 Linux,
+and another build may move their last bits.  The golden files were written by
+running this module as a
 script (`PYTHONPATH=src python tests/test_golden.py [NAME ...]`) at a commit
 whose behaviour they pin; the script rewrites the named cases, or every case
 when no name is given.  Rerun it only for an intended change of a payload,
@@ -17,10 +24,11 @@ from pathlib import Path
 import pytest
 
 from npcsubdiv import (SpaceDescriptor, bspline_mask, chaikin_mask, make_mask,
-                       tensor_power, tripod_point)
+                       spd_point, tensor_power, tripod_point)
 from npcsubdiv.cli import main
 from npcsubdiv.grid import grid_from_points, grid_to_json
 from npcsubdiv.masks import mask_to_json, translate
+from npcsubdiv.spaces import hyperboloid_from_spatial
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,6 +42,16 @@ INPUTS = {
     "witness": grid_to_json(grid_from_points(
         SpaceDescriptor("tripod"), (-1,), (1,),
         [tripod_point(2, 2.0), tripod_point(1, 0.5), tripod_point(0, 2.0)])),
+    "cubic": mask_to_json(make_mask((-2,), [0.125, 0.5, 0.75, 0.5, 0.125])),
+    # dyadic entries, so the inputs themselves are exact: log-eigenvalues up to
+    # about +-2 on spd:2, spatial coordinates up to 1.5 on hyperboloid:2
+    "spd2": grid_to_json(grid_from_points(
+        SpaceDescriptor("spd", 2), (0,), (6,),
+        [spd_point([[2.0 ** (i - 3), (i % 3 - 1) / 4], [(i % 3 - 1) / 4, 2.0 ** (3 - i)]])
+         for i in range(7)])),
+    "hyp2": grid_to_json(grid_from_points(
+        SpaceDescriptor("hyperboloid", 2), (0,), (6,),
+        [hyperboloid_from_spatial([i / 2 - 1.5, (i % 3) / 2 - 0.5]) for i in range(7)])),
 }
 
 # name -> argv; "@key" stands for the path of INPUTS[key] written as JSON
@@ -73,6 +91,15 @@ CASES = {
                                 "--seed", "5"],
     "approx_chaikin_tripod": ["approx", "--mask", "@chaikin", "--space",
                               "tripod", "--levels", "3"],
+    "subdivide_cubic_spd2": ["subdivide", "--mask", "@cubic", "--data", "@spd2",
+                             "--levels", "3"],
+    "subdivide_cubic_hyp2": ["subdivide", "--mask", "@cubic", "--data", "@hyp2",
+                             "--levels", "3"],
+    "diagnose_cubic_spd2": ["diagnose", "--mask", "@cubic", "--space", "spd:2",
+                            "--trials", "2", "--levels", "3", "--seed", "4"],
+    "diagnose_cubic_hyp2": ["diagnose", "--mask", "@cubic", "--space",
+                            "hyperboloid:2", "--trials", "2", "--levels", "3",
+                            "--seed", "4"],
 }
 
 

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from npcsubdiv import (DomainError, GridData, SpaceDescriptor, SpacePoint,
-                       StructuralError, bspline_mask, chaikin_mask,
+from npcsubdiv import (DomainError, GridData, NumericError, SpaceDescriptor,
+                       SpacePoint, StructuralError, bspline_mask, chaikin_mask,
                        convergence_diagnostic, euclidean_point, exp_map,
                        iterate, make_mask, tripod_point)
 from npcsubdiv.grid import (box_indices, box_intersect, box_is_empty,
@@ -65,6 +65,37 @@ def test_window_and_point_validation():
 def test_payload_shape_must_match_the_window_and_descriptor(kind, dim, shape):
     with pytest.raises(StructuralError):
         GridData(SpaceDescriptor(kind, dim), (0,), (3,), np.ones(shape), "constant_nearest")
+
+
+EYE = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("desc,payloads,error,message", (
+    (SpaceDescriptor("tripod"), [[5, 1], [0, 2], [1, -3]], StructuralError, "leg must be"),
+    (SpaceDescriptor("tripod"), [[1, 1], [0, 2], [1, -3]], DomainError, "must be >= 0"),
+    (SpaceDescriptor("hyperboloid", 1), [[1, 0], [5, 0], [1, 0]], StructuralError,
+     "not on the unit hyperboloid"),
+    (SpaceDescriptor("hyperboloid", 1), [[1, 0], [-1, 0], [1, 0]], StructuralError,
+     "positive time coordinate"),
+    (SpaceDescriptor("spd", 2), [EYE, [[1, 2], [2, 1]], EYE], StructuralError,
+     "positive definite"),
+    (SpaceDescriptor("spd", 2), [EYE, [[1, 2], [0, 1]], EYE], StructuralError, "symmetric"),
+    (SpaceDescriptor("euclidean", 1), [[0], [float("nan")], [1]], NumericError, "non-finite"),
+    (SpaceDescriptor("tripod"), [[0, 1], [2, float("nan")], [1, 3]], NumericError,
+     "non-finite"),
+), ids=("bad-leg", "negative-t", "off-sheet", "past-sheet", "not-spd", "not-symmetric",
+        "nan", "tripod-nan"))
+def test_grid_rows_must_be_points_of_the_backend(desc, payloads, error, message):
+    """The batched check of GridData raises what the point constructors raise."""
+    with pytest.raises(error, match=message):
+        GridData(desc, (0,), (2,), payloads, "constant_nearest")
+
+
+def test_a_grid_keeps_the_glue_point_on_leg_0():
+    x = GridData(SpaceDescriptor("tripod"), (0,), (1,), [[2, 0.0], [1, 0.5]],
+                 "constant_nearest")
+    assert x.payloads.tolist() == [[0.0, 0.0], [1.0, 0.5]]
+    assert x.get((0,)).payload == tripod_point(2, 0.0).payload == (0, 0.0)
 
 
 @pytest.mark.parametrize("kind,dim", (("spd", 2), ("hyperboloid", 2), ("tripod", 1)))

@@ -11,7 +11,7 @@ from npcsubdiv import (NumericError, ResourceError, StructuralError,
                        bspline_mask, chaikin_mask, default_gauge, gauge_value,
                        iterated_mask, make_mask, tensor_power, tensor_product,
                        validate_mask)
-from npcsubdiv.masks import (BoxGauge, coset, coset_sums, mask_from_json,
+from npcsubdiv.masks import (BoxGauge, coset, coset_sums, gauge_offsets, mask_from_json,
                              mask_to_json, recenter, require_sum_rule, stencil,
                              translate, unit_gauge)
 from oracles import dense_iterated, hat
@@ -219,6 +219,16 @@ def test_gauge_value_and_validation():
         gauge_value(g, (1, 1))
     with pytest.raises(StructuralError):
         BoxGauge(np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("c", ([1.0], [2.0], [0.75], [3.3], [1.0, 1.0], [2.0, 1.5],
+                               [1.0, 2.0, 0.5]), ids=str)
+def test_gauge_offsets_are_the_candidates_of_gauge_value_below_2(c):
+    """The array expression keeps the offsets, and their row-major order, of
+    a loop over the candidate box through gauge_value."""
+    g = BoxGauge(c)
+    box = product(*(range(-int(np.ceil(2 * ck)), int(np.ceil(2 * ck)) + 1) for ck in c))
+    assert gauge_offsets(g) == [e for e in box if gauge_value(g, e) < 2.0]
 
 
 # -- products -------------------------------------------------------------------------
