@@ -401,12 +401,6 @@ def test_space_dims_are_read_by_the_integer_rule(capsys, files, space, error_typ
     assert rc == 1 and error["type"] == error_type and message in error["message"]
 
 
-def test_negative_integers_are_read(capsys, files):
-    rc, out, _ = run_cli(capsys, ["chain", "--mask", files["bb"], "--start=-7,3",
-                                  "--steps", "1"])
-    assert rc == 0 and payload_of(out)["start"] == [-7, 3]
-
-
 def test_missing_required_option_is_reported(capsys, files):
     expect_error(capsys, ["cascade", "--mask", files["b"]], "DomainError")
 
