@@ -71,3 +71,11 @@ def numbers(raw, what="numbers") -> np.ndarray:
     if arr.dtype.kind not in "iuf" or _has_bool(raw):
         raise StructuralError(f"{what} must hold only ints and floats")
     return arr.astype(float)
+
+
+def number(v, what="number") -> float:
+    """v as one Python float, read by `numbers`; arrays are refused."""
+    arr = numbers(v, what)
+    if arr.ndim:
+        raise StructuralError(f"{what} must be one number")
+    return float(arr)

@@ -15,7 +15,10 @@ the state only through its parity r in {0,1}^s, so it keeps one cumulative
 row per parity class, built from `stencil(mask, r)`, and moves a state i to
 (i + 2j - r) / 2 for the drawn stencil target j.  Trials run in blocks of
 `MC_BLOCK` against one generator keyed by the seed, which draws one uniform
-per trial of the block at each step, block after block.
+per trial of the block at each step, block after block.  A block's end
+states are tallied in O(n) by one `bincount` over their bounding box: all
+of them start at one state, so the box is never larger than the mask's
+coefficient box and neither is the count array.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from itertools import islice, product
 
 import numpy as np
 
-from .errors import DomainError, lattice_point
+from .errors import DomainError, lattice_point, number
 from .grid import GridData
 from .linear import RefinableSamples
 from .masks import (Mask, coset, default_gauge, gauge_value, iterated_mask,
@@ -54,10 +57,12 @@ MC_BLOCK = 1 << 13  # trials walked at once; bounds the sampler's memory
 MC_STATE_LIMIT = 1 << 62  # bound on |start| and |mask index| for int64 states
 
 
-def _check_exponent(p):
-    """Moment exponents are finite and >= 1; NaN and inf are refused."""
+def _check_exponent(p) -> float:
+    """p as a float; moment exponents are finite and >= 1, NaN and inf not."""
+    p = number(p, "p")
     if not 1.0 <= p < math.inf:
         raise DomainError(f"p must be finite and >= 1, got {p}")
+    return p
 
 
 @dataclass(eq=False)
@@ -98,8 +103,10 @@ def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
     blocks draw one after another.  A uniform picks the target in the
     cumulative row of the state's parity class, built once per class with
     renormalized weights (the renormalization is a no-op up to float
-    round-off thanks to the sum rule).  Returns a map from the final state
-    to its relative frequency.
+    round-off thanks to the sum rule).  Each block's end states are counted
+    by one `bincount` over the row-major keys of their bounding box, whose
+    size is bounded by the mask's coefficient box.  Returns a map from the
+    final state to its relative frequency.
     """
     start = lattice_point(start, mask.dim, "chain state")
     if trials < 1:
@@ -138,8 +145,16 @@ def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
                 sel = np.flatnonzero(parity == r)
                 picked = np.searchsorted(cum, u[sel], side="right")
                 state[sel] = (state[sel] + moves[picked]) >> 1
-        finals, hits = np.unique(state, axis=0, return_counts=True)
-        for j, c in zip(map(tuple, finals.tolist()), hits.tolist()):
+        # all trials of the block start at `start` and a step maps x to
+        # (x + m) / 2 with -m a mask index, so end states lie less than the
+        # support width apart per coordinate and the count array is no
+        # larger than the mask's coefficient box
+        low = state.min(0)
+        span = state.max(0) - low + 1
+        hits = np.bincount(np.ravel_multi_index((state - low).T, span))
+        keys = np.flatnonzero(hits)
+        finals = np.stack(np.unravel_index(keys, span), axis=1) + low
+        for j, c in zip(map(tuple, finals.tolist()), hits[keys].tolist()):
             counts[j] = counts.get(j, 0) + c
     return {j: c / trials for j, c in counts.items()}
 
@@ -181,7 +196,7 @@ def stationary_from_refinable(samples: RefinableSamples) -> StationaryReport:
 
 def lp_curve(mask: Mask, ell, steps: int, p: float, k) -> list:
     """[E_ell ||X_n - k||^p for n = 0..steps], exactly, from one mask ladder."""
-    _check_exponent(p)
+    p = _check_exponent(p)
     k = lattice_point(k, mask.dim, "moment centre")
     ell = lattice_point(ell, mask.dim, "chain state")
     return [sum(w * math.dist(j, k) ** p for j, w in coset(level, n, ell))
@@ -199,7 +214,7 @@ def dispersion_gap(mask: Mask, ell, steps: int, p: float) -> float:
     Interpolatory masks drive this to 0 as n grows; masks whose stationary
     distribution charges two distinct states keep it bounded away from 0.
     """
-    _check_exponent(p)
+    p = _check_exponent(p)
     ell = lattice_point(ell, mask.dim, "chain state")
     level = iterated_mask(_checked(mask, steps), steps)
     total = 0.0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, SolverError, StructuralError, \
-    integer, numbers
+    integer, number, numbers
 
 EUCLIDEAN = "euclidean"
 SPD = "spd"
@@ -99,9 +99,7 @@ def hyperboloid_from_spatial(v) -> SpacePoint:
 
 def tripod_point(leg: int, t: float) -> SpacePoint:
     leg = integer(leg, "tripod leg")
-    t = numbers(t, "tripod coordinate")
-    if t.ndim:
-        raise StructuralError("tripod coordinate must be one number")
+    t = number(t, "tripod coordinate")
     # a leg outside 0..2 stays outside at any size, and stays a float
     return _member(SpaceDescriptor(TRIPOD), np.array([min(max(leg, -1), 3), t]))
 
@@ -710,10 +708,7 @@ def distance(p: SpacePoint, q: SpacePoint) -> float:
 def geodesic_point(p: SpacePoint, q: SpacePoint, t: float) -> SpacePoint:
     """Point at parameter t in [0,1] on the unique geodesic from p to q."""
     desc = _check_same(p, q)
-    t = numbers(t, "geodesic parameter")
-    if t.ndim:
-        raise StructuralError("geodesic parameter must be one number")
-    t = float(t)
+    t = number(t, "geodesic parameter")
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"geodesic parameter must lie in [0,1], got {t}")
     if t == 0.0:

@@ -14,7 +14,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, SolverError, StructuralError
+from .errors import DomainError, ResourceError, SolverError, StructuralError, \
+    number
 from .grid import GridData, box_array, box_intersect, check_interior_depth, \
     grid_from_function, random_grid, refined_window
 from .linear import contractivity_certificate, fit_gamma
@@ -277,6 +278,7 @@ def approximation_error(mask: Mask, f, lipschitz: float, h: float,
     """Compares n-level subdivision of samples x_i = f(h*i), i in the cube
     -4..4, against f on the level-n dyadic grid; bound = R * lipschitz * h
     with R the support radius of the mask."""
+    h, lipschitz = number(h, "h"), number(lipschitz, "lipschitz")
     if h <= 0.0:
         raise DomainError("h must be positive")
     lo, hi = (-4,) * mask.dim, (4,) * mask.dim

@@ -24,6 +24,7 @@ C = chaikin_mask()
 BB = tensor_power(B, 2)
 GAPPED = make_mask((0,), [1.0, 0.0, 0.0, 1.0])
 NONDYADIC = translate(make_mask((-1,), [0.2, 0.7, 0.8, 0.3]), (5,))
+WIDE_GAPPED = make_mask((-6,), [0.5, 0.5] + [0.0] * 9 + [0.5, 0.5])
 
 
 # -- kernel rows -----------------------------------------------------------------
@@ -314,7 +315,14 @@ def looped_chain(mask, start, steps, trials, seed):
     (C, (0,), 3, MC_BLOCK + 3),
     (NONDYADIC, (-7,), 4, 600),
     (BB, (3, -5), 2, 400),
-), ids=("chaikin", "nondyadic-shifted", "bspline2d"))
+    # end-state spans (2, 1, 2): pins the order of the tally's keys
+    (tensor_power(B, 3), (-5, 8, -1), 2, 300),
+    # a short second block whose bounding box differs from the first
+    (tensor_power(C, 2), (9, -4), 2, MC_BLOCK + 5),
+    # end states fill 12 of the 13 coefficient positions, the most possible
+    (WIDE_GAPPED, (41,), 8, 2000),
+), ids=("chaikin", "nondyadic-shifted", "bspline2d", "bspline3d-mixed-sign",
+        "chaikin2d-two-blocks", "wide-gapped"))
 def test_sampler_equals_a_per_trial_walk_on_the_same_stream(mask, start, steps,
                                                             trials):
     assert (simulate_chain(mask, start, steps, trials, seed=21)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from npcsubdiv import SpaceDescriptor, StructuralError, make_mask, tripod_point
-from npcsubdiv.errors import integer, lattice_point, numbers
+from npcsubdiv import (SpaceDescriptor, StructuralError, approximation_error,
+                       chaikin_mask, dispersion_gap, euclidean_point,
+                       geodesic_point, lp_curve, make_mask, tripod_point)
+from npcsubdiv.errors import integer, lattice_point, number, numbers
 from npcsubdiv.masks import Mask, mask_from_json
 from npcsubdiv.spaces import descriptor_from_json
 
@@ -54,6 +56,30 @@ def test_numbers_returns_a_new_float_array():
 def test_numbers_refuses_strings_bools_and_ragged_nesting(bad):
     with pytest.raises(StructuralError):
         numbers(bad, "coeffs")
+
+
+def test_number_reads_one_int_or_float():
+    assert number(2) == 2.0 and type(number(np.int64(2))) is float
+    assert number(np.float64(0.25)) == 0.25 and number(np.array(1.5)) == 1.5
+
+
+@pytest.mark.parametrize("bad", (True, np.bool_(False), "2", None, [2.0],
+                                 np.array([0.5]), [[1.0]]))
+def test_number_refuses_bools_strings_and_arrays(bad):
+    with pytest.raises(StructuralError, match="^p must"):
+        number(bad, "p")
+
+
+@pytest.mark.parametrize("bad", (True, "2", [1.0]))
+def test_scalar_arguments_go_through_the_number_reader(bad):
+    C, x = chaikin_mask(), euclidean_point([0.0])
+    for call in (lambda: geodesic_point(x, x, bad),
+                 lambda: lp_curve(C, (0,), 2, bad, (0,)),
+                 lambda: dispersion_gap(C, (0,), 1, bad),
+                 lambda: approximation_error(C, euclidean_point, 1.0, bad, 1),
+                 lambda: approximation_error(C, euclidean_point, bad, 0.1, 1)):
+        with pytest.raises(StructuralError):
+            call()
 
 
 # -- the readers behind the constructors and decoders ------------------------------
