@@ -33,8 +33,6 @@ from .subdivision import (approximation_error, convergence_diagnostic,
 
 __all__ = ["RunConfig", "Report", "run", "main"]
 
-COMMANDS = ("validate", "cascade", "certify", "subdivide", "diagnose",
-            "chain", "lp", "gap", "approx")
 CSV_COMMANDS = ("cascade", "subdivide", "lp")  # series-valued outputs only
 APPROX_H_SWEEP = (0.2, 0.1, 0.05)
 
@@ -116,6 +114,18 @@ def parse_int(text: str, what: str = "integer") -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise DomainError(f"bad {what} {text!r}")
     return int(text)
+
+
+def parse_float(text: str) -> float:
+    """A float as the command line writes it: an optional '-', then Python's
+    float syntax in ASCII ('1', '1.5', '2e0', 'inf') with no '+', blank or '_'."""
+    body = text[1:] if text.startswith("-") else text
+    try:
+        if body.isascii() and body == body.strip() and not ("_" in body or body[:1] == "+"):
+            return float(text)
+    except ValueError:
+        pass
+    raise DomainError(f"bad number {text!r}")
 
 
 def parse_space(text: str) -> SpaceDescriptor:
@@ -270,23 +280,45 @@ def _cmd_approx(config: RunConfig):
             "checks": checks}
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "cascade": _cmd_cascade,
-    "certify": _cmd_certify,
-    "subdivide": _cmd_subdivide,
-    "diagnose": _cmd_diagnose,
-    "chain": _cmd_chain,
-    "lp": _cmd_lp,
-    "gap": _cmd_gap,
-    "approx": _cmd_approx,
+# name -> (handler, help text, options): the options are keys of _OPTIONS,
+# which gives their flags and argparse keywords in the order --help lists them
+COMMANDS = {
+    "validate": (_cmd_validate, "check a mask: nonnegativity, sum rule, screens", ("mask",)),
+    "cascade": (_cmd_cascade, "refinable-function samples of a mask", ("mask", "levels")),
+    "certify": (_cmd_certify, "contractivity certificate for a mask", ("mask", "cap")),
+    "subdivide": (_cmd_subdivide, "run the scheme on grid data", ("mask", "data!", "levels")),
+    "diagnose": (_cmd_diagnose, "convergence diagnostic on given or random data",
+                 ("mask", "data", "space", "levels", "trials")),
+    "chain": (_cmd_chain, "characteristic-chain marginal, exact or Monte Carlo",
+              ("mask", "steps", "trials", "start")),
+    "lp": (_cmd_lp, "L^p moment curve of the chain", ("mask", "max-steps", "p", "start", "index")),
+    "gap": (_cmd_gap, "nested vs one-shot barycenter gap", ("mask", "data!", "steps", "index")),
+    "approx": (_cmd_approx, "sampled-geodesic approximation bound check",
+               ("mask", "space", "levels")),
+}
+
+_OPTIONS = {
+    "mask": (("--mask",), {"required": True, "help": "mask JSON file"}),
+    "data": (("--data",), {"help": "grid data JSON file"}),
+    "data!": (("--data",), {"required": True, "help": "grid data JSON file"}),
+    "space": (("--space",), {"help": "backend as kind:dim, e.g. spd:2"}),
+    "levels": (("--levels", "--level"), {"type": parse_int, "help": "refinement depth"}),
+    "steps": (("--steps",), {"type": parse_int, "help": "chain step count"}),
+    "max-steps": (("--steps", "--max-steps"), {"type": parse_int, "help": "chain step count"}),
+    "trials": (("--trials",), {"type": parse_int, "help": "number of trials"}),
+    "p": (("--p",), {"type": parse_float, "help": "moment exponent (>= 1)"}),
+    "start": (("--start",), {"type": parse_lattice,
+                             "help": "start state, comma-separated integers"}),
+    "index": (("--index",), {"type": parse_lattice,
+                             "help": "lattice index, comma-separated integers"}),
+    "cap": (("--cap",), {"type": parse_int, "help": "certificate level cap"}),
 }
 
 
 def run(config: RunConfig) -> Report:
     """Dispatches to the owning module; payload is deterministic per config."""
     started = time.perf_counter()
-    payload = _HANDLERS[config.command](config)
+    payload = COMMANDS[config.command][0](config)
     duration = time.perf_counter() - started
     versions = {
         "package": __version__,
@@ -337,64 +369,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Barycentric subdivision schemes on Hadamard spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, mask=False, data=False, space=False,
-            levels=False, steps=False, trials=False, p=False, start=False,
-            index=False, cap=False):
+    for name, (_, help_text, options) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        if mask:
-            cmd.add_argument("--mask", required=True,
-                             help="mask JSON file")
-        if data:
-            cmd.add_argument("--data", required=(name in ("subdivide", "gap")),
-                             help="grid data JSON file")
-        if space:
-            cmd.add_argument("--space", help="backend as kind:dim, e.g. spd:2")
-        if levels:
-            cmd.add_argument("--levels", "--level", dest="levels", type=parse_int,
-                             help="refinement depth")
-        if steps:
-            flags = ("--steps", "--max-steps") if name == "lp" else ("--steps",)
-            cmd.add_argument(*flags, dest="steps", type=parse_int,
-                             help="chain step count")
-        if trials:
-            cmd.add_argument("--trials", type=parse_int, help="number of trials")
-        if p:
-            cmd.add_argument("--p", type=float, help="moment exponent (>= 1)")
-        if start:
-            cmd.add_argument("--start", type=parse_lattice,
-                             help="start state, comma-separated integers")
-        if index:
-            cmd.add_argument("--index", type=parse_lattice,
-                             help="lattice index, comma-separated integers")
-        if cap:
-            cmd.add_argument("--cap", type=parse_int, help="certificate level cap")
+        for option in options:
+            flags, keywords = _OPTIONS[option]
+            cmd.add_argument(*flags, **keywords)
         cmd.add_argument("--seed", type=parse_int, default=0)
         cmd.add_argument("--out", help="output file (default: stdout)")
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
-        return cmd
-
-    add("validate", "check a mask: nonnegativity, sum rule, screens",
-        mask=True)
-    add("cascade", "refinable-function samples of a mask", mask=True,
-        levels=True)
-    add("certify", "contractivity certificate for a mask", mask=True, cap=True)
-    add("subdivide", "run the scheme on grid data", mask=True, data=True,
-        levels=True)
-    add("diagnose", "convergence diagnostic on given or random data",
-        mask=True, data=True, space=True, levels=True, trials=True)
-    chain = add("chain", "characteristic-chain marginal, exact or Monte Carlo",
-                mask=True, steps=True, trials=True, start=True)
-    mode = chain.add_mutually_exclusive_group()
+    mode = sub.choices["chain"].add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true",
                       help="exact kernel row (default)")
     mode.add_argument("--mc", nargs="?", const="", metavar="trials=N",
                       help="Monte Carlo marginal; optional trials=N")
-    add("lp", "L^p moment curve of the chain", mask=True, steps=True, p=True,
-        start=True, index=True)
-    add("gap", "nested vs one-shot barycenter gap", mask=True, data=True,
-        steps=True, index=True)
-    add("approx", "sampled-geodesic approximation bound check", mask=True,
-        space=True, levels=True)
     return parser
 
 

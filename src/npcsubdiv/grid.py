@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError, StructuralError, lattice_point, numbers
 from .masks import Mask
 from .spaces import SpaceDescriptor, SpacePoint, _point, check_payloads, \
-    descriptor_from_json, descriptor_to_json, payloads_to_json, point_from_json, \
+    descriptor_from_json, descriptor_to_json, payloads_from_json, payloads_to_json, \
     random_point, stack_payloads
 
 CONSTANT_NEAREST = "constant_nearest"
@@ -87,26 +87,26 @@ class GridData:
         return tuple(out)
 
 
-def _stacked_grid(descriptor, lo, hi, points: list, extension) -> GridData:
-    """Grid of a row-major list of points, all of the given descriptor."""
+def _stacked_grid(descriptor, lo, hi, flat: np.ndarray, extension) -> GridData:
+    """Grid of the payloads of its nodes, stacked in row-major order in flat."""
     lo, hi = lattice_point(lo, what="window corner"), lattice_point(hi, what="window corner")
     shape = tuple(max(h - l + 1, 0) for l, h in zip(lo, hi))  # GridData rejects empty
-    if len(points) != math.prod(shape):
+    if len(flat) != math.prod(shape):
         raise StructuralError(
-            f"{len(points)} points supplied for window of size {math.prod(shape)}")
-    flat = stack_payloads(points, descriptor)
+            f"{len(flat)} points supplied for window of size {math.prod(shape)}")
     return GridData(descriptor, lo, hi, flat.reshape(shape + flat.shape[1:]), extension)
 
 
 def grid_from_function(descriptor, lo, hi, fn, extension=CONSTANT_NEAREST) -> GridData:
     """Builds a grid whose node i holds fn(i)."""
     lo, hi = lattice_point(lo, what="window corner"), lattice_point(hi, what="window corner")
-    return _stacked_grid(descriptor, lo, hi, [fn(i) for i in box_indices(lo, hi)], extension)
+    points = [fn(i) for i in box_indices(lo, hi)]
+    return _stacked_grid(descriptor, lo, hi, stack_payloads(points, descriptor), extension)
 
 
 def grid_from_points(descriptor, lo, hi, points, extension=CONSTANT_NEAREST) -> GridData:
     """Builds a grid from a row-major flat list of points."""
-    return _stacked_grid(descriptor, lo, hi, list(points), extension)
+    return _stacked_grid(descriptor, lo, hi, stack_payloads(list(points), descriptor), extension)
 
 
 def random_grid(descriptor, lo, hi, rng, extension=CONSTANT_NEAREST) -> GridData:
@@ -200,8 +200,7 @@ def grid_from_json(obj: dict) -> GridData:
     try:
         desc = descriptor_from_json(obj["descriptor"])
         lo, hi = obj["window"]["lo"], obj["window"]["hi"]
-        extension = obj["extension"]
-        points = [point_from_json(desc, p) for p in obj["points"]]
+        extension, points = obj["extension"], obj["points"]
     except (KeyError, TypeError) as exc:
         raise StructuralError("bad grid object") from exc
-    return grid_from_points(desc, lo, hi, points, extension)
+    return _stacked_grid(desc, lo, hi, payloads_from_json(desc, points), extension)

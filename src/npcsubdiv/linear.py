@@ -18,7 +18,7 @@ from itertools import islice, pairwise, product
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, StructuralError
+from .errors import DomainError, ResourceError, StructuralError, integer
 from .masks import ITERATED_SUPPORT_CAP, BoxGauge, Mask, coset, default_gauge, \
     gauge_offsets, ladder, recenter, require_sum_rule
 
@@ -84,6 +84,7 @@ def cascade(mask: Mask, n: int) -> RefinableSamples:
     Runs for any nonnegative mask so that diagnostics (e.g. the partition of
     unity residual) can flag non-sum-rule masks rather than refuse them.
     """
+    n = integer(n, "iteration level")
     if n < 0:
         raise StructuralError("iteration level must be >= 0")
     cur, nxt = islice(ladder(mask), n, n + 2)

@@ -29,7 +29,7 @@ from itertools import islice, product
 
 import numpy as np
 
-from .errors import DomainError, lattice_point, number
+from .errors import DomainError, integer, lattice_point, number
 from .grid import GridData
 from .linear import RefinableSamples
 from .masks import (Mask, coset, default_gauge, gauge_value, iterated_mask,
@@ -74,12 +74,14 @@ class KernelRow:
     probs: dict  # j -> a^(n)_{start - 2^n j}
 
 
-def _checked(mask: Mask, steps: int) -> Mask:
-    """The mask, once steps >= 0 and the sum rule (stochastic rows) hold."""
+def _checked(mask: Mask, steps) -> int:
+    """steps as an int, once it is >= 0 and the mask keeps the sum rule
+    (stochastic rows)."""
+    steps = integer(steps, "steps")
     if steps < 0:
         raise DomainError("steps must be >= 0")
     require_sum_rule(mask)
-    return mask
+    return steps
 
 
 def kernel_row(mask: Mask, start, steps: int) -> KernelRow:
@@ -90,7 +92,8 @@ def kernel_row(mask: Mask, start, steps: int) -> KernelRow:
     m + n and chaining the two rows reproduces the joint row exactly.
     """
     start = lattice_point(start, mask.dim, "chain state")
-    level = iterated_mask(_checked(mask, steps), steps)
+    steps = _checked(mask, steps)
+    level = iterated_mask(mask, steps)
     return KernelRow(start=start, steps=steps, probs=dict(coset(level, steps, start)))
 
 
@@ -109,9 +112,10 @@ def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
     final state to its relative frequency.
     """
     start = lattice_point(start, mask.dim, "chain state")
+    trials = integer(trials, "trials")
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    _checked(mask, steps)
+    steps = _checked(mask, steps)
     if steps == 0:
         return {start: 1.0}
     # a move 2j - r is minus a mask index, so bounding |start| and the
@@ -199,8 +203,9 @@ def lp_curve(mask: Mask, ell, steps: int, p: float, k) -> list:
     p = _check_exponent(p)
     k = lattice_point(k, mask.dim, "moment centre")
     ell = lattice_point(ell, mask.dim, "chain state")
+    steps = _checked(mask, steps)
     return [sum(w * math.dist(j, k) ** p for j, w in coset(level, n, ell))
-            for n, level in enumerate(islice(ladder(_checked(mask, steps)), steps + 1))]
+            for n, level in enumerate(islice(ladder(mask), steps + 1))]
 
 
 def lp_moment(mask: Mask, ell, steps: int, p: float, k) -> float:
@@ -216,7 +221,8 @@ def dispersion_gap(mask: Mask, ell, steps: int, p: float) -> float:
     """
     p = _check_exponent(p)
     ell = lattice_point(ell, mask.dim, "chain state")
-    level = iterated_mask(_checked(mask, steps), steps)
+    steps = _checked(mask, steps)
+    level = iterated_mask(mask, steps)
     total = 0.0
     for j, wj in coset(level, steps, ell):
         for i, wi in coset(level, steps, j):
@@ -239,7 +245,8 @@ def ball_confinement(mask: Mask, start, steps: int) -> BallConfinement:
     clause) must have gauge value <= 2.  gauge_radius is the largest gauge
     value seen over the checked steps.
     """
-    centred, _ = recenter(_checked(mask, steps))
+    steps = _checked(mask, steps)
+    centred, _ = recenter(mask)
     gauge = default_gauge(mask)
     start = lattice_point(start, mask.dim, "chain state")
     confined = True

@@ -98,10 +98,8 @@ def hyperboloid_from_spatial(v) -> SpacePoint:
 
 
 def tripod_point(leg: int, t: float) -> SpacePoint:
-    leg = integer(leg, "tripod leg")
-    t = number(t, "tripod coordinate")
-    # a leg outside 0..2 stays outside at any size, and stays a float
-    return _member(SpaceDescriptor(TRIPOD), np.array([min(max(leg, -1), 3), t]))
+    """The point (leg, t), read as the JSON point object {"leg": leg, "t": t}."""
+    return _member(SpaceDescriptor(TRIPOD), _BACKENDS[TRIPOD].from_json([{"leg": leg, "t": t}])[0])
 
 
 def _check_same(p: SpacePoint, q: SpacePoint) -> SpaceDescriptor:
@@ -266,8 +264,10 @@ class _Backend:
     def to_json(self, payloads):
         return [{self.key: row} for row in payloads.tolist()]
 
-    def from_json(self, obj):
-        return self.make(obj[self.key])
+    def from_json(self, objs):
+        # a bare number is a 1-vector, as in `euclidean_point`; other shapes refuse it
+        values = [obj[self.key] for obj in objs]
+        return numbers([v if np.iterable(v) else [v] for v in values], "point payloads")
 
     def tangent(self, p, v):
         """Refuses a vector v that is not tangent at p."""
@@ -353,7 +353,6 @@ class _Backend:
 
 class _Euclidean(_Backend):
     key = "v"
-    make = staticmethod(euclidean_point)
 
     def dist(self, p, q):
         return _norm(p - q, 1)
@@ -375,7 +374,6 @@ class _SPD(_Backend):
     core = 2
     kappa = 0.5
     key = "m"
-    make = staticmethod(spd_point)
 
     def members(self, rows):
         rows = super().members(rows)
@@ -453,7 +451,6 @@ def _cosh_minus_1(p, q):
 class _Hyperboloid(_Backend):
     kappa = 1.0
     key = "p"
-    make = staticmethod(hyperboloid_point)
 
     def members(self, rows):
         rows = super().members(rows)
@@ -541,8 +538,13 @@ class _Tripod(_Backend):
     def to_json(self, payloads):
         return [{"leg": int(leg), "t": t} for leg, t in payloads.tolist()]
 
-    def from_json(self, obj):
-        return tripod_point(obj["leg"], obj["t"])
+    def from_json(self, objs):
+        # a leg outside 0..2 stays outside at any size, and stays a float
+        rows = [(min(max(integer(obj["leg"], "tripod leg"), -1), 3), obj["t"]) for obj in objs]
+        t = numbers([t for _, t in rows], "tripod coordinate")
+        if t.shape != (len(rows),):
+            raise StructuralError("tripod coordinate must be one number")
+        return np.column_stack([[leg for leg, _ in rows], t])
 
     def dist(self, p, q):
         return np.where(p[..., 0] == q[..., 0], np.abs(p[..., 1] - q[..., 1]),
@@ -796,12 +798,18 @@ def payloads_to_json(desc: SpaceDescriptor, payloads: np.ndarray) -> list:
     return _BACKENDS[desc.kind].to_json(payloads)
 
 
-def point_from_json(desc: SpaceDescriptor, obj: dict) -> SpacePoint:
+def payloads_from_json(desc: SpaceDescriptor, objs) -> np.ndarray:
+    """The payloads of a list of point objects, stacked along a new first axis and
+    read for nesting and shape only (`check_payloads` makes them points)."""
     try:
-        pt = _BACKENDS[desc.kind].from_json(obj)
+        rows = _BACKENDS[desc.kind].from_json(objs)
     except (KeyError, TypeError) as exc:
-        raise StructuralError(f"bad point object for {desc.kind}: {obj!r}") from exc
-    if pt.descriptor != desc:
-        raise StructuralError(
-            f"point does not match descriptor {desc}: {obj!r}")
-    return pt
+        raise StructuralError(f"bad point object for {desc.kind}: {exc!r}") from exc
+    if rows.shape[1:] != desc.payload_shape:
+        raise StructuralError(f"point payloads {rows.shape[1:]} do not match {desc}")
+    return rows
+
+
+def point_from_json(desc: SpaceDescriptor, obj: dict) -> SpacePoint:
+    """The one-object case of `payloads_from_json`, checked as a point."""
+    return _point(desc, check_payloads(desc, payloads_from_json(desc, [obj]))[0])

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DomainError, ResourceError, SolverError, StructuralError, \
-    number
+    integer, number
 from .grid import GridData, box_array, box_intersect, check_interior_depth, \
     grid_from_function, random_grid, refined_window
 from .linear import contractivity_certificate, fit_gamma
@@ -120,6 +120,7 @@ def _sup(descriptor: SpaceDescriptor, p, q) -> float:
 def iterate(mask: Mask, x: GridData, n: int) -> IterateTrace:
     """n refinement steps with interior tracking and contraction series; an n
     whose finest level would pass ITERATED_SUPPORT_CAP payload floats is refused."""
+    n = integer(n, "level count")
     if n < 0:
         raise DomainError(f"level count must be >= 0, got {n}")
     # level n spans 2^n (hi - lo) + 1 nodes per axis; a shift by 64 already
@@ -277,10 +278,12 @@ def approximation_error(mask: Mask, f, lipschitz: float, h: float,
                         n: int) -> ApproximationCheck:
     """Compares n-level subdivision of samples x_i = f(h*i), i in the cube
     -4..4, against f on the level-n dyadic grid; bound = R * lipschitz * h
-    with R the support radius of the mask."""
+    with R the support radius of the mask, for finite h > 0 and lipschitz >= 0."""
     h, lipschitz = number(h, "h"), number(lipschitz, "lipschitz")
-    if h <= 0.0:
-        raise DomainError("h must be positive")
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"h must be finite and > 0, got {h}")
+    if not 0.0 <= lipschitz < math.inf:
+        raise DomainError(f"lipschitz must be finite and >= 0, got {lipschitz}")
     lo, hi = (-4,) * mask.dim, (4,) * mask.dim
     sample0 = f(tuple(h * i for i in lo))
     data = grid_from_function(sample0.descriptor, lo, hi,

@@ -376,14 +376,29 @@ def test_monte_carlo_rejects_starts_beyond_int64(capsys, files):
     ["diagnose", "--mask", "@c", "--space", "spd:2", "--trials", "\u0663"],
     ["approx", "--mask", "@b", "--seed", "1_0"],
     ["lp", "--mask", "@c", "--start", "0", "--index", "\u0660"],
+    ["lp", "--mask", "@c", "--start", "0", "--p", "1_0"],
+    ["lp", "--mask", "@c", "--start", "0", "--p", "\u0663"],
+    ["lp", "--mask", "@c", "--start", "0", "--p", " 2"],
+    ["lp", "--mask", "@c", "--start", "0", "--p", "+3"],
 ), ids=("start-underscore", "start-blank", "steps-blank", "levels-underscore", "cap-plus",
-        "trials-arabic-indic", "seed-underscore", "index-arabic-indic"))
+        "trials-arabic-indic", "seed-underscore", "index-arabic-indic", "p-underscore",
+        "p-arabic-indic", "p-blank", "p-plus"))
 def test_integer_options_are_a_minus_and_ascii_digits(capsys, files, argv):
     argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "invalid parse_" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p,value", (("1", 1.0), ("1.5", 1.5), ("2e0", 2.0), ("-1", None)))
+def test_p_keeps_the_plain_float_syntax(capsys, files, p, value):
+    argv = ["lp", "--mask", files["c"], "--start", "0", "--steps", "2", "--p", p]
+    if value is None:  # read, then refused by the moment's domain
+        expect_error(capsys, argv, "DomainError")
+        return
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 0 and payload_of(out)["p"] == value
 
 
 @pytest.mark.parametrize("space,error_type,message", (

@@ -14,7 +14,7 @@ from npcsubdiv.grid import (box_indices, box_intersect, box_is_empty,
                             grid_from_json, grid_from_points, grid_to_json,
                             minimal_window_width, random_grid,
                             refined_interior, refined_window)
-from npcsubdiv.spaces import hyperboloid_from_spatial
+from npcsubdiv.spaces import hyperboloid_from_spatial, point_from_json
 from oracles import points_equal
 
 EU = SpaceDescriptor("euclidean", 1)
@@ -257,3 +257,81 @@ def test_grid_json_rejects_malformed_objects():
     obj = dict(grid_to_json(ramp(0, 0)), window={"lo": [1, 1], "hi": [-1, -1]})
     with pytest.raises(StructuralError):
         grid_from_json(obj)
+
+
+@pytest.mark.parametrize("kind,dim", (("tripod", 1), ("spd", 2), ("euclidean", 3),
+                                      ("hyperboloid", 2)))
+def test_grid_json_reads_the_point_encoding_without_building_points(kind, dim,
+                                                                    monkeypatch):
+    x = random_grid(SpaceDescriptor(kind, dim), (-1, 0), (1, 2), np.random.default_rng(6))
+    obj = json.loads(json.dumps(grid_to_json(x)))
+    monkeypatch.setattr(SpacePoint, "__init__", None)  # any point built raises
+    back = grid_from_json(obj)
+    assert back.window() == x.window() and np.array_equal(back.payloads, x.payloads)
+
+
+def tripod_grid(**point1):
+    """A three-node tripod grid object whose middle point has the given keys."""
+    points = [{"leg": 2, "t": 2.0}, {"leg": 1, "t": 0.5, **point1}, {"leg": 0, "t": 2.0}]
+    return {"descriptor": {"kind": "tripod", "dim": 1}, "window": {"lo": [0], "hi": [2]},
+            "extension": "constant_nearest",
+            "points": [{k: v for k, v in p.items() if v is not None} for p in points]}
+
+
+def test_a_bare_number_is_a_euclidean_1_vector_as_before():
+    want = ramp(0, 2)
+    for values in ([0.0, 1.0, 2.0], [0, [1.0], 2.0]):
+        obj = dict(grid_to_json(want), points=[{"v": v} for v in values])
+        assert np.array_equal(grid_from_json(obj).payloads, want.payloads)
+    assert points_equal(point_from_json(EU, {"v": 3.0}), euclidean_point([3.0]))
+    with pytest.raises(StructuralError):
+        grid_from_json(dict(grid_to_json(ramp(0, 0)), points=[{"v": [[1.0]]}]))
+
+
+def test_a_tripod_coordinate_given_as_a_list_is_refused_as_before():
+    with pytest.raises(StructuralError, match="^tripod coordinate must be one number"):
+        tripod_point(1, [1.0])
+    with pytest.raises(StructuralError, match="^tripod coordinate must be one number"):
+        point_from_json(SpaceDescriptor("tripod"), {"leg": 1, "t": [1.0]})
+    with pytest.raises(StructuralError, match="^tripod coordinate must"):
+        grid_from_json(tripod_grid(t=[1.0]))
+    obj = tripod_grid()
+    obj["points"] = [dict(p, t=[p["t"]]) for p in obj["points"]]  # no ragged nesting
+    with pytest.raises(StructuralError, match="^tripod coordinate must be one number"):
+        grid_from_json(obj)
+
+
+@pytest.mark.parametrize("obj", (
+    tripod_grid(leg=1.0), tripod_grid(leg=True), tripod_grid(leg=10 ** 400),
+    tripod_grid(leg=-10 ** 400), tripod_grid(leg=3), tripod_grid(leg=None),
+    tripod_grid(t=None), tripod_grid(t="0.5"), tripod_grid(t=10 ** 400),
+    dict(tripod_grid(), points=5), dict(tripod_grid(), points=None),
+    dict(tripod_grid(), points="abc"), dict(tripod_grid(), points={"leg": 0, "t": 1.0}),
+    dict(tripod_grid(), points=[{"leg": 0, "t": 1.0}] * 2),
+    dict(tripod_grid(), points=[[0, 1.0]] * 3),
+    dict(grid_to_json(ramp(0, 2)), points=[{"v": [0.0]}, {"v": [1.0, 2.0]}, {"v": [2.0]}]),
+    dict(grid_to_json(ramp(0, 2)), points=[{"v": [0.0]}, {"p": [1.0]}, {"v": [2.0]}]),
+    dict(grid_to_json(ramp(0, 2)), points=[{"v": [0.0]}, {"v": [True]}, {"v": [2.0]}]),
+    dict(grid_to_json(ramp(0, 2)), points=[]),
+    {"descriptor": {"kind": "spd", "dim": 2}, "window": {"lo": [0], "hi": [0]},
+     "extension": "periodic", "points": [{"m": [[1.0, 0.0], [0.0]]}]},
+    {"descriptor": {"kind": "spd", "dim": 2}, "window": {"lo": [0], "hi": [0]},
+     "extension": "periodic", "points": [{"m": [1.0, 0.0, 0.0, 1.0]}]},
+), ids=("leg-float", "leg-bool", "leg-huge", "leg-huge-negative", "leg-3", "leg-missing",
+        "t-missing", "t-string", "t-huge", "points-int", "points-null", "points-string",
+        "points-dict", "points-too-few", "points-lists", "v-ragged", "v-wrong-key", "v-bool",
+        "points-empty", "m-ragged", "m-flat"))
+def test_malformed_points_of_a_grid_are_structural_errors(obj):
+    with pytest.raises(StructuralError):
+        grid_from_json(obj)
+
+
+def test_a_grid_decodes_to_what_its_points_would_be():
+    obj = tripod_grid(leg=2, t=0.0)  # the glue point comes back on leg 0
+    back = grid_from_json(obj)
+    want = [tripod_point(2, 2.0), tripod_point(2, 0.0), tripod_point(0, 2.0)]
+    assert all(points_equal(back.get(i), p) for i, p in zip(back.indices(), want))
+    with pytest.raises(DomainError):
+        grid_from_json(tripod_grid(t=-0.5))
+    with pytest.raises(NumericError):
+        grid_from_json(tripod_grid(t=float("inf")))

@@ -11,8 +11,9 @@ from npcsubdiv import (NumericError, ResourceError, StructuralError,
                        bspline_mask, chaikin_mask, default_gauge, gauge_value,
                        iterated_mask, make_mask, tensor_power, tensor_product,
                        validate_mask)
-from npcsubdiv.masks import (BoxGauge, coset, coset_sums, gauge_offsets, mask_from_json,
-                             mask_to_json, recenter, require_sum_rule, stencil,
+from npcsubdiv import masks
+from npcsubdiv.masks import (BoxGauge, Mask, coset, coset_sums, gauge_offsets, mask_from_json,
+                             mask_to_json, next_iterate, recenter, require_sum_rule, stencil,
                              translate, unit_gauge)
 from oracles import dense_iterated, hat
 
@@ -141,10 +142,35 @@ def test_iterates_preserve_residue_class_mass():
 def test_iterated_mask_support_cap():
     wide = np.zeros(2 ** 21 + 1)
     wide[0] = wide[-1] = 1.0
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError,
+                       match=r"^iterated mask support 6291457 exceeds cap 4194304$"):
         iterated_mask(make_mask((0,), wide), 2)
     with pytest.raises(StructuralError):
         iterated_mask(B, -1)
+
+
+def test_a_ladder_step_builds_one_mask(monkeypatch):
+    built = []
+    check = Mask.__post_init__
+    monkeypatch.setattr(Mask, "__post_init__", lambda self: built.append(self) or check(self))
+    for mask in (B, C, GAPPED, tensor_power(B, 2)):
+        current = iterated_mask(mask, 2)
+        built.clear()
+        assert built == [next_iterate(mask, current)]
+
+
+def test_an_iterate_that_underflows_to_zero_is_refused():
+    with pytest.raises(StructuralError, match="at least one positive"):
+        iterated_mask(make_mask((0,), [1e-200]), 2)
+
+
+def test_require_sum_rule_builds_no_report(monkeypatch):
+    monkeypatch.setattr(masks, "validate_mask", None)
+    monkeypatch.setattr(masks, "MaskReport", None)
+    require_sum_rule(C)
+    with pytest.raises(StructuralError,
+                       match=r"^mask violates the sum rule \(residual 2\.500e-01\)$"):
+        require_sum_rule(make_mask((0,), [1.0, 0.75]))
 
 
 # -- univariate convergence screens --------------------------------------------------

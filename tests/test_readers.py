@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from npcsubdiv import (SpaceDescriptor, StructuralError, approximation_error,
-                       chaikin_mask, dispersion_gap, euclidean_point,
-                       geodesic_point, lp_curve, make_mask, tripod_point)
+from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError, approximation_error,
+                       ball_confinement, cascade, chaikin_mask, dispersion_gap,
+                       euclidean_point, geodesic_point, iterate, iterated_mask, kernel_row,
+                       lp_curve, make_mask, random_grid, simulate_chain, tripod_point)
 from npcsubdiv.errors import integer, lattice_point, number, numbers
 from npcsubdiv.masks import Mask, mask_from_json
 from npcsubdiv.spaces import descriptor_from_json
@@ -80,6 +81,40 @@ def test_scalar_arguments_go_through_the_number_reader(bad):
                  lambda: approximation_error(C, euclidean_point, bad, 0.1, 1)):
         with pytest.raises(StructuralError):
             call()
+
+
+def count_calls(count):
+    """Every library call that takes a step, trial or level count, given count."""
+    C = chaikin_mask()
+    x = random_grid(SpaceDescriptor("euclidean", 1), (0,), (3,), np.random.default_rng(1))
+    return {"kernel_row": lambda: kernel_row(C, (0,), count),
+            "simulate_chain.steps": lambda: simulate_chain(C, (0,), count, 10, 0),
+            "simulate_chain.trials": lambda: simulate_chain(C, (0,), 1, count, 0),
+            "lp_curve": lambda: lp_curve(C, (0,), count, 1.0, (0,)),
+            "dispersion_gap": lambda: dispersion_gap(C, (0,), count, 1.0),
+            "ball_confinement": lambda: ball_confinement(C, (0,), count),
+            "iterated_mask": lambda: iterated_mask(C, count),
+            "cascade": lambda: cascade(C, count),
+            "iterate": lambda: iterate(C, x, count)}
+
+
+@pytest.mark.parametrize("bad", (True, np.bool_(True), 2.0, 2.5, "2", None, [2]))
+def test_library_counts_go_through_the_integer_reader(bad):
+    for name, call in count_calls(bad).items():
+        with pytest.raises(StructuralError, match="must be an integer"):
+            call()
+
+
+def test_negative_counts_keep_their_error_types():
+    calls = count_calls(-1)
+    for name, call in calls.items():
+        error = StructuralError if name in ("iterated_mask", "cascade") else DomainError
+        with pytest.raises(error):
+            call()
+    with pytest.raises(DomainError, match="trials must be >= 1"):
+        count_calls(0)["simulate_chain.trials"]()
+    row = kernel_row(chaikin_mask(), (0,), np.int64(2))
+    assert type(row.steps) is int and row.steps == 2
 
 
 # -- the readers behind the constructors and decoders ------------------------------

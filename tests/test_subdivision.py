@@ -379,3 +379,9 @@ def test_approximation_error_validation():
     f = geodesic_sampler(HYP2, seed=0)
     with pytest.raises(DomainError):
         approximation_error(B, f, lipschitz=1.0, h=0.0, n=3)
+    for lipschitz, h, name in ((math.nan, 0.1, "lipschitz"), (-1.0, 0.1, "lipschitz"),
+                               (math.inf, 0.1, "lipschitz"), (1.0, math.inf, "h"),
+                               (1.0, math.nan, "h"), (1.0, -0.1, "h")):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            approximation_error(B, f, lipschitz=lipschitz, h=h, n=2)
+    assert approximation_error(B, f, lipschitz=0.0, h=0.1, n=2).bound == 0.0
