@@ -272,7 +272,7 @@ def _cmd_approx(config: RunConfig):
     sampler = geodesic_sampler(descriptor, config.seed)
     checks = []
     for h in APPROX_H_SWEEP:
-        chk = approximation_error(mask, sampler, lipschitz=1.0, h=h, n=level)
+        chk = approximation_error(mask, descriptor, sampler, lipschitz=1.0, h=h, n=level)
         checks.append({"h": chk.h, "sup_err": chk.sup_err,
                        "bound": chk.bound, "ok": chk.ok})
     return {"space": f"{descriptor.kind}:{descriptor.dim}", "level": level,

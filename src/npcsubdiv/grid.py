@@ -87,7 +87,7 @@ class GridData:
         return tuple(out)
 
 
-def _stacked_grid(descriptor, lo, hi, flat: np.ndarray, extension) -> GridData:
+def _stacked_grid(descriptor, lo, hi, flat: np.ndarray, extension=CONSTANT_NEAREST) -> GridData:
     """Grid of the payloads of its nodes, stacked in row-major order in flat."""
     lo, hi = lattice_point(lo, what="window corner"), lattice_point(hi, what="window corner")
     shape = tuple(max(h - l + 1, 0) for l, h in zip(lo, hi))  # GridData rejects empty
@@ -100,8 +100,9 @@ def _stacked_grid(descriptor, lo, hi, flat: np.ndarray, extension) -> GridData:
 def grid_from_function(descriptor, lo, hi, fn, extension=CONSTANT_NEAREST) -> GridData:
     """Builds a grid whose node i holds fn(i)."""
     lo, hi = lattice_point(lo, what="window corner"), lattice_point(hi, what="window corner")
-    points = [fn(i) for i in box_indices(lo, hi)]
-    return _stacked_grid(descriptor, lo, hi, stack_payloads(points, descriptor), extension)
+    flat = stack_payloads([fn(i) for i in box_indices(lo, hi)], descriptor)
+    shape = tuple(max(h - l + 1, 0) for l, h in zip(lo, hi))  # GridData rejects empty
+    return GridData(descriptor, lo, hi, flat.reshape(shape + flat.shape[1:]), extension)
 
 
 def grid_from_points(descriptor, lo, hi, points, extension=CONSTANT_NEAREST) -> GridData:

@@ -288,15 +288,16 @@ class _Backend:
         return self.norm(y, v), norms, self.exp(y, _bounded(self.kappa, weights, norms, v))
 
     def sampler(self, desc, seed):
-        """A unit-speed geodesic toward a random second point."""
+        """A unit-speed geodesic toward a random second point, as one batched exp."""
         rng = np.random.default_rng(seed)
         base = random_point(desc, rng)
         speed = 0.0
         while speed < 1e-9:  # resample the second point if the two coincide
             other = random_point(desc, rng)
             speed = distance(base, other)  # the length of log_base(other)
-        unit = log_map(base, other) / speed
-        return lambda t: exp_map(base, float(t[0]) * unit)
+        p, unit = _payload(base), log_map(base, other) / speed
+        self.tangent(p, unit)  # the test of exp_map, which scales with t
+        return lambda t: _apply(desc, "exp", p, t[:, 0].reshape((-1,) + (1,) * self.core) * unit)
 
     def barycenters(self, desc, points, weights):
         """The smooth solver of `barycenters`."""
@@ -569,7 +570,7 @@ class _Tripod(_Backend):
 
     def sampler(self, desc, seed):
         """The line through the glue point along legs 1 and 2."""
-        return lambda t: tripod_point(1 if t[0] >= 0 else 2, abs(float(t[0])))
+        return lambda t: _tripod_rows(np.where(t[:, 0] >= 0.0, 1.0, 2.0), np.abs(t[:, 0]))
 
     def barycenters(self, desc, points, weights):
         """The exact closed form: a constrained quadratic per leg, with
@@ -740,8 +741,9 @@ class BarycenterProblem:
 def weighted_barycenter(problem: BarycenterProblem) -> SpacePoint:
     """argmin of sum_j w_j d(x_j, .)^2: the one-row case of `barycenters`."""
     desc = problem.points[0].descriptor
-    out, failure = barycenters(desc, stack_payloads(problem.points, desc)[None],
-                               problem.weights)
+    with np.errstate(all="ignore"):  # the problem has read its weights
+        out, failure = _BACKENDS[desc.kind].barycenters(
+            desc, stack_payloads(problem.points, desc)[None], problem.weights)
     if failure:
         raise failure[1]
     return _point(desc, out[0])
@@ -767,11 +769,10 @@ def random_point(descriptor: SpaceDescriptor, rng: np.random.Generator) -> Space
 
 
 def geodesic_sampler(descriptor: SpaceDescriptor, seed: int = 0):
-    """Unit-speed geodesic t -> gamma(t), so Lipschitz constant exactly 1.
-
-    The direction runs toward a random second point; on the tripod the line
-    runs through the glue point along legs 1 and 2.
-    """
+    """Unit-speed geodesic (Lipschitz constant exactly 1) as a batched map from an
+    (N, dim) array t to the (N, *payload_shape) payloads gamma(t[:, 0]); the
+    direction runs toward a random second point, and on the tripod the line
+    runs through the glue point along legs 1 (t >= 0) and 2 (t < 0)."""
     return _BACKENDS[descriptor.kind].sampler(descriptor, seed)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -17,12 +18,12 @@ import numpy as np
 from .errors import DomainError, ResourceError, SolverError, StructuralError, \
     integer, number
 from .grid import GridData, box_array, box_intersect, check_interior_depth, \
-    grid_from_function, random_grid, refined_window
+    _stacked_grid, random_grid, refined_window
 from .linear import contractivity_certificate, fit_gamma
 from .masks import ITERATED_SUPPORT_CAP, BoxGauge, Mask, default_gauge, gauge_offsets, \
     require_sum_rule, stencil, support_radius, unit_gauge
 from .spaces import EUCLIDEAN, SpaceDescriptor, barycenters, distances, \
-    geodesic_points, geodesic_sampler, stack_payloads
+    geodesic_points, geodesic_sampler
 
 __all__ = [
     "GridData", "IterateTrace", "subdivide", "iterate", "contractivity_D",
@@ -81,18 +82,26 @@ def subdivide(mask: Mask, x: GridData) -> GridData:
 
 @dataclass(eq=False)
 class IterateTrace:
-    """Levels 0..n with per-level interior boxes and contraction series."""
+    """Levels 0..n with interior boxes; the contraction series are computed on
+    first read, from one distance sweep per level over the offsets of `gauge`
+    (half-widths >= 1): the gauge sup is its max, d_inf that over |e|_inf <= 1."""
 
     mask: Mask
     levels: list
     interiors: list
-    d_inf_series: list
-    gauge_series: list
     gauge: BoxGauge
+    d_inf_series = property(lambda self: self._sups[0])
+    gauge_series = property(lambda self: self._sups[1])
+
+    @cached_property
+    def _sups(self):
+        sweeps = [_pair_distances(lv, self.gauge, b) for lv, b in zip(self.levels, self.interiors)]
+        return [_max(d[near]) for d, near in sweeps], [_max(d) for d, _ in sweeps]
 
 
-def contractivity_D(x: GridData, gauge: BoxGauge, box=None) -> float:
-    """sup d(x_i, x_j) over pairs with gauge(i - j) < 2 inside the box."""
+def _pair_distances(x: GridData, gauge: BoxGauge, box):
+    """d(x_i, x_{i+e}) over the pairs in the box with e > 0 and gauge(e) < 2
+    (i in row-major order, then e), and whether |e|_inf <= 1 for each."""
     if gauge.half_widths.size != x.dim:
         raise StructuralError("gauge and data dimension disagree")
     lo, hi = box if box is not None else x.window()
@@ -102,9 +111,15 @@ def contractivity_D(x: GridData, gauge: BoxGauge, box=None) -> float:
     i = box_array(lo, hi)
     j = i[:, None, :] + offsets
     inside = np.all((j >= lo) & (j <= hi), axis=-1)
+    near = np.broadcast_to(np.abs(offsets).max(axis=1) <= 1, inside.shape)[inside]
     data = x.payloads
-    return _sup(x.descriptor, data[x.local(np.broadcast_to(i[:, None, :], j.shape)[inside].T)],
-                data[x.local(j[inside].T)])
+    return distances(x.descriptor, data[x.local(np.broadcast_to(i[:, None, :], j.shape)[inside].T)],
+                     data[x.local(j[inside].T)]), near
+
+
+def contractivity_D(x: GridData, gauge: BoxGauge, box=None) -> float:
+    """sup d(x_i, x_j) over pairs with gauge(i - j) < 2 inside the box."""
+    return _max(_pair_distances(x, gauge, box)[0])
 
 
 def d_inf(x: GridData, box=None) -> float:
@@ -112,14 +127,15 @@ def d_inf(x: GridData, box=None) -> float:
     return contractivity_D(x, unit_gauge(x.dim), box)
 
 
-def _sup(descriptor: SpaceDescriptor, p, q) -> float:
-    """sup of the distances between two stacks of payloads; 0.0 when empty."""
-    return float(np.max(distances(descriptor, p, q), initial=0.0))
+def _max(dists) -> float:
+    """sup of a stack of distances; 0.0 when empty."""
+    return float(np.max(dists, initial=0.0))
 
 
 def iterate(mask: Mask, x: GridData, n: int) -> IterateTrace:
-    """n refinement steps with interior tracking and contraction series; an n
-    whose finest level would pass ITERATED_SUPPORT_CAP payload floats is refused."""
+    """n refinement steps with interior tracking, and the contraction series
+    on demand; an n whose finest level would pass ITERATED_SUPPORT_CAP payload
+    floats is refused."""
     n = integer(n, "level count")
     if n < 0:
         raise DomainError(f"level count must be >= 0, got {n}")
@@ -135,11 +151,7 @@ def iterate(mask: Mask, x: GridData, n: int) -> IterateTrace:
     levels = [x]
     for _ in range(n):
         levels.append(subdivide(mask, levels[-1]))
-    d_series = [contractivity_D(lv, unit_gauge(x.dim), b)
-                for lv, b in zip(levels, boxes)]
-    g_series = [contractivity_D(lv, gauge, b) for lv, b in zip(levels, boxes)]
-    return IterateTrace(mask=mask, levels=levels, interiors=boxes,
-                        d_inf_series=d_series, gauge_series=g_series, gauge=gauge)
+    return IterateTrace(mask=mask, levels=levels, interiors=boxes, gauge=gauge)
 
 
 @dataclass
@@ -175,13 +187,10 @@ def empirical_gamma(mask: Mask, space: SpaceDescriptor, trials: int, n_max: int,
                 break
         if trace is None:
             raise SolverError(f"trial {t} failed after 3 resamples")
-        series = list(enumerate(trace.d_inf_series))
-        gamma_t = fit_gamma([p for p in series if p[0] >= FIT_FIRST_LEVEL])
-        gammas.append(gamma_t)
-        ref = max(gamma_t, 1e-12)
-        d0 = trace.d_inf_series[0]
-        for nn, v in series[1:]:
-            c_hat = max(c_hat, v / (ref ** nn * d0))
+        d = trace.d_inf_series
+        gammas.append(fit_gamma([(k, v) for k, v in enumerate(d) if k >= FIT_FIRST_LEVEL]))
+        ref = max(gammas[-1], 1e-12)
+        c_hat = max([c_hat] + [v / (ref ** k * d[0]) for k, v in enumerate(d) if k])
     return GammaEstimate(gamma_hat=max(gammas), C_hat=c_hat, per_trial_gamma=gammas)
 
 
@@ -216,15 +225,11 @@ def bspline_comparison(x: GridData) -> GridData:
     euclidean data and for dim 1 on every backend."""
     data = x.payloads
     for axis in range(x.dim):
-        def along(sl):
-            return data[(slice(None),) * axis + (sl,)]
-
-        shape = list(data.shape)
-        shape[axis] = 2 * shape[axis] - 1
-        out = np.empty(shape)
-        out[(slice(None),) * axis + (slice(None, None, 2),)] = data
-        out[(slice(None),) * axis + (slice(1, None, 2),)] = geodesic_points(
-            x.descriptor, along(slice(None, -1)), along(slice(1, None)), 0.5)
+        lead = (slice(None),) * axis
+        out = np.empty(data.shape[:axis] + (2 * data.shape[axis] - 1,) + data.shape[axis + 1:])
+        out[lead + (slice(None, None, 2),)] = data
+        out[lead + (slice(1, None, 2),)] = geodesic_points(
+            x.descriptor, data[lead + (slice(None, -1),)], data[lead + (slice(1, None),)], 0.5)
         data = out
     lo, hi = refined_window(x.lo, x.hi)
     return GridData(x.descriptor, lo, hi, data, x.extension)
@@ -244,23 +249,17 @@ def convergence_diagnostic(mask: Mask, x: GridData, n_max: int) -> ConvergenceDi
     trace = iterate(mask, x, n_max)
     series = []
     for n in range(n_max):
-        comparison = bspline_comparison(trace.levels[n])
-        shared = box_intersect(refined_window(*trace.interiors[n]),
-                               trace.interiors[n + 1])
-        level = trace.levels[n + 1]
-        nodes = box_array(*shared).T
-        series.append(_sup(x.descriptor, comparison.payloads[comparison.local(nodes)],
-                           level.payloads[level.local(nodes)]))
-    scale = max(series) if series else 0.0
-    floor = 1e-13 * (1.0 + scale)
-    tail = series[len(series) // 2:]
-    if all(v <= floor for v in tail):
-        verdict = "converging"
-    else:
-        start = len(series) // 2
-        ratio = fit_gamma([(start + k, max(v, floor)) for k, v in enumerate(tail)])
-        verdict = "converging" if ratio < 1.0 - DIAGNOSTIC_MARGIN else "inconclusive"
-    return ConvergenceDiagnostic(cauchy_series=series, verdict=verdict)
+        comparison, level = bspline_comparison(trace.levels[n]), trace.levels[n + 1]
+        nodes = box_array(*box_intersect(refined_window(*trace.interiors[n]),
+                                         trace.interiors[n + 1])).T
+        series.append(_max(distances(x.descriptor, comparison.payloads[comparison.local(nodes)],
+                                     level.payloads[level.local(nodes)])))
+    floor = 1e-13 * (1.0 + max(series))
+    start = len(series) // 2
+    tail = [(start + k, max(v, floor)) for k, v in enumerate(series[start:])]
+    converging = all(v <= floor for _, v in tail) or fit_gamma(tail) < 1.0 - DIAGNOSTIC_MARGIN
+    return ConvergenceDiagnostic(cauchy_series=series,
+                                 verdict="converging" if converging else "inconclusive")
 
 
 # -- approximation --------------------------------------------------------------
@@ -274,27 +273,25 @@ class ApproximationCheck:
     level: int
 
 
-def approximation_error(mask: Mask, f, lipschitz: float, h: float,
-                        n: int) -> ApproximationCheck:
+def approximation_error(mask: Mask, descriptor: SpaceDescriptor, f, lipschitz: float,
+                        h: float, n: int) -> ApproximationCheck:
     """Compares n-level subdivision of samples x_i = f(h*i), i in the cube
     -4..4, against f on the level-n dyadic grid; bound = R * lipschitz * h
-    with R the support radius of the mask, for finite h > 0 and lipschitz >= 0."""
+    with R the support radius of the mask, for finite h > 0 and lipschitz >= 0.
+    f is a batched sampler on `descriptor` (see `geodesic_sampler`), called once
+    on the coarse grid, whose payloads GridData checks, and once on the level-n interior."""
     h, lipschitz = number(h, "h"), number(lipschitz, "lipschitz")
     if not 0.0 < h < math.inf:
         raise DomainError(f"h must be finite and > 0, got {h}")
     if not 0.0 <= lipschitz < math.inf:
         raise DomainError(f"lipschitz must be finite and >= 0, got {lipschitz}")
     lo, hi = (-4,) * mask.dim, (4,) * mask.dim
-    sample0 = f(tuple(h * i for i in lo))
-    data = grid_from_function(sample0.descriptor, lo, hi,
-                              lambda idx: f(tuple(h * i for i in idx)))
+    data = _stacked_grid(descriptor, lo, hi, f(h * box_array(lo, hi)))
     trace = iterate(mask, data, n)
-    scale = h / 2 ** n
     level = trace.levels[n]
     nodes = box_array(*trace.interiors[n])
-    targets = [f(tuple(scale * ik for ik in i)) for i in nodes.tolist()]
-    sup_err = _sup(level.descriptor, level.payloads[level.local(nodes.T)],
-                   stack_payloads(targets, level.descriptor))
+    sup_err = _max(distances(descriptor, level.payloads[level.local(nodes.T)],
+                             f((h / 2 ** n) * nodes)))
     bound = support_radius(mask) * lipschitz * h
     return ApproximationCheck(sup_err=sup_err, bound=bound,
                               ok=sup_err <= bound + 1e-8, h=h, level=n)

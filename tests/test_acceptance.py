@@ -226,8 +226,9 @@ def test_criterion_09_ball_confinement():
 
 def test_criterion_10_approximation_bound():
     def body():
-        f = geodesic_sampler(SpaceDescriptor("hyperboloid", 2), seed=0)
-        checks = [approximation_error(B, f, lipschitz=1.0, h=h, n=5)
+        hyp2 = SpaceDescriptor("hyperboloid", 2)
+        f = geodesic_sampler(hyp2, seed=0)
+        checks = [approximation_error(B, hyp2, f, lipschitz=1.0, h=h, n=5)
                   for h in (0.2, 0.1, 0.05)]
         ok = all(c.ok and c.sup_err <= c.h + 1e-8 for c in checks)
         for coarse, fine in zip(checks, checks[1:]):

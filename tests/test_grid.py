@@ -14,6 +14,7 @@ from npcsubdiv.grid import (box_indices, box_intersect, box_is_empty,
                             grid_from_json, grid_from_points, grid_to_json,
                             minimal_window_width, random_grid,
                             refined_interior, refined_window)
+from npcsubdiv import grid
 from npcsubdiv.spaces import hyperboloid_from_spatial, point_from_json
 from oracles import points_equal
 
@@ -129,6 +130,15 @@ def test_grid_from_function_rejects_a_foreign_descriptor():
     with pytest.raises(StructuralError):
         grid_from_function(EU, (0,), (2,),
                            lambda i: tripod_point(0, 1.0) if i == (1,) else euclidean_point([0.0]))
+
+
+def test_grid_from_function_reads_each_corner_once_before_the_constructor(monkeypatch):
+    reads = []
+    read = grid.lattice_point
+    monkeypatch.setattr(grid, "lattice_point", lambda v, *a, **k: reads.append(v) or read(v, *a, **k))
+    x = grid_from_function(EU, [0], [2], lambda i: euclidean_point([float(i[0])]))
+    # its own read, which the node indices need, and then that of GridData
+    assert reads == [[0], [2], (0,), (2,)] and x.payloads.ravel().tolist() == [0.0, 1.0, 2.0]
 
 
 def test_refinement_builds_no_point_objects(monkeypatch):

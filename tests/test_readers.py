@@ -5,8 +5,9 @@ import pytest
 
 from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError, approximation_error,
                        ball_confinement, cascade, chaikin_mask, dispersion_gap,
-                       euclidean_point, geodesic_point, iterate, iterated_mask, kernel_row,
-                       lp_curve, make_mask, random_grid, simulate_chain, tripod_point)
+                       euclidean_point, geodesic_point, geodesic_sampler, iterate,
+                       iterated_mask, kernel_row, lp_curve, make_mask, random_grid,
+                       simulate_chain, tripod_point)
 from npcsubdiv.errors import integer, lattice_point, number, numbers
 from npcsubdiv.masks import Mask, mask_from_json
 from npcsubdiv.spaces import descriptor_from_json
@@ -73,12 +74,13 @@ def test_number_refuses_bools_strings_and_arrays(bad):
 
 @pytest.mark.parametrize("bad", (True, "2", [1.0]))
 def test_scalar_arguments_go_through_the_number_reader(bad):
-    C, x = chaikin_mask(), euclidean_point([0.0])
+    C, x, eu1 = chaikin_mask(), euclidean_point([0.0]), SpaceDescriptor("euclidean", 1)
+    f = geodesic_sampler(eu1)
     for call in (lambda: geodesic_point(x, x, bad),
                  lambda: lp_curve(C, (0,), 2, bad, (0,)),
                  lambda: dispersion_gap(C, (0,), 1, bad),
-                 lambda: approximation_error(C, euclidean_point, 1.0, bad, 1),
-                 lambda: approximation_error(C, euclidean_point, bad, 0.1, 1)):
+                 lambda: approximation_error(C, eu1, f, 1.0, bad, 1),
+                 lambda: approximation_error(C, eu1, f, bad, 0.1, 1)):
         with pytest.raises(StructuralError):
             call()
 

@@ -274,6 +274,15 @@ def test_barycenter_problem_validation():
         BarycenterProblem([p, p], np.array([0.5, math.nan]))
 
 
+def test_weighted_barycenter_reads_its_weights_once(monkeypatch):
+    reads = []
+    read = spaces._check_weights
+    monkeypatch.setattr(spaces, "_check_weights", lambda w, k: reads.append(k) or read(w, k))
+    p, q = euclidean_point([0.0]), euclidean_point([1.0])
+    y = weighted_barycenter(BarycenterProblem([p, q], np.array([0.25, 0.75])))
+    assert reads == [2] and y.payload.tolist() == [0.75]
+
+
 @pytest.mark.parametrize("desc", SMOOTH, ids=str)
 def test_two_point_rows_are_geodesic_points_from_the_heavier_point(desc, monkeypatch):
     steps = []

@@ -12,7 +12,7 @@ from npcsubdiv import (DomainError, ResourceError, SolverError,
                        bspline_mask, chaikin_mask, contractivity_D, convergence_diagnostic,
                        d_inf, default_gauge, distance, empirical_gamma,
                        euclidean_point, geodesic_sampler, iterate, make_mask,
-                       random_point, subdivide, tensor_power, tripod_point)
+                       random_point, subdivide, tensor_power, tensor_product, tripod_point)
 from npcsubdiv import spaces
 from npcsubdiv.cli import main
 from npcsubdiv.grid import box_indices, grid_from_points, grid_to_json, random_grid
@@ -58,6 +58,7 @@ def test_barycentric_matches_linear_on_euclidean_data(mask, dim):
 CUBIC = make_mask((-2,), [0.125, 0.5, 0.75, 0.5, 0.125])
 BB = tensor_power(B, 2)
 NONDYADIC = make_mask((3,), [0.3, 0.4, 0.7, 0.6])  # translated, weights not dyadic
+SHIFTED_BB = tensor_product(make_mask((1,), [0.5, 1.0, 0.5]), B)  # a translated 2-D mask
 REFINE_MASKS = {"chaikin": C, "cubic": CUBIC, "tensor_hat": BB, "nondyadic": NONDYADIC}
 REFINE_BACKENDS = (EU2, SPD2, SpaceDescriptor("spd", 3), HYP2,
                    SpaceDescriptor("hyperboloid", 3), TRI)
@@ -100,6 +101,12 @@ def test_contraction_sups_equal_the_pairwise_loop_bit_for_bit(desc):
         assert d_inf(x2, box) == pairwise_sup(x2, unit_gauge(2), box)
         for gauge in (default_gauge(BB), BoxGauge(np.array([0.5, 0.3]))):
             assert contractivity_D(x2, gauge, box) == pairwise_sup(x2, gauge, box)
+    # the series of a trace come from one sweep over the default-gauge offsets
+    for mask, data in ((NONDYADIC, x), (GAPPED, x), (BB, x2), (SHIFTED_BB, x2)):
+        trace = iterate(mask, data, 2)
+        for n, (level, box) in enumerate(zip(trace.levels, trace.interiors)):
+            assert trace.d_inf_series[n] == contractivity_D(level, unit_gauge(mask.dim), box)
+            assert trace.gauge_series[n] == contractivity_D(level, default_gauge(mask), box)
 
 
 def spread_hyperboloid_grid(seed, far=0, near=(3.0, 4.0)):
@@ -362,13 +369,62 @@ def test_geodesic_sampler_has_unit_speed(desc):
     rng = np.random.default_rng(5)
     for _ in range(8):
         s, t = rng.uniform(-2.0, 2.0, 2)
-        assert distance(f((s,)), f((t,))) == pytest.approx(abs(s - t), abs=1e-9)
+        p, q = f(np.array([[s], [t]]))
+        assert spaces.distances(desc, p, q) == pytest.approx(abs(s - t), abs=1e-9)
+
+
+@pytest.mark.parametrize("desc", (SpaceDescriptor("euclidean", 3), SPD2, HYP2), ids=str)
+def test_the_batched_sampler_is_the_one_point_exp_map_bit_for_bit(desc):
+    rng = np.random.default_rng(7)  # the draws of geodesic_sampler(desc, seed=7)
+    base, other = random_point(desc, rng), random_point(desc, rng)
+    unit = spaces.log_map(base, other) / distance(base, other)
+    t = np.concatenate(([0.0, -0.0], np.random.default_rng(8).uniform(-3.0, 3.0, 30)))
+    got = geodesic_sampler(desc, seed=7)(np.column_stack([t, -t]))  # reads column 0
+    want = np.array([spaces.exp_map(base, s * unit).payload for s in t])
+    assert got.shape == (len(t),) + desc.payload_shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_the_tripod_sampler_runs_through_the_glue_point():
+    t = np.array([[0.0], [-0.0], [1.5], [-2.0], [-1e-300]])
+    rows = geodesic_sampler(TRI)(t)
+    assert rows.tolist() == [[0.0, 0.0], [0.0, 0.0], [1.0, 1.5], [2.0, 2.0], [2.0, 1e-300]]
+    assert [bits(spaces._point(TRI, r)) for r in rows] == [
+        bits(tripod_point(1 if s >= 0 else 2, abs(s))) for s in t[:, 0]]
+
+
+def test_the_sampler_checks_tangency_once_where_it_is_built(monkeypatch):
+    seen = []
+    check = spaces._Hyperboloid.tangent
+    monkeypatch.setattr(spaces._Hyperboloid, "tangent",
+                        lambda self, p, v: seen.append(v) or check(self, p, v))
+    f = geodesic_sampler(HYP2, seed=0)
+    unit = seen[-1]  # the last check of the build is that of the unit vector
+    assert math.isclose(float(unit[1:] @ unit[1:] - unit[0] ** 2), 1.0, rel_tol=1e-12)
+    f(np.linspace(-2.0, 2.0, 50)[:, None])
+    assert seen[-1] is unit
+    bent = np.array([1.0, 0.0, 0.0])  # not tangent anywhere on the sheet
+    monkeypatch.setattr(spaces, "log_map", lambda base, x: bent)
+    with pytest.raises(DomainError, match="not tangent"):
+        geodesic_sampler(HYP2, seed=0)
+
+
+def test_approximation_error_samples_each_grid_in_one_call():
+    f = geodesic_sampler(SPD2, seed=1)
+    calls = []
+
+    def counted(t):
+        calls.append(t.shape)
+        return f(t)
+
+    chk = approximation_error(tensor_power(B, 2), SPD2, counted, lipschitz=1.0, h=0.1, n=2)
+    assert calls == [(81, 2), (33 * 33, 2)] and chk.ok
 
 
 def test_approximation_bound_holds_and_scales():
     f = geodesic_sampler(HYP2, seed=0)
-    coarse = approximation_error(B, f, lipschitz=1.0, h=0.2, n=4)
-    fine = approximation_error(B, f, lipschitz=1.0, h=0.1, n=4)
+    coarse = approximation_error(B, HYP2, f, lipschitz=1.0, h=0.2, n=4)
+    fine = approximation_error(B, HYP2, f, lipschitz=1.0, h=0.1, n=4)
     assert coarse.ok and fine.ok
     assert coarse.sup_err <= coarse.bound + 1e-8
     assert fine.bound == pytest.approx(0.5 * coarse.bound)
@@ -378,10 +434,10 @@ def test_approximation_bound_holds_and_scales():
 def test_approximation_error_validation():
     f = geodesic_sampler(HYP2, seed=0)
     with pytest.raises(DomainError):
-        approximation_error(B, f, lipschitz=1.0, h=0.0, n=3)
+        approximation_error(B, HYP2, f, lipschitz=1.0, h=0.0, n=3)
     for lipschitz, h, name in ((math.nan, 0.1, "lipschitz"), (-1.0, 0.1, "lipschitz"),
                                (math.inf, 0.1, "lipschitz"), (1.0, math.inf, "h"),
                                (1.0, math.nan, "h"), (1.0, -0.1, "h")):
         with pytest.raises(DomainError, match=f"^{name} must be finite"):
-            approximation_error(B, f, lipschitz=lipschitz, h=h, n=2)
-    assert approximation_error(B, f, lipschitz=0.0, h=0.1, n=2).bound == 0.0
+            approximation_error(B, HYP2, f, lipschitz=lipschitz, h=h, n=2)
+    assert approximation_error(B, HYP2, f, lipschitz=0.0, h=0.1, n=2).bound == 0.0
