@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import DomainError, StructuralError, lattice_point, numbers
 from .masks import Mask
-from .spaces import SpaceDescriptor, SpacePoint, _point, check_payloads, \
+from .spaces import _BACKENDS, SpaceDescriptor, SpacePoint, _point, check_payloads, \
     descriptor_from_json, descriptor_to_json, payloads_from_json, payloads_to_json, \
-    random_point, stack_payloads
+    stack_payloads
 
 CONSTANT_NEAREST = "constant_nearest"
 PERIODIC = "periodic"
@@ -111,8 +111,11 @@ def grid_from_points(descriptor, lo, hi, points, extension=CONSTANT_NEAREST) -> 
 
 
 def random_grid(descriptor, lo, hi, rng, extension=CONSTANT_NEAREST) -> GridData:
-    return grid_from_function(descriptor, lo, hi,
-                              lambda idx: random_point(descriptor, rng), extension)
+    """A grid drawn in one batched call of the backend: in row-major order its
+    nodes are those of as many `random_point` calls, from the same stream."""
+    lo, hi = lattice_point(lo, what="window corner"), lattice_point(hi, what="window corner")
+    flat = _BACKENDS[descriptor.kind].random(descriptor, rng, len(box_array(lo, hi)))
+    return _stacked_grid(descriptor, lo, hi, flat, extension)
 
 
 # -- box arithmetic -----------------------------------------------------------

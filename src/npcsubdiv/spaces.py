@@ -93,8 +93,7 @@ def hyperboloid_point(p) -> SpacePoint:
 def hyperboloid_from_spatial(v) -> SpacePoint:
     """Lift spatial coordinates v onto the hyperboloid sheet."""
     v = np.atleast_1d(numbers(v, "spatial coordinates"))
-    p = np.concatenate(([math.sqrt(1.0 + float(v @ v))], v))
-    return hyperboloid_point(p)
+    return hyperboloid_point(np.concatenate(([math.sqrt(1.0 + float(v @ v))], v)))
 
 
 def tripod_point(leg: int, t: float) -> SpacePoint:
@@ -290,12 +289,12 @@ class _Backend:
     def sampler(self, desc, seed):
         """A unit-speed geodesic toward a random second point, as one batched exp."""
         rng = np.random.default_rng(seed)
-        base = random_point(desc, rng)
+        p = self.random(desc, rng, 1)[0]
         speed = 0.0
         while speed < 1e-9:  # resample the second point if the two coincide
-            other = random_point(desc, rng)
-            speed = distance(base, other)  # the length of log_base(other)
-        p, unit = _payload(base), log_map(base, other) / speed
+            other = self.random(desc, rng, 1)[0]
+            speed = _apply(desc, "dist", p, other)  # the length of log_p(other)
+        unit = _apply(desc, "log", p, other) / speed
         self.tangent(p, unit)  # the test of exp_map, which scales with t
         return lambda t: _apply(desc, "exp", p, t[:, 0].reshape((-1,) + (1,) * self.core) * unit)
 
@@ -367,8 +366,8 @@ class _Euclidean(_Backend):
     def exp(self, p, v):
         return p + v
 
-    def random(self, desc, rng):
-        return euclidean_point(rng.random(desc.dim))
+    def random(self, desc, rng, n):
+        return rng.random((n, desc.dim))
 
 
 class _SPD(_Backend):
@@ -416,9 +415,8 @@ class _SPD(_Backend):
         norms = _norm(logs, 2)
         return _norm(v, 2), norms, _unwhiten(frame, _expm(_bounded(self.kappa, weights, norms, v)))
 
-    def random(self, desc, rng):
-        a = rng.uniform(-1.0, 1.0, (desc.dim, desc.dim))
-        return spd_point(_expm(_sym(a)))
+    def random(self, desc, rng, n):
+        return _expm(rng.uniform(-1.0, 1.0, (n, desc.dim, desc.dim)))
 
 
 def _mink(p, q):
@@ -428,9 +426,9 @@ def _mink(p, q):
 
 def _wedge2(a, b):
     """|a ^ b|^2 = sum_{i<j} (a_i b_j - a_j b_i)^2 over the last axis."""
-    outer = a[..., :, None] * b[..., None, :]
-    wedge = _rows(outer - _T(outer), 2)  # each pair i < j twice, the diagonal 0
-    return 0.5 * _dot(wedge, wedge)
+    i, j = np.nonzero(np.arange(a.shape[-1])[:, None] < np.arange(a.shape[-1]))  # i < j
+    wedge = a[..., i] * b[..., j] - a[..., j] * b[..., i]
+    return _dot(wedge, wedge)
 
 
 def _cosh_minus_1(p, q):
@@ -506,14 +504,15 @@ class _Hyperboloid(_Backend):
         b = np.where(still, t, np.sinh(t * d) / s)
         return _hyp_renorm(a * p + b * q)
 
-    def random(self, desc, rng):
-        origin = hyperboloid_from_spatial(np.zeros(desc.dim))
-        u = rng.standard_normal(desc.dim)
-        norm = float(np.linalg.norm(u))
-        if norm < 1e-12:
-            return origin
-        radius = rng.random() ** (1.0 / desc.dim)
-        return exp_map(origin, np.concatenate(([0.0], (radius / norm) * u)))
+    def random(self, desc, rng, n):
+        # per node a normal direction, then a radius unless it is 0 (the origin)
+        v = np.zeros((n, desc.dim + 1))
+        for row in v:
+            u = rng.standard_normal(desc.dim)
+            norm = float(np.linalg.norm(u))
+            if norm >= 1e-12:
+                row[1:] = (rng.random() ** (1.0 / desc.dim) / norm) * u
+        return self.exp(np.eye(1, desc.dim + 1)[0], v)
 
 
 def _tripod_rows(leg, t):
@@ -565,30 +564,23 @@ class _Tripod(_Backend):
 
     exp = log
 
-    def random(self, desc, rng):
-        return tripod_point(rng.integers(3), rng.random())
+    def random(self, desc, rng, n):
+        # per node its leg, then its coordinate
+        rows = np.array([(rng.integers(3), rng.random()) for _ in range(n)], dtype=float)
+        return _tripod_rows(*rows.reshape(n, 2).T)
 
     def sampler(self, desc, seed):
         """The line through the glue point along legs 1 and 2."""
         return lambda t: _tripod_rows(np.where(t[:, 0] >= 0.0, 1.0, 2.0), np.abs(t[:, 0]))
 
     def barycenters(self, desc, points, weights):
-        """The exact closed form: a constrained quadratic per leg, with
-        d((L,u), (leg,s)) = |u-s| or u+s."""
+        """The exact closed form.  With the pull u_l = sum_{on l} w t - sum_{off l} w t,
+        leg l's least Frechet value is the glue point's minus u_l^2, at s = u_l.
+        Two pulls sum to minus twice the weighted t of the third leg, so at most
+        one is positive: the minimizer is the argmax leg at max(u, 0)."""
         legs, ts = np.moveaxis(points, -1, 0)
-        best = None
-        for leg in range(3):
-            signed = np.where(legs == leg, ts, -ts)
-            u = _dot(weights, signed)
-            u = np.where(u > 0.0, u, 0.0)  # max(0.0, u)
-            value = _dot(weights, (u[..., None] - signed) ** 2)
-            if best is None:
-                best = (value, np.zeros_like(u), u)
-                continue
-            better = value < best[0] - 1e-15
-            best = tuple(np.where(better, new, old)
-                         for new, old in zip((value, np.full_like(u, leg), u), best))
-        out = _tripod_rows(best[1], best[2])
+        pulls = np.stack([_dot(weights, np.where(legs == leg, ts, -ts)) for leg in range(3)], -1)
+        out = _tripod_rows(pulls.argmax(axis=-1), np.maximum(pulls.max(axis=-1), 0.0))
         bad = np.flatnonzero(~_finite(out, 1))
         return out, (int(bad[0]), _failure()) if bad.size else None
 
@@ -764,8 +756,11 @@ def npc_residual(x0: SpacePoint, x1: SpacePoint, z: SpacePoint) -> float:
 # -- random data --------------------------------------------------------------
 
 def random_point(descriptor: SpaceDescriptor, rng: np.random.Generator) -> SpacePoint:
-    """Sampler used by randomized trials; bounded-diameter data per backend."""
-    return _BACKENDS[descriptor.kind].random(descriptor, rng)
+    """One random point, the one-row case of the batched draw that `random_grid`
+    makes per grid: euclidean uniform on [0,1)^dim, spd the exp of a symmetric
+    matrix with entries in [-1,1), hyperboloid within distance 1 of the origin,
+    tripod a uniform leg with t in [0,1)."""
+    return _point(descriptor, _BACKENDS[descriptor.kind].random(descriptor, rng, 1)[0])
 
 
 def geodesic_sampler(descriptor: SpaceDescriptor, seed: int = 0):

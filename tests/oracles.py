@@ -11,10 +11,12 @@ node-by-node loops that the batched refinement and contraction sups must
 reproduce bit for bit.  `alpha_loop` is the residue-by-residue sweep
 that the certificate's array sweep must reproduce bit for bit.
 `karcher_gradient_norm` checks a barycenter by its stationarity, in 50-digit
-mpmath.  `points_equal` compares two points payload by payload.
+mpmath, and `exact_tripod_barycenter` solves the tripod's in `Fraction`s.
+`points_equal` compares two points payload by payload.
 """
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import mpmath
@@ -168,6 +170,23 @@ def scan_tripod_barycenter(points, weights, steps=4096):
             if best is None or f < best[0]:
                 best = (f, tripod_point(leg, t))
     return best
+
+
+def exact_tripod_barycenter(rows, weights):
+    """The Frechet minimizer of (leg, t) rows on the tripod, as (leg, s) in
+    exact `Fraction`s of the float inputs.  On each leg the Frechet function
+    is the quadratic sum_i w_i (s - c_i)^2, with c_i = t_i on that leg and
+    -t_i off it; each is minimized over s >= 0 on its own, and the leg of
+    least value wins (the glue point s = 0 counts as leg 0)."""
+    w = [Fraction(x) for x in weights]
+    best = None
+    for leg in range(3):
+        c = [Fraction(t) if on == leg else -Fraction(t) for on, t in rows]
+        s = max(sum(a * b for a, b in zip(w, c)) / sum(w), Fraction(0))
+        value = sum(a * (s - b) ** 2 for a, b in zip(w, c))
+        if best is None or value < best[0]:
+            best = (value, leg if s else 0, s)
+    return best[1:]
 
 
 def frechet_value(y, points, weights):

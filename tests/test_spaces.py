@@ -1,6 +1,7 @@
 """Backend geometry: distances, geodesics, barycenters, the NPC inequality."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -11,14 +12,14 @@ from hypothesis import strategies as st
 from npcsubdiv import (BarycenterProblem, DomainError, NumericError,
                        SpaceDescriptor, StructuralError, distance,
                        euclidean_point, exp_map, geodesic_point,
-                       hyperboloid_point, log_map, npc_residual, random_point,
-                       spd_point, tripod_point, weighted_barycenter)
+                       hyperboloid_point, log_map, npc_residual, random_grid,
+                       random_point, spd_point, tripod_point, weighted_barycenter)
 from npcsubdiv import spaces
 from npcsubdiv.spaces import (descriptor_from_json, descriptor_to_json,
                               hyperboloid_from_spatial, point_from_json,
                               point_to_json)
-from oracles import frechet_value, karcher_gradient_norm, points_equal, \
-    scan_tripod_barycenter
+from oracles import exact_tripod_barycenter, frechet_value, karcher_gradient_norm, \
+    points_equal, scan_tripod_barycenter
 
 BACKENDS = (
     SpaceDescriptor("euclidean", 3),
@@ -29,6 +30,7 @@ BACKENDS = (
     SpaceDescriptor("tripod"),
 )
 SMOOTH = tuple(d for d in BACKENDS if d.kind != "tripod")
+TRI = BACKENDS[-1]
 
 seeds = st.integers(min_value=0, max_value=2 ** 20)
 
@@ -225,6 +227,35 @@ def test_tripod_barycenter_matches_dense_scan():
         f_scan, y_scan = scan_tripod_barycenter(pts, weights)
         assert frechet_value(y, pts, weights) <= f_scan + 1e-6
         assert distance(y, y_scan) <= 2e-3
+
+
+@st.composite
+def tripod_problems(draw):
+    """(rows, weights) at a scale of t from 1 to 1e4.  Half are near-ties:
+    (1, t1), (2, t2) and (0, t0) with weights .4/.4/.2, where t1 - t2 and t0
+    are 1e-12 to 1e-6 of the scale, so the pull of one leg is near 0."""
+    scale = draw(st.sampled_from([1.0, 1e2, 1e4]))
+    tiny = st.floats(-12.0, -6.0).map(lambda e: scale * 10.0 ** e)
+    if draw(st.booleans()):
+        t2 = scale * draw(st.floats(0.5, 2.0))
+        t1, t0 = t2 + draw(tiny), draw(st.just(0.0) | tiny)
+        legs = draw(st.permutations([1, 2]))
+        return [(legs[0], t1), (legs[1], t2), (0, t0)], [0.4, 0.4, 0.2]
+    k = draw(st.integers(2, 6))
+    rows = [(draw(st.integers(0, 2)), scale * draw(st.floats(0.0, 2.0))) for _ in range(k)]
+    raw = np.array([draw(st.floats(0.01, 1.0)) for _ in range(k)])
+    return rows, (raw / raw.sum()).tolist()
+
+
+@given(tripod_problems())
+def test_tripod_barycenter_is_exact_to_4_ulps(problem):
+    rows, weights = problem
+    out, failure = spaces.barycenters(TRI, np.array(rows, dtype=float)[None], weights)
+    assert failure is None
+    leg, t = out[0]
+    exact_leg, s = exact_tripod_barycenter(rows, weights)
+    gap = abs(Fraction(t) - s) if leg == exact_leg else Fraction(t) + s
+    assert gap <= 4 * math.ulp(max(t for _, t in rows))
 
 
 def test_tripod_barycenter_tie_sits_at_the_glue_point():
@@ -508,6 +539,21 @@ def test_descriptor_validation():
     with pytest.raises(StructuralError):
         SpaceDescriptor("spd", 0)
     assert SpaceDescriptor("tripod", 7).dim == 1
+
+
+@pytest.mark.parametrize("desc", BACKENDS, ids=str)
+def test_random_grid_is_one_draw_of_the_random_point_stream(desc, monkeypatch):
+    backend = spaces._BACKENDS[desc.kind]
+    calls = []
+    draw = backend.random
+    monkeypatch.setattr(backend, "random", lambda *a: calls.append(a[-1]) or draw(*a))
+    grid_rng, point_rng = np.random.default_rng(31), np.random.default_rng(31)
+    x = random_grid(desc, (0, -1), (4, 3), grid_rng)
+    nodes = [random_point(desc, point_rng).payload for _ in range(25)]
+    assert calls == [25] + [1] * 25  # the grid's one draw, then one per point
+    assert np.array_equal(x.payloads.reshape((25,) + desc.payload_shape),
+                          np.array(nodes, dtype=float))
+    assert grid_rng.bit_generator.state == point_rng.bit_generator.state
 
 
 # -- JSON -------------------------------------------------------------------------

@@ -404,7 +404,7 @@ def test_the_sampler_checks_tangency_once_where_it_is_built(monkeypatch):
     f(np.linspace(-2.0, 2.0, 50)[:, None])
     assert seen[-1] is unit
     bent = np.array([1.0, 0.0, 0.0])  # not tangent anywhere on the sheet
-    monkeypatch.setattr(spaces, "log_map", lambda base, x: bent)
+    monkeypatch.setattr(spaces._Hyperboloid, "log", lambda self, p, q: bent)
     with pytest.raises(DomainError, match="not tangent"):
         geodesic_sampler(HYP2, seed=0)
 
