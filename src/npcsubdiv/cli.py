@@ -302,17 +302,19 @@ _OPTIONS = {
     "data": (("--data",), {"help": "grid data JSON file"}),
     "data!": (("--data",), {"required": True, "help": "grid data JSON file"}),
     "space": (("--space",), {"help": "backend as kind:dim, e.g. spd:2"}),
-    "levels": (("--levels", "--level"), {"type": parse_int, "help": "refinement depth"}),
-    "steps": (("--steps",), {"type": parse_int, "help": "chain step count"}),
-    "max-steps": (("--steps", "--max-steps"), {"type": parse_int, "help": "chain step count"}),
-    "trials": (("--trials",), {"type": parse_int, "help": "number of trials"}),
-    "p": (("--p",), {"type": parse_float, "help": "moment exponent (>= 1)"}),
-    "start": (("--start",), {"type": parse_lattice,
-                             "help": "start state, comma-separated integers"}),
-    "index": (("--index",), {"type": parse_lattice,
-                             "help": "lattice index, comma-separated integers"}),
-    "cap": (("--cap",), {"type": parse_int, "help": "certificate level cap"}),
+    "levels": (("--levels", "--level"), {"help": "refinement depth"}),
+    "steps": (("--steps",), {"help": "chain step count"}),
+    "max-steps": (("--steps", "--max-steps"), {"help": "chain step count"}),
+    "trials": (("--trials",), {"help": "number of trials"}),
+    "p": (("--p",), {"help": "moment exponent (>= 1)"}),
+    "start": (("--start",), {"help": "start state, comma-separated integers"}),
+    "index": (("--index",), {"help": "lattice index, comma-separated integers"}),
+    "cap": (("--cap",), {"help": "certificate level cap"}),
 }
+
+# read in `config_from_args`: argparse refuses only unknown and missing options
+_READERS = {"levels": parse_int, "steps": parse_int, "trials": parse_int, "p": parse_float,
+            "start": parse_lattice, "index": parse_lattice, "cap": parse_int, "seed": parse_int}
 
 
 def run(config: RunConfig) -> Report:
@@ -374,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         for option in options:
             flags, keywords = _OPTIONS[option]
             cmd.add_argument(*flags, **keywords)
-        cmd.add_argument("--seed", type=parse_int, default=0)
+        cmd.add_argument("--seed", default="0")
         cmd.add_argument("--out", help="output file (default: stdout)")
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
     mode = sub.choices["chain"].add_mutually_exclusive_group()
@@ -386,6 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    fields = ("mask", "data", "space", "levels", "steps", "trials", "p",
+              "start", "index", "cap", "out", "seed")
+    kwargs = {f: getattr(args, f, None) for f in fields}
+    kwargs.update({f: read(kwargs[f]) for f, read in _READERS.items() if kwargs[f] is not None})
     mode = None
     if args.command == "chain":
         mode = "mc" if args.mc is not None else "exact"
@@ -393,12 +399,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             key, _, value = args.mc.partition("=")
             if key != "trials":
                 raise DomainError(f"bad --mc argument {args.mc!r}")
-            args.trials = parse_int(value, f"--mc argument {args.mc!r}: trials")
-    fields = ("mask", "data", "space", "levels", "steps", "trials", "p",
-              "start", "index", "cap", "out")
-    kwargs = {f: getattr(args, f, None) for f in fields}
-    return RunConfig(command=args.command, seed=args.seed,
-                     format=args.format, mode=mode, **kwargs)
+            kwargs["trials"] = parse_int(value, f"--mc argument {args.mc!r}: trials")
+    return RunConfig(command=args.command, format=args.format, mode=mode, **kwargs)
 
 
 def main(argv=None) -> int:

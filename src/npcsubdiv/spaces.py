@@ -11,6 +11,7 @@ functions on single `SpacePoint`s are the one-point case of that batched code.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -212,6 +213,14 @@ def _unwhiten(frame, m):
     return _sym(v @ (m * (r[..., :, None] * r[..., None, :])) @ _T(v))
 
 
+@functools.cache
+def _sym_basis(n):
+    """Columns: the raveled orthonormal basis E_ii, (E_ij + E_ji) / sqrt 2 (i < j)."""
+    i, j = np.nonzero(np.arange(n)[:, None] <= np.arange(n))
+    e = np.eye(n)[i, :, None] * np.eye(n)[j, None, :]
+    return ((e + _T(e)) * np.where(i == j, 0.5, 0.5 ** 0.5)[:, None, None]).reshape(-1, n * n).T
+
+
 def _hyp_renorm(p):
     # project back onto the sheet to damp drift
     q = p.copy()
@@ -220,22 +229,27 @@ def _hyp_renorm(p):
 
 
 def _bounded(kappa, weights, dists, v):
-    """The Karcher update v from y, scaled by 2 / (1 + c) for the distances
-    from y to the points (Afsari, Tron & Manton 2013).  With curvature
-    >= -kappa the Hessian of the Frechet function lies in [1, c],
-    c = sum_i w_i s_i coth(s_i) with s_i = kappa^1/2 d_i, and this step
-    contracts by (c - 1) / (c + 1), the least any step guarantees.  c is
-    summed as 1 + sum_i w_i (s_i coth(s_i) - 1), so on euclidean rows it is
-    exactly 1 and the step is the unit step."""
+    """The fallback step: the Karcher update v from y scaled by 2 / (1 + c), where
+    c = 1 + sum_i w_i (s_i coth(s_i) - 1), s_i = kappa^1/2 d_i, bounds the Hessian of
+    the Frechet function for curvature >= -kappa (Afsari, Tron & Manton 2013), so the
+    step contracts by (c - 1) / (c + 1), the least any step guarantees; on euclidean
+    rows c is exactly 1."""
     s = math.sqrt(kappa) * dists
     c = 1.0 + _weighted_sum(weights, np.where(s > 0.0, s / np.tanh(s) - 1.0, 0.0), 0)
     h = 2.0 / (1.0 + c)
     return h.reshape(h.shape + (1,) * (v.ndim - h.ndim)) * v
 
 
+def _solve(h, b):
+    """h^-1 b over a stack; NaN where h is not finite, on which LAPACK may raise."""
+    ok = _finite(h, 2)
+    x = np.linalg.solve(np.where(ok[..., None, None], h, np.eye(h.shape[-1])), b[..., None])
+    return np.where(ok[..., None], x[..., 0], np.nan)
+
+
 def _karcher_step(backend, y, points, weights):
-    """One fixed-point update of a batch: (residual norms, distances from y
-    to the points, next iterates)."""
+    """One evaluation of a batch at its iterates y: (residual norms, distances
+    from y to the points, Karcher updates, Newton candidates)."""
     return backend.step(y, points, weights)
 
 
@@ -284,7 +298,13 @@ class _Backend:
         logs = self.log(y[:, None], points)
         v = _weighted_sum(weights, logs, self.core)
         norms = self.norm(y[:, None], logs)
-        return self.norm(y, v), norms, self.exp(y, _bounded(self.kappa, weights, norms, v))
+        return self.norm(y, v), norms, v, self.exp(y, self.newton(y, weights, logs, norms, v))
+
+    def newton(self, y, weights, logs, dists, v):  # euclidean: the Hessian is I
+        return v
+
+    def move(self, y, v):  # the point an update v of `step` leads to from y
+        return self.exp(y, v)
 
     def sampler(self, desc, seed):
         """A unit-speed geodesic toward a random second point, as one batched exp."""
@@ -323,16 +343,23 @@ class _Backend:
         points = points[:limit]
         y = points[:, start]
         rows = np.arange(limit)  # live rows, ascending
-        tol = None
+        tol, last = None, np.inf
+        trial = np.zeros(limit, bool)  # rows whose y is an untested Newton candidate
         for _ in range(BARYCENTER_MAX_ITER):
             if not rows.size:
                 break
-            residual, dists, nxt = _karcher_step(self, y, points, weights)
+            residual, dists, v, nxt = _karcher_step(self, y, points, weights)
             if tol is None:
                 # start points are data points, so max distance <= data diameter
                 tol = BARYCENTER_TOL * (1.0 + dists.max(axis=-1))
-            failed = ~(np.isfinite(residual) & _finite(dists, 1)
-                       & _finite(nxt, self.core))
+            back = trial & ~(residual < last)  # NaN does not lower the residual either
+            if back.any():
+                for a, old in ((y, prev_y), (residual, last), (dists, prev_dists), (v, prev_v)):
+                    a[back] = old[back]
+            fall = back | ~_finite(nxt, self.core)
+            if fall.any():
+                nxt[fall] = self.move(y[fall], _bounded(self.kappa, weights, dists[fall], v[fall]))
+            failed = ~(np.isfinite(residual) & _finite(dists, 1) & _finite(nxt, self.core))
             done = ~failed & (residual <= tol)
             out[rows[done]] = y[done]
             live = ~failed & ~done
@@ -340,10 +367,11 @@ class _Backend:
                 r = np.flatnonzero(failed)[0]  # live rows lie below any earlier failure
                 first = (int(rows[r]), _failure())
                 live &= rows < first[0]
+            trial = ~fall
             if not live.all():
-                rows, nxt, points, tol, residual = (
-                    a[live] for a in (rows, nxt, points, tol, residual))
-            y = nxt
+                rows, nxt, points, tol, residual, y, dists, v, trial = (
+                    a[live] for a in (rows, nxt, points, tol, residual, y, dists, v, trial))
+            prev_y, last, prev_dists, prev_v, y = y, residual, dists, v, nxt
         if rows.size:
             first = (int(rows[0]), SolverError("barycenter iteration did not converge",
                                                last_iterate=self.point(desc, y[0]),
@@ -410,10 +438,26 @@ class _SPD(_Backend):
         # logs are taken in the frame whitened by y, where the metric is Frobenius
         frame = _frame(y)
         v_y, r_y = frame
-        logs = _logm(_whiten((v_y[..., None, :, :], r_y[..., None, :]), points))
+        w, q = _eigh(_whiten((v_y[..., None, :, :], r_y[..., None, :]), points))
+        l = np.log(_positive(w))  # the eigenpairs of `_logm`, kept for the Hessian
+        logs = _sym((q * l[..., None, :]) @ _T(q))
         v = _weighted_sum(weights, logs, 2)
         norms = _norm(logs, 2)
-        return _norm(v, 2), norms, _unwhiten(frame, _expm(_bounded(self.kappa, weights, norms, v)))
+        # Newton: the Hessian maps S to sum_k w_k Q_k (g(l_i - l_j) o Q_k^T S Q_k) Q_k^T,
+        # g(z) = (z/2) coth(z/2); over an orthonormal basis E_p of the symmetric
+        # matrices, m holds Q_k^T E_p Q_k = kron(Q_k, Q_k)^T E_p, and H = m^T (w g) m
+        n = y.shape[-1]
+        basis = _sym_basis(n)
+        kron = q[..., :, None, :, None] * q[..., None, :, None, :]
+        m = (_T(kron.reshape(len(y), -1, n * n, n * n)) @ basis).reshape(len(y), -1, len(basis.T))
+        z = 0.5 * (l[..., :, None] - l[..., None, :])
+        g = weights[:, None] * _rows(np.where(z == 0.0, 1.0, z / np.tanh(z)), 2)
+        hess = _T(m) @ (g.reshape(len(y), -1, 1) * m)
+        s = basis @ _solve(hess, (_rows(v, 2)[:, None] @ basis)[:, 0])[..., None]
+        return _norm(v, 2), norms, v, _unwhiten(frame, _expm(s.reshape(v.shape)))
+
+    def move(self, y, v):
+        return _unwhiten(_frame(y), _expm(v))
 
     def random(self, desc, rng, n):
         return _expm(rng.uniform(-1.0, 1.0, (n, desc.dim, desc.dim)))
@@ -472,6 +516,25 @@ class _Hyperboloid(_Backend):
         coordinates, since y0 v0 = <y_s, v_s> and y0^2 = 1 + |y_s|^2."""
         ys, vs = y[..., 1:], v[..., 1:]
         return np.sqrt(_dot(vs, vs) + _wedge2(ys, vs)) / y[..., 0]
+
+    def newton(self, y, weights, logs, dists, v):
+        """H^-1 v for H = sum_i w_i [u_i u_i^T + a_i (I - u_i u_i^T)], u_i = log_y(x_i) / d_i,
+        a_i = d_i coth d_i, in an orthonormal tangent frame (ambient coordinates are
+        singular far out): for the Householder P that swaps e_1 and -+y_s / |y_s|, a
+        tangent t has the coordinates P t_s, the first divided by y0."""
+        y0, ys, eye = y[:, 0], y[:, 1:], np.eye(y.shape[-1] - 1)
+        h = np.nan_to_num(ys / np.sqrt(_dot(ys, ys))[:, None])  # 0 at the origin: any frame
+        h[:, 0] += np.copysign(1.0, h[:, 0])
+        p = eye - 2.0 * h[:, :, None] * h[:, None, :] / _dot(h, h)[:, None, None]
+        c = logs[..., 1:] @ p
+        c[..., 0] /= y0[:, None]
+        a = np.where(dists > 0.0, dists / np.tanh(dists), 1.0)
+        wb = weights * np.where(dists > 0.0, (1.0 - a) / (dists * dists), 0.0)
+        s = _solve(_T(c) @ (wb[..., None] * c) + _dot(a, weights)[:, None, None] * eye,
+                   weights @ c)
+        s[:, 0] *= y0
+        s = (s[:, None] @ p)[:, 0]
+        return np.concatenate(((_dot(ys, s) / y0)[:, None], s), axis=-1)
 
     def dist(self, p, q):
         # cosh d - 1 = 2 sinh^2(d / 2)
@@ -630,7 +693,10 @@ def _point(desc: SpaceDescriptor, payload: np.ndarray) -> SpacePoint:
 # -- batched operations -----------------------------------------------------------
 
 def distances(desc: SpaceDescriptor, p, q) -> np.ndarray:
-    """d(p, q) over the leading axes of two stacks of payloads."""
+    """d(p, q) over the leading axes of two stacks of payloads, trusted as points
+    (`check_payloads` checks them).  On spd the eigenvalues of p^-1/2 q p^-1/2
+    resolve to about 2.2e-16 of the largest, so the distance holds up to condition
+    numbers of about 1e15; a singular q may get a finite distance near 35-38."""
     return _apply(desc, "dist", p, q)
 
 
@@ -664,9 +730,11 @@ def barycenters(desc: SpaceDescriptor, points, weights):
     fails the values are undefined.  The tripod uses its exact closed form.
     On a smooth backend a row starts at the point of largest weight (ties:
     lowest index); a 2-point row is the geodesic point walked from there, and
-    a longer row runs the Karcher iteration, each step scaled by `_bounded`,
-    until the update norm falls below the tolerance 1e-10 * (1 + largest
-    distance from the start point); it returns the iterate before that update.
+    a longer row runs a safeguarded Newton iteration until the Karcher update
+    norm (the residual) falls below the tolerance 1e-10 * (1 + largest
+    distance from the start point), and returns the iterate where it does.  A
+    row keeps its Newton candidate if the residual there is lower than before;
+    otherwise, or if it is not finite, the row takes `_bounded`'s step instead.
     """
     points = np.asarray(points, dtype=float)
     try:

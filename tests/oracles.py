@@ -11,7 +11,9 @@ node-by-node loops that the batched refinement and contraction sups must
 reproduce bit for bit.  `alpha_loop` is the residue-by-residue sweep
 that the certificate's array sweep must reproduce bit for bit.
 `karcher_gradient_norm` checks a barycenter by its stationarity, in 50-digit
-mpmath, and `exact_tripod_barycenter` solves the tripod's in `Fraction`s.
+mpmath, `frechet_hessian` differentiates the Frechet function twice along
+geodesics, in mpmath, for the Newton step, and `exact_tripod_barycenter`
+solves the tripod's barycenter in `Fraction`s.
 `points_equal` compares two points payload by payload.
 """
 
@@ -193,43 +195,50 @@ def frechet_value(y, points, weights):
     return sum(w * distance(y, p) ** 2 for w, p in zip(weights, points))
 
 
+def _hyp_lift(p):  # the hyperboloid point over the spatial coordinates of p
+    s = [mpmath.mpf(float(c)) for c in p[1:]]
+    return [mpmath.sqrt(1 + sum(c * c for c in s))] + s
+
+
+def _mink(a, b):
+    return sum(x * z for x, z in zip(a[1:], b[1:])) - a[0] * b[0]
+
+
+def _hyp_log(base, x):  # (log_base(x), d(base, x))
+    alpha = -_mink(base, x)
+    if alpha <= 1:
+        return [mpmath.mpf(0)] * len(base), mpmath.mpf(0)
+    d = mpmath.acosh(alpha)
+    return [d / mpmath.sinh(d) * (xc - alpha * bc) for xc, bc in zip(x, base)], d
+
+
 def _hyperboloid_gradient(y, points, weights):
-    def lift(p):  # the point over the spatial coordinates
-        s = [mpmath.mpf(float(c)) for c in p[1:]]
-        return [mpmath.sqrt(1 + sum(c * c for c in s))] + s
-
-    def mink(a, b):
-        return sum(x * z for x, z in zip(a[1:], b[1:])) - a[0] * b[0]
-
-    def log(base, x):  # (log_base(x), d(base, x))
-        alpha = -mink(base, x)
-        if alpha <= 1:
-            return [mpmath.mpf(0)] * len(base), mpmath.mpf(0)
-        d = mpmath.acosh(alpha)
-        return [d / mpmath.sinh(d) * (xc - alpha * bc) for xc, bc in zip(x, base)], d
-
-    ys, xs = lift(y), [lift(p) for p in points]
+    ys, xs = _hyp_lift(y), [_hyp_lift(p) for p in points]
     v = [mpmath.mpf(0)] * len(ys)
     for w, x in zip(weights, xs):
-        v = [a + mpmath.mpf(float(w)) * b for a, b in zip(v, log(ys, x)[0])]
-    diam = max(log(xs[i], xs[j])[1] for i in range(len(xs)) for j in range(i))
-    return mpmath.sqrt(max(mink(v, v), 0)), diam
+        v = [a + mpmath.mpf(float(w)) * b for a, b in zip(v, _hyp_log(ys, x)[0])]
+    diam = max(_hyp_log(xs[i], xs[j])[1] for i in range(len(xs)) for j in range(i))
+    return mpmath.sqrt(max(_mink(v, v), 0)), diam
+
+
+def _spd_lift(p):
+    return mpmath.matrix([[mpmath.mpf(float(c)) for c in row] for row in p])
+
+
+def _spd_power(m, f):  # f applied to the eigenvalues of the symmetric m
+    lam, q = mpmath.eigsy(m)
+    return q * mpmath.diag([f(v) for v in lam]) * q.T
 
 
 def _spd_gradient(y, points, weights):
-    def lift(p):
-        return mpmath.matrix([[mpmath.mpf(float(c)) for c in row] for row in p])
-
     def inverse_sqrt(m):
-        lam, q = mpmath.eigsy(m)
-        return q * mpmath.diag([1 / mpmath.sqrt(v) for v in lam]) * q.T
+        return _spd_power(m, lambda v: 1 / mpmath.sqrt(v))
 
     def whitened_log(si, x):  # base^-1/2 log_base(x) base^-1/2, with si = base^-1/2
-        lam, q = mpmath.eigsy(si * x * si)
-        return q * mpmath.diag([mpmath.log(v) for v in lam]) * q.T
+        return _spd_power(si * x * si, mpmath.log)
 
-    xs = [lift(p) for p in points]
-    si_y = inverse_sqrt(lift(y))
+    xs = [_spd_lift(p) for p in points]
+    si_y = inverse_sqrt(_spd_lift(y))
     v = mpmath.zeros(len(y))
     for w, x in zip(weights, xs):
         v += whitened_log(si_y, x) * mpmath.mpf(float(w))
@@ -237,6 +246,102 @@ def _spd_gradient(y, points, weights):
     diam = max(mpmath.mnorm(whitened_log(inverse_sqrt(xs[i]), xs[j]), "f")
                for i in range(len(xs)) for j in range(i))
     return mpmath.mnorm(v, "f"), diam
+
+
+def _hyperboloid_chart(y, points):
+    """(walk, value, log) at the payload y: walk(c, t) is exp_y(t c) for
+    coordinates c in a Minkowski-orthonormal basis of the tangent space at
+    y (Gram-Schmidt on the projected spatial axes), value(z) is the list of
+    d(z, x_i)^2 with cosh d = -<z, x>_M, and log(z) the coordinates of
+    log_y(z)."""
+    ys, xs = _hyp_lift(y), [_hyp_lift(p) for p in points]
+    basis = []
+    for j in range(1, len(ys)):
+        t = [mpmath.mpf(int(i == j)) for i in range(len(ys))]
+        t = [a + _mink(t, ys) * b for a, b in zip(t, ys)]  # onto <y, .>_M = 0
+        for e in basis:
+            t = [a - _mink(t, e) * b for a, b in zip(t, e)]
+        basis.append([a / mpmath.sqrt(_mink(t, t)) for a in t])
+
+    def walk(c, t):
+        v = [sum(ci * e[i] for ci, e in zip(c, basis)) for i in range(len(ys))]
+        r = mpmath.sqrt(sum(ci * ci for ci in c))
+        return [mpmath.cosh(r * t) * a + mpmath.sinh(r * t) / r * b for a, b in zip(ys, v)]
+
+    def value(z):
+        return [mpmath.acosh(-_mink(z, x)) ** 2 if -_mink(z, x) > 1 else mpmath.mpf(0)
+                for x in xs]
+
+    return walk, value, lambda z: [_mink(_hyp_log(ys, _hyp_lift(z))[0], e) for e in basis]
+
+
+def _spd_chart(y, points):
+    """(walk, value, log) as in `_hyperboloid_chart`, in the frame whitened by
+    y, where y is the identity, the metric is Frobenius and exp_y(S) is
+    expm(S); the basis is E_ii and (E_ij + E_ji) / sqrt 2, i < j, and
+    d(z, x)^2 is the sum of the squared logs of the eigenvalues of
+    z^-1/2 x z^-1/2."""
+    n = len(y)
+    si = _spd_power(_spd_lift(y), lambda v: 1 / mpmath.sqrt(v))
+    xs = [si * _spd_lift(p) * si for p in points]
+    basis = []
+    for i in range(n):
+        for j in range(i, n):
+            e = mpmath.zeros(n)
+            e[i, j] = e[j, i] = 1 if i == j else 1 / mpmath.sqrt(2)
+            basis.append(e)
+
+    def walk(c, t):  # returns exp(-t S / 2), the whitening of exp_y(t S)
+        return _spd_power(sum((ci * e for ci, e in zip(c, basis)), mpmath.zeros(n)),
+                          lambda v: mpmath.exp(-t * v / 2))
+
+    def value(half):
+        return [sum(mpmath.log(v) ** 2 for v in mpmath.eigsy(half * x * half)[0]) for x in xs]
+
+    def log(z):
+        s = _spd_power(si * _spd_lift(z) * si, mpmath.log)
+        return [sum(s[i, j] * e[i, j] for i in range(n) for j in range(n)) for e in basis]
+
+    return walk, value, log
+
+
+def frechet_hessian(kind, y, points, weights, digits=50, h=1e-15):
+    """(H, g, log) of f = 1/2 sum_i w_i d(., x_i)^2 at the payload y, in an
+    orthonormal basis of the tangent space at y, from the definition: with
+    D(c) = (f(exp_y(h c)) - 2 f(y) + f(exp_y(-h c))) / h^2, the second
+    derivative of f along the geodesic with initial velocity c,
+    H_pp = D(e_p) and H_pq = (D(e_p + e_q) - D(e_p) - D(e_q)) / 2, and
+    g_p = (f(exp_y(h e_p)) - f(exp_y(-h e_p))) / 2h.  log(z) gives the
+    coordinates of log_y(z).  Everything is mpmath at `digits` digits, with
+    distances from their defining formulas (see `karcher_gradient_norm`);
+    the differences are exact up to O(h^2) and 10^-digits / h^2."""
+    with mpmath.workdps(digits):
+        walk, value, log = {"hyperboloid": _hyperboloid_chart, "spd": _spd_chart}[kind](
+            y, points)
+        w = [mpmath.mpf(float(a)) for a in weights]
+        h = mpmath.mpf(h)
+
+        def f(c, t):
+            return sum(a * b for a, b in zip(w, value(walk(c, t)))) / 2
+
+        m = len(y) - 1 if kind == "hyperboloid" else len(y) * (len(y) + 1) // 2
+        unit = [[int(i == p) for i in range(m)] for p in range(m)]
+        f0 = f(unit[0], 0)
+        ends = [(f(e, h), f(e, -h)) for e in unit]
+        hess = [[(a - 2 * f0 + b) / h ** 2 if p == q else None for q in range(m)]
+                for p, (a, b) in enumerate(ends)]
+        for p in range(m):
+            for q in range(p + 1, m):
+                c = [a + b for a, b in zip(unit[p], unit[q])]
+                both = (f(c, h) - 2 * f0 + f(c, -h)) / h ** 2
+                hess[p][q] = hess[q][p] = (both - hess[p][p] - hess[q][q]) / 2
+        grad = [(a - b) / (2 * h) for a, b in ends]
+
+        def coords(z):
+            with mpmath.workdps(digits):
+                return [float(c) for c in log(z)]
+
+        return [[float(c) for c in row] for row in hess], [float(c) for c in grad], coords
 
 
 def karcher_gradient_norm(kind, y, points, weights, digits=50):

@@ -385,10 +385,7 @@ def test_monte_carlo_rejects_starts_beyond_int64(capsys, files):
         "p-arabic-indic", "p-blank", "p-plus"))
 def test_integer_options_are_a_minus_and_ascii_digits(capsys, files, argv):
     argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "invalid parse_" in capsys.readouterr().err
+    expect_error(capsys, argv, "DomainError")
 
 
 @pytest.mark.parametrize("p,value", (("1", 1.0), ("1.5", 1.5), ("2e0", 2.0), ("-1", None)))
