@@ -176,8 +176,7 @@ def _cmd_cascade(config: RunConfig):
         "level": samples.level,
         "eps_n": samples.eps_n,
         "support": _box(*samples.support),
-        "samples": [{"index": list(i), "value": v}
-                    for i, v in samples.items()],  # row-major: sorted by index
+        "samples": samples.values.nonzero_columns(),  # row-major: sorted by index
     }
 
 
@@ -336,8 +335,8 @@ def run(config: RunConfig) -> Report:
 def _series_rows(command: str, payload: dict):
     if command == "cascade":
         header = ("index", "value")
-        rows = [(" ".join(str(c) for c in entry["index"]), entry["value"])
-                for entry in payload["samples"]]
+        axes, values = payload["samples"]
+        rows = [(" ".join(map(str, i)), v) for i, v in zip(zip(*axes), values)]
     elif command == "lp":
         header = ("n", "moment")
         rows = [(entry["n"], entry["moment"]) for entry in payload["curve"]]
@@ -358,6 +357,13 @@ def render_report(report: Report, command: str, fmt: str) -> str:
             writer.writerow([repr(c) if isinstance(c, float) else c
                              for c in row])
         return buf.getvalue()
+    if command == "cascade":  # one template per row: the row dicts cost most of a cascade
+        axes, values = report.payload["samples"]  # the values are finite: repr is their JSON
+        row = '{"index": [%s], "value": %%r}' % ", ".join(["%d"] * len(axes))
+        rows = ", ".join([row % r for r in zip(*axes, values)])
+        payload = {**report.payload, "samples": []}  # the only "samples" key of the report
+        text = json.dumps({**vars(report), "payload": payload}, sort_keys=True)
+        return text.replace('"samples": []', f'"samples": [{rows}]', 1) + "\n"
     return json.dumps(vars(report), sort_keys=True) + "\n"  # no indent: the C encoder
 
 

@@ -30,7 +30,7 @@ class ResourceError(RuntimeError):
 class SolverError(RuntimeError):
     """An iterative solver failed to reach its tolerance.
 
-    Carries the last iterate and the residual at the point of failure so
+    Carries the last iterate the solver evaluated and the residual there so
     callers can inspect or resume.
     """
 

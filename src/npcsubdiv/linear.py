@@ -38,9 +38,6 @@ class RefinableSamples:
     def value(self, index) -> float:
         return self.values.value(index)
 
-    def items(self):
-        return self.values.nonzero_items()
-
 
 def _dense(mask: Mask, lo, shape) -> np.ndarray:
     """Zero-padded copy of the support of mask on the box lo + [0, shape)."""

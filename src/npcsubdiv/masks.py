@@ -55,10 +55,7 @@ class Mask:
 
     def support_box(self):
         """Bounding box (lo, hi) of the nonzero coefficients, inclusive."""
-        nz = np.nonzero(self.coeffs)
-        lo = tuple(int(ix.min()) + o for ix, o in zip(nz, self.offset))
-        hi = tuple(int(ix.max()) + o for ix, o in zip(nz, self.offset))
-        return lo, hi
+        return _nonzero_box(self.coeffs, self.offset)
 
     def value(self, index) -> float:
         local = tuple(i - o for i, o in zip(lattice_point(index, self.dim, "mask index"),
@@ -67,12 +64,16 @@ class Mask:
             return 0.0
         return float(self.coeffs[local])
 
-    def nonzero_items(self) -> list:
-        """(index tuple, coefficient) pairs over the support, in row-major
-        order of the index; indices are Python ints for any offset."""
+    def nonzero_columns(self):
+        """The support, row-major: one Python-int index list per axis, and the values."""
         local = np.nonzero(self.coeffs)
-        axes = [[l + o for l in ix.tolist()] for ix, o in zip(local, self.offset)]
-        return list(zip(zip(*axes), self.coeffs[local].tolist()))
+        return ([[l + o for l in ix.tolist()] for ix, o in zip(local, self.offset)],
+                self.coeffs[local].tolist())
+
+    def nonzero_items(self) -> list:
+        """(index tuple, coefficient) pairs of `nonzero_columns`."""
+        axes, values = self.nonzero_columns()
+        return list(zip(zip(*axes), values))
 
 
 def make_mask(offset, coeffs) -> Mask:
@@ -80,14 +81,22 @@ def make_mask(offset, coeffs) -> Mask:
     return Mask(arr.ndim, offset, arr)
 
 
+def _nonzero_box(coeffs: np.ndarray, offset):
+    """Inclusive box (lo, hi) of the nonzero entries of coeffs at offset, in
+    Python ints, from one `any` per axis; None if every entry is zero."""
+    spans = [np.flatnonzero(coeffs.any(axis=tuple(a for a in range(coeffs.ndim) if a != k)))
+             for k in range(coeffs.ndim)]
+    if spans[0].size:
+        return tuple(zip(*((int(s[0]) + o, int(s[-1]) + o) for s, o in zip(spans, offset))))
+
+
 def _trimmed(dim: int, offset, coeffs) -> Mask:
     """The mask of coeffs at offset, cut to the box of its nonzero entries;
     an all-zero array is left whole for Mask to refuse."""
-    nz = np.nonzero(coeffs)
-    if nz[0].size:
-        lo = [int(ix.min()) for ix in nz]
-        coeffs = coeffs[tuple(slice(l, int(ix.max()) + 1) for l, ix in zip(lo, nz))]
-        offset = tuple(o + l for o, l in zip(offset, lo))
+    box = _nonzero_box(coeffs, offset)
+    if box is not None:
+        coeffs = coeffs[tuple(slice(l - o, h - o + 1) for l, h, o in zip(*box, offset))]
+        offset = box[0]
     return Mask(dim, offset, coeffs)
 
 

@@ -374,8 +374,8 @@ class _Backend:
             prev_y, last, prev_dists, prev_v, y = y, residual, dists, v, nxt
         if rows.size:
             first = (int(rows[0]), SolverError("barycenter iteration did not converge",
-                                               last_iterate=self.point(desc, y[0]),
-                                               residual=float(residual[0])))
+                                               last_iterate=self.point(desc, prev_y[0]),
+                                               residual=float(last[0])))
         return out, first
 
 

@@ -10,6 +10,7 @@ reproduce on euclidean data.  `pointwise_refine` and `pairwise_sup` are the
 node-by-node loops that the batched refinement and contraction sups must
 reproduce bit for bit.  `alpha_loop` is the residue-by-residue sweep
 that the certificate's array sweep must reproduce bit for bit.
+`frechet_value` and `tripod_distance` write the tripod metric out.
 `karcher_gradient_norm` checks a barycenter by its stationarity, in 50-digit
 mpmath, `frechet_hessian` differentiates the Frechet function twice along
 geodesics, in mpmath, for the Newton step, and `exact_tripod_barycenter`
@@ -34,20 +35,33 @@ def hat(i, n):
 
 
 def dense_iterated(coeffs, offset, n):
-    """Univariate a^(n) as {index: value} via dense numpy convolutions.
+    """a^(n) as {index: value} via dense convolutions, in any dimension.
 
     a^(0) = delta and a^(k+1) = a * up2(a^(k)), with up2 inserting one zero
-    between neighbors; offsets follow off_{k+1} = offset + 2*off_k.
+    between neighbors along every axis; offsets follow off_{k+1} = offset +
+    2*off_k.  The convolution adds a_l times the shifted up2(a^(k)) tap by tap
+    over every l in row-major order, so each float sum runs in the order of
+    the definition.  A univariate mask (a scalar offset) gives int keys, an
+    s-variate one (an offset tuple) gives index tuples.
     """
     base = np.asarray(coeffs, dtype=float)
-    cur = np.array([1.0])
-    cur_off = 0
+    univariate = np.ndim(offset) == 0
+    offset = (offset,) if univariate else tuple(offset)
+    cur = np.ones((1,) * base.ndim)
+    cur_off = (0,) * base.ndim
     for _ in range(n):
-        up = np.zeros(2 * (cur.size - 1) + 1)
-        up[::2] = cur
-        cur = np.convolve(base, up)
-        cur_off = offset + 2 * cur_off
-    return {cur_off + k: float(v) for k, v in enumerate(cur) if v != 0.0}
+        up = np.zeros(tuple(2 * k - 1 for k in cur.shape))
+        up[(slice(None, None, 2),) * base.ndim] = cur
+        cur = np.zeros(tuple(a + u - 1 for a, u in zip(base.shape, up.shape)))
+        for l in np.ndindex(base.shape):
+            cur[tuple(slice(k, k + u) for k, u in zip(l, up.shape))] += base[l] * up
+        cur_off = tuple(o + 2 * c for o, c in zip(offset, cur_off))
+    out = {}
+    for local in np.ndindex(cur.shape):
+        if cur[local] != 0.0:
+            index = tuple(o + k for o, k in zip(cur_off, local))
+            out[index[0] if univariate else index] = float(cur[local])
+    return out
 
 
 def dense_interlevel(coeffs, offset, n):
@@ -191,8 +205,15 @@ def exact_tripod_barycenter(rows, weights):
     return best[1:]
 
 
+def tripod_distance(p, q):
+    """The tripod metric written out: |t - s| on one leg, t + s across legs."""
+    (leg_p, t), (leg_q, s) = p.payload, q.payload
+    return abs(t - s) if leg_p == leg_q else t + s
+
+
 def frechet_value(y, points, weights):
-    return sum(w * distance(y, p) ** 2 for w, p in zip(weights, points))
+    """sum_i w_i d(y, x_i)^2 on the tripod, with `tripod_distance`."""
+    return sum(w * tripod_distance(y, p) ** 2 for w, p in zip(weights, points))
 
 
 def _hyp_lift(p):  # the hyperboloid point over the spatial coordinates of p
@@ -367,6 +388,5 @@ def points_equal(p, q, tol=1e-9):
     if p.descriptor != q.descriptor:
         return False
     if p.descriptor.kind == "tripod":
-        (leg_p, t_p), (leg_q, t_q) = p.payload, q.payload
-        return (abs(t_p - t_q) if leg_p == leg_q else t_p + t_q) <= tol
+        return tripod_distance(p, q) <= tol
     return bool(np.all(np.abs(p.payload - q.payload) <= tol))

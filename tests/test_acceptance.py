@@ -86,7 +86,7 @@ def test_criterion_03_hat_function_exactness():
             if samples.eps_n != 0.0:
                 return False, f"eps_{n} = {samples.eps_n}"
             scale = 2.0 ** n
-            for i, v in samples.items():
+            for i, v in samples.values.nonzero_items():
                 if v != max(0.0, 1.0 - abs(i[0]) / scale):
                     return False, f"level {n} index {i}: {v}"
         return True, "levels 1..10 exact, eps_n = 0 throughout"

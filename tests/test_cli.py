@@ -5,13 +5,17 @@ import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from npcsubdiv import (SpaceDescriptor, bspline_mask, chaikin_mask, kernel_row,
                        make_mask, tensor_power, tripod_point)
 from npcsubdiv.cli import Report, main, render_report
 from npcsubdiv.grid import grid_from_json, grid_from_points, grid_to_json
 from npcsubdiv.masks import mask_to_json, translate
+from oracles import dense_iterated
 
 B = bspline_mask()
 C = chaikin_mask()
@@ -298,6 +302,42 @@ def test_render_report_matches_the_asdict_encoding():
     pretty = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
     assert json.loads(text) == json.loads(pretty)
     assert text.count("\n") == 1 and text.endswith("\n")
+
+
+@st.composite
+def cascade_masks(draw):
+    """Mask JSON of dimension 1-3, translated, with dyadic or non-dyadic
+    coefficients; zeros pad the edges and leave gaps inside."""
+    dim = draw(st.integers(1, 3))
+    shape = draw(st.lists(st.integers(1, (4, 3, 2)[dim - 1]), min_size=dim, max_size=dim))
+    size = int(np.prod(shape))
+    dyadic = st.sampled_from((0.0, 0.125, 0.25, 0.5, 0.75, 1.0))
+    other = st.sampled_from((0.0, 0.1, 1 / 3, 0.7)) | st.floats(1e-3, 3.0)
+    flat = draw(st.lists(draw(st.sampled_from((dyadic, other))),
+                         min_size=size, max_size=size).filter(any))
+    offset = draw(st.lists(st.integers(-12, 12), min_size=dim, max_size=dim))
+    return {"dim": dim, "offset": offset, "coeffs": np.reshape(flat, shape).tolist()}
+
+
+@given(mask=cascade_masks(), level=st.integers(0, 4))
+def test_cascade_reports_are_the_json_dumps_of_their_rows(files, mask, level):
+    """The written report is json.dumps of the same report whose samples are
+    {"index", "value"} rows, built here from the dense oracle; the CSV text
+    has one `index,value` line per row, the value as its repr."""
+    path, out = files["root"] / "battery_mask.json", files["root"] / "battery_out"
+    path.write_text(json.dumps(mask))
+    offset = mask["offset"][0] if mask["dim"] == 1 else tuple(mask["offset"])
+    want = dense_iterated(mask["coeffs"], offset, level)
+    rows = sorted((i if mask["dim"] > 1 else (i,), v) for i, v in want.items())
+    argv = ["cascade", "--mask", str(path), "--levels", str(level), "--out", str(out)]
+    assert main(argv) == 0
+    text = out.read_text(encoding="utf-8")
+    report = json.loads(text)
+    report["payload"]["samples"] = [{"index": list(i), "value": v} for i, v in rows]
+    assert text == json.dumps(report, sort_keys=True) + "\n"
+    assert main(argv + ["--format", "csv"]) == 0
+    assert out.read_text(encoding="utf-8") == "index,value\n" + "".join(
+        f"{' '.join(map(str, i))},{v!r}\n" for i, v in rows)
 
 
 def test_the_reused_parser_carries_no_state_between_calls(capsys, files):

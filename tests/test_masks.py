@@ -69,6 +69,61 @@ def test_support_box_value_and_translate():
     assert shifted.value((4,)) == 0.5
 
 
+def nonzero_box(coeffs, offset):
+    """The support box from every nonzero entry; None if there is none."""
+    nz = np.nonzero(coeffs)
+    if nz[0].size:
+        return (tuple(int(ix.min()) + o for ix, o in zip(nz, offset)),
+                tuple(int(ix.max()) + o for ix, o in zip(nz, offset)))
+
+
+@st.composite
+def sparse_arrays(draw):
+    """(coeffs, offset): 1-3 axes, mostly zeros so that whole rows, columns and
+    interior runs vanish; offsets near 0 or beyond int64."""
+    dim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim)))
+    size = int(np.prod(shape))
+    flat = draw(st.lists(st.sampled_from((0.0, 0.0, 0.0, 0.25, 1.0)),
+                         min_size=size, max_size=size))
+    offset = draw(st.lists(st.integers(-4, 4) | st.sampled_from((2 ** 70, -2 ** 63 - 5)),
+                           min_size=dim, max_size=dim))
+    return np.array(flat).reshape(shape), tuple(offset)
+
+
+def assert_trimmed_to_the_box(coeffs, offset):
+    want = nonzero_box(coeffs, offset)
+    assert masks._nonzero_box(coeffs, offset) == want
+    if want is None:  # reaches Mask whole, which refuses it
+        with pytest.raises(StructuralError):
+            masks._trimmed(coeffs.ndim, offset, coeffs)
+        return
+    assert all(type(c) is int for corner in want for c in corner)
+    assert Mask(coeffs.ndim, offset, coeffs).support_box() == want
+    trimmed = masks._trimmed(coeffs.ndim, offset, coeffs)
+    assert trimmed.offset == want[0]
+    assert trimmed.support_box() == want
+    lo = [l - o for l, o in zip(want[0], offset)]
+    assert np.array_equal(trimmed.coeffs,
+                          coeffs[tuple(slice(l, l + n) for l, n in zip(lo, trimmed.coeffs.shape))])
+
+
+@given(case=sparse_arrays())
+def test_support_boxes_match_the_nonzero_oracle(case):
+    assert_trimmed_to_the_box(*case)
+
+
+@pytest.mark.parametrize("coeffs,offset", (
+    (GAPPED.coeffs, (3,)),
+    (np.pad(GAPPED.coeffs, (2, 1)), (2 ** 70,)),  # a zero-padded user mask
+    (np.pad(tensor_power(B, 2).coeffs, ((0, 2), (1, 0))), (-1, -2 ** 63 - 5)),
+    (np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5]]), (0, 0)),
+    (np.zeros((3, 2)), (0, 0)), (np.zeros(0), (0,))),
+    ids=("gapped", "padded-gapped", "padded-tensor-hat", "interior-gaps", "zeros", "empty"))
+def test_support_boxes_of_gapped_padded_and_empty_arrays(coeffs, offset):
+    assert_trimmed_to_the_box(coeffs, offset)
+
+
 @pytest.mark.parametrize("offset", ((2 ** 70,), (-2 ** 63 - 5,), (2 ** 64 + 3, -2 ** 70)),
                          ids=("beyond-int64", "below-int64", "bivariate"))
 def test_nonzero_items_keep_exact_indices_beyond_int64(offset):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from npcsubdiv import (BarycenterProblem, DomainError, NumericError,
+from npcsubdiv import (BarycenterProblem, DomainError, NumericError, SolverError,
                        SpaceDescriptor, StructuralError, distance,
                        euclidean_point, exp_map, geodesic_point,
                        hyperboloid_point, log_map, npc_residual, random_grid,
@@ -19,7 +19,7 @@ from npcsubdiv.spaces import (descriptor_from_json, descriptor_to_json,
                               hyperboloid_from_spatial, point_from_json,
                               point_to_json)
 from oracles import exact_tripod_barycenter, frechet_hessian, frechet_value, \
-    karcher_gradient_norm, points_equal, scan_tripod_barycenter
+    karcher_gradient_norm, points_equal, scan_tripod_barycenter, tripod_distance
 
 BACKENDS = (
     SpaceDescriptor("euclidean", 3),
@@ -226,7 +226,7 @@ def test_tripod_barycenter_matches_dense_scan():
         y = weighted_barycenter(BarycenterProblem(pts, np.array(weights)))
         f_scan, y_scan = scan_tripod_barycenter(pts, weights)
         assert frechet_value(y, pts, weights) <= f_scan + 1e-6
-        assert distance(y, y_scan) <= 2e-3
+        assert tripod_distance(y, y_scan) <= 2e-3
 
 
 @st.composite
@@ -363,6 +363,21 @@ def assert_converged(desc, pts, weights, y):
     """The stationarity residual at y bounds d(y, y*): at most 1e-8 (1 + diam)."""
     norm, diam = karcher_gradient_norm(desc.kind, y, pts, weights)
     assert norm <= 1e-8 * (1.0 + diam)
+
+
+@pytest.mark.parametrize("desc", (SPD2, HYP2), ids=str)
+@pytest.mark.parametrize("cap", (1, 2))
+def test_a_solver_error_reports_an_iterate_with_its_own_residual(desc, cap, monkeypatch):
+    """At the iteration cap the error names the last iterate the solver
+    evaluated and the residual there, not the untested candidate after it."""
+    monkeypatch.setattr(spaces, "BARYCENTER_MAX_ITER", cap)
+    rng = np.random.default_rng([31, cap])
+    rows = np.stack([spread_points(desc, rng, 4, 3.0) for _ in range(3)])
+    weights = rng.dirichlet(np.ones(4))
+    _, (r, err) = spaces.barycenters(desc, rows, weights)
+    assert isinstance(err, SolverError)
+    norm, _ = karcher_gradient_norm(desc.kind, err.last_iterate.payload, rows[r], weights)
+    assert err.residual == pytest.approx(norm, rel=1e-6)
 
 
 @pytest.mark.parametrize("desc,reach", ((HYP2, 17.0), (HYP3, 17.0), (SPD2, 12.0), (SPD3, 12.0)),
