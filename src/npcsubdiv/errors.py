@@ -56,19 +56,14 @@ def lattice_point(v, dim=None, what="lattice point") -> tuple:
     return coords
 
 
-def _has_bool(raw) -> bool:
-    if isinstance(raw, (list, tuple)):
-        return any(_has_bool(x) for x in raw)
-    return isinstance(raw, (bool, np.bool_))
-
-
 def numbers(raw, what="numbers") -> np.ndarray:
     """raw as a new float array; ints and floats only, in rectangular nesting."""
     try:
         arr = np.asarray(raw)
     except ValueError:  # ragged nesting
         raise StructuralError(f"{what} must be a rectangular array") from None
-    if arr.dtype.kind not in "iuf" or _has_bool(raw):
+    if arr.dtype.kind not in "iuf" or isinstance(raw, (list, tuple)) and not {
+            bool, np.bool_}.isdisjoint(map(type, np.asarray(raw, dtype=object).flat)):
         raise StructuralError(f"{what} must hold only ints and floats")
     return arr.astype(float)
 

@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import DomainError, StructuralError, lattice_point, numbers
 from .masks import Mask
-from .spaces import _BACKENDS, SpaceDescriptor, SpacePoint, _point, check_payloads, \
-    descriptor_from_json, descriptor_to_json, payloads_from_json, payloads_to_json, \
-    stack_payloads
+from .spaces import _BACKENDS, SpaceDescriptor, SpacePoint, _point, descriptor_from_json, \
+    descriptor_to_json, payloads_from_json, payloads_to_json, stack_payloads
 
 CONSTANT_NEAREST = "constant_nearest"
 PERIODIC = "periodic"
@@ -29,7 +28,8 @@ class GridData:
     """Points indexed by the integer box lo..hi (inclusive), stored as a
     read-only copy of `payloads`: window shape + descriptor.payload_shape.
     Every row must be a point of the descriptor's space (the test of the
-    point constructors, with their errors)."""
+    point constructors, with their errors); a level refined from a grid is
+    one by construction and is not tested again (see `_refined`)."""
 
     descriptor: SpaceDescriptor
     lo: tuple
@@ -50,7 +50,7 @@ class GridData:
         if payloads.shape != shape:
             raise StructuralError(f"payloads shape {payloads.shape} does not match "
                                   f"window + {self.descriptor}: {shape}")
-        self.payloads = check_payloads(self.descriptor, payloads)
+        self.payloads = _BACKENDS[self.descriptor.kind].members(payloads)
         self.payloads.flags.writeable = False
 
     @property
@@ -85,6 +85,16 @@ class GridData:
             else:
                 out.append((np.asarray(i) - l) % (h - l + 1))
         return tuple(out)
+
+
+def _refined(x: GridData, payloads: np.ndarray) -> GridData:
+    """x's refined level on its doubled window, read-only and untested: its rows come
+    from `_sym`, `_hyp_renorm` or `_tripod_rows` (spd: positive to cond ~1e15)."""
+    out = object.__new__(GridData)
+    out.descriptor, out.extension, out.payloads = x.descriptor, x.extension, payloads
+    out.lo, out.hi = refined_window(x.lo, x.hi)
+    payloads.flags.writeable = False
+    return out
 
 
 def _stacked_grid(descriptor, lo, hi, flat: np.ndarray, extension=CONSTANT_NEAREST) -> GridData:

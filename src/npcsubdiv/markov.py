@@ -34,7 +34,7 @@ from .grid import GridData
 from .linear import RefinableSamples
 from .masks import (Mask, coset, default_gauge, gauge_value, iterated_mask,
                     ladder, recenter, require_sum_rule, stencil)
-from .spaces import BarycenterProblem, distance, weighted_barycenter
+from .spaces import barycenters, distances
 from .subdivision import iterate
 
 __all__ = [
@@ -273,10 +273,12 @@ def nonassociativity_gap(mask: Mask, x: GridData, index, steps: int) -> float:
     lo, hi = trace.interiors[steps]
     if any(i < l or i > h for i, l, h in zip(index, lo, hi)):
         raise DomainError(f"index {index} is not interior at level {steps}")
-    nested = trace.levels[steps].get(index)
+    level = trace.levels[steps]
 
     probs = kernel_row(mask, index, steps).probs
     total = sum(probs.values())
-    problem = BarycenterProblem(points=[x.get(j) for j in probs],
-                                weights=[w / total for w in probs.values()])
-    return distance(nested, weighted_barycenter(problem))
+    points = x.payloads[x.local(np.array(list(probs)).T)]
+    one_shot, failure = barycenters(x.descriptor, points[None], [w / total for w in probs.values()])
+    if failure:
+        raise failure[1]
+    return float(distances(x.descriptor, level.payloads[level.local(index)], one_shot[0]))

@@ -37,6 +37,8 @@ class Mask:
 
     def __post_init__(self):
         self.dim = integer(self.dim, "mask dim")
+        if self.dim < 1:
+            raise StructuralError(f"mask dim must be >= 1, got {self.dim}")
         arr = numbers(self.coeffs, "mask coefficients")
         if arr.ndim != self.dim:
             raise StructuralError(

@@ -264,8 +264,8 @@ class _Backend:
     kappa = 0.0
 
     def members(self, rows):
-        """rows, a stack of payloads, as points of this space; raises the error
-        of the first check that a row fails."""
+        """rows, a stack of payloads, as points of this space (the tripod's glue
+        point on leg 0); raises the error of the first check that a row fails."""
         if not np.isfinite(rows).all():
             raise NumericError("non-finite payload")
         return rows
@@ -674,13 +674,6 @@ def stack_payloads(points, descriptor: SpaceDescriptor) -> np.ndarray:
     return np.array([pt.payload for pt in points], dtype=float)
 
 
-def check_payloads(desc: SpaceDescriptor, payloads: np.ndarray) -> np.ndarray:
-    """Payloads stacked along leading axes, checked as points of desc by the
-    test of the point constructors, which raises the same errors; the tripod's
-    glue point comes back on leg 0."""
-    return _BACKENDS[desc.kind].members(payloads)
-
-
 def _payload(p: SpacePoint) -> np.ndarray:
     return np.asarray(p.payload, dtype=float)
 
@@ -694,7 +687,7 @@ def _point(desc: SpaceDescriptor, payload: np.ndarray) -> SpacePoint:
 
 def distances(desc: SpaceDescriptor, p, q) -> np.ndarray:
     """d(p, q) over the leading axes of two stacks of payloads, trusted as points
-    (`check_payloads` checks them).  On spd the eigenvalues of p^-1/2 q p^-1/2
+    (`_Backend.members` checks them).  On spd the eigenvalues of p^-1/2 q p^-1/2
     resolve to about 2.2e-16 of the largest, so the distance holds up to condition
     numbers of about 1e15; a singular q may get a finite distance near 35-38."""
     return _apply(desc, "dist", p, q)
@@ -864,7 +857,7 @@ def payloads_to_json(desc: SpaceDescriptor, payloads: np.ndarray) -> list:
 
 def payloads_from_json(desc: SpaceDescriptor, objs) -> np.ndarray:
     """The payloads of a list of point objects, stacked along a new first axis and
-    read for nesting and shape only (`check_payloads` makes them points)."""
+    read for nesting and shape only (`_Backend.members` makes them points)."""
     try:
         rows = _BACKENDS[desc.kind].from_json(objs)
     except (KeyError, TypeError) as exc:
@@ -876,4 +869,4 @@ def payloads_from_json(desc: SpaceDescriptor, objs) -> np.ndarray:
 
 def point_from_json(desc: SpaceDescriptor, obj: dict) -> SpacePoint:
     """The one-object case of `payloads_from_json`, checked as a point."""
-    return _point(desc, check_payloads(desc, payloads_from_json(desc, [obj]))[0])
+    return _member(desc, payloads_from_json(desc, [obj])[0])

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, ResourceError, SolverError, StructuralError, \
     integer, number
 from .grid import GridData, box_array, box_intersect, check_interior_depth, \
-    _stacked_grid, random_grid, refined_window
+    _refined, _stacked_grid, random_grid, refined_window
 from .linear import contractivity_certificate, fit_gamma
 from .masks import ITERATED_SUPPORT_CAP, BoxGauge, Mask, default_gauge, gauge_offsets, \
     require_sum_rule, stencil, support_radius, unit_gauge
@@ -76,8 +76,7 @@ def subdivide(mask: Mask, x: GridData) -> GridData:
                 first = (node, failure[1])
     if first:
         raise first[1]
-    lo, hi = refined_window(x.lo, x.hi)
-    return GridData(x.descriptor, lo, hi, out, x.extension)
+    return _refined(x, out)
 
 
 @dataclass(eq=False)
@@ -231,8 +230,7 @@ def bspline_comparison(x: GridData) -> GridData:
         out[lead + (slice(1, None, 2),)] = geodesic_points(
             x.descriptor, data[lead + (slice(None, -1),)], data[lead + (slice(1, None),)], 0.5)
         data = out
-    lo, hi = refined_window(x.lo, x.hi)
-    return GridData(x.descriptor, lo, hi, data, x.extension)
+    return _refined(x, data)
 
 
 @dataclass

@@ -278,6 +278,13 @@ def test_sum_rule_violations_surface_through_the_cli(capsys, files):
     expect_error(capsys, ["certify", "--mask", str(bad)], "StructuralError")
 
 
+@pytest.mark.parametrize("argv", (["validate"], ["cascade", "--levels", "1"], ["certify"]))
+def test_a_mask_of_dimension_0_is_a_clean_error(capsys, files, argv):
+    bad = files["root"] / "dim0.json"
+    bad.write_text(json.dumps({"dim": 0, "offset": [], "coeffs": 1.0}))
+    expect_error(capsys, argv[:1] + ["--mask", str(bad)] + argv[1:], "StructuralError")
+
+
 @pytest.mark.parametrize("window", (
     {"lo": [0.7], "hi": [2.9]},
     {"lo": [-1], "hi": ["1"]},

@@ -8,13 +8,13 @@ import pytest
 from npcsubdiv import (DomainError, GridData, NumericError, SpaceDescriptor,
                        SpacePoint, StructuralError, bspline_mask, chaikin_mask,
                        convergence_diagnostic, euclidean_point, exp_map,
-                       iterate, make_mask, tripod_point)
+                       iterate, make_mask, nonassociativity_gap, tripod_point)
 from npcsubdiv.grid import (box_indices, box_intersect, box_is_empty,
                             check_interior_depth, grid_from_function,
                             grid_from_json, grid_from_points, grid_to_json,
                             minimal_window_width, random_grid,
                             refined_interior, refined_window)
-from npcsubdiv import grid
+from npcsubdiv import grid, spaces
 from npcsubdiv.spaces import hyperboloid_from_spatial, point_from_json
 from oracles import points_equal
 
@@ -143,6 +143,7 @@ def test_grid_from_function_reads_each_corner_once_before_the_constructor(monkey
 
 def test_refinement_builds_no_point_objects(monkeypatch):
     x = random_grid(SpaceDescriptor("spd", 2), (0,), (9,), np.random.default_rng(2))
+    tripod = random_grid(SpaceDescriptor("tripod"), (0,), (9,), np.random.default_rng(3))
     built = []
     init = SpacePoint.__init__
 
@@ -154,9 +155,24 @@ def test_refinement_builds_no_point_objects(monkeypatch):
     for mask in (B, C):
         trace = iterate(mask, x, 4)
         convergence_diagnostic(mask, x, 4)
+        for data in (x, tripod):
+            nonassociativity_gap(mask, data, (10,), 2)
     assert built == []
     assert trace.levels[-1].points.size == trace.levels[-1].payloads.shape[0]
     assert len(built) == trace.levels[-1].payloads.shape[0]
+
+
+def test_a_decoded_grid_is_checked_once_and_its_levels_are_not(monkeypatch):
+    obj = grid_to_json(random_grid(SpaceDescriptor("spd", 2), (0,), (9,),
+                                   np.random.default_rng(2)))
+    checked = []
+    members = spaces._SPD.members
+    monkeypatch.setattr(spaces._SPD, "members",
+                        lambda self, rows: checked.append(len(rows)) or members(self, rows))
+    for run in (lambda x: iterate(C, x, 3), lambda x: convergence_diagnostic(C, x, 3)):
+        checked.clear()
+        run(grid_from_json(obj))
+        assert checked == [10]  # the decode, not one call per level
 
 
 # -- interior recursion -----------------------------------------------------------

@@ -1,14 +1,17 @@
-"""Layering: the backend classes never call up into the one-point API.
+"""Layering: package code never calls up into the one-point API.
 
 The functions on single `SpacePoint`s are a thin layer over the batched
 backend code, so no method of a `_Backend` class in `spaces.py` may read one
-of their names.  Written with the stdlib `ast` module only.
+of their names, and no other module of the package may import or read them
+or `BarycenterProblem`: it works on payload rows.  `__init__.py` only
+re-exports the public names.  Written with the stdlib `ast` module only.
 """
 
 import ast
 from pathlib import Path
 
-SPACES = Path(__file__).resolve().parents[1] / "src" / "npcsubdiv" / "spaces.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "npcsubdiv"
+SPACES = PACKAGE / "spaces.py"
 POINT_API = {"random_point", "distance", "log_map", "exp_map", "geodesic_point",
              "weighted_barycenter", "euclidean_point", "spd_point", "hyperboloid_point",
              "hyperboloid_from_spatial", "tripod_point"}
@@ -42,3 +45,34 @@ def test_the_checker_flags_an_upward_call():
               "class Other:\n    def f(self):\n        return distance(3)\n")
     assert upward_calls(source) == [("_Backend.sampler", "random_point"),
                                     ("_Flat.random", "spd_point")]
+
+
+def point_api_reads(source: str) -> list:
+    """(line, name) for each import or read of a one-point name or of
+    `BarycenterProblem`, as a bare name or as a module attribute."""
+    names, found = POINT_API | {"BarycenterProblem"}, []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in names]
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_no_other_module_reads_the_one_point_api():
+    reads = {path.name: point_api_reads(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name not in ("spaces.py", "__init__.py")}
+    assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_the_checker_flags_a_one_point_import_or_read():
+    source = ("from .spaces import barycenters, distance\n"
+              "from . import spaces\n"
+              "def gap(p, q):\n"
+              "    problem = BarycenterProblem([p, q], [0.5, 0.5])\n"
+              "    return spaces.weighted_barycenter(problem), barycenters(p, q)\n")
+    assert point_api_reads(source) == [(1, "distance"), (4, "BarycenterProblem"),
+                                       (5, "weighted_barycenter")]

@@ -54,7 +54,8 @@ def test_numbers_returns_a_new_float_array():
 
 @pytest.mark.parametrize("bad", ("x", [0.25, "x"], [[1], [1, 2]], [True, False],
                                  np.array([True]), [0.5, True], [[1.0, False]],
-                                 None, [1.0, None], {"a": 1}, [1j]))
+                                 None, [1.0, None], {"a": 1}, [1j],
+                                 [np.array([True, False]), [1.0, 2.0]]))
 def test_numbers_refuses_strings_bools_and_ragged_nesting(bad):
     with pytest.raises(StructuralError):
         numbers(bad, "coeffs")
