@@ -62,8 +62,10 @@ def numbers(raw, what="numbers") -> np.ndarray:
         arr = np.asarray(raw)
     except ValueError:  # ragged nesting
         raise StructuralError(f"{what} must be a rectangular array") from None
-    if arr.dtype.kind not in "iuf" or isinstance(raw, (list, tuple)) and not {
-            bool, np.bool_}.isdisjoint(map(type, np.asarray(raw, dtype=object).flat)):
+    leaves = np.asarray(raw, dtype=object).ravel() if isinstance(raw, (list, tuple)) else ()
+    kinds = set(map(type, leaves))  # a 0-d array leaf stays an ndarray of its own dtype
+    if arr.dtype.kind not in "iuf" or not {bool, np.bool_}.isdisjoint(kinds) or (
+            np.ndarray in kinds and any(x.dtype == bool for x in leaves if type(x) is np.ndarray)):
         raise StructuralError(f"{what} must hold only ints and floats")
     return arr.astype(float)
 

@@ -181,14 +181,10 @@ def _positive(w):
     return np.where(w.min(axis=-1, keepdims=True) > 0.0, w, np.nan)
 
 
-def _logm(m):
+def _spectral(f, m):
+    """V f(L) V^T for the symmetric m = V L V^T."""
     w, v = _eigh(m)
-    return _sym((v * np.log(_positive(w))[..., None, :]) @ _T(v))
-
-
-def _expm(m):
-    w, v = _eigh(m)
-    return _sym((v * np.exp(w)[..., None, :]) @ _T(v))
+    return _sym((v * f(w)[..., None, :]) @ _T(v))
 
 
 # SPD matrices q are whitened by a base point p = V diag(r)^2 V^T in its
@@ -428,18 +424,18 @@ class _SPD(_Backend):
 
     def log(self, p, q):
         frame = _frame(p)
-        return _unwhiten(frame, _logm(_whiten(frame, q)))
+        return _unwhiten(frame, _spectral(lambda w: np.log(_positive(w)), _whiten(frame, q)))
 
     def exp(self, p, v):
         frame = _frame(p)
-        return _unwhiten(frame, _expm(_whiten(frame, v)))
+        return _unwhiten(frame, _spectral(np.exp, _whiten(frame, v)))
 
     def step(self, y, points, weights):
         # logs are taken in the frame whitened by y, where the metric is Frobenius
         frame = _frame(y)
         v_y, r_y = frame
         w, q = _eigh(_whiten((v_y[..., None, :, :], r_y[..., None, :]), points))
-        l = np.log(_positive(w))  # the eigenpairs of `_logm`, kept for the Hessian
+        l = np.log(_positive(w))  # the eigenpairs of the log, kept for the Hessian
         logs = _sym((q * l[..., None, :]) @ _T(q))
         v = _weighted_sum(weights, logs, 2)
         norms = _norm(logs, 2)
@@ -454,13 +450,13 @@ class _SPD(_Backend):
         g = weights[:, None] * _rows(np.where(z == 0.0, 1.0, z / np.tanh(z)), 2)
         hess = _T(m) @ (g.reshape(len(y), -1, 1) * m)
         s = basis @ _solve(hess, (_rows(v, 2)[:, None] @ basis)[:, 0])[..., None]
-        return _norm(v, 2), norms, v, _unwhiten(frame, _expm(s.reshape(v.shape)))
+        return _norm(v, 2), norms, v, _unwhiten(frame, _spectral(np.exp, s.reshape(v.shape)))
 
     def move(self, y, v):
-        return _unwhiten(_frame(y), _expm(v))
+        return _unwhiten(_frame(y), _spectral(np.exp, v))
 
     def random(self, desc, rng, n):
-        return _expm(rng.uniform(-1.0, 1.0, (n, desc.dim, desc.dim)))
+        return _spectral(np.exp, rng.uniform(-1.0, 1.0, (n, desc.dim, desc.dim)))
 
 
 def _mink(p, q):
@@ -541,21 +537,16 @@ class _Hyperboloid(_Backend):
         return 2.0 * np.arcsinh(np.sqrt(0.5 * _cosh_minus_1(p, q)))
 
     def log(self, p, q):
-        t = _cosh_minus_1(p, q)
-        alpha = 1.0 + t
-        u = q - alpha[..., None] * p
-        near = t < 1e-8
-        far = np.where(near, 2.0, alpha)  # acosh only where the series is not used
-        scale = np.where(near, np.sqrt(2.0 / (alpha + 1.0)) * (1.0 - t / 12.0),
-                         np.arccosh(far) / np.sqrt(far * far - 1.0))
-        return np.where((t <= 0.0)[..., None], 0.0, scale[..., None] * u)
+        # (d / sinh d)(q - (1 + t) p), t = cosh d - 1: d = 2 asinh(sqrt(t / 2)) as in
+        # `dist` and sinh d = sqrt(t (t + 2)) keep their relative accuracy as t -> 0
+        t = _cosh_minus_1(p, q)[..., None]
+        scale = 2.0 * np.arcsinh(np.sqrt(0.5 * t)) / np.sqrt(t * (t + 2.0))
+        return np.where(t <= 0.0, 0.0, scale * (q - (1.0 + t) * p))
 
     def exp(self, p, v):
-        n = self.norm(p, v)
-        tiny = n < 1e-16  # exp_p(v) = p; the ratio below is not used
-        q = _hyp_renorm(np.cosh(n)[..., None] * p
-                        + (np.sinh(n) / np.where(tiny, 1.0, n))[..., None] * v)
-        return np.where(tiny[..., None], p, q)
+        n = self.norm(p, v)  # v is zero where n is
+        return _hyp_renorm(np.cosh(n)[..., None] * p
+                           + (np.sinh(n) / np.where(n > 0.0, n, 1.0))[..., None] * v)
 
     def geodesic(self, p, q, t):
         # (sinh((1 - t) d) p + sinh(t d) q) / sinh(d): no term outgrows the

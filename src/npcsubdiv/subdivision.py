@@ -33,9 +33,8 @@ __all__ = [
     "ApproximationCheck", "geodesic_sampler", "trial_grid",
 ]
 
-DIAGNOSTIC_MARGIN = 1e-3
 FIT_FIRST_LEVEL = 2
-CONVERGENCE_MARGIN = 1e-3
+CONVERGENCE_MARGIN = 1e-3  # a fitted rate below 1 - margin counts as contracting
 
 
 def subdivide(mask: Mask, x: GridData) -> GridData:
@@ -255,7 +254,7 @@ def convergence_diagnostic(mask: Mask, x: GridData, n_max: int) -> ConvergenceDi
     floor = 1e-13 * (1.0 + max(series))
     start = len(series) // 2
     tail = [(start + k, max(v, floor)) for k, v in enumerate(series[start:])]
-    converging = all(v <= floor for _, v in tail) or fit_gamma(tail) < 1.0 - DIAGNOSTIC_MARGIN
+    converging = all(v <= floor for _, v in tail) or fit_gamma(tail) < 1.0 - CONVERGENCE_MARGIN
     return ConvergenceDiagnostic(cauchy_series=series,
                                  verdict="converging" if converging else "inconclusive")
 

@@ -15,7 +15,9 @@ that the certificate's array sweep must reproduce bit for bit.
 mpmath, `frechet_hessian` differentiates the Frechet function twice along
 geodesics, in mpmath, for the Newton step, and `exact_tripod_barycenter`
 solves the tripod's barycenter in `Fraction`s.
-`points_equal` compares two points payload by payload.
+`points_equal` compares two points payload by payload.  `hyperboloid_log` is
+the hyperboloid log map in 50-digit mpmath, and `partition_of_unity_loop` the
+residue-by-residue sum of a cascade's level-n cosets.
 """
 
 import math
@@ -156,6 +158,14 @@ def alpha_loop(samples, n, gauge):
     return alpha
 
 
+def partition_of_unity_loop(samples):
+    """max over residues r in [0, 2^n)^s of |sum_j values(r + 2^n j) - 1|, one
+    level-n `coset` list per residue, summed in its order."""
+    n = samples.level
+    return max(abs(sum(w for _, w in coset(samples.values, n, r)) - 1.0)
+               for r in product(range(2 ** n), repeat=samples.values.dim))
+
+
 def forward_row(mask, start, steps):
     """n-step marginal by repeated one-step distribution pushforward."""
     dist = {tuple(int(v) for v in start): 1.0}
@@ -231,6 +241,13 @@ def _hyp_log(base, x):  # (log_base(x), d(base, x))
         return [mpmath.mpf(0)] * len(base), mpmath.mpf(0)
     d = mpmath.acosh(alpha)
     return [d / mpmath.sinh(d) * (xc - alpha * bc) for xc, bc in zip(x, base)], d
+
+
+def hyperboloid_log(base, x, digits=50):
+    """log_base(x) of two hyperboloid payloads, read over their spatial
+    coordinates, in mpmath at `digits` digits from the acosh definition."""
+    with mpmath.workdps(digits):
+        return np.array([float(c) for c in _hyp_log(_hyp_lift(base), _hyp_lift(x))[0]])
 
 
 def _hyperboloid_gradient(y, points, weights):

@@ -1,7 +1,9 @@
 """Linear cascade, refinable samples, certificates, convergence fits."""
 
+import math
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError,
 from npcsubdiv.grid import grid_from_points
 from npcsubdiv.linear import _alpha
 from npcsubdiv.masks import default_gauge, ladder, recenter, translate
-from oracles import alpha_loop, dense_interlevel, hat, linear_refine
+from oracles import alpha_loop, dense_interlevel, hat, linear_refine, partition_of_unity_loop
 
 EU = SpaceDescriptor("euclidean", 1)
 B = bspline_mask()
@@ -90,6 +92,23 @@ def test_partition_of_unity_residuals():
     assert partition_of_unity_residual(cascade(make_mask((0,), [1.0]), 2)) == 1.0
     # [1.0, 0.5]: level-2 residue masses are (1, 1/2, 1/2, 1/4), worst gap 3/4
     assert partition_of_unity_residual(cascade(make_mask((0,), [1.0, 0.5]), 2)) == pytest.approx(0.75)
+
+
+@st.composite
+def dyadic_masks(draw):
+    """1-D and 2-D masks of 1-4 entries per axis, coefficients k / 8 with k in 0..8."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+    size = math.prod(shape)
+    coeffs = draw(st.lists(st.integers(0, 8), min_size=size, max_size=size)
+                  .filter(any))
+    offset = tuple(draw(st.integers(-3, 3)) for _ in shape)
+    return make_mask(offset, (np.array(coeffs) / 8.0).reshape(shape).tolist())
+
+
+@given(mask=dyadic_masks(), n=st.integers(0, 4))
+def test_partition_of_unity_residual_matches_the_coset_loop(mask, n):
+    samples = cascade(mask, n)
+    assert partition_of_unity_residual(samples) == partition_of_unity_loop(samples)
 
 
 # -- certificates ----------------------------------------------------------------------

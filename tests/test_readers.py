@@ -55,7 +55,8 @@ def test_numbers_returns_a_new_float_array():
 @pytest.mark.parametrize("bad", ("x", [0.25, "x"], [[1], [1, 2]], [True, False],
                                  np.array([True]), [0.5, True], [[1.0, False]],
                                  None, [1.0, None], {"a": 1}, [1j],
-                                 [np.array([True, False]), [1.0, 2.0]]))
+                                 [np.array([True, False]), [1.0, 2.0]],
+                                 [np.array(True), 1.0], ([np.array(False), 2.0],)))
 def test_numbers_refuses_strings_bools_and_ragged_nesting(bad):
     with pytest.raises(StructuralError):
         numbers(bad, "coeffs")
@@ -131,6 +132,8 @@ def test_mask_dim_offset_and_coefficients_go_through_the_readers():
         make_mask((0.5,), [1.0])
     with pytest.raises(StructuralError):
         make_mask(0, [1.0, "x"])
+    with pytest.raises(StructuralError):
+        make_mask((0,), [np.array(True), 1.0])
     assert make_mask(np.int64(-1), [0.5, 1.0, 0.5]).offset == (-1,)
     for obj in ({"dim": True, "offset": [0], "coeffs": [1.0]},
                 {"dim": 2, "offset": "00", "coeffs": [[1.0]]},

@@ -19,7 +19,8 @@ from npcsubdiv.spaces import (descriptor_from_json, descriptor_to_json,
                               hyperboloid_from_spatial, point_from_json,
                               point_to_json)
 from oracles import exact_tripod_barycenter, frechet_hessian, frechet_value, \
-    karcher_gradient_norm, points_equal, scan_tripod_barycenter, tripod_distance
+    hyperboloid_log, karcher_gradient_norm, points_equal, scan_tripod_barycenter, \
+    tripod_distance
 
 BACKENDS = (
     SpaceDescriptor("euclidean", 3),
@@ -31,6 +32,8 @@ BACKENDS = (
 )
 SMOOTH = tuple(d for d in BACKENDS if d.kind != "tripod")
 TRI = BACKENDS[-1]
+HYP2, HYP3 = SpaceDescriptor("hyperboloid", 2), SpaceDescriptor("hyperboloid", 3)
+SPD2, SPD3 = SpaceDescriptor("spd", 2), SpaceDescriptor("spd", 3)
 
 seeds = st.integers(min_value=0, max_value=2 ** 20)
 
@@ -155,6 +158,33 @@ def test_exp_map_refuses_a_vector_that_is_not_tangent():
     with pytest.raises(StructuralError):
         exp_map(euclidean_point([0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
     assert exp_map(origin, np.array([0.0, 1.0, 0.0])).payload[1] == pytest.approx(math.sinh(1.0))
+
+
+def near_pair(desc, seed, radius, gap):
+    """p within geodesic radius `radius` of the origin and q with |q_s - p_s| = gap,
+    both in normal random directions."""
+    u, e = np.random.default_rng([seed]).standard_normal((2, desc.dim))
+    ps = math.sinh(radius) * u / np.linalg.norm(u)
+    return (hyperboloid_from_spatial(ps),
+            hyperboloid_from_spatial(ps + gap * e / np.linalg.norm(e)))
+
+
+@pytest.mark.parametrize("desc", (HYP2, HYP3), ids=str)
+@given(radius=st.floats(0.0, 2.0), log_gap=st.floats(math.log(3e-4), math.log(0.1)),
+       seed=seeds)
+def test_log_map_matches_the_50_digit_log_near_the_diagonal(desc, radius, log_gap, seed):
+    """acosh(1 + t) / sqrt(t (t + 2)) loses up to 2.6e-9 relative accuracy for
+    gaps in [3e-4, 3e-2]; the asinh form of `dist` keeps it."""
+    p, q = near_pair(desc, seed, radius, math.exp(log_gap))
+    want = hyperboloid_log(p.payload, q.payload)
+    assert np.linalg.norm(log_map(p, q) - want) <= 1e-11 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("desc", (HYP2, HYP3), ids=str)
+@given(radius=st.floats(0.0, 2.0), seed=seeds)
+def test_exp_map_of_the_zero_vector_returns_the_base_payload(desc, radius, seed):
+    p, _ = near_pair(desc, seed, radius, 0.0)
+    assert np.array_equal(exp_map(p, np.zeros(desc.dim + 1)).payload, p.payload)
 
 
 # -- NPC inequality -------------------------------------------------------------
@@ -329,10 +359,6 @@ def test_two_point_rows_are_geodesic_points_from_the_heavier_point(desc, monkeyp
 
 
 # -- barycenters on spread data -------------------------------------------------
-
-HYP2, HYP3 = SpaceDescriptor("hyperboloid", 2), SpaceDescriptor("hyperboloid", 3)
-SPD2, SPD3 = SpaceDescriptor("spd", 2), SpaceDescriptor("spd", 3)
-
 
 def spread_points(desc, rng, count, reach):
     """count points: on the hyperboloid at geodesic radius `reach` from the
