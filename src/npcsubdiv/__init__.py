@@ -28,20 +28,18 @@ from .spaces import (BarycenterProblem, SpaceDescriptor, SpacePoint, distance,
                      hyperboloid_point, log_map, npc_residual, random_point,
                      spd_point, tripod_point, weighted_barycenter)
 from .subdivision import (ApproximationCheck, ConvergenceDiagnostic,
-                          ConvergenceTestResult, GammaEstimate, IterateTrace,
-                          approximation_error, bspline_comparison,
-                          contractivity_D, convergence_diagnostic, d_inf,
-                          empirical_gamma, geodesic_sampler, iterate,
-                          linear_convergence_test, subdivide)
+                          GammaEstimate, IterateTrace, approximation_error,
+                          bspline_comparison, contractivity_D,
+                          convergence_diagnostic, d_inf, empirical_gamma,
+                          geodesic_sampler, iterate, subdivide)
 
 __all__ = [
     "__version__",
     "DomainError", "NumericError", "ResourceError", "SolverError",
     "StructuralError",
     "GridData", "grid_from_function", "grid_from_points", "random_grid",
-    "ContractivityCertificate", "ConvergenceTestResult", "RefinableSamples",
-    "cascade", "contractivity_certificate", "fit_gamma",
-    "linear_convergence_test", "partition_of_unity_residual",
+    "ContractivityCertificate", "RefinableSamples", "cascade",
+    "contractivity_certificate", "fit_gamma", "partition_of_unity_residual",
     "BallConfinement", "KernelRow", "StationaryReport", "ball_confinement",
     "dispersion_gap", "kernel_row", "lp_curve", "lp_moment", "nonassociativity_gap",
     "simulate_chain", "stationary_from_refinable",

@@ -165,8 +165,8 @@ def _cmd_validate(config: RunConfig):
         "support_box": _box(*report.support_box),
         "notes": list(report.notes),
     }
-    if report.univariate_zhou is not None:
-        payload["zhou"] = asdict(report.univariate_zhou)
+    if report.sum_rule_ok:
+        payload["convergence_level"] = report.convergence_level
     return payload
 
 
@@ -282,7 +282,8 @@ def _cmd_approx(config: RunConfig):
 # name -> (handler, help text, options): the options are keys of _OPTIONS,
 # which gives their flags and argparse keywords in the order --help lists them
 COMMANDS = {
-    "validate": (_cmd_validate, "check a mask: nonnegativity, sum rule, screens", ("mask",)),
+    "validate": (_cmd_validate, "check a mask: nonnegativity, sum rule, convergence level",
+                 ("mask",)),
     "cascade": (_cmd_cascade, "refinable-function samples of a mask", ("mask", "levels")),
     "certify": (_cmd_certify, "contractivity certificate for a mask", ("mask", "cap")),
     "subdivide": (_cmd_subdivide, "run the scheme on grid data", ("mask", "data!", "levels")),

@@ -98,8 +98,7 @@ def _refined(x: GridData, payloads: np.ndarray) -> GridData:
 
 
 def _stacked_grid(descriptor, lo, hi, flat: np.ndarray, extension=CONSTANT_NEAREST) -> GridData:
-    """Grid of the payloads of its nodes, stacked in row-major order in flat."""
-    lo, hi = lattice_point(lo, what="window corner"), lattice_point(hi, what="window corner")
+    """Grid of the node payloads stacked row-major in flat; the caller reads the corners."""
     shape = tuple(max(h - l + 1, 0) for l, h in zip(lo, hi))  # GridData rejects empty
     if len(flat) != math.prod(shape):
         raise StructuralError(
@@ -111,12 +110,12 @@ def grid_from_function(descriptor, lo, hi, fn, extension=CONSTANT_NEAREST) -> Gr
     """Builds a grid whose node i holds fn(i)."""
     lo, hi = lattice_point(lo, what="window corner"), lattice_point(hi, what="window corner")
     flat = stack_payloads([fn(i) for i in box_indices(lo, hi)], descriptor)
-    shape = tuple(max(h - l + 1, 0) for l, h in zip(lo, hi))  # GridData rejects empty
-    return GridData(descriptor, lo, hi, flat.reshape(shape + flat.shape[1:]), extension)
+    return _stacked_grid(descriptor, lo, hi, flat, extension)
 
 
 def grid_from_points(descriptor, lo, hi, points, extension=CONSTANT_NEAREST) -> GridData:
     """Builds a grid from a row-major flat list of points."""
+    lo, hi = lattice_point(lo, what="window corner"), lattice_point(hi, what="window corner")
     return _stacked_grid(descriptor, lo, hi, stack_payloads(list(points), descriptor), extension)
 
 
@@ -213,7 +212,7 @@ def grid_to_json(x: GridData) -> dict:
 def grid_from_json(obj: dict) -> GridData:
     try:
         desc = descriptor_from_json(obj["descriptor"])
-        lo, hi = obj["window"]["lo"], obj["window"]["hi"]
+        lo, hi = (lattice_point(obj["window"][k], what="window corner") for k in ("lo", "hi"))
         extension, points = obj["extension"], obj["points"]
     except (KeyError, TypeError) as exc:
         raise StructuralError("bad grid object") from exc

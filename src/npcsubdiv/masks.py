@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import islice, product
 
 import numpy as np
@@ -133,28 +134,13 @@ def tensor_power(mask: Mask, s: int) -> Mask:
 # -- validation ----------------------------------------------------------------
 
 @dataclass
-class ZhouReport:
-    """Univariate convergence screens on the support-translated mask.
-
-    endpoint_ok checks 0 < a_0 < 1 and 0 < a_N < 1 (first and last
-    coefficient); endpoint_literal_ok checks the narrower first-two-coefficient
-    variant 0 < a_0, a_1 < 1.  Both are necessary-condition screens, not
-    convergence proofs.
-    """
-
-    support_gcd_ok: bool
-    endpoint_ok: bool
-    endpoint_literal_ok: bool
-
-
-@dataclass
 class MaskReport:
     sum_rule_ok: bool
     coset_residuals: dict
     residual: float
     nonnegative_ok: bool
     support_box: tuple
-    univariate_zhou: ZhouReport | None = None
+    convergence_level: int | None = None
     notes: list = field(default_factory=list)
 
 
@@ -207,36 +193,15 @@ def recenter(mask: Mask):
 
 
 def validate_mask(mask: Mask) -> MaskReport:
-    sums = coset_sums(mask)
-    residuals = {p: abs(s - 1.0) for p, s in sums.items()}
+    residuals = {p: abs(s - 1.0) for p, s in coset_sums(mask).items()}
     residual = max(residuals.values())
     sum_rule_ok = residual <= SUM_RULE_TOL
-    notes = []
     t = center_translation(mask)
-    if any(t):
-        notes.append(f"default gauge recenters support by translation {t}")
-    zhou = None
-    if mask.dim == 1:
-        coeffs = _trimmed(1, mask.offset, mask.coeffs).coeffs
-        n_last = coeffs.shape[0] - 1
-        positive = [i for i in range(1, n_last + 1) if coeffs[i] > 0.0]
-        support_gcd_ok = bool(positive) and math.gcd(*positive) == 1
-        endpoint_ok = bool(0.0 < coeffs[0] < 1.0 and 0.0 < coeffs[n_last] < 1.0)
-        literal_ok = bool(0.0 < coeffs[0] < 1.0
-                          and n_last >= 1 and 0.0 < coeffs[1] < 1.0)
-        zhou = ZhouReport(support_gcd_ok, endpoint_ok, literal_ok)
-        if endpoint_ok != literal_ok:
-            notes.append("endpoint screens disagree: last-coefficient vs "
-                         "second-coefficient variant")
-    else:
-        notes.append("support-zonotope screen not evaluated for dim >= 2")
-    return MaskReport(sum_rule_ok=sum_rule_ok,
-                      coset_residuals=residuals,
-                      residual=residual,
+    notes = [f"default gauge recenters support by translation {t}"] if any(t) else []
+    return MaskReport(sum_rule_ok=sum_rule_ok, coset_residuals=residuals, residual=residual,
                       nonnegative_ok=True,  # Mask refuses negative coefficients
-                      support_box=mask.support_box(),
-                      univariate_zhou=zhou,
-                      notes=notes)
+                      support_box=mask.support_box(), notes=notes,
+                      convergence_level=convergence_level(mask) if sum_rule_ok else None)
 
 
 def require_sum_rule(mask: Mask):
@@ -328,6 +293,63 @@ def default_gauge(mask: Mask) -> BoxGauge:
     lo, hi = centered.support_box()
     c = [max(abs(l), abs(h), 1) for l, h in zip(lo, hi)]
     return BoxGauge(c)
+
+
+# -- convergence ---------------------------------------------------------------
+
+def convergence_level(mask: Mask) -> int | None:
+    """First level n at which, for every state u and gauge offset e of the
+    recentred mask, the n-step chain rows from u and u + e share a coarse
+    state (alpha_n > 0 in `linear._alpha`); None if no level ever does.
+
+    After k steps from u write the chain's state as sigma^k(u) + g, sigma^k
+    dropping the first k binary digits of u: with the next digit v it steps
+    to sigma^(k+1)(u) + g' for the one-step successors g' of the state v + g.
+    A chain from u + e rides on the same digits with its own offset h.  Per
+    axis g stays in [-hi, 1 - lo] for the support box [lo, hi], and d = h - g
+    in the gauge box |d_k| < 2 c_k since hi - lo <= 2 c_k: the pairs (g, h)
+    are finitely many.  The rows meet at level n iff n digits can reach
+    d = 0, and then stay met.  So the search runs, in exact integers, the
+    automaton of reachable sets of pairs from {(0, e)}, one step per digit
+    vector, dropping each set that holds d = 0.  A cycle keeps some rows apart
+    at every level: tau_n = 1 for all n, and the scheme diverges.  With no
+    cycle the level is 1 + the longest run that avoids meeting; a pair reached
+    on the way is the fresh start (0, d) from the state sigma^k(u) + g, so
+    coupled chains meet with probability >= delta > 0 in every window of that
+    length: tau_n -> 0, and the scheme converges.  In 1-D this is the support
+    criterion of Micchelli & Prautzsch (LAA 1989) and Melkman (1997).  Rows
+    at e and -e are the same pairs, so e > 0 suffices.
+    """
+    require_sum_rule(mask)
+    centered, _ = recenter(mask)
+    zero = (0,) * mask.dim
+
+    @cache
+    def moves(g, v):  # the offsets g' one step on from sigma^k(u) + g under digit v
+        return frozenset(j for j, _ in stencil(centered, tuple(vk + gk for vk, gk in zip(v, g))))
+
+    @cache
+    def children(pairs):  # the unmet sets one digit on
+        return [frozenset((x, y) for g, h in pairs for x in moves(g, v) for y in moves(h, v))
+                for v in product((0, 1), repeat=mask.dim)
+                if all(moves(g, v).isdisjoint(moves(h, v)) for g, h in pairs)]
+
+    starts = [frozenset({(zero, e)}) for e in gauge_offsets(default_gauge(centered)) if e > zero]
+    known = {}  # set of pairs -> levels until every word meets; None while open
+    for start in starts:
+        path, known[start] = [(start, iter(children(start)))], None
+        while path:
+            pairs, todo = path[-1]
+            child = next(todo, None)
+            if child is None:
+                known[pairs] = 1 + max((known[k] for k in children(pairs)), default=0)
+                path.pop()
+            elif child not in known:
+                known[child] = None
+                path.append((child, iter(children(child))))
+            elif known[child] is None:
+                return None
+    return max(known[start] for start in starts)
 
 
 # -- products ------------------------------------------------------------------

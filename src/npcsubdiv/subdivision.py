@@ -19,16 +19,15 @@ from .errors import DomainError, ResourceError, SolverError, StructuralError, \
     integer, number
 from .grid import GridData, box_array, box_intersect, check_interior_depth, \
     _refined, _stacked_grid, random_grid, refined_window
-from .linear import contractivity_certificate, fit_gamma
+from .linear import fit_gamma
 from .masks import ITERATED_SUPPORT_CAP, BoxGauge, Mask, default_gauge, gauge_offsets, \
     require_sum_rule, stencil, support_radius, unit_gauge
-from .spaces import EUCLIDEAN, SpaceDescriptor, barycenters, distances, \
+from .spaces import SpaceDescriptor, barycenters, distances, \
     geodesic_points, geodesic_sampler
 
 __all__ = [
     "GridData", "IterateTrace", "subdivide", "iterate", "contractivity_D",
-    "d_inf", "empirical_gamma", "GammaEstimate", "linear_convergence_test",
-    "ConvergenceTestResult", "bspline_comparison",
+    "d_inf", "empirical_gamma", "GammaEstimate", "bspline_comparison",
     "convergence_diagnostic", "ConvergenceDiagnostic", "approximation_error",
     "ApproximationCheck", "geodesic_sampler", "trial_grid",
 ]
@@ -169,7 +168,10 @@ def trial_grid(mask: Mask, space: SpaceDescriptor, rng) -> GridData:
 
 def empirical_gamma(mask: Mask, space: SpaceDescriptor, trials: int, n_max: int,
                     seed: int) -> GammaEstimate:
-    """Fits contraction rates of d_inf over random data; max over trials."""
+    """Fits contraction rates of d_inf over random data; max over trials.
+    The fit starts at level FIT_FIRST_LEVEL and needs two levels."""
+    if n_max < FIT_FIRST_LEVEL + 1:
+        raise DomainError(f"n_max must be >= {FIT_FIRST_LEVEL + 1}")
     gammas = []
     c_hat = 0.0
     for t in range(trials):
@@ -190,29 +192,6 @@ def empirical_gamma(mask: Mask, space: SpaceDescriptor, trials: int, n_max: int,
         ref = max(gammas[-1], 1e-12)
         c_hat = max([c_hat] + [v / (ref ** k * d[0]) for k, v in enumerate(d) if k])
     return GammaEstimate(gamma_hat=max(gammas), C_hat=c_hat, per_trial_gamma=gammas)
-
-
-@dataclass
-class ConvergenceTestResult:
-    converges: bool
-    C: float
-    gamma: float
-    certificate_found: bool
-    per_trial_gamma: list = field(default_factory=list)
-
-
-def linear_convergence_test(mask: Mask, trials: int, n_max: int,
-                            seed: int) -> ConvergenceTestResult:
-    """empirical_gamma on random scalar data, next to the certificate search."""
-    if n_max < FIT_FIRST_LEVEL + 1:
-        raise DomainError(f"n_max must be >= {FIT_FIRST_LEVEL + 1}")
-    require_sum_rule(mask)
-    fit = empirical_gamma(mask, SpaceDescriptor(EUCLIDEAN, 1), trials, n_max, seed)
-    cert = contractivity_certificate(mask, min(n_max, 8))
-    return ConvergenceTestResult(
-        converges=all(g < 1.0 - CONVERGENCE_MARGIN for g in fit.per_trial_gamma),
-        C=fit.C_hat, gamma=fit.gamma_hat, certificate_found=cert.found,
-        per_trial_gamma=fit.per_trial_gamma)
 
 
 # -- comparison scheme ----------------------------------------------------------

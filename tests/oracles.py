@@ -17,11 +17,14 @@ geodesics, in mpmath, for the Newton step, and `exact_tripod_barycenter`
 solves the tripod's barycenter in `Fraction`s.
 `points_equal` compares two points payload by payload.  `hyperboloid_log` is
 the hyperboloid log map in 50-digit mpmath, and `partition_of_unity_loop` the
-residue-by-residue sum of a cascade's level-n cosets.
+residue-by-residue sum of a cascade's level-n cosets.  `overlap_level_loop`
+finds the first level whose chain rows overlap, residue by residue, from the
+supports of `dense_iterated`, for the exact convergence decision to match.
 """
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import mpmath
@@ -156,6 +159,36 @@ def alpha_loop(samples, n, gauge):
                 total += w * row.get(i, 0.0)
             alpha = min(alpha, total)
     return alpha
+
+
+def overlap_level_loop(mask, n_max):
+    """First level n <= n_max at which, for every residue u in [0, 2^n)^s and
+    every gauge offset e of the recentred mask, the level-n rows
+    {i : a^(n)_{u - 2^n i} > 0} at u and at u + e share an index i; None when
+    no n <= n_max does.  The recentring shift -floor((lo + hi) / 2), the
+    half-widths c_k = max(|lo_k|, |hi_k|, 1) and the offsets |e_k| < 2 c_k are
+    written out; a row is read off the support of `dense_iterated`, which
+    lies in (2^n - 1) [lo, hi] after the shift, one candidate i at a time."""
+    lo, hi = mask.support_box()
+    shift = [-((l + h) // 2) for l, h in zip(lo, hi)]
+    half = [max(abs(l + t), abs(h + t), 1) for l, h, t in zip(lo, hi, shift)]
+    offsets = list(product(*(range(1 - 2 * c, 2 * c) for c in half)))
+    offset = tuple(o + t for o, t in zip(mask.offset, shift))
+    for n in range(1, n_max + 1):
+        step = 2 ** n
+        support = set(dense_iterated(mask.coeffs, offset, n))
+        box = [((step - 1) * (l + t), (step - 1) * (h + t)) for l, h, t in zip(lo, hi, shift)]
+
+        @cache
+        def row(u):
+            return {i for i in product(*(range(-((b - uk) // step), (uk - a) // step + 1)
+                                         for uk, (a, b) in zip(u, box)))
+                    if tuple(uk - step * ik for uk, ik in zip(u, i)) in support}
+
+        if all(row(u) & row(tuple(uk + ek for uk, ek in zip(u, e)))
+               for u in product(range(step), repeat=mask.dim) for e in offsets):
+            return n
+    return None
 
 
 def partition_of_unity_loop(samples):

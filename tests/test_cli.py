@@ -58,7 +58,7 @@ def payload_of(out):
 
 # -- happy paths -----------------------------------------------------------------
 
-def test_validate_reports_sum_rule_and_screens(capsys, files):
+def test_validate_reports_sum_rule_and_convergence_level(capsys, files):
     rc, out, _ = run_cli(capsys, ["validate", "--mask", files["b"]])
     payload = payload_of(out)
     assert rc == 0
@@ -67,15 +67,22 @@ def test_validate_reports_sum_rule_and_screens(capsys, files):
     assert payload["support_box"] == {"lo": [-1], "hi": [1]}
     assert {tuple(e["parity"]): e["residual"]
             for e in payload["coset_residuals"]} == {(0,): 0.0, (1,): 0.0}
+    assert payload["convergence_level"] == 1 and payload["notes"] == []
 
     rc, out, _ = run_cli(capsys, ["validate", "--mask", files["gapped"]])
     payload = payload_of(out)
     assert rc == 0 and payload["sum_rule_ok"]
-    assert payload["zhou"] == {"support_gcd_ok": False, "endpoint_ok": False,
-                               "endpoint_literal_ok": False}
+    assert payload["convergence_level"] is None  # written as null: never converges
 
     rc, out, _ = run_cli(capsys, ["validate", "--mask", files["bb"]])
-    assert "zhou" not in payload_of(out)  # screens are univariate-only
+    assert payload_of(out)["convergence_level"] == 1  # decided in every dimension
+
+    lopsided = files["root"] / "lopsided.json"
+    lopsided.write_text(json.dumps(mask_to_json(make_mask((0,), [1.0, 0.5]))))
+    rc, out, _ = run_cli(capsys, ["validate", "--mask", str(lopsided)])
+    payload = payload_of(out)
+    assert rc == 0 and not payload["sum_rule_ok"]
+    assert "convergence_level" not in payload  # no level without the sum rule
 
 
 def test_cascade_payload_matches_the_hat_function(capsys, files):

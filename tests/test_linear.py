@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError,
                        bspline_mask, cascade, chaikin_mask,
-                       contractivity_certificate, d_inf, euclidean_point,
-                       fit_gamma, linear_convergence_test, make_mask,
+                       contractivity_certificate, d_inf, empirical_gamma,
+                       euclidean_point, fit_gamma, make_mask,
                        partition_of_unity_residual, tensor_product)
 from npcsubdiv.grid import grid_from_points
 from npcsubdiv.linear import _alpha
-from npcsubdiv.masks import default_gauge, ladder, recenter, translate
+from npcsubdiv.masks import convergence_level, default_gauge, ladder, recenter, translate
+from npcsubdiv.subdivision import CONVERGENCE_MARGIN
 from oracles import alpha_loop, dense_interlevel, hat, linear_refine, partition_of_unity_loop
 
 EU = SpaceDescriptor("euclidean", 1)
@@ -183,24 +184,25 @@ def test_certificate_validation():
 # -- randomized convergence fits ----------------------------------------------------------
 
 def test_fit_on_the_hat_mask():
-    result = linear_convergence_test(B, trials=3, n_max=6, seed=0)
-    assert result.converges and result.certificate_found
-    assert result.gamma == pytest.approx(0.5, abs=1e-3)
-    assert all(g == pytest.approx(0.5, abs=1e-3) for g in result.per_trial_gamma)
-    assert result.C == pytest.approx(1.0, abs=1e-3)
+    est = empirical_gamma(B, EU, trials=3, n_max=6, seed=0)
+    assert convergence_level(B) == 1
+    assert est.gamma_hat == pytest.approx(0.5, abs=1e-3)
+    assert all(g == pytest.approx(0.5, abs=1e-3) for g in est.per_trial_gamma)
+    assert est.C_hat == pytest.approx(1.0, abs=1e-3)
 
 
 def test_fit_on_chaikin():
-    result = linear_convergence_test(C, trials=3, n_max=6, seed=0)
-    assert result.converges and result.certificate_found
-    assert result.gamma <= 0.75
+    est = empirical_gamma(C, EU, trials=3, n_max=6, seed=0)
+    assert convergence_level(C) == 2
+    assert all(g < 1.0 - CONVERGENCE_MARGIN for g in est.per_trial_gamma)
+    assert est.gamma_hat <= 0.75
 
 
 def test_fit_flags_the_gapped_mask():
-    result = linear_convergence_test(GAPPED, trials=3, n_max=6, seed=0)
-    assert not result.converges
-    assert not result.certificate_found
-    assert result.gamma >= 0.99
+    est = empirical_gamma(GAPPED, EU, trials=3, n_max=6, seed=0)
+    assert convergence_level(GAPPED) is None
+    assert not all(g < 1.0 - CONVERGENCE_MARGIN for g in est.per_trial_gamma)
+    assert est.gamma_hat >= 0.99
 
 
 def test_fit_gamma_edge_cases():
@@ -208,8 +210,15 @@ def test_fit_gamma_edge_cases():
     assert fit_gamma([(n, 3.0 * 0.8 ** n) for n in range(1, 8)]) == pytest.approx(0.8, abs=1e-12)
     assert fit_gamma([(1, 0.0), (2, 0.0)]) == 0.0
     assert fit_gamma([(1, 1.0)]) == 0.0
-    with pytest.raises(DomainError):
-        linear_convergence_test(B, trials=1, n_max=2, seed=0)
+
+
+@pytest.mark.parametrize("n_max", (0, 1, 2))
+@pytest.mark.parametrize("mask", (B, GAPPED), ids=("hat", "gapped"))
+def test_empirical_gamma_refuses_a_fit_of_one_level(mask, n_max):
+    """The fit starts at level 2, so n_max <= 2 leaves fit_gamma one point or
+    none, and a rate of 0.0 even where the data never contract."""
+    with pytest.raises(DomainError, match=r"^n_max must be >= 3$"):
+        empirical_gamma(mask, EU, trials=1, n_max=n_max, seed=0)
 
 
 def test_d_inf_respects_the_box():

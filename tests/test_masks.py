@@ -1,25 +1,29 @@
 """Mask validation, iteration, gauges, stencils, and products."""
 
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from npcsubdiv import (NumericError, ResourceError, StructuralError,
-                       bspline_mask, chaikin_mask, default_gauge, gauge_value,
-                       iterated_mask, make_mask, tensor_power, tensor_product,
-                       validate_mask)
+from npcsubdiv import (NumericError, ResourceError, SpaceDescriptor, StructuralError,
+                       bspline_mask, chaikin_mask, contractivity_certificate,
+                       default_gauge, euclidean_point, gauge_value, iterated_mask,
+                       make_mask, tensor_power, tensor_product, validate_mask)
 from npcsubdiv import masks
-from npcsubdiv.masks import (BoxGauge, Mask, coset, coset_sums, gauge_offsets, mask_from_json,
-                             mask_to_json, next_iterate, recenter, require_sum_rule, stencil,
-                             translate, unit_gauge)
-from oracles import dense_iterated, hat
+from npcsubdiv.grid import grid_from_points
+from npcsubdiv.linear import _alpha, fit_gamma
+from npcsubdiv.masks import (BoxGauge, Mask, convergence_level, coset, coset_sums,
+                             gauge_offsets, ladder, mask_from_json, mask_to_json,
+                             next_iterate, recenter, require_sum_rule, stencil, translate,
+                             unit_gauge)
+from npcsubdiv.subdivision import CONVERGENCE_MARGIN, FIT_FIRST_LEVEL
+from oracles import dense_iterated, hat, linear_refine, overlap_level_loop
 
 B = bspline_mask()
 C = chaikin_mask()
-GAPPED = make_mask((0,), [1.0, 0.0, 0.0, 1.0])  # sum rule holds, gcd screen fails
+GAPPED = make_mask((0,), [1.0, 0.0, 0.0, 1.0])  # sum rule holds, never converges
 
 
 def mask_dict(mask):
@@ -228,21 +232,127 @@ def test_require_sum_rule_builds_no_report(monkeypatch):
         require_sum_rule(make_mask((0,), [1.0, 0.75]))
 
 
-# -- univariate convergence screens --------------------------------------------------
+# -- the exact convergence decision ----------------------------------------------------
 
-def test_screens_for_the_reference_masks():
-    zb = validate_mask(B).univariate_zhou
-    assert zb.support_gcd_ok and zb.endpoint_ok and not zb.endpoint_literal_ok
-    zc = validate_mask(C).univariate_zhou
-    assert zc.support_gcd_ok and zc.endpoint_ok and zc.endpoint_literal_ok
-    zg = validate_mask(GAPPED).univariate_zhou
-    assert not zg.support_gcd_ok and not zg.endpoint_ok and not zg.endpoint_literal_ok
-    assert validate_mask(tensor_power(B, 2)).univariate_zhou is None
+CUBIC = make_mask((-2,), [0.125, 0.5, 0.75, 0.5, 0.125])
+HAAR = make_mask((0,), [1.0, 1.0])
+EU = SpaceDescriptor("euclidean", 1)
 
 
-def test_screen_disagreement_is_noted():
-    notes = " ".join(validate_mask(B).notes)
-    assert "endpoint screens disagree" in notes
+@pytest.mark.parametrize("mask,level", (
+    (B, 1), (C, 2), (CUBIC, 1), (tensor_power(B, 2), 1), (tensor_power(C, 2), 2),
+    (translate(C, (5,)), 2), (translate(tensor_power(B, 2), (-3, 8)), 1), (GAPPED, None),
+), ids=("hat", "chaikin", "cubic", "tensor-hat", "tensor-chaikin", "translated-chaikin",
+        "translated-tensor-hat", "gapped"))
+def test_convergence_levels_of_the_reference_masks(mask, level):
+    assert convergence_level(mask) == level
+
+
+@pytest.mark.parametrize("mask", (
+    GAPPED, HAAR, tensor_product(B, HAAR), tensor_power(HAAR, 2),
+    make_mask((0,), [1.0, 0.0, 0.0, 0.0, 0.0, 1.0]),
+), ids=("gapped", "haar", "hat-x-haar", "tensor-haar", "gap-of-four"))
+def test_masks_that_never_converge(mask):
+    """Each has a start whose rows stay apart: no level, no certificate."""
+    assert convergence_level(mask) is None
+    assert overlap_level_loop(mask, 5 if mask.dim == 1 else 3) is None
+    assert not contractivity_certificate(mask, 5 if mask.dim == 1 else 3).found
+
+
+def test_convergence_level_needs_the_sum_rule():
+    with pytest.raises(StructuralError,
+                       match=r"^mask violates the sum rule \(residual 5\.000e-01\)$"):
+        convergence_level(make_mask((0,), [1.0, 0.5]))
+
+
+def test_validate_reports_the_level_only_under_the_sum_rule():
+    assert validate_mask(B).convergence_level == 1
+    assert validate_mask(C).convergence_level == 2
+    assert validate_mask(tensor_power(B, 2)).convergence_level == 1
+    assert validate_mask(GAPPED).convergence_level is None
+    lopsided = validate_mask(make_mask((0,), [1.0, 0.5]))
+    assert not lopsided.sum_rule_ok and lopsided.convergence_level is None
+    for mask in (B, GAPPED, tensor_power(B, 2)):
+        assert not any("screen" in note for note in validate_mask(mask).notes)
+
+
+@st.composite
+def sum_rule_masks(draw, dims=(1, 2)):
+    """1-D masks of 2-6 entries and 2-D masks of 3-4 entries per axis (a side
+    of width 2 never converges; see above): integer weights 1..4, some set to
+    0 (padding the edges, leaving gaps), translated by -9..9, and each parity
+    coset divided by its own sum, so dyadic or not; a coset with no weight
+    gets a 1 on its first entry."""
+    dim = draw(st.sampled_from(dims))
+    low, high = ((2, 6), (3, 4))[dim - 1]
+    shape = tuple(draw(st.lists(st.integers(low, high), min_size=dim, max_size=dim)))
+    size = int(np.prod(shape))
+    weights = np.array(draw(st.lists(st.integers(1, 4), min_size=size, max_size=size)), float)
+    weights[np.array(draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))) == 0] = 0.0
+    weights = weights.reshape(shape)
+    offset = tuple(draw(st.lists(st.integers(-9, 9), min_size=dim, max_size=dim)))
+    for parity in product((0, 1), repeat=dim):
+        cls = weights[tuple(slice((p - o) % 2, None, 2) for p, o in zip(parity, offset))]
+        if not cls.any():
+            cls.flat[0] = 1.0
+        cls /= cls.sum()
+    return make_mask(offset, weights)
+
+
+@given(mask=sum_rule_masks())
+def test_convergence_level_matches_the_overlap_loop(mask):
+    """The level is the first overlap level of the loop (levels past 5, or
+    none, read as None there); alpha_n > 0 exactly from the level on; and the
+    certificate, which needs alpha_n > 0, is not found below the level, nor
+    up to level 5 when there is none."""
+    level = convergence_level(mask)
+    cap = 5
+    assert overlap_level_loop(mask, cap) == (level if level is not None and level <= cap else None)
+    centered, _ = recenter(mask)
+    gauge = default_gauge(centered)
+    for n, a_n in enumerate(islice(ladder(centered), 1, cap + 1), 1):
+        assert (_alpha(a_n, n, gauge) > 0) == (level is not None and n >= level), n
+    below = cap if level is None else min(level - 1, cap)
+    assert below == 0 or not contractivity_certificate(mask, below).found
+
+
+def worst_d_inf_series(mask, levels):
+    """[D_0, ..., D_levels] of a 1-D mask, D_n = sup of d_inf(S^n x) over data
+    |x| <= 1 under the linear rule: by linearity the max over residues r of
+    sum_{i = r (mod 2^n)} |v_i - v_{i+1}| for v = S^n delta, the level-n rows.
+    Each level is one `linear_refine` step of the last on a window whose
+    edges are zero, so the extension past them is zero too."""
+    lo, hi = mask.support_box()
+    first = min(lo[0], 0) - 1
+    values = [float(i == 0) for i in range(first, max(hi[0], 0) + 2)]
+    series = []
+    for n in range(levels + 1):
+        if n:
+            out = linear_refine(mask, grid_from_points(
+                EU, (first,), (first + len(values) - 1,), [euclidean_point([v]) for v in values]))
+            first, values = 2 * first, [out[(2 * first + k,)][0]
+                                        for k in range(2 * len(values) - 1)]
+        gaps = {}
+        for k, (v, w) in enumerate(zip(values, values[1:])):
+            gaps[(first + k) % 2 ** n] = gaps.get((first + k) % 2 ** n, 0.0) + abs(w - v)
+        series.append(max(gaps.values()))
+    return series
+
+
+@given(mask=sum_rule_masks(dims=(1,)))
+def test_convergence_level_agrees_with_the_worst_linear_decay(mask):
+    """Against `linear_refine`: a scheme with a level contracts d_inf over all
+    data |x| <= 1 (a fitted rate below 1 - margin); one without keeps rows u,
+    u + e with |e| < 2c disjoint at every level, so the |e| <= 2c - 1 unit
+    steps between them carry a total gap of 2, and one carries 2 / (2c - 1)."""
+    level = convergence_level(mask)
+    series = worst_d_inf_series(recenter(mask)[0], 4)  # D_n does not see translation
+    if level is None:
+        c = default_gauge(mask).half_widths[0]
+        assert min(series) >= 2.0 / (2 * c - 1) - 1e-12
+    else:
+        rate = fit_gamma([(n, d) for n, d in enumerate(series) if n >= FIT_FIRST_LEVEL])
+        assert rate < 1.0 - CONVERGENCE_MARGIN
 
 
 # -- stencils -------------------------------------------------------------------------
