@@ -28,8 +28,7 @@ from .linear import cascade, contractivity_certificate
 from .markov import kernel_row, lp_curve, nonassociativity_gap, simulate_chain
 from .masks import Mask, mask_from_json, support_radius, validate_mask
 from .spaces import KINDS, TRIPOD, SpaceDescriptor
-from .subdivision import (approximation_error, convergence_diagnostic,
-                          geodesic_sampler, iterate, trial_grid)
+from .subdivision import _approximations, _diagnoses, geodesic_sampler, iterate, trial_grid
 
 __all__ = ["RunConfig", "Report", "run", "main"]
 
@@ -209,16 +208,14 @@ def _cmd_subdivide(config: RunConfig):
 def _cmd_diagnose(config: RunConfig):
     mask = _mask_of(config)
     n_max = config.levels if config.levels is not None else 4
-    runs = []
     if config.data is not None:
-        runs.append(_data_of(config))
+        runs = [_data_of(config)]
     else:
         descriptor = parse_space(_need(config, "space"))
         trials = config.trials if config.trials is not None else 8
-        for trial in range(trials):
-            rng = np.random.default_rng([config.seed, trial])
-            runs.append(trial_grid(mask, descriptor, rng))
-    reports = [convergence_diagnostic(mask, x, n_max) for x in runs]
+        runs = [trial_grid(mask, descriptor, np.random.default_rng([config.seed, trial]))
+                for trial in range(trials)]
+    reports = _diagnoses(mask, runs, n_max)
     verdicts = [r.verdict for r in reports]
     return {
         "n_max": n_max,
@@ -269,11 +266,8 @@ def _cmd_approx(config: RunConfig):
                              else "hyperboloid:2")
     level = config.levels if config.levels is not None else 5
     sampler = geodesic_sampler(descriptor, config.seed)
-    checks = []
-    for h in APPROX_H_SWEEP:
-        chk = approximation_error(mask, descriptor, sampler, lipschitz=1.0, h=h, n=level)
-        checks.append({"h": chk.h, "sup_err": chk.sup_err,
-                       "bound": chk.bound, "ok": chk.ok})
+    checks = [{"h": chk.h, "sup_err": chk.sup_err, "bound": chk.bound, "ok": chk.ok}
+              for chk in _approximations(mask, descriptor, sampler, 1.0, APPROX_H_SWEEP, level)]
     return {"space": f"{descriptor.kind}:{descriptor.dim}", "level": level,
             "lipschitz": 1.0, "support_radius": support_radius(mask),
             "checks": checks}

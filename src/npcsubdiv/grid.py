@@ -87,12 +87,13 @@ class GridData:
         return tuple(out)
 
 
-def _refined(x: GridData, payloads: np.ndarray) -> GridData:
-    """x's refined level on its doubled window, read-only and untested: its rows come
-    from `_sym`, `_hyp_renorm` or `_tripod_rows` (spd: positive to cond ~1e15)."""
+def _refined(x: GridData, payloads: np.ndarray, window=None) -> GridData:
+    """x's level on its doubled window (or on `window`), read-only and untested: rows from
+    `_sym`, `_hyp_renorm` or `_tripod_rows` (spd: positive to cond ~1e15); in `subdivision`
+    the payloads may lead with a trial axis, B grids on one window."""
     out = object.__new__(GridData)
     out.descriptor, out.extension, out.payloads = x.descriptor, x.extension, payloads
-    out.lo, out.hi = refined_window(x.lo, x.hi)
+    out.lo, out.hi = window or refined_window(x.lo, x.hi)
     payloads.flags.writeable = False
     return out
 

@@ -245,7 +245,8 @@ def _solve(h, b):
 
 def _karcher_step(backend, y, points, weights):
     """One evaluation of a batch at its iterates y: (residual norms, distances
-    from y to the points, Karcher updates, Newton candidates)."""
+    from y to the points, Karcher updates, the parts of it, stacked by row,
+    that the backend's `candidate` reads for a row's Newton candidate)."""
     return backend.step(y, points, weights)
 
 
@@ -290,14 +291,17 @@ class _Backend:
     def norm(self, y, v):
         return _norm(v, self.core)
 
+    def dist_at(self, p, at, q):  # d(p[:, at], q); spd takes one eigenframe per row of p
+        return self.dist(p[:, at], q)
+
     def step(self, y, points, weights):
         logs = self.log(y[:, None], points)
         v = _weighted_sum(weights, logs, self.core)
         norms = self.norm(y[:, None], logs)
-        return self.norm(y, v), norms, v, self.exp(y, self.newton(y, weights, logs, norms, v))
+        return self.norm(y, v), norms, v, (logs, norms)
 
-    def newton(self, y, weights, logs, dists, v):  # euclidean: the Hessian is I
-        return v
+    def candidate(self, y, weights, v, parts):  # the Newton candidate; euclidean: H = I
+        return self.exp(y, v)
 
     def move(self, y, v):  # the point an update v of `step` leads to from y
         return self.exp(y, v)
@@ -344,26 +348,31 @@ class _Backend:
         for _ in range(BARYCENTER_MAX_ITER):
             if not rows.size:
                 break
-            residual, dists, v, nxt = _karcher_step(self, y, points, weights)
+            residual, dists, v, parts = _karcher_step(self, y, points, weights)
             if tol is None:
                 # start points are data points, so max distance <= data diameter
                 tol = BARYCENTER_TOL * (1.0 + dists.max(axis=-1))
             back = trial & ~(residual < last)  # NaN does not lower the residual either
-            if back.any():
+            if back.any():  # a reverted row was live at its last evaluation
                 for a, old in ((y, prev_y), (residual, last), (dists, prev_dists), (v, prev_v)):
                     a[back] = old[back]
-            fall = back | ~_finite(nxt, self.core)
+            failed = ~(np.isfinite(residual) & _finite(dists, 1))
+            done = ~failed & (residual <= tol)
+            trial = ~(failed | done | back)  # the rows that build a Newton candidate
+            nxt = y.copy()
+            if trial.any():
+                nxt[trial] = self.candidate(y[trial], weights, v[trial], [a[trial] for a in parts])
+            fall = back | (trial & ~_finite(nxt, self.core))
             if fall.any():
                 nxt[fall] = self.move(y[fall], _bounded(self.kappa, weights, dists[fall], v[fall]))
-            failed = ~(np.isfinite(residual) & _finite(dists, 1) & _finite(nxt, self.core))
-            done = ~failed & (residual <= tol)
+            failed |= ~_finite(nxt, self.core)
             out[rows[done]] = y[done]
             live = ~failed & ~done
             if failed.any():
                 r = np.flatnonzero(failed)[0]  # live rows lie below any earlier failure
                 first = (int(rows[r]), _failure())
                 live &= rows < first[0]
-            trial = ~fall
+            trial &= ~fall
             if not live.all():
                 rows, nxt, points, tol, residual, y, dists, v, trial = (
                     a[live] for a in (rows, nxt, points, tol, residual, y, dists, v, trial))
@@ -413,9 +422,12 @@ class _SPD(_Backend):
         # entries costs no resolution
         return np.zeros(len(points))
 
-    def dist(self, p, q):
-        w, _ = _eigh(_whiten(_frame(p), q), vectors=False)
+    def dist(self, p, q, frame=None):
+        w, _ = _eigh(_whiten(_frame(p) if frame is None else frame, q), vectors=False)
         return _norm(np.log(_positive(w)), 1)
+
+    def dist_at(self, p, at, q):
+        return self.dist(None, q, [a[:, at] for a in _frame(p)])
 
     def geodesic(self, p, q, t):
         frame = _frame(p)
@@ -432,13 +444,15 @@ class _SPD(_Backend):
 
     def step(self, y, points, weights):
         # logs are taken in the frame whitened by y, where the metric is Frobenius
-        frame = _frame(y)
-        v_y, r_y = frame
+        v_y, r_y = _frame(y)
         w, q = _eigh(_whiten((v_y[..., None, :, :], r_y[..., None, :]), points))
         l = np.log(_positive(w))  # the eigenpairs of the log, kept for the Hessian
         logs = _sym((q * l[..., None, :]) @ _T(q))
         v = _weighted_sum(weights, logs, 2)
-        norms = _norm(logs, 2)
+        return _norm(v, 2), _norm(logs, 2), v, (v_y, r_y, q, l)
+
+    def candidate(self, y, weights, v, parts):
+        v_y, r_y, q, l = parts
         # Newton: the Hessian maps S to sum_k w_k Q_k (g(l_i - l_j) o Q_k^T S Q_k) Q_k^T,
         # g(z) = (z/2) coth(z/2); over an orthonormal basis E_p of the symmetric
         # matrices, m holds Q_k^T E_p Q_k = kron(Q_k, Q_k)^T E_p, and H = m^T (w g) m
@@ -450,7 +464,7 @@ class _SPD(_Backend):
         g = weights[:, None] * _rows(np.where(z == 0.0, 1.0, z / np.tanh(z)), 2)
         hess = _T(m) @ (g.reshape(len(y), -1, 1) * m)
         s = basis @ _solve(hess, (_rows(v, 2)[:, None] @ basis)[:, 0])[..., None]
-        return _norm(v, 2), norms, v, _unwhiten(frame, _spectral(np.exp, s.reshape(v.shape)))
+        return _unwhiten((v_y, r_y), _spectral(np.exp, s.reshape(v.shape)))
 
     def move(self, y, v):
         return _unwhiten(_frame(y), _spectral(np.exp, v))
@@ -513,12 +527,12 @@ class _Hyperboloid(_Backend):
         ys, vs = y[..., 1:], v[..., 1:]
         return np.sqrt(_dot(vs, vs) + _wedge2(ys, vs)) / y[..., 0]
 
-    def newton(self, y, weights, logs, dists, v):
-        """H^-1 v for H = sum_i w_i [u_i u_i^T + a_i (I - u_i u_i^T)], u_i = log_y(x_i) / d_i,
-        a_i = d_i coth d_i, in an orthonormal tangent frame (ambient coordinates are
+    def candidate(self, y, weights, v, parts):
+        """exp_y(H^-1 v), H = sum_i w_i [u_i u_i^T + a_i (I - u_i u_i^T)], u_i = log_y(x_i) / d_i,
+        a_i = d_i coth d_i, solved in an orthonormal tangent frame (ambient coordinates are
         singular far out): for the Householder P that swaps e_1 and -+y_s / |y_s|, a
         tangent t has the coordinates P t_s, the first divided by y0."""
-        y0, ys, eye = y[:, 0], y[:, 1:], np.eye(y.shape[-1] - 1)
+        (logs, dists), y0, ys, eye = parts, y[:, 0], y[:, 1:], np.eye(y.shape[-1] - 1)
         h = np.nan_to_num(ys / np.sqrt(_dot(ys, ys))[:, None])  # 0 at the origin: any frame
         h[:, 0] += np.copysign(1.0, h[:, 0])
         p = eye - 2.0 * h[:, :, None] * h[:, None, :] / _dot(h, h)[:, None, None]
@@ -530,7 +544,7 @@ class _Hyperboloid(_Backend):
                    weights @ c)
         s[:, 0] *= y0
         s = (s[:, None] @ p)[:, 0]
-        return np.concatenate(((_dot(ys, s) / y0)[:, None], s), axis=-1)
+        return self.exp(y, np.concatenate(((_dot(ys, s) / y0)[:, None], s), axis=-1))
 
     def dist(self, p, q):
         # cosh d - 1 = 2 sinh^2(d / 2)
@@ -717,8 +731,9 @@ def barycenters(desc: SpaceDescriptor, points, weights):
     a longer row runs a safeguarded Newton iteration until the Karcher update
     norm (the residual) falls below the tolerance 1e-10 * (1 + largest
     distance from the start point), and returns the iterate where it does.  A
-    row keeps its Newton candidate if the residual there is lower than before;
-    otherwise, or if it is not finite, the row takes `_bounded`'s step instead.
+    row that moves on builds a Newton candidate and keeps it if the residual
+    there is lower than before; otherwise, or if it is not finite, the row
+    takes `_bounded`'s step instead.
     """
     points = np.asarray(points, dtype=float)
     try:

@@ -20,9 +20,9 @@ from .errors import DomainError, ResourceError, SolverError, StructuralError, \
 from .grid import GridData, box_array, box_intersect, check_interior_depth, \
     _refined, _stacked_grid, random_grid, refined_window
 from .linear import fit_gamma
-from .masks import ITERATED_SUPPORT_CAP, BoxGauge, Mask, default_gauge, gauge_offsets, \
-    require_sum_rule, stencil, support_radius, unit_gauge
-from .spaces import SpaceDescriptor, barycenters, distances, \
+from .masks import ITERATED_SUPPORT_CAP, BoxGauge, Mask, convergence_level, default_gauge, \
+    gauge_offsets, require_sum_rule, stencil, support_radius, unit_gauge
+from .spaces import SpaceDescriptor, _apply, barycenters, distances, \
     geodesic_points, geodesic_sampler
 
 __all__ = [
@@ -34,6 +34,9 @@ __all__ = [
 
 FIT_FIRST_LEVEL = 2
 CONVERGENCE_MARGIN = 1e-3  # a fitted rate below 1 - margin counts as contracting
+# payload floats per level that one stack of trials may hold, so that a stack of
+# deep trials, which gains little from stacking, holds no more than one trial
+STACK_FLOATS = 2 ** 18
 
 
 def subdivide(mask: Mask, x: GridData) -> GridData:
@@ -44,37 +47,51 @@ def subdivide(mask: Mask, x: GridData) -> GridData:
     problems that share a stencil.  When nodes fail, the error of the first
     failing node in row-major order is raised, as a node-by-node loop would.
     """
+    out, first = _refine(mask, _stack([x]))
+    if first:
+        raise first[1]
+    return _refined(out, out.payloads[0], out.window())
+
+
+def _stack(grids) -> GridData:
+    """Grids on one window as one grid whose payloads carry a leading trial axis."""
+    return _refined(grids[0], np.stack([g.payloads for g in grids]), grids[0].window())
+
+
+def _refine(mask: Mask, x: GridData):
+    """`subdivide` of each trial of the stacked grid x, one `barycenters` call per
+    parity class for all of them.  Returns the refined stack and the first
+    failure ((trial, node), error) in (trial, row-major node) order, or None;
+    rows of trials above a failing one are undefined."""
     if x.dim != mask.dim:
         raise StructuralError("mask and data dimension disagree")
     require_sum_rule(mask)
     data = x.payloads
-    core = data.shape[x.dim:]
-    out = np.empty(tuple(2 * n - 1 for n in data.shape[:x.dim]) + core)
-    first = None  # (output index, error) of the first failing node
+    core = data.shape[1 + x.dim:]
+    out = np.empty(data.shape[:1] + tuple(2 * n - 1 for n in data.shape[1:1 + x.dim]) + core)
+    first = None  # ((trial, output index), error) of the first failing node
     for r in product((0, 1), repeat=x.dim):
         pairs = stencil(mask, r)
         js = np.array([j for j, _ in pairs])
         # m runs over lo..hi - r on each axis; the stencil axis comes last
         ms = np.ix_(*(np.arange(l, h + 1 - rk) for l, h, rk in zip(x.lo, x.hi, r)))
-        shape = tuple(m.size for m in ms)
+        shape = (len(data),) + tuple(m.size for m in ms)
         index = tuple(m[..., None] + js[:, a] for a, m in enumerate(ms))
-        points = data[x.local(index)].reshape((-1, len(pairs)) + core)
+        points = data[(slice(None),) + x.local(index)].reshape((-1, len(pairs)) + core)
         if len(pairs) == 1:
             values, failure = points[:, 0], None
         else:
             values, failure = barycenters(x.descriptor, points,
                                           np.array([w for _, w in pairs]))
-        out[tuple(slice(rk, None, 2) for rk in r)] = values.reshape(shape + core)
+        out[(slice(None),) + tuple(slice(rk, None, 2) for rk in r)] = values.reshape(shape + core)
         if failure:
-            # rows run in row-major output order, so a class's first failing
-            # row is its first failing node
-            m = np.unravel_index(failure[0], shape)
-            node = tuple(rk + 2 * (l + int(mk)) for rk, l, mk in zip(r, x.lo, m))
+            # rows run trial by trial in row-major output order, so a class's
+            # first failing row is its first failing node of the lowest trial
+            t, *m = np.unravel_index(failure[0], shape)
+            node = (int(t),) + tuple(rk + 2 * (l + int(mk)) for rk, l, mk in zip(r, x.lo, m))
             if first is None or node < first[0]:
                 first = (node, failure[1])
-    if first:
-        raise first[1]
-    return _refined(x, out)
+    return _refined(x, out), first
 
 
 @dataclass(eq=False)
@@ -93,12 +110,14 @@ class IterateTrace:
     @cached_property
     def _sups(self):
         sweeps = [_pair_distances(lv, self.gauge, b) for lv, b in zip(self.levels, self.interiors)]
-        return [_max(d[near]) for d, near in sweeps], [_max(d) for d, _ in sweeps]
+        return [_max(d[:, near]) for d, near in sweeps], [_max(d) for d, _ in sweeps]
 
 
 def _pair_distances(x: GridData, gauge: BoxGauge, box):
     """d(x_i, x_{i+e}) over the pairs in the box with e > 0 and gauge(e) < 2
-    (i in row-major order, then e), and whether |e|_inf <= 1 for each."""
+    (i in row-major order, then e), one row per trial of a stacked x (one row
+    for a grid), and whether |e|_inf <= 1 for each; each node x_i is read
+    once (spd: one eigenframe per node)."""
     if gauge.half_widths.size != x.dim:
         raise StructuralError("gauge and data dimension disagree")
     lo, hi = box if box is not None else x.window()
@@ -109,9 +128,11 @@ def _pair_distances(x: GridData, gauge: BoxGauge, box):
     j = i[:, None, :] + offsets
     inside = np.all((j >= lo) & (j <= hi), axis=-1)
     near = np.broadcast_to(np.abs(offsets).max(axis=1) <= 1, inside.shape)[inside]
-    data = x.payloads
-    return distances(x.descriptor, data[x.local(np.broadcast_to(i[:, None, :], j.shape)[inside].T)],
-                     data[x.local(j[inside].T)]), near
+    at = np.broadcast_to(np.arange(len(i))[:, None], inside.shape)[inside]
+    data = x.payloads.reshape((-1,) + tuple(h - l + 1 for l, h in zip(x.lo, x.hi))
+                              + x.descriptor.payload_shape)
+    return _apply(x.descriptor, "dist_at", data[(slice(None),) + x.local(i.T)], at,
+                  data[(slice(None),) + x.local(j[inside].T)]), near
 
 
 def contractivity_D(x: GridData, gauge: BoxGauge, box=None) -> float:
@@ -133,22 +154,43 @@ def iterate(mask: Mask, x: GridData, n: int) -> IterateTrace:
     """n refinement steps with interior tracking, and the contraction series
     on demand; an n whose finest level would pass ITERATED_SUPPORT_CAP payload
     floats is refused."""
+    levels, boxes, failure = _iterate(mask, _stack([x]), n)
+    if failure:
+        raise failure[1]
+    levels = [x] + [_refined(lv, lv.payloads[0], lv.window()) for lv in levels[1:]]
+    return IterateTrace(mask=mask, levels=levels, interiors=boxes, gauge=default_gauge(mask))
+
+
+def _iterate(mask: Mask, x: GridData, n):
+    """`iterate` of each trial of the stacked grid x, one `_refine` per level.
+    Returns the stacked levels, the interior boxes and the failure (trial,
+    error) that trial by trial runs raise first, or None: after a failure in
+    trial b the levels keep the trials below b, which run on as they would alone."""
     n = integer(n, "level count")
     if n < 0:
         raise DomainError(f"level count must be >= 0, got {n}")
-    # level n spans 2^n (hi - lo) + 1 nodes per axis; a shift by 64 already
-    # puts any axis of positive width past the cap, so a huge n costs nothing
-    nodes = math.prod(((h - l) << min(n, 64)) + 1 for l, h in zip(x.lo, x.hi))
-    if nodes * math.prod(x.descriptor.payload_shape) > ITERATED_SUPPORT_CAP:
+    if _finest_floats(x, n) > ITERATED_SUPPORT_CAP:
         raise ResourceError(
             f"{n} levels of the window {x.lo}..{x.hi} exceed the cap of "
             f"{ITERATED_SUPPORT_CAP} payload floats on the finest level")
     boxes = check_interior_depth(mask, x.lo, x.hi, n)
-    gauge = default_gauge(mask)
-    levels = [x]
+    levels, failure = [x], None
     for _ in range(n):
-        levels.append(subdivide(mask, levels[-1]))
-    return IterateTrace(mask=mask, levels=levels, interiors=boxes, gauge=gauge)
+        out, first = _refine(mask, levels[-1])
+        levels.append(out)
+        if first:
+            failure = (first[0][0], first[1])
+            levels = [_refined(lv, lv.payloads[:failure[0]], lv.window()) for lv in levels]
+    return levels, boxes, failure
+
+
+def _finest_floats(x: GridData, n) -> int:
+    """Payload floats of one trial's level n >= 0, which spans 2^n (hi - lo) + 1
+    nodes per axis; a shift by 64 already puts any axis of positive width past
+    every cap, so a huge n costs nothing."""
+    n = min(integer(n, "level count"), 64)
+    return math.prod(((h - l) << n) + 1 for l, h in zip(x.lo, x.hi)) * \
+        math.prod(x.descriptor.payload_shape)
 
 
 @dataclass
@@ -169,25 +211,39 @@ def trial_grid(mask: Mask, space: SpaceDescriptor, rng) -> GridData:
 def empirical_gamma(mask: Mask, space: SpaceDescriptor, trials: int, n_max: int,
                     seed: int) -> GammaEstimate:
     """Fits contraction rates of d_inf over random data; max over trials.
-    The fit starts at level FIT_FIRST_LEVEL and needs two levels."""
+    The fit starts at level FIT_FIRST_LEVEL and needs two levels.  Trial t
+    draws from default_rng([seed, t]), again on degenerate data or a solver
+    failure, up to 3 draws; the trials run stacked, and the result and the
+    error raised are those of a trial by trial loop."""
     if n_max < FIT_FIRST_LEVEL + 1:
         raise DomainError(f"n_max must be >= {FIT_FIRST_LEVEL + 1}")
+    rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
+    grids = [trial_grid(mask, space, rng) for rng in rngs]
+    draws, series, errors = [1] * trials, [None] * trials, {}
+    pending = list(range(trials))
+    while pending:
+        batch = pending[:max(1, STACK_FLOATS // _finest_floats(grids[0], n_max))]
+        levels, boxes, failure = _iterate(mask, _stack([grids[t] for t in batch]), n_max)
+        sweeps = [_pair_distances(lv, unit_gauge(mask.dim), b)[0] for lv, b in zip(levels, boxes)]
+        ran = len(levels[0].payloads)  # trials below the failure, if any
+        again = pending[ran + bool(failure):]  # not run, or stopped by that failure
+        for k, t in enumerate(batch[:ran + 1]):
+            if k < ran:
+                series[t] = [_max(d[k]) for d in sweeps]
+            elif not isinstance(failure[1], SolverError):
+                errors[t] = failure[1]
+                continue
+            if (k == ran or series[t][0] <= 1e-9) and draws[t] < 3:
+                grids[t], draws[t] = trial_grid(mask, space, rngs[t]), draws[t] + 1
+                again.append(t)
+            elif series[t] is None:
+                errors[t] = SolverError(f"trial {t} failed after 3 resamples")
+        pending = sorted(t for t in again if t < min(errors, default=trials))
+    if errors:
+        raise errors[min(errors)]
     gammas = []
     c_hat = 0.0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        trace = None
-        for _ in range(3):  # resample on degenerate data or solver failure
-            data = trial_grid(mask, space, rng)
-            try:
-                trace = iterate(mask, data, n_max)
-            except SolverError:
-                continue
-            if trace.d_inf_series[0] > 1e-9:
-                break
-        if trace is None:
-            raise SolverError(f"trial {t} failed after 3 resamples")
-        d = trace.d_inf_series
+    for d in series:
         gammas.append(fit_gamma([(k, v) for k, v in enumerate(d) if k >= FIT_FIRST_LEVEL]))
         ref = max(gammas[-1], 1e-12)
         c_hat = max([c_hat] + [v / (ref ** k * d[0]) for k, v in enumerate(d) if k])
@@ -201,7 +257,8 @@ def bspline_comparison(x: GridData) -> GridData:
     midpoints at odd nodes.  Coincides with the degree-1 tensor-mask scheme on
     euclidean data and for dim 1 on every backend."""
     data = x.payloads
-    for axis in range(x.dim):
+    last = data.ndim - len(x.descriptor.payload_shape)  # a stacked grid's trial axis comes first
+    for axis in range(last - x.dim, last):
         lead = (slice(None),) * axis
         out = np.empty(data.shape[:axis] + (2 * data.shape[axis] - 1,) + data.shape[axis + 1:])
         out[lead + (slice(None, None, 2),)] = data
@@ -219,23 +276,41 @@ class ConvergenceDiagnostic:
 
 def convergence_diagnostic(mask: Mask, x: GridData, n_max: int) -> ConvergenceDiagnostic:
     """Inter-level Cauchy test: compares the midpoint comparison scheme applied
-    to level n against level n+1 on the shared interior."""
+    to level n against level n+1 on the shared interior.  A mask without a
+    `convergence_level` diverges on some data, so its verdict is "inconclusive"."""
+    return _diagnoses(mask, [x], n_max)[0]
+
+
+def _diagnoses(mask: Mask, grids, n_max: int) -> list:
+    """`convergence_diagnostic` of each of the grids, which share a window, in
+    one stacked run; raises the error that trial by trial runs raise first."""
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
-    trace = iterate(mask, x, n_max)
-    series = []
+    size = max(1, STACK_FLOATS // _finest_floats(grids[0], n_max))
+    if len(grids) > size:  # one stack after another, in trial order
+        return [r for k in range(0, len(grids), size)
+                for r in _diagnoses(mask, grids[k:k + size], n_max)]
+    levels, boxes, failure = _iterate(mask, _stack(grids), n_max)
+    if failure:
+        raise failure[1]
+    sups = []
     for n in range(n_max):
-        comparison, level = bspline_comparison(trace.levels[n]), trace.levels[n + 1]
-        nodes = box_array(*box_intersect(refined_window(*trace.interiors[n]),
-                                         trace.interiors[n + 1])).T
-        series.append(_max(distances(x.descriptor, comparison.payloads[comparison.local(nodes)],
-                                     level.payloads[level.local(nodes)])))
-    floor = 1e-13 * (1.0 + max(series))
-    start = len(series) // 2
-    tail = [(start + k, max(v, floor)) for k, v in enumerate(series[start:])]
-    converging = all(v <= floor for _, v in tail) or fit_gamma(tail) < 1.0 - CONVERGENCE_MARGIN
-    return ConvergenceDiagnostic(cauchy_series=series,
-                                 verdict="converging" if converging else "inconclusive")
+        comparison, level = bspline_comparison(levels[n]), levels[n + 1]
+        nodes = (slice(None),) + level.local(box_array(*box_intersect(
+            refined_window(*boxes[n]), boxes[n + 1])).T)
+        sups.append(distances(level.descriptor, comparison.payloads[nodes],
+                              level.payloads[nodes]).max(axis=1, initial=0.0))
+    diverges = convergence_level(mask) is None
+    reports = []
+    for series in np.array(sups).T.tolist():
+        floor = 1e-13 * (1.0 + max(series))
+        start = len(series) // 2
+        tail = [(start + k, max(v, floor)) for k, v in enumerate(series[start:])]
+        converging = not diverges and (all(v <= floor for _, v in tail)
+                                       or fit_gamma(tail) < 1.0 - CONVERGENCE_MARGIN)
+        reports.append(ConvergenceDiagnostic(
+            cauchy_series=series, verdict="converging" if converging else "inconclusive"))
+    return reports
 
 
 # -- approximation --------------------------------------------------------------
@@ -256,18 +331,28 @@ def approximation_error(mask: Mask, descriptor: SpaceDescriptor, f, lipschitz: f
     with R the support radius of the mask, for finite h > 0 and lipschitz >= 0.
     f is a batched sampler on `descriptor` (see `geodesic_sampler`), called once
     on the coarse grid, whose payloads GridData checks, and once on the level-n interior."""
-    h, lipschitz = number(h, "h"), number(lipschitz, "lipschitz")
-    if not 0.0 < h < math.inf:
-        raise DomainError(f"h must be finite and > 0, got {h}")
+    return _approximations(mask, descriptor, f, lipschitz, (h,), n)[0]
+
+
+def _approximations(mask: Mask, descriptor: SpaceDescriptor, f, lipschitz, hs, n) -> list:
+    """`approximation_error` for each h of hs in one stacked run: f is called
+    once on all the coarse grids and once on all the level-n interiors."""
+    hs, lipschitz = [number(h, "h") for h in hs], number(lipschitz, "lipschitz")
+    for h in hs:
+        if not 0.0 < h < math.inf:
+            raise DomainError(f"h must be finite and > 0, got {h}")
     if not 0.0 <= lipschitz < math.inf:
         raise DomainError(f"lipschitz must be finite and >= 0, got {lipschitz}")
     lo, hi = (-4,) * mask.dim, (4,) * mask.dim
-    data = _stacked_grid(descriptor, lo, hi, f(h * box_array(lo, hi)))
-    trace = iterate(mask, data, n)
-    level = trace.levels[n]
-    nodes = box_array(*trace.interiors[n])
-    sup_err = _max(distances(descriptor, level.payloads[level.local(nodes.T)],
-                             f((h / 2 ** n) * nodes)))
-    bound = support_radius(mask) * lipschitz * h
-    return ApproximationCheck(sup_err=sup_err, bound=bound,
-                              ok=sup_err <= bound + 1e-8, h=h, level=n)
+    coarse = f(np.concatenate([h * box_array(lo, hi) for h in hs]))
+    levels, boxes, failure = _iterate(mask, _stack([_stacked_grid(descriptor, lo, hi, rows)
+                                                    for rows in np.split(coarse, len(hs))]), n)
+    if failure:
+        raise failure[1]
+    level, nodes = levels[n], box_array(*boxes[n])
+    exact = f(np.concatenate([(h / 2 ** n) * nodes for h in hs]))
+    errors = distances(descriptor, level.payloads[(slice(None),) + level.local(nodes.T)],
+                       exact.reshape((len(hs), len(nodes)) + exact.shape[1:]))
+    bounds = [support_radius(mask) * lipschitz * h for h in hs]
+    return [ApproximationCheck(sup_err=e, bound=b, ok=e <= b + 1e-8, h=h, level=n)
+            for e, b, h in zip(errors.max(axis=1, initial=0.0).tolist(), bounds, hs)]

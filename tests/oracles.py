@@ -20,6 +20,9 @@ the hyperboloid log map in 50-digit mpmath, and `partition_of_unity_loop` the
 residue-by-residue sum of a cascade's level-n cosets.  `overlap_level_loop`
 finds the first level whose chain rows overlap, residue by residue, from the
 supports of `dense_iterated`, for the exact convergence decision to match.
+`diagnose_loop`, `approx_loop` and `empirical_gamma_loop` run the stacked
+callers trial by trial on public `iterate`, node by node, for the stacked
+runs to match bit for bit, errors included.
 """
 
 import math
@@ -30,8 +33,11 @@ from itertools import product
 import mpmath
 import numpy as np
 
-from npcsubdiv import BarycenterProblem, distance, tripod_point, weighted_barycenter
-from npcsubdiv.masks import coset, gauge_offsets
+from npcsubdiv import (BarycenterProblem, GridData, SolverError, bspline_comparison, distance,
+                       fit_gamma, iterate, tripod_point, weighted_barycenter)
+from npcsubdiv.masks import convergence_level, coset, gauge_offsets
+from npcsubdiv.spaces import distances
+from npcsubdiv.subdivision import trial_grid
 
 
 def hat(i, n):
@@ -440,3 +446,75 @@ def points_equal(p, q, tol=1e-9):
     if p.descriptor.kind == "tripod":
         return tripod_distance(p, q) <= tol
     return bool(np.all(np.abs(p.payload - q.payload) <= tol))
+
+
+# -- the stacked callers, trial by trial -----------------------------------------
+
+def _box(lo, hi):
+    return np.array(list(product(*(range(l, h + 1) for l, h in zip(lo, hi))))).T
+
+
+def diagnose_loop(mask, grids, n_max):
+    """(Cauchy series, verdict) per grid, one `iterate` after another: the
+    midpoint comparison of level n against level n + 1 on their shared
+    interior, and a fit of the series' second half, never "converging" for a
+    mask without a convergence level.  Raises what the first failing grid raises."""
+    out = []
+    for x in grids:
+        trace = iterate(mask, x, n_max)
+        series = []
+        for n in range(n_max):
+            comparison, level = bspline_comparison(trace.levels[n]), trace.levels[n + 1]
+            (lo, hi), (lo1, hi1) = trace.interiors[n], trace.interiors[n + 1]
+            nodes = level.local(_box([max(2 * a, b) for a, b in zip(lo, lo1)],
+                                     [min(2 * a, b) for a, b in zip(hi, hi1)]))
+            series.append(float(np.max(distances(x.descriptor, comparison.payloads[nodes],
+                                                 level.payloads[nodes]), initial=0.0)))
+        floor = 1e-13 * (1.0 + max(series))
+        tail = [(k, max(v, floor)) for k, v in enumerate(series) if k >= n_max // 2]
+        converging = convergence_level(mask) is not None and (
+            all(v <= floor for _, v in tail) or fit_gamma(tail) < 1.0 - 1e-3)
+        out.append((series, "converging" if converging else "inconclusive"))
+    return out
+
+
+def approx_loop(mask, desc, f, hs, n):
+    """The sup error of n levels from the samples f(h i), i in the cube -4..4,
+    against f on the level-n interior, for one h after another."""
+    out = []
+    for h in hs:
+        window = (-4,) * mask.dim, (4,) * mask.dim
+        coarse = f(h * _box(*window).T).reshape((9,) * mask.dim + desc.payload_shape)
+        x = GridData(desc, *window, coarse, "constant_nearest")
+        trace = iterate(mask, x, n)
+        nodes = _box(*trace.interiors[n])
+        level = trace.levels[n]
+        exact = f((h / 2 ** n) * nodes.T)
+        out.append(float(np.max(distances(desc, level.payloads[level.local(nodes)], exact),
+                                initial=0.0)))
+    return out
+
+
+def empirical_gamma_loop(mask, space, trials, n_max, seed):
+    """(per-trial gammas, C_hat) of `empirical_gamma`, one trial after another:
+    up to 3 draws from default_rng([seed, t]), the next one after a SolverError
+    or while d_inf at level 0 is at most 1e-9."""
+    gammas, c_hat = [], 0.0
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        trace = None
+        for _ in range(3):
+            data = trial_grid(mask, space, rng)
+            try:
+                trace = iterate(mask, data, n_max)
+            except SolverError:
+                continue
+            if trace.d_inf_series[0] > 1e-9:
+                break
+        if trace is None:
+            raise SolverError(f"trial {t} failed after 3 resamples")
+        d = trace.d_inf_series
+        gammas.append(fit_gamma([(k, v) for k, v in enumerate(d) if k >= 2]))
+        ref = max(gammas[-1], 1e-12)
+        c_hat = max([c_hat] + [v / (ref ** k * d[0]) for k, v in enumerate(d) if k])
+    return gammas, c_hat

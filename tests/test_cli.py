@@ -138,6 +138,21 @@ def test_diagnose_is_inconclusive_for_the_gapped_mask(capsys, files):
     assert payload["trials"] == 1
 
 
+@pytest.mark.parametrize("space", ("euclidean:1", "spd:2"))
+def test_diagnose_reads_the_convergence_level_of_a_divergent_mask(capsys, files, space):
+    """[1, 0.25, 0, 0.75] at offset -1 has no convergence level, yet random data
+    decays on it: the per-trial fit alone called 4 of 8 trials converging on
+    euclidean:1.  Every trial verdict is inconclusive, with the series kept."""
+    path = files["root"] / "divergent.json"
+    path.write_text(json.dumps(mask_to_json(make_mask((-1,), [1.0, 0.25, 0.0, 0.75]))))
+    rc, out, _ = run_cli(capsys, ["diagnose", "--mask", str(path), "--space", space,
+                                  "--levels", "6", "--trials", "8"])
+    payload = payload_of(out)
+    assert rc == 0 and payload["verdicts"] == ["inconclusive"] * 8
+    assert payload["verdict"] == "inconclusive"
+    assert [len(s) for s in payload["cauchy_series"]] == [6] * 8
+
+
 def test_chain_exact_row_matches_the_library(capsys, files):
     rc, out, _ = run_cli(capsys, ["chain", "--mask", files["c"],
                                   "--start", "4", "--steps", "2"])

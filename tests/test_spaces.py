@@ -521,17 +521,27 @@ def unit_ball_rows(desc, seed, rows, count):
 
 
 def spy_steps(monkeypatch, candidates=None):
-    """Records (y, residuals, Newton candidates) of every batched step;
-    `candidates(nxt)`, if given, replaces the candidates the step returns."""
+    """Records [y, residuals, Newton candidates, the y they start from] of every
+    batched evaluation; the last two are None when no row of it builds a
+    candidate.  `candidates(nxt)`, if given, replaces the candidates built."""
     calls = []
     step = spaces._karcher_step
 
-    def recording(*args):
-        residual, dists, v, nxt = step(*args)
-        calls.append((args[1].copy(), residual.copy(), nxt.copy()))
-        return residual, dists, v, nxt if candidates is None else candidates(nxt)
+    def evaluating(*args):
+        out = step(*args)
+        calls.append([args[1].copy(), out[0].copy(), None, None])
+        return out
 
-    monkeypatch.setattr(spaces, "_karcher_step", recording)
+    def building(build):
+        def candidate(backend, y, *args):
+            nxt = build(backend, y, *args)
+            calls[-1][2:] = nxt.copy(), y.copy()
+            return nxt if candidates is None else candidates(nxt)
+        return candidate
+
+    monkeypatch.setattr(spaces, "_karcher_step", evaluating)
+    for backend in {type(b) for b in spaces._BACKENDS.values()}:
+        monkeypatch.setattr(backend, "candidate", building(backend.candidate))
     return calls
 
 
@@ -547,7 +557,7 @@ def test_newton_step_solves_the_finite_difference_hessian(desc, seed, monkeypatc
     calls = spy_steps(monkeypatch)
     pts, weights = unit_ball_rows(desc, seed, 1, 4)
     spaces.barycenters(desc, pts, weights)
-    y, _, candidate = calls[0]
+    y, _, candidate, _ = calls[0]
     hess, grad, log = frechet_hessian(desc.kind, y[0], pts[0], weights)
     s, grad = np.array(log(candidate[0])), np.array(grad)
     assert np.linalg.norm(np.array(hess) @ s + grad) <= 1e-9 * np.linalg.norm(grad)
@@ -562,7 +572,7 @@ def test_newton_converges_quadratically_on_unit_ball_rows(desc, monkeypatch):
         pts, weights = unit_ball_rows(desc, seed, 1, 5)
         _, failure = spaces.barycenters(desc, pts, weights)
         assert failure is None
-        r = [float(residual[0]) for _, residual, _ in calls]
+        r = [float(residual[0]) for _, residual, _, _ in calls]
         assert all(b <= a * a for a, b in zip(r, r[1:]) if a >= 1e-6), r
 
 
@@ -573,6 +583,29 @@ def test_unit_ball_rows_take_at_most_5_batched_steps(desc, monkeypatch):
     pts, weights = unit_ball_rows(desc, 7, 30, 4)
     _, failure = spaces.barycenters(desc, pts, weights)
     assert failure is None and len(calls) <= 5
+
+
+@pytest.mark.parametrize("desc", CURVED, ids=str)
+def test_only_rows_that_move_on_build_a_newton_candidate(desc, monkeypatch):
+    """A row builds a candidate at an evaluation iff its residual is above its
+    tolerance (no row is rejected on unit-ball data, so none reverts): the
+    candidates start from those rows' y, and are the rows the next
+    evaluation takes; the last evaluation of a call builds none."""
+    bounded = []
+    fallback = spaces._bounded
+    monkeypatch.setattr(spaces, "_bounded", lambda *args: bounded.append(1) or fallback(*args))
+    calls = spy_steps(monkeypatch)
+    pts, weights = unit_ball_rows(desc, 5, 30, 4)
+    _, failure = spaces.barycenters(desc, pts, weights)
+    assert failure is None and bounded == [] and len(calls) >= 3
+    tol = 1e-10 * (1.0 + np.array([spaces.distances(desc, row[np.argmax(weights)], row).max()
+                                   for row in pts]))
+    live = np.arange(len(pts))
+    for (y, residual, nxt, start), after in zip(calls, calls[1:]):
+        moving = residual > tol[live]
+        assert np.array_equal(start, y[moving]) and np.array_equal(after[0], nxt)
+        live = live[moving]
+    assert not (calls[-1][1] > tol[live]).any() and calls[-1][2] is None
 
 
 def far_point(desc, n):

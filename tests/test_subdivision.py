@@ -13,12 +13,14 @@ from npcsubdiv import (DomainError, ResourceError, SolverError,
                        d_inf, default_gauge, distance, empirical_gamma,
                        euclidean_point, geodesic_sampler, iterate, make_mask,
                        random_point, subdivide, tensor_power, tensor_product, tripod_point)
-from npcsubdiv import spaces
-from npcsubdiv.cli import main
+from npcsubdiv import GridData, spaces, subdivision
+from npcsubdiv.cli import APPROX_H_SWEEP, RunConfig, main, run
 from npcsubdiv.grid import box_indices, grid_from_points, grid_to_json, random_grid
 from npcsubdiv.masks import BoxGauge, mask_to_json, unit_gauge
 from npcsubdiv.spaces import hyperboloid_point, point_to_json
-from oracles import karcher_gradient_norm, linear_refine, pairwise_sup, pointwise_refine
+from npcsubdiv.subdivision import _approximations, _diagnoses, trial_grid
+from oracles import (approx_loop, diagnose_loop, empirical_gamma_loop, karcher_gradient_norm,
+                     linear_refine, pairwise_sup, pointwise_refine)
 
 EU1 = SpaceDescriptor("euclidean", 1)
 EU2 = SpaceDescriptor("euclidean", 2)
@@ -232,8 +234,8 @@ def test_iterate_raises_when_the_window_is_too_small():
 def test_iterate_refuses_levels_past_the_support_cap(monkeypatch):
     # 4 nodes: level n spans 3 * 2^n + 1 nodes, past 2^22 from n = 21 on
     x = grid_from_points(EU1, (0,), (3,), [euclidean_point([float(i)]) for i in range(4)])
-    monkeypatch.setattr("npcsubdiv.subdivision.subdivide", None)  # nothing is refined
-    with pytest.raises(TypeError):  # 3 * 2^20 + 1 floats pass the cap and reach subdivide
+    monkeypatch.setattr("npcsubdiv.subdivision._refine", None)  # nothing is refined
+    with pytest.raises(TypeError):  # 3 * 2^20 + 1 floats pass the cap and reach a step
         iterate(B, x, 20)
     for n in (21, 30, 10 ** 9):
         with pytest.raises(ResourceError, match="payload floats"):
@@ -419,6 +421,9 @@ def test_approximation_error_samples_each_grid_in_one_call():
 
     chk = approximation_error(tensor_power(B, 2), SPD2, counted, lipschitz=1.0, h=0.1, n=2)
     assert calls == [(81, 2), (33 * 33, 2)] and chk.ok
+    calls.clear()  # a sweep of h: one call on all the coarse grids, one on all the interiors
+    checks = _approximations(tensor_power(B, 2), SPD2, counted, 1.0, APPROX_H_SWEEP, 2)
+    assert calls == [(3 * 81, 2), (3 * 33 * 33, 2)] and checks[1].sup_err == chk.sup_err
 
 
 def test_approximation_bound_holds_and_scales():
@@ -441,3 +446,120 @@ def test_approximation_error_validation():
         with pytest.raises(DomainError, match=f"^{name} must be finite"):
             approximation_error(B, HYP2, f, lipschitz=lipschitz, h=h, n=2)
     assert approximation_error(B, HYP2, f, lipschitz=0.0, h=0.1, n=2).bound == 0.0
+
+
+# -- stacked trials --------------------------------------------------------------------
+
+CUBIC = make_mask((-2,), [0.125, 0.5, 0.75, 0.5, 0.125])
+STACKED_SPACES = [SpaceDescriptor(kind, dim) for kind in ("euclidean", "spd", "hyperboloid")
+                  for dim in (1, 2)] + [TRI]
+
+
+@pytest.mark.parametrize("desc", STACKED_SPACES, ids=str)
+def test_stacked_runs_equal_the_trial_by_trial_loop(desc, tmp_path):
+    """`diagnose --space` (all trials in one run) and `approx` (all h in one
+    run) on 1-D and 2-D masks, and `empirical_gamma` (all trials in one run),
+    give the bits of one run per trial on public `iterate`."""
+    space = f"{desc.kind}:{desc.dim}"
+    for mask, levels in ((CUBIC, 3), (tensor_power(B, 2), 2)):
+        path = tmp_path / "mask.json"
+        path.write_text(json.dumps(mask_to_json(mask)))
+        report = run(RunConfig("diagnose", mask=str(path), space=space, levels=levels,
+                               trials=3, seed=1)).payload
+        grids = [trial_grid(mask, desc, np.random.default_rng([1, t])) for t in range(3)]
+        assert list(zip(report["cauchy_series"], report["verdicts"])) == \
+            diagnose_loop(mask, grids, levels)
+        report = run(RunConfig("approx", mask=str(path), space=space, levels=levels,
+                               seed=1)).payload
+        assert [c["sup_err"] for c in report["checks"]] == approx_loop(
+            mask, desc, geodesic_sampler(desc, 1), APPROX_H_SWEEP, levels)
+    est = empirical_gamma(CUBIC, desc, trials=3, n_max=4, seed=2)
+    assert (est.per_trial_gamma, est.C_hat) == empirical_gamma_loop(CUBIC, desc, 3, 4, 2)
+
+
+def raised(run):
+    with pytest.raises((SolverError, DomainError)) as info:
+        run()
+    return info.value
+
+
+def assert_same_error(got, want):
+    assert type(got) is type(want) and str(got) == str(want)
+    if isinstance(got, SolverError):  # the iterate and residual of a row that ran out of steps
+        assert got.residual == want.residual
+        assert (got.last_iterate is None) == (want.last_iterate is None)
+        if got.last_iterate is not None:
+            assert np.array_equal(got.last_iterate.payload, want.last_iterate.payload)
+
+
+@pytest.mark.parametrize("desc", (SPD2, HYP2), ids=str)
+def test_a_stacked_failure_is_the_one_the_trial_loop_raises(desc, monkeypatch):
+    """With two evaluations per row, random data fails at level 1; data that
+    repeats each point first fails at level 2 (a 3-point row of the cubic mask
+    then holds at most two points, on whose geodesic Newton is exact), and data
+    on one geodesic never fails.  A stack raises the error of its lowest
+    failing trial, at its own level, as the loop does, even where a higher
+    trial fails at an earlier level; so do stacks of one trial, which
+    `STACK_FLOATS` = 1 makes of every job."""
+    monkeypatch.setattr(spaces, "BARYCENTER_MAX_ITER", 2)
+    rng = np.random.default_rng(5)
+    on_line = geodesic_sampler(desc, 1)(np.linspace(0.0, 2.0, 12)[:, None])
+    line = GridData(desc, (0,), (11,), on_line, "constant_nearest")
+    doubled = GridData(desc, (0,), (11,), np.repeat(
+        random_grid(desc, (0,), (5,), rng).payloads, 2, axis=0), "constant_nearest")
+    rough = random_grid(desc, (0,), (11,), rng)
+    iterate(CUBIC, line, 3)
+    iterate(CUBIC, doubled, 1)
+    for x in (doubled, rough):
+        with pytest.raises(SolverError, match="did not converge"):
+            iterate(CUBIC, x, 1 if x is rough else 2)
+    sizes = []
+    refine = subdivision._refine
+    monkeypatch.setattr(subdivision, "_refine", lambda *args: sizes.append(len(args[1].payloads))
+                        or refine(*args))
+    for floats, largest in ((subdivision.STACK_FLOATS, 4), (1, 1)):
+        monkeypatch.setattr(subdivision, "STACK_FLOATS", floats)
+        for grids in ([doubled, rough], [line, doubled, rough, doubled], [rough, doubled]):
+            assert_same_error(raised(lambda: _diagnoses(CUBIC, grids, 3)),
+                              raised(lambda: diagnose_loop(CUBIC, grids, 3)))
+        assert [(r.cauchy_series, r.verdict) for r in _diagnoses(CUBIC, [line, line], 3)] == \
+            diagnose_loop(CUBIC, [line, line], 3)
+        assert max(sizes) == largest
+        sizes.clear()
+
+
+def test_a_stacked_coarse_row_is_the_one_the_trial_loop_refuses():
+    """Euclidean data near 1.5e6 resolves only 2.3e-10, so a row of diameter
+    below 1.33 is refused (DomainError) before any step: a linear grid of slope
+    4 is refused at level 3, of slope 2 at level 2 and of slope 0.5 at level 1."""
+    nodes = np.arange(12.0)[:, None]
+    grids = {s: GridData(EU1, (0,), (11,), 1.5e6 + s * nodes, "constant_nearest")
+             for s in (4.0, 2.0, 0.5)}
+    for s, level in ((4.0, 3), (2.0, 2), (0.5, 1)):
+        iterate(CUBIC, grids[s], level - 1)
+        with pytest.raises(DomainError, match="ill-conditioned"):
+            iterate(CUBIC, grids[s], level)
+    for order in ((4.0, 2.0, 0.5), (2.0, 0.5, 4.0), (0.5, 4.0)):
+        stack = [grids[s] for s in order]
+        assert_same_error(raised(lambda: _diagnoses(CUBIC, stack, 3)),
+                          raised(lambda: diagnose_loop(CUBIC, stack, 3)))
+
+
+def test_empirical_gamma_redraws_a_failing_trial_from_its_own_stream(monkeypatch):
+    """With three evaluations per row about half the spd:2 trial grids of the
+    cubic mask fail.  A failing trial draws again from its own stream, and
+    trials above it run again on their data; seed 0 needs 3 redraws and
+    succeeds, seed 2 gives trial 2 up after 3 draws, with the loop's error.
+    Likewise in stacks of two trials (a trial's level 3 holds 324 floats)."""
+    monkeypatch.setattr(spaces, "BARYCENTER_MAX_ITER", 3)
+    draws = []
+    draw = subdivision.trial_grid
+    monkeypatch.setattr(subdivision, "trial_grid", lambda *args: draws.append(1) or draw(*args))
+    for floats in (subdivision.STACK_FLOATS, 700):
+        monkeypatch.setattr(subdivision, "STACK_FLOATS", floats)
+        est = empirical_gamma(CUBIC, SPD2, trials=3, n_max=3, seed=0)
+        assert (est.per_trial_gamma, est.C_hat) == empirical_gamma_loop(CUBIC, SPD2, 3, 3, 0)
+        assert len(draws) == 6
+        assert_same_error(raised(lambda: empirical_gamma(CUBIC, SPD2, trials=3, n_max=3, seed=2)),
+                          raised(lambda: empirical_gamma_loop(CUBIC, SPD2, 3, 3, 2)))
+        draws.clear()
