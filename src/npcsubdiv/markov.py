@@ -10,26 +10,27 @@ and read each row off its own level.  Exact kernel arithmetic is the primary
 tool here; Monte Carlo simulation exists to exercise the path-space
 semantics and to cross-check the exact marginals.
 
-The sampler walks all trials of a block at once.  A one-step row depends on
-the state only through its parity r in {0,1}^s, so it keeps one cumulative
-row per parity class, built from `stencil(mask, r)`, and moves a state i to
-(i + 2j - r) / 2 for the drawn stencil target j.  Trials run in blocks of
-`MC_BLOCK` against one generator keyed by the seed, which draws one uniform
-per trial of the block at each step, block after block.  A block's end
-states are tallied in O(n) by one `bincount` over their bounding box: all
-of them start at one state, so the box is never larger than the mask's
-coefficient box and neither is the count array.
+The sampler walks all trials of a block at once, every parity class in one
+pass: a one-step row depends on the state only through its parity r in
+{0,1}^s, so two tables built from the classes' `stencil(mask, r)` serve
+every step, and a state i moves to (i + 2j - r) / 2 for the drawn target j.
+Trials run in blocks of `MC_BLOCK` against one generator keyed by the seed,
+which draws one uniform per trial of the block at each step, block after
+block.  A block's end states are tallied in O(n) by one `bincount` over
+their bounding box: all of them start at one state, so the box is never
+larger than the mask's coefficient box and neither is the count array.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import islice, product
 
 import numpy as np
 
-from .errors import DomainError, integer, lattice_point, number
+from .errors import DomainError, NumericError, integer, lattice_point, number
 from .grid import GridData
 from .linear import RefinableSamples
 from .masks import (Mask, coset, default_gauge, gauge_value, iterated_mask,
@@ -103,13 +104,13 @@ def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
     One generator, `np.random.default_rng(seed)`, feeds every trial, so runs
     are reproducible.  Trials run in blocks of `MC_BLOCK` (the last block
     takes the rest); at each step the block draws one uniform per trial, and
-    blocks draw one after another.  A uniform picks the target in the
-    cumulative row of the state's parity class, built once per class with
-    renormalized weights (the renormalization is a no-op up to float
-    round-off thanks to the sum rule).  Each block's end states are counted
-    by one `bincount` over the row-major keys of their bounding box, whose
-    size is bounded by the mask's coefficient box.  Returns a map from the
-    final state to its relative frequency.
+    blocks draw one after another.  cuts[k, c] holds the cumulative
+    (renormalized) weights of parity class c but the last, padded with inf,
+    and moves[:, c * width + k] its moves 2j - r; a state of class c takes
+    slot c * width + #(cuts <= u): the `searchsorted` pick in the class's
+    row closed at 1, as u < 1 never passes the top bin.  End states are
+    counted by one `bincount` over the row-major keys of their bounding box.
+    Returns a map from the final state to its relative frequency.
     """
     start = lattice_point(start, mask.dim, "chain state")
     trials = integer(trials, "trials")
@@ -127,35 +128,36 @@ def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
             f"and mask indices need absolute value < 2^62; got start {start} "
             f"and mask support {lo}..{hi}")
 
-    rows = []  # per parity class, in row-major order of r: (2j - r, cum)
-    for r in product((0, 1), repeat=mask.dim):
-        pairs = stencil(mask, r)
+    classes = [stencil(mask, r) for r in product((0, 1), repeat=mask.dim)]
+    width = max(map(len, classes))
+    cuts = np.full((width - 1, len(classes)), np.inf)  # cuts[k, c]: class c's k-th cut
+    moves = np.zeros((mask.dim, len(classes) * width), dtype=np.int64)
+    for c, (r, pairs) in enumerate(zip(product((0, 1), repeat=mask.dim), classes)):
         weights = np.array([w for _, w in pairs])
-        cum = np.cumsum(weights / math.fsum(weights))
-        cum[-1] = 1.0  # close the top bin against round-off
-        moves = np.array([[2 * jk - rk for jk, rk in zip(j, r)] for j, _ in pairs])
-        rows.append((moves, cum))
-    place = 1 << np.arange(mask.dim - 1, -1, -1)  # parity bits -> class
+        cuts[:len(pairs) - 1, c] = np.cumsum(weights / math.fsum(weights))[:-1]
+        moves[:, c * width:c * width + len(pairs)] = (2 * np.array([j for j, _ in pairs]) - r).T
 
     rng = np.random.default_rng(seed)
     counts = {}
     for done in range(0, trials, MC_BLOCK):
         n = min(MC_BLOCK, trials - done)
-        state = np.tile(np.array(start, dtype=np.int64), (n, 1))
+        state = np.repeat(np.array(start, dtype=np.int64)[:, None], n, axis=1)
         for _ in range(steps):
             u = rng.random(n)
-            parity = (state & 1) @ place
-            for r, (moves, cum) in enumerate(rows):
-                sel = np.flatnonzero(parity == r)
-                picked = np.searchsorted(cum, u[sel], side="right")
-                state[sel] = (state[sel] + moves[picked]) >> 1
+            parity = state[0] & 1  # the class index, axis 0 the high bit
+            for axis in state[1:]:
+                parity = parity << 1 | axis & 1
+            pick = parity * width + sum(cut.take(parity) <= u for cut in cuts)
+            for axis, move in zip(state, moves):
+                axis += move.take(pick)
+                axis >>= 1
         # all trials of the block start at `start` and a step maps x to
         # (x + m) / 2 with -m a mask index, so end states lie less than the
         # support width apart per coordinate and the count array is no
         # larger than the mask's coefficient box
-        low = state.min(0)
-        span = state.max(0) - low + 1
-        hits = np.bincount(np.ravel_multi_index((state - low).T, span))
+        low = state.min(1)
+        span = state.max(1) - low + 1
+        hits = np.bincount(np.ravel_multi_index(state - low[:, None], span))
         keys = np.flatnonzero(hits)
         finals = np.stack(np.unravel_index(keys, span), axis=1) + low
         for j, c in zip(map(tuple, finals.tolist()), hits[keys].tolist()):
@@ -204,8 +206,19 @@ def lp_curve(mask: Mask, ell, steps: int, p: float, k) -> list:
     k = lattice_point(k, mask.dim, "moment centre")
     ell = lattice_point(ell, mask.dim, "chain state")
     steps = _checked(mask, steps)
-    return [sum(w * math.dist(j, k) ** p for j, w in coset(level, n, ell))
+    return [_moment([(w, j, k) for j, w in coset(level, n, ell)], p, n)
             for n, level in enumerate(islice(ladder(mask), steps + 1))]
+
+
+def _moment(terms, p: float, n: int) -> float:
+    """sum of w ||j - k||^p over the (w, j, k) in terms, offsets taken in exact ints."""
+    try:
+        total = sum(w * math.hypot(*map(operator.sub, j, k)) ** p for w, j, k in terms)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericError(f"the L^p moment at p = {p}, n = {n} overflows a float")
+    return total
 
 
 def lp_moment(mask: Mask, ell, steps: int, p: float, k) -> float:
@@ -223,11 +236,8 @@ def dispersion_gap(mask: Mask, ell, steps: int, p: float) -> float:
     ell = lattice_point(ell, mask.dim, "chain state")
     steps = _checked(mask, steps)
     level = iterated_mask(mask, steps)
-    total = 0.0
-    for j, wj in coset(level, steps, ell):
-        for i, wi in coset(level, steps, j):
-            total += wj * wi * math.dist(i, j) ** p
-    return total
+    return _moment([(wj * wi, i, j) for j, wj in coset(level, steps, ell)
+                    for i, wi in coset(level, steps, j)], p, steps)
 
 
 @dataclass(eq=False)

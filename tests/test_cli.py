@@ -467,6 +467,18 @@ def test_p_keeps_the_plain_float_syntax(capsys, files, p, value):
     assert rc == 0 and payload_of(out)["p"] == value
 
 
+@pytest.mark.parametrize("argv,message", (
+    (["--start", "0", "--max-steps", "3", "--p", "1100"], "p = 1100.0, n = 2"),
+    # the chain halves the start, so at n = 1 the offset is about 5e399
+    (["--start", str(10 ** 400), "--index", str(10 ** 400)], "p = 1.0, n = 1"),
+), ids=("p-1100", "start-and-index-1e400"))
+def test_lp_moment_overflow_is_a_json_error(capsys, files, argv, message):
+    rc, out, err = run_cli(capsys, ["lp", "--mask", files["c"], *argv])
+    assert rc == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "NumericError" and message in error["message"]
+
+
 @pytest.mark.parametrize("space,error_type,message", (
     ("spd:1_0", "DomainError", "expected kind:dim"),
     ("spd: 2", "DomainError", "expected kind:dim"),

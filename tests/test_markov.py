@@ -3,11 +3,14 @@ and the nested-versus-one-shot barycenter gap."""
 
 import math
 from bisect import bisect_right
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError,
+from npcsubdiv import (DomainError, NumericError, SpaceDescriptor, StructuralError,
                        ball_confinement, bspline_mask, cascade, chaikin_mask,
                        dispersion_gap, euclidean_point, iterated_mask,
                        kernel_row, lp_curve, lp_moment, make_mask,
@@ -125,6 +128,25 @@ def test_lp_moment_validation():
             lp_curve(B, (1,), 2, p, (0,))
         with pytest.raises(DomainError, match="finite"):
             dispersion_gap(B, (1,), 2, p)
+
+
+def test_lp_offsets_are_read_in_exact_ints():
+    # from 2^60 + 1 the hat lands on 2^59 and 2^59 + 1 with mass 1/2 each; as
+    # floats both read 2^59 and the moment about 2^59 came out 0
+    assert lp_curve(B, (2 ** 60 + 1,), 1, 1.0, (2 ** 59,))[1] == 0.5
+    assert lp_curve(C, (10 ** 400,), 0, 2.0, (10 ** 400,)) == [0.0]
+    assert lp_curve(BB, (10 ** 400, 3), 0, 1.0, (10 ** 400, 0)) == [3.0]
+
+
+def test_lp_moment_overflow_is_a_numeric_error():
+    # from 0, Chaikin reaches distance 2 at n = 2, and 2^1100 is no float
+    assert lp_curve(C, (0,), 1, 1100.0, (0,)) == [0.0, 0.75]
+    with pytest.raises(NumericError, match=r"p = 1100.0, n = 2"):
+        lp_curve(C, (0,), 3, 1100.0, (0,))
+    with pytest.raises(NumericError, match=r"p = 1100.0, n = 2"):
+        dispersion_gap(C, (0,), 2, 1100.0)
+    with pytest.raises(NumericError, match=r"p = 1.0, n = 0"):
+        lp_moment(C, (10 ** 400,), 0, 1.0, (0,))
 
 
 def test_dispersion_gap_hat_closed_form():
@@ -293,20 +315,24 @@ def looped_chain(mask, start, steps, trials, seed):
     at each step; rows come from the oracle's one-step row of each state."""
     rng = np.random.default_rng(seed)
     counts = {}
+    rows = {}  # state -> (targets, cumulative row closed at 1), built once per state
     for done in range(0, trials, MC_BLOCK):
         n = min(MC_BLOCK, trials - done)
         draws = [rng.random(n) for _ in range(steps)]
         for t in range(n):
             state = tuple(start)
             for u in draws:
-                row = one_step_row(mask, state)
-                total = math.fsum(row.values())
-                acc, cum = 0.0, []
-                for w in row.values():
-                    acc += w / total
-                    cum.append(acc)
-                cum[-1] = 1.0
-                state = list(row)[bisect_right(cum, u[t])]
+                if state not in rows:
+                    row = one_step_row(mask, state)
+                    total = math.fsum(row.values())
+                    acc, cum = 0.0, []
+                    for w in row.values():
+                        acc += w / total
+                        cum.append(acc)
+                    cum[-1] = 1.0
+                    rows[state] = list(row), cum
+                targets, cum = rows[state]
+                state = targets[bisect_right(cum, u[t])]
             counts[state] = counts.get(state, 0) + 1
     return {j: c / trials for j, c in counts.items()}
 
@@ -327,6 +353,36 @@ def test_sampler_equals_a_per_trial_walk_on_the_same_stream(mask, start, steps,
                                                             trials):
     assert (simulate_chain(mask, start, steps, trials, seed=21)
             == looped_chain(mask, start, steps, trials, seed=21))
+
+
+@st.composite
+def chain_masks(draw):
+    """Nonnegative masks of dims 1-3, every parity class normalized to sum 1:
+    weights are 0, non-dyadic floats or 1e-17 (a bin a uniform on the 2^-53
+    grid all but never hits; last in its class, its cut rounds to 1), and a
+    class with one positive entry makes a deterministic step."""
+    dim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(2, 4 if dim < 3 else 3)) for _ in range(dim))
+    weight = st.one_of(st.just(0.0), st.just(1e-17), st.floats(0.05, 1.0))
+    coeffs = np.array(draw(st.lists(weight, min_size=math.prod(shape),
+                                    max_size=math.prod(shape)))).reshape(shape)
+    for r in product((0, 1), repeat=dim):
+        cls = coeffs[tuple(slice(rk, None, 2) for rk in r)]  # a view
+        if cls.sum() == 0.0:
+            cls.flat[draw(st.integers(0, cls.size - 1))] = 1.0
+        cls /= cls.sum()
+    offset = tuple(draw(st.integers(-5, 5)) for _ in range(dim))
+    return make_mask(offset, coeffs.tolist())
+
+
+@pytest.mark.parametrize("trials", (1, 37, MC_BLOCK - 1, MC_BLOCK + 1))
+@settings(max_examples=20)
+@given(mask=chain_masks(), data=st.data(), steps=st.integers(0, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sampler_equals_the_per_trial_walk_on_random_masks(trials, mask, data, steps, seed):
+    start = data.draw(st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * mask.dim))
+    assert (simulate_chain(mask, start, steps, trials, seed)
+            == looped_chain(mask, start, steps, trials, seed))
 
 
 def test_sampler_rejects_states_beyond_int64():
