@@ -19,7 +19,7 @@ from itertools import islice, pairwise, product
 import numpy as np
 
 from .errors import DomainError, ResourceError, StructuralError, integer
-from .masks import ITERATED_SUPPORT_CAP, BoxGauge, Mask, _coset_view, default_gauge, \
+from .masks import ITERATED_SUPPORT_CAP, BoxGauge, Mask, coset_sums, default_gauge, \
     gauge_offsets, ladder, recenter, require_sum_rule
 
 
@@ -92,9 +92,7 @@ def cascade(mask: Mask, n: int) -> RefinableSamples:
 
 def partition_of_unity_residual(samples: RefinableSamples) -> float:
     """max over residues r of |sum_j values(r + 2^n j) - 1|."""
-    n = samples.level
-    return max(abs(float(_coset_view(samples.values, n, r)[0].sum()) - 1.0)
-               for r in product(range(2 ** n), repeat=samples.values.dim))
+    return max(abs(s - 1.0) for s in coset_sums(samples.values, samples.level).values())
 
 
 # -- contractivity certificate ---------------------------------------------------

@@ -168,10 +168,10 @@ def coset(mask: Mask, level: int, residue) -> list:
             for local in zip(*np.nonzero(view))]
 
 
-def coset_sums(mask: Mask) -> dict:
-    """Sum of coefficients on each parity coset of Z^s."""
-    return {parity: float(_coset_view(mask, 1, parity)[0].sum())
-            for parity in product((0, 1), repeat=mask.dim)}
+def coset_sums(mask: Mask, level: int = 1) -> dict:
+    """Sum of coefficients on each residue class of Z^s mod 2^level."""
+    return {residue: float(_coset_view(mask, level, residue)[0].sum())
+            for residue in product(range(2 ** level), repeat=mask.dim)}
 
 
 def support_radius(mask: Mask) -> float:

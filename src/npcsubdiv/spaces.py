@@ -11,7 +11,6 @@ functions on single `SpacePoint`s are the one-point case of that batched code.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -207,14 +206,6 @@ def _whiten(frame, q):
 def _unwhiten(frame, m):
     v, r = frame
     return _sym(v @ (m * (r[..., :, None] * r[..., None, :])) @ _T(v))
-
-
-@functools.cache
-def _sym_basis(n):
-    """Columns: the raveled orthonormal basis E_ii, (E_ij + E_ji) / sqrt 2 (i < j)."""
-    i, j = np.nonzero(np.arange(n)[:, None] <= np.arange(n))
-    e = np.eye(n)[i, :, None] * np.eye(n)[j, None, :]
-    return ((e + _T(e)) * np.where(i == j, 0.5, 0.5 ** 0.5)[:, None, None]).reshape(-1, n * n).T
 
 
 def _hyp_renorm(p):
@@ -454,16 +445,14 @@ class _SPD(_Backend):
     def candidate(self, y, weights, v, parts):
         v_y, r_y, q, l = parts
         # Newton: the Hessian maps S to sum_k w_k Q_k (g(l_i - l_j) o Q_k^T S Q_k) Q_k^T,
-        # g(z) = (z/2) coth(z/2); over an orthonormal basis E_p of the symmetric
-        # matrices, m holds Q_k^T E_p Q_k = kron(Q_k, Q_k)^T E_p, and H = m^T (w g) m
-        n = y.shape[-1]
-        basis = _sym_basis(n)
-        kron = q[..., :, None, :, None] * q[..., None, :, None, :]
-        m = (_T(kron.reshape(len(y), -1, n * n, n * n)) @ basis).reshape(len(y), -1, len(basis.T))
+        # g(z) = (z/2) coth(z/2) >= 1.  On all n x n matrices it is H = A diag(w g) A^T,
+        # A = [kron(Q_1, Q_1) ... kron(Q_k, Q_k)]: positive definite and commuting with
+        # transposition, so the symmetric v solves to a symmetric S
+        t = _T(q)  # A^T[(k, c, d), (a, b)] = Q_k[a, c] Q_k[b, d]
+        at = (t[..., :, None, :, None] * t[..., None, :, None, :]).reshape(len(y), -1, v[0].size)
         z = 0.5 * (l[..., :, None] - l[..., None, :])
         g = weights[:, None] * _rows(np.where(z == 0.0, 1.0, z / np.tanh(z)), 2)
-        hess = _T(m) @ (g.reshape(len(y), -1, 1) * m)
-        s = basis @ _solve(hess, (_rows(v, 2)[:, None] @ basis)[:, 0])[..., None]
+        s = _solve(_T(at) @ (_rows(g, 2)[..., None] * at), _rows(v, 2))
         return _unwhiten((v_y, r_y), _spectral(np.exp, s.reshape(v.shape)))
 
     def move(self, y, v):

@@ -4,15 +4,20 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from npcsubdiv import (SpaceDescriptor, bspline_mask, chaikin_mask, kernel_row,
+import npcsubdiv
+from npcsubdiv import (DomainError, SpaceDescriptor, bspline_mask, chaikin_mask, kernel_row,
                        make_mask, tensor_power, tripod_point)
-from npcsubdiv.cli import Report, main, render_report
+from npcsubdiv.cli import Report, RunConfig, main, render_report
 from npcsubdiv.grid import grid_from_json, grid_from_points, grid_to_json
 from npcsubdiv.masks import mask_to_json, translate
 from oracles import dense_iterated
@@ -503,3 +508,49 @@ def test_unknown_command_exits_with_usage_error(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields,message", (
+    ({"command": "frobnicate"}, "unknown command 'frobnicate'"),
+    ({"command": "validate", "format": "xml"}, "unknown format 'xml'"),
+), ids=("command", "format"))
+def test_run_config_refuses_an_unknown_command_or_format(fields, message):
+    with pytest.raises(DomainError) as info:
+        RunConfig(**fields)
+    assert str(info.value) == message
+
+
+def test_an_unknown_space_kind_is_a_domain_error(capsys, files):
+    rc, out, err = run_cli(capsys, ["diagnose", "--mask", files["c"], "--space", "foo:2"])
+    error = json.loads(err)["error"]
+    assert rc == 1 and out == "" and error["type"] == "DomainError"
+    assert error["message"].startswith("unknown space kind 'foo'; expected one of")
+
+
+def run_module(argv):
+    """`python -m npcsubdiv argv` in a child process, on this package."""
+    path = [str(Path(npcsubdiv.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(
+        os.pathsep)
+    return subprocess.run([sys.executable, "-m", "npcsubdiv", *argv], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+
+
+def test_the_module_entry_point_runs_main(capsys, files):
+    """A child `python -m npcsubdiv` exits as `main` does and prints its report
+    (all but the duration), or its JSON error on stderr."""
+    argv = ["validate", "--mask", files["b"]]
+    child = run_module(argv)
+    rc, out, err = run_cli(capsys, argv)
+    assert child.returncode == rc == 0 and child.stderr == err == ""
+    report, want = json.loads(child.stdout), json.loads(out)
+    assert report.pop("duration_s") >= 0.0 and want.pop("duration_s") >= 0.0
+    assert report == want
+    bad = files["root"] / "malformed.json"
+    bad.write_text(json.dumps({"dim": 1, "offset": [0]}))
+    argv = ["validate", "--mask", str(bad)]
+    child = run_module(argv)
+    rc, out, err = run_cli(capsys, argv)
+    assert child.returncode == rc == 1 and child.stdout == out == ""
+    assert json.loads(child.stderr) == json.loads(err)
+    assert json.loads(err)["error"]["type"] == "StructuralError"

@@ -45,6 +45,8 @@ def test_window_and_point_validation():
     pts = [euclidean_point([0.0])]
     with pytest.raises(StructuralError):
         grid_from_points(EU, (1,), (0,), pts)
+    with pytest.raises(StructuralError, match="^empty window$"):
+        GridData(EU, (1,), (0,), np.zeros((0, 1)), "constant_nearest")
     with pytest.raises(StructuralError):
         grid_from_points(EU, (0,), (1,), pts)  # one point for a 2-node window
     with pytest.raises(StructuralError):

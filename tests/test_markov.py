@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npcsubdiv import (DomainError, NumericError, SpaceDescriptor, StructuralError,
-                       ball_confinement, bspline_mask, cascade, chaikin_mask,
-                       dispersion_gap, euclidean_point, iterated_mask,
-                       kernel_row, lp_curve, lp_moment, make_mask,
-                       nonassociativity_gap, simulate_chain,
-                       stationary_from_refinable, tensor_power, tripod_point)
+from npcsubdiv import (BarycenterProblem, DomainError, NumericError, SolverError,
+                       SpaceDescriptor, StructuralError, ball_confinement, bspline_mask,
+                       cascade, chaikin_mask, dispersion_gap, euclidean_point, iterated_mask,
+                       kernel_row, lp_curve, lp_moment, make_mask, nonassociativity_gap,
+                       random_grid, simulate_chain, stationary_from_refinable, tensor_power,
+                       tripod_point, weighted_barycenter)
+from npcsubdiv import spaces
 from npcsubdiv.grid import box_indices, check_interior_depth, grid_from_points
 from npcsubdiv.markov import MC_BLOCK
 from npcsubdiv.masks import translate
@@ -279,6 +280,21 @@ def test_simulate_chain_degenerate_cases():
         simulate_chain(B, (0,), 1, 0, seed=0)
 
 
+def test_a_uniform_on_a_cut_takes_the_upper_move():
+    """Seed 0's first uniform u0 lies in [0.5, 1), so 1 - u0 is exact and the
+    even class of the mask [1 - u0, 1, u0] (its stencil, in row-major order
+    of j: u0 at j = -1, then 1 - u0 at j = 0) sums to exactly 1: its cut is
+    u0 itself.  A draw equal to a cut takes the bin above it, as
+    searchsorted(side="right") does: from 0 the move to 0, not to -1."""
+    u0 = float(np.random.default_rng(0).random())
+    assert 0.5 <= u0 < 1.0 and u0 + (1.0 - u0) == 1.0
+    mask = make_mask((0,), [1.0 - u0, 1.0, u0])
+    cuts = np.cumsum([u0, 1.0 - u0])
+    assert cuts[0] == u0 and np.searchsorted(cuts, u0, side="right") == 1
+    assert simulate_chain(mask, (0,), 1, 1, seed=0) == {(0,): 1.0}
+    assert looped_chain(mask, (0,), 1, 1, seed=0) == {(0,): 1.0}
+
+
 def bhc_tv_radius(trials, support, delta=1e-9):
     """TV distance an empirical law exceeds with probability <= delta.
 
@@ -434,6 +450,24 @@ def test_gap_vanishes_on_euclidean_data():
         for i in box_indices(*boxes[n]):
             worst = max(worst, nonassociativity_gap(mask, x, i, n))
     assert worst <= 1e-10
+
+
+def test_gap_raises_the_failure_of_its_one_shot_barycenter(monkeypatch):
+    """Nested Chaikin rows are 2-point geodesics, which need no iteration;
+    the one-shot two-step row has 3 points, on which one evaluation does not
+    converge for random spd data: the gap raises that barycenter's
+    SolverError, with its iterate and residual."""
+    monkeypatch.setattr(spaces, "BARYCENTER_MAX_ITER", 1)
+    x = random_grid(SpaceDescriptor("spd", 2), (-1,), (1,), np.random.default_rng(3))
+    probs = kernel_row(C, (4,), 2).probs
+    total = sum(probs.values())
+    problem = BarycenterProblem([x.get(j) for j in probs], [w / total for w in probs.values()])
+    with pytest.raises(SolverError, match="did not converge") as want:
+        weighted_barycenter(problem)
+    with pytest.raises(SolverError) as got:
+        nonassociativity_gap(C, x, (4,), 2)
+    assert str(got.value) == str(want.value) and got.value.residual == want.value.residual
+    assert np.array_equal(got.value.last_iterate.payload, want.value.last_iterate.payload)
 
 
 def test_gap_requires_an_interior_index():

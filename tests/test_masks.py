@@ -63,6 +63,8 @@ def test_mask_constructor_rejects_bad_coefficients():
         make_mask((0,), [1.0, np.nan])
     with pytest.raises(StructuralError):
         make_mask((0, 0), [1.0, 1.0])  # offset length vs 1-d coeffs
+    with pytest.raises(StructuralError, match="^coeffs must be 2-dimensional, got 1$"):
+        Mask(2, (0, 0), [1.0, 1.0])
 
 
 def test_support_box_value_and_translate():
@@ -380,6 +382,9 @@ def test_coset_is_the_residue_class_read_entry_by_entry(mask):
                 if all((rk - ik) % step == 0 for rk, ik in zip(r, idx)):
                     want[tuple((rk - ik) // step for rk, ik in zip(r, idx))] = w
             assert coset(mask, level, r) == list(want.items())
+        # dyadic entries, so each sum is exact in any order
+        assert coset_sums(mask, level) == {r: sum(w for _, w in coset(mask, level, r))
+                                           for r in product(range(step), repeat=mask.dim)}
 
 
 def test_stencil_bivariate():
@@ -410,6 +415,8 @@ def test_gauge_value_and_validation():
         gauge_value(g, (1, 1))
     with pytest.raises(StructuralError):
         BoxGauge(np.array([1.0, 0.0]))
+    with pytest.raises(StructuralError, match="^half widths must form a nonempty vector$"):
+        BoxGauge(np.array([]))
 
 
 @pytest.mark.parametrize("c", ([1.0], [2.0], [0.75], [3.3], [1.0, 1.0], [2.0, 1.5],

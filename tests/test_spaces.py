@@ -708,6 +708,34 @@ def test_tripod_point_validation():
     assert tripod_point(2, 0.0).payload == (0, 0.0)  # canonical glue point
 
 
+@pytest.mark.parametrize("call,error,message", (
+    (lambda: euclidean_point([[1.0, 2.0]]), StructuralError, "euclidean payload must be a vector"),
+    (lambda: log_map(tripod_point(0, 1.0), tripod_point(1, 2.0)), DomainError,
+     "tripod backend has no exp/log maps"),
+    (lambda: exp_map(tripod_point(0, 1.0), np.array([1.0, 0.5])), DomainError,
+     "tripod backend has no exp/log maps"),
+), ids=("euclidean-matrix", "tripod-log", "tripod-exp"))
+def test_point_operations_refuse_what_their_backend_lacks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("weights,error,message", (
+    ([0.5, 0.6], StructuralError, "weights must sum to 1 within 1e-12"),
+    ([0.5, 0.25, 0.25], StructuralError, "one weight per point required"),
+    ([1.5, -0.5], StructuralError, "weights must be nonnegative"),
+    ([math.nan, 1.0], NumericError, "non-finite weights"),
+), ids=("sum", "count", "negative", "nan"))
+def test_batched_barycenters_give_bad_weights_as_the_failure_of_row_0(weights, error,
+                                                                       message):
+    rng = np.random.default_rng(7)
+    points = np.array([random_point(SPD2, rng).payload for _ in range(4)]).reshape(2, 2, 2, 2)
+    out, failure = spaces.barycenters(SPD2, points, weights)
+    assert failure[0] == 0 and type(failure[1]) is error and str(failure[1]) == message
+    assert np.array_equal(out, points[:, 0])
+
+
 def test_descriptor_validation():
     with pytest.raises(StructuralError):
         SpaceDescriptor("moduli", 2)

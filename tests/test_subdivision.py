@@ -19,6 +19,7 @@ from npcsubdiv.grid import box_indices, grid_from_points, grid_to_json, random_g
 from npcsubdiv.masks import BoxGauge, mask_to_json, unit_gauge
 from npcsubdiv.spaces import hyperboloid_point, point_to_json
 from npcsubdiv.subdivision import _approximations, _diagnoses, trial_grid
+import oracles
 from oracles import (approx_loop, diagnose_loop, empirical_gamma_loop, karcher_gradient_norm,
                      linear_refine, pairwise_sup, pointwise_refine)
 
@@ -436,6 +437,12 @@ def test_approximation_bound_holds_and_scales():
     assert fine.sup_err <= 0.5 * coarse.sup_err + 1e-8
 
 
+def test_a_gauge_of_another_dimension_is_refused():
+    x = random_grid(EU1, (0,), (4,), np.random.default_rng(2))
+    with pytest.raises(StructuralError, match="^gauge and data dimension disagree$"):
+        contractivity_D(x, unit_gauge(2))
+
+
 def test_approximation_error_validation():
     f = geodesic_sampler(HYP2, seed=0)
     with pytest.raises(DomainError):
@@ -563,3 +570,58 @@ def test_empirical_gamma_redraws_a_failing_trial_from_its_own_stream(monkeypatch
         assert_same_error(raised(lambda: empirical_gamma(CUBIC, SPD2, trials=3, n_max=3, seed=2)),
                           raised(lambda: empirical_gamma_loop(CUBIC, SPD2, 3, 3, 2)))
         draws.clear()
+
+
+def test_a_refused_empirical_gamma_trial_raises_as_the_trial_loop_does(monkeypatch):
+    """Trial grids moved near 1.5e6 on euclidean:1 are refused (DomainError,
+    after which no trial draws again) at a level their slope sets: slope 0.5
+    at level 1, slope 4 at level 3.  `empirical_gamma` raises the error of
+    the lowest refused trial, as the loop does, also where a higher trial is
+    refused at an earlier level; in one stack and in stacks of one trial."""
+    slopes = {}
+    draw = subdivision.trial_grid
+
+    def moved(mask, space, rng):
+        x = draw(mask, space, rng)  # keeps each trial's stream where the loop has it
+        s = slopes.get(rng.bit_generator.seed_seq.entropy[1])  # the trial t of [seed, t]
+        if s is None:
+            return x
+        nodes = np.arange(len(x.payloads), dtype=float)[:, None]
+        return GridData(x.descriptor, x.lo, x.hi, 1.5e6 + s * nodes, "constant_nearest")
+
+    monkeypatch.setattr(subdivision, "trial_grid", moved)
+    monkeypatch.setattr(oracles, "trial_grid", moved)
+    for floats in (subdivision.STACK_FLOATS, 1):
+        monkeypatch.setattr(subdivision, "STACK_FLOATS", floats)
+        errors = []
+        for case in ({0: 0.5}, {1: 4.0}, {2: 0.5}, {1: 4.0, 2: 0.5}):
+            slopes.clear()
+            slopes.update(case)
+            got = raised(lambda: empirical_gamma(CUBIC, EU1, trials=3, n_max=3, seed=4))
+            assert_same_error(got, raised(lambda: empirical_gamma_loop(CUBIC, EU1, 3, 3, 4)))
+            assert isinstance(got, DomainError) and "ill-conditioned" in str(got)
+            errors.append(str(got))
+        # trial 1's level-3 refusal, not trial 2's level-1 one
+        assert errors[3] == errors[1] != errors[2]
+
+
+def test_a_failing_approx_run_raises_as_the_h_by_h_loop_does(monkeypatch):
+    """With two evaluations per row the 3-point rows of the cubic mask do not
+    converge on rough hyperboloid samples, and do on samples along one
+    geodesic, which the sampler gives for |t| <= 0.5.  `approximation_error`
+    and the stacked `_approximations` raise the SolverError (with its iterate
+    and residual) of the loop over h, whose first failing h need not be the
+    first h."""
+    monkeypatch.setattr(spaces, "BARYCENTER_MAX_ITER", 2)
+
+    def rough(t):
+        t = t[:, 0]
+        x = np.stack((t, np.where(np.abs(t) > 0.5, 2.0 * np.sin(97.0 * t), 0.0)), axis=1)
+        return np.concatenate((np.sqrt(1.0 + (x * x).sum(axis=1))[:, None], x), axis=1)
+
+    approx_loop(CUBIC, HYP2, rough, (0.1,), 2)  # samples along the geodesic converge
+    for hs in ((0.2, 0.1), (0.1, 0.2)):
+        want = raised(lambda: approx_loop(CUBIC, HYP2, rough, hs, 2))
+        assert isinstance(want, SolverError)
+        assert_same_error(raised(lambda: _approximations(CUBIC, HYP2, rough, 1.0, hs, 2)), want)
+    assert_same_error(raised(lambda: approximation_error(CUBIC, HYP2, rough, 1.0, 0.2, 2)), want)
