@@ -175,7 +175,7 @@ def _cmd_cascade(config: RunConfig):
         "level": samples.level,
         "eps_n": samples.eps_n,
         "support": _box(*samples.support),
-        "samples": samples.values.nonzero_columns(),  # row-major: sorted by index
+        "samples": samples.values,  # the iterated mask: rendered row-major, sorted by index
     }
 
 
@@ -327,19 +327,25 @@ def run(config: RunConfig) -> Report:
 
 # -- serialization ---------------------------------------------------------------
 
+def _sample_columns(mask: Mask, sep: str):
+    """The support of mask as text, row-major: the indices, coordinates joined by
+    sep, and the values' reprs; each coordinate and distinct value formatted once.
+    The offsets are Python ints, so indices beyond int64 stay exact."""
+    local = np.nonzero(mask.coeffs)
+    axes = [np.array([str(o + l) for l in range(n)], dtype=object)[ix].tolist()
+            for ix, o, n in zip(local, mask.offset, mask.coeffs.shape)]
+    distinct, which = np.unique(mask.coeffs[local], return_inverse=True)
+    values = np.array([repr(v) for v in distinct.tolist()], dtype=object)[which]
+    return list(map(sep.join, zip(*axes))), values.tolist()
+
+
 def _series_rows(command: str, payload: dict):
     if command == "cascade":
-        header = ("index", "value")
-        axes, values = payload["samples"]
-        rows = [(" ".join(map(str, i)), v) for i, v in zip(zip(*axes), values)]
-    elif command == "lp":
-        header = ("n", "moment")
-        rows = [(entry["n"], entry["moment"]) for entry in payload["curve"]]
-    else:  # subdivide: the contraction series
-        header = ("n", "d_inf", "gauge_D")
-        rows = list(zip(range(len(payload["d_inf_series"])),
-                        payload["d_inf_series"], payload["gauge_series"]))
-    return header, rows
+        return ("index", "value"), zip(*_sample_columns(payload["samples"], " "))
+    if command == "lp":
+        return ("n", "moment"), [(entry["n"], entry["moment"]) for entry in payload["curve"]]
+    series = payload["d_inf_series"]  # subdivide: the contraction series
+    return ("n", "d_inf", "gauge_D"), zip(range(len(series)), series, payload["gauge_series"])
 
 
 def render_report(report: Report, command: str, fmt: str) -> str:
@@ -348,14 +354,11 @@ def render_report(report: Report, command: str, fmt: str) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         header, rows = _series_rows(command, report.payload)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(c) if isinstance(c, float) else c
-                             for c in row])
+        writer.writerows([repr(c) if isinstance(c, float) else c for c in row] for row in rows)
         return buf.getvalue()
-    if command == "cascade":  # one template per row: the row dicts cost most of a cascade
-        axes, values = report.payload["samples"]  # the values are finite: repr is their JSON
-        row = '{"index": [%s], "value": %%r}' % ", ".join(["%d"] * len(axes))
-        rows = ", ".join([row % r for r in zip(*axes, values)])
+    if command == "cascade":  # the values are finite: repr is their JSON
+        index, values = _sample_columns(report.payload["samples"], ", ")
+        rows = ", ".join([f'{{"index": [{i}], "value": {v}}}' for i, v in zip(index, values)])
         payload = {**report.payload, "samples": []}  # the only "samples" key of the report
         text = json.dumps({**vars(report), "payload": payload}, sort_keys=True)
         return text.replace('"samples": []', f'"samples": [{rows}]', 1) + "\n"

@@ -67,16 +67,11 @@ class Mask:
             return 0.0
         return float(self.coeffs[local])
 
-    def nonzero_columns(self):
-        """The support, row-major: one Python-int index list per axis, and the values."""
-        local = np.nonzero(self.coeffs)
-        return ([[l + o for l in ix.tolist()] for ix, o in zip(local, self.offset)],
-                self.coeffs[local].tolist())
-
     def nonzero_items(self) -> list:
-        """(index tuple, coefficient) pairs of `nonzero_columns`."""
-        axes, values = self.nonzero_columns()
-        return list(zip(zip(*axes), values))
+        """(index tuple, coefficient) pairs of the support, row-major, in Python ints."""
+        local = np.nonzero(self.coeffs)
+        axes = [[l + o for l in ix.tolist()] for ix, o in zip(local, self.offset)]
+        return list(zip(zip(*axes), self.coeffs[local].tolist()))
 
 
 def make_mask(offset, coeffs) -> Mask:

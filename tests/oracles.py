@@ -314,14 +314,17 @@ def _spd_gradient(y, points, weights):
     def whitened_log(si, x):  # base^-1/2 log_base(x) base^-1/2, with si = base^-1/2
         return _spd_power(si * x * si, mpmath.log)
 
+    def log_norm(si, x):  # d(a, b) = |logm(a^-1/2 b a^-1/2)|_F, from eigenvalues alone
+        lam = mpmath.eigsy(si * x * si, eigvals_only=True)
+        return mpmath.sqrt(sum(mpmath.log(v) ** 2 for v in lam))
+
     xs = [_spd_lift(p) for p in points]
     si_y = inverse_sqrt(_spd_lift(y))
     v = mpmath.zeros(len(y))
     for w, x in zip(weights, xs):
         v += whitened_log(si_y, x) * mpmath.mpf(float(w))
-    # d(a, b) = |logm(a^-1/2 b a^-1/2)|_F
-    diam = max(mpmath.mnorm(whitened_log(inverse_sqrt(xs[i]), xs[j]), "f")
-               for i in range(len(xs)) for j in range(i))
+    si_xs = [inverse_sqrt(x) for x in xs]
+    diam = max(log_norm(si_xs[i], xs[j]) for i in range(len(xs)) for j in range(i))
     return mpmath.mnorm(v, "f"), diam
 
 
