@@ -9,9 +9,7 @@ golden files stay meaningful.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import platform
 import sys
@@ -340,22 +338,20 @@ def _sample_columns(mask: Mask, sep: str):
 
 
 def _series_rows(command: str, payload: dict):
+    """The header and rows of a CSV report as text cells: str of ints, repr of floats."""
     if command == "cascade":
         return ("index", "value"), zip(*_sample_columns(payload["samples"], " "))
     if command == "lp":
-        return ("n", "moment"), [(entry["n"], entry["moment"]) for entry in payload["curve"]]
+        return ("n", "moment"), [(str(e["n"]), repr(e["moment"])) for e in payload["curve"]]
     series = payload["d_inf_series"]  # subdivide: the contraction series
-    return ("n", "d_inf", "gauge_D"), zip(range(len(series)), series, payload["gauge_series"])
+    return ("n", "d_inf", "gauge_D"), zip(map(str, range(len(series))), map(repr, series),
+                                          map(repr, payload["gauge_series"]))
 
 
 def render_report(report: Report, command: str, fmt: str) -> str:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+    if fmt == "csv":  # no cell holds a comma, quote or newline, so none is quoted
         header, rows = _series_rows(command, report.payload)
-        writer.writerow(header)
-        writer.writerows([repr(c) if isinstance(c, float) else c for c in row] for row in rows)
-        return buf.getvalue()
+        return "\n".join(map(",".join, [header, *rows])) + "\n"
     if command == "cascade":  # the values are finite: repr is their JSON
         index, values = _sample_columns(report.payload["samples"], ", ")
         rows = ", ".join([f'{{"index": [{i}], "value": {v}}}' for i, v in zip(index, values)])

@@ -155,12 +155,6 @@ def box_is_empty(lo, hi) -> bool:
     return any(h < l for l, h in zip(lo, hi))
 
 
-def box_intersect(a, b):
-    lo = tuple(max(x, y) for x, y in zip(a[0], b[0]))
-    hi = tuple(min(x, y) for x, y in zip(a[1], b[1]))
-    return lo, hi
-
-
 def box_array(lo, hi) -> np.ndarray:
     """The indices of the box lo..hi as rows of an (n, dim) array, in
     row-major order; empty boxes give no rows."""

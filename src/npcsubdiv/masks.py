@@ -297,47 +297,49 @@ def convergence_level(mask: Mask) -> int | None:
     recentred mask, the n-step chain rows from u and u + e share a coarse
     state (alpha_n > 0 in `linear._alpha`); None if no level ever does.
 
-    After k steps from u write the chain's state as sigma^k(u) + g, sigma^k
-    dropping the first k binary digits of u: with the next digit v it steps
-    to sigma^(k+1)(u) + g' for the one-step successors g' of the state v + g.
-    A chain from u + e rides on the same digits with its own offset h.  Per
-    axis g stays in [-hi, 1 - lo] for the support box [lo, hi], and d = h - g
-    in the gauge box |d_k| < 2 c_k since hi - lo <= 2 c_k: the pairs (g, h)
-    are finitely many.  The rows meet at level n iff n digits can reach
-    d = 0, and then stay met.  So the search runs, in exact integers, the
-    automaton of reachable sets of pairs from {(0, e)}, one step per digit
-    vector, dropping each set that holds d = 0.  A cycle keeps some rows apart
-    at every level: tau_n = 1 for all n, and the scheme diverges.  With no
-    cycle the level is 1 + the longest run that avoids meeting; a pair reached
-    on the way is the fresh start (0, d) from the state sigma^k(u) + g, so
-    coupled chains meet with probability >= delta > 0 in every window of that
-    length: tau_n -> 0, and the scheme converges.  In 1-D this is the support
-    criterion of Micchelli & Prautzsch (LAA 1989) and Melkman (1997).  Rows
-    at e and -e are the same pairs, so e > 0 suffices.
+    After k steps the rows from u and u + e live on sigma^k(u) + G and
+    sigma^k(u) + H, sigma^k dropping u's first k binary digits, from
+    (G, H) = ({0}, {e}).  Under the next digit v an offset g moves to
+    x // 2 + S_(x mod 2) for x = v + g, S_r the stencil of parity class r, and
+    (G, H) to (M(G, v), M(H, v)).  Per axis the offsets stay in [-hi, 1 - lo]
+    for the support box [lo, hi], so the states are finitely many, and h - g
+    lies in the gauge box |d_k| < 2 c_k as hi - lo <= 2 c_k.  The rows meet at
+    level n iff n digits make G and H intersect, and then stay met; the search
+    walks the states from each start, dropping each child whose G and H meet.
+    A cycle keeps some rows apart at every level: tau_n = 1 for all n, and the
+    scheme diverges.  With no cycle the level is 1 + the longest run that
+    avoids meeting; g in G and h in H reached on the way are the fresh start
+    ({0}, {h - g}) from the state sigma^k(u) + g, so coupled chains meet with
+    probability >= delta > 0 in every window of that length: tau_n -> 0, and
+    the scheme converges.  In 1-D this is the support criterion of Micchelli &
+    Prautzsch (LAA 1989) and Melkman (1997).  By symmetry e > 0 suffices.
     """
     require_sum_rule(mask)
     centered, _ = recenter(mask)
     zero = (0,) * mask.dim
+    steps = {r: [j for j, _ in stencil(centered, r)] for r in product((0, 1), repeat=mask.dim)}
 
     @cache
     def moves(g, v):  # the offsets g' one step on from sigma^k(u) + g under digit v
-        return frozenset(j for j, _ in stencil(centered, tuple(vk + gk for vk, gk in zip(v, g))))
+        x = tuple(vk + gk for vk, gk in zip(v, g))
+        return frozenset(tuple(xk // 2 + jk for xk, jk in zip(x, j))
+                         for j in steps[tuple(xk % 2 for xk in x)])
 
     @cache
-    def children(pairs):  # the unmet sets one digit on
-        return [frozenset((x, y) for g, h in pairs for x in moves(g, v) for y in moves(h, v))
-                for v in product((0, 1), repeat=mask.dim)
-                if all(moves(g, v).isdisjoint(moves(h, v)) for g, h in pairs)]
+    def children(state):  # the unmet (G, H) one digit on, over the digits v = keys of steps
+        pairs = [[frozenset().union(*(moves(g, v) for g in gs)) for gs in state] for v in steps]
+        return [(G, H) for G, H in pairs if G.isdisjoint(H)]
 
-    starts = [frozenset({(zero, e)}) for e in gauge_offsets(default_gauge(centered)) if e > zero]
-    known = {}  # set of pairs -> levels until every word meets; None while open
+    starts = [(frozenset({zero}), frozenset({e}))
+              for e in gauge_offsets(default_gauge(centered)) if e > zero]
+    known = {}  # (G, H) -> levels until every word meets; None while open
     for start in starts:
         path, known[start] = [(start, iter(children(start)))], None
         while path:
-            pairs, todo = path[-1]
+            state, todo = path[-1]
             child = next(todo, None)
             if child is None:
-                known[pairs] = 1 + max((known[k] for k in children(pairs)), default=0)
+                known[state] = 1 + max((known[k] for k in children(state)), default=0)
                 path.pop()
             elif child not in known:
                 known[child] = None

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceError, SolverError, StructuralError, \
     integer, number
-from .grid import GridData, box_array, box_intersect, check_interior_depth, \
-    _refined, _stacked_grid, random_grid, refined_window
+from .grid import GridData, box_array, check_interior_depth, _refined, _stacked_grid, random_grid
 from .linear import fit_gamma
 from .masks import ITERATED_SUPPORT_CAP, BoxGauge, Mask, convergence_level, default_gauge, \
     gauge_offsets, require_sum_rule, stencil, support_radius, unit_gauge
@@ -296,8 +295,7 @@ def _diagnoses(mask: Mask, grids, n_max: int) -> list:
     sups = []
     for n in range(n_max):
         comparison, level = bspline_comparison(levels[n]), levels[n + 1]
-        nodes = (slice(None),) + level.local(box_array(*box_intersect(
-            refined_window(*boxes[n]), boxes[n + 1])).T)
+        nodes = (slice(None),) + level.local(box_array(*boxes[n + 1]).T)
         sups.append(distances(level.descriptor, comparison.payloads[nodes],
                               level.payloads[nodes]).max(axis=1, initial=0.0))
     diverges = convergence_level(mask) is None

@@ -7,7 +7,10 @@ Builds the jobs of the three benchmark workloads (`perfbench/workloads.py`,
 loaded by path and only read) for the given seeds and rounds 0..rounds-1, runs
 each through `npcsubdiv.cli.main` in this process and prints one JSON line per
 job: its id (workload/seed/round/class), the exit code, and the report's
-payload (so no duration or file path) or the error object from stderr.
+payload (so no duration or file path) or the error object from stderr.  A
+successful `cascade`, `subdivide` or `lp` job runs once more with
+`--format csv`, and its line also holds the sha256 of that text, so a change
+in how a report is rendered shows even where the payload is the same.
 
 With `--against REV` the same jobs run twice in child processes, once on this
 tree's package and once on REV's (extracted with `git archive` into a temporary
@@ -20,6 +23,7 @@ exit code is 1 when a job differs.
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -46,6 +50,15 @@ def load_workloads():
     return module.WORKLOADS
 
 
+def csv_digest(cli, argv, tmp) -> str:
+    """sha256 of the text that the job writes with `--format csv`."""
+    out = os.path.join(tmp, "out.csv")
+    if cli.main(argv + ["--format", "csv", "--out", out]) != 0:
+        raise RuntimeError(f"{argv[0]} ran as JSON but not as CSV: {argv}")
+    with open(out, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def run_jobs(seeds, rounds):
     """Yields one record per job of every workload, seed and round."""
     from npcsubdiv import cli
@@ -69,6 +82,8 @@ def run_jobs(seeds, rounds):
                         if code == 0:
                             with open(out, encoding="utf-8") as fh:
                                 record["payload"] = json.load(fh)["payload"]
+                            if argv[0] in cli.CSV_COMMANDS:
+                                record["csv_sha256"] = csv_digest(cli, argv, tmp)
                         else:
                             try:
                                 record.update(json.loads(err.getvalue()))  # {"error": {...}}

@@ -254,22 +254,34 @@ def test_cascade_csv_round_trips(capsys, files):
     assert values[0] == 1.0 and values[2] == 0.5 and values[-3] == 0.25
 
 
+def writer_csv(header, rows) -> str:
+    """The text `csv.writer` gives for the rows, floats written as their repr."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [header, *([repr(c) if isinstance(c, float) else c for c in row] for row in rows)])
+    return buf.getvalue()
+
+
 def test_lp_csv_round_trips(capsys, files):
-    rc, out, _ = run_cli(capsys, ["lp", "--mask", files["b"], "--start", "1",
-                                  "--max-steps", "4", "--format", "csv"])
+    argv = ["lp", "--mask", files["b"], "--start", "1", "--max-steps", "4"]
+    rc, out, _ = run_cli(capsys, argv + ["--format", "csv"])
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["n", "moment"]
     assert [(int(r[0]), float(r[1])) for r in rows[1:]] == [
         (n, 2.0 ** -n) for n in range(1, 5)]
+    curve = payload_of(run_cli(capsys, argv)[1])["curve"]
+    assert out == writer_csv(("n", "moment"), [(e["n"], e["moment"]) for e in curve])
 
 
 def test_subdivide_csv_has_both_series(capsys, files):
-    rc, out, _ = run_cli(capsys, ["subdivide", "--mask", files["c"],
-                                  "--data", files["witness"], "--levels", "2",
-                                  "--format", "csv"])
+    argv = ["subdivide", "--mask", files["c"], "--data", files["witness"], "--levels", "2"]
+    rc, out, _ = run_cli(capsys, argv + ["--format", "csv"])
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["n", "d_inf", "gauge_D"]
     assert len(rows) == 4
+    payload = payload_of(run_cli(capsys, argv)[1])
+    d_inf, gauge = payload["d_inf_series"], payload["gauge_series"]
+    assert out == writer_csv(("n", "d_inf", "gauge_D"), zip(range(len(d_inf)), d_inf, gauge))
 
 
 # -- failure paths ---------------------------------------------------------------

@@ -9,7 +9,7 @@ from npcsubdiv import (DomainError, GridData, NumericError, SpaceDescriptor,
                        SpacePoint, StructuralError, bspline_mask, chaikin_mask,
                        convergence_diagnostic, euclidean_point, exp_map,
                        iterate, make_mask, nonassociativity_gap, tripod_point)
-from npcsubdiv.grid import (box_indices, box_intersect, box_is_empty,
+from npcsubdiv.grid import (box_indices, box_is_empty,
                             check_interior_depth, grid_from_function,
                             grid_from_json, grid_from_points, grid_to_json,
                             minimal_window_width, random_grid,
@@ -230,7 +230,6 @@ def test_box_helpers():
     assert list(box_indices((0, 0), (1, 1))) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert list(box_indices((2,), (1,))) == []
     assert box_is_empty((2,), (1,)) and not box_is_empty((1,), (1,))
-    assert box_intersect(((0,), (5,)), ((3,), (9,))) == ((3,), (5,))
 
 
 # -- JSON ---------------------------------------------------------------------------

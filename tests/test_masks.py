@@ -261,6 +261,29 @@ def test_masks_that_never_converge(mask):
     assert not contractivity_certificate(mask, 5 if mask.dim == 1 else 3).found
 
 
+FACTORS = {"level-3": (make_mask((0,), [0.5, 0.0, 0.0, 1.0, 0.5]), 3), "chaikin": (C, 2),
+           "cubic": (CUBIC, 1), "skew": (make_mask((-1,), [0.25, 0.5, 0.75, 0.5]), 2),
+           "gapped": (GAPPED, None), "haar": (HAAR, None)}  # 1-D mask, level
+
+
+@pytest.mark.parametrize("names", (
+    ("cubic", "cubic", "cubic"), ("chaikin", "cubic", "skew"), ("level-3", "skew", "skew"),
+    ("chaikin", "gapped", "cubic"), ("haar", "cubic", "skew"), ("level-3", "haar", "gapped"),
+    ("skew", "chaikin", "haar"), ("haar", "level-3", "chaikin"),
+), ids="-x-".join)
+def test_the_level_of_a_3d_product_is_the_max_of_its_factors(names):
+    """The rows of a product chain meet iff they meet on every axis, and the
+    default gauge of a product is the product box: so a*b*c converges at the
+    largest of its factors' levels, and never if one factor never does.  Each
+    factor's level is checked against the overlap loop (gapped and Haar never
+    converge, see above)."""
+    (a, la), (b, lb), (c, lc) = factors = [FACTORS[name] for name in names]
+    for mask, level in factors:
+        assert overlap_level_loop(mask, 5) == level
+    want = None if None in (la, lb, lc) else max(la, lb, lc)
+    assert convergence_level(tensor_product(tensor_product(a, b), c)) == want
+
+
 def test_convergence_level_needs_the_sum_rule():
     with pytest.raises(StructuralError,
                        match=r"^mask violates the sum rule \(residual 5\.000e-01\)$"):
