@@ -10,15 +10,14 @@ and read each row off its own level.  Exact kernel arithmetic is the primary
 tool here; Monte Carlo simulation exists to exercise the path-space
 semantics and to cross-check the exact marginals.
 
-The sampler walks all trials of a block at once, every parity class in one
-pass: a one-step row depends on the state only through its parity r in
-{0,1}^s, so two tables built from the classes' `stencil(mask, r)` serve
-every step, and a state i moves to (i + 2j - r) / 2 for the drawn target j.
-Trials run in blocks of `MC_BLOCK` against one generator keyed by the seed,
-which draws one uniform per trial of the block at each step, block after
-block.  A block's end states are tallied in O(n) by one `bincount` over
-their bounding box: all of them start at one state, so the box is never
-larger than the mask's coefficient box and neither is the count array.
+The sampler walks all trials of a block at once.  A state is an exact
+Python-int anchor, run from the start by c -> (c - lo) >> 1 (lo the low
+corner of the support box), plus an offset that never leaves the cells
+lo - hi .. 1.  A cell's parity class depends only on the anchor's parity, so
+2^s pairs of tables over (cell, bin) slots, built once per call from the
+classes' `stencil(mask, r)`, serve every step.  Trials run in blocks of
+`MC_BLOCK` against one generator keyed by the seed, which draws one uniform
+per trial of the block at each step, block after block.
 """
 
 from __future__ import annotations
@@ -30,11 +29,11 @@ from itertools import islice, product
 
 import numpy as np
 
-from .errors import DomainError, NumericError, integer, lattice_point, number
+from .errors import DomainError, NumericError, ResourceError, integer, lattice_point, number
 from .grid import GridData
 from .linear import RefinableSamples
-from .masks import (Mask, coset, default_gauge, gauge_value, iterated_mask,
-                    ladder, recenter, require_sum_rule, stencil)
+from .masks import (ITERATED_SUPPORT_CAP, Mask, coset, default_gauge, gauge_value,
+                    iterated_mask, ladder, recenter, require_sum_rule, stencil)
 from .spaces import barycenters, distances
 from .subdivision import iterate
 
@@ -102,15 +101,16 @@ def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
     """Empirical marginal of X_steps over independent trajectories.
 
     One generator, `np.random.default_rng(seed)`, feeds every trial, so runs
-    are reproducible.  Trials run in blocks of `MC_BLOCK` (the last block
-    takes the rest); at each step the block draws one uniform per trial, and
-    blocks draw one after another.  cuts[k, c] holds the cumulative
-    (renormalized) weights of parity class c but the last, padded with inf,
-    and moves[:, c * width + k] its moves 2j - r; a state of class c takes
-    slot c * width + #(cuts <= u): the `searchsorted` pick in the class's
-    row closed at 1, as u < 1 never passes the top bin.  End states are
-    counted by one `bincount` over the row-major keys of their bounding box.
-    Returns a map from the final state to its relative frequency.
+    are reproducible: trials run in blocks of `MC_BLOCK` (the last block
+    takes the rest), and each step of a block draws one uniform per trial.
+    X_k = c_k + d_k with c_0 = start, c_{k+1} = (c_k - lo) >> 1, d_0 = 0; a
+    move m = 2j - r in [-hi, -lo] takes d to (d + m + lo + b) >> 1, where
+    b = (c_k - lo) & 1, so d stays in lo - hi .. 1.  Under anchor parity p,
+    slot cell * width + k of `cut[p]` holds the k-th cumulative weight of the
+    cell's class (renormalized, padded with inf) and of `nxt[p]` the slot the
+    bin leads to.  width - 1 passes of pos += cut[p][pos] <= u count the cuts
+    <= u: the `searchsorted` pick in the row closed at 1, as u < 1 never
+    passes the top bin.  Returns a map from the final state to its relative frequency.
     """
     start = lattice_point(start, mask.dim, "chain state")
     trials = integer(trials, "trials")
@@ -119,50 +119,50 @@ def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
     steps = _checked(mask, steps)
     if steps == 0:
         return {start: 1.0}
-    # a move 2j - r is minus a mask index, so bounding |start| and the
-    # support by 2^62 keeps every state + move inside int64
     lo, hi = mask.support_box()
     if max(abs(c) for c in start + lo + hi) >= MC_STATE_LIMIT:
         raise DomainError(
             f"the Monte Carlo walk holds states in int64, so start coordinates "
             f"and mask indices need absolute value < 2^62; got start {start} "
             f"and mask support {lo}..{hi}")
-
-    classes = [stencil(mask, r) for r in product((0, 1), repeat=mask.dim)]
+    parities = list(product((0, 1), repeat=mask.dim))
+    classes = [stencil(mask, r) for r in parities]
     width = max(map(len, classes))
-    cuts = np.full((width - 1, len(classes)), np.inf)  # cuts[k, c]: class c's k-th cut
-    moves = np.zeros((mask.dim, len(classes) * width), dtype=np.int64)
-    for c, (r, pairs) in enumerate(zip(product((0, 1), repeat=mask.dim), classes)):
+    shape = tuple(h - l + 2 for l, h in zip(lo, hi))  # the cells, per axis
+    size = math.prod(shape) * width  # slots of one table row
+    if len(classes) * size > ITERATED_SUPPORT_CAP:
+        raise ResourceError(f"Monte Carlo tables of {len(classes) * size} slots exceed "
+                            f"cap {ITERATED_SUPPORT_CAP}")
+    cuts = np.full((len(classes), width), np.inf)
+    moves = np.zeros((len(classes), width, mask.dim), dtype=np.int64)  # m + hi >= 0
+    for c, (r, pairs) in enumerate(zip(parities, classes)):
         weights = np.array([w for _, w in pairs])
-        cuts[:len(pairs) - 1, c] = np.cumsum(weights / math.fsum(weights))[:-1]
-        moves[:, c * width:c * width + len(pairs)] = (2 * np.array([j for j, _ in pairs]) - r).T
-
+        cuts[c, :len(pairs) - 1] = np.cumsum(weights / math.fsum(weights))[:-1]
+        moves[c, :len(pairs)] = 2 * np.array([j for j, _ in pairs]) - r + hi
+    grid = np.indices(shape).reshape(mask.dim, -1).T  # cell -> d - lo + hi, row-major
+    bits = np.array(parities)
+    cls = ((grid + (bits + lo - hi)[:, None]) & 1) @ (1 << np.arange(mask.dim)[::-1])
+    strides = np.array([math.prod(shape[a + 1:]) * width for a in range(mask.dim)])
+    cut = cuts[cls]  # row p: (cell, bin), flat in `take`
+    nxt = ((grid[:, None] + moves[cls] + ((bits - lo) & 1)[:, None, None]) >> 1) @ strides
+    anchor, walk = start, []
+    for _ in range(steps):
+        walk.append(parities.index(tuple(c & 1 for c in anchor)))
+        anchor = tuple((c - l) >> 1 for c, l in zip(anchor, lo))
     rng = np.random.default_rng(seed)
-    counts = {}
+    total = np.zeros(size, dtype=np.int64)
     for done in range(0, trials, MC_BLOCK):
-        n = min(MC_BLOCK, trials - done)
-        state = np.repeat(np.array(start, dtype=np.int64)[:, None], n, axis=1)
-        for _ in range(steps):
-            u = rng.random(n)
-            parity = state[0] & 1  # the class index, axis 0 the high bit
-            for axis in state[1:]:
-                parity = parity << 1 | axis & 1
-            pick = parity * width + sum(cut.take(parity) <= u for cut in cuts)
-            for axis, move in zip(state, moves):
-                axis += move.take(pick)
-                axis >>= 1
-        # all trials of the block start at `start` and a step maps x to
-        # (x + m) / 2 with -m a mask index, so end states lie less than the
-        # support width apart per coordinate and the count array is no
-        # larger than the mask's coefficient box
-        low = state.min(1)
-        span = state.max(1) - low + 1
-        hits = np.bincount(np.ravel_multi_index(state - low[:, None], span))
-        keys = np.flatnonzero(hits)
-        finals = np.stack(np.unravel_index(keys, span), axis=1) + low
-        for j, c in zip(map(tuple, finals.tolist()), hits[keys].tolist()):
-            counts[j] = counts.get(j, 0) + c
-    return {j: c / trials for j, c in counts.items()}
+        pos = np.full(min(MC_BLOCK, trials - done), np.subtract(hi, lo) @ strides)
+        for p in walk:
+            u = rng.random(len(pos))
+            for _ in range(width - 1):
+                pos += cut[p].take(pos) <= u
+            pos = nxt[p].take(pos)
+        total += np.bincount(pos, minlength=size)
+    keys = np.flatnonzero(total)
+    ends = [c + l - h for c, l, h in zip(anchor, lo, hi)]  # the end state of cell 0
+    return {tuple(map(operator.add, ends, g)): k / trials
+            for g, k in zip(grid[keys // width].tolist(), total[keys].tolist())}
 
 
 @dataclass(eq=False)

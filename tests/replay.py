@@ -2,23 +2,25 @@
 
     PYTHONPATH=src python tests/replay.py --seeds 1 2 3 --rounds 4
     PYTHONPATH=src python tests/replay.py --seeds 1 2 3 --rounds 4 --against HEAD~1
+    PYTHONPATH=src python tests/replay.py --seeds 1 --rounds 4 --workloads chain_mc
 
 Builds the jobs of the three benchmark workloads (`perfbench/workloads.py`,
-loaded by path and only read) for the given seeds and rounds 0..rounds-1, runs
-each through `npcsubdiv.cli.main` in this process and prints one JSON line per
-job: its id (workload/seed/round/class), the exit code, and the report's
-payload (so no duration or file path) or the error object from stderr.  A
-successful `cascade`, `subdivide` or `lp` job runs once more with
-`--format csv`, and its line also holds the sha256 of that text, so a change
-in how a report is rendered shows even where the payload is the same.
+loaded by path and only read), or of those that `--workloads` names, for the
+given seeds and rounds 0..rounds-1, runs each through `npcsubdiv.cli.main` in
+this process and prints one JSON line per job: its id
+(workload/seed/round/class), the exit code, and the report's payload (so no
+duration or file path) or the error object from stderr.  A successful
+`cascade`, `subdivide` or `lp` job runs once more with `--format csv`, and its
+line also holds the sha256 of that text, so a change in how a report is
+rendered shows even where the payload is the same.
 
 With `--against REV` the same jobs run twice in child processes, once on this
 tree's package and once on REV's (extracted with `git archive` into a temporary
 directory), and every job whose line differs is printed with its largest
-absolute and relative float difference.  The output ends with one line per
-job class (the part of the id after the colon) that has a difference: how many
-of its jobs differ and its largest float difference, and then the totals.  The
-exit code is 1 when a job differs.
+absolute and relative float difference; `--workloads` limits both runs alike.
+The output ends with one line per job class (the part of the id after the
+colon) that has a difference: how many of its jobs differ and its largest
+float difference, and then the totals.  The exit code is 1 when a job differs.
 """
 
 import argparse
@@ -59,11 +61,13 @@ def csv_digest(cli, argv, tmp) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def run_jobs(seeds, rounds):
-    """Yields one record per job of every workload, seed and round."""
+def run_jobs(seeds, rounds, workloads):
+    """Yields one record per job of every named workload, seed and round."""
     from npcsubdiv import cli
     with tempfile.TemporaryDirectory() as tmp:
         for name, workload in load_workloads().items():
+            if name not in workloads:
+                continue
             for seed in seeds:
                 seen = set()
                 for r in range(rounds):
@@ -122,23 +126,23 @@ def float_diff(a, b, path="$"):
     return worst
 
 
-def child_lines(src: Path, seeds, rounds) -> list:
+def child_lines(src: Path, seeds, rounds, workloads) -> list:
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--seeds", *map(str, seeds),
-         "--rounds", str(rounds)],
+         "--rounds", str(rounds), "--workloads", *workloads],
         cwd=ROOT, env=env, check=True, capture_output=True, text=True)
     return [json.loads(text) for text in proc.stdout.splitlines()]
 
 
-def compare(rev: str, seeds, rounds) -> int:
+def compare(rev: str, seeds, rounds, workloads) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, check=True,
                                  capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
-        theirs = child_lines(Path(tmp) / "src", seeds, rounds)
-    ours = child_lines(ROOT / "src", seeds, rounds)
+        theirs = child_lines(Path(tmp) / "src", seeds, rounds, workloads)
+    ours = child_lines(ROOT / "src", seeds, rounds, workloads)
     differ = 0
     worst = (0.0, 0.0)
     classes = {}  # job class -> [jobs, jobs that differ, abs, rel, jobs that differ in shape]
@@ -173,10 +177,13 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--rounds", type=int, required=True, help="rounds 0..ROUNDS-1")
     ap.add_argument("--against", metavar="REV", help="compare with this git revision")
+    names = list(load_workloads())
+    ap.add_argument("--workloads", nargs="+", metavar="NAME", choices=names, default=names,
+                    help="replay only these workloads (default: all)")
     args = ap.parse_args(argv)
     if args.against:
-        return compare(args.against, args.seeds, args.rounds)
-    for record in run_jobs(args.seeds, args.rounds):
+        return compare(args.against, args.seeds, args.rounds, args.workloads)
+    for record in run_jobs(args.seeds, args.rounds, args.workloads):
         print(line(record), flush=True)
     return 0
 

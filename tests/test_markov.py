@@ -2,6 +2,8 @@
 and the nested-versus-one-shot barycenter gap."""
 
 import math
+import time
+import tracemalloc
 from bisect import bisect_right
 from itertools import product
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npcsubdiv import (BarycenterProblem, DomainError, NumericError, SolverError,
+from npcsubdiv import (BarycenterProblem, DomainError, NumericError, ResourceError, SolverError,
                        SpaceDescriptor, StructuralError, ball_confinement, bspline_mask,
                        cascade, chaikin_mask, dispersion_gap, euclidean_point, iterated_mask,
                        kernel_row, lp_curve, lp_moment, make_mask, nonassociativity_gap,
@@ -19,7 +21,7 @@ from npcsubdiv import (BarycenterProblem, DomainError, NumericError, SolverError
 from npcsubdiv import spaces
 from npcsubdiv.grid import box_indices, check_interior_depth, grid_from_points
 from npcsubdiv.markov import MC_BLOCK
-from npcsubdiv.masks import translate
+from npcsubdiv.masks import ITERATED_SUPPORT_CAP, translate
 from oracles import forward_row, one_step_row, tv
 
 TRI = SpaceDescriptor("tripod")
@@ -410,6 +412,54 @@ def test_sampler_rejects_states_beyond_int64():
         with pytest.raises(DomainError, match="int64"):
             simulate_chain(mask, start, 2, 10, seed=0)
     assert sum(kernel_row(C, (2 ** 70,), 2).probs.values()) == 1.0
+
+
+
+# edge cases of the sampler's anchor: each class of SKEWED holds a 1e-17 weight
+# or a single entry, and the supports, offsets and starts push the anchor far
+# from the origin, to either side of it and to the 2^62 state limit
+SKEWED = make_mask((0,), [0.3, 1.0, 0.7, 0.0, 1e-17])
+SKEWED2 = make_mask((0, 0), [[0.25, 1.0, 0.75], [0.5, 1.0, 1e-17], [0.0, 0.0, 0.0],
+                             [0.5, 0.0, 0.0]])
+TOP = 2 ** 62 - 1
+
+
+@pytest.mark.parametrize("mask,start,steps,trials", (
+    (translate(SKEWED, (7,)), (3,), 9, 1),
+    (translate(SKEWED, (-12,)), (-40,), 9, MC_BLOCK - 1),
+    (translate(SKEWED, (10 ** 6,)), (-10 ** 6,), 5, 37),
+    (translate(SKEWED, (-2 ** 61,)), (TOP,), 9, MC_BLOCK + 1),
+    (translate(SKEWED, (2 ** 61,)), (-TOP,), 3, 2 * MC_BLOCK + 3),
+    (translate(SKEWED2, (-10 ** 6, 2 ** 61)), (TOP, -TOP), 9, 300),
+    (translate(SKEWED2, (2 ** 61, 5)), (-3, 7), 4, 200),
+    (translate(tensor_power(SKEWED, 3), (-2 ** 61, 10 ** 6, 3)), (-TOP, 2, TOP), 6, 250),
+    (translate(tensor_power(C, 3), (4, -9, 2 ** 61)), (0, 0, 0), 9, 40),
+), ids=("lo>0", "hi<0", "offset+1e6", "offset-2^61-top-start", "offset+2^61-bottom-start",
+        "2d-mixed-far", "2d-offset+2^61", "3d-skewed-far", "3d-chaikin-one-sided"))
+def test_sampler_anchor_edge_cases_equal_the_per_trial_walk(mask, start, steps, trials):
+    assert (simulate_chain(mask, start, steps, trials, seed=33)
+            == looped_chain(mask, start, steps, trials, seed=33))
+
+
+def test_sampler_refuses_tables_beyond_the_support_cap():
+    """Each parity class of 4096 coefficients 1/2048 sums to exactly 1, and the
+    tables would hold 2 * (4095 + 2) * 2048 slots, four times the cap: the
+    sampler refuses before it builds them, and the exact row still works."""
+    mask = make_mask((0,), [1 / 2048] * 4096)
+    begin = time.perf_counter()
+    with pytest.raises(ResourceError, match=f"cap {ITERATED_SUPPORT_CAP}"):
+        simulate_chain(mask, (0,), 1, 10, seed=0)
+    assert time.perf_counter() - begin < 0.1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            simulate_chain(mask, (0,), 1, 10, seed=0)
+        assert tracemalloc.get_traced_memory()[1] < 8 * 2 ** 20  # one cut row alone: 64 MiB
+    finally:
+        tracemalloc.stop()
+    row = kernel_row(mask, (5,), 1).probs
+    assert len(row) == 2048 and set(row.values()) == {1 / 2048}
+    assert sum(kernel_row(mask, (5,), 2).probs.values()) == 1.0
 
 
 # -- nested vs one-shot barycenters --------------------------------------------------------
