@@ -246,7 +246,7 @@ def _cmd_lp(config: RunConfig):
     p = config.p if config.p is not None else 1.0
     center = config.index if config.index is not None else (0,) * mask.dim
     max_steps = config.steps if config.steps is not None else 8
-    moments = lp_curve(mask, start, max(max_steps, 0), p, center)[1:]
+    moments = lp_curve(mask, start, max_steps, p, center)[1:]
     curve = [{"n": n, "moment": m} for n, m in enumerate(moments, 1)]
     return {"start": list(start), "p": p, "center": list(center),
             "curve": curve}

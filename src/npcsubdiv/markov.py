@@ -54,7 +54,6 @@ __all__ = [
 INTERPOLATORY_TOL = 1e-9
 BALL_GAUGE_TOL = 1e-12
 MC_BLOCK = 1 << 13  # trials walked at once; bounds the sampler's memory
-MC_STATE_LIMIT = 1 << 62  # bound on |start| and |mask index| for int64 states
 
 
 def _check_exponent(p) -> float:
@@ -103,14 +102,14 @@ def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
     One generator, `np.random.default_rng(seed)`, feeds every trial, so runs
     are reproducible: trials run in blocks of `MC_BLOCK` (the last block
     takes the rest), and each step of a block draws one uniform per trial.
-    X_k = c_k + d_k with c_0 = start, c_{k+1} = (c_k - lo) >> 1, d_0 = 0; a
-    move m = 2j - r in [-hi, -lo] takes d to (d + m + lo + b) >> 1, where
-    b = (c_k - lo) & 1, so d stays in lo - hi .. 1.  Under anchor parity p,
-    slot cell * width + k of `cut[p]` holds the k-th cumulative weight of the
-    cell's class (renormalized, padded with inf) and of `nxt[p]` the slot the
-    bin leads to.  width - 1 passes of pos += cut[p][pos] <= u count the cuts
-    <= u: the `searchsorted` pick in the row closed at 1, as u < 1 never
-    passes the top bin.  Returns a map from the final state to its relative frequency.
+    X_k = c_k + d_k, exact at any size: c_0 = start, c_{k+1} = (c_k - lo) >> 1
+    in Python ints, d_0 = 0, and a move m = 2j - r in [-hi, -lo] takes d to
+    (d + m + lo + b) >> 1, b = (c_k - lo) & 1, so d stays in lo - hi .. 1 and
+    tables hold small ints.  Under anchor parity p, slot cell * width + k of
+    `cut[p]` holds the k-th cumulative weight of the cell's class (renormalized,
+    padded with inf) and `nxt[p]` the slot its bin leads to.  width - 1 passes
+    of pos += cut[p][pos] <= u count the cuts <= u: the `searchsorted` pick in
+    the row closed at 1.  Returns a map from the final state to its frequency.
     """
     start = lattice_point(start, mask.dim, "chain state")
     trials = integer(trials, "trials")
@@ -120,11 +119,6 @@ def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
     if steps == 0:
         return {start: 1.0}
     lo, hi = mask.support_box()
-    if max(abs(c) for c in start + lo + hi) >= MC_STATE_LIMIT:
-        raise DomainError(
-            f"the Monte Carlo walk holds states in int64, so start coordinates "
-            f"and mask indices need absolute value < 2^62; got start {start} "
-            f"and mask support {lo}..{hi}")
     parities = list(product((0, 1), repeat=mask.dim))
     classes = [stencil(mask, r) for r in parities]
     width = max(map(len, classes))
@@ -138,13 +132,14 @@ def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
     for c, (r, pairs) in enumerate(zip(parities, classes)):
         weights = np.array([w for _, w in pairs])
         cuts[c, :len(pairs) - 1] = np.cumsum(weights / math.fsum(weights))[:-1]
-        moves[c, :len(pairs)] = 2 * np.array([j for j, _ in pairs]) - r + hi
+        moves[c, :len(pairs)] = [[2 * a - b + h for a, b, h in zip(j, r, hi)] for j, _ in pairs]
     grid = np.indices(shape).reshape(mask.dim, -1).T  # cell -> d - lo + hi, row-major
     bits = np.array(parities)
-    cls = ((grid + (bits + lo - hi)[:, None]) & 1) @ (1 << np.arange(mask.dim)[::-1])
+    odd = np.array([[(l - h) & 1 for l, h in zip(lo, hi)], [l & 1 for l in lo]])  # lo - hi, lo
+    cls = ((grid + (bits + odd[0])[:, None]) & 1) @ (1 << np.arange(mask.dim)[::-1])
     strides = np.array([math.prod(shape[a + 1:]) * width for a in range(mask.dim)])
     cut = cuts[cls]  # row p: (cell, bin), flat in `take`
-    nxt = ((grid[:, None] + moves[cls] + ((bits - lo) & 1)[:, None, None]) >> 1) @ strides
+    nxt = ((grid[:, None] + moves[cls] + ((bits + odd[1]) & 1)[:, None, None]) >> 1) @ strides
     anchor, walk = start, []
     for _ in range(steps):
         walk.append(parities.index(tuple(c & 1 for c in anchor)))
@@ -152,7 +147,7 @@ def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
     rng = np.random.default_rng(seed)
     total = np.zeros(size, dtype=np.int64)
     for done in range(0, trials, MC_BLOCK):
-        pos = np.full(min(MC_BLOCK, trials - done), np.subtract(hi, lo) @ strides)
+        pos = np.full(min(MC_BLOCK, trials - done), (np.array(shape) - 2) @ strides)
         for p in walk:
             u = rng.random(len(pos))
             for _ in range(width - 1):
@@ -259,15 +254,9 @@ def ball_confinement(mask: Mask, start, steps: int) -> BallConfinement:
     centred, _ = recenter(mask)
     gauge = default_gauge(mask)
     start = lattice_point(start, mask.dim, "chain state")
-    confined = True
-    radius = 0.0
-    for m, level in islice(enumerate(ladder(centred)), steps, steps + 3):
-        for j, _ in coset(level, m, start):
-            rho = gauge_value(gauge, j)
-            radius = max(radius, rho)
-            if rho > 2.0 + BALL_GAUGE_TOL:
-                confined = False
-    return BallConfinement(confined=confined, gauge_radius=radius)
+    levels = islice(enumerate(ladder(centred)), steps, steps + 3)
+    radius = max(gauge_value(gauge, j) for m, level in levels for j, _ in coset(level, m, start))
+    return BallConfinement(confined=radius <= 2.0 + BALL_GAUGE_TOL, gauge_radius=radius)
 
 
 def nonassociativity_gap(mask: Mask, x: GridData, index, steps: int) -> float:

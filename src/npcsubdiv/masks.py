@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
 from itertools import islice, product
 
@@ -263,11 +264,16 @@ class BoxGauge:
 
 
 def gauge_value(gauge: BoxGauge, v) -> float:
+    """max_k |v_k| / c_k; a tuple of Python ints (a lattice state) is divided
+    exactly at any size and rounded once, to inf past the float range."""
+    c = gauge.half_widths
+    if isinstance(v, tuple) and len(v) == c.size and all(type(x) is int for x in v):
+        q = max(Fraction(abs(x)) / Fraction(w) for x, w in zip(v, c.tolist()))
+        return math.inf if q > np.finfo(float).max else float(q)
     v = np.atleast_1d(numbers(v, "gauge argument"))
-    if v.shape != gauge.half_widths.shape:
-        raise StructuralError(
-            f"vector has shape {v.shape}, gauge expects {gauge.half_widths.shape}")
-    return float(np.max(np.abs(v) / gauge.half_widths))
+    if v.shape != c.shape:
+        raise StructuralError(f"vector has shape {v.shape}, gauge expects {c.shape}")
+    return float(np.max(np.abs(v) / c))
 
 
 def gauge_offsets(gauge: BoxGauge) -> list:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import DomainError, ResourceError, SolverError, StructuralError, \
     integer, number
-from .grid import GridData, box_array, check_interior_depth, _refined, _stacked_grid, random_grid
+from .grid import GridData, box_array, check_interior_depth, _refined, _stacked_grid, random_grid, \
+    refined_window
 from .linear import fit_gamma
 from .masks import ITERATED_SUPPORT_CAP, BoxGauge, Mask, convergence_level, default_gauge, \
     gauge_offsets, require_sum_rule, stencil, support_radius, unit_gauge
@@ -65,6 +66,10 @@ def _refine(mask: Mask, x: GridData):
     if x.dim != mask.dim:
         raise StructuralError("mask and data dimension disagree")
     require_sum_rule(mask)
+    if max(map(abs, x.lo + x.hi)) >= 2 ** 62:  # the refined corners, 2 x.lo and 2 x.hi, in int64
+        lo, hi = refined_window(x.lo, x.hi)
+        raise DomainError(f"the level refined from the window {x.lo}..{x.hi} would span "
+                          f"{lo}..{hi}, beyond the int64 index range")
     data = x.payloads
     core = data.shape[1 + x.dim:]
     out = np.empty(data.shape[:1] + tuple(2 * n - 1 for n in data.shape[1:1 + x.dim]) + core)

@@ -484,25 +484,46 @@ def test_bad_seeds_and_trial_counts_are_domain_errors(capsys, files, argv):
 
 
 @pytest.mark.parametrize("argv,error_type", (
-    (["subdivide", "--mask", "@c", "--data", "@witness"], "DomainError"),
-    (["approx", "--mask", "@b", "--space", "tripod"], "DomainError"),
-    (["cascade", "--mask", "@b"], "StructuralError"),
-), ids=("subdivide", "approx", "cascade"))
+    (["subdivide", "--mask", "@c", "--data", "@witness", "--levels"], "DomainError"),
+    (["approx", "--mask", "@b", "--space", "tripod", "--levels"], "DomainError"),
+    (["cascade", "--mask", "@b", "--levels"], "StructuralError"),
+    (["lp", "--mask", "@c", "--start", "0", "--max-steps"], "DomainError"),
+), ids=("subdivide", "approx", "cascade", "lp"))
 def test_negative_level_counts_are_typed_errors(capsys, files, argv,
                                                 error_type):
     argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
-    expect_error(capsys, argv + ["--levels", "-1"], error_type)
+    expect_error(capsys, argv + ["-1"], error_type)
 
 
-def test_monte_carlo_rejects_starts_beyond_int64(capsys, files):
-    far = f"--start={2 ** 70}"
-    expect_error(capsys, ["chain", "--mask", files["c"], far, "--steps", "3",
-                          "--mc"], "DomainError")
-    rc, out, _ = run_cli(capsys, ["chain", "--mask", files["c"], far,
-                                  "--steps", "3"])
+@pytest.mark.parametrize("start", (2 ** 70, -2 ** 62, 2 ** 62))
+def test_monte_carlo_walks_starts_beyond_int64(capsys, files, start):
+    rc, out, _ = run_cli(capsys, ["chain", "--mask", files["c"], f"--start={start}",
+                                  "--steps", "3", "--mc", "trials=500"])
     assert rc == 0
-    probs = {tuple(e["j"]): e["p"] for e in payload_of(out)["probs"]}
-    assert probs == kernel_row(C, (2 ** 70,), 3).probs
+    freq = {tuple(e["j"]): e["p"] for e in payload_of(out)["freq"]}
+    assert set(freq) <= set(kernel_row(C, (start,), 3).probs)
+    assert sum(round(p * 500) for p in freq.values()) == 500
+
+
+@pytest.mark.parametrize("corner,levels", ((2 ** 70, 1), (2 ** 61, 3), (-2 ** 62, 1)))
+def test_grid_windows_beyond_int64_are_domain_errors(capsys, files, corner, levels):
+    """A level whose window leaves int64 is refused with that window; the levels
+    below it still run."""
+    refused = 2 ** 63 if corner == 2 ** 61 else 2 * corner  # the low corner of the refused level
+    grid = grid_from_points(SpaceDescriptor("tripod"), (corner,), (corner + 4,),
+                            [tripod_point(k % 3, 1.0 + k) for k in range(5)])
+    path = files["root"] / "far_grid.json"
+    path.write_text(json.dumps(grid_to_json(grid)))
+    for command in (["subdivide", "--levels", str(levels)],
+                    ["gap", "--steps", str(levels), "--index", str(corner + 2)]):
+        rc, out, err = run_cli(capsys, command + ["--mask", files["c"], "--data", str(path)])
+        error = json.loads(err)["error"]
+        assert rc == 1 and out == "" and error["type"] == "DomainError"
+        assert "int64" in error["message"] and f"({refused},)" in error["message"]
+    if corner == 2 ** 61:
+        rc, out, _ = run_cli(capsys, ["subdivide", "--mask", files["c"], "--data", str(path),
+                                      "--levels", "1"])
+        assert rc == 0 and payload_of(out)["final"]["window"]["lo"] == [2 ** 62]
 
 
 @pytest.mark.parametrize("argv", (

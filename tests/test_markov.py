@@ -251,6 +251,20 @@ def test_ball_confinement_frozen_examples():
     assert not r.confined and r.gauge_radius == 2.5
 
 
+def test_ball_confinement_reads_far_states_exactly():
+    """From 2^70 as from 2^40 the ball is left, and the radius is the largest
+    |j| / c over the exact rows of the recentred mask at the three checked steps."""
+    from npcsubdiv import default_gauge
+    from npcsubdiv.masks import recenter
+    centred, _ = recenter(C)
+    c = int(default_gauge(C).half_widths[0])
+    for start in ((2 ** 40,), (2 ** 70,), (-2 ** 70 - 1,)):
+        r = ball_confinement(C, start, 2)
+        radius = max(abs(j) for n in (2, 3, 4) for (j,) in kernel_row(centred, start, n).probs) / c
+        assert not r.confined and r.gauge_radius == radius
+    assert ball_confinement(C, (10 ** 400,), 1).gauge_radius == math.inf
+
+
 def test_ball_confinement_holds_inside_the_scaled_ball():
     from npcsubdiv import default_gauge, gauge_value
     for mask in (B, C):
@@ -403,21 +417,31 @@ def test_sampler_equals_the_per_trial_walk_on_random_masks(trials, mask, data, s
             == looped_chain(mask, start, steps, trials, seed))
 
 
-def test_sampler_rejects_states_beyond_int64():
-    near = 2 ** 62 - 1
-    freq = simulate_chain(C, (near,), 2, 100, seed=0)
-    assert set(freq) <= set(kernel_row(C, (near,), 2).probs)
+def test_sampler_walks_states_beyond_int64():
+    """Anchors are Python ints and the tables hold small cells alone, so a
+    start or a mask index past int64 walks like any other."""
     for mask, start in ((C, (2 ** 62,)), (C, (-2 ** 62,)), (C, (2 ** 70,)),
-                        (translate(C, (2 ** 62,)), (0,))):
-        with pytest.raises(DomainError, match="int64"):
-            simulate_chain(mask, start, 2, 10, seed=0)
-    assert sum(kernel_row(C, (2 ** 70,), 2).probs.values()) == 1.0
+                        (translate(C, (2 ** 62,)), (0,)), (translate(C, (2 ** 70,)), (-2 ** 70,))):
+        freq = simulate_chain(mask, start, 3, 1000, seed=0)
+        assert set(freq) <= set(kernel_row(mask, start, 3).probs)
+        assert sum(round(f * 1000) for f in freq.values()) == 1000
 
+
+def test_sampler_is_exactly_shift_equivariant_at_any_size():
+    """n steps from s + 2^n k end at the ends from s shifted by k: the draws
+    are the same, so the frequencies match exactly, also past int64."""
+    k = 3 * 2 ** 70 + 1
+    for mask, start, steps in ((C, (5,), 4), (NONDYADIC, (-7,), 3), (BB, (3, -5), 2)):
+        shift = (k, -k)[:mask.dim]
+        near = simulate_chain(mask, start, steps, 2000, seed=4)
+        far = simulate_chain(mask, tuple(s + 2 ** steps * d for s, d in zip(start, shift)),
+                             steps, 2000, seed=4)
+        assert far == {tuple(j + d for j, d in zip(end, shift)): f for end, f in near.items()}
 
 
 # edge cases of the sampler's anchor: each class of SKEWED holds a 1e-17 weight
 # or a single entry, and the supports, offsets and starts push the anchor far
-# from the origin, to either side of it and to the 2^62 state limit
+# from the origin, to either side of it and past int64
 SKEWED = make_mask((0,), [0.3, 1.0, 0.7, 0.0, 1e-17])
 SKEWED2 = make_mask((0, 0), [[0.25, 1.0, 0.75], [0.5, 1.0, 1e-17], [0.0, 0.0, 0.0],
                              [0.5, 0.0, 0.0]])
@@ -434,8 +458,12 @@ TOP = 2 ** 62 - 1
     (translate(SKEWED2, (2 ** 61, 5)), (-3, 7), 4, 200),
     (translate(tensor_power(SKEWED, 3), (-2 ** 61, 10 ** 6, 3)), (-TOP, 2, TOP), 6, 250),
     (translate(tensor_power(C, 3), (4, -9, 2 ** 61)), (0, 0, 0), 9, 40),
+    (translate(SKEWED, (2 ** 70,)), (-2 ** 70 + 3,), 9, MC_BLOCK + 1),
+    (SKEWED, (-2 ** 63 - 5,), 9, 300),
+    (translate(SKEWED2, (-2 ** 70, 2 ** 64)), (2 ** 70 - 1, -2 ** 64 + 2), 6, 300),
 ), ids=("lo>0", "hi<0", "offset+1e6", "offset-2^61-top-start", "offset+2^61-bottom-start",
-        "2d-mixed-far", "2d-offset+2^61", "3d-skewed-far", "3d-chaikin-one-sided"))
+        "2d-mixed-far", "2d-offset+2^61", "3d-skewed-far", "3d-chaikin-one-sided",
+        "offset+2^70", "start-beyond-2^63", "2d-mixed-2^70-2^64"))
 def test_sampler_anchor_edge_cases_equal_the_per_trial_walk(mask, start, steps, trials):
     assert (simulate_chain(mask, start, steps, trials, seed=33)
             == looped_chain(mask, start, steps, trials, seed=33))
