@@ -134,12 +134,12 @@ def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
         cuts[c, :len(pairs) - 1] = np.cumsum(weights / math.fsum(weights))[:-1]
         moves[c, :len(pairs)] = [[2 * a - b + h for a, b, h in zip(j, r, hi)] for j, _ in pairs]
     grid = np.indices(shape).reshape(mask.dim, -1).T  # cell -> d - lo + hi, row-major
-    bits = np.array(parities)
-    odd = np.array([[(l - h) & 1 for l, h in zip(lo, hi)], [l & 1 for l in lo]])  # lo - hi, lo
-    cls = ((grid + (bits + odd[0])[:, None]) & 1) @ (1 << np.arange(mask.dim)[::-1])
+    cell_odd = np.array([[(b + l - h) & 1 for b, l, h in zip(r, lo, hi)] for r in parities])
+    lo_odd = np.array([[(b - l) & 1 for b, l in zip(r, lo)] for r in parities])  # b_k per p
+    cls = ((grid + cell_odd[:, None]) & 1) @ (1 << np.arange(mask.dim)[::-1])
     strides = np.array([math.prod(shape[a + 1:]) * width for a in range(mask.dim)])
     cut = cuts[cls]  # row p: (cell, bin), flat in `take`
-    nxt = ((grid[:, None] + moves[cls] + ((bits + odd[1]) & 1)[:, None, None]) >> 1) @ strides
+    nxt = ((grid[:, None] + moves[cls] + lo_odd[:, None, None]) >> 1) @ strides
     anchor, walk = start, []
     for _ in range(steps):
         walk.append(parities.index(tuple(c & 1 for c in anchor)))
@@ -254,9 +254,15 @@ def ball_confinement(mask: Mask, start, steps: int) -> BallConfinement:
     centred, _ = recenter(mask)
     gauge = default_gauge(mask)
     start = lattice_point(start, mask.dim, "chain state")
-    levels = islice(enumerate(ladder(centred)), steps, steps + 3)
-    radius = max(gauge_value(gauge, j) for m, level in levels for j, _ in coset(level, m, start))
-    return BallConfinement(confined=radius <= 2.0 + BALL_GAUGE_TOL, gauge_radius=radius)
+    confined = True
+    radius = 0.0
+    for m, level in islice(enumerate(ladder(centred)), steps, steps + 3):
+        for j, _ in coset(level, m, start):
+            rho = gauge_value(gauge, j)
+            radius = max(radius, rho)
+            if rho > 2.0 + BALL_GAUGE_TOL:
+                confined = False
+    return BallConfinement(confined=confined, gauge_radius=radius)
 
 
 def nonassociativity_gap(mask: Mask, x: GridData, index, steps: int) -> float:

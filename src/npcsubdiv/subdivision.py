@@ -66,10 +66,10 @@ def _refine(mask: Mask, x: GridData):
     if x.dim != mask.dim:
         raise StructuralError("mask and data dimension disagree")
     require_sum_rule(mask)
-    if max(map(abs, x.lo + x.hi)) >= 2 ** 62:  # the refined corners, 2 x.lo and 2 x.hi, in int64
-        lo, hi = refined_window(x.lo, x.hi)
+    lo, hi = refined_window(x.lo, x.hi)
+    if max(map(abs, lo + hi)) >= 2 ** 63:
         raise DomainError(f"the level refined from the window {x.lo}..{x.hi} would span "
-                          f"{lo}..{hi}, beyond the int64 index range")
+                          f"{lo}..{hi}, past the refined-corner bound |c| < 2^63 (int64)")
     data = x.payloads
     core = data.shape[1 + x.dim:]
     out = np.empty(data.shape[:1] + tuple(2 * n - 1 for n in data.shape[1:1 + x.dim]) + core)

@@ -420,11 +420,12 @@ def test_sampler_equals_the_per_trial_walk_on_random_masks(trials, mask, data, s
 def test_sampler_walks_states_beyond_int64():
     """Anchors are Python ints and the tables hold small cells alone, so a
     start or a mask index past int64 walks like any other."""
-    for mask, start in ((C, (2 ** 62,)), (C, (-2 ** 62,)), (C, (2 ** 70,)),
+    for mask, start in ((C, (2 ** 62 - 1,)), (C, (2 ** 62,)), (C, (-2 ** 62,)), (C, (2 ** 70,)),
                         (translate(C, (2 ** 62,)), (0,)), (translate(C, (2 ** 70,)), (-2 ** 70,))):
         freq = simulate_chain(mask, start, 3, 1000, seed=0)
         assert set(freq) <= set(kernel_row(mask, start, 3).probs)
         assert sum(round(f * 1000) for f in freq.values()) == 1000
+    assert sum(kernel_row(C, (2 ** 70,), 2).probs.values()) == 1.0
 
 
 def test_sampler_is_exactly_shift_equivariant_at_any_size():
