@@ -1,9 +1,9 @@
-"""Finite windows of grid-indexed points with boundary extension.
+"""Finite windows of grid-indexed points with one boundary rule.
 
 GridData stores the payloads of one backend over an integer box as one
-read-only float array.  Reads outside the window are synthesized by the
-extension policy; interior bookkeeping (which output indices are free of
-synthesized values) is handled by the box arithmetic helpers below.
+read-only float array.  A read past the window takes the nearest stored node
+(grid JSON must say `"extension": "constant_nearest"`); the box arithmetic
+helpers below track which output indices are free of such reads (the interior).
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .spaces import _BACKENDS, SpaceDescriptor, SpacePoint, _point, descriptor_f
     descriptor_to_json, payloads_from_json, payloads_to_json, stack_payloads
 
 CONSTANT_NEAREST = "constant_nearest"
-PERIODIC = "periodic"
-EXTENSIONS = (CONSTANT_NEAREST, PERIODIC)
 
 
 @dataclass(eq=False)
@@ -35,15 +33,12 @@ class GridData:
     lo: tuple
     hi: tuple
     payloads: np.ndarray
-    extension: str
 
     def __post_init__(self):
         self.lo = lattice_point(self.lo, what="window corner")
         self.hi = lattice_point(self.hi, len(self.lo), "window corner")
         if any(h < l for l, h in zip(self.lo, self.hi)):
             raise StructuralError("empty window")
-        if self.extension not in EXTENSIONS:
-            raise StructuralError(f"unknown extension policy {self.extension!r}")
         shape = tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
         shape += self.descriptor.payload_shape
         payloads = numbers(self.payloads, "grid payloads")
@@ -72,19 +67,16 @@ class GridData:
         return box_indices(self.lo, self.hi)
 
     def get(self, index) -> SpacePoint:
+        """The point at any lattice index: past the window, the nearest stored node."""
         index = lattice_point(index, self.dim, "grid index")
-        return _point(self.descriptor, self.payloads[self.local(index)])
+        return _point(self.descriptor, self.payloads[
+            tuple(min(max(i, l), h) - l for i, l, h in zip(index, self.lo, self.hi))])
 
     def local(self, index) -> tuple:
-        """Storage positions of lattice indices or index arrays (one per
-        axis); reads outside the window go through the extension."""
-        out = []
-        for i, l, h in zip(index, self.lo, self.hi):
-            if self.extension == CONSTANT_NEAREST:
-                out.append(np.minimum(np.maximum(i, l), h) - l)
-            else:
-                out.append((np.asarray(i) - l) % (h - l + 1))
-        return tuple(out)
+        """Storage positions of int64 index arrays (one per axis): a read
+        past the window takes the nearest stored node."""
+        return tuple(np.minimum(np.maximum(i, l), h) - l
+                     for i, l, h in zip(index, self.lo, self.hi))
 
 
 def _refined(x: GridData, payloads: np.ndarray, window=None) -> GridData:
@@ -92,40 +84,40 @@ def _refined(x: GridData, payloads: np.ndarray, window=None) -> GridData:
     `_sym`, `_hyp_renorm` or `_tripod_rows` (spd: positive to cond ~1e15); in `subdivision`
     the payloads may lead with a trial axis, B grids on one window."""
     out = object.__new__(GridData)
-    out.descriptor, out.extension, out.payloads = x.descriptor, x.extension, payloads
+    out.descriptor, out.payloads = x.descriptor, payloads
     out.lo, out.hi = window or refined_window(x.lo, x.hi)
     payloads.flags.writeable = False
     return out
 
 
-def _stacked_grid(descriptor, lo, hi, flat: np.ndarray, extension=CONSTANT_NEAREST) -> GridData:
+def _stacked_grid(descriptor, lo, hi, flat: np.ndarray) -> GridData:
     """Grid of the node payloads stacked row-major in flat; the caller reads the corners."""
     shape = tuple(max(h - l + 1, 0) for l, h in zip(lo, hi))  # GridData rejects empty
     if len(flat) != math.prod(shape):
         raise StructuralError(
             f"{len(flat)} points supplied for window of size {math.prod(shape)}")
-    return GridData(descriptor, lo, hi, flat.reshape(shape + flat.shape[1:]), extension)
+    return GridData(descriptor, lo, hi, flat.reshape(shape + flat.shape[1:]))
 
 
-def grid_from_function(descriptor, lo, hi, fn, extension=CONSTANT_NEAREST) -> GridData:
+def grid_from_function(descriptor, lo, hi, fn) -> GridData:
     """Builds a grid whose node i holds fn(i)."""
     lo, hi = lattice_point(lo, what="window corner"), lattice_point(hi, what="window corner")
     flat = stack_payloads([fn(i) for i in box_indices(lo, hi)], descriptor)
-    return _stacked_grid(descriptor, lo, hi, flat, extension)
+    return _stacked_grid(descriptor, lo, hi, flat)
 
 
-def grid_from_points(descriptor, lo, hi, points, extension=CONSTANT_NEAREST) -> GridData:
+def grid_from_points(descriptor, lo, hi, points) -> GridData:
     """Builds a grid from a row-major flat list of points."""
     lo, hi = lattice_point(lo, what="window corner"), lattice_point(hi, what="window corner")
-    return _stacked_grid(descriptor, lo, hi, stack_payloads(list(points), descriptor), extension)
+    return _stacked_grid(descriptor, lo, hi, stack_payloads(list(points), descriptor))
 
 
-def random_grid(descriptor, lo, hi, rng, extension=CONSTANT_NEAREST) -> GridData:
+def random_grid(descriptor, lo, hi, rng) -> GridData:
     """A grid drawn in one batched call of the backend: in row-major order its
     nodes are those of as many `random_point` calls, from the same stream."""
     lo, hi = lattice_point(lo, what="window corner"), lattice_point(hi, what="window corner")
     flat = _BACKENDS[descriptor.kind].random(descriptor, rng, len(box_array(lo, hi)))
-    return _stacked_grid(descriptor, lo, hi, flat, extension)
+    return _stacked_grid(descriptor, lo, hi, flat)
 
 
 # -- box arithmetic -----------------------------------------------------------
@@ -199,7 +191,7 @@ def check_interior_depth(mask: Mask, lo, hi, levels: int):
 def grid_to_json(x: GridData) -> dict:
     return {"descriptor": descriptor_to_json(x.descriptor),
             "window": {"lo": list(x.lo), "hi": list(x.hi)},
-            "extension": x.extension,
+            "extension": CONSTANT_NEAREST,
             "points": payloads_to_json(x.descriptor, x.payloads.reshape(
                 (-1,) + x.descriptor.payload_shape))}
 
@@ -211,4 +203,6 @@ def grid_from_json(obj: dict) -> GridData:
         extension, points = obj["extension"], obj["points"]
     except (KeyError, TypeError) as exc:
         raise StructuralError("bad grid object") from exc
-    return _stacked_grid(desc, lo, hi, payloads_from_json(desc, points), extension)
+    if extension != CONSTANT_NEAREST:
+        raise StructuralError(f"unknown extension policy {extension!r}")
+    return _stacked_grid(desc, lo, hi, payloads_from_json(desc, points))

@@ -264,16 +264,11 @@ class BoxGauge:
 
 
 def gauge_value(gauge: BoxGauge, v) -> float:
-    """max_k |v_k| / c_k; a tuple of Python ints (a lattice state) is divided
-    exactly at any size and rounded once, to inf past the float range."""
-    c = gauge.half_widths
-    if isinstance(v, tuple) and len(v) == c.size and all(type(x) is int for x in v):
-        q = max(Fraction(abs(x)) / Fraction(w) for x, w in zip(v, c.tolist()))
-        return math.inf if q > np.finfo(float).max else float(q)
-    v = np.atleast_1d(numbers(v, "gauge argument"))
-    if v.shape != c.shape:
-        raise StructuralError(f"vector has shape {v.shape}, gauge expects {c.shape}")
-    return float(np.max(np.abs(v) / c))
+    """max_k |v_k| / c_k of a lattice point v, divided exactly at any size and
+    rounded once, to inf past the float range."""
+    v = lattice_point(v, gauge.half_widths.size, "gauge argument")
+    q = max(Fraction(abs(x)) / Fraction(w) for x, w in zip(v, gauge.half_widths.tolist()))
+    return math.inf if q > np.finfo(float).max else float(q)
 
 
 def gauge_offsets(gauge: BoxGauge) -> list:

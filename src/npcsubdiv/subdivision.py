@@ -75,8 +75,9 @@ def _refine(mask: Mask, x: GridData):
     out = np.empty(data.shape[:1] + tuple(2 * n - 1 for n in data.shape[1:1 + x.dim]) + core)
     first = None  # ((trial, output index), error) of the first failing node
     for r in product((0, 1), repeat=x.dim):
-        pairs = stencil(mask, r)
-        js = np.array([j for j, _ in pairs])
+        pairs = stencil(mask, r)  # |j| past h - l reads what h - l reads; clipped, j fits int64
+        js = np.array([[min(max(jk, l - h), h - l) for jk, l, h in zip(j, x.lo, x.hi)]
+                       for j, _ in pairs])
         # m runs over lo..hi - r on each axis; the stencil axis comes last
         ms = np.ix_(*(np.arange(l, h + 1 - rk) for l, h, rk in zip(x.lo, x.hi, r)))
         shape = (len(data),) + tuple(m.size for m in ms)

@@ -109,7 +109,7 @@ def one_step_row(mask, state):
 def linear_refine(mask, x):
     """One linear refinement step of euclidean grid data x, as {i: vector}
     over the doubled window 2*lo..2*hi: out_i = sum_j a_{i-2j} x_j, with x_j
-    read through x.get (the window's extension supplies j outside it)."""
+    read through x.get (the nearest stored node stands for j outside it)."""
     window = product(*(range(2 * l, 2 * h + 1) for l, h in zip(x.lo, x.hi)))
     return {i: sum(w * x.get(j).payload for j, w in one_step_row(mask, i).items())
             for i in window}
@@ -488,7 +488,7 @@ def approx_loop(mask, desc, f, hs, n):
     for h in hs:
         window = (-4,) * mask.dim, (4,) * mask.dim
         coarse = f(h * _box(*window).T).reshape((9,) * mask.dim + desc.payload_shape)
-        x = GridData(desc, *window, coarse, "constant_nearest")
+        x = GridData(desc, *window, coarse)
         trace = iterate(mask, x, n)
         nodes = _box(*trace.interiors[n])
         level = trace.levels[n]

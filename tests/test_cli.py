@@ -338,6 +338,18 @@ def test_subdivide_rejects_non_integral_windows(capsys, files, window):
                           "--levels", "1"], "StructuralError")
 
 
+def test_subdivide_refuses_a_periodic_grid(capsys, files):
+    """A read past the window takes the nearest stored node; no other rule is read."""
+    grid = json.loads((files["root"] / "witness.json").read_text())
+    bad = files["root"] / "periodic.json"
+    bad.write_text(json.dumps(dict(grid, extension="periodic")))
+    rc, out, err = run_cli(capsys, ["subdivide", "--mask", files["b"], "--data", str(bad),
+                                    "--levels", "1"])
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == {"type": "StructuralError",
+                                        "message": "unknown extension policy 'periodic'"}
+
+
 def test_render_report_matches_the_asdict_encoding():
     report = Report(config={"command": "subdivide", "start": [0, -1], "seed": 3},
                     payload={"series": [0.5, 1e-300, -0.0], "nested": {"b": (1, 2), "a": None},

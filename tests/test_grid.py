@@ -1,4 +1,4 @@
-"""Grid windows, extension policies, interior-box arithmetic, JSON."""
+"""Grid windows, the boundary rule, interior-box arithmetic, JSON."""
 
 import json
 
@@ -23,12 +23,12 @@ B = bspline_mask()
 C = chaikin_mask()
 
 
-def ramp(lo, hi, extension="constant_nearest"):
+def ramp(lo, hi):
     pts = [euclidean_point([float(i)]) for i in range(lo, hi + 1)]
-    return grid_from_points(EU, (lo,), (hi,), pts, extension)
+    return grid_from_points(EU, (lo,), (hi,), pts)
 
 
-# -- reads and extension policies ------------------------------------------------
+# -- reads and the boundary rule ---------------------------------------------------
 
 def test_get_inside_and_outside_the_window():
     x = ramp(0, 3)
@@ -36,9 +36,17 @@ def test_get_inside_and_outside_the_window():
     assert x.get(2).payload[0] == 2.0  # bare int accepted for dim 1
     assert x.get((5,)).payload[0] == 3.0   # clamps to the nearest stored node
     assert x.get((-2,)).payload[0] == 0.0
-    periodic = ramp(0, 3, "periodic")
-    assert periodic.get((5,)).payload[0] == 1.0
-    assert periodic.get((-1,)).payload[0] == 3.0
+
+
+def test_get_past_int64_takes_the_nearest_node():
+    """Indices are clamped as Python ints, so no OverflowError at any size."""
+    x = ramp(0, 3)
+    assert x.get((2 ** 70,)).payload[0] == 3.0
+    assert x.get((-2 ** 70,)).payload[0] == 0.0
+    y = grid_from_function(SpaceDescriptor("euclidean", 2), (0, -1), (1, 1),
+                           lambda i: euclidean_point([float(i[0]), float(i[1])]))
+    assert y.get((-2 ** 70, 2 ** 70)).payload.tolist() == [0.0, 1.0]
+    assert y.get((2 ** 63, -2 ** 64)).payload.tolist() == [1.0, -1.0]
 
 
 def test_window_and_point_validation():
@@ -46,13 +54,11 @@ def test_window_and_point_validation():
     with pytest.raises(StructuralError):
         grid_from_points(EU, (1,), (0,), pts)
     with pytest.raises(StructuralError, match="^empty window$"):
-        GridData(EU, (1,), (0,), np.zeros((0, 1)), "constant_nearest")
+        GridData(EU, (1,), (0,), np.zeros((0, 1)))
     with pytest.raises(StructuralError):
         grid_from_points(EU, (0,), (1,), pts)  # one point for a 2-node window
     with pytest.raises(StructuralError):
         grid_from_points(EU, (0,), (0,), [tripod_point(0, 1.0)])
-    with pytest.raises(StructuralError):
-        grid_from_points(EU, (0,), (0,), pts, extension="mirror")
     x = ramp(0, 3)
     with pytest.raises(StructuralError):
         x.get((0, 0))
@@ -67,7 +73,7 @@ def test_window_and_point_validation():
                                             ("euclidean", 2, (3, 2))))
 def test_payload_shape_must_match_the_window_and_descriptor(kind, dim, shape):
     with pytest.raises(StructuralError):
-        GridData(SpaceDescriptor(kind, dim), (0,), (3,), np.ones(shape), "constant_nearest")
+        GridData(SpaceDescriptor(kind, dim), (0,), (3,), np.ones(shape))
 
 
 EYE = [[1.0, 0.0], [0.0, 1.0]]
@@ -91,12 +97,11 @@ EYE = [[1.0, 0.0], [0.0, 1.0]]
 def test_grid_rows_must_be_points_of_the_backend(desc, payloads, error, message):
     """The batched check of GridData raises what the point constructors raise."""
     with pytest.raises(error, match=message):
-        GridData(desc, (0,), (2,), payloads, "constant_nearest")
+        GridData(desc, (0,), (2,), payloads)
 
 
 def test_a_grid_keeps_the_glue_point_on_leg_0():
-    x = GridData(SpaceDescriptor("tripod"), (0,), (1,), [[2, 0.0], [1, 0.5]],
-                 "constant_nearest")
+    x = GridData(SpaceDescriptor("tripod"), (0,), (1,), [[2, 0.0], [1, 0.5]])
     assert x.payloads.tolist() == [[0.0, 0.0], [1.0, 0.5]]
     assert x.get((0,)).payload == tripod_point(2, 0.0).payload == (0, 0.0)
 
@@ -111,7 +116,7 @@ def test_stored_payloads_are_read_only(kind, dim):
         with pytest.raises(ValueError):
             p[0] = 7.0
     source = np.array(x.payloads)
-    copy = GridData(x.descriptor, x.lo, x.hi, source, x.extension)
+    copy = GridData(x.descriptor, x.lo, x.hi, source)
     source[0] = source[1]  # the grid keeps its own copy
     assert np.array_equal(copy.payloads, x.payloads)
 
@@ -238,11 +243,20 @@ def test_box_helpers():
 def test_grid_json_roundtrip(kind, dim):
     desc = SpaceDescriptor(kind, dim)
     rng = np.random.default_rng(31)
-    x = random_grid(desc, (-1,), (2,), rng, extension="periodic")
+    x = random_grid(desc, (-1,), (2,), rng)
     back = grid_from_json(grid_to_json(x))
     assert back.window() == x.window()
-    assert back.extension == "periodic"
     assert all(points_equal(back.get(i), x.get(i)) for i in x.indices())
+
+
+def test_grid_json_carries_the_one_boundary_rule():
+    obj = grid_to_json(ramp(0, 1))
+    assert obj["extension"] == "constant_nearest"
+    with pytest.raises(StructuralError, match="^bad grid object$"):
+        grid_from_json({k: v for k, v in obj.items() if k != "extension"})
+    for policy in ("periodic", "mirror"):
+        with pytest.raises(StructuralError, match=f"^unknown extension policy '{policy}'$"):
+            grid_from_json(dict(obj, extension=policy))
 
 
 @pytest.mark.parametrize("kind,dim", (("tripod", 1), ("spd", 2), ("euclidean", 3),
@@ -341,9 +355,9 @@ def test_a_tripod_coordinate_given_as_a_list_is_refused_as_before():
     dict(grid_to_json(ramp(0, 2)), points=[{"v": [0.0]}, {"v": [True]}, {"v": [2.0]}]),
     dict(grid_to_json(ramp(0, 2)), points=[]),
     {"descriptor": {"kind": "spd", "dim": 2}, "window": {"lo": [0], "hi": [0]},
-     "extension": "periodic", "points": [{"m": [[1.0, 0.0], [0.0]]}]},
+     "extension": "constant_nearest", "points": [{"m": [[1.0, 0.0], [0.0]]}]},
     {"descriptor": {"kind": "spd", "dim": 2}, "window": {"lo": [0], "hi": [0]},
-     "extension": "periodic", "points": [{"m": [1.0, 0.0, 0.0, 1.0]}]},
+     "extension": "constant_nearest", "points": [{"m": [1.0, 0.0, 0.0, 1.0]}]},
 ), ids=("leg-float", "leg-bool", "leg-huge", "leg-huge-negative", "leg-3", "leg-missing",
         "t-missing", "t-string", "t-huge", "points-int", "points-null", "points-string",
         "points-dict", "points-too-few", "points-lists", "v-ragged", "v-wrong-key", "v-bool",

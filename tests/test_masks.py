@@ -434,8 +434,14 @@ def test_gauge_value_and_validation():
     assert gauge_value(g, (2,)) == 1.0
     assert gauge_value(g, (-3,)) == 1.5
     assert gauge_value(unit_gauge(2), (1, -2)) == 2.0
+    assert gauge_value(g, (2 ** 70,)) == 2.0 ** 69  # divided exactly, past int64
+    assert gauge_value(unit_gauge(2), (np.int64(3), -2 ** 70)) == 2.0 ** 70
+    assert gauge_value(g, 10 ** 400) == np.inf
     with pytest.raises(StructuralError):
         gauge_value(g, (1, 1))
+    for v in ((0.5,), 2.0, np.array([1.0]), (True,)):  # lattice points only
+        with pytest.raises(StructuralError, match="^gauge argument coordinate must be"):
+            gauge_value(g, v)
     with pytest.raises(StructuralError):
         BoxGauge(np.array([1.0, 0.0]))
     with pytest.raises(StructuralError, match="^half widths must form a nonempty vector$"):

@@ -16,7 +16,7 @@ from npcsubdiv import (DomainError, ResourceError, SolverError,
 from npcsubdiv import GridData, spaces, subdivision
 from npcsubdiv.cli import APPROX_H_SWEEP, RunConfig, main, run
 from npcsubdiv.grid import box_indices, grid_from_points, grid_to_json, random_grid
-from npcsubdiv.masks import BoxGauge, mask_to_json, unit_gauge
+from npcsubdiv.masks import BoxGauge, mask_to_json, translate, unit_gauge
 from npcsubdiv.spaces import hyperboloid_point, point_to_json
 from npcsubdiv.subdivision import _approximations, _diagnoses, trial_grid
 import oracles
@@ -33,11 +33,11 @@ C = chaikin_mask()
 GAPPED = make_mask((0,), [1.0, 0.0, 0.0, 1.0])
 
 
-def tripod_grid(data, lo=None, extension="constant_nearest"):
+def tripod_grid(data, lo=None):
     pts = [tripod_point(leg, t) for leg, t in data]
     if lo is None:
         lo = -(len(data) // 2)
-    return grid_from_points(TRI, (lo,), (lo + len(data) - 1,), pts, extension)
+    return grid_from_points(TRI, (lo,), (lo + len(data) - 1,), pts)
 
 
 # -- agreement with the linear route on euclidean data -------------------------------
@@ -72,15 +72,18 @@ def bits(p):
     return json.dumps(point_to_json(p))
 
 
-@pytest.mark.parametrize("extension", ("constant_nearest", "periodic"))
+@pytest.mark.parametrize("shift", (0, 7, -9, 2 ** 62, 2 ** 70, -2 ** 70), ids=str)
 @pytest.mark.parametrize("mask_name", REFINE_MASKS)
 @pytest.mark.parametrize("desc", REFINE_BACKENDS, ids=str)
-def test_subdivide_equals_the_pointwise_oracle_bit_for_bit(desc, mask_name, extension):
+def test_subdivide_equals_the_pointwise_oracle_bit_for_bit(desc, mask_name, shift):
+    """Also for masks translated past int64: every read then takes the nearest
+    stored node, as the oracle's Python-int reads through `get` do."""
     mask = REFINE_MASKS[mask_name]
+    mask = translate(mask, (shift,) * mask.dim)
     rng = np.random.default_rng([53, len(mask_name), desc.dim])
     lo, hi = ((-2,), (3,)) if mask.dim == 1 else ((-1, 0), (1, 2))
     for window in ((lo, hi), (hi, hi)):  # and a one-node window
-        x = random_grid(desc, *window, rng, extension)
+        x = random_grid(desc, *window, rng)
         y = subdivide(mask, x)
         expected = pointwise_refine(mask, x)
         assert list(y.indices()) == list(expected)
@@ -90,7 +93,7 @@ def test_subdivide_equals_the_pointwise_oracle_bit_for_bit(desc, mask_name, exte
 @pytest.mark.parametrize("desc", REFINE_BACKENDS, ids=str)
 def test_contraction_sups_equal_the_pairwise_loop_bit_for_bit(desc):
     rng = np.random.default_rng([59, desc.dim])
-    x = random_grid(desc, (-3,), (4,), rng, "periodic")
+    x = random_grid(desc, (-3,), (4,), rng)
     x2 = random_grid(desc, (0, 0), (2, 3), rng)
     boxes = (x.window(), ((-1,), (2,)), ((-6,), (7,)), ((2,), (1,)))  # past the window; empty
     # half widths of at most 0.5 leave no offset but e = 0: no pairs
@@ -243,18 +246,6 @@ def test_iterate_refuses_levels_past_the_support_cap(monkeypatch):
             iterate(B, x, n)
     with pytest.raises(ResourceError):  # four floats per spd:2 node
         iterate(B, random_grid(SPD2, (0,), (3,), np.random.default_rng(0)), 19)
-
-
-def test_interior_values_are_extension_independent():
-    data = [(2, 2.0), (1, 0.5), (0, 2.0), (1, 1.0), (2, 0.25)]
-    for mask in (B, C):
-        per_policy = []
-        for ext in ("constant_nearest", "periodic"):
-            trace = iterate(mask, tripod_grid(data, extension=ext), 3)
-            lo, hi = trace.interiors[3]
-            per_policy.append([trace.levels[3].get(i) for i in box_indices(lo, hi)])
-        worst = max(distance(u, v) for u, v in zip(*per_policy))
-        assert worst <= 1e-12
 
 
 def test_hat_scheme_halves_d_inf_on_a_geodesic_line():
@@ -511,9 +502,9 @@ def test_a_stacked_failure_is_the_one_the_trial_loop_raises(desc, monkeypatch):
     monkeypatch.setattr(spaces, "BARYCENTER_MAX_ITER", 2)
     rng = np.random.default_rng(5)
     on_line = geodesic_sampler(desc, 1)(np.linspace(0.0, 2.0, 12)[:, None])
-    line = GridData(desc, (0,), (11,), on_line, "constant_nearest")
+    line = GridData(desc, (0,), (11,), on_line)
     doubled = GridData(desc, (0,), (11,), np.repeat(
-        random_grid(desc, (0,), (5,), rng).payloads, 2, axis=0), "constant_nearest")
+        random_grid(desc, (0,), (5,), rng).payloads, 2, axis=0))
     rough = random_grid(desc, (0,), (11,), rng)
     iterate(CUBIC, line, 3)
     iterate(CUBIC, doubled, 1)
@@ -540,7 +531,7 @@ def test_a_stacked_coarse_row_is_the_one_the_trial_loop_refuses():
     below 1.33 is refused (DomainError) before any step: a linear grid of slope
     4 is refused at level 3, of slope 2 at level 2 and of slope 0.5 at level 1."""
     nodes = np.arange(12.0)[:, None]
-    grids = {s: GridData(EU1, (0,), (11,), 1.5e6 + s * nodes, "constant_nearest")
+    grids = {s: GridData(EU1, (0,), (11,), 1.5e6 + s * nodes)
              for s in (4.0, 2.0, 0.5)}
     for s, level in ((4.0, 3), (2.0, 2), (0.5, 1)):
         iterate(CUBIC, grids[s], level - 1)
@@ -587,7 +578,7 @@ def test_a_refused_empirical_gamma_trial_raises_as_the_trial_loop_does(monkeypat
         if s is None:
             return x
         nodes = np.arange(len(x.payloads), dtype=float)[:, None]
-        return GridData(x.descriptor, x.lo, x.hi, 1.5e6 + s * nodes, "constant_nearest")
+        return GridData(x.descriptor, x.lo, x.hi, 1.5e6 + s * nodes)
 
     monkeypatch.setattr(subdivision, "trial_grid", moved)
     monkeypatch.setattr(oracles, "trial_grid", moved)
