@@ -14,7 +14,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -319,7 +319,7 @@ def run(config: RunConfig) -> Report:
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
-    return Report(config=asdict(config), payload=payload,
+    return Report(config=dict(vars(config)), payload=payload,
                   versions=versions, duration_s=duration)
 
 

@@ -164,13 +164,11 @@ def minimal_window_width(mask: Mask, levels: int) -> int:
 
     Each refinement shrinks the gap by need = max(Mhi-1, 0) - min(Mlo+1, 0)
     (the clamped per-side margins of refined_interior), so the level-n gap is
-    2^n*(width - need) + need; solving for >= 0 gives the bound below.
+    2^n*(width - need) + need; solving for >= 0 gives need - floor(need / 2^n).
     """
     mlo, mhi = mask.support_box()
     need = max(max(mh - 1, 0) - min(ml + 1, 0) for ml, mh in zip(mlo, mhi))
-    if need <= 0:
-        return 0
-    return math.ceil(need * (1.0 - 0.5 ** levels))
+    return need - (need >> levels)
 
 
 def check_interior_depth(mask: Mask, lo, hi, levels: int):

@@ -2,22 +2,15 @@
 
 The chain lives on the integer lattice: one step from state i lands on j
 with probability a_{i-2j}, and n steps land on j with the iterated-mask
-weight a^(n)_{i-2^n j}.  So the n-step row out of i is the level-n coset of
-a^(n) at residue i (`masks.coset`), the one-step row is the stencil, and the
-stationary vector read off the cascade is the coset at residue 0.  Step
-curves (`lp_curve`, `ball_confinement`) walk one ladder a^(0), a^(1), ...
-and read each row off its own level.  Exact kernel arithmetic is the primary
-tool here; Monte Carlo simulation exists to exercise the path-space
-semantics and to cross-check the exact marginals.
-
-The sampler walks all trials of a block at once.  A state is an exact
-Python-int anchor, run from the start by c -> (c - lo) >> 1 (lo the low
-corner of the support box), plus an offset that never leaves the cells
-lo - hi .. 1.  A cell's parity class depends only on the anchor's parity, so
-2^s pairs of tables over (cell, bin) slots, built once per call from the
-classes' `stencil(mask, r)`, serve every step.  Trials run in blocks of
-`MC_BLOCK` against one generator keyed by the seed, which draws one uniform
-per trial of the block at each step, block after block.
+weight a^(n)_{i-2^n j}; the stationary vector read off the cascade is the
+coset of a^(n) at residue 0.  A state is an exact Python-int anchor, run from
+the start by c -> (c - lo) >> 1 (lo the low corner of the support box), plus
+an offset cell in lo - hi .. 1, and one table per anchor parity (`_cells`)
+serves every step.  Exact rows, L^p curves and ball checks push the law over
+the cells forward, one `bincount` a step, and read the coset of a^(n) only
+past `ITERATED_SUPPORT_CAP` slots.  The sampler walks all trials of a block
+at once, in blocks of `MC_BLOCK` against one generator keyed by the seed,
+which draws one uniform per trial of the block at each step.
 """
 
 from __future__ import annotations
@@ -25,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 
@@ -33,7 +26,7 @@ from .errors import DomainError, NumericError, ResourceError, integer, lattice_p
 from .grid import GridData
 from .linear import RefinableSamples
 from .masks import (ITERATED_SUPPORT_CAP, Mask, coset, default_gauge, gauge_value,
-                    iterated_mask, ladder, recenter, require_sum_rule, stencil)
+                    iterated_mask, recenter, require_sum_rule, stencil)
 from .spaces import barycenters, distances
 from .subdivision import iterate
 
@@ -73,14 +66,61 @@ class KernelRow:
     probs: dict  # j -> a^(n)_{start - 2^n j}
 
 
-def _checked(mask: Mask, steps) -> int:
-    """steps as an int, once it is >= 0 and the mask keeps the sum rule
-    (stochastic rows)."""
+def _checked(mask: Mask, start, steps) -> tuple:
+    """start and steps read, steps >= 0, once the mask keeps the sum rule (stochastic rows)."""
+    start = lattice_point(start, mask.dim, "chain state")
     steps = integer(steps, "steps")
     if steps < 0:
         raise DomainError("steps must be >= 0")
     require_sum_rule(mask)
-    return steps
+    return start, steps
+
+
+def _cells(mask: Mask):
+    """The chain's tables, or None past `ITERATED_SUPPORT_CAP` slots: lo, the
+    offset d of each cell, the start cell, the classes' raw weights and cuts
+    (padded with 0 and inf), and per anchor parity each cell's class and the
+    cell each (cell, bin) leads to: d -> (d + m + lo + b) >> 1, b = (c - lo) & 1."""
+    lo, hi = mask.support_box()
+    parities = list(product((0, 1), repeat=mask.dim))
+    classes = [stencil(mask, r) for r in parities]
+    width = max(map(len, classes))
+    shape = tuple(h - l + 2 for l, h in zip(lo, hi))
+    if len(classes) * math.prod(shape) * width > ITERATED_SUPPORT_CAP:
+        return None
+    weights, cuts = np.zeros((len(classes), width)), np.full((len(classes), width), np.inf)
+    moves = np.zeros((len(classes), width, mask.dim), dtype=np.int64)  # m + hi >= 0
+    for c, (r, pairs) in enumerate(zip(parities, classes)):
+        weights[c, :len(pairs)] = w = np.array([w for _, w in pairs])
+        cuts[c, :len(pairs) - 1] = np.cumsum(w / math.fsum(w))[:-1]
+        moves[c, :len(pairs)] = [[2 * a - b + h for a, b, h in zip(j, r, hi)] for j, _ in pairs]
+    grid = np.indices(shape).reshape(mask.dim, -1).T
+    cell_odd = np.array([[(b + l - h) & 1 for b, l, h in zip(r, lo, hi)] for r in parities])
+    lo_odd = np.array([[(b - l) & 1 for b, l in zip(r, lo)] for r in parities])  # b per parity
+    cls = ((grid + cell_odd[:, None]) & 1) @ (1 << np.arange(mask.dim)[::-1])
+    strides = np.array([math.prod(shape[a + 1:]) for a in range(mask.dim)])
+    nxt = ((grid[:, None] + moves[cls] + lo_odd[:, None, None]) >> 1) @ strides
+    return (lo, grid + [l - h for l, h in zip(lo, hi)], (np.array(shape) - 2) @ strides,
+            weights, cuts, dict(zip(parities, zip(cls, nxt))))
+
+
+def _rows(mask: Mask, tables, start, first: int, steps: int):
+    """The rows out of start after first..steps steps, in `coset` order: one `bincount`
+    a step pushes the law over the cells, or past the cap (tables None) a^(n) is read."""
+    if tables is None:
+        yield from (coset(iterated_mask(mask, n), n, start) for n in range(first, steps + 1))
+        return
+    lo, offsets, cell, weights, _, moves = tables
+    law = (np.arange(len(offsets)) == cell) * 1.0
+    for n in range(steps + 1):
+        if n >= first:
+            keys = np.flatnonzero(law)[::-1]
+            yield [(tuple(map(operator.add, start, d)), w)
+                   for d, w in zip(offsets[keys].tolist(), law[keys].tolist())]
+        if n < steps:
+            cls, nxt = moves[tuple(c & 1 for c in start)]
+            law = np.bincount(nxt.ravel(), (law[:, None] * weights[cls]).ravel(), len(law))
+            start = tuple((c - l) >> 1 for c, l in zip(start, lo))
 
 
 def kernel_row(mask: Mask, start, steps: int) -> KernelRow:
@@ -90,10 +130,8 @@ def kernel_row(mask: Mask, start, steps: int) -> KernelRow:
     the residue classes mod 2^steps, and they compose: splitting `steps` as
     m + n and chaining the two rows reproduces the joint row exactly.
     """
-    start = lattice_point(start, mask.dim, "chain state")
-    steps = _checked(mask, steps)
-    level = iterated_mask(mask, steps)
-    return KernelRow(start=start, steps=steps, probs=dict(coset(level, steps, start)))
+    start, steps = _checked(mask, start, steps)
+    return KernelRow(start, steps, dict(next(_rows(mask, _cells(mask), start, steps, steps))))
 
 
 def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
@@ -102,62 +140,39 @@ def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
     One generator, `np.random.default_rng(seed)`, feeds every trial, so runs
     are reproducible: trials run in blocks of `MC_BLOCK` (the last block
     takes the rest), and each step of a block draws one uniform per trial.
-    X_k = c_k + d_k, exact at any size: c_0 = start, c_{k+1} = (c_k - lo) >> 1
-    in Python ints, d_0 = 0, and a move m = 2j - r in [-hi, -lo] takes d to
-    (d + m + lo + b) >> 1, b = (c_k - lo) & 1, so d stays in lo - hi .. 1 and
-    tables hold small ints.  Under anchor parity p, slot cell * width + k of
-    `cut[p]` holds the k-th cumulative weight of the cell's class (renormalized,
-    padded with inf) and `nxt[p]` the slot its bin leads to.  width - 1 passes
-    of pos += cut[p][pos] <= u count the cuts <= u: the `searchsorted` pick in
-    the row closed at 1.  Returns a map from the final state to its frequency.
+    Slot cell * width + k of `cut` holds the k-th cut of the cell's class and
+    `nxt` the slot its bin leads to; width - 1 passes of pos += cut[pos] <= u
+    count the cuts <= u: the `searchsorted` pick in the row closed at 1.
+    Returns a map from the final state to its frequency.
     """
-    start = lattice_point(start, mask.dim, "chain state")
+    start, steps = _checked(mask, start, steps)
     trials = integer(trials, "trials")
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    steps = _checked(mask, steps)
     if steps == 0:
         return {start: 1.0}
-    lo, hi = mask.support_box()
-    parities = list(product((0, 1), repeat=mask.dim))
-    classes = [stencil(mask, r) for r in parities]
-    width = max(map(len, classes))
-    shape = tuple(h - l + 2 for l, h in zip(lo, hi))  # the cells, per axis
-    size = math.prod(shape) * width  # slots of one table row
-    if len(classes) * size > ITERATED_SUPPORT_CAP:
-        raise ResourceError(f"Monte Carlo tables of {len(classes) * size} slots exceed "
-                            f"cap {ITERATED_SUPPORT_CAP}")
-    cuts = np.full((len(classes), width), np.inf)
-    moves = np.zeros((len(classes), width, mask.dim), dtype=np.int64)  # m + hi >= 0
-    for c, (r, pairs) in enumerate(zip(parities, classes)):
-        weights = np.array([w for _, w in pairs])
-        cuts[c, :len(pairs) - 1] = np.cumsum(weights / math.fsum(weights))[:-1]
-        moves[c, :len(pairs)] = [[2 * a - b + h for a, b, h in zip(j, r, hi)] for j, _ in pairs]
-    grid = np.indices(shape).reshape(mask.dim, -1).T  # cell -> d - lo + hi, row-major
-    cell_odd = np.array([[(b + l - h) & 1 for b, l, h in zip(r, lo, hi)] for r in parities])
-    lo_odd = np.array([[(b - l) & 1 for b, l in zip(r, lo)] for r in parities])  # b_k per p
-    cls = ((grid + cell_odd[:, None]) & 1) @ (1 << np.arange(mask.dim)[::-1])
-    strides = np.array([math.prod(shape[a + 1:]) * width for a in range(mask.dim)])
-    cut = cuts[cls]  # row p: (cell, bin), flat in `take`
-    nxt = ((grid[:, None] + moves[cls] + lo_odd[:, None, None]) >> 1) @ strides
+    if (tables := _cells(mask)) is None:
+        raise ResourceError(f"Monte Carlo tables exceed cap {ITERATED_SUPPORT_CAP}")
+    lo, offsets, cell, _, cuts, moves = tables
+    width = cuts.shape[1]
+    slots = {p: (cuts[cls].ravel(), nxt.ravel() * width) for p, (cls, nxt) in moves.items()}
     anchor, walk = start, []
     for _ in range(steps):
-        walk.append(parities.index(tuple(c & 1 for c in anchor)))
+        walk.append(slots[tuple(c & 1 for c in anchor)])
         anchor = tuple((c - l) >> 1 for c, l in zip(anchor, lo))
     rng = np.random.default_rng(seed)
-    total = np.zeros(size, dtype=np.int64)
+    total = np.zeros(len(offsets) * width, dtype=np.int64)
     for done in range(0, trials, MC_BLOCK):
-        pos = np.full(min(MC_BLOCK, trials - done), (np.array(shape) - 2) @ strides)
-        for p in walk:
+        pos = np.full(min(MC_BLOCK, trials - done), cell * width)
+        for cut, nxt in walk:
             u = rng.random(len(pos))
             for _ in range(width - 1):
-                pos += cut[p].take(pos) <= u
-            pos = nxt[p].take(pos)
-        total += np.bincount(pos, minlength=size)
+                pos += cut.take(pos) <= u
+            pos = nxt.take(pos)
+        total += np.bincount(pos, minlength=total.size)
     keys = np.flatnonzero(total)
-    ends = [c + l - h for c, l, h in zip(anchor, lo, hi)]  # the end state of cell 0
-    return {tuple(map(operator.add, ends, g)): k / trials
-            for g, k in zip(grid[keys // width].tolist(), total[keys].tolist())}
+    return {tuple(map(operator.add, anchor, d)): k / trials
+            for d, k in zip(offsets[keys // width].tolist(), total[keys].tolist())}
 
 
 @dataclass(eq=False)
@@ -196,13 +211,12 @@ def stationary_from_refinable(samples: RefinableSamples) -> StationaryReport:
 
 
 def lp_curve(mask: Mask, ell, steps: int, p: float, k) -> list:
-    """[E_ell ||X_n - k||^p for n = 0..steps], exactly, from one mask ladder."""
+    """[E_ell ||X_n - k||^p for n = 0..steps], exactly, from one pass of `_rows`."""
     p = _check_exponent(p)
     k = lattice_point(k, mask.dim, "moment centre")
-    ell = lattice_point(ell, mask.dim, "chain state")
-    steps = _checked(mask, steps)
-    return [_moment([(w, j, k) for j, w in coset(level, n, ell)], p, n)
-            for n, level in enumerate(islice(ladder(mask), steps + 1))]
+    ell, steps = _checked(mask, ell, steps)
+    return [_moment([(w, j, k) for j, w in row], p, n)
+            for n, row in enumerate(_rows(mask, _cells(mask), ell, 0, steps))]
 
 
 def _moment(terms, p: float, n: int) -> float:
@@ -228,11 +242,10 @@ def dispersion_gap(mask: Mask, ell, steps: int, p: float) -> float:
     distribution charges two distinct states keep it bounded away from 0.
     """
     p = _check_exponent(p)
-    ell = lattice_point(ell, mask.dim, "chain state")
-    steps = _checked(mask, steps)
-    level = iterated_mask(mask, steps)
-    return _moment([(wj * wi, i, j) for j, wj in coset(level, steps, ell)
-                    for i, wi in coset(level, steps, j)], p, steps)
+    ell, steps = _checked(mask, ell, steps)
+    tables = _cells(mask)
+    return _moment([(wj * wi, i, j) for j, wj in next(_rows(mask, tables, ell, steps, steps))
+                    for i, wi in next(_rows(mask, tables, j, steps, steps))], p, steps)
 
 
 @dataclass(eq=False)
@@ -250,19 +263,12 @@ def ball_confinement(mask: Mask, start, steps: int) -> BallConfinement:
     clause) must have gauge value <= 2.  gauge_radius is the largest gauge
     value seen over the checked steps.
     """
-    steps = _checked(mask, steps)
+    start, steps = _checked(mask, start, steps)
     centred, _ = recenter(mask)
     gauge = default_gauge(mask)
-    start = lattice_point(start, mask.dim, "chain state")
-    confined = True
-    radius = 0.0
-    for m, level in islice(enumerate(ladder(centred)), steps, steps + 3):
-        for j, _ in coset(level, m, start):
-            rho = gauge_value(gauge, j)
-            radius = max(radius, rho)
-            if rho > 2.0 + BALL_GAUGE_TOL:
-                confined = False
-    return BallConfinement(confined=confined, gauge_radius=radius)
+    radius = max(gauge_value(gauge, j) for row in _rows(centred, _cells(centred), start, steps,
+                                                         steps + 2) for j, _ in row)
+    return BallConfinement(confined=radius <= 2.0 + BALL_GAUGE_TOL, gauge_radius=radius)
 
 
 def nonassociativity_gap(mask: Mask, x: GridData, index, steps: int) -> float:

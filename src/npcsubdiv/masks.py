@@ -7,9 +7,9 @@ gauges from the support, and forms tensor products.
 
 All residue arithmetic lives in `coset(mask, level, residue)`: the entries
 a_idx with idx = residue (mod 2^level), read as one strided slice and keyed
-by j = (residue - idx) / 2^level.  A stencil is the level-1 coset of a mask,
-an n-step kernel row or a stationary vector is a level-n coset of the
-iterated mask a^(n), and the partition-of-unity sums are coset sums.
+by j = (residue - idx) / 2^level.  A stencil is the level-1 coset of a mask
+and a stationary vector a level-n coset of the iterated mask a^(n), whose
+ladder builds each level once, skipping every input check but finiteness.
 """
 
 from __future__ import annotations
@@ -56,10 +56,11 @@ class Mask:
         arr.flags.writeable = False
         self.coeffs = arr
         self.offset = lattice_point(self.offset, self.dim, "mask offset")
+        self._box = _nonzero_box(arr, self.offset)
 
     def support_box(self):
-        """Bounding box (lo, hi) of the nonzero coefficients, inclusive."""
-        return _nonzero_box(self.coeffs, self.offset)
+        """Bounding box (lo, hi) of the nonzero coefficients, inclusive, found once."""
+        return self._box
 
     def value(self, index) -> float:
         local = tuple(i - o for i, o in zip(lattice_point(index, self.dim, "mask index"),
@@ -90,13 +91,16 @@ def _nonzero_box(coeffs: np.ndarray, offset):
 
 
 def _trimmed(dim: int, offset, coeffs) -> Mask:
-    """The mask of coeffs at offset, cut to the box of its nonzero entries;
-    an all-zero array is left whole for Mask to refuse."""
+    """The mask of coeffs at offset, cut to the box of its nonzero entries,
+    without Mask's input checks, which the masks it derives from passed."""
     box = _nonzero_box(coeffs, offset)
-    if box is not None:
-        coeffs = coeffs[tuple(slice(l - o, h - o + 1) for l, h, o in zip(*box, offset))]
-        offset = box[0]
-    return Mask(dim, offset, coeffs)
+    if box is None:
+        raise StructuralError("mask needs at least one positive coefficient")
+    out = Mask.__new__(Mask)
+    out.dim, out.offset, out._box = dim, box[0], box
+    out.coeffs = coeffs[tuple(slice(l - o, h - o + 1) for l, h, o in zip(*box, offset))]
+    out.coeffs.flags.writeable = False
+    return out
 
 
 def translate(mask: Mask, shift) -> Mask:
@@ -225,6 +229,8 @@ def next_iterate(mask: Mask, current: Mask) -> Mask:
     for local in zip(*np.nonzero(mask.coeffs)):
         out[tuple(slice(l, l + 2 * n - 1, 2) for l, n in zip(local, current.coeffs.shape))] \
             += mask.coeffs[local] * current.coeffs
+    if not np.isfinite(out).all():  # the level overflowed
+        raise NumericError("mask coefficients must be finite")
     offset = tuple(oa + 2 * oc for oa, oc in zip(mask.offset, current.offset))
     return _trimmed(mask.dim, offset, out)
 

@@ -17,7 +17,8 @@ geodesics, in mpmath, for the Newton step, and `exact_tripod_barycenter`
 solves the tripod's barycenter in `Fraction`s.
 `points_equal` compares two points payload by payload.  `hyperboloid_log` is
 the hyperboloid log map in 50-digit mpmath, and `partition_of_unity_loop` the
-residue-by-residue sum of a cascade's level-n cosets.  `overlap_level_loop`
+residue-by-residue sum of a cascade's level-n cosets, and `fraction_row` the
+n-step chain row as an exact sum over paths in `Fraction`s.  `overlap_level_loop`
 finds the first level whose chain rows overlap, residue by residue, from the
 supports of `dense_iterated`, for the exact convergence decision to match.
 `diagnose_loop`, `approx_loop` and `empirical_gamma_loop` run the stacked
@@ -215,6 +216,22 @@ def forward_row(mask, start, steps):
                 nxt[j] = nxt.get(j, 0.0) + w * p
         dist = nxt
     return dist
+
+
+def fraction_row(mask, start, steps):
+    """n-step law as {j: Fraction}: every path's weight summed exactly, one
+    step at a time over the nonzero a_l with l = i (mod 2), j = (i - l) / 2."""
+    items = [(l, Fraction(w)) for l, w in mask.nonzero_items()]
+    law = {tuple(start): Fraction(1)}
+    for _ in range(steps):
+        nxt = {}
+        for i, w in law.items():
+            for l, a in items:
+                if all((ik - lk) % 2 == 0 for ik, lk in zip(i, l)):
+                    j = tuple((ik - lk) // 2 for ik, lk in zip(i, l))
+                    nxt[j] = nxt.get(j, 0) + w * a
+        law = nxt
+    return law
 
 
 def tv(p, q):

@@ -15,6 +15,7 @@ from npcsubdiv.grid import (box_indices, box_is_empty,
                             minimal_window_width, random_grid,
                             refined_interior, refined_window)
 from npcsubdiv import grid, spaces
+from npcsubdiv.masks import translate
 from npcsubdiv.spaces import hyperboloid_from_spatial, point_from_json
 from oracles import points_equal
 
@@ -222,6 +223,21 @@ def test_minimal_window_width_matches_interior_survival():
             if w >= 1:
                 with pytest.raises(DomainError):
                     check_interior_depth(mask, (0,), (w - 1,), levels)
+
+
+def test_minimal_window_width_is_exact_past_float_precision():
+    """Chaikin moved by 2^70 loses 2^70 + 2 nodes a level, and by -2^70 loses
+    2^70 - 1: the float bound named 2^69 for one level of the first, a window
+    that still has no interior."""
+    assert minimal_window_width(translate(C, (2 ** 70,)), 1) == 2 ** 69 + 1
+    for shift, need in ((2 ** 70, 2 ** 70 + 2), (-2 ** 70, 2 ** 70 - 1)):
+        far = translate(C, (shift,))
+        for levels in (1, 2, 3, 70, 71, 72, 200):
+            w = minimal_window_width(far, levels)
+            assert w == -(-need * (2 ** levels - 1) // 2 ** levels) and w <= need
+            check_interior_depth(far, (0,), (w,), levels)  # survives
+            with pytest.raises(DomainError, match=f"hi-lo >= {w}$"):
+                check_interior_depth(far, (0,), (w - 1,), levels)
 
 
 def test_interior_depth_error_names_the_required_width():

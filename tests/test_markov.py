@@ -5,6 +5,7 @@ import math
 import time
 import tracemalloc
 from bisect import bisect_right
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -18,11 +19,11 @@ from npcsubdiv import (BarycenterProblem, DomainError, NumericError, ResourceErr
                        kernel_row, lp_curve, lp_moment, make_mask, nonassociativity_gap,
                        random_grid, simulate_chain, stationary_from_refinable, tensor_power,
                        tripod_point, weighted_barycenter)
-from npcsubdiv import spaces
+from npcsubdiv import markov, spaces
 from npcsubdiv.grid import box_indices, check_interior_depth, grid_from_points
 from npcsubdiv.markov import MC_BLOCK
-from npcsubdiv.masks import ITERATED_SUPPORT_CAP, translate
-from oracles import forward_row, one_step_row, tv
+from npcsubdiv.masks import ITERATED_SUPPORT_CAP, coset, translate
+from oracles import forward_row, fraction_row, one_step_row, tv
 
 TRI = SpaceDescriptor("tripod")
 B = bspline_mask()
@@ -84,6 +85,121 @@ def test_rows_are_stochastic_and_satisfy_chapman_kolmogorov():
                 assert all(abs(composed[i] - full[i]) <= 1e-12 for i in full)
 
 
+def battery_mask(case: int):
+    """Mask number `case` of the row battery, and whether it is dyadic.
+
+    Dims 1-3 in turn; boxes of 2-5 (1-D), 2-4 (2-D) or 2-3 (3-D) per axis,
+    offsets in -3..3 or at +-2^70.  A dyadic class spreads 2^m units over its
+    entries by a multinomial draw (m = 0 gives a single-entry class, and zero
+    holes are common); a non-dyadic class takes uniform draws, some zeroed,
+    over their float sum."""
+    rng = np.random.default_rng([34, case])
+    dim, dyadic = 1 + case % 3, case % 2 == 0
+    shape = tuple(int(n) for n in rng.integers(2, (6, 5, 4)[dim - 1], size=dim))
+    coeffs = np.zeros(shape)
+    for r in product((0, 1), repeat=dim):
+        cls = tuple(slice(b, None, 2) for b in r)
+        size = coeffs[cls].size
+        if dyadic:
+            m = int(rng.integers(0, 5))
+            coeffs[cls] = rng.multinomial(2 ** m, np.full(size, 1 / size)).reshape(
+                coeffs[cls].shape) / 2 ** m
+        else:
+            w = rng.random(size) * (rng.random(size) < 0.8)
+            w[rng.integers(size)] += 0.1  # every class keeps an entry
+            coeffs[cls] = (w / math.fsum(w)).reshape(coeffs[cls].shape)
+    offset = [int(o) for o in rng.integers(-3, 4, size=dim)]
+    if case % 5 == 1:
+        offset[0] += (-1) ** case * 2 ** 70
+    return make_mask(offset, coeffs), dyadic
+
+
+def ladder_moments(mask, start, steps, p, k):
+    """The L^p curve summed in `coset` order off each level of the ladder."""
+    return [sum(w * math.hypot(*(a - b for a, b in zip(j, k))) ** p
+                for j, w in coset(iterated_mask(mask, n), n, start))
+            for n in range(steps + 1)]
+
+
+def assert_rows_agree(got: list, want: list, dyadic: bool):
+    assert [j for j, _ in got] == [j for j, _ in want]  # states and their order
+    if dyadic:
+        assert got == want
+    else:
+        assert all(abs(g - w) <= 1e-12 * w for (_, g), (_, w) in zip(got, want))
+
+
+@pytest.mark.parametrize("case", range(60))
+def test_rows_and_curves_pushed_on_the_cells_equal_the_ladder_read(case):
+    """kernel_row, lp_curve and dispersion_gap against coset(a^(n), n, u):
+    bit for bit on dyadic masks, within 1e-12 relative otherwise; starts near
+    0 or the mask's far offset, every third one moved by +-2^70."""
+    mask, dyadic = battery_mask(case)
+    rng = np.random.default_rng([35, case])
+    steps = (10, 6, 3)[mask.dim - 1]
+    start = tuple(int(v) - o for v, o in zip(rng.integers(-40, 41, size=mask.dim), mask.offset))
+    if case % 3 == 2:
+        start = (start[0] - (-1) ** case * 2 ** 70,) + start[1:]
+    for n in range(steps + 1):
+        want = coset(iterated_mask(mask, n), n, start)
+        assert_rows_agree(list(kernel_row(mask, start, n).probs.items()), want, dyadic)
+    k = tuple(u + int(d) for u, d in zip(start, rng.integers(-3, 4, size=mask.dim)))
+    p = (1.0, 1.5, 2.0)[case % 3]
+    got, want = lp_curve(mask, start, steps, p, k), ladder_moments(mask, start, steps, p, k)
+    if dyadic:
+        assert got == want
+    else:
+        assert all(abs(g - w) <= 1e-12 * w for g, w in zip(got, want))
+    n = steps // 2
+    level = iterated_mask(mask, n)
+    gap = sum(wj * wi * math.hypot(*(a - b for a, b in zip(i, j))) ** p
+              for j, wj in coset(level, n, start) for i, wi in coset(level, n, j))
+    assert dispersion_gap(mask, start, n, p) == pytest.approx(gap, rel=1e-12, abs=0.0)
+
+
+def test_rows_past_the_cap_read_the_ladder(monkeypatch):
+    """With no room for the cell tables, rows, curves, gaps and ball checks
+    read each row off its level of the ladder, as the forward pass does."""
+    for mask, start in ((C, (5,)), (NONDYADIC, (2 ** 70 + 3,)), (BB, (3, -2)),
+                        (battery_mask(2)[0], (0, 0, 0))):
+        k = (1,) * mask.dim
+        forward = ([kernel_row(mask, start, n).probs for n in range(4)],
+                   lp_curve(mask, start, 3, 1.5, k), dispersion_gap(mask, start, 2, 2.0),
+                   ball_confinement(mask, start, 2).gauge_radius)
+        with monkeypatch.context() as m:
+            m.setattr(markov, "ITERATED_SUPPORT_CAP", 0)
+            assert markov._cells(mask) is None
+            ladder = ([kernel_row(mask, start, n).probs for n in range(4)],
+                      lp_curve(mask, start, 3, 1.5, k), dispersion_gap(mask, start, 2, 2.0),
+                      ball_confinement(mask, start, 2).gauge_radius)
+            with pytest.raises(ResourceError, match="cap 0"):
+                simulate_chain(mask, start, 1, 10, seed=0)
+        assert [list(r) for r in forward[0]] == [list(r) for r in ladder[0]]
+        assert all(abs(forward[0][n][j] - w) <= 1e-15 * w
+                   for n in range(4) for j, w in ladder[0][n].items())
+        assert forward[1] == pytest.approx(ladder[1], rel=1e-14, abs=0.0)
+        assert forward[2:] == pytest.approx(ladder[2:], rel=1e-14, abs=0.0)
+
+
+def test_dyadic_rows_far_beyond_the_old_support_cap_equal_the_path_sum():
+    """Chaikin and the cubic B-spline mask from 2^80 + 3: up to 17 steps every
+    row is exact in floats; at 30 and 60 steps, where a^(n) would pass
+    ITERATED_SUPPORT_CAP, each weight is within steps ulps of the path sum."""
+    cubic = make_mask((-2,), [0.125, 0.5, 0.75, 0.5, 0.125])
+    start = (2 ** 80 + 3,)
+    for mask, far in ((C, 30), (cubic, 60)):
+        for n in list(range(18)) + [far]:
+            want = fraction_row(mask, start, n)
+            got = kernel_row(mask, start, n).probs
+            assert set(got) == set(want) and sum(want.values()) == 1
+            if n < 18:
+                assert got == {j: float(w) for j, w in want.items()}
+            assert all(abs(Fraction(got[j]) - w) <= n * 2 ** -53 * w for j, w in want.items())
+        assert lp_curve(mask, start, far, 1.0, start)[-1] == pytest.approx(
+            float(sum(w * abs(j[0] - start[0]) for j, w in fraction_row(mask, start, far).items())),
+            rel=1e-14)
+
+
 def test_kernel_row_validation():
     with pytest.raises(DomainError):
         kernel_row(B, (0,), -1)
@@ -113,7 +229,7 @@ def test_lp_moment_chaikin_stays_bounded_away_from_zero():
     assert all(0.7 <= v <= 1.5 for v in curve)
 
 
-def test_lp_curve_reads_every_step_off_one_ladder():
+def test_lp_curve_reads_every_step_off_one_pass():
     for mask, start, k in ((C, (1,), (0,)), (NONDYADIC, (-7,), (2,)),
                            (BB, (3, -5), (1, 1))):
         for p in (1.0, 2.0, 3.5):

@@ -211,13 +211,25 @@ def test_iterated_mask_support_cap():
 
 
 def test_a_ladder_step_builds_one_mask(monkeypatch):
-    built = []
-    check = Mask.__post_init__
-    monkeypatch.setattr(Mask, "__post_init__", lambda self: built.append(self) or check(self))
+    """A step trims one array into one Mask and re-runs none of the input
+    checks that its parents passed; it keeps the finiteness check.  A mask
+    finds its support box once."""
+    trim = masks._trimmed
     for mask in (B, C, GAPPED, tensor_power(B, 2)):
         current = iterated_mask(mask, 2)
-        built.clear()
-        assert built == [next_iterate(mask, current)]
+        built = []
+        with monkeypatch.context() as m:
+            m.setattr(masks, "_trimmed", lambda *args: built.append(trim(*args)) or built[-1])
+            m.setattr(Mask, "__post_init__", lambda self: pytest.fail("input checks re-ran"))
+            level = next_iterate(mask, current)
+            m.setattr(masks, "_nonzero_box", None)  # each box was found once, when built
+            boxes = level.support_box(), mask.support_box()
+        assert built == [level] and not level.coeffs.flags.writeable
+        assert boxes == (masks._nonzero_box(level.coeffs, level.offset),
+                         masks._nonzero_box(mask.coeffs, mask.offset))
+        assert mask_dict(level) == mask_dict(Mask(mask.dim, level.offset, level.coeffs))
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="must be finite"):
+        iterated_mask(make_mask((0,), [1e300, 1e300]), 2)
 
 
 def test_an_iterate_that_underflows_to_zero_is_refused():
