@@ -8,9 +8,9 @@ the start by c -> (c - lo) >> 1 (lo the low corner of the support box), plus
 an offset cell in lo - hi .. 1, and one table per anchor parity (`_cells`)
 serves every step.  Exact rows, L^p curves and ball checks push the law over
 the cells forward, one `bincount` a step, and read the coset of a^(n) only
-past `ITERATED_SUPPORT_CAP` slots.  The sampler walks all trials of a block
-at once, in blocks of `MC_BLOCK` against one generator keyed by the seed,
-which draws one uniform per trial of the block at each step.
+past `ITERATED_SUPPORT_CAP` slots.  The sampler moves all trials as one count
+per cell, split over each occupied cell's bins by conditional binomials from
+one generator keyed by the seed, so its cost does not grow with the trials.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
 
 INTERPOLATORY_TOL = 1e-9
 BALL_GAUGE_TOL = 1e-12
-MC_BLOCK = 1 << 13  # trials walked at once; bounds the sampler's memory
 
 
 def _check_exponent(p) -> float:
@@ -78,9 +77,9 @@ def _checked(mask: Mask, start, steps) -> tuple:
 
 def _cells(mask: Mask):
     """The chain's tables, or None past `ITERATED_SUPPORT_CAP` slots: lo, the
-    offset d of each cell, the start cell, the classes' raw weights and cuts
-    (padded with 0 and inf), and per anchor parity each cell's class and the
-    cell each (cell, bin) leads to: d -> (d + m + lo + b) >> 1, b = (c - lo) & 1."""
+    offset d of each cell, the start cell, the classes' raw weights (padded
+    with 0), and per anchor parity each cell's class and the cell each
+    (cell, bin) leads to: d -> (d + m + lo + b) >> 1, b = (c - lo) & 1."""
     lo, hi = mask.support_box()
     parities = list(product((0, 1), repeat=mask.dim))
     classes = [stencil(mask, r) for r in parities]
@@ -88,11 +87,10 @@ def _cells(mask: Mask):
     shape = tuple(h - l + 2 for l, h in zip(lo, hi))
     if len(classes) * math.prod(shape) * width > ITERATED_SUPPORT_CAP:
         return None
-    weights, cuts = np.zeros((len(classes), width)), np.full((len(classes), width), np.inf)
+    weights = np.zeros((len(classes), width))
     moves = np.zeros((len(classes), width, mask.dim), dtype=np.int64)  # m + hi >= 0
     for c, (r, pairs) in enumerate(zip(parities, classes)):
-        weights[c, :len(pairs)] = w = np.array([w for _, w in pairs])
-        cuts[c, :len(pairs) - 1] = np.cumsum(w / math.fsum(w))[:-1]
+        weights[c, :len(pairs)] = [w for _, w in pairs]
         moves[c, :len(pairs)] = [[2 * a - b + h for a, b, h in zip(j, r, hi)] for j, _ in pairs]
     grid = np.indices(shape).reshape(mask.dim, -1).T
     cell_odd = np.array([[(b + l - h) & 1 for b, l, h in zip(r, lo, hi)] for r in parities])
@@ -101,7 +99,7 @@ def _cells(mask: Mask):
     strides = np.array([math.prod(shape[a + 1:]) for a in range(mask.dim)])
     nxt = ((grid[:, None] + moves[cls] + lo_odd[:, None, None]) >> 1) @ strides
     return (lo, grid + [l - h for l, h in zip(lo, hi)], (np.array(shape) - 2) @ strides,
-            weights, cuts, dict(zip(parities, zip(cls, nxt))))
+            weights, dict(zip(parities, zip(cls, nxt))))
 
 
 def _rows(mask: Mask, tables, start, first: int, steps: int):
@@ -110,7 +108,7 @@ def _rows(mask: Mask, tables, start, first: int, steps: int):
     if tables is None:
         yield from (coset(iterated_mask(mask, n), n, start) for n in range(first, steps + 1))
         return
-    lo, offsets, cell, weights, _, moves = tables
+    lo, offsets, cell, weights, moves = tables
     law = (np.arange(len(offsets)) == cell) * 1.0
     for n in range(steps + 1):
         if n >= first:
@@ -135,44 +133,44 @@ def kernel_row(mask: Mask, start, steps: int) -> KernelRow:
 
 
 def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
-    """Empirical marginal of X_steps over independent trajectories.
+    """Empirical marginal of X_steps over `trials` independent trajectories.
 
-    One generator, `np.random.default_rng(seed)`, feeds every trial, so runs
-    are reproducible: trials run in blocks of `MC_BLOCK` (the last block
-    takes the rest), and each step of a block draws one uniform per trial.
-    Slot cell * width + k of `cut` holds the k-th cut of the cell's class and
-    `nxt` the slot its bin leads to; width - 1 passes of pos += cut[pos] <= u
-    count the cuts <= u: the `searchsorted` pick in the row closed at 1.
+    The trials move as one int64 count per cell (so trials < 2^63): a step
+    splits the c trials of a cell over its class's bins w_0 .. w_last by a
+    multinomial(c, w / sum w), the law of c separate steps.  One generator,
+    `np.random.default_rng(seed)`, draws it: for k = 0 .. width - 2 one
+    `binomial` call gives every occupied cell, in cell order (the row-major
+    order of the states), the bin-k share of its trials still left, with
+    probability w_k / fsum(w_k .. w_last) (1 at the last bin, 0 past it), and
+    bin width - 1 takes the rest.
     Returns a map from the final state to its frequency.
     """
     start, steps = _checked(mask, start, steps)
     trials = integer(trials, "trials")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    if not 1 <= trials < 2 ** 63:
+        raise DomainError(f"trials must be >= 1 and < 2^63 (int64 counts), got {trials}")
     if steps == 0:
         return {start: 1.0}
     if (tables := _cells(mask)) is None:
         raise ResourceError(f"Monte Carlo tables exceed cap {ITERATED_SUPPORT_CAP}")
-    lo, offsets, cell, _, cuts, moves = tables
-    width = cuts.shape[1]
-    slots = {p: (cuts[cls].ravel(), nxt.ravel() * width) for p, (cls, nxt) in moves.items()}
-    anchor, walk = start, []
-    for _ in range(steps):
-        walk.append(slots[tuple(c & 1 for c in anchor)])
-        anchor = tuple((c - l) >> 1 for c, l in zip(anchor, lo))
+    lo, offsets, cell, weights, moves = tables
+    cond = np.array([[v / math.fsum(w[k:]) if v else 0.0 for k, v in enumerate(w)]
+                     for w in weights.tolist()])
     rng = np.random.default_rng(seed)
-    total = np.zeros(len(offsets) * width, dtype=np.int64)
-    for done in range(0, trials, MC_BLOCK):
-        pos = np.full(min(MC_BLOCK, trials - done), cell * width)
-        for cut, nxt in walk:
-            u = rng.random(len(pos))
-            for _ in range(width - 1):
-                pos += cut.take(pos) <= u
-            pos = nxt.take(pos)
-        total += np.bincount(pos, minlength=total.size)
-    keys = np.flatnonzero(total)
-    return {tuple(map(operator.add, anchor, d)): k / trials
-            for d, k in zip(offsets[keys // width].tolist(), total[keys].tolist())}
+    counts = (np.arange(len(offsets)) == cell) * trials
+    for _ in range(steps):
+        cls, nxt = moves[tuple(c & 1 for c in start)]
+        occupied = np.flatnonzero(counts)
+        left, split = counts[occupied], []
+        for q in cond[cls[occupied]].T[:-1]:
+            split.append(rng.binomial(left, q))
+            left = left - split[-1]
+        counts = np.zeros_like(counts)
+        np.add.at(counts, nxt[occupied], np.column_stack(split + [left]))
+        start = tuple((c - l) >> 1 for c, l in zip(start, lo))
+    keys = np.flatnonzero(counts)
+    return {tuple(map(operator.add, start, d)): k / trials
+            for d, k in zip(offsets[keys].tolist(), counts[keys].tolist())}
 
 
 @dataclass(eq=False)

@@ -226,9 +226,10 @@ def next_iterate(mask: Mask, current: Mask) -> Mask:
         raise ResourceError(
             f"iterated mask support {math.prod(shape)} exceeds cap {ITERATED_SUPPORT_CAP}")
     out = np.zeros(shape)
-    for local in zip(*np.nonzero(mask.coeffs)):
-        out[tuple(slice(l, l + 2 * n - 1, 2) for l, n in zip(local, current.coeffs.shape))] \
-            += mask.coeffs[local] * current.coeffs
+    with np.errstate(over="ignore"):  # an overflow is refused below, as a NumericError
+        for local in zip(*np.nonzero(mask.coeffs)):
+            out[tuple(slice(l, l + 2 * n - 1, 2) for l, n in zip(local, current.coeffs.shape))] \
+                += mask.coeffs[local] * current.coeffs
     if not np.isfinite(out).all():  # the level overflowed
         raise NumericError("mask coefficients must be finite")
     offset = tuple(oa + 2 * oc for oa, oc in zip(mask.offset, current.offset))

@@ -21,6 +21,8 @@ residue-by-residue sum of a cascade's level-n cosets, and `fraction_row` the
 n-step chain row as an exact sum over paths in `Fraction`s.  `overlap_level_loop`
 finds the first level whose chain rows overlap, residue by residue, from the
 supports of `dense_iterated`, for the exact convergence decision to match.
+`splitting_chain` runs the Monte Carlo chain as counts per state, one scalar
+binomial draw at a time, for the sampler to match on the same stream.
 `diagnose_loop`, `approx_loop` and `empirical_gamma_loop` run the stacked
 callers trial by trial on public `iterate`, node by node, for the stacked
 runs to match bit for bit, errors included.
@@ -105,6 +107,37 @@ def one_step_row(mask, state):
         if w > 0.0:
             out[j] = w
     return out
+
+
+def splitting_chain(mask, start, steps, trials, seed):
+    """End-state frequencies of `trials` walks from start, moved as one count
+    per state on the sampler's documented stream: one generator keyed by the
+    seed; at each step, for bin k = 0 .. width - 2 (width the longest one-step
+    row of a parity class), each occupied state in sorted order draws
+    binomial(its trials still left, w_k / fsum(w_k ..)) over its one-step row
+    w, with p = 0 past the row's end; bin width - 1 takes the rest."""
+    rng = np.random.default_rng(seed)
+    width = max(len(one_step_row(mask, r)) for r in product((0, 1), repeat=len(start)))
+    counts = {tuple(start): trials}
+    for _ in range(steps):
+        rows = {i: one_step_row(mask, i) for i in counts}
+        left, shares = dict(counts), {i: [] for i in counts}
+        for k in range(width - 1):
+            for i in sorted(counts):
+                w = list(rows[i].values())
+                p = w[k] / math.fsum(w[k:]) if k < len(w) else 0.0
+                take = int(rng.binomial(left[i], p))
+                shares[i].append(take)
+                left[i] -= take
+        counts = {}
+        for i, row in rows.items():
+            shares[i].append(left[i])
+            assert not any(shares[i][len(row):])  # no trial past the row's end
+            for j, c in zip(row, shares[i]):
+                if c:
+                    counts[j] = counts.get(j, 0) + c
+    assert sum(counts.values()) == trials
+    return {j: c / trials for j, c in counts.items()}
 
 
 def linear_refine(mask, x):

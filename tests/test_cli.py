@@ -657,3 +657,18 @@ def test_the_module_entry_point_runs_main(capsys, files):
     assert child.returncode == rc == 1 and child.stdout == out == ""
     assert json.loads(child.stderr) == json.loads(err)
     assert json.loads(err)["error"]["type"] == "StructuralError"
+
+
+def test_an_overflowing_ladder_level_writes_the_error_object_alone(capsys, files):
+    """Level 2 of [1e300, 1e300] passes the float range: a child `cascade`
+    writes the NumericError object to stderr and nothing else, no numpy
+    overflow warning ahead of it."""
+    path = files["root"] / "overflowing.json"
+    path.write_text(json.dumps({"dim": 1, "offset": [0], "coeffs": [1e300, 1e300]}))
+    argv = ["cascade", "--mask", str(path), "--levels", "2"]
+    child = run_module(argv)
+    rc, out, err = run_cli(capsys, argv)
+    assert child.returncode == rc == 1 and child.stdout == out == ""
+    assert child.stderr == err
+    assert json.loads(err) == {"error": {"type": "NumericError",
+                                         "message": "mask coefficients must be finite"}}

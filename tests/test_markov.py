@@ -4,7 +4,6 @@ and the nested-versus-one-shot barycenter gap."""
 import math
 import time
 import tracemalloc
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 
@@ -21,9 +20,8 @@ from npcsubdiv import (BarycenterProblem, DomainError, NumericError, ResourceErr
                        tripod_point, weighted_barycenter)
 from npcsubdiv import markov, spaces
 from npcsubdiv.grid import box_indices, check_interior_depth, grid_from_points
-from npcsubdiv.markov import MC_BLOCK
 from npcsubdiv.masks import ITERATED_SUPPORT_CAP, coset, translate
-from oracles import forward_row, fraction_row, one_step_row, tv
+from oracles import forward_row, fraction_row, splitting_chain, tv
 
 TRI = SpaceDescriptor("tripod")
 B = bspline_mask()
@@ -408,23 +406,9 @@ def test_simulate_chain_is_reproducible_and_consistent():
 def test_simulate_chain_degenerate_cases():
     assert simulate_chain(B, (4,), 0, 100, seed=0) == {(4,): 1.0}
     assert simulate_chain(GAPPED, (1,), 3, 50, seed=0) == {(-1,): 1.0}
-    with pytest.raises(DomainError):
-        simulate_chain(B, (0,), 1, 0, seed=0)
-
-
-def test_a_uniform_on_a_cut_takes_the_upper_move():
-    """Seed 0's first uniform u0 lies in [0.5, 1), so 1 - u0 is exact and the
-    even class of the mask [1 - u0, 1, u0] (its stencil, in row-major order
-    of j: u0 at j = -1, then 1 - u0 at j = 0) sums to exactly 1: its cut is
-    u0 itself.  A draw equal to a cut takes the bin above it, as
-    searchsorted(side="right") does: from 0 the move to 0, not to -1."""
-    u0 = float(np.random.default_rng(0).random())
-    assert 0.5 <= u0 < 1.0 and u0 + (1.0 - u0) == 1.0
-    mask = make_mask((0,), [1.0 - u0, 1.0, u0])
-    cuts = np.cumsum([u0, 1.0 - u0])
-    assert cuts[0] == u0 and np.searchsorted(cuts, u0, side="right") == 1
-    assert simulate_chain(mask, (0,), 1, 1, seed=0) == {(0,): 1.0}
-    assert looped_chain(mask, (0,), 1, 1, seed=0) == {(0,): 1.0}
+    for trials in (0, 2 ** 63, 2 ** 70):  # the counts are int64
+        with pytest.raises(DomainError, match=r"trials must be >= 1 and < 2\^63"):
+            simulate_chain(B, (0,), 1, trials, seed=0)
 
 
 def bhc_tv_radius(trials, support, delta=1e-9):
@@ -438,76 +422,52 @@ def bhc_tv_radius(trials, support, delta=1e-9):
     return 0.5 * l1
 
 
-@pytest.mark.parametrize("trials", (1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1))
+TRIALS = (1, 37, 2 ** 53 + 1, 2 ** 63 - 1)  # past 2^53 a float count is inexact
+
+
+@pytest.mark.parametrize("trials", TRIALS)
 @pytest.mark.parametrize("mask,starts", (
     (BB, ((10 ** 6, -10 ** 6), (-10 ** 6, 3), (2 ** 40, -2 ** 40),
           (-2 ** 40, 2 ** 40 + 1))),
     (NONDYADIC, ((10 ** 6,), (-10 ** 6,), (2 ** 40,), (-2 ** 40 - 1,))),
 ), ids=("bspline2d", "nondyadic-shifted"))
-def test_sampler_counts_support_and_tv_across_block_sizes(mask, starts, trials):
+def test_sampler_counts_support_and_tv_across_trial_counts(mask, starts, trials):
     for start in starts:
         freq = simulate_chain(mask, start, 3, trials, seed=5)
         exact = kernel_row(mask, start, 3).probs
-        hits = [f * trials for f in freq.values()]
-        assert all(abs(h - round(h)) <= 1e-6 for h in hits)
-        assert sum(round(h) for h in hits) == trials
         assert set(freq) <= set(exact)
-        if trials >= 1000:
+        assert math.fsum(freq.values()) == pytest.approx(1.0, rel=0.0, abs=1e-15)
+        if trials < 2 ** 53:  # each count reads back exactly
+            hits = [f * trials for f in freq.values()]
+            assert all(abs(h - round(h)) <= 1e-6 for h in hits)
+            assert sum(round(h) for h in hits) == trials
+        else:
             assert tv(freq, exact) <= bhc_tv_radius(trials, len(exact))
         assert simulate_chain(mask, start, 3, trials, seed=5) == freq
 
 
-def looped_chain(mask, start, steps, trials, seed):
-    """One trial at a time on the documented stream: one generator keyed by
-    the seed, blocks of MC_BLOCK trials, one uniform per trial of the block
-    at each step; rows come from the oracle's one-step row of each state."""
-    rng = np.random.default_rng(seed)
-    counts = {}
-    rows = {}  # state -> (targets, cumulative row closed at 1), built once per state
-    for done in range(0, trials, MC_BLOCK):
-        n = min(MC_BLOCK, trials - done)
-        draws = [rng.random(n) for _ in range(steps)]
-        for t in range(n):
-            state = tuple(start)
-            for u in draws:
-                if state not in rows:
-                    row = one_step_row(mask, state)
-                    total = math.fsum(row.values())
-                    acc, cum = 0.0, []
-                    for w in row.values():
-                        acc += w / total
-                        cum.append(acc)
-                    cum[-1] = 1.0
-                    rows[state] = list(row), cum
-                targets, cum = rows[state]
-                state = targets[bisect_right(cum, u[t])]
-            counts[state] = counts.get(state, 0) + 1
-    return {j: c / trials for j, c in counts.items()}
-
-
 @pytest.mark.parametrize("mask,start,steps,trials", (
-    (C, (0,), 3, MC_BLOCK + 3),
+    (C, (0,), 3, 2 ** 53 + 1),
     (NONDYADIC, (-7,), 4, 600),
     (BB, (3, -5), 2, 400),
-    # end-state spans (2, 1, 2): pins the order of the tally's keys
+    # end-state spans (2, 1, 2): pins the order of the draws over the states
     (tensor_power(B, 3), (-5, 8, -1), 2, 300),
-    # a short second block whose bounding box differs from the first
-    (tensor_power(C, 2), (9, -4), 2, MC_BLOCK + 5),
+    (tensor_power(C, 2), (9, -4), 2, 2 ** 63 - 1),
     # end states fill 12 of the 13 coefficient positions, the most possible
     (WIDE_GAPPED, (41,), 8, 2000),
 ), ids=("chaikin", "nondyadic-shifted", "bspline2d", "bspline3d-mixed-sign",
-        "chaikin2d-two-blocks", "wide-gapped"))
-def test_sampler_equals_a_per_trial_walk_on_the_same_stream(mask, start, steps,
-                                                            trials):
+        "chaikin2d-int64-top", "wide-gapped"))
+def test_sampler_equals_the_splitting_oracle_on_the_same_stream(mask, start, steps, trials):
     assert (simulate_chain(mask, start, steps, trials, seed=21)
-            == looped_chain(mask, start, steps, trials, seed=21))
+            == splitting_chain(mask, start, steps, trials, seed=21))
 
 
 @st.composite
 def chain_masks(draw):
     """Nonnegative masks of dims 1-3, every parity class normalized to sum 1:
-    weights are 0, non-dyadic floats or 1e-17 (a bin a uniform on the 2^-53
-    grid all but never hits; last in its class, its cut rounds to 1), and a
+    weights are 0, non-dyadic floats or 1e-17 (a bin that all but never draws
+    a trial; behind a larger weight, that weight's conditional probability
+    rounds to 1, and first in its class, the draw runs at p = 1e-17), and a
     class with one positive entry makes a deterministic step."""
     dim = draw(st.integers(1, 3))
     shape = tuple(draw(st.integers(2, 4 if dim < 3 else 3)) for _ in range(dim))
@@ -523,14 +483,14 @@ def chain_masks(draw):
     return make_mask(offset, coeffs.tolist())
 
 
-@pytest.mark.parametrize("trials", (1, 37, MC_BLOCK - 1, MC_BLOCK + 1))
+@pytest.mark.parametrize("trials", TRIALS)
 @settings(max_examples=20)
 @given(mask=chain_masks(), data=st.data(), steps=st.integers(0, 6),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_sampler_equals_the_per_trial_walk_on_random_masks(trials, mask, data, steps, seed):
+def test_sampler_equals_the_splitting_oracle_on_random_masks(trials, mask, data, steps, seed):
     start = data.draw(st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * mask.dim))
     assert (simulate_chain(mask, start, steps, trials, seed)
-            == looped_chain(mask, start, steps, trials, seed))
+            == splitting_chain(mask, start, steps, trials, seed))
 
 
 def test_sampler_walks_states_beyond_int64():
@@ -567,23 +527,38 @@ TOP = 2 ** 62 - 1
 
 @pytest.mark.parametrize("mask,start,steps,trials", (
     (translate(SKEWED, (7,)), (3,), 9, 1),
-    (translate(SKEWED, (-12,)), (-40,), 9, MC_BLOCK - 1),
+    (translate(SKEWED, (-12,)), (-40,), 9, 2 ** 53 + 1),
     (translate(SKEWED, (10 ** 6,)), (-10 ** 6,), 5, 37),
-    (translate(SKEWED, (-2 ** 61,)), (TOP,), 9, MC_BLOCK + 1),
-    (translate(SKEWED, (2 ** 61,)), (-TOP,), 3, 2 * MC_BLOCK + 3),
+    (translate(SKEWED, (-2 ** 61,)), (TOP,), 9, 2 ** 63 - 1),
+    (translate(SKEWED, (2 ** 61,)), (-TOP,), 3, 2 ** 53 + 1),
     (translate(SKEWED2, (-10 ** 6, 2 ** 61)), (TOP, -TOP), 9, 300),
     (translate(SKEWED2, (2 ** 61, 5)), (-3, 7), 4, 200),
     (translate(tensor_power(SKEWED, 3), (-2 ** 61, 10 ** 6, 3)), (-TOP, 2, TOP), 6, 250),
     (translate(tensor_power(C, 3), (4, -9, 2 ** 61)), (0, 0, 0), 9, 40),
-    (translate(SKEWED, (2 ** 70,)), (-2 ** 70 + 3,), 9, MC_BLOCK + 1),
+    (translate(SKEWED, (2 ** 70,)), (-2 ** 70 + 3,), 9, 2 ** 63 - 1),
     (SKEWED, (-2 ** 63 - 5,), 9, 300),
     (translate(SKEWED2, (-2 ** 70, 2 ** 64)), (2 ** 70 - 1, -2 ** 64 + 2), 6, 300),
 ), ids=("lo>0", "hi<0", "offset+1e6", "offset-2^61-top-start", "offset+2^61-bottom-start",
         "2d-mixed-far", "2d-offset+2^61", "3d-skewed-far", "3d-chaikin-one-sided",
         "offset+2^70", "start-beyond-2^63", "2d-mixed-2^70-2^64"))
-def test_sampler_anchor_edge_cases_equal_the_per_trial_walk(mask, start, steps, trials):
+def test_sampler_anchor_edge_cases_equal_the_splitting_oracle(mask, start, steps, trials):
     assert (simulate_chain(mask, start, steps, trials, seed=33)
-            == looped_chain(mask, start, steps, trials, seed=33))
+            == splitting_chain(mask, start, steps, trials, seed=33))
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+@pytest.mark.parametrize("mask,start,steps", (
+    (C, (0,), 5),
+    (NONDYADIC, (-7,), 4),
+    (translate(SKEWED, (7,)), (3,), 6),
+), ids=("dyadic", "nondyadic", "weight-1e-17"))
+def test_sampler_law_is_the_kernel_row(mask, start, steps, seed):
+    """10^7 trials land within the TV radius that an empirical law of that
+    many independent draws exceeds with probability 1e-9."""
+    exact = kernel_row(mask, start, steps).probs
+    freq = simulate_chain(mask, start, steps, 10 ** 7, seed)
+    assert set(freq) <= set(exact)
+    assert tv(freq, exact) <= bhc_tv_radius(10 ** 7, len(exact))
 
 
 def test_sampler_refuses_tables_beyond_the_support_cap():
@@ -599,7 +574,7 @@ def test_sampler_refuses_tables_beyond_the_support_cap():
     try:
         with pytest.raises(ResourceError):
             simulate_chain(mask, (0,), 1, 10, seed=0)
-        assert tracemalloc.get_traced_memory()[1] < 8 * 2 ** 20  # one cut row alone: 64 MiB
+        assert tracemalloc.get_traced_memory()[1] < 8 * 2 ** 20  # one parity's nxt: 64 MiB
     finally:
         tracemalloc.stop()
     row = kernel_row(mask, (5,), 1).probs
