@@ -325,22 +325,28 @@ def run(config: RunConfig) -> Report:
 
 # -- serialization ---------------------------------------------------------------
 
-def _sample_columns(mask: Mask, sep: str):
-    """The support of mask as text, row-major: the indices, coordinates joined by
-    sep, and the values' reprs; each coordinate and distinct value formatted once.
-    The offsets are Python ints, so indices beyond int64 stay exact."""
+def _sample_text(mask: Mask, first: str, lead: str, sep: str, mid: str, last: str) -> str:
+    """The support of mask as text, row-major, in one join for JSON and CSV alike:
+    each row is first (the first row) or lead, its coordinates joined by sep, mid
+    and its value's repr; last ends the text.  Each coordinate (a Python int, exact
+    past int64) and each distinct value is formatted once; no string is built per row."""
     local = np.nonzero(mask.coeffs)
-    axes = [np.array([str(o + l) for l in range(n)], dtype=object)[ix].tolist()
-            for ix, o, n in zip(local, mask.offset, mask.coeffs.shape)]
     distinct, which = np.unique(mask.coeffs[local], return_inverse=True)
-    values = np.array([repr(v) for v in distinct.tolist()], dtype=object)[which]
-    return list(map(sep.join, zip(*axes))), values.tolist()
+    columns = [np.array(list(map(str, range(o, o + n))), dtype=object)[ix].tolist()
+               for ix, o, n in zip(local, mask.offset, mask.coeffs.shape)]
+    columns.append(np.array(list(map(repr, distinct.tolist())), dtype=object)[which].tolist())
+    k, rows = 2 * len(columns), len(which)  # a row: lead, coordinate, sep, ..., mid, value
+    parts = [sep] * (k * rows)
+    parts[::k], parts[k - 2::k] = [lead] * rows, [mid] * rows
+    for a, column in enumerate(columns):
+        parts[2 * a + 1::k] = column
+    parts[0] = first
+    parts.append(last)
+    return "".join(parts)
 
 
 def _series_rows(command: str, payload: dict):
     """The header and rows of a CSV report as text cells: str of ints, repr of floats."""
-    if command == "cascade":
-        return ("index", "value"), zip(*_sample_columns(payload["samples"], " "))
     if command == "lp":
         return ("n", "moment"), [(str(e["n"]), repr(e["moment"])) for e in payload["curve"]]
     series = payload["d_inf_series"]  # subdivide: the contraction series
@@ -349,15 +355,17 @@ def _series_rows(command: str, payload: dict):
 
 
 def render_report(report: Report, command: str, fmt: str) -> str:
+    if command == "cascade" and fmt == "csv":  # an index is its coordinates joined by spaces
+        return _sample_text(report.payload["samples"], "index,value\n", "\n", " ", ",", "\n")
     if fmt == "csv":  # no cell holds a comma, quote or newline, so none is quoted
         header, rows = _series_rows(command, report.payload)
         return "\n".join(map(",".join, [header, *rows])) + "\n"
     if command == "cascade":  # the values are finite: repr is their JSON
-        index, values = _sample_columns(report.payload["samples"], ", ")
-        rows = ", ".join([f'{{"index": [{i}], "value": {v}}}' for i, v in zip(index, values)])
         payload = {**report.payload, "samples": []}  # the only "samples" key of the report
         text = json.dumps({**vars(report), "payload": payload}, sort_keys=True)
-        return text.replace('"samples": []', f'"samples": [{rows}]', 1) + "\n"
+        head, _, tail = text.partition('"samples": []')  # the rows join in between
+        return _sample_text(report.payload["samples"], head + '"samples": [{"index": [',
+                            '}, {"index": [', ", ", '], "value": ', "}]" + tail + "\n")
     return json.dumps(vars(report), sort_keys=True) + "\n"  # no indent: the C encoder
 
 

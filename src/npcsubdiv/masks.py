@@ -230,8 +230,8 @@ def next_iterate(mask: Mask, current: Mask) -> Mask:
         for local in zip(*np.nonzero(mask.coeffs)):
             out[tuple(slice(l, l + 2 * n - 1, 2) for l, n in zip(local, current.coeffs.shape))] \
                 += mask.coeffs[local] * current.coeffs
-    if not np.isfinite(out).all():  # the level overflowed
-        raise NumericError("mask coefficients must be finite")
+    if not np.isfinite(out).all():
+        raise NumericError("the next iterated mask level leaves the float range")
     offset = tuple(oa + 2 * oc for oa, oc in zip(mask.offset, current.offset))
     return _trimmed(mask.dim, offset, out)
 

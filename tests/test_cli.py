@@ -450,6 +450,30 @@ def test_cascades_of_tensor_products_format_each_repeated_value_alike(files, mas
         assert_cascade_texts(text, out.read_text(encoding="utf-8"), want)
 
 
+@pytest.mark.parametrize("mask,level", (
+    (make_mask((4,), [0.5]), 0), (make_mask((4,), [0.5]), 3),
+    (make_mask((0, 0, 0), np.reshape([0.25, 0.5, 0.0, 0.125, 0.0, 0.0, 0.0, 0.5, 0.125,
+                                      0.0, 0.0, 0.75, 0.5, 0.0, 0.25, 0.0, 0.125, 0.5],
+                                     (3, 3, 2)).tolist()), 2),
+    (make_mask((-7, -3), [[0.25, 0.5], [0.75, 0.0], [0.5, 0.125]]), 3),
+    (make_mask((-1,), [0.1, 1 / 3, 0.7]), 5)),
+    ids=("single-level-0", "single-level-3", "3d-interior-zeros", "negative-offsets",
+         "exponent-reprs"))
+def test_cascade_writer_edge_cases(files, mask, level):
+    """The writer's edges, in JSON and CSV: a lone row, 3-D rows with zeros
+    inside the box, negative coordinates, and values written in exponent form."""
+    path, out = files["root"] / "edge_mask.json", files["root"] / "edge_out"
+    path.write_text(json.dumps(mask_to_json(mask)))
+    argv = ["cascade", "--mask", str(path), "--levels", str(level), "--out", str(out)]
+    assert main(argv) == 0
+    text = out.read_text(encoding="utf-8")
+    assert main(argv + ["--format", "csv"]) == 0
+    csv_text = out.read_text(encoding="utf-8")
+    offset = mask.offset[0] if mask.dim == 1 else mask.offset
+    assert_cascade_texts(text, csv_text, dense_iterated(mask.coeffs.tolist(), offset, level))
+    assert (",1.0000000000000004e-05\n" in csv_text) == (level == 5)  # 0.1^5: exponent form
+
+
 def test_the_reused_parser_carries_no_state_between_calls(capsys, files):
     rc, out, _ = run_cli(capsys, ["chain", "--mask", files["c"], "--start", "0",
                                   "--steps", "2", "--mc", "trials=50"])
@@ -671,4 +695,5 @@ def test_an_overflowing_ladder_level_writes_the_error_object_alone(capsys, files
     assert child.returncode == rc == 1 and child.stdout == out == ""
     assert child.stderr == err
     assert json.loads(err) == {"error": {"type": "NumericError",
-                                         "message": "mask coefficients must be finite"}}
+                                         "message": "the next iterated mask level "
+                                                    "leaves the float range"}}
