@@ -5,12 +5,12 @@ with probability a_{i-2j}, and n steps land on j with the iterated-mask
 weight a^(n)_{i-2^n j}; the stationary vector read off the cascade is the
 coset of a^(n) at residue 0.  A state is an exact Python-int anchor, run from
 the start by c -> (c - lo) >> 1 (lo the low corner of the support box), plus
-an offset cell in lo - hi .. 1, and one table per anchor parity (`_cells`)
-serves every step.  Exact rows, L^p curves and ball checks push the law over
-the cells forward, one `bincount` a step, and read the coset of a^(n) only
-past `ITERATED_SUPPORT_CAP` slots.  The sampler moves all trials as one count
-per cell, split over each occupied cell's bins by conditional binomials from
-one generator keyed by the seed, so its cost does not grow with the trials.
+an offset cell in lo - hi .. 1, and one table per anchor parity, from
+`masks._cells`, serves every step.  Rows, L^p curves and ball checks push the
+law over the cells, one `bincount` a step, and past `ITERATED_SUPPORT_CAP`
+slots read a^(n) off one ladder walk.  The sampler moves all trials as one
+count per cell, split over each occupied cell's bins by conditional binomials
+from one generator keyed by the seed, so its cost does not grow with trials.
 """
 
 from __future__ import annotations
@@ -18,15 +18,15 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice
 
 import numpy as np
 
 from .errors import DomainError, NumericError, ResourceError, integer, lattice_point, number
 from .grid import GridData
 from .linear import RefinableSamples
-from .masks import (ITERATED_SUPPORT_CAP, Mask, coset, default_gauge, gauge_value,
-                    iterated_mask, recenter, require_sum_rule, stencil)
+from .masks import (ITERATED_SUPPORT_CAP, Mask, _cells, coset, default_gauge, gauge_value,
+                    ladder, recenter, require_sum_rule, stencil)
 from .spaces import barycenters, distances
 from .subdivision import iterate
 
@@ -75,38 +75,12 @@ def _checked(mask: Mask, start, steps) -> tuple:
     return start, steps
 
 
-def _cells(mask: Mask):
-    """The chain's tables, or None past `ITERATED_SUPPORT_CAP` slots: lo, the
-    offset d of each cell, the start cell, the classes' raw weights (padded
-    with 0), and per anchor parity each cell's class and the cell each
-    (cell, bin) leads to: d -> (d + m + lo + b) >> 1, b = (c - lo) & 1."""
-    lo, hi = mask.support_box()
-    parities = list(product((0, 1), repeat=mask.dim))
-    classes = [stencil(mask, r) for r in parities]
-    width = max(map(len, classes))
-    shape = tuple(h - l + 2 for l, h in zip(lo, hi))
-    if len(classes) * math.prod(shape) * width > ITERATED_SUPPORT_CAP:
-        return None
-    weights = np.zeros((len(classes), width))
-    moves = np.zeros((len(classes), width, mask.dim), dtype=np.int64)  # m + hi >= 0
-    for c, (r, pairs) in enumerate(zip(parities, classes)):
-        weights[c, :len(pairs)] = [w for _, w in pairs]
-        moves[c, :len(pairs)] = [[2 * a - b + h for a, b, h in zip(j, r, hi)] for j, _ in pairs]
-    grid = np.indices(shape).reshape(mask.dim, -1).T
-    cell_odd = np.array([[(b + l - h) & 1 for b, l, h in zip(r, lo, hi)] for r in parities])
-    lo_odd = np.array([[(b - l) & 1 for b, l in zip(r, lo)] for r in parities])  # b per parity
-    cls = ((grid + cell_odd[:, None]) & 1) @ (1 << np.arange(mask.dim)[::-1])
-    strides = np.array([math.prod(shape[a + 1:]) for a in range(mask.dim)])
-    nxt = ((grid[:, None] + moves[cls] + lo_odd[:, None, None]) >> 1) @ strides
-    return (lo, grid + [l - h for l, h in zip(lo, hi)], (np.array(shape) - 2) @ strides,
-            weights, dict(zip(parities, zip(cls, nxt))))
-
-
 def _rows(mask: Mask, tables, start, first: int, steps: int):
-    """The rows out of start after first..steps steps, in `coset` order: one `bincount`
-    a step pushes the law over the cells, or past the cap (tables None) a^(n) is read."""
+    """The rows out of start after first..steps steps, in `coset` order: one `bincount` a
+    step pushes the law over the cells, or past the cap (tables None) one ladder is read."""
     if tables is None:
-        yield from (coset(iterated_mask(mask, n), n, start) for n in range(first, steps + 1))
+        levels = islice(enumerate(ladder(mask)), first, steps + 1)
+        yield from (coset(level, n, start) for n, level in levels)
         return
     lo, offsets, cell, weights, moves = tables
     law = (np.arange(len(offsets)) == cell) * 1.0

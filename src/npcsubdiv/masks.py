@@ -3,7 +3,9 @@
 A mask is a finitely supported array of nonnegative coefficients indexed by
 Z^s.  This module validates the basic sum rule (unit mass on every parity
 coset), iterates masks under the dyadic refinement recursion, builds box
-gauges from the support, and forms tensor products.
+gauges from the support and the characteristic chain's one move table
+(`_cells`, which `markov` and `convergence_level` walk), and forms tensor
+products.
 
 All residue arithmetic lives in `coset(mask, level, residue)`: the entries
 a_idx with idx = residue (mod 2^level), read as one strided slice and keyed
@@ -298,52 +300,76 @@ def default_gauge(mask: Mask) -> BoxGauge:
     return BoxGauge(c)
 
 
-# -- convergence ---------------------------------------------------------------
+# -- the characteristic chain's cells, and convergence -------------------------
+
+def _cells(mask: Mask):
+    """The chain's tables, or None past `ITERATED_SUPPORT_CAP` slots: lo, the
+    offset d of each cell, the start cell, the classes' raw weights (padded
+    with 0), and per anchor parity each cell's class and the cell each
+    (cell, bin) leads to: d -> (d + m + lo + b) >> 1, b = (c - lo) & 1."""
+    lo, hi = mask.support_box()
+    parities = list(product((0, 1), repeat=mask.dim))
+    classes = [stencil(mask, r) for r in parities]
+    width = max(map(len, classes))
+    shape = tuple(h - l + 2 for l, h in zip(lo, hi))
+    if len(classes) * math.prod(shape) * width > ITERATED_SUPPORT_CAP:
+        return None
+    weights = np.zeros((len(classes), width))
+    moves = np.zeros((len(classes), width, mask.dim), dtype=np.int64)  # m + hi >= 0
+    for c, (r, pairs) in enumerate(zip(parities, classes)):
+        weights[c, :len(pairs)] = [w for _, w in pairs]
+        moves[c, :len(pairs)] = [[2 * a - b + h for a, b, h in zip(j, r, hi)] for j, _ in pairs]
+    grid = np.indices(shape).reshape(mask.dim, -1).T
+    cell_odd = np.array([[(b + l - h) & 1 for b, l, h in zip(r, lo, hi)] for r in parities])
+    lo_odd = np.array([[(b - l) & 1 for b, l in zip(r, lo)] for r in parities])  # b per parity
+    cls = ((grid + cell_odd[:, None]) & 1) @ (1 << np.arange(mask.dim)[::-1])
+    strides = np.array([math.prod(shape[a + 1:]) for a in range(mask.dim)])
+    nxt = ((grid[:, None] + moves[cls] + lo_odd[:, None, None]) >> 1) @ strides
+    return (lo, grid + [l - h for l, h in zip(lo, hi)], (np.array(shape) - 2) @ strides,
+            weights, dict(zip(parities, zip(cls, nxt))))
+
 
 def convergence_level(mask: Mask) -> int | None:
     """First level n at which, for every state u and gauge offset e of the
     recentred mask, the n-step chain rows from u and u + e share a coarse
     state (alpha_n > 0 in `linear._alpha`); None if no level ever does.
 
-    After k steps the rows from u and u + e live on sigma^k(u) + G and
-    sigma^k(u) + H, sigma^k dropping u's first k binary digits, from
-    (G, H) = ({0}, {e}).  Under the next digit v an offset g moves to
-    x // 2 + S_(x mod 2) for x = v + g, S_r the stencil of parity class r, and
-    (G, H) to (M(G, v), M(H, v)).  Per axis the offsets stay in [-hi, 1 - lo]
-    for the support box [lo, hi], so the states are finitely many, and h - g
-    lies in the gauge box |d_k| < 2 c_k as hi - lo <= 2 c_k.  The rows meet at
-    level n iff n digits make G and H intersect, and then stay met; the search
-    walks the states from each start, dropping each child whose G and H meet.
-    A cycle keeps some rows apart at every level: tau_n = 1 for all n, and the
-    scheme diverges.  With no cycle the level is 1 + the longest run that
-    avoids meeting; g in G and h in H reached on the way are the fresh start
-    ({0}, {h - g}) from the state sigma^k(u) + g, so coupled chains meet with
-    probability >= delta > 0 in every window of that length: tau_n -> 0, and
-    the scheme converges.  In 1-D this is the support criterion of Micchelli &
-    Prautzsch (LAA 1989) and Melkman (1997).  By symmetry e > 0 suffices.
+    The rows live on one anchor plus two sets (G, H) of cells in the box
+    [lo - hi, 1] of `_cells`, from the cells 1 - max(e, 0) and 1 + min(e, 0)
+    (e > 0 by symmetry; |e_k| <= 2 c_k - 1 <= hi - lo + 1).  Each parity word
+    is some anchor's, so the search steps (G, H) under every anchor parity
+    and drops a child whose sets meet.  A cycle keeps rows apart at every
+    level (tau_n = 1, the scheme diverges); else the level is 1 + the longest
+    unmet run, and tau_n -> 0.  In 1-D this is the support criterion of
+    Micchelli & Prautzsch (LAA 1989) and Melkman (1997).  Tables, or visited
+    states x cells, past `ITERATED_SUPPORT_CAP` are a `ResourceError`.
     """
     require_sum_rule(mask)
     centered, _ = recenter(mask)
-    zero = (0,) * mask.dim
-    steps = {r: [j for j, _ in stencil(centered, r)] for r in product((0, 1), repeat=mask.dim)}
+    if (tables := _cells(centered)) is None:
+        raise ResourceError(f"convergence search tables exceed cap {ITERATED_SUPPORT_CAP}")
+    _, offsets, _, weights, moves = tables
+    step = [list(map(frozenset, np.where(weights[cls] > 0, nxt, nxt[:, :1]).tolist()))
+            for cls, nxt in moves.values()]  # a padded bin (weight 0) repeats bin 0
 
     @cache
-    def moves(g, v):  # the offsets g' one step on from sigma^k(u) + g under digit v
-        x = tuple(vk + gk for vk, gk in zip(v, g))
-        return frozenset(tuple(xk // 2 + jk for xk, jk in zip(x, j))
-                         for j in steps[tuple(xk % 2 for xk in x)])
+    def image(cells):  # the cells one step on, per anchor parity
+        return [frozenset().union(*map(s.__getitem__, cells)) for s in step]
 
-    @cache
-    def children(state):  # the unmet (G, H) one digit on, over the digits v = keys of steps
-        pairs = [[frozenset().union(*(moves(g, v) for g in gs)) for gs in state] for v in steps]
-        return [(G, H) for G, H in pairs if G.isdisjoint(H)]
+    def children(state):  # the unmet (G, H) one step on
+        return [(G, H) for G, H in zip(*map(image, state)) if G.isdisjoint(H)]
 
-    starts = [(frozenset({zero}), frozenset({e}))
-              for e in gauge_offsets(default_gauge(centered)) if e > zero]
+    at = {d: frozenset({i}) for i, d in enumerate(map(tuple, offsets.tolist()))}  # by offset
+    half = [max(abs(l), abs(h), 1) for l, h in zip(*centered.support_box())]  # default_gauge c
+    starts = [(at[tuple(1 - max(x, 0) for x in e)], at[tuple(1 + min(x, 0) for x in e)])
+              for e in product(*(range(1 - 2 * c, 2 * c) for c in half)) if e > (0,) * mask.dim]
     known = {}  # (G, H) -> levels until every word meets; None while open
     for start in starts:
         path, known[start] = [(start, iter(children(start)))], None
         while path:
+            if len(known) * len(offsets) > ITERATED_SUPPORT_CAP:
+                raise ResourceError(f"convergence search of {len(known)} states x "
+                                    f"{len(offsets)} cells exceeds cap {ITERATED_SUPPORT_CAP}")
             state, todo = path[-1]
             child = next(todo, None)
             if child is None:

@@ -20,7 +20,9 @@ the hyperboloid log map in 50-digit mpmath, and `partition_of_unity_loop` the
 residue-by-residue sum of a cascade's level-n cosets, and `fraction_row` the
 n-step chain row as an exact sum over paths in `Fraction`s.  `overlap_level_loop`
 finds the first level whose chain rows overlap, residue by residue, from the
-supports of `dense_iterated`, for the exact convergence decision to match.
+supports of `dense_iterated`, and `offset_level_search` walks the pairs of
+row supports as lattice offsets from the digit-shifted start, for the exact
+convergence decision on the chain's cells to match.
 `splitting_chain` runs the Monte Carlo chain as counts per state, one scalar
 binomial draw at a time, for the sampler to match on the same stream.
 `diagnose_loop`, `approx_loop` and `empirical_gamma_loop` run the stacked
@@ -38,7 +40,8 @@ import numpy as np
 
 from npcsubdiv import (BarycenterProblem, GridData, SolverError, bspline_comparison, distance,
                        fit_gamma, iterate, tripod_point, weighted_barycenter)
-from npcsubdiv.masks import convergence_level, coset, gauge_offsets
+from npcsubdiv.masks import (convergence_level, coset, default_gauge, gauge_offsets, recenter,
+                             require_sum_rule, stencil)
 from npcsubdiv.spaces import distances
 from npcsubdiv.subdivision import trial_grid
 
@@ -229,6 +232,49 @@ def overlap_level_loop(mask, n_max):
                for u in product(range(step), repeat=mask.dim) for e in offsets):
             return n
     return None
+
+
+def offset_level_search(mask):
+    """The convergence level by a depth-first walk over the pairs (G, H) of
+    offsets, relative to sigma^k(u), that the k-step rows from u and from
+    u + e reach, from ({0}, {e}) for the gauge offsets e > 0 of the recentred
+    mask.  Under the digit v of u an offset g moves to x // 2 + j for
+    x = v + g and j in the stencil of the parity of x, offsets as tuples of
+    ints with no cell table; a pair whose sets meet is dropped.  A cycle
+    gives None, else the level is 1 + the longest unmet run."""
+    require_sum_rule(mask)
+    centered, _ = recenter(mask)
+    zero = (0,) * mask.dim
+    steps = {r: [j for j, _ in stencil(centered, r)] for r in product((0, 1), repeat=mask.dim)}
+
+    @cache
+    def moves(g, v):
+        x = tuple(vk + gk for vk, gk in zip(v, g))
+        return frozenset(tuple(xk // 2 + jk for xk, jk in zip(x, j))
+                         for j in steps[tuple(xk % 2 for xk in x)])
+
+    @cache
+    def children(state):
+        pairs = [[frozenset().union(*(moves(g, v) for g in gs)) for gs in state] for v in steps]
+        return [(G, H) for G, H in pairs if G.isdisjoint(H)]
+
+    starts = [(frozenset({zero}), frozenset({e}))
+              for e in gauge_offsets(default_gauge(centered)) if e > zero]
+    known = {}
+    for start in starts:
+        path, known[start] = [(start, iter(children(start)))], None
+        while path:
+            state, todo = path[-1]
+            child = next(todo, None)
+            if child is None:
+                known[state] = 1 + max((known[k] for k in children(state)), default=0)
+                path.pop()
+            elif child not in known:
+                known[child] = None
+                path.append((child, iter(children(child))))
+            elif known[child] is None:
+                return None
+    return max(known[start] for start in starts)
 
 
 def partition_of_unity_loop(samples):

@@ -293,6 +293,7 @@ def expect_error(capsys, argv, error_type):
     error = json.loads(captured.err)["error"]
     assert error["type"] == error_type
     assert error["message"]
+    return error
 
 
 def test_missing_file_is_a_clean_error(capsys, files):
@@ -496,6 +497,16 @@ def test_cascade_of_a_far_translated_mask_is_a_resource_error(capsys, files, shi
     far.write_text(json.dumps(mask_to_json(translate(C, (shift,)))))
     expect_error(capsys, ["cascade", "--mask", str(far), "--levels", "2"],
                  "ResourceError")
+
+
+def test_validate_past_the_search_cap_writes_the_error_object(capsys, files):
+    """The cubic B-spline mask in 5-D keeps the sum rule, but its chain's
+    tables pass the cap: validate exits 1 with the ResourceError alone."""
+    cubic = make_mask((-2,), [0.125, 0.5, 0.75, 0.5, 0.125])
+    path = files["root"] / "cubic5.json"
+    path.write_text(json.dumps(mask_to_json(tensor_power(cubic, 5))))
+    error = expect_error(capsys, ["validate", "--mask", str(path)], "ResourceError")
+    assert error["message"] == "convergence search tables exceed cap 4194304"
 
 
 @pytest.mark.parametrize("mc", ("n=5", "trials=\u00b2", "trials=\u0663", "trials=1_0",

@@ -18,7 +18,7 @@ from npcsubdiv import (BarycenterProblem, DomainError, NumericError, ResourceErr
                        kernel_row, lp_curve, lp_moment, make_mask, nonassociativity_gap,
                        random_grid, simulate_chain, stationary_from_refinable, tensor_power,
                        tripod_point, weighted_barycenter)
-from npcsubdiv import markov, spaces
+from npcsubdiv import markov, masks, spaces
 from npcsubdiv.grid import box_indices, check_interior_depth, grid_from_points
 from npcsubdiv.masks import ITERATED_SUPPORT_CAP, coset, translate
 from oracles import forward_row, fraction_row, splitting_chain, tv
@@ -165,18 +165,28 @@ def test_rows_past_the_cap_read_the_ladder(monkeypatch):
                    lp_curve(mask, start, 3, 1.5, k), dispersion_gap(mask, start, 2, 2.0),
                    ball_confinement(mask, start, 2).gauge_radius)
         with monkeypatch.context() as m:
-            m.setattr(markov, "ITERATED_SUPPORT_CAP", 0)
-            assert markov._cells(mask) is None
+            m.setattr(markov, "_cells", lambda mask: None)
             ladder = ([kernel_row(mask, start, n).probs for n in range(4)],
                       lp_curve(mask, start, 3, 1.5, k), dispersion_gap(mask, start, 2, 2.0),
                       ball_confinement(mask, start, 2).gauge_radius)
-            with pytest.raises(ResourceError, match="cap 0"):
+            with pytest.raises(ResourceError, match=f"cap {ITERATED_SUPPORT_CAP}"):
                 simulate_chain(mask, start, 1, 10, seed=0)
         assert [list(r) for r in forward[0]] == [list(r) for r in ladder[0]]
         assert all(abs(forward[0][n][j] - w) <= 1e-15 * w
                    for n in range(4) for j, w in ladder[0][n].items())
         assert forward[1] == pytest.approx(ladder[1], rel=1e-14, abs=0.0)
         assert forward[2:] == pytest.approx(ladder[2:], rel=1e-14, abs=0.0)
+
+
+def test_rows_past_the_cap_build_each_level_once(monkeypatch):
+    """Past the cap an L^p curve over n = 0..steps walks one ladder: steps
+    calls of `next_iterate`, not one ladder per n."""
+    built = []
+    step = masks.next_iterate
+    monkeypatch.setattr(markov, "_cells", lambda mask: None)
+    monkeypatch.setattr(masks, "next_iterate", lambda *args: built.append(1) or step(*args))
+    curve = lp_curve(C, (5,), 6, 2.0, (1,))
+    assert len(built) == 6 and len(curve) == 7
 
 
 def test_dyadic_rows_far_beyond_the_old_support_cap_equal_the_path_sum():

@@ -19,7 +19,7 @@ from npcsubdiv.masks import (BoxGauge, Mask, convergence_level, coset, coset_sum
                              next_iterate, recenter, require_sum_rule, stencil, translate,
                              unit_gauge)
 from npcsubdiv.subdivision import CONVERGENCE_MARGIN, FIT_FIRST_LEVEL
-from oracles import dense_iterated, hat, linear_refine, overlap_level_loop
+from oracles import dense_iterated, hat, linear_refine, offset_level_search, overlap_level_loop
 
 B = bspline_mask()
 C = chaikin_mask()
@@ -294,6 +294,52 @@ def test_the_level_of_a_3d_product_is_the_max_of_its_factors(names):
         assert overlap_level_loop(mask, 5) == level
     want = None if None in (la, lb, lc) else max(la, lb, lc)
     assert convergence_level(tensor_product(tensor_product(a, b), c)) == want
+
+
+def level_battery_mask(case: int):
+    """Sum-rule mask number `case` of the level battery: dims 1-3 in turn,
+    boxes of 2-6 (1-D), 3-4 (2-D) or 3 (3-D) per axis, each parity class
+    spreading 2^m units over its entries by a multinomial draw (m = 0 gives a
+    one-entry class, and zero holes are common), offsets in -3..3, and every
+    fourth one moved by +-2^70."""
+    rng = np.random.default_rng([7, case])
+    dim = 1 + case % 3
+    shape = tuple(int(n) for n in rng.integers((2, 3, 3)[dim - 1], (7, 5, 4)[dim - 1], size=dim))
+    coeffs = np.zeros(shape)
+    for r in product((0, 1), repeat=dim):
+        cls = tuple(slice(b, None, 2) for b in r)
+        size, m = coeffs[cls].size, int(rng.integers(0, 7))
+        coeffs[cls] = rng.multinomial(2 ** m, np.full(size, 1 / size)).reshape(
+            coeffs[cls].shape) / 2 ** m
+    offset = [int(o) for o in rng.integers(-3, 4, size=dim)]
+    if case % 4 == 1:
+        offset[0] += (-1) ** case * 2 ** 70
+    return make_mask(offset, coeffs)
+
+
+@pytest.mark.parametrize("mask", [level_battery_mask(case) for case in range(60)] + [
+    GAPPED, HAAR, tensor_product(B, HAAR), translate(GAPPED, (-2 ** 70,)),
+    tensor_product(tensor_product(C, GAPPED), B), translate(tensor_power(C, 2), (2 ** 70, -5)),
+], ids=[f"random-{case}" for case in range(60)] + [
+    "gapped", "haar", "hat-x-haar", "far-gapped", "chaikin-x-gapped-x-hat", "far-tensor-chaikin"])
+def test_the_cell_search_matches_the_offset_search(mask):
+    """The search over cell ids of the chain's tables gives the level of the
+    search over lattice offsets, convergent or not, in dims 1-3."""
+    assert convergence_level(mask) == offset_level_search(mask)
+
+
+def test_a_search_past_the_cap_is_refused(monkeypatch):
+    """Tables past the cap are refused before the search (cubic^5: 32 classes
+    x 7776 cells x 243 bins), and so is a search whose visited states x cells
+    pass it: Chaikin^2 has 25 cells and visits 39 states to answer 2."""
+    with pytest.raises(ResourceError, match=r"^convergence search tables exceed cap 4194304$"):
+        convergence_level(tensor_power(CUBIC, 5))
+    monkeypatch.setattr(masks, "ITERATED_SUPPORT_CAP", 39 * 25 - 1)
+    with pytest.raises(ResourceError,
+                       match=r"^convergence search of 39 states x 25 cells exceeds cap 974$"):
+        convergence_level(tensor_power(C, 2))
+    monkeypatch.setattr(masks, "ITERATED_SUPPORT_CAP", 39 * 25)
+    assert convergence_level(tensor_power(C, 2)) == 2
 
 
 def test_convergence_level_needs_the_sum_rule():
