@@ -3,7 +3,8 @@
 One binary with subcommands; every run emits a self-describing report whose
 payload is deterministic for a fixed config and seed (timing and version
 metadata live outside the payload).  Numeric output keeps full precision so
-golden files stay meaningful.
+golden files stay meaningful.  Cascade samples and a subdivide report's final
+grid are written by one join inside the json.dumps text of the rest, the same bytes.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import functools
 import json
 import platform
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -21,11 +23,11 @@ import numpy as np
 from . import __version__
 from .errors import (DomainError, NumericError, ResourceError, SolverError,
                      StructuralError)
-from .grid import GridData, grid_from_json, grid_to_json
+from .grid import GridData, _grid_header, grid_from_json
 from .linear import cascade, contractivity_certificate
 from .markov import kernel_row, lp_curve, nonassociativity_gap, simulate_chain
 from .masks import Mask, mask_from_json, support_radius, validate_mask
-from .spaces import KINDS, TRIPOD, SpaceDescriptor
+from .spaces import KINDS, TRIPOD, SpaceDescriptor, payloads_to_json
 from .subdivision import _approximations, _diagnoses, geodesic_sampler, iterate, trial_grid
 
 __all__ = ["RunConfig", "Report", "run", "main"]
@@ -199,7 +201,7 @@ def _cmd_subdivide(config: RunConfig):
         "interiors": [_box(*b) for b in trace.interiors],
         "d_inf_series": list(trace.d_inf_series),
         "gauge_series": list(trace.gauge_series),
-        "final": grid_to_json(trace.levels[-1]),
+        "final": trace.levels[-1],  # rendered as grid JSON by `_points_text`
     }
 
 
@@ -325,24 +327,45 @@ def run(config: RunConfig) -> Report:
 
 # -- serialization ---------------------------------------------------------------
 
+def _join(columns, first: str, lead: str, seps, last: str) -> str:
+    """Rows of text cells in one join, no string built per row: row 0 starts with first,
+    the others with lead, seps[a] goes between columns a and a + 1, last ends the text."""
+    k, rows = 2 * len(columns), len(columns[0])
+    parts = [None] * (k * rows)
+    for a, (sep, column) in enumerate(zip([lead, *seps], columns)):
+        parts[2 * a::k], parts[2 * a + 1::k] = [sep] * rows, column
+    parts[0] = first
+    parts.append(last)
+    return "".join(parts)
+
+
 def _sample_text(mask: Mask, first: str, lead: str, sep: str, mid: str, last: str) -> str:
-    """The support of mask as text, row-major, in one join for JSON and CSV alike:
-    each row is first (the first row) or lead, its coordinates joined by sep, mid
-    and its value's repr; last ends the text.  Each coordinate (a Python int, exact
-    past int64) and each distinct value is formatted once; no string is built per row."""
+    """The support of mask as text, row-major, in one `_join` for JSON and CSV alike:
+    each row is first or lead, its coordinates joined by sep, mid and its value's
+    repr.  Each coordinate (a Python int, exact past int64) and each distinct value
+    is formatted once."""
     local = np.nonzero(mask.coeffs)
     distinct, which = np.unique(mask.coeffs[local], return_inverse=True)
     columns = [np.array(list(map(str, range(o, o + n))), dtype=object)[ix].tolist()
                for ix, o, n in zip(local, mask.offset, mask.coeffs.shape)]
     columns.append(np.array(list(map(repr, distinct.tolist())), dtype=object)[which].tolist())
-    k, rows = 2 * len(columns), len(which)  # a row: lead, coordinate, sep, ..., mid, value
-    parts = [sep] * (k * rows)
-    parts[::k], parts[k - 2::k] = [lead] * rows, [mid] * rows
-    for a, column in enumerate(columns):
-        parts[2 * a + 1::k] = column
-    parts[0] = first
-    parts.append(last)
-    return "".join(parts)
+    return _join(columns, first, lead, [sep] * (mask.dim - 1) + [mid], last)
+
+
+def _points_text(x: GridData, head: str, tail: str) -> str:
+    """head, x's point objects (row-major) as json.dumps writes `grid_to_json`, and tail,
+    in one `_join`: the text around the entries is a zero payload's, repr runs once per
+    distinct bit pattern (0.0 is not -0.0), and an int entry (a tripod leg) is str of int."""
+    zero = np.zeros((1,) + x.descriptor.payload_shape)
+    texts = re.split(r"(0(?:\.0)?)", json.dumps(payloads_to_json(x.descriptor, zero)[0]))
+    flat = x.payloads.reshape(-1, zero.size)  # texts: around each entry, and "0" or "0.0"
+    distinct, which = np.unique(flat.view(np.uint64), return_inverse=True)
+    cells = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    cells = cells[which.reshape(flat.shape)]
+    columns = [list(map(str, flat[:, a].astype(int).tolist())) if kind == "0"
+               else cells[:, a].tolist() for a, kind in enumerate(texts[1::2])]
+    first, end = head + texts[0], texts[-1]
+    return _join(columns, first, end + ", " + texts[0], texts[2:-1:2], end + tail)
 
 
 def _series_rows(command: str, payload: dict):
@@ -366,6 +389,11 @@ def render_report(report: Report, command: str, fmt: str) -> str:
         head, _, tail = text.partition('"samples": []')  # the rows join in between
         return _sample_text(report.payload["samples"], head + '"samples": [{"index": [',
                             '}, {"index": [', ", ", '], "value": ', "}]" + tail + "\n")
+    if isinstance(final := report.payload.get("final"), GridData):  # subdivide: one "points"
+        payload = {**report.payload, "final": {**_grid_header(final), "points": []}}
+        text = json.dumps({**vars(report), "payload": payload}, sort_keys=True)
+        head, _, tail = text.partition('"points": []')  # the points join in between
+        return _points_text(final, head + '"points": [', "]" + tail + "\n")
     return json.dumps(vars(report), sort_keys=True) + "\n"  # no indent: the C encoder
 
 

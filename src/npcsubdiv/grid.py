@@ -187,11 +187,14 @@ def check_interior_depth(mask: Mask, lo, hi, levels: int):
 # -- JSON ----------------------------------------------------------------------
 
 def grid_to_json(x: GridData) -> dict:
+    return {**_grid_header(x), "points": payloads_to_json(x.descriptor, x.payloads.reshape(
+        (-1,) + x.descriptor.payload_shape))}
+
+
+def _grid_header(x: GridData) -> dict:
+    """`grid_to_json` of x but for its "points"."""
     return {"descriptor": descriptor_to_json(x.descriptor),
-            "window": {"lo": list(x.lo), "hi": list(x.hi)},
-            "extension": CONSTANT_NEAREST,
-            "points": payloads_to_json(x.descriptor, x.payloads.reshape(
-                (-1,) + x.descriptor.payload_shape))}
+            "window": {"lo": list(x.lo), "hi": list(x.hi)}, "extension": CONSTANT_NEAREST}
 
 
 def grid_from_json(obj: dict) -> GridData:

@@ -281,11 +281,10 @@ def gauge_value(gauge: BoxGauge, v) -> float:
 
 
 def gauge_offsets(gauge: BoxGauge) -> list:
-    """Integer offsets e with gauge(e) < 2, in row-major order."""
-    c = gauge.half_widths
-    bound = np.ceil(2.0 * c).astype(int)
-    e = np.indices(2 * bound + 1).reshape(c.size, -1).T - bound
-    return [tuple(row) for row in e[(np.abs(e) / c).max(axis=1) < 2.0].tolist()]
+    """Integer offsets e with gauge(e) < 2, in row-major order: the product of the
+    e_k with |e_k| / c_k < 2 on each axis."""
+    return list(product(*([x for x in range(-math.ceil(2.0 * w), math.ceil(2.0 * w) + 1)
+                           if abs(x) / w < 2.0] for w in gauge.half_widths.tolist())))
 
 
 def unit_gauge(dim: int) -> BoxGauge:
@@ -293,11 +292,12 @@ def unit_gauge(dim: int) -> BoxGauge:
 
 
 def default_gauge(mask: Mask) -> BoxGauge:
-    """Smallest origin-centered integer box containing the recentred support."""
-    centered, _ = recenter(mask)
-    lo, hi = centered.support_box()
-    c = [max(abs(l), abs(h), 1) for l, h in zip(lo, hi)]
-    return BoxGauge(c)
+    """Smallest origin-centered integer box containing the recentred support (unchecked)."""
+    gauge = BoxGauge.__new__(BoxGauge)
+    gauge.half_widths = np.array([max(abs(l + t), abs(h + t), 1) for l, h, t in zip(
+        *mask.support_box(), center_translation(mask))], dtype=float)
+    gauge.half_widths.flags.writeable = False
+    return gauge
 
 
 # -- the characteristic chain's cells, and convergence -------------------------
@@ -360,9 +360,8 @@ def convergence_level(mask: Mask) -> int | None:
         return [(G, H) for G, H in zip(*map(image, state)) if G.isdisjoint(H)]
 
     at = {d: frozenset({i}) for i, d in enumerate(map(tuple, offsets.tolist()))}  # by offset
-    half = [max(abs(l), abs(h), 1) for l, h in zip(*centered.support_box())]  # default_gauge c
     starts = [(at[tuple(1 - max(x, 0) for x in e)], at[tuple(1 + min(x, 0) for x in e)])
-              for e in product(*(range(1 - 2 * c, 2 * c) for c in half)) if e > (0,) * mask.dim]
+              for e in gauge_offsets(default_gauge(centered)) if e > (0,) * mask.dim]
     known = {}  # (G, H) -> levels until every word meets; None while open
     for start in starts:
         path, known[start] = [(start, iter(children(start)))], None

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -28,6 +29,7 @@ KINDS = (EUCLIDEAN, SPD, HYPERBOLOID, TRIPOD)
 HYPERBOLOID_TOL = 1e-10     # |<p,p>_M + 1| bound for membership, times p0^2
 BARYCENTER_TOL = 1e-10      # scaled by (1 + data diameter)
 BARYCENTER_MAX_ITER = 500
+_PAIRS = cache(lambda n: np.nonzero(np.arange(n)[:, None] < np.arange(n)))  # i < j, once per n
 
 
 @dataclass(frozen=True)
@@ -227,6 +229,19 @@ def _bounded(kappa, weights, dists, v):
     return h.reshape(h.shape + (1,) * (v.ndim - h.ndim)) * v
 
 
+def _newton_bound(kappa, weights, dists, step):
+    """L |s|^2 / 2, a bound of the residual at exp_y(s) for a Newton step s (H s = v):
+    moved to y the gradient there is g + H s + int_0^1 (H(t) - H) s dt, |H(t) - H| <= L t |s|
+    for L >= |nabla H| on the step (Absil, Mahony & Sepulchre 2008, 6.3), taken at
+    sigma_i = kappa^1/2 (d_i + |s|) > 0, as the bound rises in sigma_i.  On curvature
+    -kappa, H_i = I + (a_i - 1)(I - u u^T), a = sigma coth sigma, a' <= kappa^1/2 and u turns
+    at <= kappa^1/2 coth sigma, so L <= kappa^1/2 sum_i w_i [1 + (a_i - 1) coth sigma_i]."""
+    sigma = math.sqrt(kappa) * (dists + step[:, None])
+    coth = 1.0 / np.tanh(sigma)
+    return 0.5 * math.sqrt(kappa) * _weighted_sum(weights, 1.0 + (sigma * coth - 1.0) * coth, 0) \
+        * step * step
+
+
 def _solve(h, b):
     """h^-1 b over a stack; NaN where h is not finite, on which LAPACK may raise."""
     ok = _finite(h, 2)
@@ -291,8 +306,8 @@ class _Backend:
         norms = self.norm(y[:, None], logs)
         return self.norm(y, v), norms, v, (logs, norms)
 
-    def candidate(self, y, weights, v, parts):  # the Newton candidate; euclidean: H = I
-        return self.exp(y, v)
+    def candidate(self, y, weights, v, parts):  # euclidean: H = I, no bound sees round-off
+        return self.exp(y, v), np.full(len(y), np.inf)
 
     def move(self, y, v):  # the point an update v of `step` leads to from y
         return self.exp(y, v)
@@ -331,7 +346,7 @@ class _Backend:
             bad = np.flatnonzero(~_finite(out[:limit], self.core))
             return out, (int(bad[0]), _failure()) if bad.size else first
         out = points[:, start].copy()
-        points = points[:limit]
+        points, floor = points[:limit], floor[:limit]
         y = points[:, start]
         rows = np.arange(limit)  # live rows, ascending
         tol, last = None, np.inf
@@ -350,23 +365,27 @@ class _Backend:
             failed = ~(np.isfinite(residual) & _finite(dists, 1))
             done = ~failed & (residual <= tol)
             trial = ~(failed | done | back)  # the rows that build a Newton candidate
-            nxt = y.copy()
+            nxt, sure = y.copy(), np.zeros_like(trial)
             if trial.any():
-                nxt[trial] = self.candidate(y[trial], weights, v[trial], [a[trial] for a in parts])
+                nxt[trial], bound = self.candidate(y[trial], weights, v[trial],
+                                                   [a[trial] for a in parts])
+                sure[trial] = bound + floor[trial] <= 0.5 * tol[trial]  # NaN certifies none
             fall = back | (trial & ~_finite(nxt, self.core))
             if fall.any():
                 nxt[fall] = self.move(y[fall], _bounded(self.kappa, weights, dists[fall], v[fall]))
             failed |= ~_finite(nxt, self.core)
+            trial &= ~fall
+            sure &= trial  # a certified candidate is the answer, without another evaluation
             out[rows[done]] = y[done]
-            live = ~failed & ~done
+            out[rows[sure]] = nxt[sure]
+            live = ~(failed | done | sure)
             if failed.any():
                 r = np.flatnonzero(failed)[0]  # live rows lie below any earlier failure
                 first = (int(rows[r]), _failure())
                 live &= rows < first[0]
-            trial &= ~fall
             if not live.all():
-                rows, nxt, points, tol, residual, y, dists, v, trial = (
-                    a[live] for a in (rows, nxt, points, tol, residual, y, dists, v, trial))
+                rows, nxt, points, floor, tol, residual, y, dists, v, trial = (
+                    a[live] for a in (rows, nxt, points, floor, tol, residual, y, dists, v, trial))
             prev_y, last, prev_dists, prev_v, y = y, residual, dists, v, nxt
         if rows.size:
             first = (int(rows[0]), SolverError("barycenter iteration did not converge",
@@ -453,7 +472,18 @@ class _SPD(_Backend):
         z = 0.5 * (l[..., :, None] - l[..., None, :])
         g = weights[:, None] * _rows(np.where(z == 0.0, 1.0, z / np.tanh(z)), 2)
         s = _solve(_T(at) @ (_rows(g, 2)[..., None] * at), _rows(v, 2))
-        return _unwhiten((v_y, r_y), _spectral(np.exp, s.reshape(v.shape)))
+        # `_newton_bound` on spd (kappa = 1/2): H_i = F(A), F(mu) = mu^1/2 coth mu^1/2 with
+        # F' <= 1/3, A = -R(., v)v, v = log_y(x_i), R(X, Y)Z = -[[X, Y], Z] / 4 whitened.  R is
+        # parallel and v moves by -H gamma', so A moves by <= d sigma coth sigma (|[X, Y]| <=
+        # 2^1/2 |X| |Y|), m^1/2 that in Hilbert-Schmidt norm (m = n(n + 1) / 2), where F(A) moves
+        # by <= 1/3 of it (Daleckii & Krein): L <= (2m)^1/2 / 3 sum_i w_i sigma_i^2 coth sigma_i
+        # as d = 2^1/2 sigma.  Whitened eigenvalues round off by about eps e^(max l - min l).
+        step, n = _norm(s, 1), y.shape[-1]
+        sigma = math.sqrt(self.kappa) * (_norm(l, 1) + step[:, None])
+        lip = _weighted_sum(weights, sigma * sigma / np.tanh(sigma), 0) * math.sqrt(n * n + n) / 3
+        floor = 4.0 * np.finfo(float).eps * np.exp(np.ptp(l, axis=(-2, -1)))
+        nxt = _unwhiten((v_y, r_y), _spectral(np.exp, s.reshape(v.shape)))
+        return nxt, 0.5 * lip * step * step + floor
 
     def move(self, y, v):
         return _unwhiten(_frame(y), _spectral(np.exp, v))
@@ -469,7 +499,7 @@ def _mink(p, q):
 
 def _wedge2(a, b):
     """|a ^ b|^2 = sum_{i<j} (a_i b_j - a_j b_i)^2 over the last axis."""
-    i, j = np.nonzero(np.arange(a.shape[-1])[:, None] < np.arange(a.shape[-1]))  # i < j
+    i, j = _PAIRS(a.shape[-1])
     wedge = a[..., i] * b[..., j] - a[..., j] * b[..., i]
     return _dot(wedge, wedge)
 
@@ -517,10 +547,10 @@ class _Hyperboloid(_Backend):
         return np.sqrt(_dot(vs, vs) + _wedge2(ys, vs)) / y[..., 0]
 
     def candidate(self, y, weights, v, parts):
-        """exp_y(H^-1 v), H = sum_i w_i [u_i u_i^T + a_i (I - u_i u_i^T)], u_i = log_y(x_i) / d_i,
-        a_i = d_i coth d_i, solved in an orthonormal tangent frame (ambient coordinates are
-        singular far out): for the Householder P that swaps e_1 and -+y_s / |y_s|, a
-        tangent t has the coordinates P t_s, the first divided by y0."""
+        """exp_y(H^-1 v) and its `_newton_bound`, H = sum_i w_i [u_i u_i^T + a_i (I - u_i u_i^T)],
+        u_i = log_y(x_i) / d_i, a_i = d_i coth d_i, solved in an orthonormal tangent frame
+        (ambient coordinates are singular far out): for the Householder P that swaps e_1 and
+        -+y_s / |y_s|, a tangent t has the coordinates P t_s, the first divided by y0."""
         (logs, dists), y0, ys, eye = parts, y[:, 0], y[:, 1:], np.eye(y.shape[-1] - 1)
         h = np.nan_to_num(ys / np.sqrt(_dot(ys, ys))[:, None])  # 0 at the origin: any frame
         h[:, 0] += np.copysign(1.0, h[:, 0])
@@ -531,9 +561,11 @@ class _Hyperboloid(_Backend):
         wb = weights * np.where(dists > 0.0, (1.0 - a) / (dists * dists), 0.0)
         s = _solve(_T(c) @ (wb[..., None] * c) + _dot(a, weights)[:, None, None] * eye,
                    weights @ c)
+        step = np.sqrt(_dot(s, s))  # the frame is orthonormal
         s[:, 0] *= y0
         s = (s[:, None] @ p)[:, 0]
-        return self.exp(y, np.concatenate(((_dot(ys, s) / y0)[:, None], s), axis=-1))
+        return (self.exp(y, np.concatenate(((_dot(ys, s) / y0)[:, None], s), axis=-1)),
+                _newton_bound(self.kappa, weights, dists, step))
 
     def dist(self, p, q):
         # cosh d - 1 = 2 sinh^2(d / 2)
@@ -720,9 +752,11 @@ def barycenters(desc: SpaceDescriptor, points, weights):
     a longer row runs a safeguarded Newton iteration until the Karcher update
     norm (the residual) falls below the tolerance 1e-10 * (1 + largest
     distance from the start point), and returns the iterate where it does.  A
-    row that moves on builds a Newton candidate and keeps it if the residual
-    there is lower than before; otherwise, or if it is not finite, the row
-    takes `_bounded`'s step instead.
+    row that moves on builds a Newton candidate, and returns it at once when
+    `_newton_bound` plus the row's rounding floor is within half the tolerance:
+    the point one more evaluation would accept.  Otherwise it keeps the
+    candidate if the residual there is lower than before; if not, or if it is
+    not finite, the row takes `_bounded`'s step instead.
     """
     points = np.asarray(points, dtype=float)
     try:

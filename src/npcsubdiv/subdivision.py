@@ -3,7 +3,8 @@
 One refinement step replaces each output index i by the weighted Frechet mean
 of its stencil {x_j : a_{i-2j} > 0}.  On euclidean data this reduces to the
 linear rule; on the other backends it is the genuinely metric construction
-whose contraction behaviour the diagnostics below measure.
+whose contraction behaviour the diagnostics below measure.  A run builds the
+classes' stencils once (`_plan`) and sweeps the distances of all its levels at once.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def subdivide(mask: Mask, x: GridData) -> GridData:
     problems that share a stencil.  When nodes fail, the error of the first
     failing node in row-major order is raised, as a node-by-node loop would.
     """
-    out, first = _refine(mask, _stack([x]))
+    out, first = _refine(_plan(mask, x.dim), _stack([x]))
     if first:
         raise first[1]
     return _refined(out, out.payloads[0], out.window())
@@ -58,14 +59,21 @@ def _stack(grids) -> GridData:
     return _refined(grids[0], np.stack([g.payloads for g in grids]), grids[0].window())
 
 
-def _refine(mask: Mask, x: GridData):
-    """`subdivide` of each trial of the stacked grid x, one `barycenters` call per
-    parity class for all of them.  Returns the refined stack and the first
-    failure ((trial, node), error) in (trial, row-major node) order, or None;
-    rows of trials above a failing one are undefined."""
-    if x.dim != mask.dim:
+def _plan(mask: Mask, dim: int) -> list:
+    """Per parity class r, in row-major order, (r, the offsets j of its stencil,
+    their weights): the sum rule checked and the stencils built once per run."""
+    if dim != mask.dim:
         raise StructuralError("mask and data dimension disagree")
     require_sum_rule(mask)
+    return [(r, [j for j, _ in pairs], np.array([w for _, w in pairs]))
+            for r in product((0, 1), repeat=dim) for pairs in [stencil(mask, r)]]
+
+
+def _refine(plan: list, x: GridData):
+    """`subdivide` of each trial of the stacked grid x by a mask's `_plan`, one
+    `barycenters` call per parity class for all trials.  Returns the refined stack
+    and the first failure ((trial, node), error) in (trial, row-major node) order,
+    or None; rows of trials above a failing one are undefined."""
     lo, hi = refined_window(x.lo, x.hi)
     if max(map(abs, lo + hi)) >= 2 ** 63:
         raise DomainError(f"the level refined from the window {x.lo}..{x.hi} would span "
@@ -74,20 +82,18 @@ def _refine(mask: Mask, x: GridData):
     core = data.shape[1 + x.dim:]
     out = np.empty(data.shape[:1] + tuple(2 * n - 1 for n in data.shape[1:1 + x.dim]) + core)
     first = None  # ((trial, output index), error) of the first failing node
-    for r in product((0, 1), repeat=x.dim):
-        pairs = stencil(mask, r)  # |j| past h - l reads what h - l reads; clipped, j fits int64
+    for r, offsets, weights in plan:  # |j| past h - l reads what h - l reads: clipped, j fits int64
         js = np.array([[min(max(jk, l - h), h - l) for jk, l, h in zip(j, x.lo, x.hi)]
-                       for j, _ in pairs])
+                       for j in offsets])
         # m runs over lo..hi - r on each axis; the stencil axis comes last
         ms = np.ix_(*(np.arange(l, h + 1 - rk) for l, h, rk in zip(x.lo, x.hi, r)))
         shape = (len(data),) + tuple(m.size for m in ms)
         index = tuple(m[..., None] + js[:, a] for a, m in enumerate(ms))
-        points = data[(slice(None),) + x.local(index)].reshape((-1, len(pairs)) + core)
-        if len(pairs) == 1:
+        points = data[(slice(None),) + x.local(index)].reshape((-1, len(weights)) + core)
+        if len(weights) == 1:
             values, failure = points[:, 0], None
         else:
-            values, failure = barycenters(x.descriptor, points,
-                                          np.array([w for _, w in pairs]))
+            values, failure = barycenters(x.descriptor, points, weights)
         out[(slice(None),) + tuple(slice(rk, None, 2) for rk in r)] = values.reshape(shape + core)
         if failure:
             # rows run trial by trial in row-major output order, so a class's
@@ -102,7 +108,7 @@ def _refine(mask: Mask, x: GridData):
 @dataclass(eq=False)
 class IterateTrace:
     """Levels 0..n with interior boxes; the contraction series are computed on
-    first read, from one distance sweep per level over the offsets of `gauge`
+    first read, from one distance sweep of all levels over the offsets of `gauge`
     (half-widths >= 1): the gauge sup is its max, d_inf that over |e|_inf <= 1."""
 
     mask: Mask
@@ -114,35 +120,41 @@ class IterateTrace:
 
     @cached_property
     def _sups(self):
-        sweeps = [_pair_distances(lv, self.gauge, b) for lv, b in zip(self.levels, self.interiors)]
+        sweeps = _pair_distances(self.levels, self.gauge, self.interiors)
         return [_max(d[:, near]) for d, near in sweeps], [_max(d) for d, _ in sweeps]
 
 
-def _pair_distances(x: GridData, gauge: BoxGauge, box):
-    """d(x_i, x_{i+e}) over the pairs in the box with e > 0 and gauge(e) < 2
-    (i in row-major order, then e), one row per trial of a stacked x (one row
-    for a grid), and whether |e|_inf <= 1 for each; each node x_i is read
-    once (spd: one eigenframe per node)."""
-    if gauge.half_widths.size != x.dim:
+def _pair_distances(levels, gauge: BoxGauge, boxes):
+    """Per level x and its box, d(x_i, x_{i+e}) over the pairs in the box with
+    e > 0 and gauge(e) < 2 (i in row-major order, then e), one row per trial of
+    stacked levels (one row for grids), and whether |e|_inf <= 1 for each; one
+    distance call for all levels reads each x_i once (spd: one eigenframe)."""
+    desc, dim = levels[0].descriptor, levels[0].dim
+    if gauge.half_widths.size != dim:
         raise StructuralError("gauge and data dimension disagree")
-    lo, hi = box if box is not None else x.window()
     # one offset per symmetric pair; e > 0 also drops e = 0
-    offsets = np.array([e for e in gauge_offsets(gauge) if e > (0,) * x.dim],
-                       dtype=int).reshape(-1, x.dim)
-    i = box_array(lo, hi)
-    j = i[:, None, :] + offsets
-    inside = np.all((j >= lo) & (j <= hi), axis=-1)
-    near = np.broadcast_to(np.abs(offsets).max(axis=1) <= 1, inside.shape)[inside]
-    at = np.broadcast_to(np.arange(len(i))[:, None], inside.shape)[inside]
-    data = x.payloads.reshape((-1,) + tuple(h - l + 1 for l, h in zip(x.lo, x.hi))
-                              + x.descriptor.payload_shape)
-    return _apply(x.descriptor, "dist_at", data[(slice(None),) + x.local(i.T)], at,
-                  data[(slice(None),) + x.local(j[inside].T)]), near
+    offsets = np.array([e for e in gauge_offsets(gauge) if e > (0,) * dim],
+                       dtype=int).reshape(-1, dim)
+    heads, ats, tails, nears, nodes = [], [], [], [], 0
+    for x, (lo, hi) in zip(levels, boxes):
+        i = box_array(lo, hi)
+        j = i[:, None, :] + offsets
+        inside = np.all((j >= lo) & (j <= hi), axis=-1)
+        nears.append(np.broadcast_to(np.abs(offsets).max(axis=1) <= 1, inside.shape)[inside])
+        ats.append(np.broadcast_to(nodes + np.arange(len(i))[:, None], inside.shape)[inside])
+        nodes += len(i)
+        data = x.payloads.reshape((-1,) + tuple(h - l + 1 for l, h in zip(x.lo, x.hi))
+                                  + desc.payload_shape)
+        heads.append(data[(slice(None),) + x.local(i.T)])
+        tails.append(data[(slice(None),) + x.local(j[inside].T)])
+    d = _apply(desc, "dist_at", np.concatenate(heads, axis=1), np.concatenate(ats),
+               np.concatenate(tails, axis=1))
+    return list(zip(np.split(d, np.cumsum([len(a) for a in ats])[:-1], axis=1), nears))
 
 
 def contractivity_D(x: GridData, gauge: BoxGauge, box=None) -> float:
     """sup d(x_i, x_j) over pairs with gauge(i - j) < 2 inside the box."""
-    return _max(_pair_distances(x, gauge, box)[0])
+    return _max(_pair_distances([x], gauge, [box or x.window()])[0][0])
 
 
 def d_inf(x: GridData, box=None) -> float:
@@ -180,8 +192,9 @@ def _iterate(mask: Mask, x: GridData, n):
             f"{ITERATED_SUPPORT_CAP} payload floats on the finest level")
     boxes = check_interior_depth(mask, x.lo, x.hi, n)
     levels, failure = [x], None
+    plan = _plan(mask, x.dim) if n else None
     for _ in range(n):
-        out, first = _refine(mask, levels[-1])
+        out, first = _refine(plan, levels[-1])
         levels.append(out)
         if first:
             failure = (first[0][0], first[1])
@@ -229,7 +242,7 @@ def empirical_gamma(mask: Mask, space: SpaceDescriptor, trials: int, n_max: int,
     while pending:
         batch = pending[:max(1, STACK_FLOATS // _finest_floats(grids[0], n_max))]
         levels, boxes, failure = _iterate(mask, _stack([grids[t] for t in batch]), n_max)
-        sweeps = [_pair_distances(lv, unit_gauge(mask.dim), b)[0] for lv, b in zip(levels, boxes)]
+        sweeps = [d for d, _ in _pair_distances(levels, unit_gauge(mask.dim), boxes)]
         ran = len(levels[0].payloads)  # trials below the failure, if any
         again = pending[ran + bool(failure):]  # not run, or stopped by that failure
         for k, t in enumerate(batch[:ran + 1]):
@@ -298,12 +311,14 @@ def _diagnoses(mask: Mask, grids, n_max: int) -> list:
     levels, boxes, failure = _iterate(mask, _stack(grids), n_max)
     if failure:
         raise failure[1]
-    sups = []
+    pairs = []  # per level n + 1, its interior nodes and the comparison's, for one sweep
     for n in range(n_max):
         comparison, level = bspline_comparison(levels[n]), levels[n + 1]
         nodes = (slice(None),) + level.local(box_array(*boxes[n + 1]).T)
-        sups.append(distances(level.descriptor, comparison.payloads[nodes],
-                              level.payloads[nodes]).max(axis=1, initial=0.0))
+        pairs.append((comparison.payloads[nodes], level.payloads[nodes]))
+    d = distances(levels[0].descriptor, *(np.concatenate(side, axis=1) for side in zip(*pairs)))
+    sups = [part.max(axis=1, initial=0.0)
+            for part in np.split(d, np.cumsum([a.shape[1] for a, _ in pairs])[:-1], axis=1)]
     diverges = convergence_level(mask) is None
     reports = []
     for series in np.array(sups).T.tolist():

@@ -18,7 +18,7 @@ import npcsubdiv
 from npcsubdiv import (DomainError, SpaceDescriptor, bspline_mask, chaikin_mask, kernel_row,
                        make_mask, tensor_power, tripod_point)
 from npcsubdiv.cli import Report, RunConfig, main, render_report
-from npcsubdiv.grid import grid_from_json, grid_from_points, grid_to_json
+from npcsubdiv.grid import GridData, grid_from_json, grid_from_points, grid_to_json, random_grid
 from npcsubdiv.masks import iterated_mask, mask_to_json, tensor_product, translate
 from oracles import dense_iterated
 
@@ -361,6 +361,42 @@ def test_render_report_matches_the_asdict_encoding():
     pretty = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
     assert json.loads(text) == json.loads(pretty)
     assert text.count("\n") == 1 and text.endswith("\n")
+
+
+def writer_grids():
+    """Grids of every backend: a 2-D euclidean window with -0.0 and 0.0 entries,
+    random spd:2 and spd:3 nodes (symmetric entries, written once per bit
+    pattern), a hyperboloid:2 node with a -0.0 coordinate, and tripod nodes on
+    all three legs, the glue point among them."""
+    rng = np.random.default_rng(7)
+    eu = rng.standard_normal((3, 2, 2))
+    eu[0, 0, 0], eu[1, 1, 1], eu[2, 0] = -0.0, 0.0, 1e-300
+    hyp = random_grid(SpaceDescriptor("hyperboloid", 2), (-2,), (2,), rng).payloads.copy()
+    hyp[1, 1:] = [-0.0, 0.5]
+    hyp[1, 0] = np.sqrt(1.25)
+    yield GridData(SpaceDescriptor("euclidean", 2), (0, -1), (2, 0), eu)
+    yield random_grid(SpaceDescriptor("spd", 2), (0,), (4,), rng)
+    yield random_grid(SpaceDescriptor("spd", 3), (5, 5), (6, 7), rng)
+    yield GridData(SpaceDescriptor("hyperboloid", 2), (-2,), (2,), hyp)
+    yield GridData(SpaceDescriptor("tripod"), (0,), (4,),
+                   [[0, 0.0], [1, 0.5], [2, 2.0], [2, 0.1], [1, 1e-17]])
+
+
+@pytest.mark.parametrize("grid", list(writer_grids()), ids=lambda g: g.descriptor.kind)
+def test_subdivide_reports_write_the_final_level_as_grid_json(grid):
+    """A subdivide report holds its final level as a grid; the JSON text is
+    json.dumps of the report with `grid_to_json` of that grid in its place,
+    and the CSV text does not read it."""
+    payload = {"levels": 1, "interiors": [{"lo": [0], "hi": [1]}],
+               "d_inf_series": [0.5, -0.0], "gauge_series": [0.75, 0.25], "final": grid}
+    report = Report(config={"command": "subdivide", "out": None, "seed": 3}, payload=payload,
+                    versions={"package": "0"}, duration_s=0.125)
+    encoded = Report(**{**vars(report), "payload": {**payload, "final": grid_to_json(grid)}})
+    text = render_report(report, "subdivide", "json")
+    assert text == json.dumps(vars(encoded), sort_keys=True) + "\n"
+    assert grid_from_json(json.loads(text)["payload"]["final"]).payloads.tobytes() == \
+        grid.payloads.tobytes()
+    assert render_report(report, "subdivide", "csv") == render_report(encoded, "subdivide", "csv")
 
 
 @st.composite

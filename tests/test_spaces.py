@@ -227,22 +227,27 @@ def test_two_point_barycenter_lies_on_the_geodesic(desc):
 
 
 @pytest.mark.parametrize("desc", SMOOTH, ids=str)
-def test_barycenter_returns_the_iterate_before_the_last_update(desc, monkeypatch):
-    steps = []
-    step = spaces._karcher_step
-
-    def recording(backend, y, pts, weights):
-        out = step(backend, y, pts, weights)
-        steps.append((y.copy(), float(out[0][0]), float(out[1][0].max())))
-        return out
-
-    monkeypatch.setattr(spaces, "_karcher_step", recording)
-    pts = points(desc, 9, 3)
-    y = weighted_barycenter(BarycenterProblem(pts, np.array([0.5, 0.3, 0.2])))
-    tol = 1e-10 * (1.0 + steps[0][2])
-    assert len(steps) >= 2 and steps[-2][1] > tol >= steps[-1][1]
-    assert np.array_equal(y.payload, steps[-1][0][0])
-    assert np.array_equal(steps[0][0][0], pts[0].payload)  # started at the heaviest point
+def test_barycenter_returns_a_certified_candidate_or_the_last_iterate(desc, monkeypatch):
+    """A row ends at the iterate of its last evaluation when the residual there
+    is within the tolerance, or at the Newton candidate built there when the
+    candidate's residual bound is within half the tolerance: evaluated once
+    more, that candidate's residual is within the tolerance too.  Euclidean
+    rows carry no bound, so they end at an evaluated iterate."""
+    calls = spy_steps(monkeypatch)
+    pts, weights = points(desc, 9, 3), np.array([0.5, 0.3, 0.2])
+    y = weighted_barycenter(BarycenterProblem(pts, weights))
+    stack = np.array([p.payload for p in pts])
+    tol = 1e-10 * (1.0 + spaces.distances(desc, stack[0], stack).max())
+    assert np.array_equal(calls[0][0][0], pts[0].payload)  # started at the heaviest point
+    last, residual, nxt, _, bound = calls[-1]
+    assert len(calls) >= 2 and calls[-2][1][0] > tol
+    if nxt is None:
+        assert residual[0] <= tol and np.array_equal(y.payload, last[0])
+    else:
+        assert desc.kind != "euclidean" and residual[0] > tol and bound[0] <= tol / 2
+        assert np.array_equal(y.payload, nxt[0])
+        backend = spaces._BACKENDS[desc.kind]
+        assert spaces._karcher_step(backend, nxt, stack[None], weights)[0][0] <= tol
 
 
 def test_tripod_barycenter_matches_dense_scan():
@@ -521,22 +526,26 @@ def unit_ball_rows(desc, seed, rows, count):
 
 
 def spy_steps(monkeypatch, candidates=None):
-    """Records [y, residuals, Newton candidates, the y they start from] of every
-    batched evaluation; the last two are None when no row of it builds a
-    candidate.  `candidates(nxt)`, if given, replaces the candidates built."""
+    """Records [y, residuals, Newton candidates, the y they start from, the
+    bounds of the residual at the candidates] of every batched evaluation; the
+    last three are None when no row of it builds a candidate.
+    `candidates(nxt)`, if given, replaces the candidates built, and their
+    bounds with +inf, so that no replaced candidate is certified."""
     calls = []
     step = spaces._karcher_step
 
     def evaluating(*args):
         out = step(*args)
-        calls.append([args[1].copy(), out[0].copy(), None, None])
+        calls.append([args[1].copy(), out[0].copy(), None, None, None])
         return out
 
     def building(build):
         def candidate(backend, y, *args):
-            nxt = build(backend, y, *args)
-            calls[-1][2:] = nxt.copy(), y.copy()
-            return nxt if candidates is None else candidates(nxt)
+            nxt, bound = build(backend, y, *args)
+            calls[-1][2:] = nxt.copy(), y.copy(), bound.copy()
+            if candidates is None:
+                return nxt, bound
+            return candidates(nxt), np.full(len(nxt), np.inf)
         return candidate
 
     monkeypatch.setattr(spaces, "_karcher_step", evaluating)
@@ -557,7 +566,7 @@ def test_newton_step_solves_the_finite_difference_hessian(desc, seed, monkeypatc
     calls = spy_steps(monkeypatch)
     pts, weights = unit_ball_rows(desc, seed, 1, 4)
     spaces.barycenters(desc, pts, weights)
-    y, _, candidate, _ = calls[0]
+    y, _, candidate, _, _ = calls[0]
     hess, grad, log = frechet_hessian(desc.kind, y[0], pts[0], weights)
     s, grad = np.array(log(candidate[0])), np.array(grad)
     assert np.linalg.norm(np.array(hess) @ s + grad) <= 1e-9 * np.linalg.norm(grad)
@@ -572,40 +581,116 @@ def test_newton_converges_quadratically_on_unit_ball_rows(desc, monkeypatch):
         pts, weights = unit_ball_rows(desc, seed, 1, 5)
         _, failure = spaces.barycenters(desc, pts, weights)
         assert failure is None
-        r = [float(residual[0]) for _, residual, _, _ in calls]
+        r = [float(residual[0]) for _, residual, *_ in calls]
         assert all(b <= a * a for a, b in zip(r, r[1:]) if a >= 1e-6), r
 
 
 @pytest.mark.parametrize("desc", CURVED, ids=str)
-def test_unit_ball_rows_take_at_most_5_batched_steps(desc, monkeypatch):
-    """The bounded step alone took 5-12 on such rows."""
+def test_unit_ball_rows_take_at_most_3_batched_steps(desc, monkeypatch):
+    """The bounded step alone took 5-12 on such rows, and Newton without the
+    certificate 4."""
     calls = spy_steps(monkeypatch)
     pts, weights = unit_ball_rows(desc, 7, 30, 4)
     _, failure = spaces.barycenters(desc, pts, weights)
-    assert failure is None and len(calls) <= 5
+    assert failure is None and len(calls) <= 3
 
 
 @pytest.mark.parametrize("desc", CURVED, ids=str)
 def test_only_rows_that_move_on_build_a_newton_candidate(desc, monkeypatch):
     """A row builds a candidate at an evaluation iff its residual is above its
     tolerance (no row is rejected on unit-ball data, so none reverts): the
-    candidates start from those rows' y, and are the rows the next
-    evaluation takes; the last evaluation of a call builds none."""
+    candidates start from those rows' y, a candidate whose bound plus the
+    row's rounding floor is within half the tolerance is the row's answer,
+    and the others are the rows the next evaluation takes; the last
+    evaluation of a call builds candidates only for rows that it certifies."""
     bounded = []
     fallback = spaces._bounded
     monkeypatch.setattr(spaces, "_bounded", lambda *args: bounded.append(1) or fallback(*args))
     calls = spy_steps(monkeypatch)
     pts, weights = unit_ball_rows(desc, 5, 30, 4)
-    _, failure = spaces.barycenters(desc, pts, weights)
-    assert failure is None and bounded == [] and len(calls) >= 3
+    out, failure = spaces.barycenters(desc, pts, weights)
+    assert failure is None and bounded == [] and len(calls) >= 2
     tol = 1e-10 * (1.0 + np.array([spaces.distances(desc, row[np.argmax(weights)], row).max()
                                    for row in pts]))
-    live = np.arange(len(pts))
-    for (y, residual, nxt, start), after in zip(calls, calls[1:]):
+    floor = spaces._BACKENDS[desc.kind].resolution(pts)
+    live, certified = np.arange(len(pts)), 0
+    for k, (y, residual, nxt, start, bound) in enumerate(calls):
         moving = residual > tol[live]
-        assert np.array_equal(start, y[moving]) and np.array_equal(after[0], nxt)
+        assert np.array_equal(out[live[~moving]], y[~moving])
+        if not moving.any():
+            assert nxt is None and k == len(calls) - 1
+            break
+        assert np.array_equal(start, y[moving])
         live = live[moving]
-    assert not (calls[-1][1] > tol[live]).any() and calls[-1][2] is None
+        sure = bound + floor[live] <= tol[live] / 2
+        assert np.array_equal(out[live[sure]], nxt[sure])
+        certified += sure.sum()
+        live = live[~sure]
+        if k == len(calls) - 1:
+            assert live.size == 0
+        else:
+            assert np.array_equal(calls[k + 1][0], nxt[~sure])
+    assert certified > 0
+
+
+def solve_row(desc, row, weights, certify=True):
+    """The solver's answer for one row, its failure, and (bound, floor) of the
+    certificate that ended it (a candidate built after the last evaluation),
+    or None; certify=False sets every bound to +inf, the rule without the
+    certificate."""
+    backend, ended = spaces._BACKENDS[desc.kind], []
+    build = type(backend).candidate
+
+    def candidate(self, *args):
+        nxt, bound = build(self, *args)
+        ended[:] = [bound[0]] if certify else []
+        return nxt, bound if certify else np.full(len(nxt), np.inf)
+
+    step = spaces._karcher_step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(backend), "candidate", candidate)
+        mp.setattr(spaces, "_karcher_step", lambda *args: ended.clear() or step(*args))
+        out, failure = spaces.barycenters(desc, row[None], weights)
+    floor = backend.resolution(row[None])[0]
+    return out[0], failure, (ended[0], floor) if ended else None
+
+
+@pytest.mark.parametrize("data", ("unit", "spread"))
+@pytest.mark.parametrize("desc,reach", ((HYP2, 17.0), (HYP3, 17.0), (SPD2, 12.0), (SPD3, 12.0)),
+                         ids=str)
+def test_a_certified_row_is_the_point_the_next_evaluation_accepts(desc, reach, data):
+    """Rows of 3 to 9 points, unit-ball or spread (up to the documented
+    hyperboloid radius 17 and spd log-spread 12): every answer, and every
+    failure, is bit for bit the one of the rule without the certificate, which
+    evaluates the candidate once more; at a certified row the mpmath residual
+    is within the bound plus the rounding floor, and within the tolerance (the
+    oracle checks the first certified row of each count)."""
+    rng = np.random.default_rng([41, int(reach), int(data == "spread")])
+    certified = 0
+    for count in range(3, 10):
+        checked = False
+        for _ in range(2):
+            if data == "unit":
+                row = np.array([random_point(desc, rng).payload for _ in range(count)])
+            else:
+                row = spread_points(desc, rng, count, rng.uniform(0.2, 1.0) * reach)
+            weights = rng.dirichlet(np.ones(count))
+            y, failure, cert = solve_row(desc, row, weights)
+            want, want_failure, _ = solve_row(desc, row, weights, certify=False)
+            assert (failure is None) == (want_failure is None)
+            if failure:
+                assert failure[0] == want_failure[0] and str(failure[1]) == str(want_failure[1])
+                continue
+            assert y.tobytes() == want.tobytes()
+            if cert is not None:
+                bound, floor = cert
+                tol = 1e-10 * (1.0 + spaces.distances(desc, row[np.argmax(weights)], row).max())
+                assert bound + floor <= tol / 2
+                if not checked:
+                    norm, _ = karcher_gradient_norm(desc.kind, y, row, weights)
+                    assert norm <= min(bound + floor, tol)
+                    checked, certified = True, certified + 1
+    assert certified >= 4
 
 
 def far_point(desc, n):

@@ -490,21 +490,29 @@ def assert_same_error(got, want):
             assert np.array_equal(got.last_iterate.payload, want.last_iterate.payload)
 
 
+def spread_about_first_node(payloads, desc, factor):
+    """The payloads moved `factor` times as far along the geodesics from the first."""
+    base = np.broadcast_to(payloads[0], payloads.shape)
+    logs = spaces._apply(desc, "log", base, payloads)
+    return spaces._apply(desc, "exp", base, factor * logs)
+
+
 @pytest.mark.parametrize("desc", (SPD2, HYP2), ids=str)
 def test_a_stacked_failure_is_the_one_the_trial_loop_raises(desc, monkeypatch):
     """With two evaluations per row, random data fails at level 1; data that
-    repeats each point first fails at level 2 (a 3-point row of the cubic mask
-    then holds at most two points, on whose geodesic Newton is exact), and data
-    on one geodesic never fails.  A stack raises the error of its lowest
-    failing trial, at its own level, as the loop does, even where a higher
-    trial fails at an earlier level; so do stacks of one trial, which
-    `STACK_FLOATS` = 1 makes of every job."""
+    repeats each point, spread 8 times about its first node, first fails at
+    level 2 (a 3-point row of the cubic mask then holds at most two points, on
+    whose geodesic Newton is exact; unspread, the certified Newton stop ends
+    its level-2 rows in two), and data on one geodesic never fails.  A stack
+    raises the error of its lowest failing trial, at its own level, as the
+    loop does, even where a higher trial fails at an earlier level; so do
+    stacks of one trial, which `STACK_FLOATS` = 1 makes of every job."""
     monkeypatch.setattr(spaces, "BARYCENTER_MAX_ITER", 2)
     rng = np.random.default_rng(5)
     on_line = geodesic_sampler(desc, 1)(np.linspace(0.0, 2.0, 12)[:, None])
     line = GridData(desc, (0,), (11,), on_line)
-    doubled = GridData(desc, (0,), (11,), np.repeat(
-        random_grid(desc, (0,), (5,), rng).payloads, 2, axis=0))
+    doubled = GridData(desc, (0,), (11,), spread_about_first_node(np.repeat(
+        random_grid(desc, (0,), (5,), rng).payloads, 2, axis=0), desc, 8.0))
     rough = random_grid(desc, (0,), (11,), rng)
     iterate(CUBIC, line, 3)
     iterate(CUBIC, doubled, 1)
@@ -545,18 +553,26 @@ def test_a_stacked_coarse_row_is_the_one_the_trial_loop_refuses():
 
 def test_empirical_gamma_redraws_a_failing_trial_from_its_own_stream(monkeypatch):
     """With three evaluations per row about half the spd:2 trial grids of the
-    cubic mask fail.  A failing trial draws again from its own stream, and
-    trials above it run again on their data; seed 0 needs 3 redraws and
-    succeeds, seed 2 gives trial 2 up after 3 draws, with the loop's error.
-    Likewise in stacks of two trials (a trial's level 3 holds 324 floats)."""
+    cubic mask fail once spread 3 times about their first node (unspread,
+    none does: the certified Newton stop ends their rows in three).  A failing
+    trial draws again from its own stream, and trials above it run again on
+    their data; seed 10 needs 3 redraws and succeeds, seed 2 gives trial 2 up
+    after 3 draws, with the loop's error.  Likewise in stacks of two trials
+    (a trial's level 3 holds 324 floats)."""
     monkeypatch.setattr(spaces, "BARYCENTER_MAX_ITER", 3)
     draws = []
     draw = subdivision.trial_grid
-    monkeypatch.setattr(subdivision, "trial_grid", lambda *args: draws.append(1) or draw(*args))
+
+    def spread(mask, space, rng):
+        x = draw(mask, space, rng)
+        return GridData(space, x.lo, x.hi, spread_about_first_node(x.payloads, space, 3.0))
+
+    monkeypatch.setattr(oracles, "trial_grid", spread)
+    monkeypatch.setattr(subdivision, "trial_grid", lambda *args: draws.append(1) or spread(*args))
     for floats in (subdivision.STACK_FLOATS, 700):
         monkeypatch.setattr(subdivision, "STACK_FLOATS", floats)
-        est = empirical_gamma(CUBIC, SPD2, trials=3, n_max=3, seed=0)
-        assert (est.per_trial_gamma, est.C_hat) == empirical_gamma_loop(CUBIC, SPD2, 3, 3, 0)
+        est = empirical_gamma(CUBIC, SPD2, trials=3, n_max=3, seed=10)
+        assert (est.per_trial_gamma, est.C_hat) == empirical_gamma_loop(CUBIC, SPD2, 3, 3, 10)
         assert len(draws) == 6
         assert_same_error(raised(lambda: empirical_gamma(CUBIC, SPD2, trials=3, n_max=3, seed=2)),
                           raised(lambda: empirical_gamma_loop(CUBIC, SPD2, 3, 3, 2)))
