@@ -1,12 +1,12 @@
 """Metric-space backends with nonpositive curvature.
 
-Four backends share one interface: euclidean vectors, symmetric
-positive-definite matrices with the affine-invariant metric, the hyperboloid
-model of hyperbolic space, and the tripod (three rays glued at their
-endpoints).  Each backend works on payloads stacked along leading axes:
-membership, distance, geodesics, a weighted Frechet-mean (barycenter) solver,
-exp/log maps on the smooth backends, sampling and the JSON codec.  The
-functions on single `SpacePoint`s are the one-point case of that batched code.
+Four backends share one interface: euclidean vectors, symmetric positive-definite
+matrices with the affine-invariant metric, the hyperboloid model of hyperbolic space,
+and the tripod (three rays glued at their endpoints).  Each backend works on payloads
+stacked along leading axes: membership, distance, geodesics, a weighted Frechet-mean
+(barycenter) solver, in closed form on the tripod, 2-point and euclidean rows, exp/log
+maps on the smooth backends, sampling and the JSON codec; 2 x 2 eigenproblems are closed
+forms too.  The functions on single `SpacePoint`s are the one-point case of that batched code.
 """
 
 from __future__ import annotations
@@ -160,17 +160,42 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 
 def _eigh(m, vectors=True):
-    """Eigenvalues and eigenvectors (None unless `vectors`) of the symmetric
-    parts of a stack of matrices.  A matrix with a non-finite entry gets NaN
-    eigenvalues; it is factored as the identity, since LAPACK may raise on it
-    or return finite eigenvalues for it."""
+    """Ascending eigenvalues and eigenvectors (None unless `vectors`) of the symmetric
+    parts of a stack of matrices, 2 x 2 ones in closed form.  A matrix with a non-finite
+    entry gets NaN eigenvalues; it is factored as the identity, since LAPACK may raise
+    on it or return finite eigenvalues for it."""
     m = _sym(m)
     finite = None
     if not np.isfinite(m).all():
         finite = _finite(m, 2)[..., None]
         m = np.where(finite[..., None], m, np.eye(m.shape[-1]))
-    w, v = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
+    if m.shape[-1] == 2:
+        w, v = _eigh2(m[..., 0, 0], m[..., 1, 1], m[..., 0, 1], vectors)
+    else:
+        w, v = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
     return (w, v) if finite is None else (np.where(finite, w, np.nan), v)
+
+
+def _eigh2(a, c, b, vectors):
+    """`_eigh` of [[a, b], [b, c]] by one Jacobi rotation (Golub & Van Loan 8.5):
+    hi = (a + c) / 2 + r, r = hypot((a - c) / 2, b), on (cos t, sin t) with
+    t = atan2(b, (a - c) / 2) / 2, and lo on (-sin t, cos t); for hi > 0,
+    lo = det / hi keeps its accuracy where lo << hi, its products scaled by hi
+    so that they cannot overflow on spd data, and no larger than hi."""
+    h, mean = 0.5 * (a - c), 0.5 * (a + c)
+    r = np.hypot(h, b)
+    w = np.empty(a.shape + (2,))
+    w[..., 1] = hi = mean + r
+    d = np.where(hi > 0.0, hi, np.inf)
+    w[..., 0] = np.where(hi > 0.0, np.minimum((a / d) * c - (b / d) * b, hi), mean - r)
+    if not vectors:
+        return w, None
+    t = 0.5 * np.arctan2(b, h)
+    v = np.empty(a.shape + (2, 2))
+    v[..., 1, 0] = v[..., 0, 1] = np.cos(t)
+    v[..., 1, 1] = sin = np.sin(t)
+    v[..., 0, 0] = -sin
+    return w, v
 
 
 def _positive(w):
@@ -221,8 +246,7 @@ def _bounded(kappa, weights, dists, v):
     """The fallback step: the Karcher update v from y scaled by 2 / (1 + c), where
     c = 1 + sum_i w_i (s_i coth(s_i) - 1), s_i = kappa^1/2 d_i, bounds the Hessian of
     the Frechet function for curvature >= -kappa (Afsari, Tron & Manton 2013), so the
-    step contracts by (c - 1) / (c + 1), the least any step guarantees; on euclidean
-    rows c is exactly 1."""
+    step contracts by (c - 1) / (c + 1), the least any step guarantees."""
     s = math.sqrt(kappa) * dists
     c = 1.0 + _weighted_sum(weights, np.where(s > 0.0, s / np.tanh(s) - 1.0, 0.0), 0)
     h = 2.0 / (1.0 + c)
@@ -306,9 +330,6 @@ class _Backend:
         norms = self.norm(y[:, None], logs)
         return self.norm(y, v), norms, v, (logs, norms)
 
-    def candidate(self, y, weights, v, parts):  # euclidean: H = I, no bound sees round-off
-        return self.exp(y, v), np.full(len(y), np.inf)
-
     def move(self, y, v):  # the point an update v of `step` leads to from y
         return self.exp(y, v)
 
@@ -341,11 +362,13 @@ class _Backend:
                     f"ill-conditioned barycenter: the data's coordinates resolve "
                     f"only {floor[r]:.3g}, coarser than the tolerance {tol[r]:.3g}"))
         limit = len(points) if first is None else first[0]  # rows that can fail first
-        if points.shape[1] == 2:
-            out = self.geodesic(points[:, start], points[:, 1 - start], weights[1 - start])
+        y, k = points[:, start], points.shape[1]
+        if k == 2 or not self.kappa:  # a geodesic point, or on flat rows the exact Newton step
+            out = self.geodesic(y, points[:, 1 - start], weights[1 - start]) if k == 2 \
+                else y + _weighted_sum(weights, self.log(y[:, None], points), 1)
             bad = np.flatnonzero(~_finite(out[:limit], self.core))
             return out, (int(bad[0]), _failure()) if bad.size else first
-        out = points[:, start].copy()
+        out = y.copy()
         points, floor = points[:limit], floor[:limit]
         y = points[:, start]
         rows = np.arange(limit)  # live rows, ascending
@@ -365,15 +388,20 @@ class _Backend:
             failed = ~(np.isfinite(residual) & _finite(dists, 1))
             done = ~failed & (residual <= tol)
             trial = ~(failed | done | back)  # the rows that build a Newton candidate
-            nxt, sure = y.copy(), np.zeros_like(trial)
-            if trial.any():
-                nxt[trial], bound = self.candidate(y[trial], weights, v[trial],
-                                                   [a[trial] for a in parts])
-                sure[trial] = bound + floor[trial] <= 0.5 * tol[trial]  # NaN certifies none
-            fall = back | (trial & ~_finite(nxt, self.core))
+            if trial.all():  # every live row builds one, as at the first evaluation
+                nxt, bound = self.candidate(y, weights, v, parts)
+            else:
+                nxt, bound = y.copy(), np.full(len(y), np.inf)
+                if trial.any():
+                    nxt[trial], bound[trial] = self.candidate(y[trial], weights, v[trial],
+                                                              [a[trial] for a in parts])
+            sure = bound + floor <= 0.5 * tol  # NaN certifies none
+            ok = _finite(nxt, self.core)
+            fall = back | (trial & ~ok)
             if fall.any():
                 nxt[fall] = self.move(y[fall], _bounded(self.kappa, weights, dists[fall], v[fall]))
-            failed |= ~_finite(nxt, self.core)
+                ok = _finite(nxt, self.core)
+            failed |= ~ok
             trial &= ~fall
             sure &= trial  # a certified candidate is the answer, without another evaluation
             out[rows[done]] = y[done]
@@ -552,7 +580,7 @@ class _Hyperboloid(_Backend):
         (ambient coordinates are singular far out): for the Householder P that swaps e_1 and
         -+y_s / |y_s|, a tangent t has the coordinates P t_s, the first divided by y0."""
         (logs, dists), y0, ys, eye = parts, y[:, 0], y[:, 1:], np.eye(y.shape[-1] - 1)
-        h = np.nan_to_num(ys / np.sqrt(_dot(ys, ys))[:, None])  # 0 at the origin: any frame
+        h = np.where((n := np.sqrt(_dot(ys, ys))[:, None]) > 0.0, ys / n, 0.0)  # origin: any frame
         h[:, 0] += np.copysign(1.0, h[:, 0])
         p = eye - 2.0 * h[:, :, None] * h[:, None, :] / _dot(h, h)[:, None, None]
         c = logs[..., 1:] @ p
@@ -748,9 +776,10 @@ def barycenters(desc: SpaceDescriptor, points, weights):
     stop, since they cannot change which failure comes first; once a row
     fails the values are undefined.  The tripod uses its exact closed form.
     On a smooth backend a row starts at the point of largest weight (ties:
-    lowest index); a 2-point row is the geodesic point walked from there, and
-    a longer row runs a safeguarded Newton iteration until the Karcher update
-    norm (the residual) falls below the tolerance 1e-10 * (1 + largest
+    lowest index); a 2-point row is the geodesic point walked from there, a
+    longer euclidean row the exact Newton step y + sum_j w_j (x_j - y) from
+    there, and a longer curved row runs a safeguarded Newton iteration until
+    the Karcher update norm (the residual) falls below the tolerance 1e-10 * (1 + largest
     distance from the start point), and returns the iterate where it does.  A
     row that moves on builds a Newton candidate, and returns it at once when
     `_newton_bound` plus the row's rounding floor is within half the tolerance:

@@ -1,10 +1,10 @@
 """Barycentric subdivision of grid data in nonpositively curved spaces.
 
 One refinement step replaces each output index i by the weighted Frechet mean
-of its stencil {x_j : a_{i-2j} > 0}.  On euclidean data this reduces to the
-linear rule; on the other backends it is the genuinely metric construction
-whose contraction behaviour the diagnostics below measure.  A run builds the
-classes' stencils once (`_plan`) and sweeps the distances of all its levels at once.
+of its stencil {x_j : a_{i-2j} > 0}.  On euclidean data this reduces to the linear
+rule; on the other backends it is the genuinely metric construction whose contraction
+behaviour the diagnostics below measure.  A run builds the stencils once (`_plan`), solves
+a level in one barycenter call per stencil shape and sweeps all its levels' distances at once.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .grid import GridData, box_array, check_interior_depth, _refined, _stacked_
 from .linear import fit_gamma
 from .masks import ITERATED_SUPPORT_CAP, BoxGauge, Mask, convergence_level, default_gauge, \
     gauge_offsets, require_sum_rule, stencil, support_radius, unit_gauge
-from .spaces import SpaceDescriptor, _apply, barycenters, distances, \
-    geodesic_points, geodesic_sampler
+from .spaces import TRIPOD, SpaceDescriptor, _BACKENDS, _apply, distances, geodesic_points, \
+    geodesic_sampler
 
 __all__ = [
     "GridData", "IterateTrace", "subdivide", "iterate", "contractivity_D",
@@ -44,11 +44,11 @@ def subdivide(mask: Mask, x: GridData) -> GridData:
     """One barycentric refinement step onto the doubled window.
 
     Output i = r + 2m of parity class r is the barycenter of the inputs
-    x_{m+j} under the weights a_{r-2j}, so each class is one batch of
-    problems that share a stencil.  When nodes fail, the error of the first
+    x_{m+j} under the weights a_{r-2j}, so the classes of one stencil shape
+    are one batch of problems.  When nodes fail, the error of the first
     failing node in row-major order is raised, as a node-by-node loop would.
     """
-    out, first = _refine(_plan(mask, x.dim), _stack([x]))
+    out, first = _refine(_plan(mask, x), _stack([x]))
     if first:
         raise first[1]
     return _refined(out, out.payloads[0], out.window())
@@ -59,47 +59,58 @@ def _stack(grids) -> GridData:
     return _refined(grids[0], np.stack([g.payloads for g in grids]), grids[0].window())
 
 
-def _plan(mask: Mask, dim: int) -> list:
-    """Per parity class r, in row-major order, (r, the offsets j of its stencil,
-    their weights): the sum rule checked and the stencils built once per run."""
-    if dim != mask.dim:
+def _plan(mask: Mask, x: GridData) -> list:
+    """The parity classes r of the mask in groups that pose one problem on x's backend:
+    (weights, a (2,) * dim table of the r it holds, a (2,) * dim + (k, dim) table of their
+    stencils' offsets j), the sum rule checked and the stencils built once per run.  The
+    weights agree within a group once a 2-point stencil lists its heavier point, where its
+    geodesic walk starts, first on the smooth backends (the tripod's pull sums in order)."""
+    if x.dim != mask.dim:
         raise StructuralError("mask and data dimension disagree")
     require_sum_rule(mask)
-    return [(r, [j for j, _ in pairs], np.array([w for _, w in pairs]))
-            for r in product((0, 1), repeat=dim) for pairs in [stencil(mask, r)]]
+    groups = {}
+    for r in product((0, 1), repeat=x.dim):
+        pairs = stencil(mask, r)
+        if len(pairs) == 2 and pairs[1][1] > pairs[0][1] and x.descriptor.kind != TRIPOD:
+            pairs = pairs[::-1]
+        holds, offsets = groups.setdefault(tuple(w for _, w in pairs), (
+            np.zeros((2,) * x.dim, bool), np.zeros((2,) * x.dim + (len(pairs), x.dim), np.int64)))
+        holds[r] = True  # |j| > 2^62 reads what 2^62 reads: clipped, m + j fits int64
+        offsets[r] = [[min(max(jk, -2 ** 62), 2 ** 62) for jk in j] for j, _ in pairs]
+    return [(np.array(w), holds, offsets) for w, (holds, offsets) in groups.items()]
 
 
 def _refine(plan: list, x: GridData):
-    """`subdivide` of each trial of the stacked grid x by a mask's `_plan`, one
-    `barycenters` call per parity class for all trials.  Returns the refined stack
-    and the first failure ((trial, node), error) in (trial, row-major node) order,
-    or None; rows of trials above a failing one are undefined."""
+    """`subdivide` of each trial of the stacked grid x by a mask's `_plan`, one barycenter
+    call per group for all trials, its rows in (trial, row-major node) order.  Returns the
+    refined stack and the first failure ((trial, node), error) in that order, or None;
+    rows of trials above a failing one are undefined."""
     lo, hi = refined_window(x.lo, x.hi)
     if max(map(abs, lo + hi)) >= 2 ** 63:
         raise DomainError(f"the level refined from the window {x.lo}..{x.hi} would span "
                           f"{lo}..{hi}, past the refined-corner bound |c| < 2^63 (int64)")
-    data = x.payloads
+    data, solver = x.payloads, _BACKENDS[x.descriptor.kind]
     core = data.shape[1 + x.dim:]
-    out = np.empty(data.shape[:1] + tuple(2 * n - 1 for n in data.shape[1:1 + x.dim]) + core)
+    shape = tuple(2 * n - 1 for n in data.shape[1:1 + x.dim])
+    out = np.empty(data.shape[:1] + shape + core)
     first = None  # ((trial, output index), error) of the first failing node
-    for r, offsets, weights in plan:  # |j| past h - l reads what h - l reads: clipped, j fits int64
-        js = np.array([[min(max(jk, l - h), h - l) for jk, l, h in zip(j, x.lo, x.hi)]
-                       for j in offsets])
-        # m runs over lo..hi - r on each axis; the stencil axis comes last
-        ms = np.ix_(*(np.arange(l, h + 1 - rk) for l, h, rk in zip(x.lo, x.hi, r)))
-        shape = (len(data),) + tuple(m.size for m in ms)
-        index = tuple(m[..., None] + js[:, a] for a, m in enumerate(ms))
+    for weights, holds, offsets in plan:
+        # the group's output nodes i = r + 2m in row-major order, as local positions
+        at = np.nonzero(holds[np.ix_(*(np.arange(n) % 2 for n in shape))])
+        js = offsets[tuple(a % 2 for a in at)]  # |m| < 2^62 by the bound above
+        index = tuple(l + a[:, None] // 2 + js[..., k] for k, (l, a) in enumerate(zip(x.lo, at)))
         points = data[(slice(None),) + x.local(index)].reshape((-1, len(weights)) + core)
         if len(weights) == 1:
             values, failure = points[:, 0], None
         else:
-            values, failure = barycenters(x.descriptor, points, weights)
-        out[(slice(None),) + tuple(slice(rk, None, 2) for rk in r)] = values.reshape(shape + core)
+            with np.errstate(all="ignore"):  # `_plan` has checked the weights
+                values, failure = solver.barycenters(x.descriptor, points, weights)
+        out[(slice(None),) + at] = values.reshape((len(data), len(at[0])) + core)
         if failure:
-            # rows run trial by trial in row-major output order, so a class's
-            # first failing row is its first failing node of the lowest trial
-            t, *m = np.unravel_index(failure[0], shape)
-            node = (int(t),) + tuple(rk + 2 * (l + int(mk)) for rk, l, mk in zip(r, x.lo, m))
+            # rows run trial by trial in row-major output order, so the
+            # group's first failing row is its first failing node
+            t, k = divmod(failure[0], len(at[0]))
+            node = (t,) + tuple(l + int(a[k]) for l, a in zip(lo, at))
             if first is None or node < first[0]:
                 first = (node, failure[1])
     return _refined(x, out), first
@@ -192,7 +203,7 @@ def _iterate(mask: Mask, x: GridData, n):
             f"{ITERATED_SUPPORT_CAP} payload floats on the finest level")
     boxes = check_interior_depth(mask, x.lo, x.hi, n)
     levels, failure = [x], None
-    plan = _plan(mask, x.dim) if n else None
+    plan = _plan(mask, x) if n else None
     for _ in range(n):
         out, first = _refine(plan, levels[-1])
         levels.append(out)

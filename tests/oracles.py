@@ -8,11 +8,12 @@ coefficients (Mask.value) is treated as ground truth.  `linear_refine` is
 the linear rule out_i = sum_j a_{i-2j} x_j that the barycentric scheme must
 reproduce on euclidean data.  `pointwise_refine` and `pairwise_sup` are the
 node-by-node loops that the batched refinement and contraction sups must
-reproduce bit for bit.  `alpha_loop` is the residue-by-residue sweep
+reproduce bit for bit, and `pointwise_failures` lists the nodes that fail
+node by node.  `alpha_loop` is the residue-by-residue sweep
 that the certificate's array sweep must reproduce bit for bit.
 `frechet_value` and `tripod_distance` write the tripod metric out.
 `karcher_gradient_norm` checks a barycenter by its stationarity, in 50-digit
-mpmath, `frechet_hessian` differentiates the Frechet function twice along
+mpmath, against a tolerance that `data_diameter` scales, `frechet_hessian` differentiates the Frechet function twice along
 geodesics, in mpmath, for the Newton step, and `exact_tripod_barycenter`
 solves the tripod's barycenter in `Fraction`s.
 `points_equal` compares two points payload by payload.  `hyperboloid_log` is
@@ -38,8 +39,9 @@ from itertools import product
 import mpmath
 import numpy as np
 
-from npcsubdiv import (BarycenterProblem, GridData, SolverError, bspline_comparison, distance,
-                       fit_gamma, iterate, tripod_point, weighted_barycenter)
+from npcsubdiv import (BarycenterProblem, DomainError, GridData, NumericError, SolverError,
+                       bspline_comparison, distance, fit_gamma, iterate, tripod_point,
+                       weighted_barycenter)
 from npcsubdiv.masks import (convergence_level, coset, default_gauge, gauge_offsets, recenter,
                              require_sum_rule, stencil)
 from npcsubdiv.spaces import distances
@@ -158,16 +160,27 @@ def pointwise_refine(mask, x):
     points x.get(j) under the weights of one_step_row(mask, i), in that
     row's order; a lone point is copied.  A failing node raises at once."""
     window = product(*(range(2 * l, 2 * h + 1) for l, h in zip(x.lo, x.hi)))
-    out = {}
-    for i in window:
-        row = one_step_row(mask, i)
-        points = [x.get(j) for j in row]
-        if len(points) == 1:
-            out[i] = points[0]
-        else:
-            problem = BarycenterProblem(points, np.array(list(row.values())))
-            out[i] = weighted_barycenter(problem)
-    return out
+    return {i: _pointwise_node(mask, x, i) for i in window}
+
+
+def _pointwise_node(mask, x, i):
+    row = one_step_row(mask, i)
+    points = [x.get(j) for j in row]
+    if len(points) == 1:
+        return points[0]
+    return weighted_barycenter(BarycenterProblem(points, np.array(list(row.values()))))
+
+
+def pointwise_failures(mask, x):
+    """{i: error} over the output nodes of `pointwise_refine` whose barycenter
+    fails, each node computed on its own, in row-major order."""
+    failures = {}
+    for i in product(*(range(2 * l, 2 * h + 1) for l, h in zip(x.lo, x.hi))):
+        try:
+            _pointwise_node(mask, x, i)
+        except (DomainError, NumericError, SolverError) as exc:
+            failures[i] = exc
+    return failures
 
 
 def pairwise_sup(x, gauge, box):
@@ -193,10 +206,15 @@ def alpha_loop(samples, n, gauge):
     each sum runs over the nonzero a[u - 2^n i] in row-major order of i."""
     offsets = gauge_offsets(gauge)
     alpha = math.inf
-    for u in product(range(2 ** n), repeat=samples.dim):
-        base = coset(samples, n, u)[::-1]  # coset yields i backwards
+    step = 2 ** n  # the coset of c + step q is c's, its keys i shifted by q
+    cosets = {u: coset(samples, n, u) for u in product(range(step), repeat=samples.dim)}
+    for u, pairs in cosets.items():
+        base = pairs[::-1]  # coset yields i backwards
         for off in offsets:
-            row = dict(coset(samples, n, tuple(uk + ok for uk, ok in zip(u, off))))
+            v = [uk + ok for uk, ok in zip(u, off)]
+            q = [vk // step for vk in v]
+            row = {tuple(ik + qk for ik, qk in zip(i, q)): w
+                   for i, w in cosets[tuple(vk % step for vk in v)]}
             total = 0.0
             for i, w in base:
                 total += w * row.get(i, 0.0)
@@ -386,12 +404,16 @@ def hyperboloid_log(base, x, digits=50):
 
 
 def _hyperboloid_gradient(y, points, weights):
-    ys, xs = _hyp_lift(y), [_hyp_lift(p) for p in points]
+    ys = _hyp_lift(y)
     v = [mpmath.mpf(0)] * len(ys)
-    for w, x in zip(weights, xs):
-        v = [a + mpmath.mpf(float(w)) * b for a, b in zip(v, _hyp_log(ys, x)[0])]
-    diam = max(_hyp_log(xs[i], xs[j])[1] for i in range(len(xs)) for j in range(i))
-    return mpmath.sqrt(max(_mink(v, v), 0)), diam
+    for w, p in zip(weights, points):
+        v = [a + mpmath.mpf(float(w)) * b for a, b in zip(v, _hyp_log(ys, _hyp_lift(p))[0])]
+    return mpmath.sqrt(max(_mink(v, v), 0))
+
+
+def _hyperboloid_diameter(points):
+    xs = [_hyp_lift(p) for p in points]
+    return max(_hyp_log(xs[i], xs[j])[1] for i in range(len(xs)) for j in range(i))
 
 
 def _spd_lift(p):
@@ -403,25 +425,27 @@ def _spd_power(m, f):  # f applied to the eigenvalues of the symmetric m
     return q * mpmath.diag([f(v) for v in lam]) * q.T
 
 
+def _spd_inverse_sqrt(m):
+    return _spd_power(m, lambda v: 1 / mpmath.sqrt(v))
+
+
 def _spd_gradient(y, points, weights):
-    def inverse_sqrt(m):
-        return _spd_power(m, lambda v: 1 / mpmath.sqrt(v))
+    si_y = _spd_inverse_sqrt(_spd_lift(y))
+    v = mpmath.zeros(len(y))
+    for w, p in zip(weights, points):
+        x = _spd_lift(p)  # base^-1/2 log_base(x) base^-1/2, with si = base^-1/2
+        v += _spd_power(si_y * x * si_y, mpmath.log) * mpmath.mpf(float(w))
+    return mpmath.mnorm(v, "f")
 
-    def whitened_log(si, x):  # base^-1/2 log_base(x) base^-1/2, with si = base^-1/2
-        return _spd_power(si * x * si, mpmath.log)
 
+def _spd_diameter(points):
     def log_norm(si, x):  # d(a, b) = |logm(a^-1/2 b a^-1/2)|_F, from eigenvalues alone
         lam = mpmath.eigsy(si * x * si, eigvals_only=True)
         return mpmath.sqrt(sum(mpmath.log(v) ** 2 for v in lam))
 
     xs = [_spd_lift(p) for p in points]
-    si_y = inverse_sqrt(_spd_lift(y))
-    v = mpmath.zeros(len(y))
-    for w, x in zip(weights, xs):
-        v += whitened_log(si_y, x) * mpmath.mpf(float(w))
-    si_xs = [inverse_sqrt(x) for x in xs]
-    diam = max(log_norm(si_xs[i], xs[j]) for i in range(len(xs)) for j in range(i))
-    return mpmath.mnorm(v, "f"), diam
+    si_xs = [_spd_inverse_sqrt(x) for x in xs]
+    return max(log_norm(si_xs[i], xs[j]) for i in range(len(xs)) for j in range(i))
 
 
 def _hyperboloid_chart(y, points):
@@ -521,9 +545,9 @@ def frechet_hessian(kind, y, points, weights, digits=50, h=1e-15):
 
 
 def karcher_gradient_norm(kind, y, points, weights, digits=50):
-    """(|sum_i w_i log_y(x_i)|, data diameter) at the payload y, in mpmath at
-    `digits` digits from the defining formulas.  The Frechet function is
-    1-strongly convex on a Hadamard space, so the norm bounds d(y, y*).
+    """|sum_i w_i log_y(x_i)| at the payload y, in mpmath at `digits` digits
+    from the defining formulas.  The Frechet function is 1-strongly convex on
+    a Hadamard space, so the norm bounds d(y, y*).
 
     hyperboloid: a payload stands for the point over its spatial coordinates
     s (time coordinate sqrt(1 + |s|^2)); cosh d(x, y) = -<x, y>_M,
@@ -532,9 +556,15 @@ def karcher_gradient_norm(kind, y, points, weights, digits=50):
     has norm |logm(y^-1/2 x y^-1/2)|_F.
     """
     with mpmath.workdps(digits):
-        norm, diam = {"hyperboloid": _hyperboloid_gradient, "spd": _spd_gradient}[kind](
-            y, points, weights)
-        return float(norm), float(diam)
+        return float({"hyperboloid": _hyperboloid_gradient, "spd": _spd_gradient}[kind](
+            y, points, weights))
+
+
+def data_diameter(kind, points, digits=50):
+    """max d(x_i, x_j) over the payloads, in mpmath at `digits` digits from the
+    formulas of `karcher_gradient_norm`."""
+    with mpmath.workdps(digits):
+        return float({"hyperboloid": _hyperboloid_diameter, "spd": _spd_diameter}[kind](points))
 
 
 def points_equal(p, q, tol=1e-9):

@@ -18,9 +18,8 @@ from npcsubdiv import spaces
 from npcsubdiv.spaces import (descriptor_from_json, descriptor_to_json,
                               hyperboloid_from_spatial, point_from_json,
                               point_to_json)
-from oracles import exact_tripod_barycenter, frechet_hessian, frechet_value, \
-    hyperboloid_log, karcher_gradient_norm, points_equal, scan_tripod_barycenter, \
-    tripod_distance
+from oracles import data_diameter, exact_tripod_barycenter, frechet_hessian, frechet_value, \
+    hyperboloid_log, karcher_gradient_norm, points_equal, scan_tripod_barycenter, tripod_distance
 
 BACKENDS = (
     SpaceDescriptor("euclidean", 3),
@@ -90,6 +89,57 @@ def test_distance_requires_matching_descriptor():
         distance(euclidean_point([0.0]), tripod_point(0, 1.0))
     with pytest.raises(StructuralError):
         distance(euclidean_point([0.0]), euclidean_point([0.0, 1.0]))
+
+
+# -- 2 x 2 symmetric eigenproblems ----------------------------------------------
+
+def _spd_stack(spread, seed, n=12):
+    """n random 2 x 2 SPD matrices with log-eigenvalues in [-spread, spread]."""
+    rng = np.random.default_rng([53, seed])
+    q, _ = np.linalg.qr(rng.standard_normal((n, 2, 2)))
+    return (q * np.exp(rng.uniform(-spread, spread, (n, 1, 2)))) @ q.swapaxes(-1, -2)
+
+
+EIGH2_CASES = {
+    **{f"spd-spread-{s}": _spd_stack(s, k) for k, s in enumerate((0.1, 1.0, 4.0, 12.0))},
+    "indefinite": np.array([[[1.0, 2.0], [2.0, -3.0]], [[0.0, 1.0], [1.0, 0.0]],
+                            [[1e-8, 3.0], [2.0, 1e8]]]),  # the last is not symmetric
+    "singular": np.array([[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 5.0]],
+                          [[0.0, 0.0], [0.0, 0.0]]]),
+    "negative-definite": np.array([[[-2.0, 0.5], [0.5, -1.0]], [[-1e-3, 0.0], [0.0, -7.0]]]),
+    "equal-diagonal": np.array([[[3.0, 0.0], [0.0, 3.0]], [[1e-7, -0.0], [-0.0, 1e-7]]]),
+    "near-equal": np.array([[[1.0 + 2.0 ** -52, 0.0], [0.0, 1.0]],  # lo = det / hi rounds above hi
+                            [[1.0, 1e-17], [1e-17, 1.0 + 2.0 ** -52]],
+                            [[2.0, 3e-9], [3e-9, 2.0 - 1e-9]]]),
+    "non-finite": np.array([[[math.nan, 0.0], [0.0, 1.0]], [[2.0, 0.5], [0.5, 1.0]],
+                            [[1.0, math.inf], [0.0, 1.0]]]),
+    "empty": np.empty((0, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("m", EIGH2_CASES.values(), ids=EIGH2_CASES.keys())
+def test_2x2_eigenproblems_match_the_50_digit_solver(m):
+    """The closed-form 2 x 2 `_eigh` of the symmetric part s: eigenvalues
+    ascending and within 4 eps max|s| of mpmath's at 50 digits, V diag(w) V^T
+    within 4 eps max|s| of s, V^T V within 4 eps of I, NaN eigenvalues exactly
+    where an entry is not finite, and the same values without the vectors."""
+    eps = np.finfo(float).eps
+    with np.errstate(invalid="ignore"):  # the non-finite case
+        s = 0.5 * (m + m.swapaxes(-1, -2))
+        w, v = spaces._eigh(m)
+    values, none = spaces._eigh(m, vectors=False)
+    assert none is None and w.shape == m.shape[:-1] and v.shape == m.shape
+    assert values.tobytes() == w.tobytes()
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    assert np.array_equal(np.isnan(w), np.repeat(~finite[:, None], 2, axis=1))
+    for sk, wk, vk in zip(s[finite], w[finite], v[finite]):
+        scale = 4.0 * eps * np.abs(sk).max()
+        with mpmath.workdps(50):
+            want = sorted(mpmath.eigsy(mpmath.matrix(sk.tolist()), eigvals_only=True))
+        assert wk[0] <= wk[1]
+        assert max(abs(float(a) - b) for a, b in zip(want, wk)) <= scale
+        assert np.abs((vk * wk) @ vk.T - sk).max() <= scale
+        assert np.abs(vk.T @ vk - np.eye(2)).max() <= 4.0 * eps
 
 
 # -- geodesics ------------------------------------------------------------------
@@ -226,13 +276,12 @@ def test_two_point_barycenter_lies_on_the_geodesic(desc):
         assert distance(y, geodesic_point(p, q, w)) <= 1e-8 * (1.0 + distance(p, q))
 
 
-@pytest.mark.parametrize("desc", SMOOTH, ids=str)
+@pytest.mark.parametrize("desc", (SPD2, SPD3, HYP2, HYP3), ids=str)
 def test_barycenter_returns_a_certified_candidate_or_the_last_iterate(desc, monkeypatch):
     """A row ends at the iterate of its last evaluation when the residual there
     is within the tolerance, or at the Newton candidate built there when the
     candidate's residual bound is within half the tolerance: evaluated once
-    more, that candidate's residual is within the tolerance too.  Euclidean
-    rows carry no bound, so they end at an evaluated iterate."""
+    more, that candidate's residual is within the tolerance too."""
     calls = spy_steps(monkeypatch)
     pts, weights = points(desc, 9, 3), np.array([0.5, 0.3, 0.2])
     y = weighted_barycenter(BarycenterProblem(pts, weights))
@@ -244,10 +293,36 @@ def test_barycenter_returns_a_certified_candidate_or_the_last_iterate(desc, monk
     if nxt is None:
         assert residual[0] <= tol and np.array_equal(y.payload, last[0])
     else:
-        assert desc.kind != "euclidean" and residual[0] > tol and bound[0] <= tol / 2
+        assert residual[0] > tol and bound[0] <= tol / 2
         assert np.array_equal(y.payload, nxt[0])
         backend = spaces._BACKENDS[desc.kind]
         assert spaces._karcher_step(backend, nxt, stack[None], weights)[0][0] <= tol
+
+
+def test_euclidean_rows_are_the_newton_step_from_the_heaviest_point(monkeypatch):
+    """Rows of 3 or more euclidean points return y + sum_i w_i (x_i - y) from
+    the heaviest point y (ties: the lowest index), summed left to right, with
+    no evaluation; even a start point within the tolerance of the mean moves
+    to the mean.  A non-finite row fails, the first one is reported."""
+    steps = []
+    monkeypatch.setattr(spaces, "_karcher_step", lambda *args: steps.append(args))
+    desc = SpaceDescriptor("euclidean", 3)
+    rows = np.random.default_rng([5]).standard_normal((6, 4, 3))
+    for weights in ([0.1, 0.4, 0.1, 0.4], [0.25, 0.25, 0.25, 0.25], [0.2, 0.1, 0.3, 0.4]):
+        start = int(np.argmax(weights))
+        y = rows[:, start]
+        want = y + sum(w * (rows[:, k] - y) for k, w in enumerate(weights))
+        out, failure = spaces.barycenters(desc, rows, weights)
+        assert failure is None and out.tobytes() == want.tobytes()
+        assert np.allclose(out, np.einsum("k,nkd->nd", weights, rows), rtol=0.0, atol=1e-15)
+    near = np.array([[[0.0], [4e-11], [0.0]]])  # the start point is 1e-11 from the mean
+    out, failure = spaces.barycenters(SpaceDescriptor("euclidean", 1), near, [0.5, 0.25, 0.25])
+    assert failure is None and out.tolist() == [[1e-11]]
+    bad = rows.copy()
+    bad[4, 1, 0], bad[2, 3, 2] = math.inf, math.nan
+    _, failure = spaces.barycenters(desc, bad, [0.1, 0.4, 0.1, 0.4])
+    assert failure[0] == 2 and isinstance(failure[1], NumericError)
+    assert steps == []
 
 
 def test_tripod_barycenter_matches_dense_scan():
@@ -391,9 +466,10 @@ def solve_spread(desc, count, reach, seed):
 
 
 def assert_converged(desc, pts, weights, y):
-    """The stationarity residual at y bounds d(y, y*): at most 1e-8 (1 + diam)."""
-    norm, diam = karcher_gradient_norm(desc.kind, y, pts, weights)
-    assert norm <= 1e-8 * (1.0 + diam)
+    """The stationarity residual at y bounds d(y, y*): at most 1e-8 (1 + diam);
+    the diameter is read only when the residual is above 1e-8."""
+    norm = karcher_gradient_norm(desc.kind, y, pts, weights)
+    assert norm <= 1e-8 or norm <= 1e-8 * (1.0 + data_diameter(desc.kind, pts))
 
 
 @pytest.mark.parametrize("desc", (SPD2, HYP2), ids=str)
@@ -407,7 +483,7 @@ def test_a_solver_error_reports_an_iterate_with_its_own_residual(desc, cap, monk
     weights = rng.dirichlet(np.ones(4))
     _, (r, err) = spaces.barycenters(desc, rows, weights)
     assert isinstance(err, SolverError)
-    norm, _ = karcher_gradient_norm(desc.kind, err.last_iterate.payload, rows[r], weights)
+    norm = karcher_gradient_norm(desc.kind, err.last_iterate.payload, rows[r], weights)
     assert err.residual == pytest.approx(norm, rel=1e-6)
 
 
@@ -549,7 +625,7 @@ def spy_steps(monkeypatch, candidates=None):
         return candidate
 
     monkeypatch.setattr(spaces, "_karcher_step", evaluating)
-    for backend in {type(b) for b in spaces._BACKENDS.values()}:
+    for backend in {type(b) for b in spaces._BACKENDS.values() if hasattr(b, "candidate")}:
         monkeypatch.setattr(backend, "candidate", building(backend.candidate))
     return calls
 
@@ -687,7 +763,7 @@ def test_a_certified_row_is_the_point_the_next_evaluation_accepts(desc, reach, d
                 tol = 1e-10 * (1.0 + spaces.distances(desc, row[np.argmax(weights)], row).max())
                 assert bound + floor <= tol / 2
                 if not checked:
-                    norm, _ = karcher_gradient_norm(desc.kind, y, row, weights)
+                    norm = karcher_gradient_norm(desc.kind, y, row, weights)
                     assert norm <= min(bound + floor, tol)
                     checked, certified = True, certified + 1
     assert certified >= 4

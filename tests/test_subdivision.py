@@ -20,8 +20,8 @@ from npcsubdiv.masks import BoxGauge, mask_to_json, translate, unit_gauge
 from npcsubdiv.spaces import hyperboloid_point, point_to_json
 from npcsubdiv.subdivision import _approximations, _diagnoses, trial_grid
 import oracles
-from oracles import (approx_loop, diagnose_loop, empirical_gamma_loop, karcher_gradient_norm,
-                     linear_refine, pairwise_sup, pointwise_refine)
+from oracles import (approx_loop, data_diameter, diagnose_loop, empirical_gamma_loop,
+                     karcher_gradient_norm, linear_refine, pairwise_sup, pointwise_refine)
 
 EU1 = SpaceDescriptor("euclidean", 1)
 EU2 = SpaceDescriptor("euclidean", 2)
@@ -160,8 +160,8 @@ def test_a_grid_far_from_the_origin_refines_to_stationary_points():
     out, failure = spaces.barycenters(HYP2, rows, weights)
     assert failure is None
     for row, point in zip(rows, out):
-        norm, diam = karcher_gradient_norm("hyperboloid", point, row, weights)
-        assert norm <= 1e-8 * (1.0 + diam)
+        norm = karcher_gradient_norm("hyperboloid", point, row, weights)
+        assert norm <= 1e-8 or norm <= 1e-8 * (1.0 + data_diameter("hyperboloid", row))
 
 
 @SPREAD_CASES
@@ -175,6 +175,36 @@ def test_solver_failures_match_the_pointwise_loop(mask, seed, monkeypatch):
     assert str(batched.value) == str(pointwise.value)
     assert batched.value.residual == pointwise.value.residual
     assert bits(batched.value.last_iterate) == bits(pointwise.value.last_iterate)
+
+
+@pytest.mark.parametrize("mask,lo,hi,far", (
+    (translate(C, (-1,)), (0,), (9,), 2), (tensor_power(B, 2), (0, 0), (1, 4), 1)),
+    ids=("chaikin", "tensor-hat"))
+def test_merged_classes_fail_at_their_lowest_node(mask, lo, hi, far):
+    """The 2-point classes of Chaikin ([.25, .75] and [.75, .25], at offset -1)
+    and of the tensor hat ([.5, .5] twice) run as one barycenter call whose
+    rows are in node order: with the last `far` points 300 from the origin,
+    nodes of both merged classes fail (their coordinates cannot resolve the
+    tolerance), the lowest in the class that comes second in class order.
+    The call's first failure is that node's, and subdivide raises what the
+    node-by-node loop raises."""
+    pts = [hyperboloid_point(p) for p in spread_hyperboloid_grid(3, far=far).payloads]
+    x = grid_from_points(HYP2, lo, hi, pts)
+    failures = oracles.pointwise_failures(mask, x)
+    plan = [g for g in subdivision._plan(mask, x) if len(g[0]) == 2]
+    assert len(plan) == 1 and plan[0][1].sum() == 2  # one group of two classes
+    held = {tuple(int(c) for c in r) for r in np.argwhere(plan[0][1])}
+    in_group = [i for i in failures if tuple(c % 2 for c in i) in held]
+    assert {tuple(c % 2 for c in i) for i in in_group} == held
+    assert tuple(c % 2 for c in in_group[0]) == max(held)  # the later class in row-major order
+    _, first = subdivision._refine(plan, subdivision._stack([x]))
+    assert first[0] == (0,) + in_group[0]
+    assert str(first[1]) == str(failures[in_group[0]])
+    with pytest.raises(DomainError) as batched:
+        subdivide(mask, x)
+    with pytest.raises(DomainError) as pointwise:
+        oracles.pointwise_refine(mask, x)
+    assert str(batched.value) == str(pointwise.value)
 
 
 def test_a_lower_node_failing_later_is_the_one_raised(monkeypatch):
