@@ -5,7 +5,8 @@ of a public constructor) goes through one reader, so one rule decides what an
 integer, a lattice point or a number is: ints and numpy ints are integers
 (bools, floats such as 2.0 and strings are refused, never truncated or
 parsed), and ints and floats in rectangular nesting are numbers (strings,
-bools, None and ragged lists are refused).  The readers raise StructuralError.
+bools, None and ragged lists are refused).  The readers raise StructuralError,
+and `integer` a DomainError for an integer below the least value it is given.
 """
 
 import numpy as np
@@ -40,10 +41,12 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-def integer(v, what="integer") -> int:
-    """v as a Python int; only ints and numpy ints are accepted."""
+def integer(v, what="integer", least=None) -> int:
+    """v as a Python int; only ints and numpy ints are accepted, none below least."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise StructuralError(f"{what} must be an integer, got {v!r}")
+    if least is not None and v < least:
+        raise DomainError(f"{what} must be >= {least}, got {v}")
     return int(v)
 
 

@@ -7,7 +7,8 @@ Integer translates of the samples are level-n cosets of a^(n)
 (`masks.coset`), and the interlevel residual eps_n compares dense, padded
 copies of a^(n) and a^(n+1) slice by slice; both walk one `masks.ladder`.
 The linear rule out_i = sum_j a_{i-2j} x_j, to which the barycentric scheme
-reduces on euclidean data, is the reference the tests compare against.
+reduces on euclidean data, lives in `tests/oracles.py::linear_refine` as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def _alpha(samples: Mask, n: int, gauge: BoxGauge) -> float:
 
 def contractivity_certificate(mask: Mask, level_cap: int) -> ContractivityCertificate:
     """Searches levels 1..level_cap for gamma_n < 1 on the recentred mask."""
-    if level_cap < 1:
+    if integer(level_cap, "level cap") < 1:
         raise DomainError("level cap must be >= 1")
     require_sum_rule(mask)
     centered, _ = recenter(mask)

@@ -9,8 +9,8 @@ an offset cell in lo - hi .. 1, and one table per anchor parity, from
 `masks._cells`, serves every step.  Rows, L^p curves and ball checks push the
 law over the cells, one `bincount` a step, and past `ITERATED_SUPPORT_CAP`
 slots read a^(n) off one ladder walk.  The sampler moves all trials as one
-count per cell, split over each occupied cell's bins by conditional binomials
-from one generator keyed by the seed, so its cost does not grow with trials.
+count per cell, split each step by one `multinomial` call over the occupied
+cells from a generator keyed by the seed, so its cost does not grow with trials.
 """
 
 from __future__ import annotations
@@ -109,18 +109,15 @@ def kernel_row(mask: Mask, start, steps: int) -> KernelRow:
 def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
     """Empirical marginal of X_steps over `trials` independent trajectories.
 
-    The trials move as one int64 count per cell (so trials < 2^63): a step
-    splits the c trials of a cell over its class's bins w_0 .. w_last by a
-    multinomial(c, w / sum w), the law of c separate steps.  One generator,
-    `np.random.default_rng(seed)`, draws it: for k = 0 .. width - 2 one
-    `binomial` call gives every occupied cell, in cell order (the row-major
-    order of the states), the bin-k share of its trials still left, with
-    probability w_k / fsum(w_k .. w_last) (1 at the last bin, 0 past it), and
-    bin width - 1 takes the rest.
+    The trials move as one int64 count per cell (so trials < 2^63).  Each step
+    is one `multinomial` call of `np.random.default_rng(seed)`, in which every
+    occupied cell, in cell order (the row-major order of the states), splits
+    its count c by multinomial(c, w / fsum(w)) over its class's bins, the law of
+    c separate steps; the zero padding in front of a short class draws nothing.
     Returns a map from the final state to its frequency.
     """
     start, steps = _checked(mask, start, steps)
-    trials = integer(trials, "trials")
+    trials, seed = integer(trials, "trials"), integer(seed, "seed", 0)
     if not 1 <= trials < 2 ** 63:
         raise DomainError(f"trials must be >= 1 and < 2^63 (int64 counts), got {trials}")
     if steps == 0:
@@ -128,19 +125,15 @@ def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
     if (tables := _cells(mask)) is None:
         raise ResourceError(f"Monte Carlo tables exceed cap {ITERATED_SUPPORT_CAP}")
     lo, offsets, cell, weights, moves = tables
-    cond = np.array([[v / math.fsum(w[k:]) if v else 0.0 for k, v in enumerate(w)]
-                     for w in weights.tolist()])
+    probs = weights / np.array([[math.fsum(w)] for w in weights.tolist()])
     rng = np.random.default_rng(seed)
     counts = (np.arange(len(offsets)) == cell) * trials
     for _ in range(steps):
         cls, nxt = moves[tuple(c & 1 for c in start)]
         occupied = np.flatnonzero(counts)
-        left, split = counts[occupied], []
-        for q in cond[cls[occupied]].T[:-1]:
-            split.append(rng.binomial(left, q))
-            left = left - split[-1]
+        split = rng.multinomial(counts[occupied], probs[cls[occupied]])
         counts = np.zeros_like(counts)
-        np.add.at(counts, nxt[occupied], np.column_stack(split + [left]))
+        np.add.at(counts, nxt[occupied], split)
         start = tuple((c - l) >> 1 for c, l in zip(start, lo))
     keys = np.flatnonzero(counts)
     return {tuple(map(operator.add, start, d)): k / trials

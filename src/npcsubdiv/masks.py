@@ -303,10 +303,10 @@ def default_gauge(mask: Mask) -> BoxGauge:
 # -- the characteristic chain's cells, and convergence -------------------------
 
 def _cells(mask: Mask):
-    """The chain's tables, or None past `ITERATED_SUPPORT_CAP` slots: lo, the
-    offset d of each cell, the start cell, the classes' raw weights (padded
-    with 0), and per anchor parity each cell's class and the cell each
-    (cell, bin) leads to: d -> (d + m + lo + b) >> 1, b = (c - lo) & 1."""
+    """The chain's tables, or None past `ITERATED_SUPPORT_CAP` slots: lo, the offset
+    d of each cell, the start cell, the classes' raw weights (padded with 0 in front,
+    so a class's last bin is live), and per anchor parity each cell's class and the
+    cell each (cell, bin) leads to: d -> (d + m + lo + b) >> 1, b = (c - lo) & 1."""
     lo, hi = mask.support_box()
     parities = list(product((0, 1), repeat=mask.dim))
     classes = [stencil(mask, r) for r in parities]
@@ -317,8 +317,8 @@ def _cells(mask: Mask):
     weights = np.zeros((len(classes), width))
     moves = np.zeros((len(classes), width, mask.dim), dtype=np.int64)  # m + hi >= 0
     for c, (r, pairs) in enumerate(zip(parities, classes)):
-        weights[c, :len(pairs)] = [w for _, w in pairs]
-        moves[c, :len(pairs)] = [[2 * a - b + h for a, b, h in zip(j, r, hi)] for j, _ in pairs]
+        weights[c, -len(pairs):] = [w for _, w in pairs]
+        moves[c, -len(pairs):] = [[2 * a - b + h for a, b, h in zip(j, r, hi)] for j, _ in pairs]
     grid = np.indices(shape).reshape(mask.dim, -1).T
     cell_odd = np.array([[(b + l - h) & 1 for b, l, h in zip(r, lo, hi)] for r in parities])
     lo_odd = np.array([[(b - l) & 1 for b, l in zip(r, lo)] for r in parities])  # b per parity
@@ -349,8 +349,8 @@ def convergence_level(mask: Mask) -> int | None:
     if (tables := _cells(centered)) is None:
         raise ResourceError(f"convergence search tables exceed cap {ITERATED_SUPPORT_CAP}")
     _, offsets, _, weights, moves = tables
-    step = [list(map(frozenset, np.where(weights[cls] > 0, nxt, nxt[:, :1]).tolist()))
-            for cls, nxt in moves.values()]  # a padded bin (weight 0) repeats bin 0
+    step = [list(map(frozenset, np.where(weights[cls] > 0, nxt, nxt[:, -1:]).tolist()))
+            for cls, nxt in moves.values()]  # front padding (weight 0) repeats the live last bin
 
     @cache
     def image(cells):  # the cells one step on, per anchor parity

@@ -284,7 +284,8 @@ def _karcher_step(backend, y, points, weights):
 #
 # One class per kind; `core` counts the payload axes, `kappa` bounds the
 # curvature from below by -kappa, `key` names the payload in JSON.  Methods
-# work over any leading axes.  The base class holds the Karcher solver.
+# work over any leading axes.  The base class holds the Karcher solver, whose
+# `step`, `candidate` and `move` spd and the hyperboloid supply.
 
 class _Backend:
     core = 1
@@ -318,20 +319,8 @@ class _Backend:
         the hyperboloid the time coordinate, about e^R / 2 at radius R)."""
         return np.spacing(np.abs(_rows(points, 1 + self.core)).max(axis=-1))
 
-    def norm(self, y, v):
-        return _norm(v, self.core)
-
     def dist_at(self, p, at, q):  # d(p[:, at], q); spd takes one eigenframe per row of p
         return self.dist(p[:, at], q)
-
-    def step(self, y, points, weights):
-        logs = self.log(y[:, None], points)
-        v = _weighted_sum(weights, logs, self.core)
-        norms = self.norm(y[:, None], logs)
-        return self.norm(y, v), norms, v, (logs, norms)
-
-    def move(self, y, v):  # the point an update v of `step` leads to from y
-        return self.exp(y, v)
 
     def sampler(self, desc, seed):
         """A unit-speed geodesic toward a random second point, as one batched exp."""
@@ -573,6 +562,15 @@ class _Hyperboloid(_Backend):
         coordinates, since y0 v0 = <y_s, v_s> and y0^2 = 1 + |y_s|^2."""
         ys, vs = y[..., 1:], v[..., 1:]
         return np.sqrt(_dot(vs, vs) + _wedge2(ys, vs)) / y[..., 0]
+
+    def step(self, y, points, weights):
+        logs = self.log(y[:, None], points)
+        v = _weighted_sum(weights, logs, self.core)
+        norms = self.norm(y[:, None], logs)
+        return self.norm(y, v), norms, v, (logs, norms)
+
+    def move(self, y, v):  # the point an update v of `step` leads to from y
+        return self.exp(y, v)
 
     def candidate(self, y, weights, v, parts):
         """exp_y(H^-1 v) and its `_newton_bound`, H = sum_i w_i [u_i u_i^T + a_i (I - u_i u_i^T)],
@@ -887,7 +885,7 @@ def geodesic_sampler(descriptor: SpaceDescriptor, seed: int = 0):
     (N, dim) array t to the (N, *payload_shape) payloads gamma(t[:, 0]); the
     direction runs toward a random second point, and on the tripod the line
     runs through the glue point along legs 1 (t >= 0) and 2 (t < 0)."""
-    return _BACKENDS[descriptor.kind].sampler(descriptor, seed)
+    return _BACKENDS[descriptor.kind].sampler(descriptor, integer(seed, "seed", 0))
 
 
 # -- JSON encodings -----------------------------------------------------------

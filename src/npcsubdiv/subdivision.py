@@ -244,7 +244,8 @@ def empirical_gamma(mask: Mask, space: SpaceDescriptor, trials: int, n_max: int,
     draws from default_rng([seed, t]), again on degenerate data or a solver
     failure, up to 3 draws; the trials run stacked, and the result and the
     error raised are those of a trial by trial loop."""
-    if n_max < FIT_FIRST_LEVEL + 1:
+    seed, trials = integer(seed, "seed", 0), integer(trials, "trials", 1)
+    if integer(n_max, "n_max") < FIT_FIRST_LEVEL + 1:
         raise DomainError(f"n_max must be >= {FIT_FIRST_LEVEL + 1}")
     rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
     grids = [trial_grid(mask, space, rng) for rng in rngs]
@@ -313,7 +314,7 @@ def convergence_diagnostic(mask: Mask, x: GridData, n_max: int) -> ConvergenceDi
 def _diagnoses(mask: Mask, grids, n_max: int) -> list:
     """`convergence_diagnostic` of each of the grids, which share a window, in
     one stacked run; raises the error that trial by trial runs raise first."""
-    if n_max < 2:
+    if integer(n_max, "n_max") < 2:
         raise DomainError("n_max must be >= 2")
     size = max(1, STACK_FLOATS // _finest_floats(grids[0], n_max))
     if len(grids) > size:  # one stack after another, in trial order

@@ -25,7 +25,7 @@ supports of `dense_iterated`, and `offset_level_search` walks the pairs of
 row supports as lattice offsets from the digit-shifted start, for the exact
 convergence decision on the chain's cells to match.
 `splitting_chain` runs the Monte Carlo chain as counts per state, one scalar
-binomial draw at a time, for the sampler to match on the same stream.
+multinomial draw per state, for the sampler to match on the same stream.
 `diagnose_loop`, `approx_loop` and `empirical_gamma_loop` run the stacked
 callers trial by trial on public `iterate`, node by node, for the stacked
 runs to match bit for bit, errors included.
@@ -117,30 +117,19 @@ def one_step_row(mask, state):
 def splitting_chain(mask, start, steps, trials, seed):
     """End-state frequencies of `trials` walks from start, moved as one count
     per state on the sampler's documented stream: one generator keyed by the
-    seed; at each step, for bin k = 0 .. width - 2 (width the longest one-step
-    row of a parity class), each occupied state in sorted order draws
-    binomial(its trials still left, w_k / fsum(w_k ..)) over its one-step row
-    w, with p = 0 past the row's end; bin width - 1 takes the rest."""
+    seed; at each step each occupied state, in sorted order, splits its count
+    by one scalar multinomial(count, w / fsum(w)) over its one-step row w."""
     rng = np.random.default_rng(seed)
-    width = max(len(one_step_row(mask, r)) for r in product((0, 1), repeat=len(start)))
     counts = {tuple(start): trials}
     for _ in range(steps):
-        rows = {i: one_step_row(mask, i) for i in counts}
-        left, shares = dict(counts), {i: [] for i in counts}
-        for k in range(width - 1):
-            for i in sorted(counts):
-                w = list(rows[i].values())
-                p = w[k] / math.fsum(w[k:]) if k < len(w) else 0.0
-                take = int(rng.binomial(left[i], p))
-                shares[i].append(take)
-                left[i] -= take
-        counts = {}
-        for i, row in rows.items():
-            shares[i].append(left[i])
-            assert not any(shares[i][len(row):])  # no trial past the row's end
-            for j, c in zip(row, shares[i]):
-                if c:
-                    counts[j] = counts.get(j, 0) + c
+        moved = {}
+        for i in sorted(counts):
+            row = one_step_row(mask, i)
+            total = math.fsum(row.values())
+            shares = rng.multinomial(counts[i], [w / total for w in row.values()])
+            for j, c in zip(row, shares.tolist()):
+                moved[j] = moved.get(j, 0) + c
+        counts = {j: c for j, c in moved.items() if c}
     assert sum(counts.values()) == trials
     return {j: c / trials for j, c in counts.items()}
 

@@ -9,8 +9,6 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from npcsubdiv import (BarycenterProblem, DomainError, NumericError, ResourceError, SolverError,
                        SpaceDescriptor, StructuralError, ball_confinement, bspline_mask,
@@ -20,7 +18,7 @@ from npcsubdiv import (BarycenterProblem, DomainError, NumericError, ResourceErr
                        tripod_point, weighted_barycenter)
 from npcsubdiv import markov, masks, spaces
 from npcsubdiv.grid import box_indices, check_interior_depth, grid_from_points
-from npcsubdiv.masks import ITERATED_SUPPORT_CAP, coset, translate
+from npcsubdiv.masks import ITERATED_SUPPORT_CAP, coset, stencil, translate
 from oracles import forward_row, fraction_row, splitting_chain, tv
 
 TRI = SpaceDescriptor("tripod")
@@ -472,35 +470,59 @@ def test_sampler_equals_the_splitting_oracle_on_the_same_stream(mask, start, ste
             == splitting_chain(mask, start, steps, trials, seed=21))
 
 
-@st.composite
-def chain_masks(draw):
-    """Nonnegative masks of dims 1-3, every parity class normalized to sum 1:
-    weights are 0, non-dyadic floats or 1e-17 (a bin that all but never draws
-    a trial; behind a larger weight, that weight's conditional probability
-    rounds to 1, and first in its class, the draw runs at p = 1e-17), and a
-    class with one positive entry makes a deterministic step."""
-    dim = draw(st.integers(1, 3))
-    shape = tuple(draw(st.integers(2, 4 if dim < 3 else 3)) for _ in range(dim))
-    weight = st.one_of(st.just(0.0), st.just(1e-17), st.floats(0.05, 1.0))
-    coeffs = np.array(draw(st.lists(weight, min_size=math.prod(shape),
-                                    max_size=math.prod(shape)))).reshape(shape)
+def random_chain_case(k):
+    """Case k of the sampler's fixed battery, drawn from default_rng(k): a nonnegative
+    mask of dim 1 + k % 3 with every parity class normalized to sum 1, offsets in -5..5,
+    a start within 10^6 of the origin, k % 7 steps and a seed.  Weights are 0,
+    non-dyadic floats or 1e-17 (a bin that all but never draws a trial; behind a
+    larger weight, that weight's share of the rest rounds to 1, and first in its
+    class, the draw runs at p = 1e-17), and a class with one positive entry makes
+    a deterministic step."""
+    rng = np.random.default_rng(k)
+    dim = 1 + k % 3
+    shape = tuple(rng.integers(2, 5 if dim < 3 else 4, size=dim).tolist())
+    coeffs = np.choose(rng.integers(0, 3, size=shape),
+                       (0.0, 1e-17, rng.uniform(0.05, 1.0, size=shape)))
     for r in product((0, 1), repeat=dim):
         cls = coeffs[tuple(slice(rk, None, 2) for rk in r)]  # a view
         if cls.sum() == 0.0:
-            cls.flat[draw(st.integers(0, cls.size - 1))] = 1.0
+            cls.flat[rng.integers(cls.size)] = 1.0
         cls /= cls.sum()
-    offset = tuple(draw(st.integers(-5, 5)) for _ in range(dim))
-    return make_mask(offset, coeffs.tolist())
+    offset = tuple(rng.integers(-5, 6, size=dim).tolist())
+    start = tuple(rng.integers(-10 ** 6, 10 ** 6 + 1, size=dim).tolist())
+    return make_mask(offset, coeffs.tolist()), start, k % 7, int(rng.integers(2 ** 32))
+
+
+def test_the_random_chain_battery_covers_its_edge_cases():
+    masks_ = [random_chain_case(k)[0] for k in range(20)]
+    weights = [w for m in masks_ for w in m.coeffs.ravel().tolist()]
+    classes = [stencil(m, r) for m in masks_ for r in product((0, 1), repeat=m.dim)]
+    assert {m.dim for m in masks_} == {1, 2, 3}
+    assert 0.0 in weights and any(0.0 < w < 1e-15 for w in weights)
+    assert any(Fraction(w).denominator > 2 ** 20 for w in weights)
+    assert any(len(pairs) == 1 for pairs in classes)
+    assert any(pairs[0][1] < 1e-15 for pairs in classes)  # a draw at p ~ 1e-17
+    assert any(len(pairs) > 1 and pairs[-1][1] < 1e-15 for pairs in classes)  # behind more
 
 
 @pytest.mark.parametrize("trials", TRIALS)
-@settings(max_examples=20)
-@given(mask=chain_masks(), data=st.data(), steps=st.integers(0, 6),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_sampler_equals_the_splitting_oracle_on_random_masks(trials, mask, data, steps, seed):
-    start = data.draw(st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * mask.dim))
+@pytest.mark.parametrize("k", range(20))
+def test_sampler_equals_the_splitting_oracle_on_random_masks(k, trials):
+    mask, start, steps, seed = random_chain_case(k)
     assert (simulate_chain(mask, start, steps, trials, seed)
             == splitting_chain(mask, start, steps, trials, seed))
+
+
+def test_a_short_class_never_sends_trials_past_its_last_bin():
+    """The even class [0.1, 0.2, 0.7] is padded to the odd class's 4 bins.  Padded
+    at the end, numpy's multinomial would draw its last live bin at
+    0.7 / 0.7000000000000001 and hand what that leaves to the padded bin, a state
+    off the kernel row; padded in front, the last bin is live and takes the rest."""
+    mask = make_mask((0,), [0.1, 0.25, 0.2, 0.25, 0.7, 0.25, 0.0, 0.25])
+    for steps in (1, 3, 6):
+        support = set(kernel_row(mask, (0,), steps).probs)
+        for seed in range(20):
+            assert set(simulate_chain(mask, (0,), steps, 2 ** 63 - 1, seed)) <= support
 
 
 def test_sampler_walks_states_beyond_int64():

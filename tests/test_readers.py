@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError, approximation_error,
-                       ball_confinement, cascade, chaikin_mask, dispersion_gap,
+                       ball_confinement, cascade, chaikin_mask, contractivity_certificate,
+                       convergence_diagnostic, dispersion_gap, empirical_gamma,
                        euclidean_point, geodesic_point, geodesic_sampler, iterate,
                        iterated_mask, kernel_row, lp_curve, make_mask, random_grid,
                        simulate_chain, tripod_point)
@@ -119,6 +120,52 @@ def test_negative_counts_keep_their_error_types():
         count_calls(0)["simulate_chain.trials"]()
     row = kernel_row(chaikin_mask(), (0,), np.int64(2))
     assert type(row.steps) is int and row.steps == 2
+
+
+def seed_and_count_calls():
+    """Calls that read a seed, a trial count or a level bound, by argument and value."""
+    C, eu1 = chaikin_mask(), SpaceDescriptor("euclidean", 1)
+    x = random_grid(eu1, (0,), (3,), np.random.default_rng(1))
+    calls = {}
+    for seed in (-1, 1.5, True):
+        calls[f"simulate_chain.seed={seed}"] = lambda s=seed: simulate_chain(C, (0,), 2, 10, s)
+        calls[f"empirical_gamma.seed={seed}"] = lambda s=seed: empirical_gamma(C, eu1, 1, 3, s)
+        calls[f"geodesic_sampler.seed={seed}"] = lambda s=seed: geodesic_sampler(eu1, s)
+    for trials in (0, -1, 2.0):
+        calls[f"empirical_gamma.trials={trials}"] = \
+            lambda t=trials: empirical_gamma(C, eu1, t, 3, 0)
+    calls["empirical_gamma.n_max=None"] = lambda: empirical_gamma(C, eu1, 1, None, 0)
+    calls["convergence_diagnostic.n_max=None"] = lambda: convergence_diagnostic(C, x, None)
+    for cap in (None, 2.0, True):
+        calls[f"contractivity_certificate.cap={cap}"] = \
+            lambda c=cap: contractivity_certificate(C, c)
+    return calls
+
+
+@pytest.mark.parametrize("name,error,message", (
+    ("simulate_chain.seed=-1", DomainError, r"^seed must be >= 0, got -1$"),
+    ("simulate_chain.seed=1.5", StructuralError, "seed must be an integer"),
+    ("simulate_chain.seed=True", StructuralError, "seed must be an integer"),
+    ("empirical_gamma.seed=-1", DomainError, r"^seed must be >= 0, got -1$"),
+    ("empirical_gamma.seed=1.5", StructuralError, "seed must be an integer"),
+    ("empirical_gamma.seed=True", StructuralError, "seed must be an integer"),
+    ("geodesic_sampler.seed=-1", DomainError, r"^seed must be >= 0, got -1$"),
+    ("geodesic_sampler.seed=1.5", StructuralError, "seed must be an integer"),
+    ("geodesic_sampler.seed=True", StructuralError, "seed must be an integer"),
+    ("empirical_gamma.trials=0", DomainError, r"^trials must be >= 1, got 0$"),
+    ("empirical_gamma.trials=-1", DomainError, r"^trials must be >= 1, got -1$"),
+    ("empirical_gamma.trials=2.0", StructuralError, "trials must be an integer"),
+    ("empirical_gamma.n_max=None", StructuralError, "n_max must be an integer"),
+    ("convergence_diagnostic.n_max=None", StructuralError, "n_max must be an integer"),
+    ("contractivity_certificate.cap=None", StructuralError, "level cap must be an integer"),
+    ("contractivity_certificate.cap=2.0", StructuralError, "level cap must be an integer"),
+    ("contractivity_certificate.cap=True", StructuralError, "level cap must be an integer"),
+))
+def test_seeds_trials_and_level_bounds_are_read_and_refused_by_type(name, error, message):
+    """A bool, a float or None is refused as everywhere else, and a negative seed or
+    a trial count below 1 is a DomainError worded as the CLI words it."""
+    with pytest.raises(error, match=message):
+        seed_and_count_calls()[name]()
 
 
 # -- the readers behind the constructors and decoders ------------------------------
