@@ -609,6 +609,51 @@ def test_empirical_gamma_redraws_a_failing_trial_from_its_own_stream(monkeypatch
         draws.clear()
 
 
+@pytest.mark.parametrize("chosen", (
+    {(0, 1): "flat"},
+    {(1, 1): "flat", (1, 2): "flat", (1, 3): "flat"},
+    {(1, 1): "flat", (1, 2): "spread", (1, 3): "spread"},
+    {(0, 1): "spread", (2, 1): "flat"},
+), ids=("flat-first-draw", "three-flat-draws", "flat-then-two-failures", "failure-below-flat"))
+def test_empirical_gamma_redraws_degenerate_data_as_the_trial_loop_does(chosen, monkeypatch):
+    """Chosen draws (trial, draw number) of spd:2 trial grids become constant,
+    whose d_inf at level 0 (2.2e-16) is degenerate, or spread 5 times about
+    their first node, which fails with three evaluations per row (unspread,
+    none does).  `empirical_gamma` redraws, keeps a series and raises as the
+    trial loop does: the last of three degenerate series, a degenerate series
+    that two failed draws follow, and a degenerate trial above a failing one;
+    each trial draws as often as in the loop."""
+    monkeypatch.setattr(spaces, "BARYCENTER_MAX_ITER", 3)
+    draw = subdivision.trial_grid
+
+    def counted(draws):
+        def trial_grid(mask, space, rng):
+            x = draw(mask, space, rng)
+            t = rng.bit_generator.seed_seq.entropy[1]  # the trial t of [seed, t]
+            draws[t] = draws.get(t, 0) + 1
+            how = chosen.get((t, draws[t]))
+            if how is None:
+                return x
+            payloads = np.broadcast_to(x.payloads[0], x.payloads.shape) if how == "flat" \
+                else spread_about_first_node(x.payloads, space, 5.0)
+            return GridData(space, x.lo, x.hi, payloads)
+        return trial_grid
+
+    def outcome(run):
+        try:
+            return run()
+        except (SolverError, DomainError) as error:
+            return type(error), str(error)
+
+    got, want = {}, {}
+    monkeypatch.setattr(subdivision, "trial_grid", counted(got))
+    monkeypatch.setattr(oracles, "trial_grid", counted(want))
+    est = outcome(lambda: empirical_gamma(CUBIC, SPD2, trials=3, n_max=3, seed=1))
+    est = est if isinstance(est, tuple) else (est.per_trial_gamma, est.C_hat)
+    assert est == outcome(lambda: empirical_gamma_loop(CUBIC, SPD2, 3, 3, 1))
+    assert got == want
+
+
 def test_a_refused_empirical_gamma_trial_raises_as_the_trial_loop_does(monkeypatch):
     """Trial grids moved near 1.5e6 on euclidean:1 are refused (DomainError,
     after which no trial draws again) at a level their slope sets: slope 0.5
