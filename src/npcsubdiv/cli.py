@@ -284,7 +284,7 @@ COMMANDS = {
     "diagnose": (_cmd_diagnose, "convergence diagnostic on given or random data",
                  ("mask", "data", "space", "levels", "trials")),
     "chain": (_cmd_chain, "characteristic-chain marginal, exact or Monte Carlo",
-              ("mask", "steps", "trials", "start")),
+              ("mask", "steps", "start")),
     "lp": (_cmd_lp, "L^p moment curve of the chain", ("mask", "max-steps", "p", "start", "index")),
     "gap": (_cmd_gap, "nested vs one-shot barycenter gap", ("mask", "data!", "steps", "index")),
     "approx": (_cmd_approx, "sampled-geodesic approximation bound check",

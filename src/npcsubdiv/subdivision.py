@@ -35,8 +35,8 @@ __all__ = [
 
 FIT_FIRST_LEVEL = 2
 CONVERGENCE_MARGIN = 1e-3  # a fitted rate below 1 - margin counts as contracting
-# payload floats per level that one stack of trials may hold, so that a stack of
-# deep trials, which gains little from stacking, holds no more than one trial
+# payload floats per level that one stack of `_diagnoses` trials may hold, so that
+# a stack of deep trials, which gains little from stacking, holds no more than one
 STACK_FLOATS = 2 ** 18
 
 
@@ -182,18 +182,16 @@ def iterate(mask: Mask, x: GridData, n: int) -> IterateTrace:
     """n refinement steps with interior tracking, and the contraction series
     on demand; an n whose finest level would pass ITERATED_SUPPORT_CAP payload
     floats is refused."""
-    levels, boxes, failure = _iterate(mask, _stack([x]), n)
-    if failure:
-        raise failure[1]
+    levels, boxes = _iterate(mask, _stack([x]), n)
     levels = [x] + [_refined(lv, lv.payloads[0], lv.window()) for lv in levels[1:]]
     return IterateTrace(mask=mask, levels=levels, interiors=boxes, gauge=default_gauge(mask))
 
 
 def _iterate(mask: Mask, x: GridData, n):
     """`iterate` of each trial of the stacked grid x, one `_refine` per level.
-    Returns the stacked levels, the interior boxes and the failure (trial,
-    error) that trial by trial runs raise first, or None: after a failure in
-    trial b the levels keep the trials below b, which run on as they would alone."""
+    Returns the stacked levels and the interior boxes, or raises the error that
+    trial by trial runs raise first: after a failure in trial b the trials below
+    b run on as they would alone, and the lowest failing trial's error is raised."""
     n = integer(n, "level count")
     if n < 0:
         raise DomainError(f"level count must be >= 0, got {n}")
@@ -208,9 +206,11 @@ def _iterate(mask: Mask, x: GridData, n):
         out, first = _refine(plan, levels[-1])
         levels.append(out)
         if first:
-            failure = (first[0][0], first[1])
-            levels = [_refined(lv, lv.payloads[:failure[0]], lv.window()) for lv in levels]
-    return levels, boxes, failure
+            failure = first[1]
+            levels = [_refined(lv, lv.payloads[:first[0][0]], lv.window()) for lv in levels]
+    if failure:
+        raise failure
+    return levels, boxes
 
 
 def _finest_floats(x: GridData, n) -> int:
@@ -242,38 +242,24 @@ def empirical_gamma(mask: Mask, space: SpaceDescriptor, trials: int, n_max: int,
     """Fits contraction rates of d_inf over random data; max over trials.
     The fit starts at level FIT_FIRST_LEVEL and needs two levels.  Trial t
     draws from default_rng([seed, t]), again on degenerate data or a solver
-    failure, up to 3 draws; the trials run stacked, and the result and the
-    error raised are those of a trial by trial loop."""
+    failure, up to 3 draws, and keeps its last series that ran; the trials
+    run one after another, each draw as one `_iterate` and one d_inf sweep."""
     seed, trials = integer(seed, "seed", 0), integer(trials, "trials", 1)
     if integer(n_max, "n_max") < FIT_FIRST_LEVEL + 1:
         raise DomainError(f"n_max must be >= {FIT_FIRST_LEVEL + 1}")
-    rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
-    grids = [trial_grid(mask, space, rng) for rng in rngs]
-    draws, series, errors = [1] * trials, [None] * trials, {}
-    pending = list(range(trials))
-    while pending:
-        batch = pending[:max(1, STACK_FLOATS // _finest_floats(grids[0], n_max))]
-        levels, boxes, failure = _iterate(mask, _stack([grids[t] for t in batch]), n_max)
-        sweeps = [d for d, _ in _pair_distances(levels, unit_gauge(mask.dim), boxes)]
-        ran = len(levels[0].payloads)  # trials below the failure, if any
-        again = pending[ran + bool(failure):]  # not run, or stopped by that failure
-        for k, t in enumerate(batch[:ran + 1]):
-            if k < ran:
-                series[t] = [_max(d[k]) for d in sweeps]
-            elif not isinstance(failure[1], SolverError):
-                errors[t] = failure[1]
+    gammas, c_hat = [], 0.0
+    for t in range(trials):
+        rng, d = np.random.default_rng([seed, t]), None
+        for _ in range(3):
+            try:
+                levels, boxes = _iterate(mask, _stack([trial_grid(mask, space, rng)]), n_max)
+            except SolverError:
                 continue
-            if (k == ran or series[t][0] <= 1e-9) and draws[t] < 3:
-                grids[t], draws[t] = trial_grid(mask, space, rngs[t]), draws[t] + 1
-                again.append(t)
-            elif series[t] is None:
-                errors[t] = SolverError(f"trial {t} failed after 3 resamples")
-        pending = sorted(t for t in again if t < min(errors, default=trials))
-    if errors:
-        raise errors[min(errors)]
-    gammas = []
-    c_hat = 0.0
-    for d in series:
+            d = [_max(s) for s, _ in _pair_distances(levels, unit_gauge(mask.dim), boxes)]
+            if d[0] > 1e-9:
+                break
+        if d is None:
+            raise SolverError(f"trial {t} failed after 3 resamples")
         gammas.append(fit_gamma([(k, v) for k, v in enumerate(d) if k >= FIT_FIRST_LEVEL]))
         ref = max(gammas[-1], 1e-12)
         c_hat = max([c_hat] + [v / (ref ** k * d[0]) for k, v in enumerate(d) if k])
@@ -320,9 +306,7 @@ def _diagnoses(mask: Mask, grids, n_max: int) -> list:
     if len(grids) > size:  # one stack after another, in trial order
         return [r for k in range(0, len(grids), size)
                 for r in _diagnoses(mask, grids[k:k + size], n_max)]
-    levels, boxes, failure = _iterate(mask, _stack(grids), n_max)
-    if failure:
-        raise failure[1]
+    levels, boxes = _iterate(mask, _stack(grids), n_max)
     pairs = []  # per level n + 1, its interior nodes and the comparison's, for one sweep
     for n in range(n_max):
         comparison, level = bspline_comparison(levels[n]), levels[n + 1]
@@ -376,10 +360,8 @@ def _approximations(mask: Mask, descriptor: SpaceDescriptor, f, lipschitz, hs, n
         raise DomainError(f"lipschitz must be finite and >= 0, got {lipschitz}")
     lo, hi = (-4,) * mask.dim, (4,) * mask.dim
     coarse = f(np.concatenate([h * box_array(lo, hi) for h in hs]))
-    levels, boxes, failure = _iterate(mask, _stack([_stacked_grid(descriptor, lo, hi, rows)
-                                                    for rows in np.split(coarse, len(hs))]), n)
-    if failure:
-        raise failure[1]
+    levels, boxes = _iterate(mask, _stack([_stacked_grid(descriptor, lo, hi, rows)
+                                           for rows in np.split(coarse, len(hs))]), n)
     level, nodes = levels[n], box_array(*boxes[n])
     exact = f(np.concatenate([(h / 2 ** n) * nodes for h in hs]))
     errors = distances(descriptor, level.payloads[(slice(None),) + level.local(nodes.T)],

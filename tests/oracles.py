@@ -26,9 +26,10 @@ row supports as lattice offsets from the digit-shifted start, for the exact
 convergence decision on the chain's cells to match.
 `splitting_chain` runs the Monte Carlo chain as counts per state, one scalar
 multinomial draw per state, for the sampler to match on the same stream.
-`diagnose_loop`, `approx_loop` and `empirical_gamma_loop` run the stacked
-callers trial by trial on public `iterate`, node by node, for the stacked
-runs to match bit for bit, errors included.
+`diagnose_loop` and `approx_loop` run the stacked callers trial by trial on
+public `iterate`, node by node, for the stacked runs to match bit for bit,
+errors included; `empirical_gamma_loop` runs the draws of `empirical_gamma`
+on public `iterate`, for its one-trial runs to match likewise.
 """
 
 import math

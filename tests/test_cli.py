@@ -684,6 +684,17 @@ def test_unknown_command_exits_with_usage_error(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ((), ("--exact",), ("--mc",), ("--mc", "trials=5")),
+                         ids=("default", "exact", "mc", "mc-trials"))
+def test_chain_refuses_a_trials_option(capsys, files, mode):
+    """`chain` spells its trial count only as `--mc trials=N`."""
+    with pytest.raises(SystemExit) as exc:
+        main(["chain", "--mask", files["c"], "--start", "0", "--steps", "2", *mode,
+              "--trials", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trials 7" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fields,message", (
     ({"command": "frobnicate"}, "unknown command 'frobnicate'"),
     ({"command": "validate", "format": "xml"}, "unknown format 'xml'"),

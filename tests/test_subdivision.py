@@ -486,8 +486,8 @@ STACKED_SPACES = [SpaceDescriptor(kind, dim) for kind in ("euclidean", "spd", "h
 @pytest.mark.parametrize("desc", STACKED_SPACES, ids=str)
 def test_stacked_runs_equal_the_trial_by_trial_loop(desc, tmp_path):
     """`diagnose --space` (all trials in one run) and `approx` (all h in one
-    run) on 1-D and 2-D masks, and `empirical_gamma` (all trials in one run),
-    give the bits of one run per trial on public `iterate`."""
+    run) on 1-D and 2-D masks, and `empirical_gamma` (one `_iterate` and one
+    d_inf sweep per draw), give the bits of one run per trial on public `iterate`."""
     space = f"{desc.kind}:{desc.dim}"
     for mask, levels in ((CUBIC, 3), (tensor_power(B, 2), 2)):
         path = tmp_path / "mask.json"
@@ -585,10 +585,8 @@ def test_empirical_gamma_redraws_a_failing_trial_from_its_own_stream(monkeypatch
     """With three evaluations per row about half the spd:2 trial grids of the
     cubic mask fail once spread 3 times about their first node (unspread,
     none does: the certified Newton stop ends their rows in three).  A failing
-    trial draws again from its own stream, and trials above it run again on
-    their data; seed 10 needs 3 redraws and succeeds, seed 2 gives trial 2 up
-    after 3 draws, with the loop's error.  Likewise in stacks of two trials
-    (a trial's level 3 holds 324 floats)."""
+    trial draws again from its own stream; seed 10 needs 3 redraws and
+    succeeds, seed 2 gives trial 2 up after 3 draws, with the loop's error."""
     monkeypatch.setattr(spaces, "BARYCENTER_MAX_ITER", 3)
     draws = []
     draw = subdivision.trial_grid
@@ -599,14 +597,11 @@ def test_empirical_gamma_redraws_a_failing_trial_from_its_own_stream(monkeypatch
 
     monkeypatch.setattr(oracles, "trial_grid", spread)
     monkeypatch.setattr(subdivision, "trial_grid", lambda *args: draws.append(1) or spread(*args))
-    for floats in (subdivision.STACK_FLOATS, 700):
-        monkeypatch.setattr(subdivision, "STACK_FLOATS", floats)
-        est = empirical_gamma(CUBIC, SPD2, trials=3, n_max=3, seed=10)
-        assert (est.per_trial_gamma, est.C_hat) == empirical_gamma_loop(CUBIC, SPD2, 3, 3, 10)
-        assert len(draws) == 6
-        assert_same_error(raised(lambda: empirical_gamma(CUBIC, SPD2, trials=3, n_max=3, seed=2)),
-                          raised(lambda: empirical_gamma_loop(CUBIC, SPD2, 3, 3, 2)))
-        draws.clear()
+    est = empirical_gamma(CUBIC, SPD2, trials=3, n_max=3, seed=10)
+    assert (est.per_trial_gamma, est.C_hat) == empirical_gamma_loop(CUBIC, SPD2, 3, 3, 10)
+    assert len(draws) == 6
+    assert_same_error(raised(lambda: empirical_gamma(CUBIC, SPD2, trials=3, n_max=3, seed=2)),
+                      raised(lambda: empirical_gamma_loop(CUBIC, SPD2, 3, 3, 2)))
 
 
 @pytest.mark.parametrize("chosen", (
@@ -659,7 +654,7 @@ def test_a_refused_empirical_gamma_trial_raises_as_the_trial_loop_does(monkeypat
     after which no trial draws again) at a level their slope sets: slope 0.5
     at level 1, slope 4 at level 3.  `empirical_gamma` raises the error of
     the lowest refused trial, as the loop does, also where a higher trial is
-    refused at an earlier level; in one stack and in stacks of one trial."""
+    refused at an earlier level."""
     slopes = {}
     draw = subdivision.trial_grid
 
@@ -673,18 +668,16 @@ def test_a_refused_empirical_gamma_trial_raises_as_the_trial_loop_does(monkeypat
 
     monkeypatch.setattr(subdivision, "trial_grid", moved)
     monkeypatch.setattr(oracles, "trial_grid", moved)
-    for floats in (subdivision.STACK_FLOATS, 1):
-        monkeypatch.setattr(subdivision, "STACK_FLOATS", floats)
-        errors = []
-        for case in ({0: 0.5}, {1: 4.0}, {2: 0.5}, {1: 4.0, 2: 0.5}):
-            slopes.clear()
-            slopes.update(case)
-            got = raised(lambda: empirical_gamma(CUBIC, EU1, trials=3, n_max=3, seed=4))
-            assert_same_error(got, raised(lambda: empirical_gamma_loop(CUBIC, EU1, 3, 3, 4)))
-            assert isinstance(got, DomainError) and "ill-conditioned" in str(got)
-            errors.append(str(got))
-        # trial 1's level-3 refusal, not trial 2's level-1 one
-        assert errors[3] == errors[1] != errors[2]
+    errors = []
+    for case in ({0: 0.5}, {1: 4.0}, {2: 0.5}, {1: 4.0, 2: 0.5}):
+        slopes.clear()
+        slopes.update(case)
+        got = raised(lambda: empirical_gamma(CUBIC, EU1, trials=3, n_max=3, seed=4))
+        assert_same_error(got, raised(lambda: empirical_gamma_loop(CUBIC, EU1, 3, 3, 4)))
+        assert isinstance(got, DomainError) and "ill-conditioned" in str(got)
+        errors.append(str(got))
+    # trial 1's level-3 refusal, not trial 2's level-1 one
+    assert errors[3] == errors[1] != errors[2]
 
 
 def test_a_failing_approx_run_raises_as_the_h_by_h_loop_does(monkeypatch):
