@@ -27,7 +27,7 @@ TRIPOD = "tripod"
 KINDS = (EUCLIDEAN, SPD, HYPERBOLOID, TRIPOD)
 
 HYPERBOLOID_TOL = 1e-10     # |<p,p>_M + 1| bound for membership, times p0^2
-BARYCENTER_TOL = 1e-10      # scaled by (1 + data diameter)
+BARYCENTER_TOL = 1e-10      # scaled by (1 + largest distance from the start)
 BARYCENTER_MAX_ITER = 500
 _PAIRS = cache(lambda n: np.nonzero(np.arange(n)[:, None] < np.arange(n)))  # i < j, once per n
 
@@ -273,6 +273,15 @@ def _solve(h, b):
     return np.where(ok[..., None], x[..., 0], np.nan)
 
 
+def _inv(m):
+    """m^-1 over a stack; NaN where m is not finite or singular to LU, on which LAPACK raises."""
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError:  # the sign, as the determinant can underflow to 0
+        ok = (_finite(m, 2) & (np.linalg.slogdet(m)[0] != 0.0))[..., None, None]
+        return np.where(ok, np.linalg.inv(np.where(ok, m, np.eye(m.shape[-1]))), np.nan)
+
+
 def _karcher_step(backend, y, points, weights):
     """One evaluation of a batch at its iterates y: (residual norms, distances
     from y to the points, Karcher updates, the parts of it, stacked by row,
@@ -285,7 +294,7 @@ def _karcher_step(backend, y, points, weights):
 # One class per kind; `core` counts the payload axes, `kappa` bounds the
 # curvature from below by -kappa, `key` names the payload in JSON.  Methods
 # work over any leading axes.  The base class holds the Karcher solver, whose
-# `step`, `candidate` and `move` spd and the hyperboloid supply.
+# `start`, `step`, `candidate` and `move` spd and the hyperboloid supply.
 
 class _Backend:
     core = 1
@@ -336,13 +345,13 @@ class _Backend:
 
     def barycenters(self, desc, points, weights):
         """The smooth solver of `barycenters`."""
-        start = int(np.argmax(weights))
+        heaviest = int(np.argmax(weights))
         # a row whose tolerance is finer than its coordinates resolve fails
         # before any work; the tolerance is at least BARYCENTER_TOL
         first = None
         floor = self.resolution(points)
         if (floor > BARYCENTER_TOL).any():
-            dists = self.dist(points[:, start, None], points)
+            dists = self.dist(points[:, heaviest, None], points)
             tol = BARYCENTER_TOL * (1.0 + dists.max(axis=-1))
             coarse = np.flatnonzero(tol < floor)
             if coarse.size:
@@ -351,24 +360,23 @@ class _Backend:
                     f"ill-conditioned barycenter: the data's coordinates resolve "
                     f"only {floor[r]:.3g}, coarser than the tolerance {tol[r]:.3g}"))
         limit = len(points) if first is None else first[0]  # rows that can fail first
-        y, k = points[:, start], points.shape[1]
+        y, k = points[:, heaviest], points.shape[1]
         if k == 2 or not self.kappa:  # a geodesic point, or on flat rows the exact Newton step
-            out = self.geodesic(y, points[:, 1 - start], weights[1 - start]) if k == 2 \
+            out = self.geodesic(y, points[:, 1 - heaviest], weights[1 - heaviest]) if k == 2 \
                 else y + _weighted_sum(weights, self.log(y[:, None], points), 1)
             bad = np.flatnonzero(~_finite(out[:limit], self.core))
             return out, (int(bad[0]), _failure()) if bad.size else first
         out = y.copy()
+        if not limit:  # no rows, or the first one fails
+            return out, first
         points, floor = points[:limit], floor[:limit]
-        y = points[:, start]
+        y = self.start(points, weights)
         rows = np.arange(limit)  # live rows, ascending
         tol, last = None, np.inf
         trial = np.zeros(limit, bool)  # rows whose y is an untested Newton candidate
         for _ in range(BARYCENTER_MAX_ITER):
-            if not rows.size:
-                break
             residual, dists, v, parts = _karcher_step(self, y, points, weights)
-            if tol is None:
-                # start points are data points, so max distance <= data diameter
+            if tol is None:  # the largest distance from the start, about the data's radius
                 tol = BARYCENTER_TOL * (1.0 + dists.max(axis=-1))
             back = trial & ~(residual < last)  # NaN does not lower the residual either
             if back.any():  # a reverted row was live at its last evaluation
@@ -400,15 +408,15 @@ class _Backend:
                 r = np.flatnonzero(failed)[0]  # live rows lie below any earlier failure
                 first = (int(rows[r]), _failure())
                 live &= rows < first[0]
+            if not live.any():
+                return out, first
             if not live.all():
                 rows, nxt, points, floor, tol, residual, y, dists, v, trial = (
                     a[live] for a in (rows, nxt, points, floor, tol, residual, y, dists, v, trial))
             prev_y, last, prev_dists, prev_v, y = y, residual, dists, v, nxt
-        if rows.size:
-            first = (int(rows[0]), SolverError("barycenter iteration did not converge",
+        return out, (int(rows[0]), SolverError("barycenter iteration did not converge",
                                                last_iterate=self.point(desc, prev_y[0]),
                                                residual=float(last[0])))
-        return out, first
 
 
 class _Euclidean(_Backend):
@@ -477,6 +485,12 @@ class _SPD(_Backend):
         logs = _sym((q * l[..., None, :]) @ _T(q))
         v = _weighted_sum(weights, logs, 2)
         return _norm(v, 2), _norm(logs, 2), v, (v_y, r_y, q, l)
+
+    def start(self, points, weights):
+        """sym((A + H) / 2) of the arithmetic and harmonic means A = sum_i w_i x_i and
+        H = (sum_i w_i x_i^-1)^-1, third order in the diameter (Bini & Iannazzo 2013)."""
+        harmonic = _inv(_weighted_sum(weights, _inv(points), 2))
+        return _sym(0.5 * (_weighted_sum(weights, points, 2) + harmonic))
 
     def candidate(self, y, weights, v, parts):
         v_y, r_y, q, l = parts
@@ -569,8 +583,15 @@ class _Hyperboloid(_Backend):
         norms = self.norm(y[:, None], logs)
         return self.norm(y, v), norms, v, (logs, norms)
 
-    def move(self, y, v):  # the point an update v of `step` leads to from y
-        return self.exp(y, v)
+    def start(self, points, weights):
+        """The centroid m = c / (-<c, c>_M)^1/2 of c = sum_i w_i x_i, then one Karcher fixed-point
+        step, as log_m x = (d / sinh d)(x - cosh d m): the centroid with weights w_i d_i / sinh d_i,
+        d_i = d(m, x_i).  Fifth order in the row's diameter; far out -<c, c>_M rounds off about
+        eps c0^2, which Newton mends."""
+        c = weights @ points
+        d = self.dist(_hyp_renorm(c / np.sqrt(-_mink(c, c))[..., None])[:, None], points)
+        c = (weights * np.where(d > 0.0, d / np.sinh(d), 1.0))[:, None] @ points
+        return _hyp_renorm(c / np.sqrt(-_mink(c, c))[..., None])[:, 0]
 
     def candidate(self, y, weights, v, parts):
         """exp_y(H^-1 v) and its `_newton_bound`, H = sum_i w_i [u_i u_i^T + a_i (I - u_i u_i^T)],
@@ -608,6 +629,8 @@ class _Hyperboloid(_Backend):
         n = self.norm(p, v)  # v is zero where n is
         return _hyp_renorm(np.cosh(n)[..., None] * p
                            + (np.sinh(n) / np.where(n > 0.0, n, 1.0))[..., None] * v)
+
+    move = exp  # the point an update v of `step` leads to from y
 
     def geodesic(self, p, q, t):
         # (sinh((1 - t) d) p + sinh(t d) q) / sinh(d): no term outgrows the
@@ -693,8 +716,8 @@ class _Tripod(_Backend):
         leg l's least Frechet value is the glue point's minus u_l^2, at s = u_l.
         Two pulls sum to minus twice the weighted t of the third leg, so at most
         one is positive: the minimizer is the argmax leg at max(u, 0)."""
-        legs, ts = np.moveaxis(points, -1, 0)
-        pulls = np.stack([_dot(weights, np.where(legs == leg, ts, -ts)) for leg in range(3)], -1)
+        legs, ts = points[..., None, :, 0], points[..., None, :, 1]
+        pulls = _dot(weights, np.where(legs == np.arange(3.0)[:, None], ts, -ts))
         out = _tripod_rows(pulls.argmax(axis=-1), np.maximum(pulls.max(axis=-1), 0.0))
         bad = np.flatnonzero(~_finite(out, 1))
         return out, (int(bad[0]), _failure()) if bad.size else None
@@ -768,22 +791,23 @@ def barycenters(desc: SpaceDescriptor, points, weights):
     all rows sharing one weight vector.
 
     Returns the stacked minimizers and the first failing row as (row, error),
-    or None.  A row fails with NumericError when a step gives it a non-finite
-    value, and before any step with DomainError when its tolerance (below) is
-    finer than the float spacing of its coordinates.  Rows above a failed row
-    stop, since they cannot change which failure comes first; once a row
-    fails the values are undefined.  The tripod uses its exact closed form.
-    On a smooth backend a row starts at the point of largest weight (ties:
-    lowest index); a 2-point row is the geodesic point walked from there, a
-    longer euclidean row the exact Newton step y + sum_j w_j (x_j - y) from
-    there, and a longer curved row runs a safeguarded Newton iteration until
-    the Karcher update norm (the residual) falls below the tolerance 1e-10 * (1 + largest
-    distance from the start point), and returns the iterate where it does.  A
-    row that moves on builds a Newton candidate, and returns it at once when
-    `_newton_bound` plus the row's rounding floor is within half the tolerance:
-    the point one more evaluation would accept.  Otherwise it keeps the
-    candidate if the residual there is lower than before; if not, or if it is
-    not finite, the row takes `_bounded`'s step instead.
+    or None.  A row fails with NumericError when its start or a step gives it a
+    non-finite value, and before any step with DomainError when its tolerance
+    (below) is finer than the float spacing of its coordinates.  Rows above a
+    failed row stop, since they cannot change which failure comes first; once a
+    row fails the values are undefined.  The tripod uses its exact closed form.
+    On a smooth backend a 2-point row is the geodesic point walked from its
+    heavier point (ties: the first), a longer euclidean row the exact Newton step
+    y + sum_j w_j (x_j - y) from its heaviest point y, and a longer curved row runs
+    a safeguarded Newton iteration from the backend's `start`, of third order in
+    the row's diameter or higher, until the Karcher update norm (the residual)
+    falls below the tolerance 1e-10 * (1 + largest distance from the start), and
+    returns the iterate where it does.  A row that moves on builds a Newton
+    candidate, and returns it at once when `_newton_bound` plus the row's
+    rounding floor is within half the tolerance: the point one more evaluation
+    would accept.  Otherwise it keeps the candidate if the residual there is
+    lower than before; if not, or if it is not finite, the row takes
+    `_bounded`'s step instead.
     """
     points = np.asarray(points, dtype=float)
     try:
