@@ -22,12 +22,12 @@ import numpy as np
 
 from . import __version__
 from .errors import (DomainError, NumericError, ResourceError, SolverError,
-                     StructuralError)
+                     StructuralError, integer, parse_int)
 from .grid import GridData, _grid_header, grid_from_json
 from .linear import cascade, contractivity_certificate
 from .markov import kernel_row, lp_curve, nonassociativity_gap, simulate_chain
 from .masks import Mask, mask_from_json, support_radius, validate_mask
-from .spaces import KINDS, TRIPOD, SpaceDescriptor, payloads_to_json
+from .spaces import parse_space, payloads_to_json
 from .subdivision import _approximations, _diagnoses, geodesic_sampler, iterate, trial_grid
 
 __all__ = ["RunConfig", "Report", "run", "main"]
@@ -64,10 +64,8 @@ class RunConfig:
         if self.format == "csv" and self.command not in CSV_COMMANDS:
             raise DomainError(
                 f"csv output is only available for {', '.join(CSV_COMMANDS)}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if self.trials is not None and self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
+        self.seed = integer(self.seed, "seed", 0)
+        self.trials = None if self.trials is None else integer(self.trials, "trials", 1)
 
 
 @dataclass
@@ -106,15 +104,6 @@ def _data_of(config: RunConfig) -> GridData:
     return grid_from_json(_load_json(_need(config, "data")))
 
 
-def parse_int(text: str, what: str = "integer") -> int:
-    """An integer as the command line writes it: an optional '-' and ASCII
-    digits, nothing else (no '+', blank, '_' or other digits)."""
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise DomainError(f"bad {what} {text!r}")
-    return int(text)
-
-
 def parse_float(text: str) -> float:
     """A float as the command line writes it: an optional '-', then Python's
     float syntax in ASCII ('1', '1.5', '2e0', 'inf') with no '+', blank or '_'."""
@@ -125,17 +114,6 @@ def parse_float(text: str) -> float:
     except ValueError:
         pass
     raise DomainError(f"bad number {text!r}")
-
-
-def parse_space(text: str) -> SpaceDescriptor:
-    """'kind:dim' as in spd:2 or hyperboloid:3; bare 'tripod' is allowed."""
-    kind, _, dim = text.partition(":")
-    if kind not in KINDS:
-        raise DomainError(f"unknown space kind {kind!r}; expected one of {KINDS}")
-    if dim == "" and kind == TRIPOD:
-        return SpaceDescriptor(kind=kind, dim=1)
-    dim = parse_int(dim, f"space {text!r}; expected kind:dim, dim")
-    return SpaceDescriptor(kind=kind, dim=dim)
 
 
 def parse_lattice(text: str) -> tuple:

@@ -5,8 +5,8 @@ of a public constructor) goes through one reader, so one rule decides what an
 integer, a lattice point or a number is: ints and numpy ints are integers
 (bools, floats such as 2.0 and strings are refused, never truncated or
 parsed), and ints and floats in rectangular nesting are numbers (strings,
-bools, None and ragged lists are refused).  The readers raise StructuralError,
-and `integer` a DomainError for an integer below the least value it is given.
+bools, None and ragged lists are refused).  The readers raise StructuralError; `integer`
+raises DomainError below its least value, and `parse_int` (command-line text) on bad text.
 """
 
 import numpy as np
@@ -48,6 +48,15 @@ def integer(v, what="integer", least=None) -> int:
     if least is not None and v < least:
         raise DomainError(f"{what} must be >= {least}, got {v}")
     return int(v)
+
+
+def parse_int(text: str, what: str = "integer") -> int:
+    """An integer as the command line writes it: an optional '-' and ASCII
+    digits, nothing else (no '+', blank, '_' or other digits); DomainError otherwise."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise DomainError(f"bad {what} {text!r}")
+    return int(text)
 
 
 def lattice_point(v, dim=None, what="lattice point") -> tuple:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, StructuralError, lattice_point, numbers
 from .masks import Mask
-from .spaces import _BACKENDS, SpaceDescriptor, SpacePoint, _point, descriptor_from_json, \
+from .spaces import SpaceDescriptor, SpacePoint, descriptor_from_json, \
     descriptor_to_json, payloads_from_json, payloads_to_json, stack_payloads
 
 CONSTANT_NEAREST = "constant_nearest"
@@ -45,7 +45,7 @@ class GridData:
         if payloads.shape != shape:
             raise StructuralError(f"payloads shape {payloads.shape} does not match "
                                   f"window + {self.descriptor}: {shape}")
-        self.payloads = _BACKENDS[self.descriptor.kind].members(payloads)
+        self.payloads = self.descriptor.backend.members(payloads)
         self.payloads.flags.writeable = False
 
     @property
@@ -57,7 +57,7 @@ class GridData:
         """Object array of the points over the window, built on each access."""
         out = np.empty(self.payloads.shape[:self.dim], dtype=object)
         for i in np.ndindex(out.shape):
-            out[i] = _point(self.descriptor, self.payloads[i])
+            out[i] = self.descriptor.backend.point(self.descriptor, self.payloads[i])
         return out
 
     def window(self):
@@ -69,7 +69,7 @@ class GridData:
     def get(self, index) -> SpacePoint:
         """The point at any lattice index: past the window, the nearest stored node."""
         index = lattice_point(index, self.dim, "grid index")
-        return _point(self.descriptor, self.payloads[
+        return self.descriptor.backend.point(self.descriptor, self.payloads[
             tuple(min(max(i, l), h) - l for i, l, h in zip(index, self.lo, self.hi))])
 
     def local(self, index) -> tuple:
@@ -116,7 +116,7 @@ def random_grid(descriptor, lo, hi, rng) -> GridData:
     """A grid drawn in one batched call of the backend: in row-major order its
     nodes are those of as many `random_point` calls, from the same stream."""
     lo, hi = lattice_point(lo, what="window corner"), lattice_point(hi, what="window corner")
-    flat = _BACKENDS[descriptor.kind].random(descriptor, rng, len(box_array(lo, hi)))
+    flat = descriptor.backend.random(descriptor, rng, len(box_array(lo, hi)))
     return _stacked_grid(descriptor, lo, hi, flat)
 
 

@@ -18,7 +18,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DomainError, NumericError, SolverError, StructuralError, \
-    integer, number, numbers
+    integer, number, numbers, parse_int
 
 EUCLIDEAN = "euclidean"
 SPD = "spd"
@@ -34,7 +34,8 @@ _PAIRS = cache(lambda n: np.nonzero(np.arange(n)[:, None] < np.arange(n)))  # i 
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
-    """Identifies a backend; dim is the vector/matrix dimension (tripod: ignored)."""
+    """Identifies a backend; dim is the vector/matrix dimension, or the backend's `fixed_dim`
+    (tripod: 1).  `backend`, the kind's registry entry, and `payload_shape` are not fields."""
 
     kind: str
     dim: int = 1
@@ -42,16 +43,10 @@ class SpaceDescriptor:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise StructuralError(f"unknown space kind {self.kind!r}")
-        dim = integer(self.dim, "space dim")
-        object.__setattr__(self, "dim", 1 if self.kind == TRIPOD else dim)
-        if self.dim < 1:
-            raise StructuralError(f"dim must be >= 1, got {self.dim}")
-
-    @property
-    def payload_shape(self) -> tuple:
-        """Shape of one stacked payload; a tripod point is the row (leg, t)."""
-        return {EUCLIDEAN: (self.dim,), SPD: (self.dim, self.dim),
-                HYPERBOLOID: (self.dim + 1,), TRIPOD: (2,)}[self.kind]
+        backend, dim = _BACKENDS[self.kind], integer(self.dim, "space dim")
+        if (dim := backend.fixed_dim or dim) < 1:
+            raise StructuralError(f"dim must be >= 1, got {dim}")
+        self.__dict__.update(dim=dim, backend=backend, payload_shape=backend.shape(dim))
 
 
 @dataclass(eq=False)
@@ -68,7 +63,7 @@ class SpacePoint:
 
 def _member(desc: SpaceDescriptor, payload: np.ndarray) -> SpacePoint:
     """The point of one payload, checked by its backend's batched membership test."""
-    return _point(desc, _BACKENDS[desc.kind].members(payload[None])[0])
+    return desc.backend.point(desc, desc.backend.members(payload[None])[0])
 
 
 def euclidean_point(v) -> SpacePoint:
@@ -100,7 +95,7 @@ def hyperboloid_from_spatial(v) -> SpacePoint:
 
 def tripod_point(leg: int, t: float) -> SpacePoint:
     """The point (leg, t), read as the JSON point object {"leg": leg, "t": t}."""
-    return _member(SpaceDescriptor(TRIPOD), _BACKENDS[TRIPOD].from_json([{"leg": leg, "t": t}])[0])
+    return point_from_json(SpaceDescriptor(TRIPOD), {"leg": leg, "t": t})
 
 
 def _check_same(p: SpacePoint, q: SpacePoint) -> SpaceDescriptor:
@@ -291,14 +286,26 @@ def _karcher_step(backend, y, points, weights):
 
 # -- backends -------------------------------------------------------------------
 #
-# One class per kind; `core` counts the payload axes, `kappa` bounds the
-# curvature from below by -kappa, `key` names the payload in JSON.  Methods
-# work over any leading axes.  The base class holds the Karcher solver, whose
-# `start`, `step`, `candidate` and `move` spd and the hyperboloid supply.
+# One class per kind owns its rules, and the registry `_BACKENDS` holds one
+# instance of each; `core` counts the payload axes, `shape(dim)` is a payload's
+# shape, `kappa` bounds the curvature from below by -kappa, `key` names the
+# payload in JSON, `fixed_dim` is the one dim of a kind that has one, and
+# `heavier_first` lets `subdivision._plan` list a 2-point stencil's heavier point
+# first.  Methods work over any leading axes.  The base class holds the Karcher
+# solver, whose `start`, `step`, `candidate` and `move` spd and the hyperboloid supply.
 
 class _Backend:
     core = 1
     kappa = 0.0
+    fixed_dim = None
+    heavier_first = True
+    shape = staticmethod(lambda dim: (dim,))
+
+    def parse(self, kind, dim, text):
+        """The descriptor spelled text, 'kind:dim'; a kind with a fixed dim may leave out ':dim'."""
+        if dim == "" and self.fixed_dim:
+            return SpaceDescriptor(kind, self.fixed_dim)
+        return SpaceDescriptor(kind, parse_int(dim, f"space {text!r}; expected kind:dim, dim"))
 
     def members(self, rows):
         """rows, a stack of payloads, as points of this space (the tripod's glue
@@ -308,6 +315,7 @@ class _Backend:
         return rows
 
     def point(self, desc, payload):
+        """The point of one checked payload, which becomes read-only."""
         payload.flags.writeable = False
         return SpacePoint(desc, payload)
 
@@ -338,10 +346,10 @@ class _Backend:
         speed = 0.0
         while speed < 1e-9:  # resample the second point if the two coincide
             other = self.random(desc, rng, 1)[0]
-            speed = _apply(desc, "dist", p, other)  # the length of log_p(other)
-        unit = _apply(desc, "log", p, other) / speed
+            speed = _apply(self.dist, p, other)  # the length of log_p(other)
+        unit = _apply(self.log, p, other) / speed
         self.tangent(p, unit)  # the test of exp_map, which scales with t
-        return lambda t: _apply(desc, "exp", p, t[:, 0].reshape((-1,) + (1,) * self.core) * unit)
+        return lambda t: _apply(self.exp, p, t[:, 0].reshape((-1,) + (1,) * self.core) * unit)
 
     def barycenters(self, desc, points, weights):
         """The smooth solver of `barycenters`."""
@@ -442,6 +450,7 @@ class _SPD(_Backend):
     core = 2
     kappa = 0.5
     key = "m"
+    shape = staticmethod(lambda dim: (dim, dim))
 
     def members(self, rows):
         rows = super().members(rows)
@@ -554,6 +563,7 @@ def _cosh_minus_1(p, q):
 class _Hyperboloid(_Backend):
     kappa = 1.0
     key = "p"
+    shape = staticmethod(lambda dim: (dim + 1,))
 
     def members(self, rows):
         rows = super().members(rows)
@@ -659,6 +669,9 @@ def _tripod_rows(leg, t):
 
 
 class _Tripod(_Backend):
+    fixed_dim = 1
+    heavier_first = False  # the pull sums in order, so a stencil stays in row-major order
+    shape = staticmethod(lambda dim: (2,))  # the row (leg, t)
 
     def members(self, rows):
         legs, t = np.moveaxis(rows, -1, 0)
@@ -727,11 +740,11 @@ _BACKENDS = {EUCLIDEAN: _Euclidean(), SPD: _SPD(), HYPERBOLOID: _Hyperboloid(),
              TRIPOD: _Tripod()}
 
 
-def _apply(desc: SpaceDescriptor, name: str, p, *args):
-    """Backend method `name` over the stacked payloads p (and args); raises
+def _apply(method, p, *args):
+    """The bound backend method over the stacked payloads p (and args); raises
     NumericError when an element of the result fails."""
     with np.errstate(all="ignore"):
-        out = getattr(_BACKENDS[desc.kind], name)(p, *args)
+        out = method(p, *args)
     if not np.isfinite(out).all():
         raise _failure()
     return out
@@ -753,11 +766,6 @@ def _payload(p: SpacePoint) -> np.ndarray:
     return np.asarray(p.payload, dtype=float)
 
 
-def _point(desc: SpaceDescriptor, payload: np.ndarray) -> SpacePoint:
-    """The point of one checked payload, which becomes read-only."""
-    return _BACKENDS[desc.kind].point(desc, payload)
-
-
 # -- batched operations -----------------------------------------------------------
 
 def distances(desc: SpaceDescriptor, p, q) -> np.ndarray:
@@ -765,12 +773,12 @@ def distances(desc: SpaceDescriptor, p, q) -> np.ndarray:
     (`_Backend.members` checks them).  On spd the eigenvalues of p^-1/2 q p^-1/2
     resolve to about 2.2e-16 of the largest, so the distance holds up to condition
     numbers of about 1e15; a singular q may get a finite distance near 35-38."""
-    return _apply(desc, "dist", p, q)
+    return _apply(desc.backend.dist, p, q)
 
 
 def geodesic_points(desc: SpaceDescriptor, p, q, t: float) -> np.ndarray:
     """Geodesic points at parameter t over the leading axes of two stacks."""
-    return _apply(desc, "geodesic", p, q, t)
+    return _apply(desc.backend.geodesic, p, q, t)
 
 
 def _check_weights(weights, count: int) -> np.ndarray:
@@ -815,14 +823,14 @@ def barycenters(desc: SpaceDescriptor, points, weights):
     except (StructuralError, NumericError) as exc:
         return points[:, 0], (0, exc)
     with np.errstate(all="ignore"):
-        return _BACKENDS[desc.kind].barycenters(desc, points, weights)
+        return desc.backend.barycenters(desc, points, weights)
 
 
 # -- one-point operations ---------------------------------------------------------
 
 def log_map(base: SpacePoint, x: SpacePoint) -> np.ndarray:
     """Tangent vector at base pointing to x (euclidean, spd, hyperboloid)."""
-    return _apply(_check_same(base, x), "log", _payload(base), _payload(x))
+    return _apply(_check_same(base, x).backend.log, _payload(base), _payload(x))
 
 
 def exp_map(base: SpacePoint, v: np.ndarray) -> SpacePoint:
@@ -833,8 +841,8 @@ def exp_map(base: SpacePoint, v: np.ndarray) -> SpacePoint:
     p, v = _payload(base), numbers(v, "tangent vector")
     if v.shape != p.shape:
         raise StructuralError(f"tangent vector must have shape {p.shape}, got {v.shape}")
-    _BACKENDS[desc.kind].tangent(p, v)
-    return _point(desc, _apply(desc, "exp", p, v))
+    desc.backend.tangent(p, v)
+    return desc.backend.point(desc, _apply(desc.backend.exp, p, v))
 
 
 def distance(p: SpacePoint, q: SpacePoint) -> float:
@@ -851,7 +859,7 @@ def geodesic_point(p: SpacePoint, q: SpacePoint, t: float) -> SpacePoint:
         return p
     if t == 1.0:
         return q
-    return _point(desc, geodesic_points(desc, _payload(p), _payload(q), t))
+    return desc.backend.point(desc, geodesic_points(desc, _payload(p), _payload(q), t))
 
 
 @dataclass(eq=False)
@@ -875,11 +883,11 @@ def weighted_barycenter(problem: BarycenterProblem) -> SpacePoint:
     """argmin of sum_j w_j d(x_j, .)^2: the one-row case of `barycenters`."""
     desc = problem.points[0].descriptor
     with np.errstate(all="ignore"):  # the problem has read its weights
-        out, failure = _BACKENDS[desc.kind].barycenters(
+        out, failure = desc.backend.barycenters(
             desc, stack_payloads(problem.points, desc)[None], problem.weights)
     if failure:
         raise failure[1]
-    return _point(desc, out[0])
+    return desc.backend.point(desc, out[0])
 
 
 def npc_residual(x0: SpacePoint, x1: SpacePoint, z: SpacePoint) -> float:
@@ -901,7 +909,7 @@ def random_point(descriptor: SpaceDescriptor, rng: np.random.Generator) -> Space
     makes per grid: euclidean uniform on [0,1)^dim, spd the exp of a symmetric
     matrix with entries in [-1,1), hyperboloid within distance 1 of the origin,
     tripod a uniform leg with t in [0,1)."""
-    return _point(descriptor, _BACKENDS[descriptor.kind].random(descriptor, rng, 1)[0])
+    return descriptor.backend.point(descriptor, descriptor.backend.random(descriptor, rng, 1)[0])
 
 
 def geodesic_sampler(descriptor: SpaceDescriptor, seed: int = 0):
@@ -909,10 +917,18 @@ def geodesic_sampler(descriptor: SpaceDescriptor, seed: int = 0):
     (N, dim) array t to the (N, *payload_shape) payloads gamma(t[:, 0]); the
     direction runs toward a random second point, and on the tripod the line
     runs through the glue point along legs 1 (t >= 0) and 2 (t < 0)."""
-    return _BACKENDS[descriptor.kind].sampler(descriptor, integer(seed, "seed", 0))
+    return descriptor.backend.sampler(descriptor, integer(seed, "seed", 0))
 
 
-# -- JSON encodings -----------------------------------------------------------
+# -- descriptors as text and JSON ---------------------------------------------
+
+def parse_space(text: str) -> SpaceDescriptor:
+    """A descriptor as the command line spells it, read by its backend's `parse`."""
+    kind, _, dim = text.partition(":")
+    if kind not in KINDS:
+        raise DomainError(f"unknown space kind {kind!r}; expected one of {KINDS}")
+    return _BACKENDS[kind].parse(kind, dim, text)
+
 
 def descriptor_to_json(desc: SpaceDescriptor) -> dict:
     return {"kind": desc.kind, "dim": desc.dim}
@@ -932,14 +948,14 @@ def point_to_json(p: SpacePoint) -> dict:
 def payloads_to_json(desc: SpaceDescriptor, payloads: np.ndarray) -> list:
     """The point objects of a stack of payloads, one per leading row, without
     building the points; a tripod row (leg, t) writes leg as an int."""
-    return _BACKENDS[desc.kind].to_json(payloads)
+    return desc.backend.to_json(payloads)
 
 
 def payloads_from_json(desc: SpaceDescriptor, objs) -> np.ndarray:
     """The payloads of a list of point objects, stacked along a new first axis and
     read for nesting and shape only (`_Backend.members` makes them points)."""
     try:
-        rows = _BACKENDS[desc.kind].from_json(objs)
+        rows = desc.backend.from_json(objs)
     except (KeyError, TypeError) as exc:
         raise StructuralError(f"bad point object for {desc.kind}: {exc!r}") from exc
     if rows.shape[1:] != desc.payload_shape:

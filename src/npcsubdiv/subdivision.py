@@ -23,8 +23,7 @@ from .grid import GridData, box_array, check_interior_depth, _refined, _stacked_
 from .linear import fit_gamma
 from .masks import ITERATED_SUPPORT_CAP, BoxGauge, Mask, convergence_level, default_gauge, \
     gauge_offsets, require_sum_rule, stencil, support_radius, unit_gauge
-from .spaces import TRIPOD, SpaceDescriptor, _BACKENDS, _apply, distances, geodesic_points, \
-    geodesic_sampler
+from .spaces import SpaceDescriptor, _apply, distances, geodesic_points, geodesic_sampler
 
 __all__ = [
     "GridData", "IterateTrace", "subdivide", "iterate", "contractivity_D",
@@ -64,14 +63,14 @@ def _plan(mask: Mask, x: GridData) -> list:
     (weights, a (2,) * dim table of the r it holds, a (2,) * dim + (k, dim) table of their
     stencils' offsets j), the sum rule checked and the stencils built once per run.  The
     weights agree within a group once a 2-point stencil lists its heavier point, where its
-    geodesic walk starts, first on the smooth backends (the tripod's pull sums in order)."""
+    geodesic walk starts, first where the backend's `heavier_first` allows it."""
     if x.dim != mask.dim:
         raise StructuralError("mask and data dimension disagree")
     require_sum_rule(mask)
     groups = {}
     for r in product((0, 1), repeat=x.dim):
         pairs = stencil(mask, r)
-        if len(pairs) == 2 and pairs[1][1] > pairs[0][1] and x.descriptor.kind != TRIPOD:
+        if len(pairs) == 2 and pairs[1][1] > pairs[0][1] and x.descriptor.backend.heavier_first:
             pairs = pairs[::-1]
         holds, offsets = groups.setdefault(tuple(w for _, w in pairs), (
             np.zeros((2,) * x.dim, bool), np.zeros((2,) * x.dim + (len(pairs), x.dim), np.int64)))
@@ -89,7 +88,7 @@ def _refine(plan: list, x: GridData):
     if max(map(abs, lo + hi)) >= 2 ** 63:
         raise DomainError(f"the level refined from the window {x.lo}..{x.hi} would span "
                           f"{lo}..{hi}, past the refined-corner bound |c| < 2^63 (int64)")
-    data, solver = x.payloads, _BACKENDS[x.descriptor.kind]
+    data, solver = x.payloads, x.descriptor.backend
     core = data.shape[1 + x.dim:]
     shape = tuple(2 * n - 1 for n in data.shape[1:1 + x.dim])
     out = np.empty(data.shape[:1] + shape + core)
@@ -158,7 +157,7 @@ def _pair_distances(levels, gauge: BoxGauge, boxes):
                                   + desc.payload_shape)
         heads.append(data[(slice(None),) + x.local(i.T)])
         tails.append(data[(slice(None),) + x.local(j[inside].T)])
-    d = _apply(desc, "dist_at", np.concatenate(heads, axis=1), np.concatenate(ats),
+    d = _apply(desc.backend.dist_at, np.concatenate(heads, axis=1), np.concatenate(ats),
                np.concatenate(tails, axis=1))
     return list(zip(np.split(d, np.cumsum([len(a) for a in ats])[:-1], axis=1), nears))
 
@@ -192,9 +191,7 @@ def _iterate(mask: Mask, x: GridData, n):
     Returns the stacked levels and the interior boxes, or raises the error that
     trial by trial runs raise first: after a failure in trial b the trials below
     b run on as they would alone, and the lowest failing trial's error is raised."""
-    n = integer(n, "level count")
-    if n < 0:
-        raise DomainError(f"level count must be >= 0, got {n}")
+    n = integer(n, "level count", 0)
     if _finest_floats(x, n) > ITERATED_SUPPORT_CAP:
         raise ResourceError(
             f"{n} levels of the window {x.lo}..{x.hi} exceed the cap of "

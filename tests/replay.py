@@ -17,7 +17,9 @@ rendered shows even where the payload is the same.
 With `--against REV` the same jobs run twice in child processes, once on this
 tree's package and once on REV's (extracted with `git archive` into a temporary
 directory), and every job whose line differs is printed with its largest
-absolute and relative float difference; `--workloads` limits both runs alike.
+absolute float difference |a - b| and relative one |a - b| / (1 + |a|), a on
+REV, over all its float leaves, and with the first place where anything else
+differs (a CSV digest, say); `--workloads` limits both runs alike.
 The output ends with one line per job class (the part of the id after the
 colon) that has a difference: how many of its jobs differ and its largest
 float difference, and then the totals.  The exit code is 1 when a job differs.
@@ -101,29 +103,29 @@ def line(record) -> str:
 
 
 def float_diff(a, b, path="$"):
-    """(largest absolute, largest relative) difference over the float leaves of
-    two JSON values of one shape; where their shapes or other leaves differ,
-    the first such place as (path, a's value, b's value)."""
-    if isinstance(a, float) and isinstance(b, float):
-        if a == b or (math.isnan(a) and math.isnan(b)):
-            return 0.0, 0.0
+    """(largest absolute, largest relative, first other difference) over every
+    leaf of two JSON values.  Two finite float leaves are measured wherever
+    they sit, the relative gap as |a - b| / (1 + |a|), a being the first value;
+    the first place, in a's order, where the shapes differ or two other leaves
+    (a non-finite float among them) differ is (path, a's value, b's value), or
+    None where there is none."""
+    if isinstance(a, float) and isinstance(b, float) and math.isfinite(a) and math.isfinite(b):
         gap = abs(a - b)
-        return gap, gap / max(abs(a), abs(b))
-    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        pairs = [(f"{path}.{k}", a[k], b[k]) for k in a]
-    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return gap, gap / (1.0 + abs(a)), None
+    if isinstance(a, dict) and isinstance(b, dict):
+        pairs = [(f"{path}.{k}", a[k], b[k]) for k in a if k in b]
+        same = a.keys() == b.keys()
+    elif isinstance(a, list) and isinstance(b, list):
         pairs = [(f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b))]
-    elif type(a) is type(b) and a == b:
-        return 0.0, 0.0
+        same = len(a) == len(b)
     else:
-        return path, a, b
-    worst = (0.0, 0.0)
+        same = type(a) is type(b) and (a == b or a != a and b != b)  # NaN matches NaN
+        return 0.0, 0.0, (None if same else (path, a, b))
+    gap, rel, first = 0.0, 0.0, (None if same else (path, a, b))
     for where, x, y in pairs:
-        d = float_diff(x, y, where)
-        if len(d) == 3:
-            return d
-        worst = (max(worst[0], d[0]), max(worst[1], d[1]))
-    return worst
+        g, r, f = float_diff(x, y, where)
+        gap, rel, first = max(gap, g), max(rel, r), first or f
+    return gap, rel, first
 
 
 def child_lines(src: Path, seeds, rounds, workloads) -> list:
@@ -153,16 +155,16 @@ def compare(rev: str, seeds, rounds, workloads) -> int:
             continue
         differ += 1
         row[1] += 1
-        d = float_diff(old, new)
-        if len(d) == 3:
+        gap, rel, first = float_diff(old, new)
+        worst = (max(worst[0], gap), max(worst[1], rel))
+        row[2:4] = max(row[2], gap), max(row[3], rel)
+        text = f"{new['job']}: abs {gap:.3g} rel {rel:.3g}"
+        if first:
             row[4] += 1
-            where, *values = d
+            where, *values = first
             theirs_value, ours_value = (json.dumps(v)[:200] for v in values)
-            print(f"{new['job']}: differs at {where}: {rev} {theirs_value}, tree {ours_value}")
-        else:
-            worst = (max(worst[0], d[0]), max(worst[1], d[1]))
-            row[2:4] = max(row[2], d[0]), max(row[3], d[1])
-            print(f"{new['job']}: abs {d[0]:.3g} rel {d[1]:.3g}")
+            text += f"; differs at {where}: {rev} {theirs_value}, tree {ours_value}"
+        print(text)
     for cls, (jobs, n, gap, rel, shape) in sorted(classes.items()):
         if n:
             print(f"# class {cls}: {n} of {jobs} jobs differ, largest float difference "

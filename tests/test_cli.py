@@ -15,8 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import npcsubdiv
-from npcsubdiv import (DomainError, SpaceDescriptor, bspline_mask, chaikin_mask, kernel_row,
-                       make_mask, tensor_power, tripod_point)
+from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError, bspline_mask,
+                       chaikin_mask, kernel_row, make_mask, tensor_power, tripod_point)
 from npcsubdiv.cli import Report, RunConfig, main, render_report
 from npcsubdiv.grid import GridData, grid_from_json, grid_from_points, grid_to_json, random_grid
 from npcsubdiv.masks import iterated_mask, mask_to_json, tensor_product, translate
@@ -703,6 +703,32 @@ def test_run_config_refuses_an_unknown_command_or_format(fields, message):
     with pytest.raises(DomainError) as info:
         RunConfig(**fields)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("fields,error,message", (
+    ({"command": "chain", "seed": "3"}, StructuralError, "seed must be an integer, got '3'"),
+    ({"command": "diagnose", "mask": "m.json", "space": "spd:2", "seed": 1.5}, StructuralError,
+     "seed must be an integer, got 1.5"),
+    ({"command": "chain", "seed": True}, StructuralError, "seed must be an integer, got True"),
+    ({"command": "chain", "seed": -1}, DomainError, "seed must be >= 0, got -1"),
+    ({"command": "diagnose", "trials": "8"}, StructuralError, "trials must be an integer, got '8'"),
+    ({"command": "diagnose", "trials": 2.0}, StructuralError, "trials must be an integer, got 2.0"),
+    ({"command": "diagnose", "trials": 0}, DomainError, "trials must be >= 1, got 0"),
+), ids=("seed-str", "seed-float", "seed-bool", "seed-negative", "trials-str", "trials-float",
+        "trials-zero"))
+def test_run_config_reads_seed_and_trials_as_integers(fields, error, message):
+    """A seed or trial count that is not an int is refused where the config is
+    built, before `run` hands it to numpy or a bool runs as 1."""
+    with pytest.raises(error) as info:
+        RunConfig(**fields)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_run_config_keeps_numpy_integers_as_ints():
+    config = RunConfig(command="diagnose", seed=np.int64(3), trials=np.int32(2))
+    assert (config.seed, config.trials) == (3, 2)
+    assert type(config.seed) is int and type(config.trials) is int
+    assert RunConfig(command="diagnose").trials is None
 
 
 def test_an_unknown_space_kind_is_a_domain_error(capsys, files):

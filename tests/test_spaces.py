@@ -12,35 +12,18 @@ from hypothesis import strategies as st
 from npcsubdiv import (BarycenterProblem, DomainError, NumericError, SolverError,
                        SpaceDescriptor, StructuralError, distance,
                        euclidean_point, exp_map, geodesic_point,
-                       hyperboloid_point, log_map, npc_residual, random_grid,
+                       hyperboloid_point, log_map, npc_residual,
                        random_point, spd_point, tripod_point, weighted_barycenter)
 from npcsubdiv import spaces
 from npcsubdiv.spaces import (descriptor_from_json, descriptor_to_json,
-                              hyperboloid_from_spatial, point_from_json,
-                              point_to_json)
+                              hyperboloid_from_spatial, parse_space)
 from oracles import data_diameter, exact_tripod_barycenter, frechet_hessian, frechet_value, \
-    hyperboloid_log, karcher_gradient_norm, points_equal, scan_tripod_barycenter, tripod_distance
+    hyperboloid_log, karcher_gradient_norm, scan_tripod_barycenter, tripod_distance
+from test_conformance import SMOOTH, points, seeds
 
-BACKENDS = (
-    SpaceDescriptor("euclidean", 3),
-    SpaceDescriptor("spd", 2),
-    SpaceDescriptor("spd", 3),
-    SpaceDescriptor("hyperboloid", 2),
-    SpaceDescriptor("hyperboloid", 3),
-    SpaceDescriptor("tripod"),
-)
-SMOOTH = tuple(d for d in BACKENDS if d.kind != "tripod")
-TRI = BACKENDS[-1]
+TRI = SpaceDescriptor("tripod")
 HYP2, HYP3 = SpaceDescriptor("hyperboloid", 2), SpaceDescriptor("hyperboloid", 3)
 SPD2, SPD3 = SpaceDescriptor("spd", 2), SpaceDescriptor("spd", 3)
-
-seeds = st.integers(min_value=0, max_value=2 ** 20)
-
-
-def points(desc, seed, count):
-    rng = np.random.default_rng([17, seed])
-    return [random_point(desc, rng) for _ in range(count)]
-
 
 # -- distances ------------------------------------------------------------------
 
@@ -144,20 +127,6 @@ def test_2x2_eigenproblems_match_the_50_digit_solver(m):
 
 # -- geodesics ------------------------------------------------------------------
 
-@pytest.mark.parametrize("desc", BACKENDS, ids=str)
-@given(seed=seeds)
-def test_geodesic_parametrization_is_proportional(desc, seed):
-    p, q = points(desc, seed, 2)
-    d = distance(p, q)
-    tol = 1e-9 * (1.0 + d)
-    for t in (0.25, 0.5, 0.75):
-        g = geodesic_point(p, q, t)
-        assert abs(distance(p, g) - t * d) <= tol
-        assert abs(distance(g, q) - (1.0 - t) * d) <= tol
-    assert points_equal(geodesic_point(p, q, 0.0), p)
-    assert points_equal(geodesic_point(p, q, 1.0), q)
-
-
 def test_geodesic_parameter_domain():
     p, q = euclidean_point([0.0]), euclidean_point([1.0])
     with pytest.raises(DomainError):
@@ -178,14 +147,7 @@ def test_tripod_geodesic_crosses_glue_point():
     assert mid.payload == (0, 0.0)
     quarter = geodesic_point(tripod_point(1, 2.0), tripod_point(2, 2.0), 0.75)
     assert quarter.payload == (2, 1.0)
-
-
-@pytest.mark.parametrize("desc", SMOOTH, ids=str)
-@given(seed=seeds)
-def test_exp_log_roundtrip(desc, seed):
-    base, x = points(desc, seed, 2)
-    back = exp_map(base, log_map(base, x))
-    assert distance(x, back) <= 1e-9 * (1.0 + distance(base, x))
+    assert tripod_point(2, 0.0).payload == (0, 0.0)  # the canonical glue point
 
 
 def test_exp_map_far_out_moves_by_the_tangent_norm():
@@ -239,13 +201,6 @@ def test_exp_map_of_the_zero_vector_returns_the_base_payload(desc, radius, seed)
 
 # -- NPC inequality -------------------------------------------------------------
 
-@pytest.mark.parametrize("desc", BACKENDS, ids=str)
-@given(seed=seeds)
-def test_npc_residual_nonpositive(desc, seed):
-    x0, x1, z = points(desc, seed, 3)
-    assert npc_residual(x0, x1, z) <= 1e-9
-
-
 def test_npc_residual_tripod_spanning_triple():
     # unit points on the three legs: midpoint is the glue point, so the
     # residual is 1 - (1/2 + 1/2 + 1/2 + 1/2) + 4/4 - 2 = -2 exactly
@@ -268,14 +223,6 @@ def test_euclidean_barycenter_is_the_weighted_mean():
     assert np.allclose(y.payload, [0.25, 0.5], atol=1e-12)
 
 
-@pytest.mark.parametrize("desc", BACKENDS, ids=str)
-def test_two_point_barycenter_lies_on_the_geodesic(desc):
-    for seed, w in ((0, 0.25), (1, 0.5), (2, 0.7)):
-        p, q = points(desc, seed, 2)
-        y = weighted_barycenter(BarycenterProblem([p, q], np.array([1.0 - w, w])))
-        assert distance(y, geodesic_point(p, q, w)) <= 1e-8 * (1.0 + distance(p, q))
-
-
 @pytest.mark.parametrize("desc", (SPD2, SPD3, HYP2, HYP3), ids=str)
 def test_barycenter_returns_a_certified_candidate_or_the_last_iterate(desc, monkeypatch):
     """A row ends at the iterate of its last evaluation when the residual there
@@ -286,7 +233,7 @@ def test_barycenter_returns_a_certified_candidate_or_the_last_iterate(desc, monk
     pts, weights = points(desc, 9, 3), np.array([0.5, 0.3, 0.2])
     y = weighted_barycenter(BarycenterProblem(pts, weights))
     stack = np.array([p.payload for p in pts])
-    backend = spaces._BACKENDS[desc.kind]
+    backend = desc.backend
     start = backend.start(stack[None], weights)[0]
     tol = 1e-10 * (1.0 + spaces.distances(desc, start, stack).max())
     assert np.array_equal(calls[0][0][0], start)  # started at the backend's start
@@ -386,18 +333,6 @@ def test_barycenter_first_order_stationarity(desc):
     else:
         norm = float(np.linalg.norm(v))
     assert norm <= 1e-7
-
-
-@pytest.mark.parametrize("desc", BACKENDS, ids=str)
-@given(seed=seeds)
-def test_barycenter_is_nonexpansive_in_the_data(desc, seed):
-    a = points(desc, seed, 3)
-    b = points(desc, seed + 7, 3)
-    w = np.array([0.5, 0.3, 0.2])
-    ya = weighted_barycenter(BarycenterProblem(a, w))
-    yb = weighted_barycenter(BarycenterProblem(b, w))
-    worst = max(distance(p, q) for p, q in zip(a, b))
-    assert distance(ya, yb) <= worst + 1e-7
 
 
 def test_barycenter_problem_validation():
@@ -690,7 +625,7 @@ def test_only_rows_that_move_on_build_a_newton_candidate(desc, monkeypatch):
     out, failure = spaces.barycenters(desc, pts, weights)
     assert failure is None and bounded == [] and len(calls) >= 2
     tol = 1e-10 * (1.0 + spaces.distances(desc, calls[0][0][:, None], pts).max(axis=-1))
-    floor = spaces._BACKENDS[desc.kind].resolution(pts)
+    floor = desc.backend.resolution(pts)
     live, certified = np.arange(len(pts)), 0
     for k, (y, residual, nxt, start, bound) in enumerate(calls):
         moving = residual > tol[live]
@@ -743,7 +678,7 @@ def solve_row(desc, row, weights, certify=True):
     certificate that ended it (a candidate built after the last evaluation),
     or None; certify=False sets every bound to +inf, the rule without the
     certificate."""
-    backend, ended = spaces._BACKENDS[desc.kind], []
+    backend, ended = desc.backend, []
     build = type(backend).candidate
 
     def candidate(self, *args):
@@ -890,34 +825,6 @@ def test_a_degenerate_spd_matrix_fails_its_own_3_point_row(dim):
 
 # -- payload validation -----------------------------------------------------------
 
-def test_spd_point_validation():
-    with pytest.raises(StructuralError):
-        spd_point([[1.0, 0.5]])
-    with pytest.raises(StructuralError):
-        spd_point([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(StructuralError):
-        spd_point([[1.0, 0.0], [0.0, -2.0]])
-
-
-def test_hyperboloid_point_validation():
-    with pytest.raises(StructuralError):
-        hyperboloid_point([1.0])
-    with pytest.raises(StructuralError):
-        hyperboloid_point([-1.0, 0.0])
-    with pytest.raises(StructuralError):
-        hyperboloid_point([2.0, 0.0])  # off the sheet <p,p> = -1
-    with pytest.raises(NumericError):
-        hyperboloid_point([math.inf, 0.0])
-
-
-def test_tripod_point_validation():
-    with pytest.raises(StructuralError):
-        tripod_point(3, 1.0)
-    with pytest.raises(DomainError):
-        tripod_point(1, -0.5)
-    assert tripod_point(2, 0.0).payload == (0, 0.0)  # canonical glue point
-
-
 @pytest.mark.parametrize("call,error,message", (
     (lambda: euclidean_point([[1.0, 2.0]]), StructuralError, "euclidean payload must be a vector"),
     (lambda: log_map(tripod_point(0, 1.0), tripod_point(1, 2.0)), DomainError,
@@ -954,36 +861,69 @@ def test_descriptor_validation():
     assert SpaceDescriptor("tripod", 7).dim == 1
 
 
-@pytest.mark.parametrize("desc", BACKENDS, ids=str)
-def test_random_grid_is_one_draw_of_the_random_point_stream(desc, monkeypatch):
-    backend = spaces._BACKENDS[desc.kind]
-    calls = []
-    draw = backend.random
-    monkeypatch.setattr(backend, "random", lambda *a: calls.append(a[-1]) or draw(*a))
-    grid_rng, point_rng = np.random.default_rng(31), np.random.default_rng(31)
-    x = random_grid(desc, (0, -1), (4, 3), grid_rng)
-    nodes = [random_point(desc, point_rng).payload for _ in range(25)]
-    assert calls == [25] + [1] * 25  # the grid's one draw, then one per point
-    assert np.array_equal(x.payloads.reshape((25,) + desc.payload_shape),
-                          np.array(nodes, dtype=float))
-    assert grid_rng.bit_generator.state == point_rng.bit_generator.state
+KINDS = "('euclidean', 'spd', 'hyperboloid', 'tripod')"
 
 
-# -- JSON -------------------------------------------------------------------------
+@pytest.mark.parametrize("source,kind,dim", (
+    ("euclidean:2", "euclidean", 2), ("euclidean:1", "euclidean", 1), ("spd:3", "spd", 3),
+    ("spd:1", "spd", 1), ("spd:007", "spd", 7), ("hyperboloid:2", "hyperboloid", 2),
+    ("hyperboloid:1", "hyperboloid", 1), ("tripod", "tripod", 1), ("tripod:", "tripod", 1),
+    ("tripod:1", "tripod", 1), ("tripod:3", "tripod", 1), ("tripod:0", "tripod", 1),
+    ("tripod:-1", "tripod", 1),
+    ({"kind": "tripod"}, "tripod", 1), ({"kind": "tripod", "dim": 5}, "tripod", 1),
+    ({"kind": "tripod", "dim": 0}, "tripod", 1), ({"kind": "spd", "dim": 2}, "spd", 2),
+    ({"kind": "euclidean"}, "euclidean", 1), ({"kind": "hyperboloid", "dim": 3}, "hyperboloid", 3),
+    ({"kind": "spd", "dim": np.int64(4)}, "spd", 4),
+), ids=str)
+def test_a_spelling_or_json_object_parses_to_its_descriptor(source, kind, dim):
+    """Command-line spellings and JSON objects give the descriptor (kind, dim):
+    equal, with one hash, repr and JSON object; a kind with a fixed dim takes it."""
+    got = (parse_space if isinstance(source, str) else descriptor_from_json)(source)
+    want = SpaceDescriptor(kind, dim)
+    assert got == want and hash(got) == hash(want) and type(got.dim) is int
+    assert repr(got) == f"SpaceDescriptor(kind={kind!r}, dim={dim})"
+    assert descriptor_to_json(got) == {"kind": kind, "dim": dim}
+    assert got.backend is spaces._BACKENDS[kind]
 
-@pytest.mark.parametrize("desc", BACKENDS, ids=str)
-def test_point_json_roundtrip(desc):
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        p = random_point(desc, rng)
-        q = point_from_json(desc, point_to_json(p))
-        assert points_equal(p, q)
 
-
-def test_descriptor_json_roundtrip():
-    for desc in BACKENDS:
-        assert descriptor_from_json(descriptor_to_json(desc)) == desc
-    with pytest.raises(StructuralError):
-        descriptor_from_json({"dim": 2})
-    with pytest.raises(StructuralError):
-        point_from_json(SpaceDescriptor("spd", 2), {"v": [1.0, 0.0]})
+@pytest.mark.parametrize("source,error,message", (
+    ("foo:2", DomainError, f"unknown space kind 'foo'; expected one of {KINDS}"),
+    ("foo", DomainError, f"unknown space kind 'foo'; expected one of {KINDS}"),
+    ("", DomainError, f"unknown space kind ''; expected one of {KINDS}"),
+    (":2", DomainError, f"unknown space kind ''; expected one of {KINDS}"),
+    ("Spd:2", DomainError, f"unknown space kind 'Spd'; expected one of {KINDS}"),
+    ("spd", DomainError, "bad space 'spd'; expected kind:dim, dim ''"),
+    ("spd:", DomainError, "bad space 'spd:'; expected kind:dim, dim ''"),
+    ("spd:x", DomainError, "bad space 'spd:x'; expected kind:dim, dim 'x'"),
+    ("spd:2.0", DomainError, "bad space 'spd:2.0'; expected kind:dim, dim '2.0'"),
+    ("spd:+2", DomainError, "bad space 'spd:+2'; expected kind:dim, dim '+2'"),
+    ("spd: 2", DomainError, "bad space 'spd: 2'; expected kind:dim, dim ' 2'"),
+    ("spd:2:3", DomainError, "bad space 'spd:2:3'; expected kind:dim, dim '2:3'"),
+    ("euclidean:\u0663", DomainError,
+     "bad space 'euclidean:\u0663'; expected kind:dim, dim '\u0663'"),
+    ("tripod:x", DomainError, "bad space 'tripod:x'; expected kind:dim, dim 'x'"),
+    ("tripod:1.5", DomainError, "bad space 'tripod:1.5'; expected kind:dim, dim '1.5'"),
+    ("spd:0", StructuralError, "dim must be >= 1, got 0"),
+    ("spd:-0", StructuralError, "dim must be >= 1, got 0"),
+    ("spd:-1", StructuralError, "dim must be >= 1, got -1"),
+    ("hyperboloid:0", StructuralError, "dim must be >= 1, got 0"),
+    ({"kind": "spd", "dim": True}, StructuralError, "space dim must be an integer, got True"),
+    ({"kind": "tripod", "dim": True}, StructuralError, "space dim must be an integer, got True"),
+    ({"kind": "spd", "dim": 2.0}, StructuralError, "space dim must be an integer, got 2.0"),
+    ({"kind": "spd", "dim": "2"}, StructuralError, "space dim must be an integer, got '2'"),
+    ({"kind": "tripod", "dim": "x"}, StructuralError, "space dim must be an integer, got 'x'"),
+    ({"kind": "spd", "dim": None}, StructuralError, "space dim must be an integer, got None"),
+    ({"kind": "spd", "dim": 0}, StructuralError, "dim must be >= 1, got 0"),
+    ({"kind": "spd", "dim": -3}, StructuralError, "dim must be >= 1, got -3"),
+    ({"dim": 2}, StructuralError, "bad descriptor object: {'dim': 2}"),
+    ({"kind": "foo", "dim": 2}, StructuralError, "unknown space kind 'foo'"),
+    ({"kind": ["spd"], "dim": 2}, StructuralError, "unknown space kind ['spd']"),
+    ({"kind": None}, StructuralError, "unknown space kind None"),
+    (["spd"], StructuralError, "bad descriptor object: ['spd']"),
+    (None, StructuralError, "bad descriptor object: None"),
+), ids=str)
+def test_a_refused_spelling_or_json_object_keeps_its_error(source, error, message):
+    """The error type and text of each refused spelling and JSON value."""
+    with pytest.raises(error) as info:
+        (parse_space if isinstance(source, str) else descriptor_from_json)(source)
+    assert type(info.value) is error and str(info.value) == message
