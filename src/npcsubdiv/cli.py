@@ -62,8 +62,9 @@ class RunConfig:
         if self.format not in ("json", "csv"):
             raise DomainError(f"unknown format {self.format!r}")
         if self.format == "csv" and self.command not in CSV_COMMANDS:
-            raise DomainError(
-                f"csv output is only available for {', '.join(CSV_COMMANDS)}")
+            raise DomainError(f"csv output is only available for {', '.join(CSV_COMMANDS)}")
+        if self.mode not in ((None, "exact", "mc") if self.command == "chain" else (None,)):
+            raise DomainError(f"command {self.command!r} has no mode {self.mode!r}")
         self.seed = integer(self.seed, "seed", 0)
         self.trials = None if self.trials is None else integer(self.trials, "trials", 1)
 
@@ -187,6 +188,8 @@ def _cmd_diagnose(config: RunConfig):
     mask = _mask_of(config)
     n_max = config.levels if config.levels is not None else 4
     if config.data is not None:
+        if config.space is not None or config.trials is not None:
+            raise DomainError("diagnose --data takes neither --space nor --trials")
         runs = [_data_of(config)]
     else:
         descriptor = parse_space(_need(config, "space"))

@@ -48,6 +48,9 @@ class SpaceDescriptor:
             raise StructuralError(f"dim must be >= 1, got {dim}")
         self.__dict__.update(dim=dim, backend=backend, payload_shape=backend.shape(dim))
 
+    def __reduce__(self):  # copies and unpickled descriptors resolve the registry's backend
+        return SpaceDescriptor, (self.kind, self.dim)
+
 
 @dataclass(eq=False)
 class SpacePoint:
@@ -570,6 +573,8 @@ class _Hyperboloid(_Backend):
         p0 = rows[..., 0]
         if (p0 <= 0.0).any():
             raise StructuralError("hyperboloid payload needs positive time coordinate")
+        if (np.abs(rows) > 1e150).any():  # <p,p>_M squares the coordinates
+            raise NumericError("hyperboloid payload leaves the float range")
         # round-off in <p,p>_M grows like p0^2, and p0 >= 1 on the sheet
         if (np.abs(_mink(rows, rows) + 1.0) > HYPERBOLOID_TOL * p0 * p0).any():
             raise StructuralError("payload is not on the unit hyperboloid")

@@ -11,8 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import npcsubdiv
 from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError, bspline_mask,
@@ -21,6 +19,7 @@ from npcsubdiv.cli import Report, RunConfig, main, render_report
 from npcsubdiv.grid import GridData, grid_from_json, grid_from_points, grid_to_json, random_grid
 from npcsubdiv.masks import iterated_mask, mask_to_json, tensor_product, translate
 from oracles import dense_iterated
+from test_linear import MASK_JSON_CASES
 
 B = bspline_mask()
 C = chaikin_mask()
@@ -141,6 +140,19 @@ def test_diagnose_is_inconclusive_for_the_gapped_mask(capsys, files):
     payload = payload_of(out)
     assert rc == 0 and payload["verdict"] == "converging"
     assert payload["trials"] == 1
+
+
+@pytest.mark.parametrize("extra", (("--space", "spd:3"), ("--trials", "5"),
+                                   ("--space", "spd:3", "--trials", "5", "--seed", "9")),
+                         ids=("space", "trials", "both"))
+def test_diagnose_refuses_a_space_or_trial_count_next_to_data(capsys, files, extra):
+    """Given --data, diagnose runs one trial on the file's data, so a space or
+    a trial count beside it would be echoed but not used."""
+    rc, out, err = run_cli(capsys, ["diagnose", "--mask", files["b"], "--data", files["witness"],
+                                    *extra])
+    assert rc == 1 and out == ""
+    assert json.loads(err) == {"error": {
+        "type": "DomainError", "message": "diagnose --data takes neither --space nor --trials"}}
 
 
 @pytest.mark.parametrize("space", ("euclidean:1", "spd:2"))
@@ -399,42 +411,16 @@ def test_subdivide_reports_write_the_final_level_as_grid_json(grid):
     assert render_report(report, "subdivide", "csv") == render_report(encoded, "subdivide", "csv")
 
 
-@st.composite
-def cascade_masks(draw, dim):
-    """Mask JSON of dimension dim, translated, with dyadic or non-dyadic
-    coefficients; zeros pad the edges and leave gaps inside."""
-    shape = draw(st.lists(st.integers(1, (4, 3, 2)[dim - 1]), min_size=dim, max_size=dim))
-    size = int(np.prod(shape))
-    dyadic = st.sampled_from((0.0, 0.125, 0.25, 0.5, 0.75, 1.0))
-    other = st.sampled_from((0.0, 0.1, 1 / 3, 0.7)) | st.floats(1e-3, 3.0)
-    flat = draw(st.lists(draw(st.sampled_from((dyadic, other))),
-                         min_size=size, max_size=size).filter(any))
-    offset = draw(st.lists(st.integers(-12, 12), min_size=dim, max_size=dim))
-    return {"dim": dim, "offset": offset, "coeffs": np.reshape(flat, shape).tolist()}
-
-
-# one run per dimension: the derandomized draws of a single run repeat their shapes
-@pytest.mark.parametrize("dim", (1, 2, 3))
-@given(data=st.data(), level=st.integers(0, 4))
-def test_cascade_reports_are_the_json_dumps_of_their_rows(files, dim, data, level):
-    """The written report is json.dumps of the same report whose samples are
-    {"index", "value"} rows, built here from the dense oracle; the CSV text
-    has one `index,value` line per row, the value as its repr."""
-    mask = data.draw(cascade_masks(dim))
-    path, out = files["root"] / "battery_mask.json", files["root"] / "battery_out"
-    path.write_text(json.dumps(mask))
-    offset = mask["offset"][0] if mask["dim"] == 1 else tuple(mask["offset"])
-    want = dense_iterated(mask["coeffs"], offset, level)
-    rows = sorted((i if mask["dim"] > 1 else (i,), v) for i, v in want.items())
+def cascade_texts(files, mask_json, level):
+    """The JSON and the CSV text that `cascade --out` writes for mask_json."""
+    path, out = files["root"] / "cascade_mask.json", files["root"] / "cascade_out"
+    path.write_text(json.dumps(mask_json))
     argv = ["cascade", "--mask", str(path), "--levels", str(level), "--out", str(out)]
-    assert main(argv) == 0
-    text = out.read_text(encoding="utf-8")
-    report = json.loads(text)
-    report["payload"]["samples"] = [{"index": list(i), "value": v} for i, v in rows]
-    assert text == json.dumps(report, sort_keys=True) + "\n"
-    assert main(argv + ["--format", "csv"]) == 0
-    assert out.read_text(encoding="utf-8") == "index,value\n" + "".join(
-        f"{' '.join(map(str, i))},{v!r}\n" for i, v in rows)
+    texts = []
+    for fmt in ("json", "csv"):
+        assert main(argv + ["--format", fmt]) == 0
+        texts.append(out.read_text(encoding="utf-8"))
+    return texts
 
 
 def assert_cascade_texts(json_text, csv_text, want):
@@ -447,6 +433,14 @@ def assert_cascade_texts(json_text, csv_text, want):
     assert json_text == json.dumps(report, sort_keys=True) + "\n"
     assert csv_text == "index,value\n" + "".join(
         f"{' '.join(map(str, i))},{v!r}\n" for i, v in rows)
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_cascade_reports_are_the_json_dumps_of_their_rows(files, dim):
+    for mask, level in MASK_JSON_CASES[dim]:
+        offset = mask["offset"][0] if dim == 1 else tuple(mask["offset"])
+        assert_cascade_texts(*cascade_texts(files, mask, level),
+                             dense_iterated(mask["coeffs"], offset, level))
 
 
 @pytest.mark.parametrize("mask,shift", (
@@ -474,17 +468,11 @@ def test_cascade_text_is_exact_beyond_int64(mask, shift):
 def test_cascades_of_tensor_products_format_each_repeated_value_alike(files, mask):
     """Products of levels repeat values many times over; each sample keeps the
     text of its own value."""
-    path, out = files["root"] / "tensor_mask.json", files["root"] / "tensor_out"
     shifted = translate(mask, (2, -3, 1)[:mask.dim])
-    path.write_text(json.dumps(mask_to_json(shifted)))
     for level in range(1, 4):
         want = dense_iterated(mask.coeffs.tolist(), shifted.offset, level)
         assert len(set(want.values())) < len(want)
-        argv = ["cascade", "--mask", str(path), "--levels", str(level), "--out", str(out)]
-        assert main(argv) == 0
-        text = out.read_text(encoding="utf-8")
-        assert main(argv + ["--format", "csv"]) == 0
-        assert_cascade_texts(text, out.read_text(encoding="utf-8"), want)
+        assert_cascade_texts(*cascade_texts(files, mask_to_json(shifted), level), want)
 
 
 @pytest.mark.parametrize("mask,level", (
@@ -499,13 +487,7 @@ def test_cascades_of_tensor_products_format_each_repeated_value_alike(files, mas
 def test_cascade_writer_edge_cases(files, mask, level):
     """The writer's edges, in JSON and CSV: a lone row, 3-D rows with zeros
     inside the box, negative coordinates, and values written in exponent form."""
-    path, out = files["root"] / "edge_mask.json", files["root"] / "edge_out"
-    path.write_text(json.dumps(mask_to_json(mask)))
-    argv = ["cascade", "--mask", str(path), "--levels", str(level), "--out", str(out)]
-    assert main(argv) == 0
-    text = out.read_text(encoding="utf-8")
-    assert main(argv + ["--format", "csv"]) == 0
-    csv_text = out.read_text(encoding="utf-8")
+    text, csv_text = cascade_texts(files, mask_to_json(mask), level)
     offset = mask.offset[0] if mask.dim == 1 else mask.offset
     assert_cascade_texts(text, csv_text, dense_iterated(mask.coeffs.tolist(), offset, level))
     assert (",1.0000000000000004e-05\n" in csv_text) == (level == 5)  # 0.1^5: exponent form
@@ -698,7 +680,11 @@ def test_chain_refuses_a_trials_option(capsys, files, mode):
 @pytest.mark.parametrize("fields,message", (
     ({"command": "frobnicate"}, "unknown command 'frobnicate'"),
     ({"command": "validate", "format": "xml"}, "unknown format 'xml'"),
-), ids=("command", "format"))
+    ({"command": "chain", "mode": "bogus"}, "command 'chain' has no mode 'bogus'"),
+    ({"command": "chain", "mode": "MC"}, "command 'chain' has no mode 'MC'"),
+    ({"command": "validate", "mode": "mc"}, "command 'validate' has no mode 'mc'"),
+    ({"command": "diagnose", "mode": "exact"}, "command 'diagnose' has no mode 'exact'"),
+), ids=("command", "format", "mode", "mode-case", "mode-off-chain", "exact-off-chain"))
 def test_run_config_refuses_an_unknown_command_or_format(fields, message):
     with pytest.raises(DomainError) as info:
         RunConfig(**fields)

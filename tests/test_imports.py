@@ -1,5 +1,6 @@
 """Import hygiene: every top-level import in the package and its tests is used,
-and every private module-level name of the package is read.
+every private module-level name of the package is read, and the `test` extra
+names exactly the third-party packages the tests import.
 
 A name bound by a module-level `import` or `from ... import` counts as used
 when the module reads it anywhere or lists it in `__all__`.  A module-level
@@ -10,6 +11,8 @@ module only, so deleting code cannot leave a dead import or helper behind.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,3 +92,45 @@ def test_the_checker_flags_unread_private_names():
                      "class _Gone:\n    pass\n\n\nclass Kept:\n    _slot = 0\n"),
                "b": "from .a import _helper\nimport a\n\nprint(_helper(), a._SHARED)\n"}
     assert unread_names(sources) == [("a", 2, "STALE"), ("a", 12, "_dead"), ("a", 16, "_Gone")]
+
+
+def requirements(pyproject: str, key: str) -> set:
+    """The package names of the list `key = [...]` in a pyproject text, read as
+    a Python list literal, so the check needs no TOML reader on 3.10."""
+    block = re.search(rf"^{key} = (\[.*?^\])", pyproject, re.M | re.S).group(1)
+    return {re.split(r"[<>=!~;\[ ]", spec, maxsplit=1)[0].lower().replace("-", "_")
+            for spec in ast.literal_eval(block)}
+
+
+def extra_faults(pyproject: str, sources: list, local: set) -> list:
+    """(package, fault) for each third-party import of `sources` that neither
+    the `test` extra nor `dependencies` lists, and each package of the extra
+    but pytest that no source imports."""
+    imported = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    imported -= set(sys.stdlib_module_names) | local
+    extra = requirements(pyproject, "test")
+    listed = extra | requirements(pyproject, "dependencies")
+    return sorted([(name, "not listed") for name in imported - listed]
+                  + [(name, "not imported") for name in extra - imported - {"pytest"}])
+
+
+def test_the_test_extra_names_exactly_what_the_tests_import():
+    local = {p.stem for p in TESTS.glob("*.py")} | {PACKAGE.name}
+    sources = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
+    assert extra_faults((TESTS.parent / "pyproject.toml").read_text(), sources, local) == []
+
+
+def test_the_checker_flags_unlisted_and_unused_test_packages():
+    pyproject = ('[project]\ndependencies = [\n    "numpy>=1.24",\n]\n\n'
+                 '[project.optional-dependencies]\ntest = [\n    "pytest>=7",\n'
+                 '    "hypothesis>=6",\n    "mpmath>=1.2",\n]\n')
+    sources = ["import os\nimport numpy as np\nimport pytest\nfrom scipy import linalg\n",
+               "from mpmath import mp\nfrom . import helpers\nimport oracles\n"]
+    assert extra_faults(pyproject, sources, {"oracles"}) == [("hypothesis", "not imported"),
+                                                            ("scipy", "not listed")]

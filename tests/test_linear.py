@@ -1,12 +1,9 @@
 """Linear cascade, refinable samples, certificates, convergence fits."""
 
-import math
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError,
                        bspline_mask, cascade, chaikin_mask,
@@ -15,7 +12,8 @@ from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError,
                        partition_of_unity_residual, tensor_product)
 from npcsubdiv.grid import grid_from_points
 from npcsubdiv.linear import _alpha
-from npcsubdiv.masks import convergence_level, default_gauge, ladder, recenter, translate
+from npcsubdiv.masks import (convergence_level, default_gauge, ladder, mask_from_json, recenter,
+                             translate)
 from npcsubdiv.subdivision import CONVERGENCE_MARGIN
 from oracles import alpha_loop, dense_interlevel, hat, linear_refine, partition_of_unity_loop
 
@@ -95,21 +93,42 @@ def test_partition_of_unity_residuals():
     assert partition_of_unity_residual(cascade(make_mask((0,), [1.0, 0.5]), 2)) == pytest.approx(0.75)
 
 
-@st.composite
-def dyadic_masks(draw):
-    """1-D and 2-D masks of 1-4 entries per axis, coefficients k / 8 with k in 0..8."""
-    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
-    size = math.prod(shape)
-    coeffs = draw(st.lists(st.integers(0, 8), min_size=size, max_size=size)
-                  .filter(any))
-    offset = tuple(draw(st.integers(-3, 3)) for _ in shape)
-    return make_mask(offset, (np.array(coeffs) / 8.0).reshape(shape).tolist())
+def mask_json(k, dim):
+    """Mask JSON of dimension dim from default_rng([dim, k]): 1-4, 1-3 or 1-2
+    entries per axis, translated by -12..12, with dyadic coefficients or, half
+    the time, 0, 0.1, 1/3, 0.7 or a float in [1e-3, 3]; zeros pad the edges and
+    leave gaps inside, and one entry is nonzero."""
+    rng = np.random.default_rng([dim, k])
+    shape = tuple(rng.integers(1, (5, 4, 3)[dim - 1], dim).tolist())
+    if rng.random() < 0.5:
+        coeffs = rng.choice([0.0, 0.125, 0.25, 0.5, 0.75, 1.0], shape)
+    else:
+        coeffs = np.where(rng.random(shape) < 0.5, rng.choice([0.0, 0.1, 1 / 3, 0.7], shape),
+                          rng.uniform(1e-3, 3.0, shape))
+    coeffs.flat[rng.integers(coeffs.size)] = rng.uniform(1e-3, 3.0)
+    return {"dim": dim, "offset": rng.integers(-12, 13, dim).tolist(), "coeffs": coeffs.tolist()}
 
 
-@given(mask=dyadic_masks(), n=st.integers(0, 4))
-def test_partition_of_unity_residual_matches_the_coset_loop(mask, n):
-    samples = cascade(mask, n)
-    assert partition_of_unity_residual(samples) == partition_of_unity_loop(samples)
+def mask_json_edges(dim):
+    """(mask JSON, level) edges: one entry of 1 at offset -12 and level 0, one of
+    1e-3 at offset 12 and level 4, and at level 4 the largest array of 1/3 and a
+    3.0 with zeros on every side."""
+    one, largest = (1,) * dim, ((4,), (3, 3), (2, 2, 2))[dim - 1]
+    arrays = [(-12, np.ones(one), 0), (12, np.full(one, 1e-3), 4),
+              (0, np.full(largest, 1 / 3), 4), (0, np.pad(np.full(one, 3.0), 1), 4)]
+    return [({"dim": dim, "offset": [o] * dim, "coeffs": c.tolist()}, n) for o, c, n in arrays]
+
+
+# per dimension, (mask JSON, level) cases of the cascade properties
+MASK_JSON_CASES = {dim: mask_json_edges(dim) + [(mask_json(k, dim), k % 5) for k in range(40)]
+                   for dim in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+def test_partition_of_unity_residual_matches_the_coset_loop(dim):
+    for obj, n in MASK_JSON_CASES[dim]:
+        samples = cascade(mask_from_json(obj), n)
+        assert partition_of_unity_residual(samples) == partition_of_unity_loop(samples), obj
 
 
 # -- certificates ----------------------------------------------------------------------
@@ -229,34 +248,37 @@ def test_d_inf_respects_the_box():
 
 # -- properties over random admissible masks -------------------------------------------
 
-def admissible_mask(vals, off):
-    """The mask vals + [1, 1] at offset off, normalized per parity."""
-    vals = vals + [1, 1]
-    even = sum(v for k, v in enumerate(vals) if (k + off) % 2 == 0)
-    odd = sum(v for k, v in enumerate(vals) if (k + off) % 2 == 1)
-    coeffs = [v / (even if (k + off) % 2 == 0 else odd)
-              for k, v in enumerate(vals)]
-    return make_mask((off,), coeffs)
-
-
-@st.composite
-def admissible_masks(draw):
-    return admissible_mask(draw(st.lists(st.integers(0, 4), min_size=2, max_size=5)),
-                           draw(st.integers(-2, 2)))
+def sum_rule_mask(weights, offset):
+    """The mask of the nonnegative weights at offset, each parity coset divided
+    by its own sum, so dyadic or not; a coset with no weight gets a 1 on its
+    first entry."""
+    weights = np.array(weights, dtype=float)
+    for parity in product((0, 1), repeat=weights.ndim):
+        cls = weights[tuple(slice((p - o) % 2, None, 2) for p, o in zip(parity, offset))]
+        if not cls.any():
+            cls.flat[0] = 1.0
+        cls /= cls.sum()
+    return make_mask(offset, weights)
 
 
 def seeded_mask(k):
-    """An `admissible_masks` draw from default_rng(k): 2 to 5 values 0..4, offset -2..2."""
+    """The univariate sum-rule mask of default_rng(k): 2 to 5 weights 0..4, offset -2..2."""
     rng = np.random.default_rng(k)
-    return admissible_mask(rng.integers(0, 5, rng.integers(2, 6)).tolist(),
-                           int(rng.integers(-2, 3)))
+    return sum_rule_mask(rng.integers(0, 5, rng.integers(2, 6)), (int(rng.integers(-2, 3)),))
 
 
-@given(mask=admissible_masks())
-def test_random_masks_reproduce_constants(mask):
+# edges: no weight, the largest weights at both end offsets, an empty coset, the shortest
+ADMISSIBLE_EDGES = [sum_rule_mask([0, 0], (0,)), sum_rule_mask([4] * 5, (-2,)),
+                    sum_rule_mask([4] * 5, (2,)), sum_rule_mask([0, 0, 0, 0, 4], (1,)),
+                    sum_rule_mask([1, 1], (2,))]
+ADMISSIBLE = ADMISSIBLE_EDGES + [seeded_mask(k) for k in range(50)]  # 44 distinct masks
+
+
+def test_random_masks_reproduce_constants():
     x = euclid_grid([1.75] * 9, lo=-4)
-    out = linear_refine(mask, x)
-    assert all(abs(v[0] - 1.75) <= 1e-12 for v in out.values())
+    for mask in ADMISSIBLE:
+        out = linear_refine(mask, x)
+        assert all(abs(v[0] - 1.75) <= 1e-12 for v in out.values()), mask
 
 
 @pytest.mark.parametrize("k", range(40))
@@ -269,8 +291,9 @@ def test_random_tensor_mask_alpha_sweeps_match_the_coset_loop(k):
     assert_alpha_sweep_matches_the_loop(tensor_product(seeded_mask(k), B), 2)
 
 
-@given(mask=admissible_masks(), n=st.integers(1, 3))
-def test_random_mask_residuals_match_the_dense_oracle(mask, n):
-    got = cascade(mask, n).eps_n
-    want = dense_interlevel(mask.coeffs.tolist(), mask.offset[0], n)
-    assert got == pytest.approx(want, abs=1e-12)
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_random_mask_residuals_match_the_dense_oracle(n):
+    for mask in ADMISSIBLE:
+        got = cascade(mask, n).eps_n
+        want = dense_interlevel(mask.coeffs.tolist(), mask.offset[0], n)
+        assert got == pytest.approx(want, abs=1e-12), mask

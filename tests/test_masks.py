@@ -4,8 +4,6 @@ from itertools import islice, product
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from npcsubdiv import (NumericError, ResourceError, SpaceDescriptor, StructuralError,
                        bspline_mask, chaikin_mask, contractivity_certificate,
@@ -20,6 +18,7 @@ from npcsubdiv.masks import (BoxGauge, Mask, convergence_level, coset, coset_sum
                              unit_gauge)
 from npcsubdiv.subdivision import CONVERGENCE_MARGIN, FIT_FIRST_LEVEL
 from oracles import dense_iterated, hat, linear_refine, offset_level_search, overlap_level_loop
+from test_linear import ADMISSIBLE, sum_rule_mask
 
 B = bspline_mask()
 C = chaikin_mask()
@@ -83,18 +82,18 @@ def nonzero_box(coeffs, offset):
                 tuple(int(ix.max()) + o for ix, o in zip(nz, offset)))
 
 
-@st.composite
-def sparse_arrays(draw):
-    """(coeffs, offset): 1-3 axes, mostly zeros so that whole rows, columns and
-    interior runs vanish; offsets near 0 or beyond int64."""
-    dim = draw(st.integers(1, 3))
-    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim)))
-    size = int(np.prod(shape))
-    flat = draw(st.lists(st.sampled_from((0.0, 0.0, 0.0, 0.25, 1.0)),
-                         min_size=size, max_size=size))
-    offset = draw(st.lists(st.integers(-4, 4) | st.sampled_from((2 ** 70, -2 ** 63 - 5)),
-                           min_size=dim, max_size=dim))
-    return np.array(flat).reshape(shape), tuple(offset)
+FAR = (2 ** 70, -2 ** 63 - 5)  # offsets beyond int64
+
+
+def sparse_array(k):
+    """(coeffs, offset) from default_rng(k): 1-3 axes of 1-6 entries, mostly
+    zeros so that whole rows, columns and interior runs vanish; each offset
+    -4..4 or, one time in four, beyond int64."""
+    rng = np.random.default_rng(k)
+    shape = tuple(rng.integers(1, 7, rng.integers(1, 4)).tolist())
+    coeffs = rng.choice([0.0, 0.0, 0.0, 0.25, 1.0], shape)
+    return coeffs, tuple(FAR[rng.integers(2)] if rng.random() < 0.25 else int(rng.integers(-4, 5))
+                         for _ in shape)
 
 
 def assert_trimmed_to_the_box(coeffs, offset):
@@ -114,9 +113,16 @@ def assert_trimmed_to_the_box(coeffs, offset):
                           coeffs[tuple(slice(l, l + n) for l, n in zip(lo, trimmed.coeffs.shape))])
 
 
-@given(case=sparse_arrays())
-def test_support_boxes_match_the_nonzero_oracle(case):
-    assert_trimmed_to_the_box(*case)
+# edges: single zeros in 1 and 2 axes, all zeros beyond int64 on both sides, a full
+# row at the far offset, and one nonzero in the last corner of the largest array
+SPARSE_EDGES = [(np.zeros(1), (0,)), (np.zeros((1, 1)), (0, 0)),
+                (np.zeros((1, 3, 1)), (FAR[1], 3, FAR[0])), (np.ones(6), (FAR[0],)),
+                (np.pad(np.full((1, 1, 1), 0.25), (5, 0)), (-4, 4, FAR[1]))]
+
+
+def test_support_boxes_match_the_nonzero_oracle():
+    for coeffs, offset in SPARSE_EDGES + [sparse_array(k) for k in range(40)]:
+        assert_trimmed_to_the_box(coeffs, offset)
 
 
 @pytest.mark.parametrize("coeffs,offset", (
@@ -359,44 +365,43 @@ def test_validate_reports_the_level_only_under_the_sum_rule():
         assert not any("screen" in note for note in validate_mask(mask).notes)
 
 
-@st.composite
-def sum_rule_masks(draw, dims=(1, 2)):
-    """1-D masks of 2-6 entries and 2-D masks of 3-4 entries per axis (a side
-    of width 2 never converges; see above): integer weights 1..4, some set to
-    0 (padding the edges, leaving gaps), translated by -9..9, and each parity
-    coset divided by its own sum, so dyadic or not; a coset with no weight
-    gets a 1 on its first entry."""
-    dim = draw(st.sampled_from(dims))
+def seeded_sum_rule_mask(k, dims=(1, 2)):
+    """The sum-rule mask of default_rng(k): 1-D of 2-6 entries or 2-D of 3-4
+    entries per axis (a side of width 2 never converges; see above), integer
+    weights 1..4 with one in four set to 0 (padding the edges, leaving gaps),
+    translated by -9..9."""
+    rng = np.random.default_rng(k)
+    dim = int(rng.choice(dims))
     low, high = ((2, 6), (3, 4))[dim - 1]
-    shape = tuple(draw(st.lists(st.integers(low, high), min_size=dim, max_size=dim)))
-    size = int(np.prod(shape))
-    weights = np.array(draw(st.lists(st.integers(1, 4), min_size=size, max_size=size)), float)
-    weights[np.array(draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))) == 0] = 0.0
-    weights = weights.reshape(shape)
-    offset = tuple(draw(st.lists(st.integers(-9, 9), min_size=dim, max_size=dim)))
-    for parity in product((0, 1), repeat=dim):
-        cls = weights[tuple(slice((p - o) % 2, None, 2) for p, o in zip(parity, offset))]
-        if not cls.any():
-            cls.flat[0] = 1.0
-        cls /= cls.sum()
-    return make_mask(offset, weights)
+    shape = tuple(rng.integers(low, high + 1, dim).tolist())
+    weights = rng.integers(1, 5, shape) * (rng.integers(0, 4, shape) > 0)
+    return sum_rule_mask(weights, tuple(rng.integers(-9, 10, dim).tolist()))
 
 
-@given(mask=sum_rule_masks())
-def test_convergence_level_matches_the_overlap_loop(mask):
+# edges: the narrowest and widest masks with no weight at both end offsets, the
+# widest of the largest weight, and the 2-D extremes
+SUM_RULE_EDGES_1D = [sum_rule_mask(np.zeros(2), (-9,)), sum_rule_mask(np.zeros(6), (9,)),
+                     sum_rule_mask(np.full(6, 4), (0,)), sum_rule_mask([0, 0, 0, 1, 1, 0], (-1,))]
+SUM_RULE_EDGES = SUM_RULE_EDGES_1D + [sum_rule_mask(np.zeros((3, 3)), (-9, 9)),
+                                      sum_rule_mask(np.full((4, 4), 4), (9, -9))]
+
+
+def test_convergence_level_matches_the_overlap_loop():
     """The level is the first overlap level of the loop (levels past 5, or
     none, read as None there); alpha_n > 0 exactly from the level on; and the
     certificate, which needs alpha_n > 0, is not found below the level, nor
     up to level 5 when there is none."""
-    level = convergence_level(mask)
     cap = 5
-    assert overlap_level_loop(mask, cap) == (level if level is not None and level <= cap else None)
-    centered, _ = recenter(mask)
-    gauge = default_gauge(centered)
-    for n, a_n in enumerate(islice(ladder(centered), 1, cap + 1), 1):
-        assert (_alpha(a_n, n, gauge) > 0) == (level is not None and n >= level), n
-    below = cap if level is None else min(level - 1, cap)
-    assert below == 0 or not contractivity_certificate(mask, below).found
+    for mask in SUM_RULE_EDGES + [seeded_sum_rule_mask(k) for k in range(40)]:
+        level = convergence_level(mask)
+        assert overlap_level_loop(mask, cap) == (level if level is not None and level <= cap
+                                                 else None), mask
+        centered, _ = recenter(mask)
+        gauge = default_gauge(centered)
+        for n, a_n in enumerate(islice(ladder(centered), 1, cap + 1), 1):
+            assert (_alpha(a_n, n, gauge) > 0) == (level is not None and n >= level), (mask, n)
+        below = cap if level is None else min(level - 1, cap)
+        assert below == 0 or not contractivity_certificate(mask, below).found, mask
 
 
 def worst_d_inf_series(mask, levels):
@@ -422,20 +427,20 @@ def worst_d_inf_series(mask, levels):
     return series
 
 
-@given(mask=sum_rule_masks(dims=(1,)))
-def test_convergence_level_agrees_with_the_worst_linear_decay(mask):
+def test_convergence_level_agrees_with_the_worst_linear_decay():
     """Against `linear_refine`: a scheme with a level contracts d_inf over all
     data |x| <= 1 (a fitted rate below 1 - margin); one without keeps rows u,
     u + e with |e| < 2c disjoint at every level, so the |e| <= 2c - 1 unit
     steps between them carry a total gap of 2, and one carries 2 / (2c - 1)."""
-    level = convergence_level(mask)
-    series = worst_d_inf_series(recenter(mask)[0], 4)  # D_n does not see translation
-    if level is None:
-        c = default_gauge(mask).half_widths[0]
-        assert min(series) >= 2.0 / (2 * c - 1) - 1e-12
-    else:
-        rate = fit_gamma([(n, d) for n, d in enumerate(series) if n >= FIT_FIRST_LEVEL])
-        assert rate < 1.0 - CONVERGENCE_MARGIN
+    for mask in SUM_RULE_EDGES_1D + [seeded_sum_rule_mask(k, (1,)) for k in range(40)]:
+        level = convergence_level(mask)
+        series = worst_d_inf_series(recenter(mask)[0], 4)  # D_n does not see translation
+        if level is None:
+            c = default_gauge(mask).half_widths[0]
+            assert min(series) >= 2.0 / (2 * c - 1) - 1e-12, mask
+        else:
+            rate = fit_gamma([(n, d) for n, d in enumerate(series) if n >= FIT_FIRST_LEVEL])
+            assert rate < 1.0 - CONVERGENCE_MARGIN, mask
 
 
 # -- stencils -------------------------------------------------------------------------
@@ -553,37 +558,19 @@ def test_mask_json_rejects_malformed_objects():
 
 # -- properties over random admissible masks -------------------------------------------
 
-@st.composite
-def admissible_masks(draw):
-    """Univariate nonnegative masks normalized to unit mass per parity coset."""
-    vals = draw(st.lists(st.integers(0, 4), min_size=2, max_size=5))
-    off = draw(st.integers(-2, 2))
-    even = sum(v for k, v in enumerate(vals) if (k + off) % 2 == 0)
-    odd = sum(v for k, v in enumerate(vals) if (k + off) % 2 == 1)
-    if even == 0 or odd == 0:
-        vals = vals + [1, 1]
-        even += 1 if (len(vals) - 2 + off) % 2 == 0 else 0
-        odd += 1 if (len(vals) - 2 + off) % 2 == 1 else 0
-        even += 1 if (len(vals) - 1 + off) % 2 == 0 else 0
-        odd += 1 if (len(vals) - 1 + off) % 2 == 1 else 0
-    coeffs = [v / (even if (k + off) % 2 == 0 else odd)
-              for k, v in enumerate(vals)]
-    return make_mask((off,), coeffs)
+@pytest.mark.parametrize("n", range(5))
+def test_random_mask_iterates_match_the_oracle(n):
+    for mask in ADMISSIBLE:
+        got = {i[0]: v for i, v in iterated_mask(mask, n).nonzero_items()}
+        want = dense_iterated(mask.coeffs.tolist(), mask.offset[0], n)
+        assert set(got) == set(want), mask
+        assert all(abs(got[k] - want[k]) <= 1e-12 for k in got), mask
 
 
-@given(mask=admissible_masks(), n=st.integers(0, 4))
-def test_random_mask_iterates_match_the_oracle(mask, n):
-    got = {i[0]: v for i, v in iterated_mask(mask, n).nonzero_items()}
-    want = dense_iterated(mask.coeffs.tolist(), mask.offset[0], n)
-    assert set(got) == set(want)
-    assert all(abs(got[k] - want[k]) <= 1e-12 for k in got)
-
-
-@given(mask=admissible_masks())
-def test_random_mask_cosets_survive_iteration(mask):
-    level = iterated_mask(mask, 3)
-    sums = {}
-    for idx, w in level.nonzero_items():
-        sums[idx[0] % 8] = sums.get(idx[0] % 8, 0.0) + w
-    assert len(sums) == 8
-    assert all(abs(s - 1.0) <= 1e-9 for s in sums.values())
+def test_random_mask_cosets_survive_iteration():
+    for mask in ADMISSIBLE:
+        sums = {}
+        for idx, w in iterated_mask(mask, 3).nonzero_items():
+            sums[idx[0] % 8] = sums.get(idx[0] % 8, 0.0) + w
+        assert len(sums) == 8, mask
+        assert all(abs(s - 1.0) <= 1e-9 for s in sums.values()), mask

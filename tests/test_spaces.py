@@ -6,8 +6,6 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from npcsubdiv import (BarycenterProblem, DomainError, NumericError, SolverError,
                        SpaceDescriptor, StructuralError, distance,
@@ -19,7 +17,7 @@ from npcsubdiv.spaces import (descriptor_from_json, descriptor_to_json,
                               hyperboloid_from_spatial, parse_space)
 from oracles import data_diameter, exact_tripod_barycenter, frechet_hessian, frechet_value, \
     hyperboloid_log, karcher_gradient_norm, scan_tripod_barycenter, tripod_distance
-from test_conformance import SMOOTH, points, seeds
+from test_conformance import SEEDS, SMOOTH, points
 
 TRI = SpaceDescriptor("tripod")
 HYP2, HYP3 = SpaceDescriptor("hyperboloid", 2), SpaceDescriptor("hyperboloid", 3)
@@ -181,22 +179,35 @@ def near_pair(desc, seed, radius, gap):
             hyperboloid_from_spatial(ps + gap * e / np.linalg.norm(e)))
 
 
+def seeded_cases(edges, lows, highs):
+    """(seed, values): the edge tuples, then per k of SEEDS a draw uniform in the
+    box [lows, highs] from default_rng([7, k]); seed, the place in the list, picks the points."""
+    draws = [tuple(np.random.default_rng([7, k]).uniform(lows, highs).tolist()) for k in SEEDS]
+    return list(enumerate(edges + draws))
+
+
+# edge radii: the origin, the smallest subnormal, float32's eps and the far end
+LOG_GAPS = (math.log(3e-4), math.log(0.1))
+RADII = (0.0, 5e-324, 6e-8, 2.0)
+
+
 @pytest.mark.parametrize("desc", (HYP2, HYP3), ids=str)
-@given(radius=st.floats(0.0, 2.0), log_gap=st.floats(math.log(3e-4), math.log(0.1)),
-       seed=seeds)
-def test_log_map_matches_the_50_digit_log_near_the_diagonal(desc, radius, log_gap, seed):
+def test_log_map_matches_the_50_digit_log_near_the_diagonal(desc):
     """acosh(1 + t) / sqrt(t (t + 2)) loses up to 2.6e-9 relative accuracy for
     gaps in [3e-4, 3e-2]; the asinh form of `dist` keeps it."""
-    p, q = near_pair(desc, seed, radius, math.exp(log_gap))
-    want = hyperboloid_log(p.payload, q.payload)
-    assert np.linalg.norm(log_map(p, q) - want) <= 1e-11 * np.linalg.norm(want)
+    edges = [(r, g) for r in RADII for g in LOG_GAPS]
+    for seed, (radius, log_gap) in seeded_cases(edges, (0.0, LOG_GAPS[0]), (2.0, LOG_GAPS[1])):
+        p, q = near_pair(desc, seed, radius, math.exp(log_gap))
+        want = hyperboloid_log(p.payload, q.payload)
+        assert np.linalg.norm(log_map(p, q) - want) <= 1e-11 * np.linalg.norm(want), seed
 
 
 @pytest.mark.parametrize("desc", (HYP2, HYP3), ids=str)
-@given(radius=st.floats(0.0, 2.0), seed=seeds)
-def test_exp_map_of_the_zero_vector_returns_the_base_payload(desc, radius, seed):
-    p, _ = near_pair(desc, seed, radius, 0.0)
-    assert np.array_equal(exp_map(p, np.zeros(desc.dim + 1)).payload, p.payload)
+def test_exp_map_of_the_zero_vector_returns_the_base_payload(desc):
+    edges = [(r,) for r in RADII + (1e-300, 2.2e-16, 1.0)]
+    for seed, (radius,) in seeded_cases(edges, (0.0,), (2.0,)):
+        p, _ = near_pair(desc, seed, radius, 0.0)
+        assert np.array_equal(exp_map(p, np.zeros(desc.dim + 1)).payload, p.payload), seed
 
 
 # -- NPC inequality -------------------------------------------------------------
@@ -287,33 +298,46 @@ def test_tripod_barycenter_matches_dense_scan():
         assert tripod_distance(y, y_scan) <= 2e-3
 
 
-@st.composite
-def tripod_problems(draw):
+def tripod_problem(rng):
     """(rows, weights) at a scale of t from 1 to 1e4.  Half are near-ties:
-    (1, t1), (2, t2) and (0, t0) with weights .4/.4/.2, where t1 - t2 and t0
-    are 1e-12 to 1e-6 of the scale, so the pull of one leg is near 0."""
-    scale = draw(st.sampled_from([1.0, 1e2, 1e4]))
-    tiny = st.floats(-12.0, -6.0).map(lambda e: scale * 10.0 ** e)
-    if draw(st.booleans()):
-        t2 = scale * draw(st.floats(0.5, 2.0))
-        t1, t0 = t2 + draw(tiny), draw(st.just(0.0) | tiny)
-        legs = draw(st.permutations([1, 2]))
-        return [(legs[0], t1), (legs[1], t2), (0, t0)], [0.4, 0.4, 0.2]
-    k = draw(st.integers(2, 6))
-    rows = [(draw(st.integers(0, 2)), scale * draw(st.floats(0.0, 2.0))) for _ in range(k)]
-    raw = np.array([draw(st.floats(0.01, 1.0)) for _ in range(k)])
+    (1, t1), (2, t2) and (0, t0) in either leg order with weights .4/.4/.2, where
+    t1 - t2 and t0 (or t0 = 0) are 1e-12 to 1e-6 of the scale, so the pull of one
+    leg is near 0; the rest are 2 to 6 points with weights from 0.01 to 1."""
+    scale = float(rng.choice([1.0, 1e2, 1e4]))
+    tiny = scale * 10.0 ** rng.uniform(-12.0, -6.0, 2)
+    if rng.random() < 0.5:
+        t2 = scale * rng.uniform(0.5, 2.0)
+        legs = rng.permutation([1, 2]).tolist()
+        t0 = 0.0 if rng.random() < 0.5 else tiny[1]
+        return [(legs[0], t2 + tiny[0]), (legs[1], t2), (0, t0)], [0.4, 0.4, 0.2]
+    k = int(rng.integers(2, 7))
+    rows = [(int(leg), scale * t) for leg, t in zip(rng.integers(0, 3, k), rng.uniform(0, 2, k))]
+    raw = rng.uniform(0.01, 1.0, k)
     return rows, (raw / raw.sum()).tolist()
 
 
-@given(tripod_problems())
-def test_tripod_barycenter_is_exact_to_4_ulps(problem):
-    rows, weights = problem
-    out, failure = spaces.barycenters(TRI, np.array(rows, dtype=float)[None], weights)
-    assert failure is None
-    leg, t = out[0]
-    exact_leg, s = exact_tripod_barycenter(rows, weights)
-    gap = abs(Fraction(t) - s) if leg == exact_leg else Fraction(t) + s
-    assert gap <= 4 * math.ulp(max(t for _, t in rows))
+# edges: all at the glue point; ties with no pull, the smallest pulls at both ends of
+# t2's range, the largest at each scale; 6 points at t = 0, 2e4 with weights 0.01, 1
+TIE = [0.4, 0.4, 0.2]
+TRIPOD_EDGES = [
+    ([(0, 0.0), (0, 0.0)], [0.5, 0.5]), ([(1, 0.0), (2, 0.0), (0, 0.0)], TIE),
+    ([(1, 0.5 + 1e-12), (2, 0.5), (0, 0.0)], TIE), ([(2, 2.0 + 1e-12), (1, 2.0), (0, 1e-12)], TIE),
+    ([(1, 2e4 + 1e-8), (2, 2e4), (0, 0.0)], TIE), ([(1, 0.5 + 1e-6), (2, 0.5), (0, 1e-6)], TIE),
+    ([(2, 50.0 + 1e-4), (1, 50.0), (0, 1e-4)], TIE), ([(1, 5e3 + 1e-2), (2, 5e3), (0, 1e-2)], TIE),
+    ([(0, 2e4), (1, 2e4), (2, 2e4), (0, 0.0), (1, 0.0), (2, 0.0)],
+     (np.array([0.01, 1.0, 1.0, 0.01, 1.0, 0.01]) / 3.03).tolist()),
+]
+
+
+def test_tripod_barycenter_is_exact_to_4_ulps():
+    problems = TRIPOD_EDGES + [tripod_problem(np.random.default_rng([11, k])) for k in SEEDS]
+    for rows, weights in problems:
+        out, failure = spaces.barycenters(TRI, np.array(rows, dtype=float)[None], weights)
+        assert failure is None
+        leg, t = out[0]
+        exact_leg, s = exact_tripod_barycenter(rows, weights)
+        gap = abs(Fraction(t) - s) if leg == exact_leg else Fraction(t) + s
+        assert gap <= 4 * math.ulp(max(t for _, t in rows)), rows
 
 
 def test_tripod_barycenter_tie_sits_at_the_glue_point():
@@ -425,11 +449,12 @@ def test_a_solver_error_reports_an_iterate_with_its_own_residual(desc, cap, monk
 
 @pytest.mark.parametrize("desc,reach", ((HYP2, 17.0), (HYP3, 17.0), (SPD2, 12.0), (SPD3, 12.0)),
                          ids=str)
-@given(count=st.integers(2, 9), scale=st.floats(0.0, 1.0), seed=seeds)
-def test_barycenters_converge_over_the_documented_range(desc, reach, count, scale, seed):
-    pts, weights, y, failure = solve_spread(desc, count, scale * reach, seed)
-    assert failure is None
-    assert_converged(desc, pts, weights, y)
+def test_barycenters_converge_over_the_documented_range(desc, reach):
+    edges = [(c, t) for c in (2, 9) for t in (0.0, 5e-324, 1.0)]
+    for seed, (count, scale) in seeded_cases(edges, (2, 0.0), (10, 1.0)):
+        pts, weights, y, failure = solve_spread(desc, int(count), scale * reach, seed)  # 2..9
+        assert failure is None, (count, scale, seed)
+        assert_converged(desc, pts, weights, y)
 
 
 @pytest.mark.parametrize("desc,count,seed", (
@@ -460,16 +485,17 @@ def test_spd3_draws_at_the_edge_of_the_range_that_stall(count, scale, seed):
 
 
 @pytest.mark.parametrize("desc", (HYP2, HYP3), ids=str)
-@given(count=st.integers(2, 9), radius=st.floats(17.0, 30.0), seed=seeds)
-def test_far_hyperboloid_data_converge_or_are_refused(desc, count, radius, seed):
-    pts, weights, y, failure = solve_spread(desc, count, radius, seed)
-    if failure:
-        assert isinstance(failure[1], DomainError)
-        assert "ill-conditioned" in str(failure[1])
-        return
-    assert_converged(desc, pts, weights, y)
-    diam = max(distance(hyperboloid_point(p), hyperboloid_point(q)) for p in pts for q in pts)
-    assert max(distance(hyperboloid_point(y), hyperboloid_point(p)) for p in pts) <= diam
+def test_far_hyperboloid_data_converge_or_are_refused(desc):
+    edges = [(c, r) for c in (2, 9) for r in (17.0, 30.0)]
+    for seed, (count, radius) in seeded_cases(edges, (2, 17.0), (10, 30.0)):
+        pts, weights, y, failure = solve_spread(desc, int(count), radius, seed)
+        if failure:
+            assert isinstance(failure[1], DomainError)
+            assert "ill-conditioned" in str(failure[1])
+            continue
+        assert_converged(desc, pts, weights, y)
+        diam = max(distance(hyperboloid_point(p), hyperboloid_point(q)) for p in pts for q in pts)
+        assert max(distance(hyperboloid_point(y), hyperboloid_point(p)) for p in pts) <= diam
 
 
 def test_a_row_where_the_unit_step_barely_contracts_converges():
