@@ -62,7 +62,8 @@ class RunConfig:
         if self.format not in ("json", "csv"):
             raise DomainError(f"unknown format {self.format!r}")
         if self.format == "csv" and self.command not in CSV_COMMANDS:
-            raise DomainError(f"csv output is only available for {', '.join(CSV_COMMANDS)}")
+            raise DomainError(
+                f"csv output is only available for {', '.join(CSV_COMMANDS)}")
         if self.mode not in ((None, "exact", "mc") if self.command == "chain" else (None,)):
             raise DomainError(f"command {self.command!r} has no mode {self.mode!r}")
         self.seed = integer(self.seed, "seed", 0)

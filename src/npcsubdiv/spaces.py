@@ -573,10 +573,12 @@ class _Hyperboloid(_Backend):
         p0 = rows[..., 0]
         if (p0 <= 0.0).any():
             raise StructuralError("hyperboloid payload needs positive time coordinate")
-        if (np.abs(rows) > 1e150).any():  # <p,p>_M squares the coordinates
+        with np.errstate(over="ignore", invalid="ignore"):  # <p,p>_M squares the coordinates
+            form = _mink(rows, rows)
+        if not np.isfinite(form).all():
             raise NumericError("hyperboloid payload leaves the float range")
         # round-off in <p,p>_M grows like p0^2, and p0 >= 1 on the sheet
-        if (np.abs(_mink(rows, rows) + 1.0) > HYPERBOLOID_TOL * p0 * p0).any():
+        if (np.abs(form + 1.0) > HYPERBOLOID_TOL * p0 * p0).any():
             raise StructuralError("payload is not on the unit hyperboloid")
         return rows
 

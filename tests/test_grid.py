@@ -87,18 +87,29 @@ EYE = [[1.0, 0.0], [0.0, 1.0]]
      "not on the unit hyperboloid"),
     (SpaceDescriptor("hyperboloid", 1), [[1, 0], [-1, 0], [1, 0]], StructuralError,
      "positive time coordinate"),
+    (SpaceDescriptor("hyperboloid", 1), [[1, 0], [1.35e154, 1.35e154], [1, 0]], NumericError,
+     "leaves the float range"),
+    (SpaceDescriptor("hyperboloid", 1), [[1, 0], [1.35e154, -1.35e154], [1, 0]], NumericError,
+     "leaves the float range"),
     (SpaceDescriptor("spd", 2), [EYE, [[1, 2], [2, 1]], EYE], StructuralError,
      "positive definite"),
     (SpaceDescriptor("spd", 2), [EYE, [[1, 2], [0, 1]], EYE], StructuralError, "symmetric"),
     (SpaceDescriptor("euclidean", 1), [[0], [float("nan")], [1]], NumericError, "non-finite"),
     (SpaceDescriptor("tripod"), [[0, 1], [2, float("nan")], [1, 3]], NumericError,
      "non-finite"),
-), ids=("bad-leg", "negative-t", "off-sheet", "past-sheet", "not-spd", "not-symmetric",
-        "nan", "tripod-nan"))
+), ids=("bad-leg", "negative-t", "off-sheet", "past-sheet", "overflow", "overflow-negative",
+        "not-spd", "not-symmetric", "nan", "tripod-nan"))
 def test_grid_rows_must_be_points_of_the_backend(desc, payloads, error, message):
     """The batched check of GridData raises what the point constructors raise."""
     with pytest.raises(error, match=message):
         GridData(desc, (0,), (2,), payloads)
+
+
+def test_a_hyperboloid_row_passes_up_to_where_its_form_overflows():
+    """<p,p>_M squares the coordinates, which stay below sqrt(max float) = 1.34e154."""
+    row = [1.3e154, 1.3e154]
+    assert GridData(SpaceDescriptor("hyperboloid", 1), (0,), (2,), [[1, 0], row, [1, 0]]) \
+        .payloads[1].tolist() == row
 
 
 def test_a_grid_keeps_the_glue_point_on_leg_0():

@@ -93,29 +93,31 @@ def test_partition_of_unity_residuals():
     assert partition_of_unity_residual(cascade(make_mask((0,), [1.0, 0.5]), 2)) == pytest.approx(0.75)
 
 
-def mask_json(k, dim):
-    """Mask JSON of dimension dim from default_rng([dim, k]): 1-4, 1-3 or 1-2
-    entries per axis, translated by -12..12, with dyadic coefficients or, half
-    the time, 0, 0.1, 1/3, 0.7 or a float in [1e-3, 3]; zeros pad the edges and
-    leave gaps inside, and one entry is nonzero."""
+def mask_json(k, dim, dyadic=False):
+    """Mask JSON of dimension dim from default_rng([dim, k]): 1-4, 1-4 or 1-2
+    entries per axis, translated by -12..12, with coefficients j / 8 (j in 0..8)
+    or, unless dyadic, half the time 0, 0.1, 1/3, 0.7 or a float in [1e-3, 3];
+    zeros pad the edges and leave gaps inside, and one entry is nonzero."""
     rng = np.random.default_rng([dim, k])
-    shape = tuple(rng.integers(1, (5, 4, 3)[dim - 1], dim).tolist())
-    if rng.random() < 0.5:
-        coeffs = rng.choice([0.0, 0.125, 0.25, 0.5, 0.75, 1.0], shape)
+    shape = tuple(rng.integers(1, (5, 5, 3)[dim - 1], dim).tolist())
+    if dyadic or rng.random() < 0.5:
+        coeffs, nonzero = rng.integers(0, 9, shape) / 8, rng.integers(1, 9) / 8
     else:
         coeffs = np.where(rng.random(shape) < 0.5, rng.choice([0.0, 0.1, 1 / 3, 0.7], shape),
                           rng.uniform(1e-3, 3.0, shape))
-    coeffs.flat[rng.integers(coeffs.size)] = rng.uniform(1e-3, 3.0)
+        nonzero = rng.uniform(1e-3, 3.0)
+    coeffs.flat[rng.integers(coeffs.size)] = nonzero
     return {"dim": dim, "offset": rng.integers(-12, 13, dim).tolist(), "coeffs": coeffs.tolist()}
 
 
 def mask_json_edges(dim):
     """(mask JSON, level) edges: one entry of 1 at offset -12 and level 0, one of
-    1e-3 at offset 12 and level 4, and at level 4 the largest array of 1/3 and a
-    3.0 with zeros on every side."""
-    one, largest = (1,) * dim, ((4,), (3, 3), (2, 2, 2))[dim - 1]
-    arrays = [(-12, np.ones(one), 0), (12, np.full(one, 1e-3), 4),
-              (0, np.full(largest, 1 / 3), 4), (0, np.pad(np.full(one, 3.0), 1), 4)]
+    1e-3 at offset 12 and level 4, and at level 4 the largest array of 1/3, the
+    largest of 0, 1/8, ..., 1, 0, 1/8, ... and a 3.0 with zeros on every side."""
+    one, largest = (1,) * dim, ((4,), (4, 4), (2, 2, 2))[dim - 1]
+    eighths = (np.arange(np.prod(largest)) % 9 / 8).reshape(largest)
+    arrays = [(-12, np.ones(one), 0), (12, np.full(one, 1e-3), 4), (0, np.full(largest, 1 / 3), 4),
+              (0, eighths, 4), (0, np.pad(np.full(one, 3.0), 1), 4)]
     return [({"dim": dim, "offset": [o] * dim, "coeffs": c.tolist()}, n) for o, c, n in arrays]
 
 
@@ -126,7 +128,10 @@ MASK_JSON_CASES = {dim: mask_json_edges(dim) + [(mask_json(k, dim), k % 5) for k
 
 @pytest.mark.parametrize("dim", (1, 2))
 def test_partition_of_unity_residual_matches_the_coset_loop(dim):
-    for obj, n in MASK_JSON_CASES[dim]:
+    # sums of eighths are exact, so the two summation orders agree bit for bit
+    edges = [(obj, n) for obj, n in mask_json_edges(dim)
+             if (np.array(obj["coeffs"]) * 8 % 1 == 0).all()]
+    for obj, n in edges + [(mask_json(k, dim, dyadic=True), k % 5) for k in range(40)]:
         samples = cascade(mask_from_json(obj), n)
         assert partition_of_unity_residual(samples) == partition_of_unity_loop(samples), obj
 
@@ -261,17 +266,22 @@ def sum_rule_mask(weights, offset):
     return make_mask(offset, weights)
 
 
-def seeded_mask(k):
-    """The univariate sum-rule mask of default_rng(k): 2 to 5 weights 0..4, offset -2..2."""
+def seeded_mask(k, tail=(1, 1)):
+    """The univariate sum-rule mask of default_rng(k): 2 to 5 weights 0..4 and
+    then tail, so 4 to 7 entries by default, at offset -2..2."""
     rng = np.random.default_rng(k)
-    return sum_rule_mask(rng.integers(0, 5, rng.integers(2, 6)), (int(rng.integers(-2, 3)),))
+    weights = np.append(rng.integers(0, 5, rng.integers(2, 6)), tail)
+    return sum_rule_mask(weights, (int(rng.integers(-2, 3)),))
 
 
-# edges: no weight, the largest weights at both end offsets, an empty coset, the shortest
+# edges: no weight, the largest weights at both end offsets, an empty coset, the
+# shortest, and the widest with and without weight before the tail
 ADMISSIBLE_EDGES = [sum_rule_mask([0, 0], (0,)), sum_rule_mask([4] * 5, (-2,)),
                     sum_rule_mask([4] * 5, (2,)), sum_rule_mask([0, 0, 0, 0, 4], (1,)),
-                    sum_rule_mask([1, 1], (2,))]
-ADMISSIBLE = ADMISSIBLE_EDGES + [seeded_mask(k) for k in range(50)]  # 44 distinct masks
+                    sum_rule_mask([1, 1], (2,)), sum_rule_mask([4] * 5 + [1, 1], (-2,)),
+                    sum_rule_mask([0] * 5 + [1, 1], (2,))]
+# 2 to 7 entries: the draws with the tail and without it
+ADMISSIBLE = ADMISSIBLE_EDGES + [seeded_mask(k, tail) for tail in ((1, 1), ()) for k in range(40)]
 
 
 def test_random_masks_reproduce_constants():

@@ -1,9 +1,9 @@
 """Malformed input files reach the CLI as typed errors, never as tracebacks.
 
 The named cases each pin one refusal.  The battery replaces one leaf of a
-valid mask file or grid file with a string, a non-finite or huge float, a bool,
-null or a nested list, and runs `validate` and `subdivide --levels 1` in-process:
-each run exits 0, or exits 1 with stderr holding exactly one error object.
+valid mask file or grid file with a string, a float, a bool, null or a nested
+list, and runs `validate` and `subdivide --levels 1` in-process: each run exits
+0, or exits 1 with stderr holding exactly one error object.
 """
 
 import io
@@ -134,15 +134,18 @@ def test_chain_state_of_the_wrong_dimension_is_a_structural_error(root):
 
 # -- the battery ------------------------------------------------------------------
 
-# text, nan, +-inf, bools, null, nested lists, and floats whose squares overflow
+# text, nan, +-inf, bools, null, nested lists, floats whose squares overflow, a
+# fraction, a negative, -0.0, the smallest subnormal and the largest float
 BAD_LEAVES = ("x", "", math.nan, math.inf, -math.inf, True, False, None, [[1]], [[-2, 2], []],
-              1.3407807929942597e+154, -1e300)
+              1.3407807929942597e+154, -1e300, 0.5, -1.0, -0.0, 5e-324, 1.7976931348623157e+308)
 # the j-th leaf of a file takes bad leaves 3j, 3j + 1 and 3j + 2 (mod their
-# count), so each file with four or more leaves meets every bad leaf
+# count), so each file with six or more leaves meets every bad leaf
 PAIRS = [((name, path), (3 * j + r) % len(BAD_LEAVES)) for name, obj in FILES.items()
          for j, path in enumerate(leaves(obj)) for r in range(3)]
 EXAMPLES = [(("mask", ("coeffs", 1)), "x"), (("mask", ("offset", 0)), True),
-            (("tripod", ("points", 0, "leg")), 0.0), (("spd", ("points", 2, "m", 0)), [[1]])]
+            (("tripod", ("points", 0, "leg")), 0.0), (("spd", ("points", 2, "m", 0)), [[1]]),
+            (("hyperboloid", ("descriptor", "dim")), 0.5),
+            (("hyperboloid", ("points", 0, "p", 0)), -1.0)]
 
 
 def test_one_bad_leaf_is_handled_or_refused(root):
