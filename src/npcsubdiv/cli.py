@@ -47,7 +47,7 @@ class RunConfig:
     levels: int | None = None
     steps: int | None = None
     trials: int | None = None
-    seed: int = 0
+    seed: int | None = None  # None: no --seed given, and a drawing command uses 0
     p: float | None = None
     start: tuple | None = None
     index: tuple | None = None
@@ -66,7 +66,7 @@ class RunConfig:
                 f"csv output is only available for {', '.join(CSV_COMMANDS)}")
         if self.mode not in ((None, "exact", "mc") if self.command == "chain" else (None,)):
             raise DomainError(f"command {self.command!r} has no mode {self.mode!r}")
-        self.seed = integer(self.seed, "seed", 0)
+        self.seed = None if self.seed is None else integer(self.seed, "seed", 0)
         self.trials = None if self.trials is None else integer(self.trials, "trials", 1)
 
 
@@ -189,13 +189,13 @@ def _cmd_diagnose(config: RunConfig):
     mask = _mask_of(config)
     n_max = config.levels if config.levels is not None else 4
     if config.data is not None:
-        if config.space is not None or config.trials is not None:
-            raise DomainError("diagnose --data takes neither --space nor --trials")
+        if (config.space, config.trials, config.seed) != (None, None, None):
+            raise DomainError("diagnose --data takes no --space, --trials or --seed")
         runs = [_data_of(config)]
     else:
         descriptor = parse_space(_need(config, "space"))
         trials = config.trials if config.trials is not None else 8
-        runs = [trial_grid(mask, descriptor, np.random.default_rng([config.seed, trial]))
+        runs = [trial_grid(mask, descriptor, np.random.default_rng([config.seed or 0, trial]))
                 for trial in range(trials)]
     reports = _diagnoses(mask, runs, n_max)
     verdicts = [r.verdict for r in reports]
@@ -215,10 +215,12 @@ def _cmd_chain(config: RunConfig):
     steps = _need(config, "steps")
     if config.mode == "mc":
         trials = config.trials if config.trials is not None else 100000
-        freq = simulate_chain(mask, start, steps, trials, config.seed)
+        seed = config.seed or 0
+        freq = simulate_chain(mask, start, steps, trials, seed)
         return {"mode": "mc", "start": list(start), "steps": steps,
-                "trials": trials, "seed": config.seed,
-                "freq": _sorted_probs(freq)}
+                "trials": trials, "seed": seed, "freq": _sorted_probs(freq)}
+    if config.seed is not None:
+        raise DomainError("exact chain takes no --seed: only --mc draws")
     row = kernel_row(mask, start, steps)
     return {"mode": "exact", "start": list(row.start), "steps": row.steps,
             "probs": _sorted_probs(row.probs)}
@@ -247,7 +249,7 @@ def _cmd_approx(config: RunConfig):
     descriptor = parse_space(config.space if config.space is not None
                              else "hyperboloid:2")
     level = config.levels if config.levels is not None else 5
-    sampler = geodesic_sampler(descriptor, config.seed)
+    sampler = geodesic_sampler(descriptor, config.seed or 0)
     checks = [{"h": chk.h, "sup_err": chk.sup_err, "bound": chk.bound, "ok": chk.ok}
               for chk in _approximations(mask, descriptor, sampler, 1.0, APPROX_H_SWEEP, level)]
     return {"space": f"{descriptor.kind}:{descriptor.dim}", "level": level,
@@ -255,8 +257,8 @@ def _cmd_approx(config: RunConfig):
             "checks": checks}
 
 
-# name -> (handler, help text, options): the options are keys of _OPTIONS,
-# which gives their flags and argparse keywords in the order --help lists them
+# name -> (handler, help text, options): the options are keys of _OPTIONS, in the
+# order --help lists them; build_parser adds --out and --format to every command
 COMMANDS = {
     "validate": (_cmd_validate, "check a mask: nonnegativity, sum rule, convergence level",
                  ("mask",)),
@@ -264,33 +266,32 @@ COMMANDS = {
     "certify": (_cmd_certify, "contractivity certificate for a mask", ("mask", "cap")),
     "subdivide": (_cmd_subdivide, "run the scheme on grid data", ("mask", "data!", "levels")),
     "diagnose": (_cmd_diagnose, "convergence diagnostic on given or random data",
-                 ("mask", "data", "space", "levels", "trials")),
+                 ("mask", "data", "space", "levels", "trials", "seed")),
     "chain": (_cmd_chain, "characteristic-chain marginal, exact or Monte Carlo",
-              ("mask", "steps", "start")),
+              ("mask", "steps", "start", "seed")),
     "lp": (_cmd_lp, "L^p moment curve of the chain", ("mask", "max-steps", "p", "start", "index")),
     "gap": (_cmd_gap, "nested vs one-shot barycenter gap", ("mask", "data!", "steps", "index")),
     "approx": (_cmd_approx, "sampled-geodesic approximation bound check",
-               ("mask", "space", "levels")),
+               ("mask", "space", "levels", "seed")),
 }
 
+# key -> (flags, reader, argparse keywords), the first flag naming the RunConfig field;
+# the reader runs in `config_from_args`, as argparse makes a refused value a usage error
 _OPTIONS = {
-    "mask": (("--mask",), {"required": True, "help": "mask JSON file"}),
-    "data": (("--data",), {"help": "grid data JSON file"}),
-    "data!": (("--data",), {"required": True, "help": "grid data JSON file"}),
-    "space": (("--space",), {"help": "backend as kind:dim, e.g. spd:2"}),
-    "levels": (("--levels", "--level"), {"help": "refinement depth"}),
-    "steps": (("--steps",), {"help": "chain step count"}),
-    "max-steps": (("--steps", "--max-steps"), {"help": "chain step count"}),
-    "trials": (("--trials",), {"help": "number of trials"}),
-    "p": (("--p",), {"help": "moment exponent (>= 1)"}),
-    "start": (("--start",), {"help": "start state, comma-separated integers"}),
-    "index": (("--index",), {"help": "lattice index, comma-separated integers"}),
-    "cap": (("--cap",), {"help": "certificate level cap"}),
+    "mask": (("--mask",), str, {"required": True, "help": "mask JSON file"}),
+    "data": (("--data",), str, {"help": "grid data JSON file"}),
+    "data!": (("--data",), str, {"required": True, "help": "grid data JSON file"}),
+    "space": (("--space",), str, {"help": "backend as kind:dim, e.g. spd:2"}),
+    "levels": (("--levels", "--level"), parse_int, {"help": "refinement depth"}),
+    "steps": (("--steps",), parse_int, {"help": "chain step count"}),
+    "max-steps": (("--steps", "--max-steps"), parse_int, {"help": "chain step count"}),
+    "trials": (("--trials",), parse_int, {"help": "number of trials"}),
+    "seed": (("--seed",), parse_int, {"help": "seed of the random draws (default 0)"}),
+    "p": (("--p",), parse_float, {"help": "moment exponent (>= 1)"}),
+    "start": (("--start",), parse_lattice, {"help": "start state, comma-separated integers"}),
+    "index": (("--index",), parse_lattice, {"help": "lattice index, comma-separated integers"}),
+    "cap": (("--cap",), parse_int, {"help": "certificate level cap"}),
 }
-
-# read in `config_from_args`: argparse refuses only unknown and missing options
-_READERS = {"levels": parse_int, "steps": parse_int, "trials": parse_int, "p": parse_float,
-            "start": parse_lattice, "index": parse_lattice, "cap": parse_int, "seed": parse_int}
 
 
 def run(config: RunConfig) -> Report:
@@ -392,9 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text, options) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         for option in options:
-            flags, keywords = _OPTIONS[option]
+            flags, _, keywords = _OPTIONS[option]
             cmd.add_argument(*flags, **keywords)
-        cmd.add_argument("--seed", default="0")
         cmd.add_argument("--out", help="output file (default: stdout)")
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
     mode = sub.choices["chain"].add_mutually_exclusive_group()
@@ -406,19 +406,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = ("mask", "data", "space", "levels", "steps", "trials", "p",
-              "start", "index", "cap", "out", "seed")
-    kwargs = {f: getattr(args, f, None) for f in fields}
-    kwargs.update({f: read(kwargs[f]) for f, read in _READERS.items() if kwargs[f] is not None})
-    mode = None
+    kwargs = {"out": args.out, "format": args.format}
+    for option in COMMANDS[args.command][2]:  # the parsed command's options, no others
+        flags, read, _ = _OPTIONS[option]
+        value = getattr(args, field := flags[0][2:])
+        kwargs[field] = None if value is None else read(value)
     if args.command == "chain":
-        mode = "mc" if args.mc is not None else "exact"
+        kwargs["mode"] = "mc" if args.mc is not None else "exact"
         if args.mc:  # the literal trials=N form
             key, _, value = args.mc.partition("=")
             if key != "trials":
                 raise DomainError(f"bad --mc argument {args.mc!r}")
             kwargs["trials"] = parse_int(value, f"--mc argument {args.mc!r}: trials")
-    return RunConfig(command=args.command, format=args.format, mode=mode, **kwargs)
+    return RunConfig(command=args.command, **kwargs)
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,8 @@ import pytest
 import npcsubdiv
 from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError, bspline_mask,
                        chaikin_mask, kernel_row, make_mask, tensor_power, tripod_point)
-from npcsubdiv.cli import Report, RunConfig, main, render_report
+from npcsubdiv.cli import (COMMANDS, Report, RunConfig, build_parser, config_from_args, main,
+                           render_report)
 from npcsubdiv.grid import GridData, grid_from_json, grid_from_points, grid_to_json, random_grid
 from npcsubdiv.masks import iterated_mask, mask_to_json, tensor_product, translate
 from oracles import dense_iterated
@@ -142,17 +143,18 @@ def test_diagnose_is_inconclusive_for_the_gapped_mask(capsys, files):
     assert payload["trials"] == 1
 
 
-@pytest.mark.parametrize("extra", (("--space", "spd:3"), ("--trials", "5"),
+@pytest.mark.parametrize("extra", (("--space", "spd:3"), ("--trials", "5"), ("--seed", "0"),
                                    ("--space", "spd:3", "--trials", "5", "--seed", "9")),
-                         ids=("space", "trials", "both"))
+                         ids=("space", "trials", "seed", "both"))
 def test_diagnose_refuses_a_space_or_trial_count_next_to_data(capsys, files, extra):
-    """Given --data, diagnose runs one trial on the file's data, so a space or
-    a trial count beside it would be echoed but not used."""
+    """Given --data, diagnose runs one trial on the file's data and draws
+    nothing, so a space, a trial count or a seed beside it would be echoed but
+    not used."""
     rc, out, err = run_cli(capsys, ["diagnose", "--mask", files["b"], "--data", files["witness"],
                                     *extra])
     assert rc == 1 and out == ""
     assert json.loads(err) == {"error": {
-        "type": "DomainError", "message": "diagnose --data takes neither --space nor --trials"}}
+        "type": "DomainError", "message": "diagnose --data takes no --space, --trials or --seed"}}
 
 
 @pytest.mark.parametrize("space", ("euclidean:1", "spd:2"))
@@ -675,6 +677,74 @@ def test_chain_refuses_a_trials_option(capsys, files, mode):
               "--trials", "7"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --trials 7" in capsys.readouterr().err
+
+
+# one valid run per command and per way of running it; "@name" is files[name]
+VALID_ARGVS = {
+    "validate": ["validate", "--mask", "@b"],
+    "cascade": ["cascade", "--mask", "@b", "--levels", "2"],
+    "certify": ["certify", "--mask", "@b"],
+    "subdivide": ["subdivide", "--mask", "@c", "--data", "@witness", "--levels", "1"],
+    "diagnose-data": ["diagnose", "--mask", "@b", "--data", "@witness", "--levels", "2"],
+    "diagnose-space": ["diagnose", "--mask", "@c", "--space", "euclidean:1", "--levels", "2",
+                       "--trials", "2"],
+    "chain-exact": ["chain", "--mask", "@c", "--start", "0", "--steps", "2"],
+    "chain-mc": ["chain", "--mask", "@c", "--start", "0", "--steps", "2", "--mc", "trials=50"],
+    "lp": ["lp", "--mask", "@c", "--start", "0", "--steps", "2"],
+    "gap": ["gap", "--mask", "@c", "--data", "@witness", "--index", "4", "--steps", "2"],
+    "approx": ["approx", "--mask", "@b", "--levels", "2"],
+}
+
+
+def valid_argv(files, name):
+    return [files[a[1:]] if a.startswith("@") else a for a in VALID_ARGVS[name]]
+
+
+@pytest.mark.parametrize("name", VALID_ARGVS)
+def test_every_option_a_command_accepts_is_read(files, monkeypatch, name):
+    """An option that its command's handler never reads would be echoed in the
+    report's config but change nothing.  --out and --format are read by `main`,
+    --exact and --mc by `config_from_args`."""
+    args = build_parser().parse_args(valid_argv(files, name))
+    config = config_from_args(args)
+    reads = set()
+
+    def recording(self, attr):
+        reads.add(attr)
+        return object.__getattribute__(self, attr)
+
+    monkeypatch.setattr(RunConfig, "__getattribute__", recording)
+    COMMANDS[config.command][0](config)
+    monkeypatch.undo()
+    accepted = set(vars(args)) - {"command", "out", "format", "exact", "mc"}
+    assert accepted and accepted <= reads, sorted(accepted - reads)
+
+
+@pytest.mark.parametrize("name", ("validate", "cascade", "certify", "subdivide", "lp", "gap"))
+def test_commands_that_draw_nothing_take_no_seed(capsys, files, name):
+    with pytest.raises(SystemExit) as exc:
+        main(valid_argv(files, name) + ["--seed", "9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ((), ("--exact",)), ids=("default", "exact"))
+def test_the_exact_chain_refuses_a_seed(capsys, files, mode):
+    """Only `chain --mc` draws, so the exact row refuses a seed it would not read."""
+    error = expect_error(capsys, valid_argv(files, "chain-exact") + [*mode, "--seed", "3"],
+                         "DomainError")
+    assert error["message"] == "exact chain takes no --seed: only --mc draws"
+
+
+@pytest.mark.parametrize("name", ("diagnose-space", "approx", "chain-mc"))
+def test_a_run_without_a_seed_draws_with_seed_0(capsys, files, name):
+    """No --seed writes the payload of --seed 0, and a config seed of null."""
+    rc, out, _ = run_cli(capsys, valid_argv(files, name))
+    rc0, out0, _ = run_cli(capsys, valid_argv(files, name) + ["--seed", "0"])
+    assert rc == rc0 == 0
+    report, report0 = json.loads(out), json.loads(out0)
+    assert (report["config"]["seed"], report0["config"]["seed"]) == (None, 0)
+    assert json.dumps(report["payload"]) == json.dumps(report0["payload"])
 
 
 @pytest.mark.parametrize("fields,message", (
