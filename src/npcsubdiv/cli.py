@@ -98,10 +98,6 @@ def _need(config: RunConfig, attr: str):
     return value
 
 
-def _mask_of(config: RunConfig) -> Mask:
-    return mask_from_json(_load_json(_need(config, "mask")))
-
-
 def _data_of(config: RunConfig) -> GridData:
     return grid_from_json(_load_json(_need(config, "data")))
 
@@ -133,8 +129,8 @@ def _box(lo, hi) -> dict:
     return {"lo": list(lo), "hi": list(hi)}
 
 
-def _cmd_validate(config: RunConfig):
-    report = validate_mask(_mask_of(config))
+def _cmd_validate(config: RunConfig, mask: Mask):
+    report = validate_mask(mask)
     payload = {
         "sum_rule_ok": report.sum_rule_ok,
         "residual": report.residual,
@@ -149,8 +145,8 @@ def _cmd_validate(config: RunConfig):
     return payload
 
 
-def _cmd_cascade(config: RunConfig):
-    samples = cascade(_mask_of(config), _need(config, "levels"))
+def _cmd_cascade(config: RunConfig, mask: Mask):
+    samples = cascade(mask, _need(config, "levels"))
     return {
         "level": samples.level,
         "eps_n": samples.eps_n,
@@ -159,9 +155,9 @@ def _cmd_cascade(config: RunConfig):
     }
 
 
-def _cmd_certify(config: RunConfig):
+def _cmd_certify(config: RunConfig, mask: Mask):
     cap = config.cap if config.cap is not None else 8
-    cert = contractivity_certificate(_mask_of(config), cap)
+    cert = contractivity_certificate(mask, cap)
     return {
         "found": cert.found,
         "level": cert.level,
@@ -174,8 +170,8 @@ def _cmd_certify(config: RunConfig):
     }
 
 
-def _cmd_subdivide(config: RunConfig):
-    trace = iterate(_mask_of(config), _data_of(config), _need(config, "levels"))
+def _cmd_subdivide(config: RunConfig, mask: Mask):
+    trace = iterate(mask, _data_of(config), _need(config, "levels"))
     return {
         "levels": len(trace.levels) - 1,
         "interiors": [_box(*b) for b in trace.interiors],
@@ -185,8 +181,7 @@ def _cmd_subdivide(config: RunConfig):
     }
 
 
-def _cmd_diagnose(config: RunConfig):
-    mask = _mask_of(config)
+def _cmd_diagnose(config: RunConfig, mask: Mask):
     n_max = config.levels if config.levels is not None else 4
     if config.data is not None:
         if (config.space, config.trials, config.seed) != (None, None, None):
@@ -209,8 +204,7 @@ def _cmd_diagnose(config: RunConfig):
     }
 
 
-def _cmd_chain(config: RunConfig):
-    mask = _mask_of(config)
+def _cmd_chain(config: RunConfig, mask: Mask):
     start = _need(config, "start")
     steps = _need(config, "steps")
     if config.mode == "mc":
@@ -226,8 +220,7 @@ def _cmd_chain(config: RunConfig):
             "probs": _sorted_probs(row.probs)}
 
 
-def _cmd_lp(config: RunConfig):
-    mask = _mask_of(config)
+def _cmd_lp(config: RunConfig, mask: Mask):
     start = _need(config, "start")
     p = config.p if config.p is not None else 1.0
     center = config.index if config.index is not None else (0,) * mask.dim
@@ -238,14 +231,13 @@ def _cmd_lp(config: RunConfig):
             "curve": curve}
 
 
-def _cmd_gap(config: RunConfig):
-    gap = nonassociativity_gap(_mask_of(config), _data_of(config),
+def _cmd_gap(config: RunConfig, mask: Mask):
+    gap = nonassociativity_gap(mask, _data_of(config),
                                _need(config, "index"), _need(config, "steps"))
     return {"index": list(config.index), "steps": config.steps, "gap": gap}
 
 
-def _cmd_approx(config: RunConfig):
-    mask = _mask_of(config)
+def _cmd_approx(config: RunConfig, mask: Mask):
     descriptor = parse_space(config.space if config.space is not None
                              else "hyperboloid:2")
     level = config.levels if config.levels is not None else 5
@@ -295,9 +287,10 @@ _OPTIONS = {
 
 
 def run(config: RunConfig) -> Report:
-    """Dispatches to the owning module; payload is deterministic per config."""
+    """Reads the mask and dispatches to the owning module; payload is deterministic per config."""
     started = time.perf_counter()
-    payload = COMMANDS[config.command][0](config)
+    mask = mask_from_json(_load_json(_need(config, "mask")))
+    payload = COMMANDS[config.command][0](config, mask)
     duration = time.perf_counter() - started
     versions = {
         "package": __version__,
@@ -397,11 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(*flags, **keywords)
         cmd.add_argument("--out", help="output file (default: stdout)")
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
-    mode = sub.choices["chain"].add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true",
-                      help="exact kernel row (default)")
-    mode.add_argument("--mc", nargs="?", const="", metavar="trials=N",
-                      help="Monte Carlo marginal; optional trials=N")
+    sub.choices["chain"].add_argument("--mc", nargs="?", const="", metavar="trials=N",
+                                      help="Monte Carlo marginal; optional trials=N")
     return parser
 
 

@@ -306,7 +306,8 @@ def _cells(mask: Mask):
     """The chain's tables, or None past `ITERATED_SUPPORT_CAP` slots: lo, the offset
     d of each cell, the start cell, the classes' raw weights (padded with 0 in front,
     so a class's last bin is live), and per anchor parity each cell's class and the
-    cell each (cell, bin) leads to: d -> (d + m + lo + b) >> 1, b = (c - lo) & 1."""
+    cell each (cell, bin) leads to: d -> (d + m + lo + b) >> 1, b = (c - lo) & 1.
+    The caller checks the sum rule first, which gives every parity class a weight."""
     lo, hi = mask.support_box()
     parities = list(product((0, 1), repeat=mask.dim))
     classes = [stencil(mask, r) for r in parities]

@@ -16,9 +16,10 @@ import npcsubdiv
 from npcsubdiv import (DomainError, SpaceDescriptor, StructuralError, bspline_mask,
                        chaikin_mask, kernel_row, make_mask, tensor_power, tripod_point)
 from npcsubdiv.cli import (COMMANDS, Report, RunConfig, build_parser, config_from_args, main,
-                           render_report)
+                           render_report, run)
 from npcsubdiv.grid import GridData, grid_from_json, grid_from_points, grid_to_json, random_grid
-from npcsubdiv.masks import iterated_mask, mask_to_json, tensor_product, translate
+from npcsubdiv.masks import (iterated_mask, mask_from_json, mask_to_json, tensor_product,
+                             translate)
 from oracles import dense_iterated
 from test_linear import MASK_JSON_CASES
 
@@ -668,8 +669,8 @@ def test_unknown_command_exits_with_usage_error(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", ((), ("--exact",), ("--mc",), ("--mc", "trials=5")),
-                         ids=("default", "exact", "mc", "mc-trials"))
+@pytest.mark.parametrize("mode", ((), ("--mc",), ("--mc", "trials=5")),
+                         ids=("default", "mc", "mc-trials"))
 def test_chain_refuses_a_trials_option(capsys, files, mode):
     """`chain` spells its trial count only as `--mc trials=N`."""
     with pytest.raises(SystemExit) as exc:
@@ -704,9 +705,10 @@ def valid_argv(files, name):
 def test_every_option_a_command_accepts_is_read(files, monkeypatch, name):
     """An option that its command's handler never reads would be echoed in the
     report's config but change nothing.  --out and --format are read by `main`,
-    --exact and --mc by `config_from_args`."""
+    --mc by `config_from_args` and --mask by `run`, which hands the handler the mask."""
     args = build_parser().parse_args(valid_argv(files, name))
     config = config_from_args(args)
+    mask = mask_from_json(json.loads(Path(config.mask).read_text()))
     reads = set()
 
     def recording(self, attr):
@@ -714,10 +716,10 @@ def test_every_option_a_command_accepts_is_read(files, monkeypatch, name):
         return object.__getattribute__(self, attr)
 
     monkeypatch.setattr(RunConfig, "__getattribute__", recording)
-    COMMANDS[config.command][0](config)
+    COMMANDS[config.command][0](config, mask)
     monkeypatch.undo()
-    accepted = set(vars(args)) - {"command", "out", "format", "exact", "mc"}
-    assert accepted and accepted <= reads, sorted(accepted - reads)
+    accepted = set(vars(args)) - {"command", "out", "format", "mask", "mc"}
+    assert accepted <= reads, sorted(accepted - reads)  # validate takes only --mask
 
 
 @pytest.mark.parametrize("name", ("validate", "cascade", "certify", "subdivide", "lp", "gap"))
@@ -728,12 +730,44 @@ def test_commands_that_draw_nothing_take_no_seed(capsys, files, name):
     assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", ((), ("--exact",)), ids=("default", "exact"))
-def test_the_exact_chain_refuses_a_seed(capsys, files, mode):
+def test_chain_takes_no_exact_option(capsys, files):
+    """The exact row is what `chain` runs without --mc, so no option names it."""
+    with pytest.raises(SystemExit) as exc:
+        main(valid_argv(files, "chain-exact") + ["--exact"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --exact" in capsys.readouterr().err
+
+
+def test_the_exact_chain_refuses_a_seed(capsys, files):
     """Only `chain --mc` draws, so the exact row refuses a seed it would not read."""
-    error = expect_error(capsys, valid_argv(files, "chain-exact") + [*mode, "--seed", "3"],
+    error = expect_error(capsys, valid_argv(files, "chain-exact") + ["--seed", "3"],
                          "DomainError")
     assert error["message"] == "exact chain takes no --seed: only --mc draws"
+
+
+# one run per command with only the options argparse requires
+REQUIRED_ONLY = {name: [name, "--mask", "@b"] + (["--data", "@witness"] if "data!" in options
+                                                 else [])
+                 for name, (_, _, options) in COMMANDS.items()}
+
+
+@pytest.mark.parametrize("argv", [*VALID_ARGVS.values(), *REQUIRED_ONLY.values()],
+                         ids=[*VALID_ARGVS, *(f"{name}-bare" for name in REQUIRED_ONLY)])
+def test_an_unreadable_mask_is_the_first_error(capsys, files, argv):
+    """Each command reads its mask before any other option, so a mask path that
+    does not exist is the error reported whether the rest is valid or missing."""
+    missing = str(files["root"] / "absent.json")
+    argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+    argv[argv.index("--mask") + 1] = missing
+    error = expect_error(capsys, argv, "StructuralError")
+    assert error["message"].startswith(f"cannot read {missing}: ")
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_run_without_a_mask_names_the_option(name):
+    with pytest.raises(DomainError) as info:
+        run(RunConfig(name))
+    assert str(info.value) == f"command {name!r} requires --mask"
 
 
 @pytest.mark.parametrize("name", ("diagnose-space", "approx", "chain-mc"))

@@ -72,7 +72,7 @@ CASES = {
     "chain_exact_nondyadic_6": ["chain", "--mask", "@nondyadic", "--start", "3",
                                 "--steps", "6"],
     "chain_exact_chaikin_8": ["chain", "--mask", "@chaikin", "--start", "5",
-                              "--steps", "8", "--exact"],
+                              "--steps", "8"],
     "chain_exact_shifted_5": ["chain", "--mask", "@chaikin_shifted",
                               "--start", "-7", "--steps", "5"],
     "chain_exact_tensor_hat_3": ["chain", "--mask", "@tensor_hat",
