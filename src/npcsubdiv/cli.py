@@ -428,7 +428,3 @@ def main(argv=None) -> int:
         print(json.dumps(error, indent=2), file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

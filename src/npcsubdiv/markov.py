@@ -66,12 +66,11 @@ class KernelRow:
 
 
 def _checked(mask: Mask, start, steps) -> tuple:
-    """start and steps read, steps >= 0, once the mask keeps the sum rule (stochastic rows)."""
+    """start and steps read, steps >= 0; the caller's `_cells` then checks the sum rule."""
     start = lattice_point(start, mask.dim, "chain state")
     steps = integer(steps, "steps")
     if steps < 0:
         raise DomainError("steps must be >= 0")
-    require_sum_rule(mask)
     return start, steps
 
 
@@ -117,12 +116,13 @@ def simulate_chain(mask: Mask, start, steps: int, trials: int, seed) -> dict:
     Returns a map from the final state to its frequency.
     """
     start, steps = _checked(mask, start, steps)
+    tables = _cells(mask)
     trials, seed = integer(trials, "trials"), integer(seed, "seed", 0)
     if not 1 <= trials < 2 ** 63:
         raise DomainError(f"trials must be >= 1 and < 2^63 (int64 counts), got {trials}")
     if steps == 0:
         return {start: 1.0}
-    if (tables := _cells(mask)) is None:
+    if tables is None:
         raise ResourceError(f"Monte Carlo tables exceed cap {ITERATED_SUPPORT_CAP}")
     lo, offsets, cell, weights, moves = tables
     probs = weights / np.array([[math.fsum(w)] for w in weights.tolist()])

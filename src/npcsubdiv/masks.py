@@ -307,7 +307,8 @@ def _cells(mask: Mask):
     d of each cell, the start cell, the classes' raw weights (padded with 0 in front,
     so a class's last bin is live), and per anchor parity each cell's class and the
     cell each (cell, bin) leads to: d -> (d + m + lo + b) >> 1, b = (c - lo) & 1.
-    The caller checks the sum rule first, which gives every parity class a weight."""
+    Raises unless the mask keeps the sum rule, which gives every parity class a weight."""
+    require_sum_rule(mask)
     lo, hi = mask.support_box()
     parities = list(product((0, 1), repeat=mask.dim))
     classes = [stencil(mask, r) for r in parities]
@@ -345,7 +346,6 @@ def convergence_level(mask: Mask) -> int | None:
     Micchelli & Prautzsch (LAA 1989) and Melkman (1997).  Tables, or visited
     states x cells, past `ITERATED_SUPPORT_CAP` are a `ResourceError`.
     """
-    require_sum_rule(mask)
     centered, _ = recenter(mask)
     if (tables := _cells(centered)) is None:
         raise ResourceError(f"convergence search tables exceed cap {ITERATED_SUPPORT_CAP}")

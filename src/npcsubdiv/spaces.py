@@ -292,16 +292,17 @@ def _karcher_step(backend, y, points, weights):
 # One class per kind owns its rules, and the registry `_BACKENDS` holds one
 # instance of each; `core` counts the payload axes, `shape(dim)` is a payload's
 # shape, `kappa` bounds the curvature from below by -kappa, `key` names the
-# payload in JSON, `fixed_dim` is the one dim of a kind that has one, and
-# `heavier_first` lets `subdivision._plan` list a 2-point stencil's heavier point
-# first.  Methods work over any leading axes.  The base class holds the Karcher
-# solver, whose `start`, `step`, `candidate` and `move` spd and the hyperboloid supply.
+# payload in JSON, and `fixed_dim` is the one dim of a kind that has one.
+# `barycenters` gives a 2-point row of unequal weights the same bits in either
+# order of its points, so `subdivision._plan` lists the heavier point first on
+# every backend.  Methods work over any leading axes.  The base class holds the
+# Karcher solver, whose `start`, `step`, `candidate` and `move` spd and the
+# hyperboloid supply.
 
 class _Backend:
     core = 1
     kappa = 0.0
     fixed_dim = None
-    heavier_first = True
     shape = staticmethod(lambda dim: (dim,))
 
     def parse(self, kind, dim, text):
@@ -677,7 +678,6 @@ def _tripod_rows(leg, t):
 
 class _Tripod(_Backend):
     fixed_dim = 1
-    heavier_first = False  # the pull sums in order, so a stencil stays in row-major order
     shape = staticmethod(lambda dim: (2,))  # the row (leg, t)
 
     def members(self, rows):
@@ -737,7 +737,7 @@ class _Tripod(_Backend):
         Two pulls sum to minus twice the weighted t of the third leg, so at most
         one is positive: the minimizer is the argmax leg at max(u, 0)."""
         legs, ts = points[..., None, :, 0], points[..., None, :, 1]
-        pulls = _dot(weights, np.where(legs == np.arange(3.0)[:, None], ts, -ts))
+        pulls = _weighted_sum(weights, np.where(legs == np.arange(3.0)[:, None], ts, -ts), 0)
         out = _tripod_rows(pulls.argmax(axis=-1), np.maximum(pulls.max(axis=-1), 0.0))
         bad = np.flatnonzero(~_finite(out, 1))
         return out, (int(bad[0]), _failure()) if bad.size else None

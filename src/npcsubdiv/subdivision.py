@@ -59,18 +59,18 @@ def _stack(grids) -> GridData:
 
 
 def _plan(mask: Mask, x: GridData) -> list:
-    """The parity classes r of the mask in groups that pose one problem on x's backend:
+    """The parity classes r of the mask in groups that pose one barycenter problem:
     (weights, a (2,) * dim table of the r it holds, a (2,) * dim + (k, dim) table of their
-    stencils' offsets j), the sum rule checked and the stencils built once per run.  The
-    weights agree within a group once a 2-point stencil lists its heavier point, where its
-    geodesic walk starts, first where the backend's `heavier_first` allows it."""
+    stencils' offsets j), the dimensions and the sum rule checked and the stencils built once
+    per run.  It reads x for its dimension alone: a 2-point stencil lists its heavier point
+    first, on which no backend's result depends, so classes of mirrored weights merge."""
     if x.dim != mask.dim:
         raise StructuralError("mask and data dimension disagree")
     require_sum_rule(mask)
     groups = {}
     for r in product((0, 1), repeat=x.dim):
         pairs = stencil(mask, r)
-        if len(pairs) == 2 and pairs[1][1] > pairs[0][1] and x.descriptor.backend.heavier_first:
+        if len(pairs) == 2 and pairs[1][1] > pairs[0][1]:
             pairs = pairs[::-1]
         holds, offsets = groups.setdefault(tuple(w for _, w in pairs), (
             np.zeros((2,) * x.dim, bool), np.zeros((2,) * x.dim + (len(pairs), x.dim), np.int64)))
@@ -196,9 +196,9 @@ def _iterate(mask: Mask, x: GridData, n):
         raise ResourceError(
             f"{n} levels of the window {x.lo}..{x.hi} exceed the cap of "
             f"{ITERATED_SUPPORT_CAP} payload floats on the finest level")
+    plan = _plan(mask, x)  # checks the dimensions and the sum rule before any box arithmetic
     boxes = check_interior_depth(mask, x.lo, x.hi, n)
     levels, failure = [x], None
-    plan = _plan(mask, x) if n else None
     for _ in range(n):
         out, first = _refine(plan, levels[-1])
         levels.append(out)

@@ -333,6 +333,30 @@ def test_sum_rule_violations_surface_through_the_cli(capsys, files):
     expect_error(capsys, ["certify", "--mask", str(bad)], "StructuralError")
 
 
+@pytest.mark.parametrize("argv", (["subdivide", "--levels", "3"], ["subdivide", "--levels", "0"],
+                                  ["gap", "--index", "0", "--steps", "2"], ["diagnose"]),
+                         ids=("subdivide-3", "subdivide-0", "gap", "diagnose-data"))
+def test_a_mask_of_another_dimension_is_refused_before_the_window_is_read(capsys, files, argv):
+    """Chaikin (1-D) on a 2x2 spd:2 grid: the run's plan refuses the pair at
+    every level, before the window's depth or a gauge is checked."""
+    data = files["root"] / "square.json"
+    square = random_grid(SpaceDescriptor("spd", 2), (0, 0), (1, 1), np.random.default_rng(0))
+    data.write_text(json.dumps(grid_to_json(square)))
+    error = expect_error(capsys, argv[:1] + ["--mask", files["c"], "--data", str(data)] + argv[1:],
+                         "StructuralError")
+    assert error["message"] == "mask and data dimension disagree"
+
+
+@pytest.mark.parametrize("argv", (["subdivide", "--data", "@witness", "--levels", "0"],
+                                  ["approx", "--levels", "0"]), ids=("subdivide", "approx"))
+def test_a_mask_that_breaks_the_sum_rule_is_refused_at_level_0(capsys, files, argv):
+    bad = files["root"] / "lopsided.json"
+    bad.write_text(json.dumps(mask_to_json(make_mask((0,), [1.0, 0.5]))))
+    argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+    error = expect_error(capsys, argv[:1] + ["--mask", str(bad)] + argv[1:], "StructuralError")
+    assert error["message"].startswith("mask violates the sum rule")
+
+
 @pytest.mark.parametrize("argv", (["validate"], ["cascade", "--levels", "1"], ["certify"]))
 def test_a_mask_of_dimension_0_is_a_clean_error(capsys, files, argv):
     bad = files["root"] / "dim0.json"
@@ -619,6 +643,15 @@ def test_grid_windows_beyond_int64_are_domain_errors(capsys, files, corner, leve
 def test_integer_options_are_a_minus_and_ascii_digits(capsys, files, argv):
     argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
     expect_error(capsys, argv, "DomainError")
+
+
+@pytest.mark.parametrize("p", ("abc", "", "-", "1e", "1.2.3"),
+                         ids=("letters", "empty", "minus", "no-exponent", "two-points"))
+def test_p_text_that_float_refuses_is_a_bad_number(capsys, files, p):
+    """ASCII text with no blank, '+' or '_' reaches float(), which refuses it."""
+    error = expect_error(capsys, ["lp", "--mask", files["c"], "--start", "0", "--p", p],
+                         "DomainError")
+    assert error["message"] == f"bad number {p!r}"
 
 
 @pytest.mark.parametrize("p,value", (("1", 1.0), ("1.5", 1.5), ("2e0", 2.0), ("-1", None)))

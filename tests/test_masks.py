@@ -354,6 +354,16 @@ def test_convergence_level_needs_the_sum_rule():
         convergence_level(make_mask((0,), [1.0, 0.5]))
 
 
+@pytest.mark.parametrize("mask", (make_mask((0,), [1.0]), make_mask((0,), [1.0, 0.0, 1.0]),
+                                  make_mask((0, 0), [[1.0]]), make_mask((0,), [1.0, 0.5])),
+                         ids=("delta", "odd-class-empty", "delta-2d", "lopsided"))
+def test_the_cell_tables_check_the_sum_rule_first(mask):
+    """A parity class with no weight has no row in the chain's tables: `_cells`
+    refuses the mask with the sum rule's error before it builds them."""
+    with pytest.raises(StructuralError, match=r"^mask violates the sum rule \(residual "):
+        masks._cells(mask)
+
+
 def test_validate_reports_the_level_only_under_the_sum_rule():
     assert validate_mask(B).convergence_level == 1
     assert validate_mask(C).convergence_level == 2

@@ -22,6 +22,7 @@ from npcsubdiv.subdivision import _approximations, _diagnoses, trial_grid
 import oracles
 from oracles import (approx_loop, data_diameter, diagnose_loop, empirical_gamma_loop,
                      karcher_gradient_norm, linear_refine, pairwise_sup, pointwise_refine)
+from test_linear import seeded_mask
 
 EU1 = SpaceDescriptor("euclidean", 1)
 EU2 = SpaceDescriptor("euclidean", 2)
@@ -207,6 +208,25 @@ def test_merged_classes_fail_at_their_lowest_node(mask, lo, hi, far):
     assert str(batched.value) == str(pointwise.value)
 
 
+@pytest.mark.parametrize("mask", [B, C, CUBIC, tensor_power(B, 2), tensor_product(C, B)]
+                         + [seeded_mask(k) for k in range(20)],
+                         ids=["hat", "chaikin", "cubic", "tensor-hat", "chaikin-hat"]
+                         + [f"seeded-{k}" for k in range(20)])
+def test_the_plan_is_the_same_on_every_backend(mask):
+    """A run's stencil groups read the mask alone: each registered backend gets
+    the groups euclidean data gets, so Chaikin's two classes are one group."""
+    def groups(desc):
+        x = random_grid(desc, (0,) * mask.dim, (3,) * mask.dim, np.random.default_rng(5))
+        return [(w.tolist(), holds.tolist(), offsets.tolist())
+                for w, holds, offsets in subdivision._plan(mask, x)]
+
+    want = groups(EU1)
+    assert all(groups(SpaceDescriptor(kind, backend.fixed_dim or 2)) == want
+               for kind, backend in spaces._BACKENDS.items())
+    if mask is C:
+        assert len(want) == 1
+
+
 def test_a_lower_node_failing_later_is_the_one_raised(monkeypatch):
     """With the iteration capped at 3 steps, a far node of this grid fails at
     the first step (its coordinates are too coarse for the tolerance: a
@@ -304,6 +324,21 @@ def test_subdivide_validation():
         subdivide(tensor_power(B, 2), x)
     with pytest.raises(StructuralError):
         subdivide(make_mask((0,), [1.0, 0.5]), x)
+
+
+@pytest.mark.parametrize("n", (0, 3))
+def test_a_mask_of_another_dimension_is_refused_at_any_level(n):
+    """The plan checks the dimensions before any box arithmetic, which would
+    zip a 1-D support box against 2-D window corners."""
+    x = random_grid(SPD2, (0, 0), (1, 1), np.random.default_rng(0))
+    with pytest.raises(StructuralError, match="^mask and data dimension disagree$"):
+        iterate(C, x, n)
+
+
+def test_a_mask_that_breaks_the_sum_rule_is_refused_at_level_0():
+    x = tripod_grid([(1, 1.0), (2, 1.0), (0, 0.5)])
+    with pytest.raises(StructuralError, match="^mask violates the sum rule"):
+        iterate(make_mask((0,), [1.0, 0.5]), x, 0)
 
 
 # -- midpoint comparison scheme -----------------------------------------------------------
